@@ -236,7 +236,7 @@ class SummaryExporter:
     receiver is silently discarding our keep-alives).
     """
 
-    __slots__ = ("server", "config", "delta", "refresh_after",
+    __slots__ = ("server", "delta", "refresh_after",
                  "_last_parent", "_last_full_at")
 
     def __init__(
@@ -248,7 +248,6 @@ class SummaryExporter:
         refresh_after: Optional[float] = None,
     ):
         self.server = server
-        self.config = config
         self.delta = delta
         self.refresh_after = (
             refresh_after if refresh_after is not None else config.ttl
@@ -261,24 +260,30 @@ class SummaryExporter:
         self._last_parent = None
 
     def build_update(
-        self, now: float, *, force_full: bool = False
+        self,
+        now: float,
+        branch: Optional[ResourceSummary],
+        *,
+        force_full: bool = False,
     ) -> Optional[tuple]:
         """One epoch's report to the parent: ``(update, size_bytes)``.
 
-        Returns None when there is no parent to report to (root) or the
-        server is dead. Mutates the exporter's delta state — the report
-        counts as sent whether or not it survives the network.
+        *branch* is the server's branch summary for this tick, stamped
+        *now* (``None`` for an empty branch); the caller builds it once
+        and hands the same object to the server's :class:`~repro.overlay.
+        replication.ReplicaPusher`. Returns None when there is no parent
+        to report to (root) or the server is dead. Mutates the exporter's
+        delta state — the report counts as sent whether or not it
+        survives the network.
         """
         server = self.server
         parent = server.parent
         if parent is None or not server.alive:
             return None
-        summary = server.branch_summary(self.config, now)
         size = HEADER_BYTES + BRANCH_STATS_BYTES
-        if summary is None:
+        if branch is None:
             return SummaryUpdate("child", server.server_id), size
-        summary = summary.refreshed(now)
-        fp = summary.fingerprint()
+        fp = branch.fingerprint()
         keepalive = (
             self.delta
             and not force_full
@@ -291,8 +296,8 @@ class SummaryExporter:
         if keepalive:
             return SummaryUpdate("child", server.server_id, None, fp), size
         self._last_full_at = now
-        size += summary.encoded_size()
-        return SummaryUpdate("child", server.server_id, summary, fp), size
+        size += branch.encoded_size()
+        return SummaryUpdate("child", server.server_id, branch, fp), size
 
 
 def build_owner_export(

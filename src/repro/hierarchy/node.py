@@ -224,13 +224,20 @@ class Server:
     def branch_summary(
         self, config: SummaryConfig, now: float = 0.0
     ) -> Optional[ResourceSummary]:
-        """Local summary merged with the latest child branch summaries.
+        """Local summary merged with the latest child branch summaries."""
+        return self.fold_branch(self.local_summary(config, now), now)
+
+    def fold_branch(
+        self, local: Optional[ResourceSummary], now: float
+    ) -> Optional[ResourceSummary]:
+        """*local* merged with the latest child branch summaries.
 
         Uses the *reported* child summaries (soft state), not a live
         recomputation — matching the bottom-up aggregation protocol.
+        Taking *local* as an argument lets a caller that also ships the
+        local summary (the replication overlay) build it only once.
         """
         parts: List[ResourceSummary] = []
-        local = self.local_summary(config, now)
         if local is not None:
             parts.append(local)
         for cid in self.child_ids():

@@ -115,12 +115,14 @@ class ReplicationOverlay:
         prof = telemetry.profiler if telemetry is not None else None
         if prof is not None:
             prof.enter("update.replicate")
-        # Compute each server's branch and local summaries once.
+        # Each server's local summary is built once; its branch summary
+        # is folded from that same object.
         branch: Dict[int, Optional[ResourceSummary]] = {}
         local: Dict[int, Optional[ResourceSummary]] = {}
         for server in self.hierarchy:
-            branch[server.server_id] = server.branch_summary(self.config, now)
-            local[server.server_id] = server.local_summary(self.config, now)
+            own = server.local_summary(self.config, now)
+            local[server.server_id] = own
+            branch[server.server_id] = server.fold_branch(own, now)
 
         total_bytes = 0
         messages = 0
@@ -248,20 +250,29 @@ class ReplicaPusher:
         # (holder_id, table) -> time of the last full send to that holder
         self._last_full_at: Dict[tuple, float] = {}
 
-    def build_updates(self, now: float, *, force_full: bool = False) -> List[tuple]:
+    def build_updates(
+        self,
+        now: float,
+        branch: Optional[ResourceSummary],
+        local: Optional[ResourceSummary],
+        *,
+        force_full: bool = False,
+    ) -> List[tuple]:
         """One epoch's pushes from this source: ``[(holder_id, update, size)]``.
 
-        Payload objects are shared across holders receiving the same
-        content (installation never mutates them), so an epoch allocates
-        O(1) payloads per source, not per message. Mutates the shared
-        delta fingerprint map — a push counts as sent even if lost.
+        *branch* (stamped *now*) and *local* are the server's summaries
+        for this tick, built once by the caller and shared with the
+        server's exporter; either may be ``None`` when there is nothing
+        to summarize. Payload objects are shared across holders receiving
+        the same content (installation never mutates them), so an epoch
+        allocates O(1) payloads per source, not per message. Mutates the
+        shared delta fingerprint map — a push counts as sent even if lost.
         """
         from ..hierarchy.aggregation import SummaryUpdate
 
         server = self.server
         if not server.alive:
             return []
-        config = self.overlay.config
         out: List[tuple] = []
         last_fp = self.overlay._last_fp
         sid = server.server_id
@@ -294,15 +305,9 @@ class ReplicaPusher:
                     self._last_full_at[full_key] = now
                     out.append((holder.server_id, full, full_size))
 
-        branch = server.branch_summary(config, now)
+        push_table("branch", "replica", branch, replication_audience(server))
         push_table(
-            "branch", "replica",
-            branch.refreshed(now) if branch is not None else None,
-            replication_audience(server),
-        )
-        push_table(
-            "local", "replica_local",
-            server.local_summary(config, now),
+            "local", "replica_local", local,
             [s for s in server.iter_subtree() if s is not server],
         )
         return out

@@ -164,9 +164,14 @@ class RecordStore:
         return self._numeric
 
     def numeric_column(self, name: str) -> np.ndarray:
-        """Read-only view of one numeric attribute's values."""
+        """Read-only view of one numeric attribute's values.
+
+        Only the returned view is locked; the matrix behind it stays
+        writable for :meth:`update_numeric` and in-place record churn,
+        and the view follows those writes.
+        """
         col = self._numeric[:, self._schema.numeric_position(name)]
-        col.flags.writeable = False if col.base is None else col.flags.writeable
+        col.flags.writeable = False
         return col
 
     def categorical_column(self, name: str) -> List[str]:

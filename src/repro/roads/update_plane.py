@@ -319,14 +319,31 @@ class UpdatePlane:
             src = owner.node_id if owner.node_id is not None else server.server_id
             self._send_update(src, server.server_id, update, size, "export")
 
-    def _export_to_parent(self, server: Server, *, force_full: bool = False) -> None:
+    def _aggregate(self, server: Server, *, force_full: bool = False) -> tuple:
+        """Build *server*'s summaries for this tick and report upward.
+
+        The tick contract: one ``local`` summary (its owners' records and
+        guest exports), one ``branch`` summary folded from it and the held
+        child reports, stamped now. The branch goes to the parent through
+        the exporter; ``(branch, local)`` is returned so the pusher ships
+        the very same objects. Nothing is kept past the tick — stores are
+        churned in place, so any summary cached across ticks could go
+        stale without its store changing identity.
+        """
         prof = self._profiler
         if prof is not None:
             prof.enter("update.aggregate")
         try:
-            built = self._exporter(server).build_update(
-                self.sim.now, force_full=force_full
-            )
+            now = self.sim.now
+            local = server.local_summary(self.config, now)
+            branch = server.fold_branch(local, now)
+            if branch is not None:
+                branch = branch.refreshed(now)
+            built = None
+            if server.parent is not None:
+                built = self._exporter(server).build_update(
+                    now, branch, force_full=force_full
+                )
             if built is not None:
                 update, size = built
                 c = self.counters
@@ -340,17 +357,20 @@ class UpdatePlane:
                     server.server_id, server.parent.server_id,
                     update, size, "aggregate",
                 )
+            return branch, local
         finally:
             if prof is not None:
                 prof.exit()
 
-    def _push_replicas(self, server: Server, *, force_full: bool = False) -> None:
+    def _push_replicas(
+        self, server: Server, branch, local, *, force_full: bool = False
+    ) -> None:
         prof = self._profiler
         if prof is not None:
             prof.enter("update.replicate")
         try:
             pushes = self._pusher(server).build_updates(
-                self.sim.now, force_full=force_full
+                self.sim.now, branch, local, force_full=force_full
             )
             if not pushes:
                 return
@@ -444,9 +464,9 @@ class UpdatePlane:
 
             def act(s: Server = server) -> None:
                 self.counters.expired += s.expire_stale_summaries(self.sim.now)
-                if s.parent is not None:
-                    self._export_to_parent(s)
-                self._push_replicas(s)
+                if s.alive:  # may have failed since the epoch was scheduled
+                    branch, local = self._aggregate(s)
+                    self._push_replicas(s, branch, local)
 
             self._schedule(slot, act)
 
@@ -534,9 +554,8 @@ class UpdatePlane:
         self.ticks += 1
         self.counters.expired += server.expire_stale_summaries(self.sim.now)
         self._export_guest_owners(server)
-        if server.parent is not None:
-            self._export_to_parent(server)
-        self._push_replicas(server)
+        branch, local = self._aggregate(server)
+        self._push_replicas(server, branch, local)
 
     # -- maintenance hooks -----------------------------------------------------------
     def on_rejoin(self, server: Server) -> None:
@@ -550,7 +569,7 @@ class UpdatePlane:
         self._exporter(server).forget_parent()
         if server.parent is not None and server.alive:
             self._schedule(0.0, lambda: (
-                self._export_to_parent(server)
+                self._aggregate(server)
                 if server.parent is not None and server.alive
                 else None
             ))

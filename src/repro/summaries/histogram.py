@@ -17,7 +17,7 @@ is an ablation axis (see DESIGN.md §5).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,27 @@ _DENSE_COUNTER_BYTES = 4
 _SPARSE_ENTRY_BYTES = 8
 #: fixed header: attribute id, bucket count, domain bounds
 _HEADER_BYTES = 16
+
+
+def _bucket_block(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, buckets: int
+) -> np.ndarray:
+    """The bucketing kernel: ``(records, attributes)`` values to an
+    ``(attributes, buckets)`` int64 count block.
+
+    Column ``j`` is clipped into ``[lo[j], hi[j]]`` and every value falls
+    in equal-width bucket ``floor((v - lo) / (hi - lo) * buckets)``, with
+    ``hi`` itself in the last bucket. Offsetting column ``j``'s indices
+    by ``j * buckets`` lets a single ``np.bincount`` count all columns.
+    """
+    n_attrs = values.shape[1]
+    idx = np.floor(
+        (np.clip(values, lo, hi) - lo) / (hi - lo) * buckets
+    ).astype(np.int64)
+    np.clip(idx, 0, buckets - 1, out=idx)
+    idx += np.arange(n_attrs, dtype=np.int64) * buckets
+    block = np.bincount(idx.ravel(), minlength=n_attrs * buckets)
+    return block.astype(np.int64, copy=False).reshape(n_attrs, buckets)
 
 
 class HistogramSummary(AttributeSummary):
@@ -87,6 +108,46 @@ class HistogramSummary(AttributeSummary):
         return h
 
     @classmethod
+    def from_matrix(
+        cls,
+        attributes: Sequence[str],
+        matrix: np.ndarray,
+        buckets: int,
+        bounds: Sequence[Tuple[float, float]],
+        *,
+        encoding: str = "dense",
+    ) -> List["HistogramSummary"]:
+        """One histogram per column of a ``(records, attributes)`` matrix.
+
+        Column ``j`` is summarized under ``attributes[j]`` over domain
+        ``bounds[j]``, exactly as :meth:`from_values` would summarize it
+        alone; the histograms' counters are rows of one shared block.
+        """
+        if buckets <= 0:
+            raise ValueError(f"histogram needs at least one bucket, got {buckets}")
+        if encoding not in ("dense", "sparse", "bitmap"):
+            raise ValueError(f"unknown encoding {encoding!r}")
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or not (
+            matrix.shape[1] == len(attributes) == len(bounds)
+        ):
+            raise ValueError(
+                f"matrix shape {matrix.shape} does not match "
+                f"{len(attributes)} attributes / {len(bounds)} bounds"
+            )
+        if not attributes:
+            return []
+        edges = np.asarray(bounds, dtype=np.float64).reshape(-1, 2)
+        lo, hi = edges[:, 0], edges[:, 1]
+        if not (lo < hi).all():
+            raise ValueError(f"invalid histogram bounds {list(bounds)}")
+        block = _bucket_block(matrix, lo, hi, buckets)
+        return [
+            cls._trusted(name, (float(l), float(h)), encoding, counts)
+            for name, l, h, counts in zip(attributes, lo, hi, block)
+        ]
+
+    @classmethod
     def _trusted(
         cls,
         attribute: str,
@@ -113,15 +174,12 @@ class HistogramSummary(AttributeSummary):
         if vals.size == 0:
             return
         self._fp = None
-        clipped = np.clip(vals, self.lo, self.hi)
-        idx = self._bucket_of(clipped)
-        np.add.at(self.counts, idx, 1)
-
-    def _bucket_of(self, values: np.ndarray) -> np.ndarray:
-        m = self.counts.shape[0]
-        span = self.hi - self.lo
-        idx = np.floor((values - self.lo) / span * m).astype(np.int64)
-        return np.clip(idx, 0, m - 1)
+        self.counts += _bucket_block(
+            vals.reshape(-1, 1),
+            np.float64([self.lo]),
+            np.float64([self.hi]),
+            self.buckets,
+        )[0]
 
     # -- protocol ----------------------------------------------------------------
     @property

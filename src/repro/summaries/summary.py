@@ -61,25 +61,27 @@ class ResourceSummary:
         """Summarize every searchable attribute of *store*."""
         schema = store.schema
         attrs: Dict[str, AttributeSummary] = {}
-        for spec in schema.numeric_attributes:
-            values = store.numeric_column(spec.name)
-            if config.multiresolution_levels > 1:
+        numeric = schema.numeric_attributes
+        if config.multiresolution_levels > 1:
+            for spec in numeric:
                 attrs[spec.name] = MultiResolutionHistogram.from_values(
                     spec.name,
-                    values,
+                    store.numeric_column(spec.name),
                     config.histogram_buckets,
                     spec.bounds,
                     config.multiresolution_levels,
                     encoding=config.histogram_encoding,
                 )
-            else:
-                attrs[spec.name] = HistogramSummary.from_values(
-                    spec.name,
-                    values,
-                    config.histogram_buckets,
-                    spec.bounds,
-                    encoding=config.histogram_encoding,
-                )
+        else:
+            names = [spec.name for spec in numeric]
+            histograms = HistogramSummary.from_matrix(
+                names,
+                store.numeric_matrix,
+                config.histogram_buckets,
+                [spec.bounds for spec in numeric],
+                encoding=config.histogram_encoding,
+            )
+            attrs.update(zip(names, histograms))
         for spec in schema.categorical_attributes:
             values = store.categorical_column(spec.name)
             if config.categorical_summary == "bloom":

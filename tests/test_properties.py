@@ -6,6 +6,8 @@ coarsening only widens answers, Chord routing always terminates within
 its hop bound, and the balanced join always yields a well-formed tree.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,10 +16,12 @@ from hypothesis import strategies as st
 from repro.hierarchy import Server, build_hierarchy
 from repro.overlay import coverage_ids, replication_sources
 from repro.query import EqualsPredicate, Query, RangePredicate
-from repro.records import RecordStore, Schema, numeric
+from repro.records import RecordStore, Schema, categorical, numeric
 from repro.summaries import (
     BloomFilterSummary,
     HistogramSummary,
+    ResourceSummary,
+    SummaryConfig,
     ValueSetSummary,
     coarsen,
 )
@@ -97,6 +101,128 @@ class TestHistogramProperties:
         arr = np.asarray(values)
         exact = int(((arr >= lo) & (arr <= hi)).sum()) if arr.size else 0
         assert h.count_in_range(lo, hi) >= exact
+
+
+def reference_counts(values, lo, hi, buckets):
+    """Per-value bucketing in plain Python floats: the kernel's oracle."""
+    counts = [0] * buckets
+    for v in values:
+        v = min(max(v, lo), hi)
+        b = math.floor((v - lo) / (hi - lo) * buckets)
+        counts[min(max(b, 0), buckets - 1)] += 1
+    return counts
+
+
+def reference_size(counts, encoding):
+    if encoding == "dense":
+        return 16 + 4 * len(counts)
+    if encoding == "bitmap":
+        return 16 + (len(counts) + 7) // 8
+    return 16 + 8 * sum(1 for c in counts if c)
+
+
+@st.composite
+def mixed_stores(draw):
+    """A store whose schema interleaves numeric and categorical
+    attributes, with per-attribute bounds and values that stray below
+    ``lo``, above ``hi`` and sit exactly on both edges."""
+    n_numeric = draw(st.integers(min_value=1, max_value=4))
+    n_records = draw(st.integers(min_value=0, max_value=25))
+    specs, columns = [], []
+    for j in range(n_numeric):
+        lo = draw(st.floats(min_value=-1e3, max_value=1e3))
+        hi = lo + draw(st.floats(min_value=1e-3, max_value=1e3))
+        specs.append(numeric(f"n{j}", lo, hi))
+        span = hi - lo
+        value = st.one_of(
+            st.floats(min_value=lo - span, max_value=hi + span),
+            st.sampled_from([lo, hi, lo - span, hi + span]),
+        )
+        columns.append(
+            draw(st.lists(value, min_size=n_records, max_size=n_records))
+        )
+    cats = draw(
+        st.lists(st.sampled_from(["x", "y", "z"]),
+                 min_size=n_records, max_size=n_records)
+    )
+    # categorical first, between and after the numeric attributes
+    specs.insert(draw(st.integers(0, n_numeric)), categorical("c"))
+    store = RecordStore.from_arrays(
+        Schema(specs),
+        np.array(columns, dtype=np.float64).reshape(n_numeric, n_records).T,
+        [cats],
+    )
+    return store, columns, cats
+
+
+class TestBucketingKernel:
+    """The (records x attributes) kernel against per-value bucketing."""
+
+    @given(built=mixed_stores(), buckets=bucket_counts,
+           encoding=st.sampled_from(["dense", "sparse", "bitmap"]))
+    @settings(max_examples=150, deadline=None)
+    def test_from_store_matches_reference(self, built, buckets, encoding):
+        store, columns, cats = built
+        config = SummaryConfig(
+            histogram_buckets=buckets, histogram_encoding=encoding
+        )
+        summary = ResourceSummary.from_store(store, config)
+        expected = {"c": ValueSetSummary.from_values("c", cats)}
+        for spec, values in zip(store.schema.numeric_attributes, columns):
+            lo, hi = spec.bounds
+            counts = reference_counts(values, lo, hi, buckets)
+            oracle = HistogramSummary(
+                spec.name, buckets, spec.bounds,
+                encoding=encoding, counts=counts,
+            )
+            expected[spec.name] = oracle
+            for got in (
+                summary.attributes[spec.name],
+                # ... and the kernel's one-column case
+                HistogramSummary.from_values(
+                    spec.name, values, buckets, spec.bounds, encoding=encoding
+                ),
+            ):
+                assert got.counts.tolist() == counts
+                assert got == oracle
+                assert got.fingerprint() == oracle.fingerprint()
+                assert got.encoded_size() == reference_size(counts, encoding)
+        assert summary.attributes["c"].values == frozenset(cats)
+        whole = ResourceSummary(store.schema, config, expected)
+        assert summary.fingerprint() == whole.fingerprint()
+        assert summary.encoded_size() == whole.encoded_size()
+
+    @given(built=mixed_stores(), levels=st.sampled_from([2, 3]),
+           buckets=st.sampled_from([4, 16, 100, 1000]),
+           encoding=st.sampled_from(["dense", "sparse", "bitmap"]))
+    @settings(max_examples=60, deadline=None)
+    def test_multiresolution_path_matches_reference(
+        self, built, levels, buckets, encoding
+    ):
+        store, columns, _ = built
+        config = SummaryConfig(
+            histogram_buckets=buckets, histogram_encoding=encoding,
+            multiresolution_levels=levels,
+        )
+        summary = ResourceSummary.from_store(store, config)
+        for spec, values in zip(store.schema.numeric_attributes, columns):
+            lo, hi = spec.bounds
+            pyramid = summary.attributes[spec.name]
+            assert pyramid.levels == levels
+            per_level = [
+                reference_counts(values, lo, hi, buckets >> i)
+                for i in range(levels)
+            ]
+            for i, counts in enumerate(per_level):
+                assert pyramid.level(i).counts.tolist() == counts
+            finest = HistogramSummary(
+                spec.name, buckets, spec.bounds,
+                encoding=encoding, counts=per_level[0],
+            )
+            assert pyramid.fingerprint() == finest.fingerprint()
+            assert pyramid.encoded_size() == sum(
+                reference_size(counts, encoding) for counts in per_level
+            )
 
 
 names = st.text(

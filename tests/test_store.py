@@ -86,6 +86,17 @@ class TestAccess:
         assert len(st.categorical_column("c")) == 6
         assert st.categorical_codes("c").dtype == np.int32
 
+    def test_numeric_column_is_a_read_only_view(self, schema):
+        st = make_store(schema, 6)
+        col = st.numeric_column("a")
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = 0.5
+        # Only the view is locked: the store still mutates, in place
+        # and through update_numeric, and the view follows.
+        st.update_numeric(0, "a", 0.25)
+        st.numeric_matrix[1, 0] = 0.75
+        assert col[0] == 0.25 and col[1] == 0.75
+
     def test_numeric_matrix(self, schema):
         st = make_store(schema, 6)
         assert st.numeric_matrix.shape == (6, 2)

@@ -16,14 +16,18 @@ down the properties that matter:
 * the public ``QueryExecution.run(mode=...)`` entry points.
 """
 
+import dataclasses
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.net.transport import SUMMARY_FULL, SUMMARY_KEEPALIVE
 from repro.query import Query, RangePredicate
 from repro.roads import GuestOwner, RoadsConfig, RoadsSystem, SearchRequest
-from repro.summaries import SummaryConfig
+from repro.summaries import ResourceSummary, SummaryConfig
 from repro.workload import WorkloadConfig, generate_node_stores, merge_stores
+from repro.workload.dynamics import RecordDynamics
 from repro.workload.queries import generate_queries
 
 N = 18
@@ -170,6 +174,140 @@ class TestMeasurementDoesNotPerturb:
         before = dict(root.child_summaries)
         system.update_plane.measure_epoch()
         assert root.child_summaries == before
+
+
+@contextmanager
+def counting_from_store(monkeypatch):
+    """Count ``ResourceSummary.from_store`` calls made inside the block."""
+    original = ResourceSummary.__dict__["from_store"].__func__
+    calls = []
+
+    def counted(cls, store, config, created_at=0.0):
+        calls.append(store)
+        return original(cls, store, config, created_at)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ResourceSummary, "from_store", classmethod(counted))
+        yield calls
+
+
+#: One churned epoch of the seeded 40-server federation below, recorded
+#: before summaries were built once per tick: the measured cost, the
+#: epoch's reports, and the plane's cumulative counters (set-up epoch
+#: included). Building once must not move a single byte or message.
+PINNED = {
+    False: dict(
+        measured=(3562808, 447),
+        aggregation=dict(
+            export_bytes=7952, aggregation_bytes=310440, messages=39,
+            full_reports=39, keepalive_reports=0,
+        ),
+        replication=dict(
+            replication_bytes=3244416, messages=408,
+            full_sends=408, keepalive_sends=0,
+        ),
+        counters=dict(
+            export_bytes=15904, export_messages=2,
+            aggregation_bytes=620880, aggregation_messages=78,
+            full_reports=78, keepalive_reports=0,
+            replication_bytes=6488832, replication_messages=816,
+            full_sends=816, keepalive_sends=0,
+            installed=896, refreshed=0, ignored=0,
+            lost=0, dropped=0, expired=0,
+            install_lag_sum=97.4778710542604,
+            install_lag_max=0.44762922134032035,
+            installs_timed=896,
+        ),
+    ),
+    True: dict(
+        measured=(2562872, 447),
+        aggregation=dict(
+            export_bytes=7952, aggregation_bytes=72360, messages=39,
+            full_reports=9, keepalive_reports=30,
+        ),
+        replication=dict(
+            replication_bytes=2482560, messages=408,
+            full_sends=312, keepalive_sends=96,
+        ),
+        counters=dict(
+            export_bytes=15904, export_messages=2,
+            aggregation_bytes=382800, aggregation_messages=78,
+            full_reports=48, keepalive_reports=30,
+            replication_bytes=5726976, replication_messages=816,
+            full_sends=720, keepalive_sends=96,
+            installed=770, refreshed=126, ignored=0,
+            lost=0, dropped=0, expired=0,
+            install_lag_sum=83.58853131160461,
+            install_lag_max=0.44762922134032035,
+            installs_timed=770,
+        ),
+    ),
+}
+
+
+class TestSummariesBuiltOncePerTick:
+    """The tick contract: one store scan per controlling owner per tick
+    (plus one per guest export), at unchanged bytes and messages."""
+
+    SERVERS = 40
+
+    def churned(self, delta):
+        guest = generate_node_stores(
+            WorkloadConfig(num_nodes=1, records_per_node=RECORDS, seed=13)
+        )[0]
+        _, stores, system = build(
+            delta=delta, seed=12, n=self.SERVERS,
+            guests=[GuestOwner(guest, attach_to=5, owner_id="g")],
+        )
+        # A quarter of the stores move, so a delta epoch mixes full
+        # sends with keep-alives.
+        dynamics = RecordDynamics(
+            system.sim, stores[:10], np.random.default_rng(7)
+        )
+        dynamics.stop()
+        dynamics.step()
+        return system
+
+    @pytest.mark.parametrize("delta", [False, True])
+    def test_epoch_scans_each_store_once_at_pinned_cost(
+        self, delta, monkeypatch
+    ):
+        system = self.churned(delta)
+        plane = system.update_plane
+        with counting_from_store(monkeypatch) as calls:
+            measured = plane.measure_epoch()
+        # Legacy byte model: the guest export, one branch per non-root
+        # server in the aggregation round, one local per server in the
+        # replication round.
+        assert len(calls) == 1 + (self.SERVERS - 1) + self.SERVERS
+        with counting_from_store(monkeypatch) as calls:
+            epoch = plane.run_epoch()
+        assert len(calls) == self.SERVERS + 1  # every owner + the guest
+        assert len({id(store) for store in calls}) == len(calls)
+
+        pinned = PINNED[delta]
+        assert (measured.total_bytes, measured.total_messages) == pinned["measured"]
+        assert (epoch.total_bytes, epoch.total_messages) == pinned["measured"]
+        assert dataclasses.asdict(epoch.aggregation) == pinned["aggregation"]
+        assert dataclasses.asdict(epoch.replication) == pinned["replication"]
+        assert dataclasses.asdict(plane.counters) == pytest.approx(
+            pinned["counters"], rel=1e-12, abs=0
+        )
+
+    @pytest.mark.parametrize("delta", [False, True])
+    def test_free_running_tick_scans_each_store_once(self, delta, monkeypatch):
+        system = self.churned(delta)
+        plane = system.update_plane
+        sim = system.sim
+        exports = plane.counters.export_messages
+        plane.start()
+        with counting_from_store(monkeypatch) as calls:
+            sim.run(until=sim.now + plane.interval)
+        plane.stop()
+        assert plane.ticks >= self.SERVERS  # every server ticked
+        exports = plane.counters.export_messages - exports
+        assert exports >= 1
+        assert len(calls) == plane.ticks + exports
 
 
 def empty_bucket_value(store, merged, buckets=BUCKETS):
