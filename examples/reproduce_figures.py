@@ -22,6 +22,7 @@ import time
 
 from repro.bench import (
     SCENARIOS,
+    RunPlan,
     artifact_filename,
     run_scenario,
     scale_settings,
@@ -140,7 +141,9 @@ def main(argv=None) -> int:
         registry[target]()
         print(f"--- {target} done in {time.time() - t0:.1f}s ---\n")
         if args.bench_artifact and target in SCENARIOS:
-            artifact = run_scenario(target, scale=args.scale, seed=args.seed)
+            artifact = run_scenario(
+                RunPlan(target, scale=args.scale, seed=args.seed)
+            )
             path = write_artifact(
                 artifact, f"{args.bench_artifact}/{artifact_filename(target)}"
             )

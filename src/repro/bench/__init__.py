@@ -10,10 +10,6 @@ The subsystem behind ``python -m repro bench``:
 * :mod:`repro.bench.artifact` — the canonical ``BENCH_<scenario>.json``
   format (provenance stamp, paper-series rows, registry-derived
   simulated metrics, wall-clock section profile);
-* :mod:`repro.bench.profiler` — back-compat flat view over the
-  hierarchical :class:`repro.telemetry.profiling.CallPathProfiler`
-  threaded through the sim engine, transport, aggregation and query
-  path (free when no profiler is attached);
 * :mod:`repro.bench.compare` — tolerance-banded artifact diffing plus
   paper-shape re-assertion (the CI regression sentinel);
 * :mod:`repro.bench.trajectory` — the append-only
@@ -48,7 +44,6 @@ from .parallel import (
     seed_sweep,
     stress_shard_rows,
 )
-from .profiler import WallClockProfiler
 from .scenarios import (
     ROOT_SHARE_CEILING,
     SCALES,
@@ -87,7 +82,6 @@ __all__ = [
     "PROFILE_SHARE_FLOOR",
     "compare_artifacts",
     "format_comparison",
-    "WallClockProfiler",
     "SWEEP_SCHEMA",
     "comparable_dict",
     "default_workers",

@@ -5,9 +5,7 @@ the instrumented overlay/load scenario behind one API. The canonical
 input is a :class:`RunPlan` — one frozen object carrying the scenario,
 scale, seed, sweep overrides, profiling switches and parallelism — that
 :func:`run_scenario`, :func:`profile_scenario` and the process-pool
-runner (:mod:`repro.bench.parallel`) all accept. The historical
-``run_scenario(name, scale=..., seed=...)`` signatures survive as
-``DeprecationWarning`` shims producing same-seed-identical artifacts.
+runner (:mod:`repro.bench.parallel`) all accept.
 
 Every run:
 
@@ -17,7 +15,7 @@ Every run:
   with and without the replication overlay — pulling latency
   p50/p95/p99 from the registry's streaming histograms, query/update
   byte totals, the per-server load distribution and the root-load share,
-* threads a :class:`~repro.bench.profiler.WallClockProfiler` through
+* threads a :class:`~repro.telemetry.profiling.CallPathProfiler` through
   the sim engine, transport, aggregation and query path for the
   wall-clock hot-path map plus events-processed-per-second,
 * re-checks the scenario's paper-shape validators,
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -87,9 +84,8 @@ from ..experiments.validation import (
     validate_fig11,
     validate_load_plane,
 )
-from ..telemetry.profiling import hotspot_shares
+from ..telemetry.profiling import CallPathProfiler, hotspot_shares
 from .artifact import BenchArtifact, SCHEMA, stamp
-from .profiler import WallClockProfiler
 
 #: allowed benchmark scales, smallest first
 SCALES = ("smoke", "quick", "paper", "stress")
@@ -456,7 +452,7 @@ class RunPlan:
 def _instrumented_block(
     settings: ExperimentSettings,
     seed: int,
-    profiler: Optional[WallClockProfiler],
+    profiler: Optional[CallPathProfiler],
     *,
     capacity: int = 200_000,
 ) -> Dict[str, object]:
@@ -563,56 +559,15 @@ def _rows_metrics(rows: Rows) -> Dict[str, float]:
     return out
 
 
-_UNSET = object()
-
-
-def _coerce_plan(
-    plan, scale, seed, profile, capacity, *, fn: str
-) -> RunPlan:
-    """Accept the canonical :class:`RunPlan` or the legacy signature.
-
-    A string first argument is the deprecated positional form; it is
-    converted to an equivalent plan (same defaults as the historical
-    keyword arguments, hence same-seed-identical artifacts) after a
-    :class:`DeprecationWarning` attributed to the caller.
-    """
-    if isinstance(plan, RunPlan):
-        if any(v is not _UNSET for v in (scale, seed, profile, capacity)):
-            raise TypeError(
-                f"{fn}(RunPlan, ...) takes no further arguments; derive a "
-                "new plan with plan.with_(...) instead"
-            )
-        return plan
-    if not isinstance(plan, str):
+def _require_plan(plan, fn: str) -> RunPlan:
+    if not isinstance(plan, RunPlan):
         raise TypeError(
-            f"{fn} expects a RunPlan (or, deprecated, a scenario name); "
-            f"got {type(plan).__name__}"
+            f"{fn} expects a RunPlan; got {type(plan).__name__}"
         )
-    warnings.warn(
-        f"{fn}(name, scale=..., seed=...) is deprecated; pass a RunPlan: "
-        f"{fn}(RunPlan({plan!r}, scale=..., seed=...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    kwargs: Dict[str, object] = {}
-    if scale is not _UNSET:
-        kwargs["scale"] = scale
-    if seed is not _UNSET:
-        kwargs["seed"] = seed
-    if profile is not _UNSET:
-        kwargs["profile"] = profile
-    if capacity is not _UNSET:
-        kwargs["capacity"] = capacity
-    return RunPlan(plan, **kwargs)
+    return plan
 
 
-def profile_scenario(
-    plan,
-    scale=_UNSET,
-    seed=_UNSET,
-    *,
-    capacity=_UNSET,
-) -> Dict[str, object]:
+def profile_scenario(plan: RunPlan) -> Dict[str, object]:
     """Profile one plan's canonical run; returns the full document.
 
     The payload behind ``repro profile``: the call-path tree, counters
@@ -620,16 +575,8 @@ def profile_scenario(
     CallPathProfiler` threaded through the instrumented canonical run.
     Skips the paper-series driver — the canonical run is the part every
     scenario shares and the part the dispatch hot-path map describes.
-
-    Canonically takes a :class:`RunPlan`; the legacy
-    ``profile_scenario(name, scale=..., seed=...)`` signature is a
-    deprecated shim.
     """
-    from ..telemetry.profiling import CallPathProfiler
-
-    plan = _coerce_plan(
-        plan, scale, seed, _UNSET, capacity, fn="profile_scenario"
-    )
+    plan = _require_plan(plan, "profile_scenario")
     profiler = CallPathProfiler()
     _instrumented_block(
         plan.settings(), plan.seed, profiler, capacity=plan.capacity
@@ -637,27 +584,13 @@ def profile_scenario(
     return profiler.document()
 
 
-def run_scenario(
-    plan,
-    scale=_UNSET,
-    seed=_UNSET,
-    *,
-    profile=_UNSET,
-    capacity=_UNSET,
-) -> BenchArtifact:
-    """Run one registered scenario end to end; returns its artifact.
-
-    Canonically takes a :class:`RunPlan`; the legacy
-    ``run_scenario(name, scale=..., seed=...)`` signature is a
-    deprecated shim producing a same-seed-identical artifact.
-    """
-    plan = _coerce_plan(
-        plan, scale, seed, profile, capacity, fn="run_scenario"
-    )
+def run_scenario(plan: RunPlan) -> BenchArtifact:
+    """Run one registered scenario end to end; returns its artifact."""
+    plan = _require_plan(plan, "run_scenario")
     scenario = SCENARIOS[plan.scenario]
     settings = plan.settings()
     sweeps = plan.resolved_sweeps()
-    profiler = WallClockProfiler() if plan.profile else None
+    profiler = CallPathProfiler() if plan.profile else None
 
     t0 = time.perf_counter()
     rows = scenario.driver(settings, sweeps) if plan.series else []

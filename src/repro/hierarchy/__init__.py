@@ -1,11 +1,6 @@
 """Federated server hierarchy: formation, aggregation, maintenance."""
 
-from .aggregation import (
-    AggregationReport,
-    PeriodicAggregation,
-    aggregate_round,
-    refresh_owner_exports,
-)
+from .aggregation import AggregationReport
 from .accept import (
     AcceptAll,
     AcceptancePolicy,
@@ -26,10 +21,7 @@ __all__ = [
     "Hierarchy",
     "JoinError",
     "build_hierarchy",
-    "aggregate_round",
-    "refresh_owner_exports",
     "AggregationReport",
-    "PeriodicAggregation",
     "MaintenanceConfig",
     "MaintenanceProtocol",
     "ChurnConfig",

@@ -1,33 +1,27 @@
-"""Bottom-up summary aggregation.
+"""Bottom-up summary aggregation (Section III-B).
 
-Each aggregation round, every resource owner exports its (summary or raw)
+Every summary epoch, each resource owner exports its (summary or raw)
 data to its attachment point, and every non-root server sends its branch
 summary — the merge of its local data and its children's latest branch
-summaries — to its parent. After one full round the root holds the global
-view. Summaries are soft state: reports carry the round's timestamp and
-expire after their TTL.
+summaries — to its parent. After one full epoch the root holds the global
+view. Summaries are soft state: reports carry the time they were built
+and expire after their TTL.
 
-Two execution modes are provided:
-
-* :func:`aggregate_round` — one synchronous post-order round with exact
-  byte accounting, used by the overhead experiments (running the DES for
-  every one of the millions of update messages in a SWORD comparison
-  would be pointlessly slow; the byte totals are identical).
-* :class:`PeriodicAggregation` — event-driven periodic rounds inside the
-  simulator, used by the maintenance/dynamics tests.
+This module holds the pieces of that protocol a single server owns: the
+wire payload (:class:`SummaryUpdate`, installed at delivery time), the
+per-server sending actor (:class:`SummaryExporter`) and a guest owner's
+export (:func:`build_owner_export`). Scheduling, transport and
+accounting belong to :class:`~repro.roads.update_plane.UpdatePlane`,
+the only driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from ..sim.engine import PeriodicTask, Simulator
-from ..sim.metrics import UPDATE, MetricsCollector
 from ..summaries.config import SummaryConfig
 from ..summaries.summary import ResourceSummary
-from ..telemetry.core import Telemetry
-from .join import Hierarchy
 from .node import Server
 
 #: bytes of branch metadata (depth, descendant count) piggybacked on each
@@ -52,116 +46,6 @@ class AggregationReport:
     @property
     def total_bytes(self) -> int:
         return self.export_bytes + self.aggregation_bytes
-
-
-def refresh_owner_exports(
-    hierarchy: Hierarchy, config: SummaryConfig, now: float = 0.0
-) -> int:
-    """Re-export every attached owner's data; returns the bytes sent.
-
-    Owners that control their server re-send records only conceptually
-    (the server reads them locally — no wide-area traffic); third-party
-    attached owners ship a fresh summary over the network.
-    """
-    total = 0
-    for server in hierarchy:
-        for owner in server.owners:
-            if not owner.controls_server:
-                owner.summary = ResourceSummary.from_store(
-                    owner.origin, config, created_at=now
-                )
-                total += owner.summary.encoded_size() + HEADER_BYTES
-    return total
-
-
-def aggregate_round(
-    hierarchy: Hierarchy,
-    config: SummaryConfig,
-    now: float = 0.0,
-    metrics: Optional[MetricsCollector] = None,
-    *,
-    refresh_exports: bool = True,
-    delta: bool = False,
-    telemetry: Optional[Telemetry] = None,
-) -> AggregationReport:
-    """One synchronous bottom-up aggregation round.
-
-    Children report before parents (post-order), so after the round each
-    server's ``child_summaries`` reflect this round and the root's branch
-    summary covers the whole federation.
-
-    With ``delta=True``, a server whose branch summary is unchanged since
-    its last report sends only a keep-alive header that refreshes the
-    parent's soft state — the steady-state traffic saving behind the
-    paper's t_s >> t_r argument (records changing within the same
-    histogram bucket leave the summary untouched).
-    """
-    span = (
-        telemetry.span("update.aggregate", delta=delta)
-        if telemetry is not None
-        else None
-    )
-    prof = telemetry.profiler if telemetry is not None else None
-    if prof is not None:
-        prof.enter("update.aggregate")
-    export_bytes = refresh_owner_exports(hierarchy, config, now) if refresh_exports else 0
-    if metrics is not None and export_bytes:
-        metrics.record_message(UPDATE, export_bytes, phase="export")
-
-    agg_bytes = 0
-    messages = 0
-    full_reports = 0
-    keepalive_reports = 0
-
-    def visit(server: Server) -> None:
-        nonlocal agg_bytes, messages, full_reports, keepalive_reports
-        for child in server.children:
-            visit(child)
-        if server.parent is not None:
-            summary = server.branch_summary(config, now)
-            size = HEADER_BYTES + BRANCH_STATS_BYTES
-            if summary is not None:
-                summary = summary.refreshed(now)
-                fp = summary.fingerprint()
-                unchanged = (
-                    delta
-                    and fp == server.last_reported_fingerprint
-                    and server.server_id in server.parent.child_summaries
-                )
-                server.parent.child_summaries[server.server_id] = summary
-                if unchanged:
-                    keepalive_reports += 1
-                else:
-                    size += summary.encoded_size()
-                    full_reports += 1
-                server.last_reported_fingerprint = fp
-            agg_bytes += size
-            messages += 1
-            if metrics is not None:
-                # The parent receives (and merges) the child's report.
-                metrics.record_message(
-                    UPDATE, size,
-                    server=server.parent.server_id, phase="aggregate",
-                )
-
-    visit(hierarchy.root)
-    if prof is not None:
-        prof.exit()
-    if span is not None:
-        span.annotate(
-            bytes=export_bytes + agg_bytes,
-            messages=messages,
-            full_reports=full_reports,
-            keepalive_reports=keepalive_reports,
-        )
-        span.close()
-    return AggregationReport(
-        export_bytes=export_bytes,
-        aggregation_bytes=agg_bytes,
-        messages=messages,
-        full_reports=full_reports,
-        keepalive_reports=keepalive_reports,
-    )
 
 
 @dataclass
@@ -225,10 +109,9 @@ def install_batch(server: Server, updates, now: float) -> list:
 class SummaryExporter:
     """Per-server actor: exports the branch summary to the parent.
 
-    Replaces the receiver-peeking delta rule of :func:`aggregate_round`
-    with sender-side state only: the exporter remembers the fingerprint
-    it last shipped (shared with :func:`aggregate_round` through
-    ``server.last_reported_fingerprint``), the parent it shipped to, and
+    Sender-side delta state only: the exporter remembers the fingerprint
+    it last shipped (``server.last_reported_fingerprint``, which the
+    maintenance heartbeat piggybacks), the parent it shipped to, and
     when it last sent a full summary. A full send is forced when the
     parent changed (rejoin — the new parent has no state for us) or when
     ``refresh_after`` elapsed since the last full (soft-state
@@ -259,22 +142,19 @@ class SummaryExporter:
         """Force a full send on the next export (parent changed)."""
         self._last_parent = None
 
-    def build_update(
+    def plan_update(
         self,
         now: float,
         branch: Optional[ResourceSummary],
         *,
         force_full: bool = False,
     ) -> Optional[tuple]:
-        """One epoch's report to the parent: ``(update, size_bytes)``.
+        """The report :meth:`build_update` would send: ``(update, size_bytes)``.
 
-        *branch* is the server's branch summary for this tick, stamped
-        *now* (``None`` for an empty branch); the caller builds it once
-        and hands the same object to the server's :class:`~repro.overlay.
-        replication.ReplicaPusher`. Returns None when there is no parent
-        to report to (root) or the server is dead. Mutates the exporter's
-        delta state — the report counts as sent whether or not it
-        survives the network.
+        Side-effect-free: the one definition of the keep-alive-or-full
+        decision and the report's wire size, shared by the real send and
+        by ``UpdatePlane.measure_epoch``. Returns None when there is no
+        parent to report to (root) or the server is dead.
         """
         server = self.server
         parent = server.parent
@@ -291,13 +171,35 @@ class SummaryExporter:
             and fp == server.last_reported_fingerprint
             and (now - self._last_full_at) < self.refresh_after
         )
-        server.last_reported_fingerprint = fp
-        self._last_parent = parent.server_id
         if keepalive:
             return SummaryUpdate("child", server.server_id, None, fp), size
-        self._last_full_at = now
         size += branch.encoded_size()
         return SummaryUpdate("child", server.server_id, branch, fp), size
+
+    def build_update(
+        self,
+        now: float,
+        branch: Optional[ResourceSummary],
+        *,
+        force_full: bool = False,
+    ) -> Optional[tuple]:
+        """One epoch's report to the parent: ``(update, size_bytes)``.
+
+        *branch* is the server's branch summary for this tick, stamped
+        *now* (``None`` for an empty branch); the caller builds it once
+        and hands the same object to the server's :class:`~repro.overlay.
+        replication.ReplicaPusher`. Commits :meth:`plan_update`'s answer
+        to the exporter's delta state — the report counts as sent
+        whether or not it survives the network.
+        """
+        built = self.plan_update(now, branch, force_full=force_full)
+        if built is not None and branch is not None:
+            update = built[0]
+            self.server.last_reported_fingerprint = update.fingerprint
+            self._last_parent = self.server.parent.server_id
+            if update.summary is not None:
+                self._last_full_at = now
+        return built
 
 
 def build_owner_export(
@@ -310,43 +212,3 @@ def build_owner_export(
         "owner", owner.node_id, summary, owner_id=owner.owner_id
     )
     return update, size
-
-
-class PeriodicAggregation:
-    """Event-driven aggregation: one round every ``interval`` (= t_s)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        hierarchy: Hierarchy,
-        config: SummaryConfig,
-        interval: float,
-        metrics: Optional[MetricsCollector] = None,
-        telemetry: Optional[Telemetry] = None,
-    ):
-        self.sim = sim
-        self.hierarchy = hierarchy
-        self.config = config
-        self.interval = interval
-        self.metrics = metrics
-        self.telemetry = telemetry
-        self.rounds = 0
-        self.last_report: Optional[AggregationReport] = None
-        self._task: Optional[PeriodicTask] = sim.schedule_periodic(
-            interval, self._round, first_delay=0.0, label="update.round"
-        )
-
-    def _round(self) -> None:
-        now = self.sim.now
-        for server in self.hierarchy:
-            server.expire_stale_summaries(now)
-        self.last_report = aggregate_round(
-            self.hierarchy, self.config, now, self.metrics,
-            telemetry=self.telemetry,
-        )
-        self.rounds += 1
-
-    def stop(self) -> None:
-        if self._task is not None:
-            self._task.stop()
-            self._task = None

@@ -208,15 +208,27 @@ class Server:
 
     # -- summaries ----------------------------------------------------------------
     def local_summary(
-        self, config: SummaryConfig, now: float = 0.0
+        self,
+        config: SummaryConfig,
+        now: float = 0.0,
+        exports: Optional[Dict[str, ResourceSummary]] = None,
     ) -> Optional[ResourceSummary]:
-        """Summary of everything exported by directly attached owners."""
+        """Summary of everything exported by directly attached owners.
+
+        *exports* (guest owner id -> summary) stands in for guest exports
+        still on their way here; a guest it does not name contributes
+        the summary this server already holds for it.
+        """
         parts: List[ResourceSummary] = []
         for o in self.owners:
             if o.controls_server:
                 parts.append(ResourceSummary.from_store(o.origin, config, created_at=now))
-            elif o.summary is not None:
-                parts.append(o.summary)
+                continue
+            summary = exports.get(o.owner_id) if exports else None
+            if summary is None:
+                summary = o.summary
+            if summary is not None:
+                parts.append(summary)
         if not parts:
             return None
         return ResourceSummary.merge_many(parts)
@@ -228,7 +240,10 @@ class Server:
         return self.fold_branch(self.local_summary(config, now), now)
 
     def fold_branch(
-        self, local: Optional[ResourceSummary], now: float
+        self,
+        local: Optional[ResourceSummary],
+        now: float,
+        reports: Optional[Dict[int, ResourceSummary]] = None,
     ) -> Optional[ResourceSummary]:
         """*local* merged with the latest child branch summaries.
 
@@ -236,12 +251,16 @@ class Server:
         recomputation — matching the bottom-up aggregation protocol.
         Taking *local* as an argument lets a caller that also ships the
         local summary (the replication overlay) build it only once.
+        *reports* (child id -> branch summary) stands in for full child
+        reports still on their way here, replacing what is held.
         """
         parts: List[ResourceSummary] = []
         if local is not None:
             parts.append(local)
         for cid in self.child_ids():
-            s = self.child_summaries.get(cid)
+            s = reports.get(cid) if reports else None
+            if s is None:
+                s = self.child_summaries.get(cid)
             if s is not None and not s.is_expired(now):
                 parts.append(s)
         if not parts:

@@ -1,19 +1,14 @@
 """The canonical search API: request and response objects.
 
-Historically :class:`~repro.roads.system.RoadsSystem` exposed a bag of
-keyword arguments per query (``execute_query(query, client_node=...,
-scope=..., first_k=...)``). The serving plane made that untenable: a
-query submitted to an open-loop load generator has to carry *all* of
+A query submitted to an open-loop load generator has to carry *all* of
 its parameters — including its timeout/retry policy — as one value that
 can be queued, retried and reported on. :class:`SearchRequest` is that
 value; :class:`SearchResult` wraps the measured
 :class:`~repro.roads.client.QueryOutcome` together with serving-plane
 timestamps (submission and completion on the virtual clock).
 
-``RoadsSystem.search(request)`` / ``search_many(requests)`` are the
-canonical entry points; the legacy ``execute_query`` /
-``execute_queries`` / ``widening_search`` methods survive as thin
-deprecated shims over them.
+``RoadsSystem.search(request)`` / ``search_many(requests)`` /
+``widening(request)`` are the only entry points.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ execution. This is the library's primary entry point::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -24,7 +23,6 @@ import numpy as np
 
 from ..net.coordinates import DelaySpace
 from ..net.transport import Network, ServiceConfig
-from ..query.query import Query
 from ..records.store import RecordStore
 from ..sim.engine import Simulator
 from ..sim.metrics import QUERY, UPDATE, MetricsCollector
@@ -240,13 +238,11 @@ class RoadsSystem:
     def refresh(self) -> UpdateRoundReport:
         """One summary epoch, driven through the message fabric.
 
-        Compatibility shim over :meth:`UpdatePlane.run_epoch`: triggers a
+        :meth:`UpdatePlane.run_epoch` plus bookkeeping: triggers a
         coordinated epoch (guest exports, then bottom-up reports deepest
         level first, replica pushes alongside) and drains the simulator
-        to quiescence, so callers see the same completed-epoch semantics
-        — and, loss-free, the same byte totals — as the old synchronous
-        in-place rounds. The virtual clock advances by the epoch's real
-        propagation time.
+        to quiescence, so callers see a completed epoch. The virtual
+        clock advances by the epoch's real propagation time.
         """
         report = self._plane().run_epoch()
         self.last_update_report = report
@@ -261,9 +257,9 @@ class RoadsSystem:
     def update_bytes_per_epoch(self) -> int:
         """Bytes one summary epoch costs (measured, not modelled).
 
-        A pure measurement: protocol soft state (summaries, delta
-        fingerprints, owner exports) is snapshot and restored, so asking
-        the question does not change what the next epoch sends.
+        A pure measurement (:meth:`UpdatePlane.measure_epoch` is
+        read-only): asking the question does not change what the next
+        epoch sends.
         """
         return self._plane().measure_epoch().total_bytes
 
@@ -484,8 +480,7 @@ class RoadsSystem:
         """Serve a batch of requests; results in request order.
 
         Without *arrivals*, requests run back-to-back (each drained to
-        completion before the next starts — the legacy sequential
-        semantics, bit-identical to the old ``execute_queries``). With
+        completion before the next starts). With
         *arrivals* — per-request submission offsets in seconds from now
         — all queries are multiplexed concurrently over the shared
         dispatcher and the simulator is driven until every one resolves.
@@ -579,95 +574,6 @@ class RoadsSystem:
         )
         for sid in ids:
             self.network.set_service(sid, config)
-
-    # -- deprecated query shims --------------------------------------------------
-    def execute_query(
-        self,
-        query: Query,
-        *,
-        start_server: Optional[int] = None,
-        client_node: Optional[int] = None,
-        collect_records: bool = False,
-        use_overlay: bool = True,
-        scope: Optional[int] = None,
-        first_k: Optional[int] = None,
-        trace: bool = False,
-    ) -> QueryOutcome:
-        """Deprecated: use :meth:`search` with a :class:`SearchRequest`.
-
-        Kwargs map 1:1 onto the request; same seed, same outcome.
-        """
-        warnings.warn(
-            "RoadsSystem.execute_query is deprecated; use "
-            "RoadsSystem.search(SearchRequest(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.search(
-            SearchRequest(
-                query,
-                client_node=client_node,
-                scope=scope,
-                start_server=start_server,
-                first_k=first_k,
-                use_overlay=use_overlay,
-                collect_records=collect_records,
-                trace=trace,
-            )
-        ).outcome
-
-    def widening_search(
-        self,
-        query: Query,
-        client_node: int,
-        *,
-        min_matches: int = 1,
-        collect_records: bool = False,
-    ) -> List[QueryOutcome]:
-        """Deprecated: use :meth:`widening` with a :class:`SearchRequest`."""
-        warnings.warn(
-            "RoadsSystem.widening_search is deprecated; use "
-            "RoadsSystem.widening(SearchRequest(...), min_matches=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        results = self.widening(
-            SearchRequest(
-                query,
-                client_node=client_node,
-                collect_records=collect_records,
-            ),
-            min_matches=min_matches,
-        )
-        return [r.outcome for r in results]
-
-    def execute_queries(
-        self,
-        queries: Sequence[Query],
-        *,
-        client_nodes: Optional[Sequence[int]] = None,
-        collect_records: bool = False,
-        use_overlay: bool = True,
-    ) -> List[QueryOutcome]:
-        """Deprecated: use :meth:`search_many` with :class:`SearchRequest`\\ s."""
-        warnings.warn(
-            "RoadsSystem.execute_queries is deprecated; use "
-            "RoadsSystem.search_many([SearchRequest(...), ...])",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        requests = [
-            SearchRequest(
-                q,
-                client_node=(
-                    int(client_nodes[i]) if client_nodes is not None else None
-                ),
-                collect_records=collect_records,
-                use_overlay=use_overlay,
-            )
-            for i, q in enumerate(queries)
-        ]
-        return [r.outcome for r in self.search_many(requests)]
 
     # -- maintenance ----------------------------------------------------------------
     def enable_maintenance(

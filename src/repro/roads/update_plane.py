@@ -1,36 +1,28 @@
-"""The event-driven summary update plane.
+"""The event-driven summary update plane — the one summary propagation path.
 
-Historically one call to :meth:`RoadsSystem.refresh` ran bottom-up
-aggregation and overlay replication as synchronous in-place passes over
-the whole hierarchy: correct byte accounting, but no summary ever
-actually crossed the simulated network — a lost update could not make a
-summary stale, so the paper's soft-state/TTL story was untestable.
-
-:class:`UpdatePlane` moves both passes onto the message fabric. Every
-server is a protocol actor: it periodically exports its branch summary
-to its parent and pushes its summaries to its overlay holders through
-:meth:`~repro.net.transport.Network.send`, as distinct ``summary-full``
-/ ``summary-keepalive`` message kinds. Installation happens at delivery
-time at the receiver (:meth:`SummaryUpdate.install`); a lost full send
-leaves the receiver silently rejecting the sender's keep-alives until
-the held content ages past its TTL — genuine observable staleness — and
-the sender's periodic forced full (``refresh_after``) heals it.
+Every server is a protocol actor on the message fabric: it periodically
+exports its branch summary to its parent and pushes its summaries to its
+overlay holders through :meth:`~repro.net.transport.Network.send`, as
+distinct ``summary-full`` / ``summary-keepalive`` message kinds.
+Installation happens at delivery time at the receiver
+(:meth:`SummaryUpdate.install`); a lost full send leaves the receiver
+silently rejecting the sender's keep-alives until the held content ages
+past its TTL — genuine observable staleness — and the sender's periodic
+forced full (``refresh_after``) heals it.
 
 Two driving modes:
 
 * :meth:`run_epoch` — one coordinated epoch, drained to quiescence:
   exports are staggered deepest-first so each parent hears all its
-  children before it reports upward, making a loss-free epoch
-  byte-for-byte identical to the old synchronous rounds (figures and
-  committed benchmark baselines still reproduce).
+  children before it reports upward, and a loss-free epoch leaves every
+  summary in the federation current.
 * :meth:`start` — free-running per-server periodic ticks with jitter,
   for experiments that measure propagation lag and staleness under
   message loss.
 
-:meth:`measure_epoch` answers "what would one epoch cost?" without
-perturbing any protocol state (summaries, delta fingerprints, owner
-exports are snapshot and restored) — the observer effect that used to
-make ``update_bytes_per_epoch()`` change subsequent epochs is gone.
+:meth:`measure_epoch` answers "what would one coordinated epoch cost
+right now?" by asking the same actors what they would send — a read-only
+walk that mutates nothing, sends nothing and leaves the clock alone.
 """
 
 from __future__ import annotations
@@ -44,7 +36,6 @@ from ..hierarchy.aggregation import (
     AggregationReport,
     SummaryExporter,
     SummaryUpdate,
-    aggregate_round,
     build_owner_export,
     install_batch,
 )
@@ -64,6 +55,7 @@ from ..overlay.replication import (
 from ..sim.engine import PeriodicTask, Simulator
 from ..sim.metrics import UPDATE
 from ..summaries.config import SummaryConfig
+from ..summaries.summary import ResourceSummary
 from ..telemetry.core import Telemetry
 
 
@@ -110,6 +102,50 @@ class PlaneCounters:
     install_lag_sum: float = 0.0
     install_lag_max: float = 0.0
     installs_timed: int = 0
+
+    # The accounting rules of one epoch, shared by the sends that happen
+    # and by ``measure_epoch``'s sends that would.
+    def count_export(self, size: int) -> None:
+        self.export_bytes += size
+        self.export_messages += 1
+
+    def count_report(self, update: SummaryUpdate, size: int) -> None:
+        self.aggregation_bytes += size
+        self.aggregation_messages += 1
+        if update.summary is not None:
+            self.full_reports += 1
+        elif update.fingerprint is not None:
+            self.keepalive_reports += 1
+
+    def count_push(self, update: SummaryUpdate, size: int) -> None:
+        self.replication_bytes += size
+        self.replication_messages += 1
+        if update.summary is None:
+            self.keepalive_sends += 1
+        else:
+            self.full_sends += 1
+
+    def epoch_since(self, before: "PlaneCounters") -> UpdateRoundReport:
+        """The sends counted since the *before* snapshot, as a report."""
+
+        def since(name: str) -> int:
+            return getattr(self, name) - getattr(before, name)
+
+        return UpdateRoundReport(
+            aggregation=AggregationReport(
+                export_bytes=since("export_bytes"),
+                aggregation_bytes=since("aggregation_bytes"),
+                messages=since("aggregation_messages"),
+                full_reports=since("full_reports"),
+                keepalive_reports=since("keepalive_reports"),
+            ),
+            replication=ReplicationReport(
+                replication_bytes=since("replication_bytes"),
+                messages=since("replication_messages"),
+                full_sends=since("full_sends"),
+                keepalive_sends=since("keepalive_sends"),
+            ),
+        )
 
 
 class UpdatePlane:
@@ -178,7 +214,7 @@ class UpdatePlane:
         pu = self._pushers.get(server.server_id)
         if pu is None or pu.server is not server:
             pu = ReplicaPusher(
-                server, self.overlay,
+                server, self.config,
                 delta=self.delta, refresh_after=self.refresh_after,
             )
             self._pushers[server.server_id] = pu
@@ -213,98 +249,60 @@ class UpdatePlane:
             self.counters.dropped += 1
 
     def _on_update(self, msg: Message) -> None:
-        prof = self._profiler
-        if prof is None:
-            self._install(msg, self.network.delivery_trace)
-            return
-        prof.enter("update.install")
-        try:
-            self._install(msg, self.network.delivery_trace)
-        finally:
-            prof.exit()
+        # A singleton delivery may have waited in a service queue: its
+        # causal parent is the context the network forked for the hop.
+        self._install_group([msg], self.network.delivery_trace)
 
     def _on_update_batch(self, msgs: List[Message]) -> None:
+        # Batch dispatch leaves the shared ``delivery_trace`` unset, so
+        # each message's own trace provides the causal parent.
+        self._install_group(msgs, None)
+
+    def _install_group(self, msgs: List[Message], ctx) -> None:
         """Install a same-kind ``(destination, tick)`` delivery group.
 
         One ``update.install`` frame and one hierarchy lookup cover the
-        whole group (every message shares the destination); per-message
-        outcome accounting is identical to the singleton path (batch
-        dispatch leaves the shared ``delivery_trace`` unset, so each
-        message's own trace provides the causal parent).
+        whole group (every message shares the destination); outcomes
+        are accounted per message.
         """
         prof = self._profiler
-        if prof is None:
-            self._install_group(msgs)
-            return
-        prof.enter("update.install")
+        if prof is not None:
+            prof.enter("update.install")
         try:
-            self._install_group(msgs)
+            self._inflight -= len(msgs)
+            c = self.counters
+            try:
+                server = self.hierarchy.get(msgs[0].dst)
+            except KeyError:
+                c.ignored += len(msgs)  # receiver left the federation in flight
+                return
+            now = self.sim.now
+            outcomes = install_batch(server, [m.payload for m in msgs], now)
+            tel = self.telemetry
+            for msg, outcome in zip(msgs, outcomes):
+                if tel is not None:
+                    dctx = tel.fork(ctx if ctx is not None else msg.trace)
+                    tel.event(
+                        "update.deliver", server=msg.dst, src=msg.src,
+                        kind=msg.kind, msg_id=msg.msg_id, outcome=outcome,
+                        **(dctx.tags() if dctx is not None else {}),
+                    )
+                if outcome == "installed":
+                    c.installed += 1
+                    summary = msg.payload.summary
+                    if summary is not None:
+                        lag = now - summary.created_at
+                        c.install_lag_sum += lag
+                        c.installs_timed += 1
+                        if lag > c.install_lag_max:
+                            c.install_lag_max = lag
+                elif outcome == "refreshed":
+                    c.refreshed += 1
+                else:
+                    c.ignored += 1
         finally:
-            prof.exit()
-
-    def _install_group(self, msgs: List[Message]) -> None:
-        self._inflight -= len(msgs)
-        c = self.counters
-        try:
-            server = self.hierarchy.get(msgs[0].dst)
-        except KeyError:
-            c.ignored += len(msgs)  # receiver left the federation in flight
-            return
-        now = self.sim.now
-        outcomes = install_batch(server, [m.payload for m in msgs], now)
-        tel = self.telemetry
-        for msg, outcome in zip(msgs, outcomes):
-            if tel is not None:
-                dctx = tel.fork(msg.trace)
-                tel.event(
-                    "update.deliver", server=msg.dst, src=msg.src,
-                    kind=msg.kind, msg_id=msg.msg_id, outcome=outcome,
-                    **(dctx.tags() if dctx is not None else {}),
-                )
-            if outcome == "installed":
-                c.installed += 1
-                summary = msg.payload.summary
-                if summary is not None:
-                    lag = now - summary.created_at
-                    c.install_lag_sum += lag
-                    c.installs_timed += 1
-                    if lag > c.install_lag_max:
-                        c.install_lag_max = lag
-            elif outcome == "refreshed":
-                c.refreshed += 1
-            else:
-                c.ignored += 1
-
-    def _install(self, msg: Message, ctx) -> None:
-        self._inflight -= 1
-        c = self.counters
-        try:
-            server = self.hierarchy.get(msg.dst)
-        except KeyError:
-            c.ignored += 1  # receiver left the federation in flight
-            return
-        update: SummaryUpdate = msg.payload
-        outcome = update.install(server, self.sim.now)
-        tel = self.telemetry
-        if tel is not None:
-            dctx = tel.fork(ctx)
-            tel.event(
-                "update.deliver", server=msg.dst, src=msg.src,
-                kind=msg.kind, msg_id=msg.msg_id, outcome=outcome,
-                **(dctx.tags() if dctx is not None else {}),
-            )
-        if outcome == "installed":
-            c.installed += 1
-            if update.summary is not None:
-                lag = self.sim.now - update.summary.created_at
-                c.install_lag_sum += lag
-                c.installs_timed += 1
-                if lag > c.install_lag_max:
-                    c.install_lag_max = lag
-        elif outcome == "refreshed":
-            c.refreshed += 1
-        else:
-            c.ignored += 1
+            if prof is not None:
+                prof.exit()
 
     # -- per-server protocol steps -------------------------------------------------
     def _export_guest_owners(self, server: Server) -> None:
@@ -314,8 +312,7 @@ class UpdatePlane:
             if owner.controls_server:
                 continue
             update, size = build_owner_export(owner, self.config, now)
-            self.counters.export_bytes += size
-            self.counters.export_messages += 1
+            self.counters.count_export(size)
             src = owner.node_id if owner.node_id is not None else server.server_id
             self._send_update(src, server.server_id, update, size, "export")
 
@@ -346,13 +343,7 @@ class UpdatePlane:
                 )
             if built is not None:
                 update, size = built
-                c = self.counters
-                c.aggregation_bytes += size
-                c.aggregation_messages += 1
-                if update.summary is None and update.fingerprint is not None:
-                    c.keepalive_reports += 1
-                elif update.summary is not None:
-                    c.full_reports += 1
+                self.counters.count_report(update, size)
                 self._send_update(
                     server.server_id, server.parent.server_id,
                     update, size, "aggregate",
@@ -375,22 +366,18 @@ class UpdatePlane:
             if not pushes:
                 return
             # The whole replica fan-out of this server's tick goes out as
-            # one batch: per-message accounting (loss draws in push
-            # order, counters, traces) matches the historical one-send-
-            # per-push loop exactly, but same-(holder, kind) messages
+            # one batch: accounting stays per message (loss draws in push
+            # order, counters, traces), but same-(holder, kind) messages
             # share a delivery event and install as one group.
-            c = self.counters
+            count_push = self.counters.count_push
             tel = self.telemetry
             requests = []
             for holder_id, update, size in pushes:
-                c.replication_bytes += size
-                c.replication_messages += 1
-                if update.summary is None:
-                    c.keepalive_sends += 1
-                    kind = SUMMARY_KEEPALIVE
-                else:
-                    c.full_sends += 1
-                    kind = SUMMARY_FULL
+                count_push(update, size)
+                kind = (
+                    SUMMARY_KEEPALIVE if update.summary is None
+                    else SUMMARY_FULL
+                )
                 ctx = tel.new_trace() if tel is not None else None
                 requests.append((holder_id, size, update, kind, ctx))
             self._inflight += len(requests)
@@ -402,7 +389,7 @@ class UpdatePlane:
             if prof is not None:
                 prof.exit()
 
-    # -- coordinated epochs (refresh() compatibility) ------------------------------
+    # -- coordinated epochs ---------------------------------------------------------
     def _schedule(self, delay: float, fn) -> None:
         """Schedule an epoch step, tracked by the in-flight counter."""
         self._inflight += 1
@@ -444,9 +431,7 @@ class UpdatePlane:
 
         Guest owners export at slot zero; a server at depth ``d``
         exports (and pushes its replicas) at slot ``max_depth - d + 1``,
-        so its children's reports — and therefore exactly the branch
-        summary the old synchronous post-order pass would have built —
-        have arrived by the time it runs.
+        so its children's reports have arrived by the time it runs.
         """
         stagger = self._cascade_stagger()
         max_depth = 0
@@ -482,20 +467,8 @@ class UpdatePlane:
         self.trigger_epoch()
         self.drain()
         self.epochs += 1
-        c = self.counters
-        agg = AggregationReport(
-            export_bytes=c.export_bytes - before.export_bytes,
-            aggregation_bytes=c.aggregation_bytes - before.aggregation_bytes,
-            messages=c.aggregation_messages - before.aggregation_messages,
-            full_reports=c.full_reports - before.full_reports,
-            keepalive_reports=c.keepalive_reports - before.keepalive_reports,
-        )
-        rep = ReplicationReport(
-            replication_bytes=c.replication_bytes - before.replication_bytes,
-            messages=c.replication_messages - before.replication_messages,
-            full_sends=c.full_sends - before.full_sends,
-            keepalive_sends=c.keepalive_sends - before.keepalive_sends,
-        )
+        report = self.counters.epoch_since(before)
+        agg, rep = report.aggregation, report.replication
         tel = self.telemetry
         if tel is not None:
             now = self.sim.now
@@ -511,7 +484,7 @@ class UpdatePlane:
                 full_sends=rep.full_sends,
                 keepalive_sends=rep.keepalive_sends, delta=self.delta,
             )
-        return UpdateRoundReport(aggregation=agg, replication=rep)
+        return report
 
     # -- free-running mode ---------------------------------------------------------
     def start(self, *, jitter: float = 0.05) -> None:
@@ -595,48 +568,58 @@ class UpdatePlane:
 
     # -- measurement -----------------------------------------------------------------
     def measure_epoch(self) -> UpdateRoundReport:
-        """Cost of one epoch *without* running one.
+        """Cost of one loss-free coordinated epoch started now, *without*
+        running one.
 
-        Runs the legacy synchronous rounds — whose byte model a drained
-        loss-free epoch matches exactly — against a snapshot of all
-        protocol soft state, then restores it: summaries, delta
-        fingerprints and owner exports are untouched, no messages are
-        sent, and the virtual clock does not advance.
-
-        The legacy model has no anti-entropy: when more than
-        ``refresh_after`` has passed since a sender's last full send, a
-        real epoch forces a full re-send where this measurement counts a
-        keep-alive. Within one ``refresh_after`` of the previous epoch
-        (the steady state every figure runs in) the two agree exactly.
+        A read-only post-order walk: each server's summaries are built
+        as :meth:`_aggregate` would build them once its guests' exports
+        and its children's reports have arrived, and its own exporter
+        and pusher say what they would send. No soft state, delta
+        fingerprint or owner export changes, no message is sent, and
+        the virtual clock does not advance.
         """
+        cost = PlaneCounters()
         now = self.sim.now
-        saved = [
-            (
-                server,
-                dict(server.child_summaries),
-                dict(server.replicated_summaries),
-                dict(server.replicated_local_summaries),
-                server.last_reported_fingerprint,
-                [(o, o.summary) for o in server.owners],
-            )
-            for server in self.hierarchy
-        ]
-        saved_fp = dict(self.overlay._last_fp)
-        try:
-            agg = aggregate_round(
-                self.hierarchy, self.config, now, None, delta=self.delta
-            )
-            rep = self.overlay.replicate_round(now, None, delta=self.delta)
-        finally:
-            for server, child, rep_t, rep_local, fp, owners in saved:
-                server.child_summaries = child
-                server.replicated_summaries = rep_t
-                server.replicated_local_summaries = rep_local
-                server.last_reported_fingerprint = fp
-                for owner, summary in owners:
-                    owner.summary = summary
-            self.overlay._last_fp = saved_fp
-        return UpdateRoundReport(aggregation=agg, replication=rep)
+        for server in self.hierarchy:
+            if server.parent is None:  # the root, or an orphan awaiting rejoin
+                self._measure_branch(server, now, cost)
+        return cost.epoch_since(PlaneCounters())
+
+    def _measure_branch(
+        self, server: Server, now: float, cost: PlaneCounters
+    ) -> Optional[ResourceSummary]:
+        """Add what *server*'s subtree would send to *cost*.
+
+        Returns the branch summary *server*'s report would install at
+        its parent, or None when the parent keeps what it holds (dead
+        server, keep-alive, empty branch). A child's fresh branch is
+        referenced only here, so it is released once *server* has
+        folded it.
+        """
+        reports: Dict[int, ResourceSummary] = {}
+        for child in server.children:
+            branch = self._measure_branch(child, now, cost)
+            if branch is not None:
+                reports[child.server_id] = branch
+        exports: Dict[str, ResourceSummary] = {}
+        for owner in server.owners:
+            if not owner.controls_server:
+                update, size = build_owner_export(owner, self.config, now)
+                cost.count_export(size)
+                exports[owner.owner_id] = update.summary
+        if not server.alive:
+            return None
+        local = server.local_summary(self.config, now, exports)
+        branch = server.fold_branch(local, now, reports)
+        for _, update, size in self._pusher(server).plan_updates(
+            now, branch, local
+        ):
+            cost.count_push(update, size)
+        built = self._exporter(server).plan_update(now, branch)
+        if built is None:
+            return None
+        cost.count_report(*built)
+        return built[0].summary
 
     def staleness_snapshot(
         self, *, stale_after: Optional[float] = None

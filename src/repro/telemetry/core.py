@@ -125,8 +125,8 @@ class Telemetry:
         self.bus = EventBus(capacity)
         self.metrics = MetricsRegistry()
         self.enabled = enabled
-        #: optional wall-clock section profiler
-        #: (:class:`repro.bench.profiler.WallClockProfiler`); attach it
+        #: optional wall-clock call-path profiler
+        #: (:class:`repro.telemetry.profiling.CallPathProfiler`); attach it
         #: *before* building a system — instrumented components cache the
         #: reference at construction time so the disabled path stays free.
         self.profiler = None

@@ -1,12 +1,11 @@
 """The profiling plane: hierarchical hot-path attribution.
 
-The flat :class:`~repro.bench.profiler.WallClockProfiler` told perf PRs
-*that* ``sim.dispatch`` dominates bench wall time but not *why*: nested
-sections double-counted (``query.execute`` encloses the ``sim.dispatch``
-seconds of its event loop, so summing sections overshot the total) and
-nothing attributed dispatch time to the event kinds, planes or servers
-burning it. :class:`CallPathProfiler` replaces the flat section map with
-a call-path tree:
+A flat seconds-per-section map can tell perf PRs *that*
+``sim.dispatch`` dominates bench wall time but not *why*: nested
+sections double-count (``query.execute`` encloses the ``sim.dispatch``
+seconds of its event loop, so summing sections overshoots the total) and
+nothing attributes dispatch time to the event kinds, planes or servers
+burning it. :class:`CallPathProfiler` is a call-path tree instead:
 
 * **Frames** are keyed by (parent path, name); ``enter(name)`` /
   ``exit()`` push and pop the current path, accumulating *cumulative*
@@ -199,7 +198,7 @@ class CallPathProfiler:
             per_server = self._census[kind] = {}
         per_server[server] = per_server.get(server, 0) + n
 
-    # -- flat projection (WallClockProfiler semantics) ------------------------------
+    # -- flat projection -------------------------------------------------------------
     def flat(self) -> Dict[str, Dict[str, float]]:
         """Per-name totals: ``{name: {calls, seconds, self_seconds}}``.
 
@@ -268,7 +267,7 @@ class CallPathProfiler:
 
     # -- read-out -----------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        """Flat JSON dump in the historical WallClockProfiler shape."""
+        """Flat JSON dump: ``{sections: {name: ...}, counters: {...}}``."""
         flat = self.flat()
         return {
             "sections": {

@@ -3,10 +3,32 @@
 import numpy as np
 import pytest
 
+from repro.net import DelaySpace, Network
+from repro.overlay import ReplicationOverlay
 from repro.records import RecordStore, Schema, categorical, numeric
 from repro.roads import RoadsConfig, RoadsSystem
+from repro.roads.update_plane import UpdatePlane, UpdateRoundReport
+from repro.sim import Simulator
 from repro.summaries import SummaryConfig
 from repro.workload import WorkloadConfig, generate_node_stores, generate_queries
+
+
+def make_plane(hierarchy, cfg, *, interval=60.0) -> UpdatePlane:
+    """An update plane over a bare *hierarchy*: its own simulator, and a
+    network on a seeded delay space with one node per server id.
+    ``plane.sim`` and ``plane.network.metrics`` give the rest."""
+    sim = Simulator()
+    nodes = 1 + max(s.server_id for s in hierarchy)
+    network = Network(sim, DelaySpace(nodes, np.random.default_rng(0)))
+    return UpdatePlane(
+        sim, network, hierarchy, ReplicationOverlay(hierarchy, cfg),
+        interval=interval,
+    )
+
+
+def converge(hierarchy, cfg) -> UpdateRoundReport:
+    """One drained loss-free summary epoch over a bare *hierarchy*."""
+    return make_plane(hierarchy, cfg).run_epoch()
 
 
 @pytest.fixture

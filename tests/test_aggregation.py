@@ -1,19 +1,15 @@
-"""Unit tests for repro.hierarchy.aggregation."""
+"""Bottom-up aggregation, driven through the update plane's epochs."""
 
 import numpy as np
 import pytest
 
-from repro.hierarchy import (
-    AttachedOwner,
-    PeriodicAggregation,
-    Server,
-    aggregate_round,
-    build_hierarchy,
-    refresh_owner_exports,
-)
+from repro.hierarchy import AttachedOwner, Server, build_hierarchy
+from repro.hierarchy.aggregation import HEADER_BYTES, build_owner_export
 from repro.records import RecordStore, Schema, numeric
-from repro.sim import UPDATE, MetricsCollector, Simulator
+from repro.sim import UPDATE
 from repro.summaries import SummaryConfig
+
+from .conftest import converge, make_plane
 
 
 @pytest.fixture
@@ -42,42 +38,49 @@ CFG = SummaryConfig(histogram_buckets=32)
 
 class TestAggregateRound:
     def test_root_sees_all_records(self, hierarchy):
-        aggregate_round(hierarchy, CFG)
+        converge(hierarchy, CFG)
         root_summary = hierarchy.root.branch_summary(CFG)
         assert root_summary.attributes["a"].total == 90
 
     def test_every_parent_has_child_summaries(self, hierarchy):
-        aggregate_round(hierarchy, CFG)
+        converge(hierarchy, CFG)
         for server in hierarchy:
             for cid in server.child_ids():
                 assert cid in server.child_summaries
 
     def test_intermediate_counts(self, hierarchy):
-        aggregate_round(hierarchy, CFG)
+        converge(hierarchy, CFG)
         for server in hierarchy:
             branch = server.branch_summary(CFG)
             assert branch.attributes["a"].total == 10 * server.subtree_size()
 
     def test_message_count_is_one_per_edge(self, hierarchy):
-        report = aggregate_round(hierarchy, CFG)
-        assert report.messages == len(hierarchy) - 1
+        report = converge(hierarchy, CFG)
+        assert report.aggregation.messages == len(hierarchy) - 1
 
     def test_bytes_accounted_in_metrics(self, hierarchy):
-        metrics = MetricsCollector()
-        report = aggregate_round(hierarchy, CFG, metrics=metrics)
+        plane = make_plane(hierarchy, CFG)
+        report = plane.run_epoch()
+        metrics = plane.network.metrics
         assert metrics.bytes(UPDATE) == report.total_bytes
+        assert metrics.messages(UPDATE) == report.total_messages
+        # Every report is attributed to the parent that receives it.
+        received = metrics.per_server(UPDATE, phase="aggregate")
+        for server in hierarchy:
+            messages, _ = received.get(server.server_id, (0, 0))
+            assert messages == len(server.children)
 
     def test_controlling_owner_exports_free(self, hierarchy):
         # All owners control their servers: no summary export traffic.
-        report = aggregate_round(hierarchy, CFG)
-        assert report.export_bytes == 0
+        report = converge(hierarchy, CFG)
+        assert report.aggregation.export_bytes == 0
 
     def test_third_party_owner_pays_export(self, hierarchy, schema):
         hierarchy.get(3).attach_owner(
             AttachedOwner("guest", store(schema, 20, 99), controls_server=False)
         )
-        report = aggregate_round(hierarchy, CFG)
-        assert report.export_bytes > 0
+        report = converge(hierarchy, CFG)
+        assert report.aggregation.export_bytes > 0
         guest = [o for o in hierarchy.get(3).owners if o.owner_id == "guest"][0]
         assert guest.summary is not None
         assert guest.summary.attributes["a"].total == 20
@@ -86,48 +89,76 @@ class TestAggregateRound:
         hierarchy.get(3).attach_owner(
             AttachedOwner("guest", store(schema, 20, 99), controls_server=False)
         )
-        aggregate_round(hierarchy, CFG)
+        converge(hierarchy, CFG)
         assert hierarchy.root.branch_summary(CFG).attributes["a"].total == 110
 
     def test_timestamps_applied(self, hierarchy):
-        aggregate_round(hierarchy, CFG, now=123.0)
-        some_parent = hierarchy.root
-        for s in some_parent.child_summaries.values():
-            assert s.created_at == 123.0
+        plane = make_plane(hierarchy, CFG)
+        plane.sim.run(until=123.0)
+        plane.run_epoch()
+        # A report carries the time its sender built it, inside the epoch.
+        for s in hierarchy.root.child_summaries.values():
+            assert 123.0 < s.created_at < plane.sim.now
 
     def test_refresh_owner_exports_only(self, hierarchy, schema):
-        hierarchy.get(1).attach_owner(
-            AttachedOwner("guest", store(schema, 5, 50), controls_server=False)
+        guest = AttachedOwner(
+            "guest", store(schema, 5, 50), controls_server=False
         )
-        total = refresh_owner_exports(hierarchy, CFG, now=1.0)
-        assert total > 0
+        hierarchy.get(1).attach_owner(guest)
+        update, size = build_owner_export(guest, CFG, now=1.0)
+        assert size == update.summary.encoded_size() + HEADER_BYTES
+        assert update.summary.created_at == 1.0
+        assert guest.summary is None  # exporting installs nothing by itself
 
 
 class TestPeriodicAggregation:
     def test_rounds_fire(self, hierarchy):
-        sim = Simulator()
-        agg = PeriodicAggregation(sim, hierarchy, CFG, interval=10.0)
-        sim.run(until=35.0)
-        assert agg.rounds == 4  # t = 0, 10, 20, 30
-        assert agg.last_report is not None
-        agg.stop()
-        sim.run(until=100.0)
-        assert agg.rounds == 4
+        plane = make_plane(hierarchy, CFG, interval=10.0)
+        plane.start(jitter=0.0)
+        plane.sim.run(until=35.0)
+        # First ticks are spread over one interval: 3 or 4 each by t=35.
+        assert 3 * len(hierarchy) <= plane.ticks <= 4 * len(hierarchy)
+        assert plane.counters.aggregation_messages > 0
+        plane.stop()
+        ticks = plane.ticks
+        plane.sim.run(until=100.0)
+        assert plane.ticks == ticks
 
     def test_soft_state_freshness(self, hierarchy):
         cfg = SummaryConfig(histogram_buckets=32, ttl=15.0)
-        sim = Simulator()
-        PeriodicAggregation(sim, hierarchy, cfg, interval=10.0)
-        sim.run(until=55.0)
-        now = sim.now
+        plane = make_plane(hierarchy, cfg, interval=10.0)
+        plane.start()
+        plane.sim.run(until=55.0)
+        now = plane.sim.now
         for server in hierarchy:
+            assert set(server.child_summaries) == set(server.child_ids())
             for s in server.child_summaries.values():
                 assert not s.is_expired(now)
 
+    def test_unrefreshed_soft_state_expires(self, hierarchy):
+        cfg = SummaryConfig(histogram_buckets=32, ttl=15.0)
+        plane = make_plane(hierarchy, cfg, interval=10.0)
+        plane.run_epoch()
+        leaf = hierarchy.leaves()[0]
+        leaf.alive = False  # crashed, still attached: reports stop
+        plane.sim.run(until=plane.sim.now + 20.0)
+        plane.run_epoch()
+        assert leaf.server_id not in leaf.parent.child_summaries
+        assert plane.counters.expired > 0
+
     def test_metrics_accumulate(self, hierarchy):
-        sim = Simulator()
-        metrics = MetricsCollector()
-        PeriodicAggregation(sim, hierarchy, CFG, interval=10.0, metrics=metrics)
-        sim.run(until=25.0)
-        # 3 rounds x 8 edges
-        assert metrics.messages(UPDATE) == 24
+        plane = make_plane(hierarchy, CFG, interval=10.0)
+        plane.start(jitter=0.0)
+        plane.sim.run(until=25.0)
+        plane.stop()
+        plane.drain()
+        c = plane.counters
+        metrics = plane.network.metrics
+        assert metrics.messages(UPDATE) == (
+            c.aggregation_messages + c.replication_messages
+        )
+        assert metrics.bytes(UPDATE) == (
+            c.aggregation_bytes + c.replication_bytes
+        )
+        # 8 edges, each child reporting on every one of its 2-3 ticks.
+        assert 16 <= c.aggregation_messages <= 24

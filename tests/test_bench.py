@@ -10,7 +10,6 @@ from repro.bench import (
     ROOT_SHARE_CEILING,
     SCALES,
     SCENARIOS,
-    WallClockProfiler,
     artifact_filename,
     available_scenarios,
     compare_artifacts,
@@ -30,6 +29,7 @@ from repro.bench import (
     write_artifact,
 )
 from repro.experiments.config import ExperimentSettings
+from repro.telemetry.profiling import CallPathProfiler
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,7 @@ def overlay_artifact():
 
 class TestProfiler:
     def test_section_accumulates(self):
-        prof = WallClockProfiler()
+        prof = CallPathProfiler()
         with prof.section("net.send"):
             pass
         with prof.section("net.send"):
@@ -48,7 +48,7 @@ class TestProfiler:
         assert prof.seconds("net.send") >= 0.0
 
     def test_add_and_count(self):
-        prof = WallClockProfiler()
+        prof = CallPathProfiler()
         prof.add("sim.dispatch", 0.25, calls=10)
         prof.add("sim.dispatch", 0.25, calls=10)
         prof.count("sim.events", 100)
@@ -57,17 +57,17 @@ class TestProfiler:
         assert prof.counter("sim.events") == 100
 
     def test_events_per_second(self):
-        prof = WallClockProfiler()
+        prof = CallPathProfiler()
         prof.add("sim.dispatch", 2.0)
         prof.count("sim.events", 500)
         assert prof.events_per_second() == pytest.approx(250.0)
         assert prof.events_per_second(events=1000) == pytest.approx(500.0)
 
     def test_empty_throughput_is_zero(self):
-        assert WallClockProfiler().events_per_second() == 0.0
+        assert CallPathProfiler().events_per_second() == 0.0
 
     def test_snapshot_and_reset(self):
-        prof = WallClockProfiler()
+        prof = CallPathProfiler()
         prof.add("query.execute", 0.1)
         prof.count("sim.events", 7)
         snap = prof.snapshot()

@@ -9,10 +9,11 @@ steady state most epochs need only keep-alive refreshes.
 import numpy as np
 import pytest
 
-from repro.hierarchy import aggregate_round
 from repro.roads import RoadsConfig, RoadsSystem, SearchRequest
 from repro.summaries import SummaryConfig
 from repro.workload import WorkloadConfig, generate_node_stores, generate_queries, merge_stores
+
+from .conftest import make_plane
 
 
 @pytest.fixture
@@ -54,13 +55,10 @@ class TestSteadyState:
     def test_steady_state_epoch_is_nearly_free(self, delta_system):
         _, _, system = delta_system
         # Reference: what a full (non-delta) epoch costs.
-        from repro.hierarchy import aggregate_round
-
-        full = aggregate_round(
-            system.hierarchy, system.config.summary, delta=False
-        ).total_bytes + system.overlay.replicate_round(delta=False).replication_bytes
+        full = make_plane(
+            system.hierarchy, system.config.summary
+        ).measure_epoch().total_bytes
         # Steady state under delta: nothing changed since the last epoch.
-        system.refresh()  # re-arm fingerprints after the forced full round
         steady = system.refresh()
         assert steady.aggregation.full_reports == 0
         assert steady.replication.full_sends == 0
@@ -132,11 +130,12 @@ class TestChangePropagation:
 class TestAggregateRoundDeltaFlag:
     def test_non_delta_rounds_always_full(self, delta_system):
         _, _, system = delta_system
-        cfg = system.config.summary
-        aggregate_round(system.hierarchy, cfg, delta=False)
-        report = aggregate_round(system.hierarchy, cfg, delta=False)
-        assert report.keepalive_reports == 0
-        assert report.full_reports == len(system.hierarchy) - 1
+        plane = make_plane(system.hierarchy, system.config.summary)
+        plane.run_epoch()
+        report = plane.run_epoch()  # nothing changed, still all full
+        assert report.aggregation.keepalive_reports == 0
+        assert report.aggregation.full_reports == len(system.hierarchy) - 1
+        assert report.replication.keepalive_sends == 0
 
 
 class TestDeltaUnderTopologyChange:

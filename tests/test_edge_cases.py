@@ -4,12 +4,7 @@ less-travelled branches."""
 import numpy as np
 import pytest
 
-from repro.hierarchy import (
-    AttachedOwner,
-    Server,
-    aggregate_round,
-    build_hierarchy,
-)
+from repro.hierarchy import AttachedOwner, Server, build_hierarchy
 from repro.net import DelaySpace, Network
 from repro.overlay import decide_local
 from repro.query import Query, RangePredicate
@@ -19,6 +14,8 @@ from repro.roads.client import QueryExecution
 from repro.sim import MetricsCollector, Simulator
 from repro.summaries import ResourceSummary, SummaryConfig
 from repro.workload import WorkloadConfig, generate_node_stores
+
+from .conftest import converge
 
 
 class TestQueryTimeoutPath:
@@ -78,29 +75,14 @@ class TestDecideLocal:
 
 
 class TestAggregationEdges:
-    def test_refresh_exports_false_skips_export_bytes(self):
-        schema = Schema([numeric("a")])
-        h = build_hierarchy(Server(i, max_children=2) for i in range(3))
-        guest_store = RecordStore.from_arrays(
-            schema, np.random.default_rng(0).random((5, 1)), []
-        )
-        h.get(1).attach_owner(
-            AttachedOwner("g", guest_store, controls_server=False)
-        )
-        cfg = SummaryConfig(histogram_buckets=8)
-        # First round creates the export.
-        aggregate_round(h, cfg)
-        report = aggregate_round(h, cfg, refresh_exports=False)
-        assert report.export_bytes == 0
-        # The stale summary is still used for aggregation.
-        assert report.aggregation_bytes > 0
-
     def test_empty_federation_aggregates_nothing(self):
         h = build_hierarchy(Server(i, max_children=2) for i in range(4))
         cfg = SummaryConfig(histogram_buckets=8)
-        report = aggregate_round(h, cfg)
+        report = converge(h, cfg)
         # Messages flow (soft-state headers) but no summaries exist.
-        assert report.messages == 3
+        assert report.aggregation.messages == 3
+        assert report.aggregation.full_reports == 0
+        assert report.replication.messages == 0
         assert h.root.branch_summary(cfg) is None
 
 

@@ -63,19 +63,6 @@ class TestRunPlan:
 
 
 class TestLegacyShims:
-    def test_legacy_run_scenario_warns_and_matches(self):
-        canonical = run_scenario(
-            RunPlan("fig8", scale="smoke", seed=2, profile=False)
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = run_scenario("fig8", "smoke", 2, profile=False)
-        assert comparable_dict(canonical) == comparable_dict(legacy)
-
-    def test_legacy_profile_scenario_warns(self):
-        with pytest.warns(DeprecationWarning):
-            doc = profile_scenario("fig8", "smoke", 2)
-        assert "census_fingerprint" in doc
-
     def test_plan_plus_legacy_args_rejected(self):
         with pytest.raises(TypeError):
             run_scenario(RunPlan("overlay", scale="smoke"), "smoke")
@@ -85,6 +72,10 @@ class TestLegacyShims:
     def test_non_plan_non_name_rejected(self):
         with pytest.raises(TypeError):
             run_scenario(42)
+        with pytest.raises(TypeError, match="RunPlan"):
+            run_scenario("fig8")
+        with pytest.raises(TypeError, match="RunPlan"):
+            profile_scenario("fig8")
 
     def test_canonical_call_is_warning_free(self):
         with warnings.catch_warnings():

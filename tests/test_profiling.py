@@ -6,7 +6,6 @@ import pytest
 
 from repro.bench import (
     RunPlan,
-    WallClockProfiler,
     compare_artifacts,
     profile_scenario,
     run_scenario,
@@ -136,11 +135,8 @@ class TestCallPathTree:
 
 
 class TestFlatShim:
-    def test_wallclock_profiler_is_callpath(self):
-        assert issubclass(WallClockProfiler, CallPathProfiler)
-
     def test_nested_same_name_not_double_counted(self):
-        prof = WallClockProfiler()
+        prof = CallPathProfiler()
         with prof.section("sim.dispatch"):
             with prof.section("sim.dispatch"):
                 pass
@@ -151,7 +147,7 @@ class TestFlatShim:
         assert flat["seconds"] <= prof.total_seconds + 1e-9
 
     def test_snapshot_shape_and_reset(self):
-        prof = WallClockProfiler()
+        prof = CallPathProfiler()
         with prof.section("net.send"):
             pass
         prof.count("sim.events", 7)
@@ -166,7 +162,7 @@ class TestFlatShim:
     def test_telemetry_attach_binds_clock(self):
         tel = Telemetry()
         tel.bind_clock(lambda: 42.0)
-        prof = WallClockProfiler()
+        prof = CallPathProfiler()
         tel.attach_profiler(prof)
         assert prof._clock() == 42.0
 

@@ -3,20 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.hierarchy import (
-    AttachedOwner,
-    Server,
-    aggregate_round,
-    build_hierarchy,
-)
+from repro.hierarchy import AttachedOwner, Server, build_hierarchy
 from repro.overlay import (
     ReplicationOverlay,
     coverage_ids,
     replication_sources,
 )
 from repro.records import RecordStore, Schema, numeric
-from repro.sim import UPDATE, MetricsCollector
+from repro.sim import UPDATE
 from repro.summaries import SummaryConfig
+
+from .conftest import converge, make_plane
 
 CFG = SummaryConfig(histogram_buckets=32)
 
@@ -34,7 +31,6 @@ def hierarchy(schema):
     for i in range(21):
         st = RecordStore.from_arrays(schema, rng.random((5, 2)), [])
         h.get(i).attach_owner(AttachedOwner(f"o{i}", st, True))
-    aggregate_round(h, CFG)
     return h
 
 
@@ -77,15 +73,13 @@ class TestCoverage:
 
 class TestReplicateRound:
     def test_replicas_installed(self, hierarchy):
-        overlay = ReplicationOverlay(hierarchy, CFG)
-        overlay.replicate_round()
+        converge(hierarchy, CFG)
         for server in hierarchy:
             expected = {s.server_id for s in replication_sources(server)}
             assert set(server.replicated_summaries) == expected
 
     def test_replica_contents_match_branch_summaries(self, hierarchy):
-        overlay = ReplicationOverlay(hierarchy, CFG)
-        overlay.replicate_round()
+        converge(hierarchy, CFG)
         some_leaf = hierarchy.leaves()[0]
         for src_id, summary in some_leaf.replicated_summaries.items():
             src = hierarchy.get(src_id)
@@ -95,9 +89,8 @@ class TestReplicateRound:
             )
 
     def test_bytes_and_messages_accounted(self, hierarchy):
-        overlay = ReplicationOverlay(hierarchy, CFG)
-        metrics = MetricsCollector()
-        report = overlay.replicate_round(metrics=metrics)
+        plane = make_plane(hierarchy, CFG)
+        report = plane.run_epoch().replication
         # one message per replicated branch summary, plus one per
         # ancestor local-owner summary (every server here has owners)
         expected = sum(
@@ -105,12 +98,16 @@ class TestReplicateRound:
             for s in hierarchy
         )
         assert report.messages == expected
-        assert metrics.bytes(UPDATE) == report.replication_bytes
         assert report.replication_bytes > 0
+        # Every push is attributed to the holder that receives it.
+        received = plane.network.metrics.per_server(UPDATE, phase="replicate")
+        assert sum(b for _, b in received.values()) == report.replication_bytes
+        for s in hierarchy:
+            messages, _ = received.get(s.server_id, (0, 0))
+            assert messages == len(replication_sources(s)) + len(s.ancestors())
 
     def test_ancestor_local_summaries_installed(self, hierarchy):
-        overlay = ReplicationOverlay(hierarchy, CFG)
-        overlay.replicate_round()
+        converge(hierarchy, CFG)
         leaf = hierarchy.leaves()[0]
         assert set(leaf.replicated_local_summaries) == {
             a.server_id for a in leaf.ancestors()
@@ -120,13 +117,24 @@ class TestReplicateRound:
             assert summ.attributes["a"].total == 5
 
     def test_round_replaces_previous_state(self, hierarchy):
-        overlay = ReplicationOverlay(hierarchy, CFG)
+        """Soft state: a replica no source refreshes is gone one TTL
+        later, while every pushed one is replaced by its fresh copy."""
+        plane = make_plane(hierarchy, CFG)
+        plane.run_epoch()
         leaf = hierarchy.leaves()[0]
         leaf.replicated_summaries[999] = next(
             iter(hierarchy.root.child_summaries.values())
         )
-        overlay.replicate_round()
+        plane.sim.run(until=plane.sim.now + CFG.ttl + 1.0)
+        plane.run_epoch()
         assert 999 not in leaf.replicated_summaries
+        assert set(leaf.replicated_summaries) == {
+            s.server_id for s in replication_sources(leaf)
+        }
+        assert not any(
+            s.is_expired(plane.sim.now)
+            for s in leaf.replicated_summaries.values()
+        )
 
     def test_per_node_message_counts(self, hierarchy):
         overlay = ReplicationOverlay(hierarchy, CFG)

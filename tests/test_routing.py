@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.hierarchy import (
-    AttachedOwner,
-    Server,
-    aggregate_round,
-    build_hierarchy,
-)
+from repro.hierarchy import AttachedOwner, Server, build_hierarchy
 from repro.overlay import (
-    ReplicationOverlay,
     decide_descent,
     decide_start,
     scope_candidates,
@@ -18,6 +12,8 @@ from repro.overlay import (
 from repro.query import Query, RangePredicate
 from repro.records import RecordStore, Schema, numeric
 from repro.summaries import SummaryConfig
+
+from .conftest import converge
 
 CFG = SummaryConfig(histogram_buckets=100)
 
@@ -40,8 +36,7 @@ def hierarchy(schema):
         vals = (i / 10.0 + rng.random((20, 1)) * 0.05).clip(0, 1)
         st = RecordStore.from_arrays(schema, vals, [])
         h.get(i).attach_owner(AttachedOwner(f"o{i}", st, True))
-    aggregate_round(h, CFG)
-    ReplicationOverlay(h, CFG).replicate_round()
+    converge(h, CFG)
     return h
 
 

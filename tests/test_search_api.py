@@ -1,10 +1,8 @@
-"""The canonical search API and its deprecated shims.
+"""The canonical search API.
 
-Covers the SearchRequest/SearchResult objects, the shim equivalence
-guarantee (same seed -> identical QueryOutcome through either entry
-point), the scope/start_server consistency fix, and the widening-search
-regression (one client for every scope; escalation stops at
-min_matches).
+Covers the SearchRequest/SearchResult objects, the scope/start_server
+consistency fix, and the widening-search regression (one client for
+every scope; escalation stops at min_matches).
 """
 
 import dataclasses
@@ -42,21 +40,6 @@ def build_system(**overrides):
 def queries():
     wcfg = WorkloadConfig(num_nodes=NODES, records_per_node=80, seed=SEED)
     return generate_queries(wcfg, num_queries=8, dimensions=3)
-
-
-def outcomes_equal(a, b):
-    assert a.total_matches == b.total_matches
-    assert a.latency == b.latency
-    assert a.servers_contacted == b.servers_contacted
-    assert a.query_bytes == b.query_bytes
-    assert a.query_messages == b.query_messages
-    assert a.client_node == b.client_node
-    assert a.start_server == b.start_server
-    assert a.timed_out_servers == b.timed_out_servers
-    assert a.shed_servers == b.shed_servers
-    assert {h.owner_id for h in a.owner_hits} == {
-        h.owner_id for h in b.owner_hits
-    }
 
 
 class TestSearchRequest:
@@ -121,59 +104,20 @@ class TestSearchResult:
 
 
 class TestShimEquivalence:
-    """Same seed -> identical QueryOutcome through either entry point."""
-
-    def test_execute_query_equivalent(self, queries):
-        legacy, canonical = build_system(), build_system()
-        for i, q in enumerate(queries[:4]):
-            with pytest.warns(DeprecationWarning, match="execute_query"):
-                old = legacy.execute_query(q, client_node=i)
-            new = canonical.search(SearchRequest(q, client_node=i)).outcome
-            outcomes_equal(old, new)
-
-    def test_execute_query_random_client_equivalent(self, queries):
-        # Client draws come from the system RNG in the same order.
-        legacy, canonical = build_system(), build_system()
-        for q in queries[:4]:
-            with pytest.warns(DeprecationWarning):
-                old = legacy.execute_query(q)
-            new = canonical.search(SearchRequest(q)).outcome
-            outcomes_equal(old, new)
-
-    def test_execute_queries_equivalent(self, queries):
-        legacy, canonical = build_system(), build_system()
-        clients = list(range(len(queries)))
-        with pytest.warns(DeprecationWarning, match="execute_queries"):
-            old = legacy.execute_queries(queries, client_nodes=clients)
-        new = canonical.search_many([
-            SearchRequest(q, client_node=c)
-            for q, c in zip(queries, clients)
-        ])
-        for o, n in zip(old, new):
-            outcomes_equal(o, n.outcome)
-
-    def test_widening_search_equivalent(self, queries):
-        legacy, canonical = build_system(), build_system()
-        with pytest.warns(DeprecationWarning, match="widening_search"):
-            old = legacy.widening_search(queries[0], 7, min_matches=1)
-        new = canonical.widening(
-            SearchRequest(queries[0], client_node=7), min_matches=1
-        )
-        assert len(old) == len(new)
-        for o, n in zip(old, new):
-            outcomes_equal(o, n.outcome)
+    """Same seed -> identical QueryOutcome from independently built systems."""
 
     def test_no_overlay_equivalent(self, queries):
-        legacy, canonical = build_system(), build_system()
-        with pytest.warns(DeprecationWarning):
-            old = legacy.execute_query(
-                queries[0], client_node=2, use_overlay=False
-            )
-        new = canonical.search(
-            SearchRequest(queries[0], client_node=2, use_overlay=False)
-        ).outcome
-        outcomes_equal(old, new)
-        assert new.start_server == canonical.hierarchy.root.server_id
+        request = SearchRequest(queries[0], client_node=2, use_overlay=False)
+        first, second = build_system(), build_system()
+        a = first.search(request).outcome
+        b = second.search(request).outcome
+        assert (a.total_matches, a.latency, a.servers_contacted) == (
+            b.total_matches, b.latency, b.servers_contacted
+        )
+        assert (a.query_bytes, a.query_messages) == (
+            b.query_bytes, b.query_messages
+        )
+        assert a.start_server == first.hierarchy.root.server_id
 
 
 class TestWidening:
@@ -224,19 +168,11 @@ class TestWidening:
 
 
 class TestDeprecationSurface:
-    def test_all_three_shims_warn(self, queries):
-        system = build_system()
-        with pytest.warns(DeprecationWarning):
-            system.execute_query(queries[0], client_node=0)
-        with pytest.warns(DeprecationWarning):
-            system.execute_queries(queries[:1], client_nodes=[0])
-        with pytest.warns(DeprecationWarning):
-            system.widening_search(queries[0], 0)
-
     def test_shim_kwargs_map_one_to_one(self, queries):
+        """Every request field reaches the execution it describes."""
         system = build_system()
-        with pytest.warns(DeprecationWarning):
-            o = system.execute_query(
+        o = system.search(
+            SearchRequest(
                 queries[0],
                 client_node=1,
                 scope=1,
@@ -244,6 +180,7 @@ class TestDeprecationSurface:
                 first_k=3,
                 trace=True,
             )
+        ).outcome
         assert o.client_node == 1
         assert o.start_server == 1
         assert o.trace_events  # trace was threaded through

@@ -4,8 +4,8 @@ Summaries now travel as real simulated messages (``summary-full`` /
 ``summary-keepalive`` kinds) installed at delivery time; these tests pin
 down the properties that matter:
 
-* a drained loss-free epoch costs byte-for-byte what the legacy
-  synchronous rounds modelled (figures keep reproducing);
+* a drained loss-free epoch costs byte-for-byte what ``measure_epoch``
+  said it would, crashed servers and forced re-sends included;
 * measuring an epoch's cost does not perturb delta state (the old
   ``update_bytes_per_epoch`` observer effect);
 * a lost full update leaves genuinely stale soft state: keep-alives are
@@ -74,22 +74,33 @@ def lossless(network):
 
 
 class TestEpochParity:
-    """A drained epoch reproduces the legacy synchronous byte model."""
+    """A drained loss-free epoch sends exactly what was measured."""
 
     @pytest.mark.parametrize("delta", [False, True])
     def test_epoch_matches_measured_cost(self, delta):
         _, _, system = build(delta=delta)
         measured = system.update_plane.measure_epoch()
-        epoch = system.refresh()
-        assert epoch.total_bytes == measured.total_bytes
-        assert epoch.total_messages == measured.total_messages
-        assert (
-            epoch.aggregation.full_reports
-            == measured.aggregation.full_reports
-        )
-        assert (
-            epoch.replication.full_sends == measured.replication.full_sends
-        )
+        assert system.refresh() == measured
+
+    @pytest.mark.parametrize("delta", [False, True])
+    def test_crashed_server_neither_sends_nor_is_sent_to(self, delta):
+        _, _, system = build(delta=delta)
+        leaf = max(system.hierarchy, key=lambda s: s.depth)
+        leaf.alive = False
+        system.network.fail_node(leaf.server_id)
+        measured = system.update_plane.measure_epoch()
+        assert system.refresh() == measured
+        assert measured.aggregation.messages == N - 2
+
+    def test_forced_full_resends_are_measured(self):
+        _, _, system = build(delta=True, ttl=300.0)
+        system.refresh()  # steady state: the next epoch is keep-alives
+        assert system.update_plane.measure_epoch().replication.full_sends == 0
+        system.sim.run(until=system.sim.now + 1000.0)
+        measured = system.update_plane.measure_epoch()
+        assert system.refresh() == measured
+        assert measured.aggregation.keepalive_reports == 0
+        assert measured.replication.keepalive_sends == 0
 
     def test_epoch_parity_with_guests(self):
         wcfg = WorkloadConfig(num_nodes=N, records_per_node=RECORDS, seed=3)
@@ -276,10 +287,7 @@ class TestSummariesBuiltOncePerTick:
         plane = system.update_plane
         with counting_from_store(monkeypatch) as calls:
             measured = plane.measure_epoch()
-        # Legacy byte model: the guest export, one branch per non-root
-        # server in the aggregation round, one local per server in the
-        # replication round.
-        assert len(calls) == 1 + (self.SERVERS - 1) + self.SERVERS
+        assert len(calls) == 1 + self.SERVERS  # the guest + every owner
         with counting_from_store(monkeypatch) as calls:
             epoch = plane.run_epoch()
         assert len(calls) == self.SERVERS + 1  # every owner + the guest
@@ -355,7 +363,11 @@ class TestLossAndTTL:
         stores, system, leaf, query = self._stale_system()
         plane = system.update_plane
         rejected_before = plane.counters.ignored
+        measured = plane.measure_epoch()
         report = system.refresh()  # clean epoch: keep-alives flow again
+        # Parents fold the stale content they hold, not what the child
+        # believes it shipped — and the measurement knows it.
+        assert report == measured
         # The sender believes its content is unchanged-since-shipped, so
         # it keeps sending keep-alives; receivers hold the pre-change
         # content and must reject them rather than refresh a lie.
