@@ -32,9 +32,9 @@ def test_maintenance_overhead(benchmark, settings):
         system.enable_maintenance(
             MaintenanceConfig(heartbeat_interval=5.0)
         )
-        before = system.metrics.bytes(MAINTENANCE)
+        before = system.metrics.bytes_total(MAINTENANCE)
         system.sim.run(until=system.sim.now + 60.0)
-        hb_bytes = system.metrics.bytes(MAINTENANCE) - before
+        hb_bytes = system.metrics.bytes_total(MAINTENANCE) - before
         return counts, depths, worst, hb_bytes
 
     counts, depths, worst, hb_bytes = run_once(benchmark, run)

@@ -480,7 +480,7 @@ def _instrumented_block(
     )
     update_report = system.refresh()
     num_queries = settings.num_queries
-    registry = system.metrics.registry
+    registry = system.metrics
     latency = registry.merged_histogram("query.latency").summary()
     load_rows = per_server_load_rows(
         registry, category=QUERY, phase="forward", top=10, root_id=root_id
@@ -494,7 +494,7 @@ def _instrumented_block(
         settings, seed, use_overlay=False
     )
     share_without = root_load_share(
-        system2.metrics.registry, root2, category=QUERY, phase="forward"
+        system2.metrics, root2, category=QUERY, phase="forward"
     )
 
     return {

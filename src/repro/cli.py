@@ -121,7 +121,7 @@ def _print_load_tables(
             use_overlay=use_overlay,
         )
         rows = per_server_load_rows(
-            system.metrics.registry, category=QUERY, phase="forward",
+            system.metrics, category=QUERY, phase="forward",
             top=top, root_id=root_id,
         )
         for r in rows:
@@ -136,7 +136,7 @@ def _print_load_tables(
             ),
         )
         share = root_load_share(
-            system.metrics.registry, root_id, category=QUERY, phase="forward"
+            system.metrics, root_id, category=QUERY, phase="forward"
         )
         print(f"root-load share ({label}): {share:.1%}")
         if use_overlay:
@@ -152,7 +152,7 @@ def _cmd_telemetry(args) -> int:
     system, tel = _print_load_tables(
         args.nodes, args.records, args.queries, args.seed, args.top
     )
-    latency = system.metrics.registry.merged_histogram("query.latency")
+    latency = system.metrics.merged_histogram("query.latency")
     s = latency.summary()
     print(
         f"query latency (s): p50={s['p50']:.3f} p95={s['p95']:.3f} "
@@ -170,7 +170,7 @@ def _cmd_telemetry(args) -> int:
         print(f"{n} trace events written to {args.export_chrome} "
               "(load in Perfetto / chrome://tracing)")
     if args.export_prom:
-        write_prometheus(system.metrics.registry, args.export_prom)
+        write_prometheus(system.metrics, args.export_prom)
         print(f"metrics snapshot written to {args.export_prom}")
     return 0
 

@@ -280,7 +280,7 @@ class MaintenanceProtocol:
         # The walk costs one probe per visited level; approximate with the
         # target's depth in join-protocol bytes.
         probe_bytes = _HEARTBEAT_HEADER * (parent.depth + 1)
-        self.network.metrics.record_message(
+        self.network.metrics.count_message(
             MAINTENANCE, probe_bytes,
             server=parent.server_id, phase="rejoin",
         )

@@ -2,14 +2,22 @@
 
 The :class:`Network` binds a :class:`~repro.sim.engine.Simulator`, a
 :class:`~repro.net.coordinates.DelaySpace` and a
-:class:`~repro.sim.metrics.MetricsCollector`. Sending a message schedules
-its delivery callback after the pairwise one-way delay and accounts its
-size under the given traffic category. Failed nodes silently drop inbound
-messages (the sender learns of failures only via missing heartbeats, as in
-the paper's maintenance protocol).
+:class:`~repro.telemetry.metrics.MetricsRegistry`. Sending a message
+schedules its delivery callback after the pairwise one-way delay and
+accounts its size under the given traffic category. Failed nodes silently
+drop inbound messages (the sender learns of failures only via missing
+heartbeats, as in the paper's maintenance protocol).
+
+Every message takes the same two steps whichever entry point sent it:
+``Network._admit`` decides its fate at send time (accounted; dropped by a
+failed sender, lost, or on the wire) and the ``deliver`` closure of
+``Network._schedule_delivery`` its fate on arrival (dropped by a failed
+receiver, handed to a handler, queued or shed). :meth:`Network.send`
+schedules a delivery group of one, :meth:`Network.send_many` one group
+per ``(destination, kind)``.
 
 Each message is attributed to its destination server and the sender's
-protocol ``phase`` in the per-server metrics registry; when a
+protocol ``phase`` in the metrics registry; when a
 :class:`~repro.telemetry.Telemetry` recorder is attached, sends, losses,
 drops and deliveries additionally emit structured events (deliveries as
 ``net.transit`` spans covering the in-flight interval).
@@ -23,14 +31,15 @@ handling is instantaneous and concurrency is free.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from ..sim.engine import Simulator
-from ..sim.metrics import MetricsCollector
 from ..telemetry.core import Telemetry
+from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.tracing import TraceContext
 
 
@@ -138,7 +147,7 @@ class _ServiceQueue:
         depth = self.depth
         if depth > self.max_depth:
             self.max_depth = depth
-        self.net.metrics.registry.observe(
+        self.net.metrics.observe(
             "service.queue_depth", float(depth), server=self.node
         )
         return True
@@ -175,7 +184,7 @@ class _ServiceQueue:
                 self.waiting.popleft()
             )
             now = net.sim.now
-            net.metrics.registry.observe(
+            net.metrics.observe(
                 "service.queue_delay", now - enqueued, server=self.node
             )
             if tel is not None and wait_ctx is not None:
@@ -219,6 +228,32 @@ class Message:
     #: the sender is untraced or telemetry is disabled)
     trace: Optional[TraceContext] = None
 
+    def __post_init__(self) -> None:
+        if self.size_bytes < 0:
+            raise ValueError(f"negative message size: {self.size_bytes}")
+
+
+def _ctags(msg: Message) -> Dict[str, object]:
+    """Causal-trace tags of *msg* for its telemetry events."""
+    return msg.trace.tags() if msg.trace is not None else _NO_TAGS
+
+
+def _send_frame(send):
+    """Run a send entry point inside the profiler's ``net.send`` frame."""
+
+    @functools.wraps(send)
+    def framed(self, *args, **kwargs):
+        prof = self._profiler
+        if prof is None:
+            return send(self, *args, **kwargs)
+        prof.enter("net.send")
+        try:
+            return send(self, *args, **kwargs)
+        finally:
+            prof.exit()
+
+    return framed
+
 
 class Network:
     """Latency-accurate, loss-free (except node failure) message fabric."""
@@ -227,7 +262,7 @@ class Network:
         self,
         sim: Simulator,
         delay_space,
-        metrics: Optional[MetricsCollector] = None,
+        metrics: Optional[MetricsRegistry] = None,
         *,
         processing_delay: float = 0.0005,
         loss_rate: float = 0.0,
@@ -246,8 +281,7 @@ class Network:
             *rng* when non-zero.
         telemetry:
             Optional structured-event recorder; ``None`` disables event
-            emission entirely (the per-server metrics registry inside
-            *metrics* is always maintained).
+            emission entirely (*metrics* is always maintained).
         """
         if not (0.0 <= loss_rate < 1.0):
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
@@ -255,7 +289,7 @@ class Network:
             raise ValueError("loss_rate > 0 requires an rng")
         self.sim = sim
         self.delay_space = delay_space
-        self.metrics = metrics if metrics is not None else MetricsCollector()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.processing_delay = processing_delay
         self.loss_rate = loss_rate
         self.telemetry = telemetry
@@ -273,8 +307,8 @@ class Network:
         self._kind_handlers: Dict[str, Callable[[Message], None]] = {}
         # Batch kind handlers: a plane that can install a whole
         # same-kind, same-destination delivery group in one call (e.g.
-        # stacked summary installs) registers one here; ``send_many``
-        # delivery groups dispatch through it instead of per message.
+        # stacked summary installs) registers one here; delivery groups
+        # dispatch through it instead of per message.
         self._kind_batch_handlers: Dict[str, Callable[[list], None]] = {}
         self._failed: Set[int] = set()
         # Per-node server-side service queues (None entry = infinite
@@ -327,7 +361,8 @@ class Network:
 
         The handler receives the full list of same-kind messages
         arriving at one destination at one instant (a ``send_many``
-        delivery group). Per-message accounting — ``delivered``
+        delivery group, or the single message of a ``send``), unless
+        the destination has a service queue. Per-message accounting — ``delivered``
         counters, dispatch-mix gauges, profiler census — is performed by
         the network before the single handler call; the handler reads
         each message's causal context from ``msg.trace`` (the shared
@@ -391,6 +426,7 @@ class Network:
     def latency(self, a: int, b: int) -> float:
         return self.delay_space.latency(a, b)
 
+    @_send_frame
     def send(
         self,
         src: int,
@@ -410,148 +446,34 @@ class Network:
         Traffic is accounted at send time (the bytes hit the wire whether
         or not the destination is alive) and attributed to the receiving
         node under *phase*. Delivery invokes *on_delivery* when given,
-        else the handler registered for the message *kind*, else the
-        destination's registered handler. *on_dropped* is the terminal
-        failure hook: it fires exactly once, with a reason of
-        ``"sender_failed"``, ``"lost"``, ``"receiver_failed"`` or
-        ``"shed"``, when the message will never reach a handler —
-        protocol actors use it to keep in-flight accounting exact under
-        loss. *on_rejected* opts into explicit load-shed notification:
-        when the destination's service queue sheds the message, a reject
-        notice travels back and *on_rejected* fires at the sender one
-        one-way delay later (the notice itself is delivered reliably).
-        *trace* rides on the message so every event of this hop (send,
-        transit, wait, serve, loss, shed) lands in the sender's causal
-        tree; during handler execution the receiver finds the hop's
-        context in :attr:`delivery_trace` to fork for downstream sends.
+        else the handler registered for the message *kind* (its batch
+        handler, with a one-message group, when the destination has no
+        service queue), else the destination's registered handler.
+        *on_dropped* is the terminal failure hook: it fires exactly once,
+        with a reason of ``"sender_failed"``, ``"lost"``,
+        ``"receiver_failed"`` or ``"shed"``, when the message will never
+        reach a handler — protocol actors use it to keep in-flight
+        accounting exact under loss. *on_rejected* opts into explicit
+        load-shed notification: when the destination's service queue
+        sheds the message, a reject notice travels back and
+        *on_rejected* fires at the sender one one-way delay later (the
+        notice itself is delivered reliably). *trace* rides on the
+        message so every event of this hop (send, transit, wait, serve,
+        loss, shed) lands in the sender's causal tree; during handler
+        execution the receiver finds the hop's context in
+        :attr:`delivery_trace` to fork for downstream sends.
         """
-        prof = self._profiler
-        if prof is None:
-            return self._send(src, dst, category, size_bytes, payload,
-                              on_delivery, phase, kind, on_dropped,
-                              on_rejected, trace)
-        prof.enter("net.send")
-        try:
-            return self._send(src, dst, category, size_bytes, payload,
-                              on_delivery, phase, kind, on_dropped,
-                              on_rejected, trace)
-        finally:
-            prof.exit()
-
-    def _send(
-        self,
-        src: int,
-        dst: int,
-        category: str,
-        size_bytes: int,
-        payload: Any = None,
-        on_delivery: Optional[Callable[[Message], None]] = None,
-        phase: str = "",
-        kind: str = "",
-        on_dropped: Optional[Callable[[Message, str], None]] = None,
-        on_rejected: Optional[Callable[[Message], None]] = None,
-        trace: Optional[TraceContext] = None,
-    ) -> Message:
         msg = Message(src=src, dst=dst, category=category,
                       size_bytes=int(size_bytes), payload=payload,
                       msg_id=next(self._msg_counter), kind=kind,
                       trace=trace)
-        ctags = trace.tags() if trace is not None else _NO_TAGS
-        self.metrics.record_message(
-            category, msg.size_bytes, server=dst, phase=phase
-        )
-        tel = self.telemetry
-        if src in self._failed:
-            # A failed node cannot transmit; bytes were not actually sent.
-            self.metrics.uncount_message(
-                category, msg.size_bytes, server=dst, phase=phase
+        if self._admit(msg, phase, on_dropped):
+            self._schedule_delivery(
+                [msg], phase, on_dropped, on_delivery, on_rejected
             )
-            self.dropped += 1
-            if tel is not None:
-                tel.event("net.drop", src=src, dst=dst, category=category,
-                          phase=phase, kind=kind, msg_id=msg.msg_id,
-                          reason="sender_failed", **ctags)
-            if on_dropped is not None:
-                on_dropped(msg, "sender_failed")
-            return msg
-        self.sent += 1
-        if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
-            self.lost += 1
-            if tel is not None:
-                tel.event("net.loss", src=src, dst=dst, category=category,
-                          phase=phase, kind=kind, msg_id=msg.msg_id,
-                          bytes=msg.size_bytes, **ctags)
-            if on_dropped is not None:
-                on_dropped(msg, "lost")
-            return msg  # bytes were sent; the message never arrives
-        if tel is not None:
-            tel.event("net.send", src=src, dst=dst, category=category,
-                      phase=phase, bytes=msg.size_bytes, msg_id=msg.msg_id,
-                      **ctags)
-        delay = self.delay_space.latency(src, dst) + self.processing_delay
-        sent_at = self.sim.now
-
-        def deliver() -> None:
-            if msg.dst in self._failed:
-                self.dropped += 1
-                if tel is not None:
-                    tel.event("net.drop", src=src, dst=dst,
-                              category=category, phase=phase, kind=kind,
-                              msg_id=msg.msg_id, reason="receiver_failed",
-                              **ctags)
-                if on_dropped is not None:
-                    on_dropped(msg, "receiver_failed")
-                return
-            if tel is not None:
-                tel.emit_span("net.transit", sent_at, self.sim.now,
-                              src=src, server=dst, category=category,
-                              phase=phase, kind=kind, msg_id=msg.msg_id,
-                              bytes=msg.size_bytes, **ctags)
-            handler = on_delivery
-            if handler is None and kind:
-                handler = self._kind_handlers.get(kind)
-            if handler is None:
-                handler = self._handlers.get(msg.dst)
-            if handler is None:
-                return
-            svc = self._service.get(msg.dst)
-            if svc is None:
-                self._invoke(handler, msg, msg.trace)
-                return
-            if svc.offer(
-                msg, lambda m, c: self._invoke(handler, m, c), on_dropped
-            ):
-                return
-            # Shed: the service queue is full. Terminal for this message;
-            # a sender that asked for notification hears back explicitly.
-            self.shed += 1
-            if tel is not None:
-                tel.event("net.shed", src=src, dst=dst, category=category,
-                          phase=phase, kind=kind, msg_id=msg.msg_id,
-                          depth=svc.depth, **ctags)
-            if on_rejected is not None:
-                self.metrics.record_message(
-                    category, svc.config.reject_bytes,
-                    server=src, phase="reject",
-                )
-                back = self.delay_space.latency(dst, src) + self.processing_delay
-                self.sim.schedule(
-                    back, lambda: on_rejected(msg),
-                    None if self._profiler is None else "net.reject",
-                )
-            if on_dropped is not None:
-                on_dropped(msg, "shed")
-
-        # The event label names the delivery frame by message kind so
-        # the profiler's call-path tree splits dispatch time per
-        # protocol; computed only under a profiler (None otherwise).
-        self.sim.schedule(
-            delay, deliver,
-            None if self._profiler is None
-            else "net.deliver:" + (kind or category),
-        )
         return msg
 
+    @_send_frame
     def send_many(
         self,
         src: int,
@@ -564,172 +486,170 @@ class Network:
         """Send a batch of messages from *src* in one call.
 
         *requests* is a sequence of ``(dst, size_bytes, payload, kind,
-        trace)`` tuples, processed in order: per-message disposition
-        (sender-failure, loss draws, telemetry events, ``on_dropped``)
-        is identical to issuing :meth:`send` once per request — loss RNG
-        draws happen in request order — but the per-message overheads are
-        amortized: traffic is accounted per destination group, one
-        profiler frame covers the whole batch, and all surviving
-        messages bound for the same ``(dst, kind)`` share **one**
-        delivery event (they arrive at the same instant anyway, and
-        their handler invocations were already adjacent in the
-        per-message schedule). When the destination's kind has a batch
-        handler (:meth:`register_kind_batch`) and no service queue is
-        configured, the group is installed with a single vectorized
-        handler call; otherwise delivery falls back to per-message
-        dispatch in order. ``on_delivery``/``on_rejected`` hooks are not
-        supported here — use :meth:`send` for those.
+        trace)`` tuples. Send-time disposition is that of issuing
+        :meth:`send` once per request, in request order (accounting,
+        sender-failure, loss draws, telemetry events, ``on_dropped``);
+        a negative size anywhere rejects the whole call before any of
+        it. What the batch amortizes is the rest: one profiler frame
+        covers the call, and all surviving messages bound for the same
+        ``(dst, kind)`` share **one** delivery event (they arrive at the
+        same instant anyway, and their handler invocations were already
+        adjacent in the per-message schedule), which a batch handler
+        (:meth:`register_kind_batch`) installs with a single call.
+        ``on_delivery``/``on_rejected`` hooks are not supported here —
+        use :meth:`send` for those.
         """
-        prof = self._profiler
-        if prof is None:
-            return self._send_many(src, requests, category, phase, on_dropped)
-        prof.enter("net.send")
-        try:
-            return self._send_many(src, requests, category, phase, on_dropped)
-        finally:
-            prof.exit()
-
-    def _send_many(
-        self,
-        src: int,
-        requests,
-        category: str,
-        phase: str,
-        on_dropped: Optional[Callable[[Message, str], None]],
-    ) -> "list[Message]":
-        tel = self.telemetry
-        msgs: list = []
         counter = self._msg_counter
-        if src in self._failed:
-            # A failed node cannot transmit. Mirror the per-message path
-            # exactly (record + roll back) so the registry grows the same
-            # zeroed entries it historically did.
-            for dst, size_bytes, payload, kind, trace in requests:
-                msg = Message(src=src, dst=dst, category=category,
-                              size_bytes=int(size_bytes), payload=payload,
-                              msg_id=next(counter), kind=kind, trace=trace)
-                msgs.append(msg)
-                self.metrics.record_message(
-                    category, msg.size_bytes, server=dst, phase=phase
-                )
-                self.metrics.uncount_message(
-                    category, msg.size_bytes, server=dst, phase=phase
-                )
-                self.dropped += 1
-                if tel is not None:
-                    ctags = trace.tags() if trace is not None else _NO_TAGS
-                    tel.event("net.drop", src=src, dst=dst, category=category,
-                              phase=phase, kind=kind, msg_id=msg.msg_id,
-                              reason="sender_failed", **ctags)
-                if on_dropped is not None:
-                    on_dropped(msg, "sender_failed")
-            return msgs
-        loss_rate = self.loss_rate
-        rng = self._rng
-        # (dst, kind) -> [total_bytes, count, [surviving messages]]
+        msgs = [
+            Message(src=src, dst=dst, category=category,
+                    size_bytes=int(size_bytes), payload=payload,
+                    msg_id=next(counter), kind=kind, trace=trace)
+            for dst, size_bytes, payload, kind, trace in requests
+        ]
         groups: Dict[Tuple[int, str], list] = {}
-        for dst, size_bytes, payload, kind, trace in requests:
-            msg = Message(src=src, dst=dst, category=category,
-                          size_bytes=int(size_bytes), payload=payload,
-                          msg_id=next(counter), kind=kind, trace=trace)
-            msgs.append(msg)
-            self.sent += 1
-            acc = groups.get((dst, kind))
-            if acc is None:
-                acc = groups[(dst, kind)] = [0, 0, []]
-            acc[0] += msg.size_bytes
-            acc[1] += 1
-            if loss_rate > 0 and rng.random() < loss_rate:
-                self.lost += 1
-                if tel is not None:
-                    ctags = trace.tags() if trace is not None else _NO_TAGS
-                    tel.event("net.loss", src=src, dst=dst, category=category,
-                              phase=phase, kind=kind, msg_id=msg.msg_id,
-                              bytes=msg.size_bytes, **ctags)
-                if on_dropped is not None:
-                    on_dropped(msg, "lost")
-                continue  # bytes were sent; the message never arrives
-            if tel is not None:
-                ctags = trace.tags() if trace is not None else _NO_TAGS
-                tel.event("net.send", src=src, dst=dst, category=category,
-                          phase=phase, bytes=msg.size_bytes,
-                          msg_id=msg.msg_id, **ctags)
-            acc[2].append(msg)
-        sent_at = self.sim.now
-        for (dst, kind), (total_bytes, count, group) in groups.items():
-            self.metrics.record_messages(
-                category, total_bytes, count, server=dst, phase=phase
-            )
-            if not group:
-                continue
-            delay = self.delay_space.latency(src, dst) + self.processing_delay
-            self.sim.schedule(
-                delay,
-                self._batch_deliverer(src, dst, kind, category, phase,
-                                      group, sent_at, on_dropped),
-                None if self._profiler is None
-                else "net.deliver:" + (kind or category),
-            )
+        for msg in msgs:
+            group = groups.setdefault((msg.dst, msg.kind), [])
+            if self._admit(msg, phase, on_dropped):
+                group.append(msg)
+        for group in groups.values():
+            if group:
+                self._schedule_delivery(group, phase, on_dropped)
         return msgs
 
-    def _batch_deliverer(
-        self, src, dst, kind, category, phase, group, sent_at, on_dropped
-    ):
-        def deliver_batch() -> None:
+    def _admit(
+        self,
+        msg: Message,
+        phase: str,
+        on_dropped: Optional[Callable[[Message, str], None]],
+    ) -> bool:
+        """Send-time disposition of one message; True when it will arrive.
+
+        Accounts the message, then drops it (failed sender: rolled back,
+        the bytes never hit the wire), loses it (loss draw: the bytes
+        were sent) or announces it on the wire.
+        """
+        src, dst, category = msg.src, msg.dst, msg.category
+        self.metrics.count_message(
+            category, msg.size_bytes, server=dst, phase=phase
+        )
+        tel = self.telemetry
+        ctags = _ctags(msg) if tel is not None else _NO_TAGS
+        if src in self._failed:
+            self.metrics.uncount_message(
+                category, msg.size_bytes, server=dst, phase=phase
+            )
+            self.dropped += 1
+            if tel is not None:
+                tel.event("net.drop", src=src, dst=dst, category=category,
+                          phase=phase, kind=msg.kind, msg_id=msg.msg_id,
+                          reason="sender_failed", **ctags)
+            if on_dropped is not None:
+                on_dropped(msg, "sender_failed")
+            return False
+        self.sent += 1
+        if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
+            self.lost += 1
+            if tel is not None:
+                tel.event("net.loss", src=src, dst=dst, category=category,
+                          phase=phase, kind=msg.kind, msg_id=msg.msg_id,
+                          bytes=msg.size_bytes, **ctags)
+            if on_dropped is not None:
+                on_dropped(msg, "lost")
+            return False
+        if tel is not None:
+            tel.event("net.send", src=src, dst=dst, category=category,
+                      phase=phase, bytes=msg.size_bytes, msg_id=msg.msg_id,
+                      **ctags)
+        return True
+
+    def _schedule_delivery(
+        self,
+        group: "list[Message]",
+        phase: str,
+        on_dropped: Optional[Callable[[Message, str], None]],
+        on_delivery: Optional[Callable[[Message], None]] = None,
+        on_rejected: Optional[Callable[[Message], None]] = None,
+    ) -> None:
+        """Schedule the arrival of *group*: admitted messages of one call
+        sharing source, destination, kind and category (one message for
+        :meth:`send`). Arrival-time disposition lives in ``deliver``."""
+        first = group[0]
+        src, dst, kind, category = first.src, first.dst, first.kind, first.category
+        sent_at = self.sim.now
+
+        def deliver() -> None:
             tel = self.telemetry
             if dst in self._failed:
                 for msg in group:
                     self.dropped += 1
                     if tel is not None:
-                        ctags = (msg.trace.tags() if msg.trace is not None
-                                 else _NO_TAGS)
                         tel.event("net.drop", src=src, dst=dst,
                                   category=category, phase=phase, kind=kind,
                                   msg_id=msg.msg_id, reason="receiver_failed",
-                                  **ctags)
+                                  **_ctags(msg))
                     if on_dropped is not None:
                         on_dropped(msg, "receiver_failed")
                 return
             if tel is not None:
                 now = self.sim.now
                 for msg in group:
-                    ctags = (msg.trace.tags() if msg.trace is not None
-                             else _NO_TAGS)
                     tel.emit_span("net.transit", sent_at, now,
                                   src=src, server=dst, category=category,
                                   phase=phase, kind=kind, msg_id=msg.msg_id,
-                                  bytes=msg.size_bytes, **ctags)
+                                  bytes=msg.size_bytes, **_ctags(msg))
             svc = self._service.get(dst)
-            if svc is None and kind:
-                batch_handler = self._kind_batch_handlers.get(kind)
-                if batch_handler is not None:
-                    self._invoke_batch(batch_handler, group)
-                    return
-            handler = self._kind_handlers.get(kind) if kind else None
+            handler = on_delivery
+            if handler is None and kind:
+                if svc is None:
+                    batch_handler = self._kind_batch_handlers.get(kind)
+                    if batch_handler is not None:
+                        self._invoke(batch_handler, group, first, len(group))
+                        return
+                handler = self._kind_handlers.get(kind)
             if handler is None:
                 handler = self._handlers.get(dst)
             if handler is None:
                 return
             if svc is None:
                 for msg in group:
-                    self._invoke(handler, msg, msg.trace)
+                    self._invoke(handler, msg, msg, 1, msg.trace)
                 return
+
+            def run(m: Message, ctx: Optional[TraceContext]) -> None:
+                self._invoke(handler, m, m, 1, ctx)
+
             for msg in group:
-                if svc.offer(
-                    msg, lambda m, c: self._invoke(handler, m, c), on_dropped
-                ):
+                if svc.offer(msg, run, on_dropped):
                     continue
+                # Shed: the service queue is full. Terminal for this message;
+                # a sender that asked for notification hears back explicitly.
                 self.shed += 1
                 if tel is not None:
-                    ctags = (msg.trace.tags() if msg.trace is not None
-                             else _NO_TAGS)
                     tel.event("net.shed", src=src, dst=dst, category=category,
                               phase=phase, kind=kind, msg_id=msg.msg_id,
-                              depth=svc.depth, **ctags)
+                              depth=svc.depth, **_ctags(msg))
+                if on_rejected is not None:
+                    self.metrics.count_message(
+                        category, svc.config.reject_bytes,
+                        server=src, phase="reject",
+                    )
+                    back = self.delay_space.latency(dst, src) + self.processing_delay
+                    self.sim.schedule(
+                        back, lambda m=msg: on_rejected(m),
+                        None if self._profiler is None else "net.reject",
+                    )
                 if on_dropped is not None:
                     on_dropped(msg, "shed")
 
-        return deliver_batch
+        # The event label names the delivery frame by message kind so
+        # the profiler's call-path tree splits dispatch time per
+        # protocol; computed only under a profiler (None otherwise).
+        self.sim.schedule(
+            self.delay_space.latency(src, dst) + self.processing_delay,
+            deliver,
+            None if self._profiler is None
+            else "net.deliver:" + (kind or category),
+        )
 
     def counters(self) -> Dict[str, int]:
         """One snapshot of the network-level message dispositions.
@@ -748,54 +668,37 @@ class Network:
             "shed": self.shed,
         }
 
-    def _invoke_batch(
-        self, handler: Callable[[list], None], group: "list[Message]"
-    ) -> None:
-        """Dispatch one same-kind delivery group with a single handler call.
-
-        Per-message accounting is preserved exactly: the ``delivered``
-        counter, the dispatch-mix gauge and the profiler census advance
-        once per message; only the handler invocation (and its
-        ``net.deliver`` frame) is amortized across the group.
-        """
-        n = len(group)
-        self.delivered += n
-        mix = group[0].kind or group[0].category
-        by_kind = self.delivered_by_kind
-        by_kind[mix] = by_kind.get(mix, 0) + n
-        prof = self._profiler
-        if prof is None:
-            handler(group)
-            return
-        census = prof.census
-        for msg in group:
-            census(mix, msg.dst)
-        prof.enter("net.deliver")
-        try:
-            handler(group)
-        finally:
-            prof.exit()
-
     def _invoke(
         self,
-        handler: Callable[[Message], None],
-        msg: Message,
+        handler: Callable,
+        arg,
+        first: Message,
+        n: int,
         ctx: Optional[TraceContext] = None,
     ) -> None:
-        self.delivered += 1
-        mix = msg.kind or msg.category
+        """Hand *n* delivered messages to *handler* in one call.
+
+        *arg* is the message itself (``n == 1``, *ctx* its causal context
+        for :attr:`delivery_trace`) or a whole delivery group starting at
+        *first* for a batch handler. Accounting is per message either
+        way: the ``delivered`` counter, the dispatch-mix gauge and the
+        profiler census advance by *n*; only the handler invocation (and
+        its ``net.deliver`` frame) is shared by a group.
+        """
+        self.delivered += n
+        mix = first.kind or first.category
         by_kind = self.delivered_by_kind
-        by_kind[mix] = by_kind.get(mix, 0) + 1
-        self.delivery_trace = ctx if ctx is not None else msg.trace
+        by_kind[mix] = by_kind.get(mix, 0) + n
+        self.delivery_trace = ctx
         prof = self._profiler
         try:
             if prof is None:
-                handler(msg)
+                handler(arg)
                 return
-            prof.census(mix, msg.dst)
+            prof.census(mix, first.dst, n)
             prof.enter("net.deliver")
             try:
-                handler(msg)
+                handler(arg)
             finally:
                 prof.exit()
         finally:

@@ -79,15 +79,6 @@ class QueryOutcome:
     #: the CLI locate each round's subtree through this id
     root_span_id: int = 0
 
-    @property
-    def trace(self) -> List[TraceEvent]:
-        """Back-compat view of :attr:`trace_events`.
-
-        Each entry unpacks and indexes like the historical
-        ``(sim time, event, subject, detail)`` tuple.
-        """
-        return self.trace_events
-
     def format_trace(self) -> str:
         """Human-readable rendering of the event trace."""
         lines = []

@@ -25,7 +25,7 @@ from ..net.coordinates import DelaySpace
 from ..net.transport import Network, ServiceConfig
 from ..records.store import RecordStore
 from ..sim.engine import Simulator
-from ..sim.metrics import QUERY, UPDATE, MetricsCollector
+from ..sim.metrics import QUERY, UPDATE
 from ..sim.rng import SeedSequenceFactory
 from ..hierarchy.join import Hierarchy, build_hierarchy
 from ..hierarchy.maintenance import MaintenanceConfig, MaintenanceProtocol
@@ -131,7 +131,7 @@ class RoadsSystem:
             # event dispatch stays a single attribute check when disabled.
             sim.profiler = telemetry.profiler
         network = Network(
-            sim, delay_space, MetricsCollector(),
+            sim, delay_space,
             loss_rate=config.loss_rate,
             rng=(
                 seeds.generator("net-loss") if config.loss_rate > 0 else None
@@ -406,7 +406,7 @@ class RoadsSystem:
                 matches=outcome.total_matches,
             )
             span.close()
-        self.metrics.registry.observe(
+        self.metrics.observe(
             "query.latency", outcome.latency, server=start
         )
         return SearchResult(
@@ -448,7 +448,7 @@ class RoadsSystem:
                 quality=self._audit_quality(request, outcome),
             )
             pending.result = result
-            self.metrics.registry.observe(
+            self.metrics.observe(
                 "query.latency", outcome.latency, server=start
             )
             if self.telemetry is not None:

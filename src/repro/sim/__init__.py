@@ -1,14 +1,7 @@
-"""Discrete-event simulation substrate: scheduler, metrics, RNG streams."""
+"""Discrete-event simulation substrate: scheduler, traffic categories, RNG streams."""
 
 from .engine import Event, PeriodicTask, SimulationError, Simulator
-from .metrics import (
-    CATEGORIES,
-    MAINTENANCE,
-    QUERY,
-    RESULT,
-    UPDATE,
-    MetricsCollector,
-)
+from .metrics import CATEGORIES, MAINTENANCE, QUERY, RESULT, UPDATE
 from .rng import SeedSequenceFactory
 
 __all__ = [
@@ -16,7 +9,6 @@ __all__ = [
     "Event",
     "PeriodicTask",
     "SimulationError",
-    "MetricsCollector",
     "SeedSequenceFactory",
     "UPDATE",
     "QUERY",

@@ -15,8 +15,10 @@ Dispatch is backed by two structures with identical ordering semantics:
   (TTL expiries, drill timers) beyond the wheel horizon.
 
 Every pop merges the wheel's next event against the heap top by
-``(time, seq)``, so the interleaving is byte-identical to the historical
-pure-heap dispatcher — ties in time still break by insertion order.
+``(time, seq)``, so ties in time still break by insertion order and the
+interleaving is that of the heap alone (``Simulator(use_wheel=False)``,
+the reference the wheel is tested against). One dispatch loop serves
+:meth:`Simulator.run` and :meth:`Simulator.step`, profiled or not.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
-    """Raised for scheduler misuse (negative delays, running backwards)."""
+    """Raised for scheduler misuse (negative or NaN delays, running backwards)."""
 
 
 #: process-wide default for ``Simulator(use_wheel=...)``. The
@@ -213,22 +215,14 @@ class Simulator:
     #: minimum heap size before tombstone compaction is considered
     _COMPACT_MIN = 64
 
-    def __init__(
-        self,
-        *,
-        use_wheel: Optional[bool] = None,
-        wheel_tick: float = 0.05,
-        wheel_fanout: int = 256,
-    ):
+    def __init__(self, *, use_wheel: Optional[bool] = None):
         if use_wheel is None:
             use_wheel = DEFAULT_USE_WHEEL
         self._now = 0.0
         #: overflow heap: aperiodic / far-future one-shots beyond the
         #: wheel horizon (and everything, when the wheel is disabled)
         self._queue: List[Event] = []
-        self._wheel: Optional[TimingWheel] = (
-            TimingWheel(wheel_tick, wheel_fanout) if use_wheel else None
-        )
+        self._wheel: Optional[TimingWheel] = TimingWheel() if use_wheel else None
         self._seq = itertools.count()
         self._processed = 0
         # Live (not-yet-fired, not-cancelled) event count, maintained on
@@ -242,7 +236,7 @@ class Simulator:
         #: handler invocation gets a child frame named after its event
         #: label (``sim.event`` when unlabeled), and processed events
         #: land in the ``sim.events`` counter. ``None`` (the default)
-        #: keeps the hot path free — the unprofiled loop is untouched.
+        #: costs the loop one ``is None`` check per event.
         self.profiler = None
 
     @property
@@ -271,7 +265,7 @@ class Simulator:
         *label* names the handler's profiling frame; pass it only when a
         profiler is attached (it is dead weight otherwise).
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which ``delay < 0`` lets through
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         ev = Event(self._now + delay, next(self._seq), fn, self, label)
         wheel = self._wheel
@@ -353,87 +347,31 @@ class Simulator:
         Returns the number of events processed by this call. The clock is
         advanced to *until* when given, even if the queue drains earlier.
         """
-        if self.profiler is not None:
-            return self._run_profiled(until, max_events)
-        processed = 0
-        while True:
-            ev = self._peek()
-            if ev is None:
-                break
-            if until is not None and ev.time > until:
-                break
-            self._pop(ev)
-            if ev.cancelled:
-                continue
-            if max_events is not None and processed >= max_events:
-                # Put the not-yet-due event back; the wheel has no
-                # re-insert, so the heap absorbs it (ordering unaffected).
-                ev._in_heap = True
-                heapq.heappush(self._queue, ev)
-                break
-            self._now = ev.time
-            ev.fired = True
-            self._pending -= 1
-            ev.fn()
-            processed += 1
-            self._processed += 1
-        if until is not None and self._now < until:
-            self._now = until
-        return processed
-
-    def _run_profiled(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> int:
-        """The :meth:`run` loop under a ``sim.dispatch`` frame.
-
-        Every handler invocation opens a child frame named after its
-        event's schedule-site label, so the dispatch loop's wall time
-        decomposes by event kind and plane in the call-path tree.
-        """
-        prof = self.profiler
-        processed = 0
-        prof.enter("sim.dispatch")
-        try:
-            while True:
-                ev = self._peek()
-                if ev is None:
-                    break
-                if until is not None and ev.time > until:
-                    break
-                self._pop(ev)
-                if ev.cancelled:
-                    continue
-                if max_events is not None and processed >= max_events:
-                    ev._in_heap = True
-                    heapq.heappush(self._queue, ev)
-                    break
-                self._now = ev.time
-                ev.fired = True
-                self._pending -= 1
-                prof.enter(ev.label or "sim.event")
-                try:
-                    ev.fn()
-                finally:
-                    prof.exit()
-                processed += 1
-                self._processed += 1
-            if until is not None and self._now < until:
-                self._now = until
-        finally:
-            prof.exit()
-            prof.count("sim.events", processed)
-        return processed
+        return self._dispatch(until, max_events)
 
     def step(self) -> bool:
         """Process a single event; returns False when the queue is empty."""
+        return self._dispatch(None, 1) == 1
+
+    def _dispatch(self, until: Optional[float], max_events: Optional[int]) -> int:
+        """The dispatch loop behind :meth:`run` and :meth:`step`.
+
+        Under a profiler the loop runs inside a ``sim.dispatch`` frame
+        and every handler invocation opens a child frame named after its
+        event's schedule-site label, so dispatch wall time decomposes by
+        event kind and plane in the call-path tree. The event budget is
+        checked before popping, so a stopped run leaves the next event
+        where it was scheduled.
+        """
         prof = self.profiler
+        processed = 0
         if prof is not None:
             prof.enter("sim.dispatch")
         try:
-            while True:
+            while max_events is None or processed < max_events:
                 ev = self._peek()
-                if ev is None:
-                    return False
+                if ev is None or (until is not None and ev.time > until):
+                    break
                 self._pop(ev)
                 if ev.cancelled:
                     continue
@@ -448,12 +386,15 @@ class Simulator:
                         ev.fn()
                     finally:
                         prof.exit()
-                        prof.count("sim.events")
+                processed += 1
                 self._processed += 1
-                return True
+            if until is not None and self._now < until:
+                self._now = until
         finally:
             if prof is not None:
                 prof.exit()
+                prof.count("sim.events", processed)
+        return processed
 
 
 class PeriodicTask:

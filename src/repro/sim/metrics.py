@@ -1,27 +1,14 @@
-"""Traffic and latency accounting.
+"""Traffic categories of the evaluation (Section V).
 
-The evaluation's three metrics (Section V) are byte counts per message
-category and query latencies:
+Every message is accounted, in bytes and count, under one of:
 
 * ``update`` — resource record / summary export and aggregation traffic,
 * ``query`` — query forwarding traffic,
 * ``maintenance`` — heartbeats and overlay summary replication traffic,
 * ``result`` — record return traffic (prototype benchmark only).
 
-:class:`MetricsCollector` keeps its historical global-totals API but is
-now a facade over a per-``(server, category, phase)``
-:class:`~repro.telemetry.metrics.MetricsRegistry`, so the same counters
-that feed the category totals also attribute load to individual servers
-and protocol phases (the paper's per-server bottleneck analysis).
+The store itself is :class:`repro.telemetry.metrics.MetricsRegistry`.
 """
-
-from __future__ import annotations
-
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
-
-from ..telemetry.metrics import MetricsRegistry
 
 UPDATE = "update"
 QUERY = "query"
@@ -29,145 +16,3 @@ MAINTENANCE = "maintenance"
 RESULT = "result"
 
 CATEGORIES = (UPDATE, QUERY, MAINTENANCE, RESULT)
-
-
-class MetricsCollector:
-    """Accumulates per-category message/byte counts and latency samples.
-
-    The category-keyed views (:attr:`bytes_by_category`,
-    :attr:`messages_by_category`) are computed **plain dicts** — reading
-    a missing category can no longer materialise a spurious zero entry
-    the way the old ``defaultdict`` fields did.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.latency_samples: List[float] = []
-
-    def record_message(
-        self,
-        category: str,
-        size_bytes: int,
-        *,
-        server: Optional[int] = None,
-        phase: str = "",
-    ) -> None:
-        """Count one message; optionally attribute it to a *server* (the
-        node bearing its load, normally the receiver) and a protocol
-        *phase* (``"forward"``, ``"aggregate"``, ``"heartbeat"``, ...)."""
-        if size_bytes < 0:
-            raise ValueError(f"negative message size: {size_bytes}")
-        self.registry.count_message(
-            category, size_bytes, server=server, phase=phase
-        )
-
-    def record_messages(
-        self,
-        category: str,
-        total_bytes: int,
-        count: int,
-        *,
-        server: Optional[int] = None,
-        phase: str = "",
-    ) -> None:
-        """Count *count* messages totalling *total_bytes* in one update.
-
-        Equivalent to *count* :meth:`record_message` calls against the
-        same ``(category, server, phase)`` key — the batched send path
-        uses it to fold a whole destination group into two dict updates.
-        """
-        if total_bytes < 0:
-            raise ValueError(f"negative message bytes: {total_bytes}")
-        if count < 0:
-            raise ValueError(f"negative message count: {count}")
-        if count == 0:
-            return
-        self.registry.count_message(
-            category, total_bytes, server=server, phase=phase, count=count
-        )
-
-    def uncount_message(
-        self,
-        category: str,
-        size_bytes: int,
-        *,
-        server: Optional[int] = None,
-        phase: str = "",
-    ) -> None:
-        """Roll back one recorded message (bytes that never hit the wire)."""
-        self.registry.uncount_message(
-            category, size_bytes, server=server, phase=phase
-        )
-
-    def record_latency(
-        self, seconds: float, *, server: Optional[int] = None
-    ) -> None:
-        if seconds < 0:
-            raise ValueError(f"negative latency: {seconds}")
-        self.latency_samples.append(seconds)
-        self.registry.observe("latency", seconds, server=server)
-
-    # -- read-out -----------------------------------------------------------------
-    @property
-    def bytes_by_category(self) -> Dict[str, int]:
-        """Plain-dict roll-up: category -> total bytes."""
-        return self.registry.totals_by_category()[0]
-
-    @property
-    def messages_by_category(self) -> Dict[str, int]:
-        """Plain-dict roll-up: category -> total messages."""
-        return self.registry.totals_by_category()[1]
-
-    def bytes(self, category: str) -> int:
-        return self.registry.bytes_total(category)
-
-    def messages(self, category: str) -> int:
-        return self.registry.messages_total(category)
-
-    def per_server(
-        self,
-        category: Optional[str] = None,
-        phase: Optional[str] = None,
-    ) -> Dict[int, Tuple[int, int]]:
-        """``server -> (messages, bytes)`` for the attributed records."""
-        return self.registry.per_server(category=category, phase=phase)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.registry.bytes_total()
-
-    @property
-    def total_messages(self) -> int:
-        return self.registry.messages_total()
-
-    def mean_latency(self) -> float:
-        if not self.latency_samples:
-            return 0.0
-        return float(np.mean(self.latency_samples))
-
-    def percentile_latency(self, pct: float) -> float:
-        if not self.latency_samples:
-            return 0.0
-        return float(np.percentile(self.latency_samples, pct))
-
-    def reset(self, categories: Optional[Iterable[str]] = None) -> None:
-        """Zero all counters, or only the given *categories*."""
-        self.registry.reset(categories)
-        if categories is None:
-            self.latency_samples.clear()
-
-    def snapshot(self) -> Dict[str, int]:
-        """Immutable copy of the byte counters for later diffing."""
-        return self.registry.totals_by_category()[0]
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        by_bytes, by_msgs = self.registry.totals_by_category()
-        return {
-            "bytes": by_bytes,
-            "messages": by_msgs,
-            "latency": {
-                "count": len(self.latency_samples),
-                "mean": self.mean_latency(),
-                "p90": self.percentile_latency(90),
-            },
-        }

@@ -9,9 +9,8 @@ latency distributions. It has three cooperating pieces:
   times, parent/child span ids and a tag dict; closed spans and point
   events land in a bounded ring buffer (:class:`EventBus`).
 * :class:`MetricsRegistry` — counters, byte gauges and streaming
-  percentile histograms keyed by ``(server, category, phase)``. The
-  global :class:`~repro.sim.metrics.MetricsCollector` is now a facade
-  over one of these.
+  percentile histograms keyed by ``(server, category, phase)``; a
+  run's one metrics store (``Network.metrics``).
 * exporters — JSON-Lines event dumps, Prometheus-style text snapshots,
   and Chrome ``trace_event`` JSON loadable in Perfetto /
   ``chrome://tracing`` (:mod:`repro.telemetry.export`).

@@ -1,10 +1,11 @@
 """The telemetry recorder: span API over the event bus.
 
-:class:`Telemetry` binds a clock (the sim's virtual clock in practice),
-an :class:`~repro.telemetry.events.EventBus` and a
-:class:`~repro.telemetry.metrics.MetricsRegistry`. Spans form a stack —
+:class:`Telemetry` binds a clock (the sim's virtual clock in practice)
+and an :class:`~repro.telemetry.events.EventBus`. Spans form a stack —
 the simulation is single-threaded, so the enclosing open span is always
-the parent — and are emitted to the bus when closed.
+the parent — and are emitted to the bus when closed. Counters and
+histograms are not kept here: a run's one metrics store is the
+network's :class:`~repro.telemetry.metrics.MetricsRegistry`.
 
 :class:`NullTelemetry` (singleton :data:`NULL_TELEMETRY`) is the
 disabled recorder: every operation is a no-op and ``span()`` returns a
@@ -18,7 +19,6 @@ import itertools
 from typing import Callable, Dict, List, Optional
 
 from .events import EventBus, TelemetryEvent
-from .metrics import MetricsRegistry
 from .tracing import TraceContext
 
 
@@ -99,7 +99,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class Telemetry:
-    """Event bus + span API + metrics registry behind one handle.
+    """Event bus + span API behind one handle.
 
     Parameters
     ----------
@@ -110,8 +110,8 @@ class Telemetry:
     capacity:
         Ring-buffer size of the event bus.
     enabled:
-        When False, ``event``/``span`` become no-ops (metrics recorded
-        through the registry directly are unaffected).
+        When False, ``event``/``span`` become no-ops (the network's
+        metrics registry is unaffected).
     """
 
     def __init__(
@@ -123,7 +123,6 @@ class Telemetry:
     ):
         self._clock = clock if clock is not None else (lambda: 0.0)
         self.bus = EventBus(capacity)
-        self.metrics = MetricsRegistry()
         self.enabled = enabled
         #: optional wall-clock call-path profiler
         #: (:class:`repro.telemetry.profiling.CallPathProfiler`); attach it

@@ -57,12 +57,10 @@ class TelemetryEvent:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One step of a query execution, tuple-compatible.
+    """One step of a query execution (``QueryOutcome.trace_events``).
 
-    The legacy trace format was ``(sim time, event, subject, detail)``;
-    this dataclass unpacks and indexes identically so code written
-    against the tuples (``for t, ev, subj, det in outcome.trace``) is
-    unaffected.
+    Unpacks and indexes as ``(sim time, event, subject, detail)``:
+    ``for t, ev, subj, det in outcome.trace_events``.
     """
 
     time: float

@@ -7,8 +7,10 @@ histogram by :class:`MetricKey` — ``server`` (``None`` for unattributed
 / global records), ``category`` (the traffic class, e.g. ``"query"``)
 and ``phase`` (the protocol step, e.g. ``"forward"``, ``"aggregate"``,
 ``"heartbeat"``). Aggregations across any axis are simple sums, so the
-old global-only :class:`~repro.sim.metrics.MetricsCollector` view is a
-cheap roll-up over this store.
+paper's global per-category totals (:meth:`MetricsRegistry.bytes_total`,
+:meth:`~MetricsRegistry.totals_by_category`) are roll-ups over this
+store. It is the one metrics store of a run: ``Network.metrics`` and
+``RoadsSystem.metrics`` are this object.
 """
 
 from __future__ import annotations
@@ -62,11 +64,13 @@ class MetricsRegistry:
         *,
         server: Optional[int] = None,
         phase: str = "",
-        count: int = 1,
     ) -> None:
-        key = MetricKey(category=category, server=server, phase=phase)
-        self._messages[key] = self._messages.get(key, 0) + count
-        self._bytes[key] = self._bytes.get(key, 0) + size_bytes
+        """Count one message; optionally attribute it to a *server* (the
+        node bearing its load, normally the receiver) and a protocol
+        *phase* (``"forward"``, ``"aggregate"``, ``"heartbeat"``, ...)."""
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes}")
+        self._add(MetricKey(category, server, phase), 1, size_bytes)
 
     def uncount_message(
         self,
@@ -78,9 +82,11 @@ class MetricsRegistry:
     ) -> None:
         """Roll back one previously counted message (e.g. a send by an
         already-failed node whose bytes never hit the wire)."""
-        self.count_message(
-            category, -size_bytes, server=server, phase=phase, count=-1
-        )
+        self._add(MetricKey(category, server, phase), -1, -size_bytes)
+
+    def _add(self, key: MetricKey, messages: int, size_bytes: int) -> None:
+        self._messages[key] = self._messages.get(key, 0) + messages
+        self._bytes[key] = self._bytes.get(key, 0) + size_bytes
 
     def observe(
         self,

@@ -301,7 +301,7 @@ class SeriesSampler:
                 now, net.delivered_by_kind[kind]
             )
         record("sim.pending").append(now, system.sim.pending)
-        registry = system.metrics.registry
+        registry = system.metrics
         from ..sim.metrics import QUERY, UPDATE
 
         record("bytes.query").append(now, registry.bytes_total(QUERY))

@@ -62,8 +62,8 @@ class TestAggregateRound:
         plane = make_plane(hierarchy, CFG)
         report = plane.run_epoch()
         metrics = plane.network.metrics
-        assert metrics.bytes(UPDATE) == report.total_bytes
-        assert metrics.messages(UPDATE) == report.total_messages
+        assert metrics.bytes_total(UPDATE) == report.total_bytes
+        assert metrics.messages_total(UPDATE) == report.total_messages
         # Every report is attributed to the parent that receives it.
         received = metrics.per_server(UPDATE, phase="aggregate")
         for server in hierarchy:
@@ -154,10 +154,10 @@ class TestPeriodicAggregation:
         plane.drain()
         c = plane.counters
         metrics = plane.network.metrics
-        assert metrics.messages(UPDATE) == (
+        assert metrics.messages_total(UPDATE) == (
             c.aggregation_messages + c.replication_messages
         )
-        assert metrics.bytes(UPDATE) == (
+        assert metrics.bytes_total(UPDATE) == (
             c.aggregation_bytes + c.replication_bytes
         )
         # 8 edges, each child reporting on every one of its 2-3 ticks.

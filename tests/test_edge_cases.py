@@ -11,7 +11,8 @@ from repro.query import Query, RangePredicate
 from repro.records import RecordStore, Schema, numeric
 from repro.roads import RoadsConfig, RoadsSystem, SearchRequest
 from repro.roads.client import QueryExecution
-from repro.sim import MetricsCollector, Simulator
+from repro.sim import Simulator
+from repro.telemetry import MetricsRegistry
 from repro.summaries import ResourceSummary, SummaryConfig
 from repro.workload import WorkloadConfig, generate_node_stores
 
@@ -128,7 +129,7 @@ class TestNetworkEdges:
     def test_message_ids_unique(self):
         sim = Simulator()
         ds = DelaySpace(4, np.random.default_rng(0))
-        net = Network(sim, ds, MetricsCollector())
+        net = Network(sim, ds, MetricsRegistry())
         a = net.send(0, 1, "query", 1)
         b = net.send(0, 1, "query", 1)
         assert a.msg_id != b.msg_id
@@ -136,7 +137,7 @@ class TestNetworkEdges:
     def test_unregister(self):
         sim = Simulator()
         ds = DelaySpace(4, np.random.default_rng(0))
-        net = Network(sim, ds, MetricsCollector())
+        net = Network(sim, ds, MetricsRegistry())
         got = []
         net.register(1, lambda m: got.append(m))
         net.unregister(1)

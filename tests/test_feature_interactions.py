@@ -140,7 +140,7 @@ class TestTieredPolicyWithTrace:
         friend = system.search(SearchRequest(q.with_requester("friend"), client_node=0)).outcome
         assert pub.total_matches == N  # one record per owner
         assert friend.total_matches == sum(len(s) for s in stores)
-        owner_events = [e for e in pub.trace if e[1] == "owner"]
+        owner_events = [e for e in pub.trace_events if e[1] == "owner"]
         assert all("matches=1" in e[3] for e in owner_events)
 
 

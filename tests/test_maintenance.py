@@ -10,13 +10,14 @@ from repro.hierarchy import (
     build_hierarchy,
 )
 from repro.net import DelaySpace, Network
-from repro.sim import MAINTENANCE, MetricsCollector, Simulator
+from repro.sim import MAINTENANCE, Simulator
+from repro.telemetry import MetricsRegistry
 
 
 def make_system(n=10, k=3, seed=0):
     sim = Simulator()
     ds = DelaySpace(n, np.random.default_rng(seed), jitter_ms=0.0)
-    net = Network(sim, ds, MetricsCollector())
+    net = Network(sim, ds, MetricsRegistry())
     h = build_hierarchy(Server(i, max_children=k) for i in range(n))
     cfg = MaintenanceConfig(heartbeat_interval=1.0, miss_threshold=3,
                             check_interval=1.0)
@@ -32,7 +33,7 @@ class TestHeartbeats:
     def test_traffic_flows(self):
         sim, net, h, proto = make_system()
         sim.run(until=5.0)
-        assert net.metrics.messages(MAINTENANCE) > 0
+        assert net.metrics.messages_total(MAINTENANCE) > 0
 
     def test_no_false_failures_in_steady_state(self):
         sim, net, h, proto = make_system()
@@ -139,7 +140,7 @@ class TestConfig:
     def test_stop_halts_traffic(self):
         sim, net, h, proto = make_system()
         sim.run(until=2.0)
-        before = net.metrics.messages(MAINTENANCE)
+        before = net.metrics.messages_total(MAINTENANCE)
         proto.stop()
         sim.run(until=20.0)
-        assert net.metrics.messages(MAINTENANCE) == before
+        assert net.metrics.messages_total(MAINTENANCE) == before

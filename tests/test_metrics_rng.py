@@ -1,82 +1,60 @@
-"""Unit tests for repro.sim.metrics and repro.sim.rng."""
+"""Unit tests for per-category traffic accounting and repro.sim.rng."""
 
 import numpy as np
 import pytest
 
-from repro.sim import (
-    MAINTENANCE,
-    QUERY,
-    UPDATE,
-    MetricsCollector,
-    SeedSequenceFactory,
-)
+from repro.sim import MAINTENANCE, QUERY, UPDATE, SeedSequenceFactory
+from repro.telemetry import MetricsRegistry
 
 
 class TestMetricsCollector:
+    """The per-category accounting contract, on the one metrics store."""
+
     def test_record_and_read(self):
-        m = MetricsCollector()
-        m.record_message(UPDATE, 100)
-        m.record_message(UPDATE, 50)
-        m.record_message(QUERY, 10)
-        assert m.bytes(UPDATE) == 150
-        assert m.messages(UPDATE) == 2
-        assert m.bytes(QUERY) == 10
-        assert m.total_bytes == 160
-        assert m.total_messages == 3
+        m = MetricsRegistry()
+        m.count_message(UPDATE, 100)
+        m.count_message(UPDATE, 50)
+        m.count_message(QUERY, 10)
+        assert m.bytes_total(UPDATE) == 150
+        assert m.messages_total(UPDATE) == 2
+        assert m.bytes_total(QUERY) == 10
+        assert m.bytes_total() == 160
+        assert m.messages_total() == 3
 
     def test_unknown_category_zero(self):
-        assert MetricsCollector().bytes("nothing") == 0
+        m = MetricsRegistry()
+        assert m.bytes_total("nothing") == 0
+        # Reading an absent category must not materialise an entry.
+        assert m.totals_by_category() == ({}, {})
 
     def test_negative_size_rejected(self):
+        m = MetricsRegistry()
         with pytest.raises(ValueError):
-            MetricsCollector().record_message(UPDATE, -1)
-
-    def test_latency_stats(self):
-        m = MetricsCollector()
-        for v in (0.1, 0.2, 0.3, 0.4):
-            m.record_latency(v)
-        assert m.mean_latency() == pytest.approx(0.25)
-        assert m.percentile_latency(90) == pytest.approx(0.37, abs=0.01)
-
-    def test_latency_empty(self):
-        m = MetricsCollector()
-        assert m.mean_latency() == 0.0
-        assert m.percentile_latency(90) == 0.0
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsCollector().record_latency(-0.1)
+            m.count_message(UPDATE, -1)
+        assert m.rows() == []
 
     def test_reset_all(self):
-        m = MetricsCollector()
-        m.record_message(UPDATE, 100)
-        m.record_latency(0.5)
+        m = MetricsRegistry()
+        m.count_message(UPDATE, 100)
+        m.observe("query.latency", 0.5)
         m.reset()
-        assert m.total_bytes == 0
-        assert m.mean_latency() == 0.0
+        assert m.bytes_total() == 0
+        assert m.merged_histogram("query.latency").count == 0
 
     def test_reset_selected(self):
-        m = MetricsCollector()
-        m.record_message(UPDATE, 100)
-        m.record_message(QUERY, 50)
+        m = MetricsRegistry()
+        m.count_message(UPDATE, 100)
+        m.count_message(QUERY, 50)
         m.reset([UPDATE])
-        assert m.bytes(UPDATE) == 0
-        assert m.bytes(QUERY) == 50
+        assert m.bytes_total(UPDATE) == 0
+        assert m.bytes_total(QUERY) == 50
 
     def test_snapshot_is_copy(self):
-        m = MetricsCollector()
-        m.record_message(MAINTENANCE, 7)
-        snap = m.snapshot()
-        m.record_message(MAINTENANCE, 7)
+        m = MetricsRegistry()
+        m.count_message(MAINTENANCE, 7)
+        snap, _ = m.totals_by_category()
+        m.count_message(MAINTENANCE, 7)
         assert snap[MAINTENANCE] == 7
-
-    def test_summary_structure(self):
-        m = MetricsCollector()
-        m.record_message(UPDATE, 10)
-        m.record_latency(1.0)
-        s = m.summary()
-        assert s["bytes"][UPDATE] == 10
-        assert s["latency"]["count"] == 1
 
 
 class TestSeedSequenceFactory:

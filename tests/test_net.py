@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.net import DELAY_SPACE_DIMENSIONS, DelaySpace, Network
-from repro.sim import QUERY, UPDATE, MetricsCollector, Simulator
+from repro.net.transport import ServiceConfig
+from repro.sim import QUERY, UPDATE, Simulator
+from repro.telemetry import MetricsRegistry, Telemetry
 
 
 def make_space(n=16, **kwargs):
@@ -81,7 +83,7 @@ class TestNetwork:
     def _net(self):
         sim = Simulator()
         ds = make_space(8, jitter_ms=0.0)
-        net = Network(sim, ds, MetricsCollector())
+        net = Network(sim, ds, MetricsRegistry())
         return sim, ds, net
 
     def test_delivery_after_latency(self):
@@ -98,8 +100,8 @@ class TestNetwork:
         sim, ds, net = self._net()
         net.send(0, 1, QUERY, 64)
         net.send(0, 2, UPDATE, 100)
-        assert net.metrics.bytes(QUERY) == 64
-        assert net.metrics.bytes(UPDATE) == 100
+        assert net.metrics.bytes_total(QUERY) == 64
+        assert net.metrics.bytes_total(UPDATE) == 100
 
     def test_on_delivery_override(self):
         sim, ds, net = self._net()
@@ -119,14 +121,14 @@ class TestNetwork:
         assert got == []
         assert net.counters()["dropped"] == 1
         # Bytes still hit the wire from the (healthy) sender.
-        assert net.metrics.bytes(QUERY) == 64
+        assert net.metrics.bytes_total(QUERY) == 64
 
     def test_failed_sender_transmits_nothing(self):
         sim, ds, net = self._net()
         net.fail_node(0)
         net.send(0, 1, QUERY, 64)
         sim.run()
-        assert net.metrics.bytes(QUERY) == 0
+        assert net.metrics.bytes_total(QUERY) == 0
 
     def test_recovered_node_receives(self):
         sim, ds, net = self._net()
@@ -170,3 +172,162 @@ class TestNetwork:
         assert before["sent"] == 1 and before["dropped"] == 0
         before["sent"] = 999
         assert net.counters()["sent"] == 3
+
+
+#: message kinds of the equivalence workload, by how they are handled
+NODE, KIND, BATCH = "", "kind-handled", "batch-handled"
+
+SCENARIOS = ["no_loss", "loss", "failed_sender", "failed_receiver", "shedding"]
+
+
+def _contiguous_requests(seed):
+    """Seeded ``send_many`` request list in which every ``(dst, kind)``
+    group is contiguous — what the update plane sends. (A group split
+    across the list is by design still delivered together.)"""
+    rng = np.random.default_rng(seed)
+    pairs = [(dst, kind) for dst in (1, 2, 3, 4) for kind in (NODE, KIND, BATCH)]
+    rng.shuffle(pairs)
+    return [
+        (dst, int(rng.integers(1, 500)), f"{dst}/{kind}/{i}", kind, None)
+        for dst, kind in pairs
+        for i in range(int(rng.integers(1, 4)))
+    ]
+
+
+def _drive(scenario, batched):
+    """Send the request list from node 0 — as one ``send_many`` or as one
+    ``send`` per request — and return everything observable."""
+    sim = Simulator()
+    tel = Telemetry(lambda: sim.now)
+    loss_rng = np.random.default_rng(11)
+    net = Network(
+        sim, make_space(8, jitter_ms=0.0),
+        loss_rate=0.3 if scenario == "loss" else 0.0,
+        rng=loss_rng, telemetry=tel,
+    )
+    handled, dropped = [], []
+    for node in (1, 2, 3, 4):
+        net.register(node, lambda m: handled.append(("node", m.payload)))
+        if scenario == "shedding":
+            net.set_service(
+                node, ServiceConfig(service_time=0.01, queue_limit=1)
+            )
+    net.register_kind(KIND, lambda m: handled.append(("kind", m.payload)))
+    net.register_kind_batch(
+        BATCH, lambda ms: handled.extend(("batch", m.payload) for m in ms)
+    )
+    if scenario == "failed_sender":
+        net.fail_node(0)
+    if scenario == "failed_receiver":
+        net.fail_node(2)
+
+    def on_dropped(msg, reason):
+        dropped.append((msg.payload, reason))
+
+    requests = _contiguous_requests(5)
+    if batched:
+        msgs = net.send_many(
+            0, requests, UPDATE, phase="replicate", on_dropped=on_dropped
+        )
+    else:
+        msgs = [
+            net.send(0, dst, UPDATE, size, payload=payload, phase="replicate",
+                     kind=kind, on_dropped=on_dropped, trace=trace)
+            for dst, size, payload, kind, trace in requests
+        ]
+    sim.run()
+    return {
+        "msg_ids": [m.msg_id for m in msgs],
+        "counters": net.counters(),
+        "rows": net.metrics.rows(),
+        "handled": handled,
+        "dropped": dropped,
+        "next_loss_draw": loss_rng.random(),
+        "events": [
+            (e.ts, e.name, e.kind, e.dur, e.span_id, e.parent_id,
+             list(e.tags.items()))
+            for e in tel.events()
+        ],
+    }
+
+
+class TestOneTransportPath:
+    """``send`` and ``send_many`` share one send-time and one
+    arrival-time disposition: a batch is N sends that share delivery
+    events."""
+
+    _net = TestNetwork._net
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_send_many_equals_n_sends(self, scenario):
+        single = _drive(scenario, batched=False)
+        batch = _drive(scenario, batched=True)
+        events_single, events_batch = single.pop("events"), batch.pop("events")
+        assert batch == single
+        if scenario == "shedding":
+            # A delivery group's transit spans close together, before its
+            # messages are offered to the service queue, so within that
+            # one instant the batch orders its events differently (and
+            # numbers its spans in that order).
+            def canonical(events):
+                return sorted(
+                    (ts, dict(tags)["msg_id"], name, kind, dur, parent, tags)
+                    for ts, name, kind, dur, _, parent, tags in events
+                )
+
+            assert canonical(events_batch) == canonical(events_single)
+        else:
+            assert events_batch == events_single
+        # The scenario exercised what it names.
+        counters = single["counters"]
+        expect_nonzero = {
+            "no_loss": "delivered", "loss": "lost", "failed_sender": "dropped",
+            "failed_receiver": "dropped", "shedding": "shed",
+        }[scenario]
+        assert counters[expect_nonzero] > 0
+        if scenario == "failed_sender":
+            assert counters["sent"] == 0 and not single["handled"]
+            assert all(row["bytes"] == 0 for row in single["rows"])
+
+    def test_send_many_validates_each_message_size(self):
+        # A negative size hidden in a positive-total (dst, kind) group is
+        # the same error as in ``send``, and nothing of the call happens.
+        sim, ds, net = self._net()
+        got = []
+        net.register(1, got.append)
+        with pytest.raises(ValueError, match="negative message size: -10"):
+            net.send(0, 1, QUERY, -10)
+        with pytest.raises(ValueError, match="negative message size: -10"):
+            net.send_many(
+                0, [(1, 100, "a", "", None), (1, -10, "b", "", None)], QUERY
+            )
+        sim.run()
+        assert got == []
+        assert net.metrics.rows() == []
+        assert net.counters()["sent"] == 0 and sim.processed == 0
+
+    def test_single_send_reaches_batch_handler(self):
+        sim, ds, net = self._net()
+        groups = []
+        net.register_kind_batch(BATCH, groups.append)
+        msg = net.send(0, 1, QUERY, 64, kind=BATCH)
+        sim.run()
+        assert groups == [[msg]]
+        assert net.counters()["delivered"] == 1
+
+    def test_on_rejected_fires_once_per_shed_send(self):
+        sim, ds, net = self._net()
+        net.set_service(1, ServiceConfig(service_time=1.0, queue_limit=0))
+        net.register(1, lambda m: None)
+        rejected, reasons = [], []
+        for payload in ("served", "shed-1", "shed-2"):
+            net.send(
+                0, 1, QUERY, 10, payload=payload,
+                on_dropped=lambda m, reason: reasons.append(reason),
+                on_rejected=lambda m: rejected.append(m.payload),
+            )
+        sim.run()
+        assert rejected == ["shed-1", "shed-2"]
+        assert reasons == ["shed", "shed"]
+        # One reject notice per shed message, charged to the sender.
+        assert net.metrics.per_server(QUERY, "reject") == {0: (2, 32)}

@@ -246,8 +246,8 @@ class TestDeterminismTripwire:
             settings, seed, telemetry=tel
         )
 
-        reg_a = plain.metrics.registry
-        reg_b = profiled.metrics.registry
+        reg_a = plain.metrics
+        reg_b = profiled.metrics
         assert (
             reg_a.merged_histogram("query.latency").summary()
             == reg_b.merged_histogram("query.latency").summary()

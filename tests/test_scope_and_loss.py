@@ -6,7 +6,8 @@ import pytest
 from repro.net import DelaySpace, Network
 from repro.query import Query, RangePredicate
 from repro.roads import RoadsConfig, RoadsSystem, SearchRequest
-from repro.sim import QUERY, MetricsCollector, Simulator
+from repro.sim import QUERY, Simulator
+from repro.telemetry import MetricsRegistry
 from repro.summaries import SummaryConfig
 from repro.workload import (
     WorkloadConfig,
@@ -85,7 +86,7 @@ class TestLossInjection:
         ds = DelaySpace(8, np.random.default_rng(0), jitter_ms=0.0)
         rng = np.random.default_rng(1)
         return sim, Network(
-            sim, ds, MetricsCollector(), loss_rate=loss, rng=rng
+            sim, ds, MetricsRegistry(), loss_rate=loss, rng=rng
         )
 
     def test_invalid_params(self):
@@ -107,7 +108,7 @@ class TestLossInjection:
         assert counters["lost"] == pytest.approx(150, abs=40)
         assert len(delivered) == counters["sent"] - counters["lost"]
         # bytes are still accounted at the sender
-        assert net.metrics.bytes(QUERY) == 500 * 8
+        assert net.metrics.bytes_total(QUERY) == 500 * 8
 
     def test_zero_loss_default(self):
         sim, net = self._net(0.0)
@@ -130,7 +131,7 @@ class TestLossInjection:
         sim = Simulator()
         ds = DelaySpace(12, np.random.default_rng(3), jitter_ms=0.0)
         net = Network(
-            sim, ds, MetricsCollector(),
+            sim, ds, MetricsRegistry(),
             loss_rate=0.10, rng=np.random.default_rng(4),
         )
         h = build_hierarchy(Server(i, max_children=3) for i in range(12))

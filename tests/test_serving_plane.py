@@ -21,7 +21,8 @@ from repro.roads import (
     RoadsSystem,
     SearchRequest,
 )
-from repro.sim import QUERY, MetricsCollector, Simulator
+from repro.sim import QUERY, Simulator
+from repro.telemetry import MetricsRegistry
 from repro.summaries import SummaryConfig
 from repro.workload import WorkloadConfig, generate_node_stores, generate_queries
 
@@ -32,7 +33,7 @@ NODES = 24
 def make_net(service=None, node=1):
     sim = Simulator()
     ds = DelaySpace(8, np.random.default_rng(0), jitter_ms=0.0)
-    net = Network(sim, ds, MetricsCollector())
+    net = Network(sim, ds, MetricsRegistry())
     if service is not None:
         net.set_service(node, service)
     return sim, ds, net
@@ -170,7 +171,7 @@ class TestClientRejectPath:
             WorkloadConfig(num_nodes=NODES, records_per_node=60, seed=SEED),
             num_queries=1, dimensions=3,
         )[0], client_node=0))
-        hist = system.metrics.registry.merged_histogram(
+        hist = system.metrics.merged_histogram(
             "service.queue_depth"
         ).summary()
         assert hist["count"] > 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import SimulationError, Simulator
+from repro.telemetry import CallPathProfiler
 
 
 class TestScheduling:
@@ -37,6 +38,16 @@ class TestScheduling:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
+
+    def test_nan_delay_rejected(self):
+        # ``nan < 0`` is false: an unchecked NaN would sit on the heap
+        # and turn the clock into NaN when it fires.
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending == 0
+        never = sim.schedule(float("inf"), lambda: None)  # "never" is legal
+        assert sim.pending == 1 and not never.fired
 
     def test_schedule_at(self):
         sim = Simulator()
@@ -99,6 +110,69 @@ class TestRunControl:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.processed == 4
+
+
+def _frame_calls(prof: CallPathProfiler) -> dict:
+    """``{call path: calls}`` of every frame the profiler recorded."""
+    out = {}
+
+    def visit(node, path):
+        for child in node["children"]:
+            out[path + (child["name"],)] = child["calls"]
+            visit(child, path + (child["name"],))
+
+    visit(prof.document()["tree"], ())
+    return out
+
+
+class TestProfiledDispatch:
+    """``run`` and ``step`` share one loop, so they profile alike: a
+    ``sim.dispatch`` frame per call, a child frame per handler named
+    after its label, processed events in the ``sim.events`` counter."""
+
+    @pytest.fixture(params=[True, False], ids=["wheel", "heap"])
+    def profiled(self, request):
+        sim = Simulator(use_wheel=request.param)
+        sim.profiler = CallPathProfiler()
+        sim.schedule(1.0, lambda: None, "a")
+        sim.schedule(2.0, lambda: None)
+        sim.schedule(3.0, lambda: None, "a")
+        sim.schedule(2.5, lambda: None).cancel()
+        return sim
+
+    def test_run_frames(self, profiled):
+        assert profiled.run() == 3
+        assert _frame_calls(profiled.profiler) == {
+            ("sim.dispatch",): 1,
+            ("sim.dispatch", "a"): 2,
+            ("sim.dispatch", "sim.event"): 1,
+        }
+        assert profiled.profiler.counter("sim.events") == 3
+
+    def test_step_frames(self, profiled):
+        assert [profiled.step() for _ in range(4)] == [True, True, True, False]
+        assert _frame_calls(profiled.profiler) == {
+            ("sim.dispatch",): 4,
+            ("sim.dispatch", "a"): 2,
+            ("sim.dispatch", "sim.event"): 1,
+        }
+        assert profiled.profiler.counter("sim.events") == 3
+
+    def test_run_until_advances_clock_inside_the_frame(self, profiled):
+        profiled.profiler.bind_clock(lambda: profiled.now)
+        profiled.run(until=10.0)
+        tree = profiled.profiler.document()["tree"]
+        assert tree["children"][0]["sim_seconds"] == 10.0
+
+    def test_handler_error_closes_frames(self, profiled):
+        def boom():
+            raise RuntimeError("handler failed")
+
+        profiled.schedule(0.5, boom, "boom")
+        with pytest.raises(RuntimeError):
+            profiled.step()
+        profiled.profiler.enter("next")  # opens at the root again
+        assert ("next",) in _frame_calls(profiled.profiler)
 
 
 class TestPendingCounter:

@@ -6,7 +6,7 @@ import pytest
 from repro.net import DelaySpace, Network
 from repro.query import Query, RangePredicate
 from repro.roads import RoadsConfig, RoadsSystem, SearchRequest
-from repro.sim import MAINTENANCE, QUERY, UPDATE, MetricsCollector, Simulator
+from repro.sim import MAINTENANCE, QUERY, UPDATE, Simulator
 from repro.summaries import SummaryConfig
 from repro.telemetry import (
     NULL_TELEMETRY,
@@ -227,29 +227,24 @@ class TestMetricsRegistry:
 
 
 class TestMetricsCollectorFacade:
+    """Category roll-ups and per-server attribution read one store."""
+
     def test_plain_dict_views_no_mutation_on_read(self):
-        m = MetricsCollector()
-        m.record_message(UPDATE, 100)
-        view = m.bytes_by_category
+        m = MetricsRegistry()
+        m.count_message(UPDATE, 100)
+        view, _ = m.totals_by_category()
         assert isinstance(view, dict)
         assert view.get("missing") is None
         # Reading an absent category must not materialise an entry.
-        assert m.bytes("missing") == 0
-        assert "missing" not in m.bytes_by_category
-        assert "missing" not in m.snapshot()
+        assert m.bytes_total("missing") == 0
+        assert "missing" not in m.totals_by_category()[0]
 
     def test_server_attribution_through_facade(self):
-        m = MetricsCollector()
-        m.record_message(QUERY, 64, server=3, phase="forward")
-        m.record_message(QUERY, 64)
-        assert m.bytes(QUERY) == 128
+        m = MetricsRegistry()
+        m.count_message(QUERY, 64, server=3, phase="forward")
+        m.count_message(QUERY, 64)
+        assert m.bytes_total(QUERY) == 128
         assert m.per_server(QUERY, "forward") == {3: (1, 64)}
-
-    def test_latency_feeds_histogram(self):
-        m = MetricsCollector()
-        m.record_latency(0.25, server=4)
-        assert m.mean_latency() == pytest.approx(0.25)
-        assert m.registry.histogram("latency", server=4).count == 1
 
 
 class TestPerNetworkMessageIds:
@@ -257,7 +252,7 @@ class TestPerNetworkMessageIds:
         def ids():
             sim = Simulator()
             net = Network(sim, DelaySpace(4, np.random.default_rng(0)),
-                          MetricsCollector())
+                          MetricsRegistry())
             return [net.send(0, 1, QUERY, 8).msg_id for _ in range(3)]
 
         assert ids() == ids() == [0, 1, 2]
@@ -265,11 +260,11 @@ class TestPerNetworkMessageIds:
     def test_rollback_on_failed_sender(self):
         sim = Simulator()
         net = Network(sim, DelaySpace(4, np.random.default_rng(0)),
-                      MetricsCollector())
+                      MetricsRegistry())
         net.fail_node(0)
         net.send(0, 1, QUERY, 100)
-        assert net.metrics.bytes(QUERY) == 0
-        assert net.metrics.messages(QUERY) == 0
+        assert net.metrics.bytes_total(QUERY) == 0
+        assert net.metrics.messages_total(QUERY) == 0
         assert net.metrics.per_server(QUERY) == {}
 
 
@@ -278,8 +273,7 @@ class TestSystemIntegration:
         system = build_system()
         o = system.search(SearchRequest(wide_query(), client_node=0, trace=True)).outcome
         assert o.trace_events
-        assert o.trace is o.trace_events
-        for entry in o.trace:
+        for entry in o.trace_events:
             t, event, subject, detail = entry
             assert entry[0] == t and entry[1] == event
             assert entry[3] == detail and len(entry) == 4
@@ -291,13 +285,12 @@ class TestSystemIntegration:
         baseline = tel.bus.emitted
         o = system.search(SearchRequest(wide_query(), client_node=0, trace=False)).outcome
         assert o.trace_events == []
-        assert o.trace == []
         # The bus still sees query.* structured events...
         assert tel.bus.emitted > baseline
         # ...but a system without telemetry records nothing anywhere.
         plain = build_system()
         o2 = plain.search(SearchRequest(wide_query(), client_node=0, trace=False)).outcome
-        assert o2.trace == []
+        assert o2.trace_events == []
 
     def test_disabled_telemetry_records_zero_events(self):
         tel = Telemetry(enabled=False)

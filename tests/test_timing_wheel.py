@@ -1,8 +1,8 @@
 """Timing wheel vs heap: exact ordering equivalence and compaction.
 
 The tripwires behind the vectorized dispatch core: the wheel-backed
-scheduler must be observationally identical to the historical pure-heap
-dispatcher — same firing order, same clocks, same census fingerprint —
+scheduler must be observationally identical to the heap alone
+(``use_wheel=False``) — same firing order, same clocks, same census fingerprint —
 for any seeded workload, and heap tombstones must be compacted before
 they dominate.
 """
@@ -81,6 +81,35 @@ class TestWheelHeapEquivalence:
         assert drive(Simulator(use_wheel=True)) == drive(
             Simulator(use_wheel=False)
         )
+
+    @pytest.mark.parametrize("use_wheel", [True, False])
+    def test_stopped_run_leaves_the_next_event_in_place(self, use_wheel):
+        """``run(max_events=k)`` then ``run()`` fires the ``(time, seq)``
+        order of one uninterrupted ``run()``, and stopping never moves a
+        wheel-resident event onto the overflow heap."""
+
+        def load(sim):
+            log = []
+            for i in range(40):
+                # exact ties, in-wheel delays and two past the horizon
+                delay = 5000.0 if i in (7, 23) else 0.01 * (i % 5)
+                sim.schedule(delay, lambda i=i: log.append((sim.now, i)))
+            return log
+
+        whole = Simulator(use_wheel=use_wheel)
+        expected = load(whole)
+        whole.run()
+
+        sim = Simulator(use_wheel=use_wheel)
+        log = load(sim)
+        heap_before = len(sim._queue)
+        assert heap_before == (2 if use_wheel else 40)
+        assert sim.run(max_events=9) == 9
+        if use_wheel:
+            assert len(sim._queue) == heap_before
+        assert sim.pending == 31
+        sim.run()
+        assert log == expected
 
     def test_far_future_lands_on_heap(self):
         sim = Simulator()

@@ -26,11 +26,11 @@ def wide_query():
 class TestTracing:
     def test_disabled_by_default(self, system):
         o = system.search(SearchRequest(wide_query(), client_node=0)).outcome
-        assert o.trace == []
+        assert o.trace_events == []
 
     def test_events_recorded(self, system):
         o = system.search(SearchRequest(wide_query(), client_node=0, trace=True)).outcome
-        events = [e for _, e, _, _ in o.trace]
+        events = [e for _, e, _, _ in o.trace_events]
         assert "send" in events
         assert "arrive" in events
         assert "owner" in events
@@ -39,12 +39,12 @@ class TestTracing:
 
     def test_times_monotone(self, system):
         o = system.search(SearchRequest(wide_query(), client_node=0, trace=True)).outcome
-        times = [t for t, *_ in o.trace]
+        times = [t for t, *_ in o.trace_events]
         assert times == sorted(times)
 
     def test_owner_events_carry_match_counts(self, system):
         o = system.search(SearchRequest(wide_query(), client_node=0, trace=True)).outcome
-        owner_events = [e for e in o.trace if e[1] == "owner"]
+        owner_events = [e for e in o.trace_events if e[1] == "owner"]
         assert owner_events
         assert all("matches=" in e[3] for e in owner_events)
 
@@ -53,11 +53,11 @@ class TestTracing:
         text = o.format_trace()
         assert "ms" in text
         assert "arrive" in text
-        assert len(text.splitlines()) == len(o.trace)
+        assert len(text.splitlines()) == len(o.trace_events)
 
     def test_satisfied_event_with_first_k(self, system):
         o = system.search(SearchRequest(wide_query(), client_node=0, trace=True, first_k=1)).outcome
-        events = [e for _, e, _, _ in o.trace]
+        events = [e for _, e, _, _ in o.trace_events]
         # Early termination leaves a visible mark when redirects are skipped.
         assert o.total_matches >= 1
         if o.servers_contacted < 16:

@@ -457,10 +457,10 @@ class TestFreeRunning:
         plane.start()
         assert plane._tasks == tasks
         plane.stop()
-        bytes_before = system.metrics.total_bytes
+        bytes_before = system.metrics.bytes_total()
         sim = system.sim
         sim.run(until=sim.now + 3 * plane.interval)
-        assert system.metrics.total_bytes == bytes_before
+        assert system.metrics.bytes_total() == bytes_before
         assert plane._tasks == {}
 
 
@@ -520,7 +520,7 @@ class TestMaintenanceIntegration:
             system.refresh()
             start = system.sim.now
             system.sim.run(until=start + 10.0)
-            return system.metrics.bytes_by_category.get(MAINTENANCE, 0)
+            return system.metrics.totals_by_category()[0].get(MAINTENANCE, 0)
 
         assert maintenance_bytes(False) < maintenance_bytes(True)
 
