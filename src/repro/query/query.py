@@ -5,10 +5,17 @@ It can be evaluated exactly against a :class:`~repro.records.store.RecordStore`
 (returning the matching rows) or approximately against a summary (the
 summary API lives in :mod:`repro.summaries`; summaries expose
 ``may_match(query)`` built on the per-predicate hooks here).
+
+A query is immutable, so what depends only on it is computed once and
+kept on the instance outside its dataclass fields (equality, hash and repr
+never see it): its wire size and, per store schema, the columns and bound
+vectors of its range predicates, which :meth:`Query.mask` compares with the
+store's numeric matrix in one 2-D operation. Record values are never cached.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -16,6 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..records.record import ResourceRecord
+from ..records.schema import Schema
 from ..records.store import RecordStore
 from .predicate import EqualsPredicate, Predicate, RangePredicate
 
@@ -49,6 +57,7 @@ class Query:
         attrs = [p.attribute for p in self.predicates]
         if len(set(attrs)) != len(attrs):
             raise ValueError(f"query has duplicate predicates on attributes: {attrs}")
+        object.__setattr__(self, "_plans", {})
 
     @staticmethod
     def of(*predicates: Predicate, requester: Optional[str] = None) -> "Query":
@@ -83,7 +92,7 @@ class Query:
         return " AND ".join(str(p) for p in self.predicates)
 
     # -- sizing ------------------------------------------------------------------
-    @property
+    @functools.cached_property
     def size_bytes(self) -> int:
         """Wire size of the query message payload.
 
@@ -94,15 +103,37 @@ class Query:
         return header + sum(p.size_bytes for p in self.predicates)
 
     # -- exact evaluation ----------------------------------------------------------
+    def _plan(self, schema: Schema):
+        """``(schema, columns, lo, hi, others)``: numeric-partition columns
+        and bound vectors of the range predicates under *schema*, and the
+        predicates left to evaluate one by one. Keyed by the schema's id
+        (hashing a schema hashes every attribute) and checked against the
+        schema the entry holds."""
+        plan = self._plans.get(id(schema))
+        if plan is None or plan[0] is not schema:
+            ranges = self.range_predicates()
+            columns = [schema.numeric_position(p.attribute) for p in ranges]
+            plan = self._plans[id(schema)] = (
+                schema,
+                np.array(columns, dtype=np.intp),
+                np.array([p.lo for p in ranges], dtype=np.float64),
+                np.array([p.hi for p in ranges], dtype=np.float64),
+                [p for p in self.predicates if not isinstance(p, RangePredicate)],
+            )
+        return plan
+
     def mask(self, store: RecordStore) -> np.ndarray:
         """Boolean mask of rows in *store* matching all predicates."""
         if len(store) == 0:
             return np.zeros(0, dtype=bool)
-        out = np.ones(len(store), dtype=bool)
-        for p in self.predicates:
+        _, columns, lo, hi, others = self._plan(store.schema)
+        if columns.size:
+            block = store.numeric_matrix[:, columns]
+            out = np.logical_and.reduce((block >= lo) & (block <= hi), axis=1)
+        else:
+            out = np.ones(len(store), dtype=bool)
+        for p in others:
             out &= p.mask(store)
-            if not out.any():
-                break
         return out
 
     def match_count(self, store: RecordStore) -> int:

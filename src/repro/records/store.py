@@ -5,7 +5,9 @@ numeric partition in a single ``float64`` matrix and each categorical
 partition as an integer code column plus a vocabulary. All matching is
 vectorized; the evaluation-scale stores (hundreds of thousands of records,
 Section V prototype) are searched without Python-level loops, per the
-scientific-Python optimization guidance.
+scientific-Python optimization guidance. ``mask_range`` / ``mask_equals``
+answer one predicate; a whole conjunctive query compares all its range
+columns of ``numeric_matrix`` at once (:meth:`repro.query.query.Query.mask`).
 """
 
 from __future__ import annotations

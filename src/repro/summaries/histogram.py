@@ -13,10 +13,20 @@ it covers), *sparse* (only the non-empty buckets as ``(index, count)``
 pairs), or *bitmap* (one occupancy bit per bucket — sufficient for query
 evaluation, which only tests bucket non-emptiness). The encoding choice
 is an ablation axis (see DESIGN.md §5).
+
+Query evaluation runs on that same one bit per bucket: a histogram packs
+its *occupancy bitset* (a Python ``int``, bit ``i`` set iff bucket ``i`` is
+non-empty) on its first ``may_match`` and answers a range with
+``occupancy & mask != 0``, the mask coming from the memoised
+:func:`_bucket_span`. The bitset is dropped wherever the fingerprint is
+(only ``add_values`` changes a histogram), summaries travel by reference
+so every holder shares it, and the write path never builds one.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,10 +63,34 @@ def _bucket_block(
     return block.astype(np.int64, copy=False).reshape(n_attrs, buckets)
 
 
+@functools.lru_cache(maxsize=4096)
+def _bucket_span(
+    lo: float, hi: float, dom_lo: float, dom_hi: float, buckets: int
+) -> Tuple[int, int, int]:
+    """``(first, last, mask)``: the buckets of ``[dom_lo, dom_hi]`` that
+    ``[lo, hi]`` overlaps, as indices and as a bitset; ``(0, -1, 0)``
+    when the range misses the domain.
+
+    Scalar twin of :func:`_bucket_block`'s index expression, so a value
+    and a range endpoint equal to it land in the same bucket. Memoised
+    on the domain as well as the range: a search asks one predicate of
+    every summary it consults, but nothing guarantees that all histograms
+    of an attribute share a domain and bucket count.
+    """
+    lo = max(lo, dom_lo)
+    hi = min(hi, dom_hi)
+    if lo > hi:
+        return 0, -1, 0
+    span = dom_hi - dom_lo
+    first = min(max(math.floor((lo - dom_lo) / span * buckets), 0), buckets - 1)
+    last = min(max(math.floor((hi - dom_lo) / span * buckets), 0), buckets - 1)
+    return first, last, ((1 << (last - first + 1)) - 1) << first
+
+
 class HistogramSummary(AttributeSummary):
     """Equal-width bucket histogram over a bounded numeric domain."""
 
-    __slots__ = ("attribute", "lo", "hi", "counts", "encoding", "_fp")
+    __slots__ = ("attribute", "lo", "hi", "counts", "encoding", "_fp", "_occupancy")
 
     def __init__(
         self,
@@ -89,7 +123,7 @@ class HistogramSummary(AttributeSummary):
             if (counts < 0).any():
                 raise ValueError("histogram counts must be non-negative")
             self.counts = counts.copy()
-        self._fp = None
+        self._fp = self._occupancy = None
 
     # -- construction ------------------------------------------------------------
     @classmethod
@@ -165,7 +199,7 @@ class HistogramSummary(AttributeSummary):
         h.lo, h.hi = bounds
         h.encoding = encoding
         h.counts = counts
-        h._fp = None
+        h._fp = h._occupancy = None
         return h
 
     def add_values(self, values: Iterable[float]) -> None:
@@ -173,7 +207,7 @@ class HistogramSummary(AttributeSummary):
                           dtype=np.float64)
         if vals.size == 0:
             return
-        self._fp = None
+        self._fp = self._occupancy = None
         self.counts += _bucket_block(
             vals.reshape(-1, 1),
             np.float64([self.lo]),
@@ -196,21 +230,24 @@ class HistogramSummary(AttributeSummary):
         return not self.counts.any()
 
     def may_match(self, predicate: Predicate) -> bool:
-        if isinstance(predicate, EqualsPredicate):
-            raise TypeError(
-                f"histogram on {self.attribute!r} cannot evaluate equality on "
-                f"categorical attribute {predicate.attribute!r}"
+        if not isinstance(predicate, RangePredicate):
+            what = (
+                f"equality on categorical attribute {predicate.attribute!r}"
+                if isinstance(predicate, EqualsPredicate)
+                else f"a {type(predicate).__name__} (expected a RangePredicate)"
             )
-        assert isinstance(predicate, RangePredicate)
-        lo = max(predicate.lo, self.lo)
-        hi = min(predicate.hi, self.hi)
-        if lo > hi:
-            return False
-        m = self.buckets
-        span = self.hi - self.lo
-        first = int(np.clip(np.floor((lo - self.lo) / span * m), 0, m - 1))
-        last = int(np.clip(np.floor((hi - self.lo) / span * m), 0, m - 1))
-        return bool(self.counts[first : last + 1].any())
+            raise TypeError(
+                f"histogram on {self.attribute!r} cannot evaluate {what}"
+            )
+        occupancy = self._occupancy
+        if occupancy is None:
+            occupancy = self._occupancy = int.from_bytes(
+                np.packbits(self.counts > 0, bitorder="little").tobytes(), "little"
+            )
+        span = _bucket_span(
+            predicate.lo, predicate.hi, self.lo, self.hi, len(self.counts)
+        )
+        return occupancy & span[2] != 0
 
     def _check_mergeable(self, other: AttributeSummary) -> "HistogramSummary":
         if not isinstance(other, HistogramSummary):
@@ -294,14 +331,7 @@ class HistogramSummary(AttributeSummary):
         Bucket-granular: partial bucket overlap counts the whole bucket,
         so this is an over-estimate — consistent with no-false-negatives.
         """
-        lo = max(lo, self.lo)
-        hi = min(hi, self.hi)
-        if lo > hi:
-            return 0
-        m = self.buckets
-        span = self.hi - self.lo
-        first = int(np.clip(np.floor((lo - self.lo) / span * m), 0, m - 1))
-        last = int(np.clip(np.floor((hi - self.lo) / span * m), 0, m - 1))
+        first, last, _ = _bucket_span(lo, hi, self.lo, self.hi, self.buckets)
         return int(self.counts[first : last + 1].sum())
 
     def __eq__(self, other) -> bool:

@@ -86,6 +86,14 @@ class TestMayMatch:
         with pytest.raises(TypeError, match="cannot evaluate equality"):
             h.may_match(EqualsPredicate("c", "x"))
 
+    @pytest.mark.parametrize("junk", [None, (0.1, 0.2), "a", 0.5])
+    def test_non_predicate_rejected_by_name(self, junk):
+        h = HistogramSummary.from_values("rate", [5.0], 10, (0.0, 10.0))
+        with pytest.raises(TypeError) as err:
+            h.may_match(junk)
+        assert "'rate'" in str(err.value)
+        assert type(junk).__name__ in str(err.value)
+
 
 class TestMerge:
     def test_counts_add(self):

@@ -1,5 +1,6 @@
 """Hierarchical profiling plane: tree invariants, exports, determinism."""
 
+import gc
 import json
 
 import pytest
@@ -267,6 +268,11 @@ class TestDeterminismTripwire:
 class TestProfileScenarioAndCli:
     @pytest.fixture(scope="class")
     def document(self):
+        # A full collection of the whole suite's heap costs about as much
+        # as this 0.3 s run and is charged to whichever frame is open
+        # when it triggers; collect now so the frame times below are the
+        # frames' own.
+        gc.collect()
         return profile_scenario(RunPlan("overlay", scale="smoke", seed=3))
 
     def test_document_shape(self, document):

@@ -20,11 +20,13 @@ from repro.records import RecordStore, Schema, categorical, numeric
 from repro.summaries import (
     BloomFilterSummary,
     HistogramSummary,
+    MultiResolutionHistogram,
     ResourceSummary,
     SummaryConfig,
     ValueSetSummary,
     coarsen,
 )
+from repro.summaries.codec import decode_histogram, encode_histogram
 from repro.sword import ChordRouter, LocalityHash
 
 
@@ -223,6 +225,147 @@ class TestBucketingKernel:
             assert pyramid.encoded_size() == sum(
                 reference_size(counts, encoding) for counts in per_level
             )
+
+
+def reference_span(h, lo, hi):
+    """Bucket span of ``[lo, hi]`` by the NumPy formula ``may_match`` and
+    ``count_in_range`` used before the occupancy bitset (kept verbatim:
+    it is the oracle the bit tests must reproduce bit for bit)."""
+    lo = max(lo, h.lo)
+    hi = min(hi, h.hi)
+    if lo > hi:
+        return slice(0, 0)
+    m = h.buckets
+    span = h.hi - h.lo
+    first = int(np.clip(np.floor((lo - h.lo) / span * m), 0, m - 1))
+    last = int(np.clip(np.floor((hi - h.lo) / span * m), 0, m - 1))
+    return slice(first, last + 1)
+
+
+DOMAINS = [(0.0, 1.0), (-5.0, 3.0), (-1e6, 1e6), (1.1e9, 1.17e9), (0.25, 0.3)]
+EDGE_BUCKETS = [1, 7, 63, 64, 65, 1000]
+
+
+@st.composite
+def sparse_histograms(draw, buckets=st.sampled_from(EDGE_BUCKETS)):
+    """A histogram over a non-trivial domain with a few occupied buckets."""
+    m = draw(buckets)
+    dom = draw(st.sampled_from(DOMAINS))
+    occupied = draw(st.sets(st.integers(0, m - 1), max_size=8))
+    counts = np.zeros(m, dtype=np.int64)
+    for i in occupied:
+        counts[i] = draw(st.integers(1, 5))
+    encoding = draw(st.sampled_from(["dense", "sparse", "bitmap"]))
+    return HistogramSummary("a", m, dom, encoding=encoding, counts=counts)
+
+
+@st.composite
+def endpoints(draw, h):
+    """One range endpoint: on a bucket edge, one ulp either side of it,
+    inside, outside the domain or infinite; as float or ``np.float64``."""
+    span = h.hi - h.lo
+    edge = h.lo + draw(st.integers(0, h.buckets)) * span / h.buckets
+    x = draw(st.one_of(
+        st.just(edge),
+        st.just(float(np.nextafter(edge, np.inf))),
+        st.just(float(np.nextafter(edge, -np.inf))),
+        st.floats(min_value=h.lo - span, max_value=h.hi + span),
+        st.sampled_from([h.lo, h.hi, -math.inf, math.inf]),
+    ))
+    return np.float64(x) if draw(st.booleans()) else x
+
+
+class TestOccupancyPruning:
+    """``may_match`` by bit test against the NumPy slice it replaced."""
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_bit_test_equals_numpy_reference(self, data):
+        h = data.draw(sparse_histograms())
+        lo, hi = sorted([data.draw(endpoints(h)), data.draw(endpoints(h))])
+        buckets = reference_span(h, lo, hi)
+        for _ in range(2):  # cold bitset, then cached bitset and memoised span
+            assert h.may_match(RangePredicate("a", lo, hi)) is bool(
+                h.counts[buckets].any()
+            )
+            assert h.count_in_range(lo, hi) == int(h.counts[buckets].sum())
+
+    @given(data=st.data(), buckets=st.sampled_from(EDGE_BUCKETS),
+           dom=st.sampled_from(DOMAINS))
+    @settings(max_examples=200, deadline=None)
+    def test_no_false_negatives_on_any_domain(self, data, buckets, dom):
+        inside = st.floats(min_value=dom[0], max_value=dom[1])
+        values = data.draw(st.lists(inside, max_size=30))
+        h = HistogramSummary.from_values("a", values, buckets, dom)
+        lo, hi = sorted([data.draw(endpoints(h)), data.draw(endpoints(h))])
+        if any(lo <= v <= hi for v in values):
+            assert h.may_match(RangePredicate("a", lo, hi))
+            assert h.count_in_range(lo, hi) >= sum(lo <= v <= hi for v in values)
+
+    @given(h=sparse_histograms(), other=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bitset_follows_the_counts(self, h, other):
+        everything = RangePredicate("a", -math.inf, math.inf)
+        span = h.hi - h.lo
+        bucket = other.draw(st.integers(0, h.buckets - 1))
+        value = h.lo + (bucket + 0.5) * span / h.buckets
+        probe = RangePredicate("a", value, value)
+        before = h.may_match(probe)
+        assert before is bool(h.counts[reference_span(h, value, value)].any())
+        # derived instances start without a bitset and answer from their
+        # own counts, whatever the source had cached
+        empty = HistogramSummary("a", h.buckets, (h.lo, h.hi))
+        assert not empty.may_match(everything)
+        added = HistogramSummary.from_values("a", [value], h.buckets, (h.lo, h.hi))
+        decoded, _ = decode_histogram(encode_histogram(h))
+        for derived, expected in (
+            (h.copy(), before),
+            (decoded, before),
+            (h.merge(empty), before),
+            (empty.merge(h), before),
+            (empty.merge(added), True),
+            (h.merge_many([empty, added]), True),
+            (empty.merge_many([h]), before),
+        ):
+            assert derived._occupancy is None
+            assert derived.may_match(probe) is expected
+            assert derived.may_match(everything) is not derived.is_empty
+        # ... and in-place growth drops a bitset that was already built
+        assert h.may_match(everything) is not h.is_empty
+        h.add_values([value])
+        assert h.may_match(probe)
+        assert h.may_match(everything)
+
+    def test_bitset_is_built_lazily_and_shared_by_refreshed(self, unit_store):
+        config = SummaryConfig(histogram_buckets=64)
+        summary = ResourceSummary.from_store(unit_store, config)
+        merged = ResourceSummary.merge_many([summary, summary.copy()])
+        summary.fingerprint(), summary.encoded_size(), merged.fingerprint()
+        for s in (summary, merged):  # the write path never builds one
+            assert all(h._occupancy is None for h in s.attributes.values())
+        later = summary.refreshed(now=50.0)
+        query = Query.of(RangePredicate("a", 0.0, 1.0), RangePredicate("c", 0.2, 0.4))
+        assert summary.may_match(query)
+        for name in ("a", "c"):
+            assert later.attributes[name] is summary.attributes[name]
+            assert later.attributes[name]._occupancy is not None
+        assert summary.attributes["b"]._occupancy is None  # never asked
+        assert later.may_match(query)
+
+    @given(data=st.data(), levels=st.sampled_from([1, 2, 3]),
+           dom=st.sampled_from(DOMAINS))
+    @settings(max_examples=100, deadline=None)
+    def test_multiresolution_answers_like_its_finest_level(self, data, levels, dom):
+        inside = st.floats(min_value=dom[0], max_value=dom[1])
+        values = data.draw(st.lists(inside, max_size=20))
+        pyramid = MultiResolutionHistogram.from_values("a", values, 64, dom, levels)
+        finest = pyramid.level(0)
+        lo, hi = sorted([data.draw(endpoints(finest)), data.draw(endpoints(finest))])
+        pred = RangePredicate("a", lo, hi)
+        expected = bool(finest.counts[reference_span(finest, lo, hi)].any())
+        assert pyramid.may_match(pred) is finest.may_match(pred) is expected
+        pyramid.add_values([dom[0]])
+        assert pyramid.may_match(RangePredicate("a", -math.inf, dom[0]))
 
 
 names = st.text(

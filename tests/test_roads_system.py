@@ -1,8 +1,12 @@
 """Tests for repro.roads.system and client (the assembled ROADS system)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.overlay import decide_descent, decide_start
+from repro.overlay.routing import decide_local
 from repro.query import Query, RangePredicate
 from repro.roads import DenyAllPolicy, RoadsConfig, RoadsSystem, SearchRequest
 from repro.summaries import SummaryConfig
@@ -188,3 +192,101 @@ class TestResilienceIntegration:
             )
             o = system.search(SearchRequest(q, client_node=healthy_client)).outcome
             assert o.total_matches == q.match_count(reference)
+
+
+#: per search (latency rounded to 1e-12 s, total_matches, servers_contacted,
+#: query_bytes) of the federation below, recorded at commit 4591c75 — the
+#: last one that pruned with NumPy slices over the bucket counters. They
+#: are the same for plain, multi-resolution and bitmap-encoded histograms.
+PINNED_SEARCHES = [
+    (0.0005, 0, 1, 176),
+    (0.289187749106, 0, 5, 912),
+    (0.309826291792, 0, 5, 912),
+    (0.0005, 0, 1, 176),
+    (0.0005, 0, 1, 176),
+    (0.271794106824, 0, 10, 1832),
+    (0.576191323644, 2, 24, 4424),
+    (0.526471236041, 0, 17, 3120),
+    (0.125677568613, 0, 2, 360),
+    (0.570946519838, 18, 29, 5392),
+    (0.0005, 0, 1, 176),
+    (0.414205728785, 0, 7, 1280),
+    (0.0005, 0, 1, 176),
+    (0.0005, 0, 1, 176),
+    (0.658995136744, 101, 27, 5144),
+    (0.284735599678, 0, 9, 1648),
+    (0.091089677117, 0, 2, 360),
+    (0.302665323238, 0, 6, 1096),
+    (0.0005, 0, 1, 176),
+    (0.415789664096, 0, 8, 1464),
+    (0.0005, 0, 1, 176),
+    (0.0005, 0, 1, 176),
+    (0.0005, 0, 1, 176),
+    (0.121639294812, 0, 2, 360),
+    (0.319589394067, 0, 3, 544),
+    (0.31028017432, 0, 3, 544),
+    (0.755187432005, 4, 20, 3704),
+    (0.0005, 0, 1, 176),
+    (0.408785055555, 0, 4, 728),
+    (0.082699888302, 0, 2, 360),
+]
+#: sha256 prefix over every server's start / descent / local decision for
+#: every query (same commit), and a few of those decisions spelled out:
+#: (query, server) -> (redirect_ids, owners_only_ids, owner hits)
+PINNED_DECISIONS = "c7e114d3af018095"
+PINNED_START_DECISIONS = {
+    (6, 0): ([1, 2, 3, 4], [], []),
+    (6, 33): ([13, 9, 5, 2, 4, 3], [17], []),
+    (9, 17): ([33, 9, 5, 2, 4, 3], [0], ["owner-17"]),
+    (9, 33): ([9, 5, 2, 4, 3], [17, 0], []),
+    (14, 17): ([33, 9, 13, 5, 2, 4, 3], [], ["owner-17"]),
+    (14, 33): ([13, 9, 5, 2, 4, 3], [17], ["owner-33"]),
+    (26, 17): ([9, 13, 2, 4, 3], [], []),
+}
+
+
+class TestReadPathDeterminism:
+    """Tripwire: the read-path kernels may get faster, but which servers a
+    search contacts, what it finds, how long it takes and what it sends
+    are fixed by the seed."""
+
+    @pytest.mark.parametrize(
+        "summary_kw",
+        [{}, {"multiresolution_levels": 3}, {"histogram_encoding": "bitmap"}],
+        ids=["plain", "multires3", "bitmap"],
+    )
+    def test_searches_and_routing_decisions_are_pinned(self, summary_kw):
+        wcfg = WorkloadConfig(num_nodes=40, records_per_node=100, seed=15)
+        cfg = RoadsConfig(
+            num_nodes=40, records_per_node=100, max_children=4,
+            summary=SummaryConfig(histogram_buckets=128, **summary_kw), seed=15,
+        )
+        system = RoadsSystem.build(cfg, generate_node_stores(wcfg))
+        queries = generate_queries(wcfg, num_queries=30, range_length=0.4)
+        assert all(q.dimensions == 6 for q in queries)
+
+        searches = []
+        for i, q in enumerate(queries):
+            o = system.search(SearchRequest(q, client_node=(7 * i) % 40)).outcome
+            searches.append(
+                (round(o.latency, 12), o.total_matches, o.servers_contacted,
+                 o.query_bytes)
+            )
+        assert searches == PINNED_SEARCHES
+
+        def decision(decide, server, query):
+            d = decide(server, query, cfg.summary, system.sim.now)
+            return (d.redirect_ids, d.owners_only_ids,
+                    [o.owner_id for o in d.owner_hits])
+
+        for (i, sid), expected in PINNED_START_DECISIONS.items():
+            server = system.hierarchy.get(sid)
+            assert decision(decide_start, server, queries[i]) == expected
+        digest = hashlib.sha256()
+        for i, q in enumerate(queries):
+            for server in system.hierarchy:
+                for decide in (decide_start, decide_descent, decide_local):
+                    digest.update(repr(
+                        (i, server.server_id, *decision(decide, server, q))
+                    ).encode())
+        assert digest.hexdigest()[:16] == PINNED_DECISIONS
