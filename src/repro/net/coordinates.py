@@ -13,7 +13,7 @@ query latencies over 3–5 hierarchy levels of client redirection).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict
 
 import numpy as np
 
@@ -50,8 +50,17 @@ class DelaySpace:
         if jitter_ms > 0:
             raw = rng.random((self.num_nodes, self.num_nodes))
             self._jitter = (raw + raw.T) / 2.0 * jitter_ms
+            self._jitter.flags.writeable = False
         else:
             self._jitter = None
+        # Read-only, so the memo below can never go stale.
+        self.coordinates.flags.writeable = False
+        #: one-way delays in seconds already computed, keyed by the
+        #: unordered pair as ``min * num_nodes + max``: the expression
+        #: in :meth:`latency_ms` is exactly symmetric (``norm(x) ==
+        #: norm(-x)``, the jitter matrix equals its transpose), so both
+        #: legs of an exchange share the float the first one computed
+        self._latency: Dict[int, float] = {}
 
     def latency_ms(self, a: int, b: int) -> float:
         """One-way delay between nodes *a* and *b* in milliseconds.
@@ -68,7 +77,17 @@ class DelaySpace:
 
     def latency(self, a: int, b: int) -> float:
         """One-way delay in seconds (the simulator's clock unit)."""
-        return self.latency_ms(a, b) / 1000.0
+        n = self.num_nodes
+        if not (0 <= a < n and 0 <= b < n):
+            self._check(a)
+            self._check(b)
+        if a > b:
+            a, b = b, a
+        key = a * n + b
+        seconds = self._latency.get(key)
+        if seconds is None:
+            seconds = self._latency[key] = self.latency_ms(a, b) / 1000.0
+        return seconds
 
     def _check(self, i: int) -> None:
         if not (0 <= i < self.num_nodes):
@@ -97,5 +116,5 @@ class DelaySpace:
         cands = list(candidates)
         if not cands:
             raise ValueError("candidates must be non-empty")
-        lats = [self.latency_ms(node, c) for c in cands]
+        lats = [self.latency(node, c) for c in cands]
         return cands[int(np.argmin(lats))]

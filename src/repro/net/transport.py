@@ -10,11 +10,11 @@ heartbeats, as in the paper's maintenance protocol).
 
 Every message takes the same two steps whichever entry point sent it:
 ``Network._admit`` decides its fate at send time (accounted; dropped by a
-failed sender, lost, or on the wire) and the ``deliver`` closure of
-``Network._schedule_delivery`` its fate on arrival (dropped by a failed
-receiver, handed to a handler, queued or shed). :meth:`Network.send`
-schedules a delivery group of one, :meth:`Network.send_many` one group
-per ``(destination, kind)``.
+failed sender, lost, or on the wire) and the ``_Delivery`` record that
+``Network._schedule_delivery`` schedules its fate on arrival (dropped by
+a failed receiver, handed to a handler, queued or shed).
+:meth:`Network.send` schedules a delivery group of one,
+:meth:`Network.send_many` one group per ``(destination, kind)``.
 
 Each message is attributed to its destination server and the sender's
 protocol ``phase`` in the metrics registry; when a
@@ -31,7 +31,6 @@ handling is instantaneous and concurrency is free.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -212,25 +211,40 @@ class _ServiceQueue:
         return "service.serve:" + (msg.kind or msg.category)
 
 
-@dataclass(frozen=True)
 class Message:
-    """An in-flight message between two node indices."""
+    """An in-flight message between two node indices.
 
-    src: int
-    dst: int
-    category: str
-    size_bytes: int
-    payload: Any = None
-    msg_id: int = 0
-    #: protocol message kind; dispatches to a kind handler when set
-    kind: str = ""
-    #: causal trace coordinates propagated across this hop (None when
-    #: the sender is untraced or telemetry is disabled)
-    trace: Optional[TraceContext] = None
+    A slotted value built once per send by the :class:`Network` and
+    never written afterwards: treat it as immutable.
+    """
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError(f"negative message size: {self.size_bytes}")
+    __slots__ = (
+        "src", "dst", "category", "size_bytes", "payload", "msg_id",
+        "kind", "trace",
+    )
+
+    def __init__(
+        self, src: int, dst: int, category: str, size_bytes: int,
+        payload: Any = None, msg_id: int = 0, kind: str = "",
+        trace: Optional[TraceContext] = None,
+    ):
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes}")
+        self.src = src
+        self.dst = dst
+        self.category = category
+        self.size_bytes = size_bytes
+        self.payload = payload
+        self.msg_id = msg_id
+        #: protocol message kind; dispatches to a kind handler when set
+        self.kind = kind
+        #: causal trace coordinates propagated across this hop (None when
+        #: the sender is untraced or telemetry is disabled)
+        self.trace = trace
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"Message({fields})"
 
 
 def _ctags(msg: Message) -> Dict[str, object]:
@@ -238,21 +252,102 @@ def _ctags(msg: Message) -> Dict[str, object]:
     return msg.trace.tags() if msg.trace is not None else _NO_TAGS
 
 
-def _send_frame(send):
-    """Run a send entry point inside the profiler's ``net.send`` frame."""
+class _Delivery:
+    """Arrival of one delivery group; the callback of its one event.
 
-    @functools.wraps(send)
-    def framed(self, *args, **kwargs):
-        prof = self._profiler
-        if prof is None:
-            return send(self, *args, **kwargs)
-        prof.enter("net.send")
-        try:
-            return send(self, *args, **kwargs)
-        finally:
-            prof.exit()
+    The arrival-time half of the transport path (``Network._admit`` is
+    the send-time half): the group is dropped by a failed receiver,
+    handed to a handler, or queued or shed by the receiver's service
+    queue. A slotted record rather than a closure, so a message in
+    flight holds no cells and nothing that refers back to it.
+    """
 
-    return framed
+    __slots__ = (
+        "net", "group", "phase", "sent_at",
+        "on_dropped", "on_delivery", "on_rejected",
+    )
+
+    def __init__(
+        self, net, group, phase, on_dropped, on_delivery, on_rejected
+    ):
+        self.net = net
+        self.group = group
+        self.phase = phase
+        self.sent_at = net.sim.now
+        self.on_dropped = on_dropped
+        self.on_delivery = on_delivery
+        self.on_rejected = on_rejected
+
+    def __call__(self) -> None:
+        net = self.net
+        group = self.group
+        first = group[0]
+        src, dst, kind, category = first.src, first.dst, first.kind, first.category
+        phase = self.phase
+        on_dropped = self.on_dropped
+        tel = net.telemetry
+        if dst in net._failed:
+            for msg in group:
+                net.dropped += 1
+                if tel is not None:
+                    tel.event("net.drop", src=src, dst=dst,
+                              category=category, phase=phase, kind=kind,
+                              msg_id=msg.msg_id, reason="receiver_failed",
+                              **_ctags(msg))
+                if on_dropped is not None:
+                    on_dropped(msg, "receiver_failed")
+            return
+        if tel is not None:
+            now = net.sim.now
+            for msg in group:
+                tel.emit_span("net.transit", self.sent_at, now,
+                              src=src, server=dst, category=category,
+                              phase=phase, kind=kind, msg_id=msg.msg_id,
+                              bytes=msg.size_bytes, **_ctags(msg))
+        svc = net._service.get(dst)
+        handler = self.on_delivery
+        if handler is None and kind:
+            if svc is None:
+                batch_handler = net._kind_batch_handlers.get(kind)
+                if batch_handler is not None:
+                    net._invoke(batch_handler, group, first, len(group))
+                    return
+            handler = net._kind_handlers.get(kind)
+        if handler is None:
+            handler = net._handlers.get(dst)
+        if handler is None:
+            return
+        if svc is None:
+            for msg in group:
+                net._invoke(handler, msg, msg, 1, msg.trace)
+            return
+
+        def run(m: Message, ctx: Optional[TraceContext]) -> None:
+            net._invoke(handler, m, m, 1, ctx)
+
+        on_rejected = self.on_rejected
+        for msg in group:
+            if svc.offer(msg, run, on_dropped):
+                continue
+            # Shed: the service queue is full. Terminal for this message;
+            # a sender that asked for notification hears back explicitly.
+            net.shed += 1
+            if tel is not None:
+                tel.event("net.shed", src=src, dst=dst, category=category,
+                          phase=phase, kind=kind, msg_id=msg.msg_id,
+                          depth=svc.depth, **_ctags(msg))
+            if on_rejected is not None:
+                net.metrics.count_message(
+                    category, svc.config.reject_bytes,
+                    server=src, phase="reject",
+                )
+                back = net.delay_space.latency(dst, src) + net.processing_delay
+                net.sim.schedule(
+                    back, lambda m=msg: on_rejected(m),
+                    None if net._profiler is None else "net.reject",
+                )
+            if on_dropped is not None:
+                on_dropped(msg, "shed")
 
 
 class Network:
@@ -426,7 +521,6 @@ class Network:
     def latency(self, a: int, b: int) -> float:
         return self.delay_space.latency(a, b)
 
-    @_send_frame
     def send(
         self,
         src: int,
@@ -463,17 +557,21 @@ class Network:
         execution the receiver finds the hop's context in
         :attr:`delivery_trace` to fork for downstream sends.
         """
-        msg = Message(src=src, dst=dst, category=category,
-                      size_bytes=int(size_bytes), payload=payload,
-                      msg_id=next(self._msg_counter), kind=kind,
-                      trace=trace)
-        if self._admit(msg, phase, on_dropped):
-            self._schedule_delivery(
-                [msg], phase, on_dropped, on_delivery, on_rejected
-            )
-        return msg
+        prof = self._profiler
+        if prof is not None:
+            prof.enter("net.send")
+        try:
+            msg = Message(src, dst, category, int(size_bytes), payload,
+                          next(self._msg_counter), kind, trace)
+            if self._admit(msg, phase, on_dropped):
+                self._schedule_delivery(
+                    [msg], phase, on_dropped, on_delivery, on_rejected
+                )
+            return msg
+        finally:
+            if prof is not None:
+                prof.exit()
 
-    @_send_frame
     def send_many(
         self,
         src: int,
@@ -499,22 +597,28 @@ class Network:
         ``on_delivery``/``on_rejected`` hooks are not supported here —
         use :meth:`send` for those.
         """
-        counter = self._msg_counter
-        msgs = [
-            Message(src=src, dst=dst, category=category,
-                    size_bytes=int(size_bytes), payload=payload,
-                    msg_id=next(counter), kind=kind, trace=trace)
-            for dst, size_bytes, payload, kind, trace in requests
-        ]
-        groups: Dict[Tuple[int, str], list] = {}
-        for msg in msgs:
-            group = groups.setdefault((msg.dst, msg.kind), [])
-            if self._admit(msg, phase, on_dropped):
-                group.append(msg)
-        for group in groups.values():
-            if group:
-                self._schedule_delivery(group, phase, on_dropped)
-        return msgs
+        prof = self._profiler
+        if prof is not None:
+            prof.enter("net.send")
+        try:
+            counter = self._msg_counter
+            msgs = [
+                Message(src, dst, category, int(size_bytes), payload,
+                        next(counter), kind, trace)
+                for dst, size_bytes, payload, kind, trace in requests
+            ]
+            groups: Dict[Tuple[int, str], list] = {}
+            for msg in msgs:
+                group = groups.setdefault((msg.dst, msg.kind), [])
+                if self._admit(msg, phase, on_dropped):
+                    group.append(msg)
+            for group in groups.values():
+                if group:
+                    self._schedule_delivery(group, phase, on_dropped)
+            return msgs
+        finally:
+            if prof is not None:
+                prof.exit()
 
     def _admit(
         self,
@@ -572,83 +676,17 @@ class Network:
     ) -> None:
         """Schedule the arrival of *group*: admitted messages of one call
         sharing source, destination, kind and category (one message for
-        :meth:`send`). Arrival-time disposition lives in ``deliver``."""
+        :meth:`send`). Arrival-time disposition is :class:`_Delivery`."""
         first = group[0]
-        src, dst, kind, category = first.src, first.dst, first.kind, first.category
-        sent_at = self.sim.now
-
-        def deliver() -> None:
-            tel = self.telemetry
-            if dst in self._failed:
-                for msg in group:
-                    self.dropped += 1
-                    if tel is not None:
-                        tel.event("net.drop", src=src, dst=dst,
-                                  category=category, phase=phase, kind=kind,
-                                  msg_id=msg.msg_id, reason="receiver_failed",
-                                  **_ctags(msg))
-                    if on_dropped is not None:
-                        on_dropped(msg, "receiver_failed")
-                return
-            if tel is not None:
-                now = self.sim.now
-                for msg in group:
-                    tel.emit_span("net.transit", sent_at, now,
-                                  src=src, server=dst, category=category,
-                                  phase=phase, kind=kind, msg_id=msg.msg_id,
-                                  bytes=msg.size_bytes, **_ctags(msg))
-            svc = self._service.get(dst)
-            handler = on_delivery
-            if handler is None and kind:
-                if svc is None:
-                    batch_handler = self._kind_batch_handlers.get(kind)
-                    if batch_handler is not None:
-                        self._invoke(batch_handler, group, first, len(group))
-                        return
-                handler = self._kind_handlers.get(kind)
-            if handler is None:
-                handler = self._handlers.get(dst)
-            if handler is None:
-                return
-            if svc is None:
-                for msg in group:
-                    self._invoke(handler, msg, msg, 1, msg.trace)
-                return
-
-            def run(m: Message, ctx: Optional[TraceContext]) -> None:
-                self._invoke(handler, m, m, 1, ctx)
-
-            for msg in group:
-                if svc.offer(msg, run, on_dropped):
-                    continue
-                # Shed: the service queue is full. Terminal for this message;
-                # a sender that asked for notification hears back explicitly.
-                self.shed += 1
-                if tel is not None:
-                    tel.event("net.shed", src=src, dst=dst, category=category,
-                              phase=phase, kind=kind, msg_id=msg.msg_id,
-                              depth=svc.depth, **_ctags(msg))
-                if on_rejected is not None:
-                    self.metrics.count_message(
-                        category, svc.config.reject_bytes,
-                        server=src, phase="reject",
-                    )
-                    back = self.delay_space.latency(dst, src) + self.processing_delay
-                    self.sim.schedule(
-                        back, lambda m=msg: on_rejected(m),
-                        None if self._profiler is None else "net.reject",
-                    )
-                if on_dropped is not None:
-                    on_dropped(msg, "shed")
-
         # The event label names the delivery frame by message kind so
         # the profiler's call-path tree splits dispatch time per
         # protocol; computed only under a profiler (None otherwise).
         self.sim.schedule(
-            self.delay_space.latency(src, dst) + self.processing_delay,
-            deliver,
+            self.delay_space.latency(first.src, first.dst)
+            + self.processing_delay,
+            _Delivery(self, group, phase, on_dropped, on_delivery, on_rejected),
             None if self._profiler is None
-            else "net.deliver:" + (kind or category),
+            else "net.deliver:" + (first.kind or first.category),
         )
 
     def counters(self) -> Dict[str, int]:

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Set
 from ..net.transport import Message, Network
 from ..query.query import Query
 from ..records.store import RecordStore
-from ..sim.engine import Simulator
+from ..sim.engine import Event, Simulator
 from ..sim.metrics import QUERY
 from ..summaries.config import SummaryConfig
 from ..telemetry.core import Telemetry
@@ -113,6 +113,195 @@ class QueryOutcome:
         return out
 
 
+class _Contact:
+    """One client contact with one node: its attempts, timer and outcome.
+
+    The record's bound methods are the network and timer callbacks, so a
+    contact allocates no closures. It refers to its execution; only
+    in-flight messages and its own pending timer refer to it, and it
+    lets go of that timer whenever the timer is spent, so the record is
+    freed by reference count. *owner* is ``None`` for a server contact;
+    for the hop to a guest owner's own node it is that owner.
+    """
+
+    __slots__ = (
+        "ex", "node", "mode", "owner", "ctx",
+        "replied", "attempts", "first_at", "timer",
+    )
+
+    def __init__(
+        self, ex: "QueryExecution", node: int, mode: str,
+        owner: Optional[AttachedOwner], ctx: Optional[TraceContext],
+    ):
+        self.ex = ex
+        self.node = node
+        self.mode = mode
+        self.owner = owner
+        #: spans every attempt at this node
+        self.ctx = ctx
+        self.replied = False
+        self.attempts = 0
+        self.first_at: Optional[float] = None
+        self.timer: Optional[Event] = None
+
+    def _subject(self) -> str:
+        kind = "server" if self.owner is None else "owner node"
+        return f"{kind} {self.node}"
+
+    def attempt(self) -> None:
+        ex = self.ex
+        self.attempts += 1
+        if self.first_at is None:
+            self.first_at = ex.sim.now
+        msg_ctx = ex._fork(self.ctx)
+        if ex._observed:
+            ex._trace(
+                "send", self._subject(),
+                f"mode={self.mode} try={self.attempts}",
+            )
+        size = ex.query.size_bytes
+        ex.outcome.query_bytes += size
+        ex.outcome.query_messages += 1
+        ex.network.send(
+            ex.client_node,
+            self.node,
+            QUERY,
+            size,
+            payload=ex.query,
+            on_delivery=self.arrived,
+            phase="forward",
+            kind="query",
+            on_rejected=self.rejected,
+            trace=msg_ctx,
+        )
+        self.timer = ex.sim.schedule(ex.timeout, self.expire, "query.timeout")
+
+    def retry(self) -> None:
+        """Backoff elapsed; re-attempt unless a late reply got in first."""
+        if not self.replied:
+            self.attempt()
+
+    def _disarm(self) -> None:
+        # Don't let dead timers drag the clock forward.
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+
+    def expire(self) -> None:
+        # A fired event keeps its callback, a bound method of this
+        # record: let go of it (unless a later attempt already re-armed).
+        timer = self.timer
+        if timer is not None and timer.fired:
+            self.timer = None
+        if not self.replied:
+            self._retry_or_give_up("timeout")
+
+    def rejected(self, msg: Message) -> None:
+        # The node load-shed this attempt and said so: back off and
+        # retry (the timeout timer for the dead attempt is cancelled).
+        if self.replied:
+            return
+        ex = self.ex
+        ex.outcome.rejections += 1
+        self._disarm()
+        # The reject notice parents to the shed attempt's message
+        # context, so the tree shows which attempt bounced.
+        ex._trace("rejected", self._subject(), ctx=ex._fork(msg.trace))
+        self._retry_or_give_up("shed")
+
+    def _retry_or_give_up(self, terminal: str) -> None:
+        ex = self.ex
+        if self.attempts <= ex.retries:
+            ex._trace("retry", self._subject(), ctx=ex._fork(self.ctx))
+            delay = ex._retry_delay(self.attempts + 1)
+            if delay > 0:
+                ex.sim.schedule(delay, self.retry, "query.retry")
+            else:
+                self.attempt()
+            return
+        self.replied = True
+        if terminal == "shed":
+            ex.outcome.shed_servers.add(self.node)
+        else:
+            ex.outcome.timed_out_servers.add(self.node)
+        ex._trace(terminal, self._subject(), ctx=ex._fork(self.ctx))
+        self._close(terminal)
+        ex._finish_one()
+
+    def arrived(self, msg: Message) -> None:
+        """The query reached the node: answer it and respond."""
+        ex = self.ex
+        node = self.node
+        owner = self.owner
+        if owner is None:
+            server = ex._get_server(node)
+            if server is None:
+                return  # silent; the client-side timeout reclaims the slot
+        dctx = ex.network.delivery_trace
+        first_arrival = node not in ex.outcome.arrivals
+        if first_arrival:
+            ex.outcome.arrivals[node] = ex.sim.now
+        if ex._observed:
+            # Only the first arrival is a causal-tree leaf; a duplicate
+            # delivery (retry after a lost response) must not mint a
+            # later ``query.arrive`` or the critical path would
+            # overshoot the reported latency.
+            ex._trace(
+                "arrive", self._subject(),
+                ctx=ex._fork(dctx) if first_arrival else None,
+            )
+        if owner is None:
+            decision = ex._decide(server, self.mode, dctx)
+            size, kind = decision.response_size_bytes, "query-response"
+        else:
+            ex._record_owner_answer(owner, node, ex.sim.now, dctx)
+            decision, size, kind = None, _ACK_BYTES, "query-ack"
+        ex.outcome.query_bytes += size
+        ex.outcome.query_messages += 1
+        ex.network.send(
+            node,
+            ex.client_node,
+            QUERY,
+            size,
+            payload=decision,
+            on_delivery=self.answered,
+            phase="response",
+            kind=kind,
+            trace=ex._fork(dctx),
+        )
+
+    def answered(self, msg: Message) -> None:
+        """The node's response (redirects, or an owner's ack) came back."""
+        # A duplicate (slow first response racing a retry's) must not
+        # double-close the contact slot.
+        if self.replied:
+            return
+        self.replied = True
+        self._disarm()
+        ex = self.ex
+        # Context of the response delivery: redirected contacts fork from
+        # it, so the tree shows match -> response transit -> new contact.
+        dctx = ex.network.delivery_trace
+        self._close()
+        if self.owner is None:
+            ex._follow(msg.payload, dctx)
+        ex._finish_one()
+
+    def _close(self, terminal: str = "") -> None:
+        """Emit the ``query.contact`` span covering every attempt."""
+        tel = self.ex._telemetry
+        if tel is None or self.ctx is None:
+            return
+        tags = self.ctx.tags()
+        tags.update(server=self.node, mode=self.mode)
+        if self.owner is not None:
+            tags["owner"] = self.owner.owner_id
+        tags["attempts"] = self.attempts
+        if terminal:
+            tags["terminal"] = terminal
+        tel.emit_span("query.contact", self.first_at, self.ex.sim.now, **tags)
+
+
 class QueryExecution:
     """One client's interaction for one query."""
 
@@ -165,6 +354,9 @@ class QueryExecution:
         self.first_k = first_k
         self._tracing = trace
         self._telemetry = telemetry
+        #: whether anything records ``_trace`` calls; the per-message
+        #: call sites skip formatting their arguments when nothing does
+        self._observed = trace or telemetry is not None
         #: causal parent the root context forks from (a widening search
         #: passes its umbrella context so all rounds share one trace)
         self._trace_parent = trace_parent
@@ -194,13 +386,9 @@ class QueryExecution:
                 **(ctx.tags() if ctx is not None else {}),
             )
 
-    def _fork(
-        self, ctx: Optional[TraceContext], **baggage
-    ) -> Optional[TraceContext]:
+    def _fork(self, ctx: Optional[TraceContext]) -> Optional[TraceContext]:
         tel = self._telemetry
-        if tel is None:
-            return None
-        return tel.fork(ctx, **baggage)
+        return tel.fork(ctx) if tel is not None else None
 
     # -- driving ----------------------------------------------------------------
     #: entry modes for the first contacted server: ``"start"`` fans out
@@ -225,7 +413,7 @@ class QueryExecution:
         if self._root_ctx is not None:
             self.outcome.trace_id = self._root_ctx.trace_id
             self.outcome.root_span_id = self._root_ctx.span_id
-        self._contact(self.outcome.start_server, mode=mode)
+        self._contact(self.outcome.start_server, mode, self._root_ctx)
         return self
 
     @property
@@ -242,10 +430,6 @@ class QueryExecution:
         return self.outcome
 
     # -- internals ----------------------------------------------------------------
-    def _account(self, size_bytes: int) -> None:
-        self.outcome.query_bytes += size_bytes
-        self.outcome.query_messages += 1
-
     def _retry_delay(self, next_attempt: int) -> float:
         """Exponential backoff before re-attempt *next_attempt* (>= 2)."""
         if next_attempt <= 1 or self.backoff_base <= 0:
@@ -254,106 +438,24 @@ class QueryExecution:
 
     def _contact(
         self,
-        server_id: int,
-        *,
+        node: int,
         mode: str,
-        parent_ctx: Optional[TraceContext] = None,
+        parent_ctx: Optional[TraceContext],
+        owner: Optional[AttachedOwner] = None,
     ) -> None:
-        if server_id in self._contacted:
+        """Open the one contact this query makes with *node*.
+
+        Server and guest-owner contacts ride the same retry policy: each
+        attempt arms a timeout, a lost query or lost response triggers
+        backoff and re-send, and after ``retries`` re-attempts the
+        client gives up and reports the node in ``timed_out_servers`` /
+        ``shed_servers`` — a silent node cannot strand the search.
+        """
+        if node in self._contacted:
             return
-        self._contacted.add(server_id)
+        self._contacted.add(node)
         self._outstanding += 1
-        # The contact context spans every attempt at this server; the
-        # first contact forks from the search root, a redirected contact
-        # from the delivery of the response that named this server.
-        ctx = self._fork(
-            parent_ctx if parent_ctx is not None else self._root_ctx
-        )
-        state = {"replied": False, "attempts": 0, "first_at": None}
-
-        def close_contact(terminal: str = "") -> None:
-            tel = self._telemetry
-            if tel is not None and ctx is not None:
-                tags = ctx.tags()
-                tags.update(
-                    server=server_id, mode=mode, attempts=state["attempts"]
-                )
-                if terminal:
-                    tags["terminal"] = terminal
-                tel.emit_span(
-                    "query.contact", state["first_at"], self.sim.now, **tags
-                )
-
-        def attempt() -> None:
-            state["attempts"] += 1
-            if state["first_at"] is None:
-                state["first_at"] = self.sim.now
-            msg_ctx = self._fork(ctx)
-            self._trace(
-                "send",
-                f"server {server_id}",
-                f"mode={mode} try={state['attempts']}",
-            )
-            self._account(self.query.size_bytes)
-            self.network.send(
-                self.client_node,
-                server_id,
-                QUERY,
-                self.query.size_bytes,
-                payload=self.query,
-                on_delivery=lambda msg: self._at_server(server_id, mode, state),
-                phase="forward",
-                kind="query",
-                on_rejected=rejected,
-                trace=msg_ctx,
-            )
-            state["timeout_event"] = self.sim.schedule(
-                self.timeout, expire, "query.timeout"
-            )
-
-        def retry_or_give_up(terminal: str) -> None:
-            if state["attempts"] <= self.retries:
-                self._trace("retry", f"server {server_id}", ctx=self._fork(ctx))
-                delay = self._retry_delay(state["attempts"] + 1)
-                if delay > 0:
-                    self.sim.schedule(delay, lambda: (
-                        attempt() if not state["replied"] else None
-                    ), "query.retry")
-                else:
-                    attempt()
-                return
-            state["replied"] = True
-            if terminal == "shed":
-                self.outcome.shed_servers.add(server_id)
-            else:
-                self.outcome.timed_out_servers.add(server_id)
-            self._trace(terminal, f"server {server_id}", ctx=self._fork(ctx))
-            close_contact(terminal)
-            self._finish_one()
-
-        def expire() -> None:
-            if state["replied"]:
-                return
-            retry_or_give_up("timeout")
-
-        def rejected(msg: Message) -> None:
-            # The server load-shed this attempt and said so: back off and
-            # retry (the timeout timer for the dead attempt is cancelled).
-            if state["replied"]:
-                return
-            self.outcome.rejections += 1
-            ev = state.get("timeout_event")
-            if ev is not None:
-                ev.cancel()
-            # The reject notice parents to the shed attempt's message
-            # context, so the tree shows which attempt bounced.
-            self._trace(
-                "rejected", f"server {server_id}", ctx=self._fork(msg.trace)
-            )
-            retry_or_give_up("shed")
-
-        state["close_contact"] = close_contact
-        attempt()
+        _Contact(self, node, mode, owner, self._fork(parent_ctx)).attempt()
 
     def _get_server(self, server_id: int) -> Optional[Server]:
         try:
@@ -362,51 +464,33 @@ class QueryExecution:
             return None
         return server if server.alive else None
 
-    def _at_server(self, server_id: int, mode: str, state: Dict) -> None:
-        server = self._get_server(server_id)
-        if server is None:
-            return  # silent; the client-side timeout reclaims the slot
-        dctx = self.network.delivery_trace
-        first_arrival = server_id not in self.outcome.arrivals
-        self.outcome.arrivals.setdefault(server_id, self.sim.now)
-        # Only the first arrival is a causal-tree leaf; a duplicate
-        # delivery (retry after a lost response) must not mint a later
-        # ``query.arrive`` or the critical path would overshoot the
-        # reported latency.
-        self._trace(
-            "arrive", f"server {server_id}",
-            ctx=self._fork(dctx) if first_arrival else None,
-        )
-        decide = {
-            "start": decide_start,
-            "descent": decide_descent,
-            "local": decide_local,
-        }[mode]
+    def _decide(
+        self, server: Server, mode: str, dctx: Optional[TraceContext]
+    ) -> RoutingDecision:
+        """*server* evaluates the query: where next, and which of its
+        owners may hold matches (answered or contacted on the spot)."""
+        # Looked up by name on every call: the routing functions are
+        # rebound by outside-in tracers.
+        if mode == "start":
+            decide = decide_start
+        elif mode == "descent":
+            decide = decide_descent
+        else:
+            decide = decide_local
         decision = decide(server, self.query, self.summary_config, self.sim.now)
         tel = self._telemetry
         if tel is not None:
             mctx = self._fork(dctx)
             tel.event(
-                "server.match", server=server_id, mode=mode,
+                "server.match", server=server.server_id, mode=mode,
                 redirects=len(decision.redirect_ids),
                 owner_hits=len(decision.owner_hits),
                 owners_only=len(decision.owners_only_ids),
                 **(mctx.tags() if mctx is not None else {}),
             )
         for owner in decision.owner_hits:
-            self._evaluate_owner(owner, server_id, dctx)
-        self._account(decision.response_size_bytes)
-        self.network.send(
-            server_id,
-            self.client_node,
-            QUERY,
-            decision.response_size_bytes,
-            payload=decision,
-            on_delivery=lambda msg: self._on_redirects(decision, state),
-            phase="response",
-            kind="query-response",
-            trace=self._fork(dctx),
-        )
+            self._evaluate_owner(owner, server.server_id, dctx)
+        return decision
 
     def _evaluate_owner(
         self,
@@ -427,7 +511,7 @@ class QueryExecution:
             and owner.node_id != server_id
         )
         if remote:
-            self._contact_owner_node(owner, ctx)
+            self._contact(owner.node_id, "owner", ctx, owner)
             return
         self._record_owner_answer(owner, server_id, self.sim.now, ctx)
 
@@ -466,182 +550,35 @@ class QueryExecution:
             false_positive=false_positive,
         )
         self.outcome.owner_hits.append(hit)
-        self._trace(
-            "owner", owner.owner_id, f"matches={hit.match_count}",
-            ctx=self._fork(ctx),
-        )
+        if self._observed:
+            self._trace(
+                "owner", owner.owner_id, f"matches={hit.match_count}",
+                ctx=self._fork(ctx),
+            )
 
-    def _contact_owner_node(
-        self,
-        owner: AttachedOwner,
-        parent_ctx: Optional[TraceContext] = None,
+    def _follow(
+        self, decision: RoutingDecision, dctx: Optional[TraceContext]
     ) -> None:
-        """Forward the query to a guest owner's own node.
-
-        The owner hop rides the same retry policy as server contacts:
-        each attempt arms a timeout, a lost query or lost ack triggers
-        backoff and re-send, and after ``retries`` re-attempts the
-        client gives up and reports the node in ``timed_out_servers`` —
-        so a lossy network can no longer strand the whole search on one
-        silent guest-owner leg.
-        """
-        node = owner.node_id
-        assert node is not None
-        if node in self._contacted:
+        """Contact the servers a response redirected the client to."""
+        if not (decision.redirect_ids or decision.owners_only_ids):
             return
-        self._contacted.add(node)
-        self._outstanding += 1
-        ctx = self._fork(parent_ctx)
-        state = {"replied": False, "attempts": 0, "first_at": None}
-
-        def close_contact(terminal: str = "") -> None:
-            tel = self._telemetry
-            if tel is not None and ctx is not None:
-                tags = ctx.tags()
-                tags.update(
-                    server=node, mode="owner", owner=owner.owner_id,
-                    attempts=state["attempts"],
-                )
-                if terminal:
-                    tags["terminal"] = terminal
-                tel.emit_span(
-                    "query.contact", state["first_at"], self.sim.now, **tags
-                )
-
-        def ack_delivered() -> None:
-            # A duplicate ack (slow first ack racing a retry's) must not
-            # double-close the contact slot.
-            if state["replied"]:
-                return
-            state["replied"] = True
-            ev = state.get("timeout_event")
-            if ev is not None:
-                ev.cancel()
-            close_contact()
-            self._finish_one()
-
-        def at_owner(msg: Message) -> None:
-            dctx = self.network.delivery_trace
-            first_arrival = node not in self.outcome.arrivals
-            self.outcome.arrivals.setdefault(node, self.sim.now)
-            tel = self._telemetry
-            if first_arrival and tel is not None:
-                actx = self._fork(dctx)
-                tel.event(
-                    "query.arrive", subject=f"owner node {node}", detail="",
-                    **(actx.tags() if actx is not None else {}),
-                )
-            self._record_owner_answer(owner, node, self.sim.now, dctx)
-            self._account(_ACK_BYTES)
-            self.network.send(
-                node,
-                self.client_node,
-                QUERY,
-                _ACK_BYTES,
-                on_delivery=lambda _msg: ack_delivered(),
-                phase="response",
-                kind="query-ack",
-                trace=self._fork(dctx),
-            )
-
-        def attempt() -> None:
-            state["attempts"] += 1
-            if state["first_at"] is None:
-                state["first_at"] = self.sim.now
-            msg_ctx = self._fork(ctx)
-            self._trace(
-                "send",
-                f"owner node {node}",
-                f"mode=owner try={state['attempts']}",
-            )
-            self._account(self.query.size_bytes)
-            self.network.send(
-                self.client_node,
-                node,
-                QUERY,
-                self.query.size_bytes,
-                payload=self.query,
-                on_delivery=at_owner,
-                phase="forward",
-                kind="query",
-                on_rejected=rejected,
-                trace=msg_ctx,
-            )
-            state["timeout_event"] = self.sim.schedule(
-                self.timeout, expire, "query.timeout"
-            )
-
-        def retry_or_give_up(terminal: str) -> None:
-            if state["attempts"] <= self.retries:
-                self._trace(
-                    "retry", f"owner node {node}", ctx=self._fork(ctx)
-                )
-                delay = self._retry_delay(state["attempts"] + 1)
-                if delay > 0:
-                    self.sim.schedule(delay, lambda: (
-                        attempt() if not state["replied"] else None
-                    ), "query.retry")
-                else:
-                    attempt()
-                return
-            state["replied"] = True
-            if terminal == "shed":
-                self.outcome.shed_servers.add(node)
-            else:
-                self.outcome.timed_out_servers.add(node)
-            self._trace(terminal, f"owner node {node}", ctx=self._fork(ctx))
-            close_contact(terminal)
-            self._finish_one()
-
-        def expire() -> None:
-            if state["replied"]:
-                return
-            retry_or_give_up("timeout")
-
-        def rejected(msg: Message) -> None:
-            if state["replied"]:
-                return
-            self.outcome.rejections += 1
-            ev = state.get("timeout_event")
-            if ev is not None:
-                ev.cancel()
-            self._trace(
-                "rejected", f"owner node {node}", ctx=self._fork(msg.trace)
-            )
-            retry_or_give_up("shed")
-
-        attempt()
-
-    def _on_redirects(self, decision: RoutingDecision, state: Dict) -> None:
-        if state["replied"]:
-            return
-        state["replied"] = True
-        ev = state.get("timeout_event")
-        if ev is not None:
-            ev.cancel()  # don't let dead timers drag the clock forward
-        # Context of the response delivery: redirected contacts fork from
-        # it, so the tree shows match -> response transit -> new contact.
-        dctx = self.network.delivery_trace
-        close_contact = state.get("close_contact")
-        if close_contact is not None:
-            close_contact()
-        if not self._satisfied():
-            if decision.redirect_ids or decision.owners_only_ids:
-                self._trace(
-                    "redirect",
-                    f"server {decision.server_id}",
-                    f"-> {decision.redirect_ids + decision.owners_only_ids}",
-                    ctx=self._fork(dctx),
-                )
-            for rid in decision.redirect_ids:
-                self._contact(rid, mode="descent", parent_ctx=dctx)
-            for rid in decision.owners_only_ids:
-                self._contact(rid, mode="local", parent_ctx=dctx)
-        elif decision.redirect_ids or decision.owners_only_ids:
+        if self._satisfied():
             self._trace("satisfied", f"server {decision.server_id}",
                         f"skipping {len(decision.redirect_ids)} redirects",
                         ctx=self._fork(dctx))
-        self._finish_one()
+            return
+        if self._observed:
+            self._trace(
+                "redirect",
+                f"server {decision.server_id}",
+                f"-> {decision.redirect_ids + decision.owners_only_ids}",
+                ctx=self._fork(dctx),
+            )
+        parent = dctx if dctx is not None else self._root_ctx
+        for rid in decision.redirect_ids:
+            self._contact(rid, "descent", parent)
+        for rid in decision.owners_only_ids:
+            self._contact(rid, "local", parent)
 
     def _satisfied(self) -> bool:
         return (
@@ -668,5 +605,8 @@ class QueryExecution:
                     servers=len(self.outcome.arrivals),
                     **self._root_ctx.tags(),
                 )
-            if self.on_complete is not None:
-                self.on_complete(self.outcome)
+            # Fires once, then is let go: the serving plane's hook closes
+            # over a handle that refers back to this execution.
+            on_complete, self.on_complete = self.on_complete, None
+            if on_complete is not None:
+                on_complete(self.outcome)

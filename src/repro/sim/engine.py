@@ -70,6 +70,9 @@ class Event:
         if self.cancelled or self.fired:
             return
         self.cancelled = True
+        # A tombstone may sit in its bucket for the whole delay (a 5 s
+        # query timeout, say); it must not pin the callback's owner.
+        self.fn = None
         # Keep the owning simulator's live-event counter exact so
         # ``Simulator.pending`` stays O(1); heap tombstones are counted
         # so the scheduler can compact them before they dominate.
@@ -199,15 +202,6 @@ class TimingWheel:
             self._cslot = slot
         return self._current[self._ci]
 
-    def pop(self) -> Event:
-        """Remove and return the next event (call :meth:`peek` first)."""
-        ev = self.peek()
-        if ev is None:
-            raise IndexError("pop from empty timing wheel")
-        self._ci += 1
-        self._len -= 1
-        return ev
-
 
 class Simulator:
     """Wheel-and-heap discrete-event scheduler with a virtual clock."""
@@ -323,7 +317,10 @@ class Simulator:
             if ev.cancelled:
                 self._heap_cancelled -= 1
         else:
-            self._wheel.pop()
+            # Step the wheel's drain cursor past it: ``_peek`` primed it.
+            wheel = self._wheel
+            wheel._ci += 1
+            wheel._len -= 1
 
     def _note_heap_cancel(self) -> None:
         """Count a heap tombstone; compact once they dominate the heap.

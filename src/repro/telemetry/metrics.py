@@ -15,26 +15,22 @@ store. It is the one metrics store of a run: ``Network.metrics`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .histogram import StreamingHistogram
 
 
-@dataclass(frozen=True, order=True)
-class MetricKey:
-    """Attribution key: which server, which traffic class, which step."""
+class MetricKey(NamedTuple):
+    """Attribution key: which server, which traffic class, which step.
+
+    A tuple, so the registry's tables are probed with the plain
+    ``(category, server, phase)`` triple a recording call already holds
+    and a key is minted once per distinct triple, not once per message.
+    """
 
     category: str
     server: Optional[int] = None
     phase: str = ""
-
-    def __post_init__(self) -> None:
-        # Order=True needs comparable fields; normalise server None -> -1
-        # only in sort helpers, not here, so keep server Optional but
-        # guard against accidental float ids.
-        if self.server is not None and not isinstance(self.server, int):
-            object.__setattr__(self, "server", int(self.server))
 
     def labels(self) -> Dict[str, str]:
         return {
@@ -42,6 +38,13 @@ class MetricKey:
             "server": "" if self.server is None else str(self.server),
             "phase": self.phase,
         }
+
+
+def _key(category: str, server: Optional[int], phase: str) -> MetricKey:
+    """The key a table stores; guards against accidental float ids."""
+    if server is not None and not isinstance(server, int):
+        server = int(server)
+    return MetricKey(category, server, phase)
 
 
 def _sort_key(key: MetricKey) -> Tuple:
@@ -52,8 +55,8 @@ class MetricsRegistry:
     """Counters, byte gauges and streaming histograms per metric key."""
 
     def __init__(self):
-        self._messages: Dict[MetricKey, int] = {}
-        self._bytes: Dict[MetricKey, int] = {}
+        #: key -> ``[messages, bytes]``
+        self._traffic: Dict[MetricKey, List[int]] = {}
         self._histograms: Dict[MetricKey, StreamingHistogram] = {}
 
     # -- recording ----------------------------------------------------------------
@@ -70,7 +73,7 @@ class MetricsRegistry:
         *phase* (``"forward"``, ``"aggregate"``, ``"heartbeat"``, ...)."""
         if size_bytes < 0:
             raise ValueError(f"negative message size: {size_bytes}")
-        self._add(MetricKey(category, server, phase), 1, size_bytes)
+        self._add(category, server, phase, 1, size_bytes)
 
     def uncount_message(
         self,
@@ -82,11 +85,17 @@ class MetricsRegistry:
     ) -> None:
         """Roll back one previously counted message (e.g. a send by an
         already-failed node whose bytes never hit the wire)."""
-        self._add(MetricKey(category, server, phase), -1, -size_bytes)
+        self._add(category, server, phase, -1, -size_bytes)
 
-    def _add(self, key: MetricKey, messages: int, size_bytes: int) -> None:
-        self._messages[key] = self._messages.get(key, 0) + messages
-        self._bytes[key] = self._bytes.get(key, 0) + size_bytes
+    def _add(
+        self, category: str, server: Optional[int], phase: str,
+        messages: int, size_bytes: int,
+    ) -> None:
+        cell = self._traffic.get((category, server, phase))
+        if cell is None:
+            cell = self._traffic.setdefault(_key(category, server, phase), [0, 0])
+        cell[0] += messages
+        cell[1] += size_bytes
 
     def observe(
         self,
@@ -97,26 +106,27 @@ class MetricsRegistry:
         phase: str = "",
     ) -> None:
         """Record one sample into the named streaming histogram."""
-        key = MetricKey(category=name, server=server, phase=phase)
-        hist = self._histograms.get(key)
+        hist = self._histograms.get((name, server, phase))
         if hist is None:
-            hist = self._histograms[key] = StreamingHistogram()
+            hist = self._histograms.setdefault(
+                _key(name, server, phase), StreamingHistogram()
+            )
         hist.record(value)
 
     # -- roll-ups ----------------------------------------------------------------
     def categories(self) -> List[str]:
-        cats = {k.category for k in self._messages}
+        cats = {k.category for k in self._traffic}
         return sorted(cats)
 
     def bytes_total(self, category: Optional[str] = None) -> int:
         return sum(
-            v for k, v in self._bytes.items()
+            byts for k, (_, byts) in self._traffic.items()
             if category is None or k.category == category
         )
 
     def messages_total(self, category: Optional[str] = None) -> int:
         return sum(
-            v for k, v in self._messages.items()
+            msgs for k, (msgs, _) in self._traffic.items()
             if category is None or k.category == category
         )
 
@@ -124,10 +134,9 @@ class MetricsRegistry:
         """(bytes per category, messages per category) as plain dicts."""
         by_bytes: Dict[str, int] = {}
         by_msgs: Dict[str, int] = {}
-        for k, v in self._bytes.items():
-            by_bytes[k.category] = by_bytes.get(k.category, 0) + v
-        for k, v in self._messages.items():
-            by_msgs[k.category] = by_msgs.get(k.category, 0) + v
+        for k, (msgs, byts) in self._traffic.items():
+            by_bytes[k.category] = by_bytes.get(k.category, 0) + byts
+            by_msgs[k.category] = by_msgs.get(k.category, 0) + msgs
         return by_bytes, by_msgs
 
     def per_server(
@@ -141,7 +150,7 @@ class MetricsRegistry:
         no server to charge.
         """
         out: Dict[int, Tuple[int, int]] = {}
-        for k in set(self._messages) | set(self._bytes):
+        for k, (key_msgs, key_bytes) in self._traffic.items():
             if k.server is None:
                 continue
             if category is not None and k.category != category:
@@ -149,10 +158,7 @@ class MetricsRegistry:
             if phase is not None and k.phase != phase:
                 continue
             msgs, byts = out.get(k.server, (0, 0))
-            out[k.server] = (
-                msgs + self._messages.get(k, 0),
-                byts + self._bytes.get(k, 0),
-            )
+            out[k.server] = (msgs + key_msgs, byts + key_bytes)
         # Fully rolled-back servers (e.g. only failed-sender messages)
         # carry no load.
         return {s: v for s, v in out.items() if v != (0, 0)}
@@ -164,9 +170,7 @@ class MetricsRegistry:
         server: Optional[int] = None,
         phase: str = "",
     ) -> Optional[StreamingHistogram]:
-        return self._histograms.get(
-            MetricKey(category=name, server=server, phase=phase)
-        )
+        return self._histograms.get(_key(name, server, phase))
 
     def merged_histogram(self, name: str) -> StreamingHistogram:
         """All servers' histograms for *name* folded into one."""
@@ -179,28 +183,26 @@ class MetricsRegistry:
     # -- lifecycle ----------------------------------------------------------------
     def reset(self, categories: Optional[Iterable[str]] = None) -> None:
         if categories is None:
-            self._messages.clear()
-            self._bytes.clear()
+            self._traffic.clear()
             self._histograms.clear()
             return
         drop = set(categories)
-        for table in (self._messages, self._bytes, self._histograms):
+        for table in (self._traffic, self._histograms):
             for k in [k for k in table if k.category in drop]:
                 del table[k]
 
     # -- snapshots ----------------------------------------------------------------
     def rows(self) -> List[Dict[str, object]]:
         """One plain-dict row per metric key, deterministically ordered."""
-        keys = sorted(set(self._messages) | set(self._bytes), key=_sort_key)
         return [
             {
                 "category": k.category,
                 "server": k.server,
                 "phase": k.phase,
-                "messages": self._messages.get(k, 0),
-                "bytes": self._bytes.get(k, 0),
+                "messages": self._traffic[k][0],
+                "bytes": self._traffic[k][1],
             }
-            for k in keys
+            for k in sorted(self._traffic, key=_sort_key)
         ]
 
     def snapshot(self) -> Dict[str, object]:

@@ -1,7 +1,11 @@
 """Tests for repro.experiments (drivers, runner, reporting)."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.experiments import runner
 from repro.experiments import (
     DEGREE_SWEEP,
     DIMENSION_SWEEP,
@@ -69,6 +73,29 @@ class TestRunner:
         avg = average_trials(SMOKE.with_(runs=2), measure_updates=False)
         assert "roads" in avg and "sword" in avg
         assert avg["roads"].mean_latency_s > 0
+
+
+    def test_trial_federations_are_freed_as_the_sweep_goes(self, monkeypatch):
+        # A federation is full of reference cycles, so dropping it frees
+        # nothing until the collector runs; a sweep's peak memory must be
+        # one trial's however rarely that happens on its own.
+        built, alive_when_next_built = [], []
+        build_roads = runner.build_roads
+
+        def recording(*args, **kwargs):
+            alive_when_next_built.append(sum(r() is not None for r in built))
+            system = build_roads(*args, **kwargs)
+            built.append(weakref.ref(system.hierarchy))
+            return system
+
+        monkeypatch.setattr(runner, "build_roads", recording)
+        gc.disable()
+        try:
+            average_trials(SMOKE.with_(runs=3), measure_updates=False)
+        finally:
+            gc.enable()
+        assert alive_when_next_built == [0, 0, 0]
+        assert all(r() is None for r in built)
 
 
 class TestFigureDrivers:

@@ -8,6 +8,7 @@ and answers matching queries directly (one extra hop for the client).
 import numpy as np
 import pytest
 
+from repro.net.transport import Message
 from repro.query import Query, RangePredicate
 from repro.roads import (
     DenyAllPolicy,
@@ -18,6 +19,7 @@ from repro.roads import (
     SearchRequest,
 )
 from repro.summaries import SummaryConfig
+from repro.telemetry import Telemetry
 from repro.workload import (
     WorkloadConfig,
     generate_node_stores,
@@ -30,8 +32,7 @@ from repro.records import RecordStore
 N = 16
 
 
-@pytest.fixture
-def setup():
+def build(telemetry=None):
     wcfg = WorkloadConfig(num_nodes=N, records_per_node=40, seed=31)
     stores = generate_node_stores(wcfg)
     schema = make_schema(wcfg)
@@ -51,8 +52,14 @@ def setup():
         cfg,
         stores,
         guests=[GuestOwner(store=guest_store, attach_to=5, owner_id="guest-co")],
+        telemetry=telemetry,
     )
     return wcfg, stores, guest_store, system
+
+
+@pytest.fixture
+def setup():
+    return build()
 
 
 class TestAttachment:
@@ -210,6 +217,117 @@ class TestOwnerRetry:
         # recorded idempotently: exactly one guest hit.
         hits = [h for h in outcome.owner_hits if h.owner_id == "guest-co"]
         assert len(hits) == 1
+
+
+class TestOneContactImplementation:
+    """Server contacts and the guest-owner hop are one retry state
+    machine: the same fault on either leg is handled identically."""
+
+    RETRY = RetryPolicy(timeout=0.5, retries=2, backoff_base=0.05)
+    #: the guest's attachment server / the guest's own node
+    TARGETS = {"server": 5, "owner": N}
+
+    #: fault -> what the client must record about the faulted contact
+    FAULTS = {
+        "lose_query_once": dict(attempts=2, rejections=0, terminal=""),
+        "lose_response_once": dict(attempts=2, rejections=0, terminal=""),
+        "reject_once": dict(attempts=2, rejections=1, terminal=""),
+        "late_response": dict(attempts=2, rejections=0, terminal=""),
+        "silent": dict(attempts=3, rejections=0, terminal="timeout"),
+        "always_shed": dict(attempts=3, rejections=3, terminal="shed"),
+    }
+
+    def _inject(self, system, target, fault):
+        """Apply *fault* to the client's exchange with node *target*."""
+        net, sim = system.network, system.sim
+        real_send = net.send
+        hits = []
+
+        def send(src, dst, category, size, **kwargs):
+            kind = kwargs.get("kind")
+            query = dst == target and kind == "query"
+            response = src == target and kind in ("query-response", "query-ack")
+            once = not hits
+            if query and (
+                fault in ("silent", "always_shed")
+                or (once and fault in ("lose_query_once", "reject_once"))
+            ):
+                hits.append(sim.now)
+                if fault in ("reject_once", "always_shed"):
+                    # The reject notice of a saturated node, without one.
+                    msg = Message(src, dst, category, size, kind=kind,
+                                  trace=kwargs.get("trace"))
+                    sim.schedule(0.01, lambda: kwargs["on_rejected"](msg))
+                return None
+            if response and once and fault == "lose_response_once":
+                hits.append(sim.now)
+                return None
+            if response and once and fault == "late_response":
+                # Overtaken by the retry's response: arrives as a duplicate.
+                hits.append(sim.now)
+                sim.schedule(
+                    2.0, lambda: real_send(src, dst, category, size, **kwargs)
+                )
+                return None
+            return real_send(src, dst, category, size, **kwargs)
+
+        net.send = send
+        return hits
+
+    def _observe(self, target, fault):
+        tel = Telemetry(capacity=100_000)
+        _, _, _, system = build(telemetry=tel)
+        hits = self._inject(system, target, fault)
+        done = []
+        pending = system.submit(
+            SearchRequest(
+                Query.of(RangePredicate("u0", 0.46, 0.54)),
+                client_node=0, retry=self.RETRY,
+            ),
+            on_complete=done.append,
+        )
+        system.sim.run(until=system.sim.now + 30)
+        assert hits and len(done) == 1 and system.sim.pending == 0
+        outcome = pending.result.outcome
+        spans = [
+            e.tags for e in tel.events()
+            if e.name == "query.contact" and e.tags["server"] == target
+        ]
+        assert len(spans) == 1  # closed exactly once, duplicates or not
+        return dict(
+            attempts=spans[0]["attempts"],
+            terminal=spans[0].get("terminal", ""),
+            rejections=outcome.rejections,
+            timed_out=target in outcome.timed_out_servers,
+            shed=target in outcome.shed_servers,
+            completed=outcome.completed,
+        )
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_same_fault_same_handling(self, fault):
+        want = dict(
+            self.FAULTS[fault],
+            timed_out=fault == "silent",
+            shed=fault == "always_shed",
+            completed=True,
+        )
+        for leg, target in self.TARGETS.items():
+            assert self._observe(target, fault) == want, leg
+
+    def test_contact_span_names_the_leg(self):
+        tel = Telemetry(capacity=100_000)
+        _, _, _, system = build(telemetry=tel)
+        system.search(
+            SearchRequest(
+                Query.of(RangePredicate("u0", 0.46, 0.54)), client_node=0
+            )
+        )
+        tags = {
+            e.tags["server"]: e.tags
+            for e in tel.events() if e.name == "query.contact"
+        }
+        assert tags[N]["mode"] == "owner" and tags[N]["owner"] == "guest-co"
+        assert tags[5]["mode"] in ("start", "descent") and "owner" not in tags[5]
 
 
 class TestStorageAccounting:

@@ -79,6 +79,55 @@ class TestDelaySpace:
             make_space(scale_ms=-1)
 
 
+class TestLatencyMemo:
+    """``latency`` memoises on the unordered pair; every float it hands
+    out is the one a never-memoised space computes."""
+
+    N = 64
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("jitter_ms", [5.0, 0.0])
+    def test_bit_identical_to_the_unmemoised_expression(self, seed, jitter_ms):
+        def space():
+            return DelaySpace(
+                self.N, np.random.default_rng(seed), jitter_ms=jitter_ms
+            )
+
+        memo, fresh = space(), space()
+        for a in range(self.N):
+            for b in range(self.N):
+                want = fresh.latency_ms(a, b) / 1000.0
+                assert memo.latency(a, b) == want  # cold or mirrored entry
+                assert memo.latency(b, a) == want
+                assert memo.latency(a, b) == want  # warm
+            assert memo.latency(a, a) == 0.0
+        assert not fresh._latency  # the reference never touched its memo
+
+    def test_bounds_checked_on_cold_and_warm_memo(self):
+        ds = make_space(4)
+        for _ in ("cold", "warm"):
+            for a, b in [(0, 4), (4, 0), (-1, 2), (2, -1), (4, 4)]:
+                with pytest.raises(IndexError):
+                    ds.latency(a, b)
+            assert ds.latency(0, 3) == ds.latency_ms(0, 3) / 1000.0
+
+    def test_inputs_of_the_memo_are_read_only(self):
+        ds = make_space(4)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.coordinates[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            ds._jitter[0, 1] = 0.5
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_nearest_unchanged(self, seed):
+        ds = DelaySpace(self.N, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 100)
+        for node in range(self.N):
+            cands = rng.choice(self.N, size=9, replace=False).tolist()
+            lats = [ds.latency_ms(node, c) for c in cands]
+            assert ds.nearest(node, cands) == cands[int(np.argmin(lats))]
+
+
 class TestNetwork:
     def _net(self):
         sim = Simulator()
@@ -305,6 +354,15 @@ class TestOneTransportPath:
         assert got == []
         assert net.metrics.rows() == []
         assert net.counters()["sent"] == 0 and sim.processed == 0
+
+    def test_message_is_a_slotted_value(self):
+        sim, ds, net = self._net()
+        msg = net.send(0, 1, QUERY, 64, payload="p", kind=BATCH)
+        assert not hasattr(msg, "__dict__")
+        assert (msg.src, msg.dst, msg.category, msg.size_bytes) == (0, 1, QUERY, 64)
+        assert (msg.payload, msg.msg_id, msg.kind, msg.trace) == ("p", 0, BATCH, None)
+        with pytest.raises(AttributeError):
+            msg.extra = 1
 
     def test_single_send_reaches_batch_handler(self):
         sim, ds, net = self._net()

@@ -1,5 +1,6 @@
 """Tests for repro.roads.system and client (the assembled ROADS system)."""
 
+import gc
 import hashlib
 
 import numpy as np
@@ -8,7 +9,14 @@ import pytest
 from repro.overlay import decide_descent, decide_start
 from repro.overlay.routing import decide_local
 from repro.query import Query, RangePredicate
-from repro.roads import DenyAllPolicy, RoadsConfig, RoadsSystem, SearchRequest
+from repro.net.transport import ServiceConfig
+from repro.roads import (
+    DenyAllPolicy,
+    RetryPolicy,
+    RoadsConfig,
+    RoadsSystem,
+    SearchRequest,
+)
 from repro.summaries import SummaryConfig
 from repro.workload import (
     WorkloadConfig,
@@ -290,3 +298,77 @@ class TestReadPathDeterminism:
                         (i, server.server_id, *decision(decide, server, q))
                     ).encode())
         assert digest.hexdigest()[:16] == PINNED_DECISIONS
+
+
+class TestNoCyclicGarbage:
+    """The read path makes no reference cycles: contacts, messages and
+    timers are freed by reference count, so what the cyclic collector
+    finds after a batch of searches does not grow with the batch."""
+
+    NODES, RECORDS, N = 48, 60, 6
+
+    #: regime -> (RoadsConfig extras, retry policy, service model)
+    REGIMES = {
+        "defaults": ({}, RetryPolicy(), None),
+        "loss_and_retries": (
+            {"loss_rate": 0.02},
+            RetryPolicy(timeout=0.5, retries=3, backoff_base=0.05),
+            None,
+        ),
+        "shedding": (
+            {},
+            RetryPolicy(timeout=0.5, retries=3, backoff_base=0.05),
+            ServiceConfig(service_time=0.05, queue_limit=0),
+        ),
+    }
+
+    def _unreachable_after(self, regime, searches):
+        extras, retry, service = self.REGIMES[regime]
+        wcfg = WorkloadConfig(
+            num_nodes=self.NODES, records_per_node=self.RECORDS, seed=5
+        )
+        system = RoadsSystem.build(
+            RoadsConfig(
+                num_nodes=self.NODES, records_per_node=self.RECORDS, seed=5,
+                **extras,
+            ),
+            generate_node_stores(wcfg),
+        )
+        if service is not None:
+            system.enable_service(service)
+        requests = [
+            SearchRequest(q, retry=retry)
+            for q in generate_queries(wcfg, num_queries=searches)
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            if service is None:
+                results = [system.search(r) for r in requests]
+            else:
+                # Concurrent, so servers saturate and shed with notices.
+                results = system.search_many(
+                    requests, arrivals=[0.001 * i for i in range(searches)]
+                )
+            # Let cancelled timers and late duplicates drain.
+            system.sim.run(until=system.sim.now + 30)
+            seen = {
+                "contacts": sum(r.outcome.servers_contacted for r in results),
+                "rejections": sum(r.outcome.rejections for r in results),
+                "lost": system.network.lost,
+            }
+            del results, requests
+            return gc.collect(), seen
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_garbage_does_not_grow_with_searches(self, regime):
+        few, _ = self._unreachable_after(regime, self.N)
+        many, seen = self._unreachable_after(regime, 4 * self.N)
+        assert seen["contacts"] > 4 * self.N  # searches fanned out
+        if regime == "loss_and_retries":
+            assert seen["lost"] > 0
+        if regime == "shedding":
+            assert seen["rejections"] > 0
+        assert many == few

@@ -1,5 +1,7 @@
 """Unit tests for repro.sim.engine."""
 
+import weakref
+
 import pytest
 
 from repro.sim import SimulationError, Simulator
@@ -221,6 +223,55 @@ class TestPendingCounter:
         assert fired == ["keep"]
         assert sim.pending == 0
         assert keep.fired and not drop.fired
+
+
+class TestCancelReleasesCallback:
+    """A cancelled event keeps its place in the structures until popped,
+    but not its callback (nor whatever the callback closes over)."""
+
+    class _Owner:
+        def callback(self):
+            raise AssertionError("a cancelled event fired")
+
+    #: delay inside the wheel horizon / beyond it (overflow heap)
+    WHEEL, HEAP = 5.0, 1e6
+
+    @pytest.mark.parametrize("delay", [WHEEL, HEAP])
+    def test_cancel_frees_the_callback_without_gc(self, delay):
+        sim = Simulator()
+        owner = self._Owner()
+        alive = weakref.ref(owner)
+        ev = sim.schedule(delay, owner.callback)
+        assert ev._in_heap == (delay == self.HEAP)
+        del owner
+        assert alive() is not None  # pinned by the pending event
+        ev.cancel()
+        # Freed by reference count: the tombstone is still scheduled.
+        assert alive() is None and ev.fn is None
+        assert sim.pending == 0
+        assert sim.run() == 0
+
+    def test_cancel_of_a_fired_event_is_still_a_noop(self):
+        sim = Simulator()
+        fired = []
+        ev = sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.run()
+        fn = ev.fn
+        ev.cancel()
+        assert ev.fired and not ev.cancelled and ev.fn is fn
+        assert fired == [1.0] and sim.pending == 0
+
+    def test_heap_tombstone_compaction_counts_unchanged(self):
+        sim = Simulator()
+        events = [sim.schedule(self.HEAP + i, lambda: None) for i in range(128)]
+        for ev in events[:64]:
+            ev.cancel()
+        # Exactly half dead: no compaction yet.
+        assert len(sim._queue) == 128 and sim._heap_cancelled == 64
+        events[64].cancel()
+        assert len(sim._queue) == 63 and sim._heap_cancelled == 0
+        assert sim.pending == 63
+        assert sim.run() == 63 and sim.pending == 0
 
 
 class TestPeriodicTask:
