@@ -1,6 +1,10 @@
-"""Benchmark observatory: perf artifacts, trajectory and regression gate.
+"""Benchmark observatory: simulated-fact artifacts and the regression gate.
 
-The subsystem behind ``python -m repro bench``:
+The subsystem behind ``python -m repro bench``. It records what the
+simulation *did* — rows, ``sim.*``/``rows.*`` metrics, shape verdicts,
+the event-census fingerprint, all exact per seed — and never how long
+the host took: host time has one instrument, ``perf/run.py`` with
+``BENCHMARK.json``.
 
 * :mod:`repro.bench.scenarios` — a registry wrapping the figure drivers
   behind a uniform ``run_scenario(RunPlan) -> BenchArtifact`` API;
@@ -9,11 +13,9 @@ The subsystem behind ``python -m repro bench``:
   scale's shard sweep;
 * :mod:`repro.bench.artifact` — the canonical ``BENCH_<scenario>.json``
   format (provenance stamp, paper-series rows, registry-derived
-  simulated metrics, wall-clock section profile);
+  simulated metrics, event-census fingerprint);
 * :mod:`repro.bench.compare` — tolerance-banded artifact diffing plus
-  paper-shape re-assertion (the CI regression sentinel);
-* :mod:`repro.bench.trajectory` — the append-only
-  ``BENCH_trajectory.json`` perf time series.
+  paper-shape re-assertion (the CI regression sentinel).
 """
 
 from .artifact import (
@@ -28,8 +30,6 @@ from .artifact import (
 )
 from .compare import (
     DEFAULT_TOLERANCE,
-    DEFAULT_WALL_TOLERANCE,
-    PROFILE_SHARE_FLOOR,
     ComparisonResult,
     MetricDelta,
     compare_artifacts,
@@ -57,14 +57,6 @@ from .scenarios import (
     scale_settings,
     scale_sweeps,
 )
-from .trajectory import (
-    TRAJECTORY_FILENAME,
-    TRAJECTORY_SCHEMA,
-    append_trajectory,
-    format_trajectory,
-    load_trajectory,
-    trajectory_row,
-)
 
 __all__ = [
     "BenchArtifact",
@@ -78,8 +70,6 @@ __all__ = [
     "ComparisonResult",
     "MetricDelta",
     "DEFAULT_TOLERANCE",
-    "DEFAULT_WALL_TOLERANCE",
-    "PROFILE_SHARE_FLOOR",
     "compare_artifacts",
     "format_comparison",
     "SWEEP_SCHEMA",
@@ -100,10 +90,4 @@ __all__ = [
     "run_scenario",
     "scale_settings",
     "scale_sweeps",
-    "TRAJECTORY_FILENAME",
-    "TRAJECTORY_SCHEMA",
-    "append_trajectory",
-    "format_trajectory",
-    "load_trajectory",
-    "trajectory_row",
 ]

@@ -5,9 +5,13 @@ comparison meaningful: the scenario and scale, the seed, a config
 fingerprint (hash of the fully-resolved
 :class:`~repro.experiments.config.ExperimentSettings`), and the git
 revision of the working tree. The payload carries the paper-series rows,
-a registry-derived simulated-metrics block, a wall-clock section profile
-and the flat ``metrics`` dict that ``repro bench compare`` /
-``trajectory`` consume.
+a registry-derived simulated-metrics block, the event-census fingerprint
+and the flat ``metrics`` dict that ``repro bench compare`` consumes.
+
+An artifact records what the simulation *did*, never how long the host
+took to do it: apart from the provenance stamp (``git_rev``,
+``created_unix``) every field is exact per seed. Host time is measured
+by ``perf/run.py`` alone.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from typing import Dict, List, Optional
 from ..experiments.config import ExperimentSettings
 
 #: artifact schema identifier; bump on incompatible layout changes
-SCHEMA = "roads.bench/1"
+SCHEMA = "roads.bench/2"
 
 _REQUIRED_KEYS = (
     "schema", "scenario", "scale", "seed", "git_rev",
     "config_fingerprint", "created_unix", "settings", "rows",
-    "metrics", "simulated", "wall", "shape",
+    "metrics", "simulated", "shape", "profile",
 )
 
 
@@ -68,7 +72,7 @@ def artifact_filename(scenario: str) -> str:
 
 @dataclass
 class BenchArtifact:
-    """One benchmark run: provenance + rows + metrics + wall profile."""
+    """One benchmark run: provenance + rows + metrics + event census."""
 
     scenario: str
     scale: str
@@ -79,22 +83,16 @@ class BenchArtifact:
     settings: Dict[str, object]
     #: the paper-series rows the scenario's driver produced
     rows: List[Dict[str, object]]
-    #: flat ``name -> float`` map; the compare/trajectory currency
+    #: flat ``name -> float`` map; the compare currency
     metrics: Dict[str, float]
     #: registry-derived block (latency percentiles, byte totals, shares)
     simulated: Dict[str, object]
-    #: wall-clock profile (sections, counters, totals, events/sec)
-    wall: Dict[str, object]
     #: paper-shape check outcome: {"failures": [...]}
     shape: Dict[str, object]
-    #: hierarchical profile summary: hotspot self-time shares and the
-    #: event-census fingerprint (empty for pre-profile artifacts)
-    profile: Dict[str, object] = None  # type: ignore[assignment]
+    #: the canonical run's event census: ``census_fingerprint`` plus
+    #: ``census_kinds`` (deliveries per message kind)
+    profile: Dict[str, object]
     schema: str = SCHEMA
-
-    def __post_init__(self) -> None:
-        if self.profile is None:
-            self.profile = {}
 
     @property
     def ok(self) -> bool:
@@ -103,9 +101,7 @@ class BenchArtifact:
     def to_dict(self) -> Dict[str, object]:
         doc = asdict(self)
         # Keep provenance keys first for readable diffs.
-        ordered = {k: doc[k] for k in _REQUIRED_KEYS}
-        ordered["profile"] = doc["profile"]
-        return ordered
+        return {k: doc[k] for k in _REQUIRED_KEYS}
 
     @classmethod
     def from_dict(cls, doc: Dict[str, object]) -> "BenchArtifact":
@@ -114,11 +110,7 @@ class BenchArtifact:
             raise ValueError(
                 "invalid bench artifact: " + "; ".join(problems)
             )
-        # ``profile`` is optional so pre-profiling-plane artifacts load.
-        return cls(
-            profile=doc.get("profile") or {},
-            **{k: doc[k] for k in _REQUIRED_KEYS},
-        )
+        return cls(**{k: doc[k] for k in _REQUIRED_KEYS})
 
 
 def validate_artifact(doc: Dict[str, object]) -> List[str]:
@@ -126,20 +118,23 @@ def validate_artifact(doc: Dict[str, object]) -> List[str]:
     problems: List[str] = []
     if not isinstance(doc, dict):
         return ["artifact is not a JSON object"]
+    if doc.get("schema") != SCHEMA:
+        # Checked before the keys: for an older layout the useful
+        # message is that the file is outdated, not which keys moved.
+        return [
+            f"schema {doc.get('schema')!r} != expected {SCHEMA!r}; "
+            "regenerate the baseline"
+        ]
     for key in _REQUIRED_KEYS:
         if key not in doc:
             problems.append(f"missing key {key!r}")
     if problems:
         return problems
-    if doc["schema"] != SCHEMA:
-        problems.append(
-            f"schema {doc['schema']!r} != expected {SCHEMA!r}"
-        )
     for key, typ in (
         ("scenario", str), ("scale", str), ("git_rev", str),
         ("config_fingerprint", str), ("seed", int),
         ("settings", dict), ("rows", list), ("metrics", dict),
-        ("simulated", dict), ("wall", dict), ("shape", dict),
+        ("simulated", dict), ("shape", dict), ("profile", dict),
     ):
         if not isinstance(doc[key], typ):
             problems.append(
@@ -156,10 +151,6 @@ def validate_artifact(doc: Dict[str, object]) -> List[str]:
             problems.append(f"non-numeric metrics: {sorted(bad)[:5]}")
     if isinstance(doc["shape"], dict) and "failures" not in doc["shape"]:
         problems.append("shape block missing 'failures'")
-    if "profile" in doc and not isinstance(doc["profile"], dict):
-        problems.append(
-            f"profile must be dict, got {type(doc['profile']).__name__}"
-        )
     return problems
 
 
@@ -186,7 +177,7 @@ def stamp(
     seed: int,
     settings: ExperimentSettings,
 ) -> Dict[str, object]:
-    """Provenance block shared by artifacts and trajectory rows."""
+    """Provenance block of an artifact."""
     return {
         "scenario": scenario,
         "scale": scale,

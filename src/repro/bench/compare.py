@@ -6,18 +6,13 @@ against a committed baseline:
 * **simulated metrics** (``sim.*``, ``rows.*``) are deterministic for a
   fixed seed, so they get a tight symmetric band (default 5%) — any
   drift means the system's behaviour changed;
-* **wall-clock metrics** (``wall.*``) are hardware-dependent and only
-  fail in the *regression* direction (slower sections, lower
-  events/sec), with a wide band (default 30%);
-* **hotspot shares** (``profile.share.*``, the hierarchical profiler's
-  self-time fractions) are host-speed independent ratios and fail only
-  when a section's share of total time *grows* beyond the wall band
-  plus an absolute floor (:data:`PROFILE_SHARE_FLOOR`), so tiny
-  sections can jitter but a genuine hot-path shift fails;
+* **answer-quality metrics** (``rows.quality_*``) ride the same band
+  but fail only in the *regression* direction, so a change that makes
+  answers strictly more accurate needs no baseline regeneration;
 * the **event-census fingerprint** (deliveries per message kind per
-  server) is deterministic per seed, so any mismatch between two
-  profiled artifacts is a hard failure — the dispatch mix changed, and
-  the baseline must be regenerated deliberately;
+  server) is deterministic per seed, so a mismatch — or a fingerprint
+  missing on either side — is a hard failure: the dispatch mix changed,
+  and the baseline must be regenerated deliberately;
 * the scenario's **paper-shape invariants** are re-asserted on the
   current rows (ROADS below SWORD on latency, ROADS update bytes flat in
   records/node, overlay root-share under the ceiling), so a run that
@@ -26,6 +21,11 @@ against a committed baseline:
 A config-fingerprint mismatch is a hard failure: metric deltas between
 different configurations are meaningless, and baselines must be
 regenerated deliberately.
+
+Nothing here reads a host clock or judges host time: every compared
+quantity is exact per seed, so a rerun of an unchanged tree reports
+every delta as ``+0.0%``. Host-time claims go through ``perf/run.py``
+and ``perf/agree.py``.
 """
 
 from __future__ import annotations
@@ -38,15 +38,6 @@ from .scenarios import SCENARIOS, _simulated_invariants
 
 #: symmetric band for deterministic simulated metrics
 DEFAULT_TOLERANCE = 0.05
-#: regression-only band for wall-clock metrics
-DEFAULT_WALL_TOLERANCE = 0.30
-
-#: absolute hotspot-share growth (in share points) always tolerated —
-#: keeps sub-percent sections from failing on timing jitter
-PROFILE_SHARE_FLOOR = 0.02
-
-#: wall metrics where *higher* is better (throughput rather than time)
-_HIGHER_IS_BETTER = frozenset({"wall.events_per_sec"})
 
 #: substrings of ``rows.quality_*`` metric names where *higher* is the
 #: good direction (accuracy); everything else counts misroutes, where
@@ -58,10 +49,10 @@ def _quality_regression_only(name: str) -> Optional[bool]:
     """Is *name* an answer-quality metric, and is higher better?
 
     Oracle verdict counts are deterministic per seed, but they gate in
-    the *regression* direction only (like ``wall.*``): a change that
-    makes answers strictly more accurate should not fail the bench and
-    force a baseline regeneration. Returns ``None`` for non-quality
-    metrics, else whether higher is the good direction.
+    the *regression* direction only: a change that makes answers
+    strictly more accurate should not fail the bench and force a
+    baseline regeneration. Returns ``None`` for non-quality metrics,
+    else whether higher is the good direction.
     """
     if not name.startswith("rows.quality_"):
         return None
@@ -88,9 +79,7 @@ class MetricDelta:
             "change": f"{self.rel_change:+.1%}",
             "band": (
                 f"+{self.tolerance:.0%}"
-                if self.name.startswith(
-                    ("wall.", "profile.share.", "rows.quality_")
-                )
+                if self.name.startswith("rows.quality_")
                 else f"±{self.tolerance:.0%}"
             ),
             "ok": "ok" if self.ok else "FAIL",
@@ -147,8 +136,6 @@ def compare_artifacts(
     baseline: BenchArtifact,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    wall_tolerance: float = DEFAULT_WALL_TOLERANCE,
-    include_wall: bool = True,
 ) -> ComparisonResult:
     """Diff *current* against *baseline*; see the module docstring."""
     result = ComparisonResult(scenario=current.scenario)
@@ -172,50 +159,38 @@ def compare_artifacts(
     for name in sorted(baseline.metrics):
         base_val = float(baseline.metrics[name])
         if name not in current.metrics:
-            if name.startswith("wall.") and not include_wall:
-                continue
             result.failures.append(f"metric {name} missing from current run")
             continue
         cur_val = float(current.metrics[name])
         rel = _rel_change(base_val, cur_val)
-        if name.startswith("profile.share."):
-            # Regression-only on the share of total self time: a
-            # section may shrink freely; growth fails past the wall
-            # band, but never within the absolute floor.
-            tol = wall_tolerance
-            grew = cur_val - base_val
-            ok = grew <= max(PROFILE_SHARE_FLOOR, tol * base_val)
-        elif name.startswith("wall."):
-            if not include_wall:
-                continue
-            tol = wall_tolerance
-            # Regression-only: slower sections / lower throughput fail.
-            bad = rel < -tol if name in _HIGHER_IS_BETTER else rel > tol
-            ok = not bad
-        elif _quality_regression_only(name) is not None:
-            tol = wall_tolerance
+        higher_is_better = _quality_regression_only(name)
+        if higher_is_better is None:
+            ok = abs(rel) <= tolerance
+        else:
             # Regression-only: less accurate answers / more misroutes
             # fail; strict accuracy improvements pass without a regen.
-            bad = (
-                rel < -tol if _quality_regression_only(name) else rel > tol
-            )
-            ok = not bad
-        else:
-            tol = tolerance
-            ok = abs(rel) <= tol
+            ok = rel >= -tolerance if higher_is_better else rel <= tolerance
         result.deltas.append(
             MetricDelta(
                 name=name, baseline=base_val, current=cur_val,
-                rel_change=rel, tolerance=tol, ok=ok,
+                rel_change=rel, tolerance=tolerance, ok=ok,
             )
         )
 
-    # The event census is deterministic per seed: two profiled runs of
-    # the same configuration must deliver the same messages to the same
-    # servers. A mismatch means the dispatch mix itself changed.
-    fp_cur = (current.profile or {}).get("census_fingerprint")
-    fp_base = (baseline.profile or {}).get("census_fingerprint")
-    if fp_cur and fp_base and fp_cur != fp_base:
+    # The event census is deterministic per seed: two runs of the same
+    # configuration must deliver the same messages to the same servers.
+    # A mismatch means the dispatch mix itself changed; an absent
+    # fingerprint means the check cannot be made, which is a failure
+    # too, never a pass.
+    fp_cur = current.profile.get("census_fingerprint")
+    fp_base = baseline.profile.get("census_fingerprint")
+    if not fp_cur or not fp_base:
+        result.failures.append(
+            "profile census fingerprint missing "
+            f"(current={fp_cur!r} baseline={fp_base!r}); "
+            "regenerate the artifact"
+        )
+    elif fp_cur != fp_base:
         result.failures.append(
             "profile census fingerprint mismatch "
             f"(current={fp_cur} baseline={fp_base}); the event mix "

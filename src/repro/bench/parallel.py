@@ -13,15 +13,15 @@ order, so a pooled run merges to the same document as a serial one):
   built and measured in its own process with a seed derived from the
   shard index.
 
-Wall-clock fields are inherently host- and load-dependent, so
-:func:`comparable_dict` gives the volatile-free view of an artifact
-that determinism checks (N-worker == serial modulo wall rows) compare.
+An artifact holds no host measurement, so the one field that differs
+between two runs of a plan is the stamp's ``created_unix``;
+:func:`comparable_dict` drops it, and determinism checks (N-worker ==
+serial) compare what is left with ``==``.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -30,9 +30,6 @@ from .artifact import BenchArtifact
 
 #: schema identifier of the merged sweep document
 SWEEP_SCHEMA = "roads.bench.sweep/1"
-
-#: metric namespaces that measure the host, not the simulation
-_VOLATILE_METRIC_PREFIXES = ("wall.", "profile.share.")
 
 
 def default_workers() -> int:
@@ -66,8 +63,7 @@ def run_plans(plans: Iterable, *, workers: Optional[int] = None) -> List[BenchAr
     With ``workers`` > 1 (or ``0`` = one per core) plans run in a
     process pool; each worker executes :func:`~repro.bench.scenarios.
     run_scenario` on its plan. Ordering, seeding and artifact content
-    are identical to the serial path — only the ``wall``/``profile
-    share`` blocks (host measurements) differ run to run.
+    are identical to the serial path.
     """
     from .scenarios import RunPlan, run_scenario
 
@@ -90,29 +86,14 @@ def seed_sweep(plan, seeds: Sequence[int]) -> List:
 
 
 def comparable_dict(artifact) -> Dict[str, object]:
-    """Artifact view with every volatile (wall-clock) field stripped.
+    """Artifact view without the stamp's ``created_unix``.
 
     Two runs of the same plan — serial or pooled, on any host — must
     agree exactly on this view; it is the currency of the determinism
     tripwires and of :func:`merge_artifacts`.
     """
     doc = artifact.to_dict() if isinstance(artifact, BenchArtifact) else dict(artifact)
-    doc = dict(doc)
     doc.pop("created_unix", None)
-    doc["wall"] = {}
-    doc["metrics"] = {
-        k: v
-        for k, v in doc["metrics"].items()
-        if not k.startswith(_VOLATILE_METRIC_PREFIXES)
-    }
-    profile = dict(doc.get("profile") or {})
-    profile.pop("total_seconds", None)
-    profile.pop("hotspot_shares", None)
-    doc["profile"] = profile
-    doc["rows"] = [
-        {k: v for k, v in row.items() if not str(k).startswith("wall_")}
-        for row in doc["rows"]
-    ]
     return doc
 
 
@@ -123,7 +104,7 @@ def merge_artifacts(artifacts: Iterable[BenchArtifact]) -> Dict[str, object]:
     order — and reduced to their :func:`comparable_dict` views, so the
     merged document is byte-identical however the sweep was scheduled.
     The top-level ``metrics`` block is the cross-run mean of each
-    deterministic metric.
+    metric.
     """
     arts = sorted(artifacts, key=lambda a: (a.scenario, a.scale, a.seed))
     if not arts:
@@ -155,7 +136,6 @@ def _shard_worker(task) -> Dict[str, object]:
     from ..experiments.runner import build_roads, build_workload, trial_queries
     from ..roads.search import SearchRequest
 
-    t0 = time.perf_counter()
     wcfg, stores = build_workload(settings, settings.seed)
     system = build_roads(settings, stores, settings.seed)
     # ``build`` already drove one summary epoch through the message
@@ -182,7 +162,6 @@ def _shard_worker(task) -> Dict[str, object]:
         "update_bytes_epoch": int(report.total_bytes),
         "update_messages_epoch": int(report.total_messages),
         "storage_bytes_mean": sum(storage.values()) / max(1, len(storage)),
-        "wall_seconds": time.perf_counter() - t0,
     }
 
 

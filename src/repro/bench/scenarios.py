@@ -3,9 +3,8 @@
 Wraps the existing figure drivers (:mod:`repro.experiments.figures`) and
 the instrumented overlay/load scenario behind one API. The canonical
 input is a :class:`RunPlan` — one frozen object carrying the scenario,
-scale, seed, sweep overrides, profiling switches and parallelism — that
-:func:`run_scenario`, :func:`profile_scenario` and the process-pool
-runner (:mod:`repro.bench.parallel`) all accept.
+scale, seed, sweep overrides and parallelism — that :func:`run_scenario`
+and the process-pool runner (:mod:`repro.bench.parallel`) accept.
 
 Every run:
 
@@ -16,12 +15,14 @@ Every run:
   p50/p95/p99 from the registry's streaming histograms, query/update
   byte totals, the per-server load distribution and the root-load share,
 * threads a :class:`~repro.telemetry.profiling.CallPathProfiler` through
-  the sim engine, transport, aggregation and query path for the
-  wall-clock hot-path map plus events-processed-per-second,
+  that canonical run for its event census (deliveries per message kind
+  per server), whose fingerprint pins the dispatch mix,
 * re-checks the scenario's paper-shape validators,
 
 and returns a provenance-stamped :class:`~repro.bench.artifact.
-BenchArtifact` ready for ``BENCH_<scenario>.json``.
+BenchArtifact` ready for ``BENCH_<scenario>.json``. Nothing here reads
+a host clock: the artifact is exact per seed, and the profiler's timings
+are only ever shown by ``repro profile`` (:func:`profile_scenario`).
 
 Scales: ``smoke`` (unit-test sized), ``quick`` (CI-sized, the
 EXPERIMENTS.md default), ``paper`` (full Section V) and ``stress`` (a
@@ -33,7 +34,6 @@ environment variable.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -70,12 +70,7 @@ from ..experiments.qualitybench import (
     quality_plane_rows,
     validate_quality_plane,
 )
-from ..experiments.seriesbench import (
-    series_overhead_rows,
-    validate_series_overhead,
-)
 from ..experiments.table1 import analytical_rows, measured_rows
-from ..experiments.tracedive import trace_deep_dive_rows, validate_trace_dive
 from ..experiments.validation import (
     validate_fig3,
     validate_fig4,
@@ -84,7 +79,7 @@ from ..experiments.validation import (
     validate_fig11,
     validate_load_plane,
 )
-from ..telemetry.profiling import CallPathProfiler, hotspot_shares
+from ..telemetry.profiling import CallPathProfiler
 from .artifact import BenchArtifact, SCHEMA, stamp
 
 #: allowed benchmark scales, smallest first
@@ -347,19 +342,6 @@ SCENARIOS: Dict[str, Scenario] = {
             validate_load_plane,
         ),
         Scenario(
-            "trace_deep_dive",
-            "Causal tracing: critical-path fidelity and wall overhead",
-            lambda s, sw: trace_deep_dive_rows(s),
-            validate_trace_dive,
-        ),
-        Scenario(
-            "series_overhead",
-            "Time-series plane: sampling overhead, zero perturbation, "
-            "SLO-triggered postmortems",
-            lambda s, sw: series_overhead_rows(s),
-            validate_series_overhead,
-        ),
-        Scenario(
             "quality_plane",
             "Shadow-oracle quality: update-bytes vs false-positive "
             "frontier, per-summary attribution, zero perturbation",
@@ -388,27 +370,19 @@ class RunPlan:
     """Canonical, frozen description of one benchmark run.
 
     One object carries everything a run needs — scenario, scale, seed,
-    sweep overrides, profiling switches and parallelism — so
-    :func:`run_scenario`, :func:`profile_scenario` and the process-pool
-    runner (:mod:`repro.bench.parallel`) share a single input type and a
-    plan can be pickled to a worker process or replayed verbatim.
+    sweep overrides and parallelism — so :func:`run_scenario` and the
+    process-pool runner (:mod:`repro.bench.parallel`) share a single
+    input type and a plan can be pickled to a worker process or
+    replayed verbatim.
     Derive variants with :meth:`with_` (``plan.with_(seed=7)``).
     """
 
     scenario: str
     scale: str = "quick"
     seed: int = 1
-    #: thread the wall-clock section profiler through the canonical run
-    profile: bool = True
-    #: run the scenario's paper-series driver; ``False`` keeps only the
-    #: instrumented canonical run (its per-server load rows become the
-    #: artifact rows, as for the ``overlay`` scenario)
-    series: bool = True
     #: worker processes for scenario-internal fan-out (the ``stress``
     #: shard sweep); ``0`` means one per core, ``1`` stays in-process
     workers: int = 1
-    #: telemetry event-bus capacity for the instrumented run
-    capacity: int = 200_000
     #: per-key overrides merged over :func:`scale_sweeps`
     sweeps: Optional[Dict[str, object]] = None
 
@@ -429,8 +403,6 @@ class RunPlan:
                 f"workers must be an int >= 0 (0 = one per core), "
                 f"got {self.workers!r}"
             )
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
 
     def settings(self) -> ExperimentSettings:
         """The fully-resolved :class:`ExperimentSettings` for this plan."""
@@ -452,16 +424,15 @@ class RunPlan:
 def _instrumented_block(
     settings: ExperimentSettings,
     seed: int,
-    profiler: Optional[CallPathProfiler],
-    *,
-    capacity: int = 200_000,
+    profiler: CallPathProfiler,
 ) -> Dict[str, object]:
     """Registry-derived simulated metrics + per-server load rows.
 
     Runs the shared trial workload twice — with the replication overlay
-    (profiled) and without it (root entry) — plus one summary epoch, and
-    rolls the per-(server, category, phase) registry up into a
-    JSON-friendly block.
+    (under *profiler*, which takes the event census) and without it
+    (root entry) — plus one summary epoch, and rolls the
+    per-(server, category, phase) registry up into a JSON-friendly
+    block.
     """
     from ..sim.metrics import QUERY, UPDATE
     from ..telemetry import (
@@ -470,13 +441,10 @@ def _instrumented_block(
         root_load_share,
     )
 
-    tel = Telemetry(capacity=capacity)
-    if profiler is not None:
-        tel.attach_profiler(profiler)
-    # Quality plane on: the canonical profile carries the quality.audit
-    # frames the hotspot regression gate polices.
+    tel = Telemetry(capacity=200_000)
+    tel.attach_profiler(profiler)
     system, tel, root_id = instrumented_query_run(
-        settings, seed, use_overlay=True, telemetry=tel, quality=True
+        settings, seed, use_overlay=True, telemetry=tel
     )
     update_report = system.refresh()
     num_queries = settings.num_queries
@@ -534,13 +502,7 @@ def _simulated_invariants(sim: Dict[str, object]) -> List[str]:
 
 
 def _rows_metrics(rows: Rows) -> Dict[str, float]:
-    """Column means of the paper series as flat comparable metrics.
-
-    ``wall_``-prefixed columns are wall-clock measurements riding in the
-    rows (e.g. the trace-overhead ratio); they land in the ``wall.*``
-    metric namespace so comparisons judge them with the wide,
-    regression-only band rather than the tight deterministic one.
-    """
+    """Column means of the paper series as flat comparable metrics."""
     sums: Dict[str, float] = {}
     counts: Dict[str, int] = {}
     for row in rows:
@@ -549,57 +511,38 @@ def _rows_metrics(rows: Rows) -> Dict[str, float]:
                 continue
             sums[col] = sums.get(col, 0.0) + float(value)
             counts[col] = counts.get(col, 0) + 1
-    out: Dict[str, float] = {}
-    for col in sorted(sums):
-        mean = sums[col] / counts[col]
-        if col.startswith("wall_"):
-            out[f"wall.rows.{col[len('wall_'):]}.mean"] = mean
-        else:
-            out[f"rows.{col}.mean"] = mean
-    return out
+    return {
+        f"rows.{col}.mean": sums[col] / counts[col] for col in sorted(sums)
+    }
 
 
-def _require_plan(plan, fn: str) -> RunPlan:
-    if not isinstance(plan, RunPlan):
-        raise TypeError(
-            f"{fn} expects a RunPlan; got {type(plan).__name__}"
-        )
-    return plan
-
-
-def profile_scenario(plan: RunPlan) -> Dict[str, object]:
-    """Profile one plan's canonical run; returns the full document.
+def profile_scenario(scale: str = "quick", seed: int = 1) -> Dict[str, object]:
+    """Profile the canonical run at *scale*; returns the full document.
 
     The payload behind ``repro profile``: the call-path tree, counters
     and event census from a :class:`~repro.telemetry.profiling.
-    CallPathProfiler` threaded through the instrumented canonical run.
-    Skips the paper-series driver — the canonical run is the part every
-    scenario shares and the part the dispatch hot-path map describes.
+    CallPathProfiler` threaded through the instrumented canonical run —
+    the one run every scenario's artifact shares, so there is no
+    scenario to choose.
     """
-    plan = _require_plan(plan, "profile_scenario")
     profiler = CallPathProfiler()
-    _instrumented_block(
-        plan.settings(), plan.seed, profiler, capacity=plan.capacity
-    )
+    _instrumented_block(scale_settings(scale, seed), seed, profiler)
     return profiler.document()
 
 
 def run_scenario(plan: RunPlan) -> BenchArtifact:
     """Run one registered scenario end to end; returns its artifact."""
-    plan = _require_plan(plan, "run_scenario")
+    if not isinstance(plan, RunPlan):
+        raise TypeError(
+            f"run_scenario expects a RunPlan; got {type(plan).__name__}"
+        )
     scenario = SCENARIOS[plan.scenario]
     settings = plan.settings()
-    sweeps = plan.resolved_sweeps()
-    profiler = CallPathProfiler() if plan.profile else None
-
-    t0 = time.perf_counter()
-    rows = scenario.driver(settings, sweeps) if plan.series else []
-    driver_seconds = time.perf_counter() - t0
-
-    simulated = _instrumented_block(
-        settings, plan.seed, profiler, capacity=plan.capacity
-    )
-    total_seconds = time.perf_counter() - t0
+    rows = scenario.driver(settings, plan.resolved_sweeps())
+    # Always profiled: the census fingerprint comes from this run, and
+    # an artifact without one cannot be compared.
+    profiler = CallPathProfiler()
+    simulated = _instrumented_block(settings, plan.seed, profiler)
     if not rows:  # instrumented-only scenarios (overlay)
         rows = list(simulated["per_server_load"])
 
@@ -624,48 +567,23 @@ def run_scenario(plan: RunPlan) -> BenchArtifact:
         "sim.top_server_share": float(simulated["top_server_share"]),
     })
 
-    wall: Dict[str, object] = {}
-    prof_block: Dict[str, object] = {}
-    if profiler is not None:
-        wall = profiler.snapshot()
-        wall["total_seconds"] = total_seconds
-        wall["driver_seconds"] = driver_seconds
-        wall["events_processed"] = profiler.counter("sim.events")
-        wall["events_per_sec"] = profiler.events_per_second()
-        metrics["wall.total_seconds"] = total_seconds
-        metrics["wall.driver_seconds"] = driver_seconds
-        metrics["wall.events_per_sec"] = wall["events_per_sec"]
-        for section, stats in wall["sections"].items():
-            metrics[f"wall.section.{section}.seconds"] = stats["seconds"]
-        # Hierarchical hot-path summary: self-time shares (the
-        # regression-gate currency — host-speed independent, unlike raw
-        # seconds) and the deterministic event-census fingerprint.
-        document = profiler.document()
-        shares = hotspot_shares(document)
-        prof_block = {
-            "schema": document["schema"],
-            "total_seconds": document["total_seconds"],
-            "hotspot_shares": shares,
-            "census_fingerprint": document["census_fingerprint"],
-            "census_kinds": {
-                kind: sum(per.values())
-                for kind, per in document["census"].items()
-            },
-        }
-        for section, share in shares.items():
-            metrics[f"profile.share.{section}"] = share
-
+    document = profiler.document()
     return BenchArtifact(
         **stamp(plan.scenario, plan.scale, plan.seed, settings),
         settings=asdict(settings),
         rows=rows,
         metrics=metrics,
         simulated=simulated,
-        wall=wall,
         shape={
             "validator": getattr(scenario.shape, "__name__", None),
             "failures": failures,
         },
-        profile=prof_block,
+        profile={
+            "census_fingerprint": document["census_fingerprint"],
+            "census_kinds": {
+                kind: sum(per.values())
+                for kind, per in document["census"].items()
+            },
+        },
         schema=SCHEMA,
     )

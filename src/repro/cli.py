@@ -12,14 +12,13 @@ code:
   overlay), optionally exporting JSONL events, a Chrome trace and a
   Prometheus metrics snapshot;
 * ``bench`` — the benchmark observatory: ``run`` a scenario into a
-  ``BENCH_<scenario>.json`` artifact, ``compare`` one against a
-  committed baseline (non-zero exit on regression or paper-shape
-  violation), ``trajectory`` to append/inspect the perf time series,
-  ``list`` the registered scenarios;
-* ``profile`` — run a scenario's canonical run under the hierarchical
-  call-path profiler: top-K self-time table, optional tree view,
-  collapsed-stack / speedscope flame-graph exports, and ``--diff``
-  between two saved profile documents;
+  ``BENCH_<scenario>.json`` artifact of simulated facts, ``compare``
+  one against a committed baseline (non-zero exit on drift or
+  paper-shape violation), ``list`` the registered scenarios;
+* ``profile`` — run the canonical run under the hierarchical call-path
+  profiler: top-K self-time table, optional tree view, collapsed-stack
+  / speedscope flame-graph exports, and ``--diff`` between two saved
+  profile documents;
 * ``demo`` — a narrated quickstart run.
 """
 
@@ -267,16 +266,20 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_health(args) -> int:
-    """Build a small federation under load and print its health report."""
-    import json
+def _loaded_federation(args, load_label: str):
+    """The federation ``health``, ``watch`` and ``quality`` all run.
 
+    Lossy links, queue-limited servers, a free-running delta update
+    plane and an open-loop load drawn from the *load_label* RNG stream.
+    Returns ``(system, load)``; the caller arms the planes it reads and
+    then calls ``load.run()``.
+    """
     from .net.transport import ServiceConfig
     from .roads import RoadsConfig, RoadsSystem
     from .roads.load import LoadConfig, LoadGenerator
     from .roads.search import RetryPolicy
     from .sim.rng import SeedSequenceFactory
-    from .telemetry import HealthProbe, HealthSLO, Telemetry
+    from .telemetry import Telemetry
     from .workload import WorkloadConfig, generate_node_stores
     from .workload.queries import generate_queries
 
@@ -292,30 +295,37 @@ def _cmd_health(args) -> int:
         loss_rate=args.loss,
         seed=args.seed,
     )
-    tel = Telemetry()
-    system = RoadsSystem.build(config, stores, telemetry=tel)
+    system = RoadsSystem.build(config, stores, telemetry=Telemetry())
     system.enable_service(
         ServiceConfig(
             service_time=args.service_time, queue_limit=args.queue_limit
         )
     )
     system.update_plane.start()
-    probe = HealthProbe(
-        system, interval=args.probe_interval, stale_after=1.5 * args.interval
-    ).start()
-    queries = generate_queries(wcfg, num_queries=max(args.queries, 1))
-    seeds = SeedSequenceFactory(args.seed)
-    gen = LoadGenerator(
+    load = LoadGenerator(
         system,
-        queries,
+        generate_queries(wcfg, num_queries=max(args.queries, 1)),
         LoadConfig(
             rate=args.rate,
             horizon=args.duration,
             retry=RetryPolicy(timeout=2.0, retries=2, backoff_base=0.2),
         ),
-        seeds.fresh_generator("health-load"),
+        SeedSequenceFactory(args.seed).fresh_generator(load_label),
     )
-    report_load = gen.run()
+    return system, load
+
+
+def _cmd_health(args) -> int:
+    """Build a small federation under load and print its health report."""
+    import json
+
+    from .telemetry import HealthProbe, HealthSLO
+
+    system, load = _loaded_federation(args, "health-load")
+    probe = HealthProbe(
+        system, interval=args.probe_interval, stale_after=1.5 * args.interval
+    ).start()
+    report_load = load.run()
     probe.stop()
     # Judge loss and coverage against the injected rate (plus headroom):
     # the probe reports what *happened*; the SLO says what is acceptable,
@@ -341,46 +351,19 @@ def _cmd_health(args) -> int:
 def _cmd_watch(args) -> int:
     """Run a federation under load with the full observability stack
     armed: time-series sampler, SLO-judging probe, flight recorder."""
-    from .net.transport import ServiceConfig
-    from .roads import RoadsConfig, RoadsSystem
-    from .roads.load import LoadConfig, LoadGenerator
-    from .roads.search import RetryPolicy
-    from .sim.rng import SeedSequenceFactory
     from .telemetry import (
         FlightRecorder,
         HealthProbe,
         HealthSLO,
         SeriesConfig,
         SeriesSampler,
-        Telemetry,
     )
     from .telemetry.export import series_jsonl, write_series_jsonl
-    from .workload import WorkloadConfig, generate_node_stores
-    from .workload.queries import generate_queries
 
-    wcfg = WorkloadConfig(
-        num_nodes=args.nodes, records_per_node=args.records, seed=args.seed
-    )
-    stores = generate_node_stores(wcfg)
-    config = RoadsConfig(
-        num_nodes=args.nodes,
-        records_per_node=args.records,
-        summary_interval=args.interval,
-        delta_updates=True,
-        loss_rate=args.loss,
-        seed=args.seed,
-    )
-    tel = Telemetry()
-    system = RoadsSystem.build(config, stores, telemetry=tel)
-    system.enable_service(
-        ServiceConfig(
-            service_time=args.service_time, queue_limit=args.queue_limit
-        )
-    )
+    system, load = _loaded_federation(args, "watch-load")
     # Shadow-oracle quality plane: read-only, so watching it is free of
     # perturbation; its quality.* gauges ride the same sampler.
     system.attach_quality()
-    system.update_plane.start()
     sampler = SeriesSampler(
         system, SeriesConfig(interval=args.sample_interval)
     ).start()
@@ -391,21 +374,9 @@ def _cmd_watch(args) -> int:
         slo=HealthSLO(),
     ).start()
     recorder = FlightRecorder(
-        tel, sampler=sampler, dump_dir=args.postmortem_dir
+        system.telemetry, sampler=sampler, dump_dir=args.postmortem_dir
     ).bind(probe)
-    queries = generate_queries(wcfg, num_queries=max(args.queries, 1))
-    seeds = SeedSequenceFactory(args.seed)
-    gen = LoadGenerator(
-        system,
-        queries,
-        LoadConfig(
-            rate=args.rate,
-            horizon=args.duration,
-            retry=RetryPolicy(timeout=2.0, retries=2, backoff_base=0.2),
-        ),
-        seeds.fresh_generator("watch-load"),
-    )
-    report_load = gen.run()
+    report_load = load.run()
     sampler.stop()
     probe.stop()
     recorder.close()
@@ -443,37 +414,11 @@ def _cmd_quality(args) -> int:
     """Run a federation under load with the shadow-oracle quality plane
     armed; print the answer-quality summary and per-node breakdown."""
     from .experiments.report import format_table
-    from .net.transport import ServiceConfig
-    from .roads import RoadsConfig, RoadsSystem
-    from .roads.load import LoadConfig, LoadGenerator
-    from .roads.search import RetryPolicy
-    from .sim.rng import SeedSequenceFactory
-    from .telemetry import HealthProbe, HealthSLO, Telemetry
-    from .workload import WorkloadConfig, generate_node_stores
-    from .workload.queries import generate_queries
+    from .telemetry import HealthProbe, HealthSLO
 
     say = _narrator(args.json)
-    wcfg = WorkloadConfig(
-        num_nodes=args.nodes, records_per_node=args.records, seed=args.seed
-    )
-    stores = generate_node_stores(wcfg)
-    config = RoadsConfig(
-        num_nodes=args.nodes,
-        records_per_node=args.records,
-        summary_interval=args.interval,
-        delta_updates=True,
-        loss_rate=args.loss,
-        seed=args.seed,
-    )
-    tel = Telemetry()
-    system = RoadsSystem.build(config, stores, telemetry=tel)
-    system.enable_service(
-        ServiceConfig(
-            service_time=args.service_time, queue_limit=args.queue_limit
-        )
-    )
+    system, load = _loaded_federation(args, "quality-load")
     plane = system.attach_quality()
-    system.update_plane.start()
     slo = (
         HealthSLO(min_precision=args.min_precision)
         if args.min_precision is not None
@@ -482,19 +427,7 @@ def _cmd_quality(args) -> int:
     probe = HealthProbe(
         system, interval=0.5, stale_after=1.5 * args.interval, slo=slo
     ).start()
-    queries = generate_queries(wcfg, num_queries=max(args.queries, 1))
-    seeds = SeedSequenceFactory(args.seed)
-    gen = LoadGenerator(
-        system,
-        queries,
-        LoadConfig(
-            rate=args.rate,
-            horizon=args.duration,
-            retry=RetryPolicy(timeout=2.0, retries=2, backoff_base=0.2),
-        ),
-        seeds.fresh_generator("quality-load"),
-    )
-    report_load = gen.run()
+    report_load = load.run()
     probe.stop()
     snap = plane.snapshot()
     say(
@@ -680,13 +613,7 @@ def _emit_json(doc, target: str, label: str) -> None:
 def _cmd_bench_run(args) -> int:
     from pathlib import Path
 
-    from .bench import (
-        RunPlan,
-        append_trajectory,
-        artifact_filename,
-        run_plans,
-        write_artifact,
-    )
+    from .bench import RunPlan, artifact_filename, run_plans, write_artifact
 
     # --parallel N: worker processes (bare/0 = one per core). With one
     # scenario the workers drive its internal fan-out (the stress shard
@@ -695,10 +622,7 @@ def _cmd_bench_run(args) -> int:
     # machine is not oversubscribed.
     workers = 1 if args.parallel is None else args.parallel
     plans = [
-        RunPlan(
-            name, scale=args.scale, seed=args.seed,
-            profile=not args.no_profile, workers=workers,
-        )
+        RunPlan(name, scale=args.scale, seed=args.seed, workers=workers)
         for name in args.scenario
     ]
     pool_workers = 1
@@ -725,25 +649,9 @@ def _cmd_bench_run(args) -> int:
             f"root share {artifact.simulated['root_share_overlay']:.1%} with / "
             f"{artifact.simulated['root_share_no_overlay']:.1%} without overlay"
         )
-        if artifact.wall:
-            say(
-                f"wall: {artifact.wall['total_seconds']:.2f}s total, "
-                f"{artifact.wall['events_processed']} sim events "
-                f"({artifact.wall['events_per_sec']:.0f}/s); hot sections: "
-                + ", ".join(
-                    f"{name}={stats['seconds']:.3f}s"
-                    for name, stats in sorted(
-                        artifact.wall["sections"].items(),
-                        key=lambda kv: -kv[1]["seconds"],
-                    )[:4]
-                )
-            )
         for failure in artifact.shape["failures"]:
             say(f"shape violation: {failure}")
         say(f"artifact written to {path}")
-        if args.trajectory:
-            append_trajectory(artifact, args.trajectory)
-            say(f"trajectory row appended to {args.trajectory}")
     if args.json:
         docs = [a.to_dict() for a in artifacts]
         _emit_json(
@@ -770,11 +678,15 @@ def _cmd_profile(args) -> int:
         path_a, path_b = args.diff
         docs = []
         for path in (path_a, path_b):
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-            if doc.get("schema") != PROFILE_SCHEMA:
+            try:
+                doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:
+                print(f"{path}: {exc}")
+                return 2
+            if not isinstance(doc, dict) or doc.get("schema") != PROFILE_SCHEMA:
                 print(
                     f"{path}: not a {PROFILE_SCHEMA} document "
-                    "(produce one with `repro profile <scenario> --json`)"
+                    "(produce one with `repro profile --json`)"
                 )
                 return 2
             docs.append(doc)
@@ -786,21 +698,15 @@ def _cmd_profile(args) -> int:
         )
         return 0
 
-    if args.scenario is None:
-        print("a scenario is required unless --diff is given "
-              "(see `repro bench list`)")
-        return 2
-    from .bench import RunPlan, profile_scenario
+    from .bench import profile_scenario
 
-    document = profile_scenario(
-        RunPlan(args.scenario, scale=args.scale, seed=args.seed)
-    )
+    document = profile_scenario(args.scale, args.seed)
     if args.json == "-":
         # Bare --json streams the document alone: no report, no exports.
         print(json.dumps(document, indent=2))
         return 0
     print(
-        f"== {args.scenario} ({args.scale} scale, seed {args.seed}): "
+        f"== canonical run ({args.scale} scale, seed {args.seed}): "
         f"{document['total_seconds']:.3f}s profiled =="
     )
     print(format_top(document, k=args.top))
@@ -836,7 +742,7 @@ def _cmd_profile(args) -> int:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(
             json.dumps(speedscope_document(
-                document, name=f"repro profile {args.scenario}"
+                document, name=f"repro profile {args.scale}"
             )) + "\n",
             encoding="utf-8",
         )
@@ -847,26 +753,17 @@ def _cmd_profile(args) -> int:
 def _cmd_bench_compare(args) -> int:
     from .bench import compare_artifacts, format_comparison, load_artifact
 
-    current = load_artifact(args.current)
-    baseline = load_artifact(args.baseline)
-    result = compare_artifacts(
-        current, baseline,
-        tolerance=args.tolerance,
-        wall_tolerance=args.wall_tolerance,
-        include_wall=not args.skip_wall,
-    )
+    loaded = []
+    for path in (args.current, args.baseline):
+        try:
+            loaded.append(load_artifact(path))
+        except (OSError, ValueError) as exc:
+            # Unreadable, not JSON, or not a current-schema artifact.
+            print(f"{path}: {exc}")
+            return 2
+    result = compare_artifacts(*loaded, tolerance=args.tolerance)
     print(format_comparison(result, verbose=args.verbose))
     return 0 if result.ok else 1
-
-
-def _cmd_bench_trajectory(args) -> int:
-    from .bench import append_trajectory, format_trajectory, load_artifact, load_trajectory
-
-    for artifact_path in args.artifacts:
-        row = append_trajectory(load_artifact(artifact_path), args.file)
-        print(f"appended {row['scenario']} @ {row['git_rev']} to {args.file}")
-    print(format_trajectory(load_trajectory(args.file)))
-    return 0
 
 
 def _cmd_bench_list(args) -> int:
@@ -1127,8 +1024,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="benchmark observatory: BENCH_*.json artifacts and the "
-             "regression gate",
+        help="benchmark observatory: BENCH_*.json artifacts of simulated "
+             "facts and the regression gate",
     )
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
 
@@ -1140,10 +1037,6 @@ def build_parser() -> argparse.ArgumentParser:
     from .bench import available_scenarios as _bench_scenarios
 
     b.add_argument("scenario", nargs="+", choices=_bench_scenarios())
-    b.add_argument("--trajectory", metavar="PATH",
-                   help="also append a summary row to this trajectory file")
-    b.add_argument("--no-profile", action="store_true",
-                   help="skip the wall-clock section profile")
     b.add_argument("--parallel", type=int, nargs="?", const=0, default=None,
                    metavar="N",
                    help="fan out over N worker processes (bare flag: one "
@@ -1161,23 +1054,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--baseline", required=True,
                    help="committed baseline BENCH_*.json")
     b.add_argument("--tolerance", type=float, default=0.05,
-                   help="symmetric band for simulated metrics (default 5%%)")
-    b.add_argument("--wall-tolerance", type=float, default=0.30,
-                   help="regression-only band for wall metrics (default 30%%)")
-    b.add_argument("--skip-wall", action="store_true",
-                   help="ignore wall-clock metrics entirely")
+                   help="band for simulated metrics (default 5%%); "
+                        "rows.quality_* fail only in the worse direction")
     b.add_argument("--verbose", action="store_true",
                    help="print every metric delta, not only failures")
     b.set_defaults(fn=_cmd_bench_compare)
-
-    b = bench_sub.add_parser(
-        "trajectory",
-        help="append artifacts to the perf time series and print it",
-    )
-    b.add_argument("artifacts", nargs="*",
-                   help="BENCH_*.json artifacts to append")
-    b.add_argument("--file", default="BENCH_trajectory.json")
-    b.set_defaults(fn=_cmd_bench_trajectory)
 
     b = bench_sub.add_parser("list", help="list registered scenarios")
     b.set_defaults(fn=_cmd_bench_list)
@@ -1185,12 +1066,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "profile",
         parents=[common],
-        help="hierarchical hot-path profile of a scenario's canonical "
-             "run, with flame-graph exports",
-    )
-    p.add_argument(
-        "scenario", nargs="?", choices=_bench_scenarios(),
-        help="scenario to profile (omit with --diff)",
+        help="hierarchical hot-path profile of the canonical run, with "
+             "flame-graph exports",
     )
     p.add_argument("--top", type=int, default=15,
                    help="rows in the self-time table (default 15)")
@@ -1203,7 +1080,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a speedscope.app JSON profile")
     p.add_argument("--diff", nargs=2, metavar=("A", "B"),
                    help="diff two --json profile documents instead of "
-                        "running a scenario")
+                        "running anything")
     p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser("demo", help="run the narrated quickstart")

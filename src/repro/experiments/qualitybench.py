@@ -1,10 +1,10 @@
-"""Quality plane: the shadow oracle's accuracy frontier and its cost.
+"""Quality plane: the shadow oracle's accuracy frontier.
 
 The ``quality_plane`` scenario reproduces the paper's central trade-off
 — update traffic spent on summary freshness versus the query misroutes
 stale summaries cause (the Figure 4/5 frontier) — with the shadow
 oracle (:mod:`repro.telemetry.quality`) as the measuring instrument,
-and simultaneously proves the instrument itself is free:
+and simultaneously proves the instrument leaves the simulation alone:
 
 1. **Frontier** — each cell of the sweep runs the same seeded
    federation at one ``(update interval, loss rate)`` point. After the
@@ -22,9 +22,10 @@ and simultaneously proves the instrument itself is free:
    summed query latencies must match byte-for-byte and the
    delivery-census fingerprints must be identical. The row carries
    both deltas and the validator fails on any mismatch.
-3. **Overhead** — the audit arm's wall-clock ratio over the base arm
-   rides the ``wall_`` row prefix into the regression-only band, and
-   the ``quality.audit`` profile share is reported alongside.
+
+What an audit costs in host time is not measured here: the armed /
+disarmed ratio is ``telemetry.probe.quality_ratio`` of
+``perf/run.py --workload layers``.
 
 Every false positive / false negative the oracle records must carry a
 full divergence attribution (holder, table, staleness age, diverging
@@ -33,7 +34,6 @@ dimension); ``attribution_complete`` summarises that invariant per row.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Sequence, Tuple
 
 from ..net.transport import ServiceConfig
@@ -43,7 +43,7 @@ from ..roads import RetryPolicy, RoadsConfig, RoadsSystem
 from ..roads.search import SearchRequest
 from ..summaries.config import SummaryConfig
 from ..telemetry import Telemetry
-from ..telemetry.profiling import CallPathProfiler, hotspot_shares
+from ..telemetry.profiling import CallPathProfiler
 from ..workload import WorkloadConfig, generate_node_stores
 from .config import ExperimentSettings
 
@@ -65,15 +65,11 @@ RETRY = RetryPolicy(timeout=2.0, retries=2, backoff_base=0.2)
 NUM_PROBES = 24
 #: probe inter-arrival spacing (seconds)
 PROBE_SPACING = 0.1
-#: fixed post-churn horizon over which update bytes are metered — fixed
-#: wall of simulated time, so epochs (and bytes) scale as 1/interval
+#: fixed post-churn horizon over which update bytes are metered — a
+#: fixed span of simulated time, so epochs (and bytes) scale as 1/interval
 METER_HORIZON = 6.0
 #: update-plane convergence epochs before the churn burst
 CONVERGE_EPOCHS = 3
-#: paired wall-clock runs per arm; the fastest repeat is reported
-REPEATS = 2
-#: absolute ceiling on the audit/base wall-clock ratio
-AUDIT_OVERHEAD_CEILING = 5.0
 
 
 def _probe_queries() -> List[Query]:
@@ -87,8 +83,8 @@ def _probe_queries() -> List[Query]:
 
 def _churn(stores) -> int:
     """Move every record with ``u0`` in the vacated band to the landing
-    band. Deterministic (no RNG): both arms and every repeat see the
-    same burst, and the landing offsets only depend on the row index."""
+    band. Deterministic (no RNG): both arms see the same burst, and the
+    landing offsets only depend on the row index."""
     span = LANDING_BAND[1] - LANDING_BAND[0]
     moved = 0
     for store in stores:
@@ -137,7 +133,6 @@ def _drive(
     telemetry = Telemetry(capacity=200_000)
     profiler = CallPathProfiler()
     telemetry.attach_profiler(profiler)
-    wall_t0 = perf_counter()
     system = RoadsSystem.build(config, stores, telemetry=telemetry)
     system.enable_service(SERVICE)
     plane = system.attach_quality() if audit else None
@@ -160,18 +155,14 @@ def _drive(
     )
     outcomes = [r.outcome for r in batch]
     system.sim.run(until=meter_start + METER_HORIZON)
-    wall_seconds = perf_counter() - wall_t0
     update_bytes = float(
         c.export_bytes + c.aggregation_bytes + c.replication_bytes
     ) - bytes_before
-    doc = profiler.document()
     return {
         "outcomes": outcomes,
         "moved": moved,
         "update_bytes": update_bytes,
-        "wall_seconds": wall_seconds,
-        "census_fingerprint": doc["census_fingerprint"],
-        "audit_share": hotspot_shares(doc).get("quality.audit", 0.0),
+        "census_fingerprint": profiler.document()["census_fingerprint"],
         "plane": plane,
     }
 
@@ -179,17 +170,9 @@ def _drive(
 def _cell_row(
     settings: ExperimentSettings, interval: float, loss: float
 ) -> Dict[str, object]:
-    """One frontier row: paired audit/base arms, fastest-of-N walls."""
-    base_wall = audit_wall = float("inf")
-    base = audited = None
-    for _ in range(max(1, REPEATS)):
-        run = _drive(settings, interval=interval, loss=loss, audit=False)
-        if run["wall_seconds"] < base_wall:
-            base_wall, base = run["wall_seconds"], run
-        run = _drive(settings, interval=interval, loss=loss, audit=True)
-        if run["wall_seconds"] < audit_wall:
-            audit_wall, audited = run["wall_seconds"], run
-
+    """One frontier row: one audit arm paired with one base arm."""
+    base = _drive(settings, interval=interval, loss=loss, audit=False)
+    audited = _drive(settings, interval=interval, loss=loss, audit=True)
     plane = audited["plane"]
     reports = list(plane.reports)
     complete = [
@@ -221,10 +204,6 @@ def _cell_row(
         "census_match": float(
             audited["census_fingerprint"] == base["census_fingerprint"]
         ),
-        "audit_profile_share": float(audited["audit_share"]),
-        "wall_base_seconds": float(base_wall),
-        "wall_audit_seconds": float(audit_wall),
-        "wall_audit_ratio": float(audit_wall / max(base_wall, 1e-9)),
     }
 
 
@@ -321,10 +300,4 @@ def validate_quality_plane(rows: List[Dict[str, object]]) -> List[str]:
             failures.append(
                 f"the frontier is flat at loss={loss}: fp {fp_curve}"
             )
-    worst = max(float(r["wall_audit_ratio"]) for r in rows)
-    if worst > AUDIT_OVERHEAD_CEILING:
-        failures.append(
-            f"audit overhead ratio {worst:.2f}x exceeds the "
-            f"{AUDIT_OVERHEAD_CEILING:.0f}x ceiling"
-        )
     return failures

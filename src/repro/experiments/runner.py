@@ -134,16 +134,13 @@ def instrumented_query_run(
     use_overlay: bool = True,
     telemetry=None,
     num_queries: Optional[int] = None,
-    quality: bool = False,
 ):
     """Build a telemetry-instrumented ROADS system and drive its queries.
 
     Uses the same seeded workload and client placement as
     :func:`run_trial`, so the registry's per-server attribution matches
     the paired measurements. *num_queries* truncates the query stream
-    (``0`` builds the system without issuing any query). *quality*
-    attaches the shadow-oracle quality plane before any query runs —
-    strictly read-only, so measurements are unchanged. Returns
+    (``0`` builds the system without issuing any query). Returns
     ``(system, telemetry, root_server_id)``.
     """
     from ..telemetry import Telemetry
@@ -154,8 +151,6 @@ def instrumented_query_run(
         queries, clients = queries[:num_queries], clients[:num_queries]
     tel = telemetry if telemetry is not None else Telemetry()
     system = build_roads(settings, stores, seed, telemetry=tel)
-    if quality:
-        system.attach_quality()
     system.search_many([
         SearchRequest(q, client_node=int(c), use_overlay=use_overlay)
         for q, c in zip(queries, clients)

@@ -253,34 +253,7 @@ class CallPathProfiler:
     def section_names(self) -> List[str]:
         return sorted(self.flat())
 
-    def events_per_second(
-        self, events: Optional[int] = None, section: str = "sim.dispatch"
-    ) -> float:
-        """Engine throughput: events processed per wall second.
-
-        *events* defaults to the ``sim.events`` counter maintained by
-        the instrumented :class:`~repro.sim.engine.Simulator`.
-        """
-        n = self.counter("sim.events") if events is None else events
-        secs = self.seconds(section)
-        return n / secs if secs > 0 else 0.0
-
     # -- read-out -----------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """Flat JSON dump: ``{sections: {name: ...}, counters: {...}}``."""
-        flat = self.flat()
-        return {
-            "sections": {
-                name: {
-                    "calls": int(flat[name]["calls"]),
-                    "seconds": flat[name]["seconds"],
-                    "self_seconds": flat[name]["self_seconds"],
-                }
-                for name in sorted(flat)
-            },
-            "counters": dict(sorted(self._counters.items())),
-        }
-
     def document(self) -> Dict[str, object]:
         """The full hierarchical profile document (JSON-serialisable)."""
         census = {
@@ -364,7 +337,7 @@ def flatten_document(document: Dict[str, object]) -> Dict[str, Dict[str, float]]
 def hotspot_shares(
     document: Dict[str, object], *, min_share: float = 0.0
 ) -> Dict[str, float]:
-    """Per-name share of total self time, the regression-gate currency."""
+    """Per-name share of total self time (what ``repro profile`` ranks)."""
     total = float(document["total_seconds"])
     if total <= 0:
         return {}

@@ -20,8 +20,8 @@ plane's staleness snapshot. No messages are sent, no simulation
 randomness is consumed, and telemetry ids are untouched, so a seeded
 run with sampling enabled produces byte-identical query outcomes and
 latencies to the same run without it — the same determinism tripwire
-the tracing plane holds, asserted by the ``series_overhead`` bench
-scenario.
+the tracing plane holds, asserted by
+``tests/test_series.py::TestZeroPerturbation``.
 """
 
 from __future__ import annotations

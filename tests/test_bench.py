@@ -1,4 +1,4 @@
-"""Benchmark observatory: profiler, scenarios, artifacts, compare, trajectory."""
+"""Benchmark observatory: profiler, scenarios, artifacts, compare."""
 
 import json
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench import (
     BenchArtifact,
-    DEFAULT_WALL_TOLERANCE,
+    DEFAULT_TOLERANCE,
     ROOT_SHARE_CEILING,
     SCALES,
     SCENARIOS,
@@ -15,16 +15,12 @@ from repro.bench import (
     compare_artifacts,
     config_fingerprint,
     format_comparison,
-    format_trajectory,
     load_artifact,
-    load_trajectory,
-    append_trajectory,
     resolve_scale,
     RunPlan,
     run_scenario,
     scale_settings,
     scale_sweeps,
-    trajectory_row,
     validate_artifact,
     write_artifact,
 )
@@ -56,26 +52,18 @@ class TestProfiler:
         assert prof.calls("sim.dispatch") == 20
         assert prof.counter("sim.events") == 100
 
-    def test_events_per_second(self):
-        prof = CallPathProfiler()
-        prof.add("sim.dispatch", 2.0)
-        prof.count("sim.events", 500)
-        assert prof.events_per_second() == pytest.approx(250.0)
-        assert prof.events_per_second(events=1000) == pytest.approx(500.0)
-
-    def test_empty_throughput_is_zero(self):
-        assert CallPathProfiler().events_per_second() == 0.0
-
     def test_snapshot_and_reset(self):
         prof = CallPathProfiler()
         prof.add("query.execute", 0.1)
         prof.count("sim.events", 7)
-        snap = prof.snapshot()
-        assert snap["sections"]["query.execute"]["calls"] == 1
+        snap = prof.document()
+        assert snap["tree"]["children"][0]["name"] == "query.execute"
         assert snap["counters"]["sim.events"] == 7
         json.dumps(snap)  # JSON-serialisable
         prof.reset()
-        assert prof.snapshot() == {"sections": {}, "counters": {}}
+        snap = prof.document()
+        assert snap["tree"].get("children", []) == []
+        assert snap["counters"] == {} and snap["census"] == {}
 
 
 class TestScales:
@@ -134,16 +122,11 @@ class TestRunScenario:
             < art.simulated["root_share_no_overlay"]
         )
         assert art.metrics["sim.latency_p50"] > 0
-        assert art.metrics["wall.events_per_sec"] > 0
-        assert art.wall["sections"]["sim.dispatch"]["seconds"] > 0
+        assert art.profile["census_fingerprint"]
+        assert art.profile["census_kinds"]["query"] > 0
         assert art.config_fingerprint == config_fingerprint(
             scale_settings("smoke", 3)
         )
-
-    def test_profile_off_leaves_wall_empty(self):
-        art = run_scenario(RunPlan("fig8", scale="smoke", seed=2, profile=False))
-        assert art.wall == {}
-        assert not any(k.startswith("wall.") for k in art.metrics)
 
     def test_fingerprint_is_stable_and_sensitive(self):
         a = config_fingerprint(ExperimentSettings.smoke())
@@ -183,6 +166,35 @@ class TestArtifactIO:
         with pytest.raises(ValueError, match="invalid bench artifact"):
             load_artifact(path)
 
+    def test_previous_schema_asks_for_regeneration(self, overlay_artifact):
+        doc = dict(overlay_artifact.to_dict(), schema="roads.bench/1", wall={})
+        (problem,) = validate_artifact(doc)
+        assert "roads.bench/1" in problem
+        assert "regenerate the baseline" in problem
+
+
+class TestNoHostTime:
+    """An artifact records what the simulation did, exactly, per seed."""
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_no_wall_or_share_anywhere(self, scenario):
+        doc = run_scenario(RunPlan(scenario, scale="smoke", seed=2)).to_dict()
+        assert "wall" not in doc
+        assert set(doc["profile"]) == {"census_fingerprint", "census_kinds"}
+        assert not [
+            k for k in doc["metrics"]
+            if k.startswith(("wall.", "profile.share."))
+        ]
+        assert not [
+            k for row in doc["rows"] for k in row if k.startswith("wall_")
+        ]
+
+    def test_two_runs_differ_only_in_created_unix(self, overlay_artifact):
+        again = run_scenario(RunPlan("overlay", scale="smoke", seed=3))
+        first, second = overlay_artifact.to_dict(), again.to_dict()
+        del first["created_unix"], second["created_unix"]
+        assert first == second
+
 
 def _with_metrics(art: BenchArtifact, **overrides) -> BenchArtifact:
     doc = art.to_dict()
@@ -213,37 +225,29 @@ class TestCompare:
                 d.name == "sim.latency_p95" for d in result.failed_deltas()
             )
 
-    def test_wall_band_is_regression_only(self, overlay_artifact):
-        base = overlay_artifact
-        factor = 1 + 2 * DEFAULT_WALL_TOLERANCE
-        slower = _with_metrics(
-            base,
-            **{"wall.total_seconds": base.metrics["wall.total_seconds"] * factor},
-        )
-        faster = _with_metrics(
-            base,
-            **{"wall.total_seconds": base.metrics["wall.total_seconds"] / factor},
-        )
-        assert not compare_artifacts(slower, base).ok
-        assert compare_artifacts(faster, base).ok  # speedups never fail
+    def test_reload_compares_at_zero_delta(self, overlay_artifact, tmp_path):
+        path = write_artifact(overlay_artifact, tmp_path / "BENCH_overlay.json")
+        result = compare_artifacts(load_artifact(path), overlay_artifact)
+        assert result.ok and result.deltas
+        assert {d.row()["change"] for d in result.deltas} == {"+0.0%"}
 
-    def test_events_per_sec_fails_when_lower(self, overlay_artifact):
-        base = overlay_artifact
-        worse = _with_metrics(
-            base,
-            **{"wall.events_per_sec": base.metrics["wall.events_per_sec"] * 0.5},
-        )
-        result = compare_artifacts(worse, base)
-        assert any(
-            d.name == "wall.events_per_sec" for d in result.failed_deltas()
-        )
-
-    def test_skip_wall(self, overlay_artifact):
-        base = overlay_artifact
-        slower = _with_metrics(
-            base, **{"wall.total_seconds": 1e6}
-        )
-        assert compare_artifacts(slower, base, include_wall=False).ok
+    def test_quality_metrics_ride_the_one_tolerance(self, overlay_artifact):
+        quality = {
+            "rows.quality_fp.mean": 100.0,
+            "rows.quality_precision.mean": 0.5,
+        }
+        base = _with_metrics(overlay_artifact, **quality)
+        factor = 1 + 2 * DEFAULT_TOLERANCE
+        for name, value in quality.items():
+            up = _with_metrics(base, **{name: value * factor})
+            down = _with_metrics(base, **{name: value / factor})
+            worse, better = (
+                (down, up) if "precision" in name else (up, down)
+            )
+            result = compare_artifacts(worse, base)
+            assert [d.name for d in result.failed_deltas()] == [name]
+            # Regression-only: a strictly more accurate answer passes.
+            assert compare_artifacts(better, base).ok
 
     def test_fingerprint_mismatch_is_hard_failure(self, overlay_artifact):
         doc = json.loads(json.dumps(overlay_artifact.to_dict()))
@@ -263,30 +267,3 @@ class TestCompare:
         assert not result.ok
         assert any("root-load share" in f for f in result.shape_failures)
 
-
-class TestTrajectory:
-    def test_row_has_provenance_and_headline_metrics(self, overlay_artifact):
-        row = trajectory_row(overlay_artifact)
-        assert row["scenario"] == "overlay"
-        assert row["shape_ok"] is True
-        assert "sim.latency_p95" in row
-        assert "wall.events_per_sec" in row
-        assert not any(k.startswith("wall.section.") for k in row)
-
-    def test_append_and_load(self, overlay_artifact, tmp_path):
-        path = tmp_path / "BENCH_trajectory.json"
-        append_trajectory(overlay_artifact, path)
-        append_trajectory(overlay_artifact, path)
-        rows = load_trajectory(path)
-        assert len(rows) == 2
-        text = format_trajectory(rows)
-        assert "overlay" in text and "p95_s" in text
-
-    def test_load_missing_is_empty(self, tmp_path):
-        assert load_trajectory(tmp_path / "nope.json") == []
-
-    def test_load_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "BENCH_trajectory.json"
-        path.write_text(json.dumps({"rows": []}))
-        with pytest.raises(ValueError, match="trajectory"):
-            load_trajectory(path)

@@ -122,7 +122,7 @@ class TestSuite:
 
 
 class TestBenchCLI:
-    """`repro bench run/compare/trajectory` end-to-end in a tmp dir."""
+    """`repro bench run/compare` end-to-end in a tmp dir."""
 
     @pytest.fixture(scope="class")
     def bench_dir(self, tmp_path_factory):
@@ -130,7 +130,6 @@ class TestBenchCLI:
         rc = main([
             "bench", "run", "overlay", "--scale", "smoke",
             "--seed", "7", "--out", str(out),
-            "--trajectory", str(out / "BENCH_trajectory.json"),
         ])
         assert rc == 0
         return out
@@ -145,16 +144,9 @@ class TestBenchCLI:
         art = load_artifact(path)
         assert art.scenario == "overlay" and art.scale == "smoke"
         assert art.metrics["sim.latency_p95"] > 0
-        assert art.wall["sections"]  # profiling was on
+        assert art.profile["census_fingerprint"]  # always profiled
+        assert "wall" not in doc
         assert art.ok
-
-    def test_run_appends_trajectory(self, bench_dir):
-        from repro.bench import load_trajectory
-
-        rows = load_trajectory(bench_dir / "BENCH_trajectory.json")
-        assert len(rows) == 1
-        assert rows[0]["scenario"] == "overlay"
-        assert rows[0]["shape_ok"] is True
 
     def test_compare_clean_rerun_exits_zero(self, bench_dir, capsys):
         rc = main([
@@ -194,21 +186,38 @@ class TestBenchCLI:
         assert rc == 1
         assert "fingerprint mismatch" in capsys.readouterr().out
 
-    def test_trajectory_subcommand_prints_table(self, bench_dir, capsys):
-        rc = main([
-            "bench", "trajectory",
-            "--file", str(bench_dir / "BENCH_trajectory.json"),
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "overlay" in out and "p95_s" in out
+    @pytest.mark.parametrize("side", ["current", "baseline"])
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file"),
+            ("{not json", "Expecting"),
+            ('{"schema": "roads.bench/1"}', "regenerate the baseline"),
+            ('{"schema": "roads.bench/2"}', "missing key"),
+        ],
+    )
+    def test_compare_unloadable_file_exits_2(
+        self, bench_dir, tmp_path, capsys, side, content, reason
+    ):
+        good = str(bench_dir / "BENCH_overlay.json")
+        bad = tmp_path / "BENCH_bad.json"
+        if content is not None:
+            bad.write_text(content)
+        current, baseline = (
+            (str(bad), good) if side == "current" else (good, str(bad))
+        )
+        rc = main(["bench", "compare", current, "--baseline", baseline])
+        assert rc == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"{bad}: ") and reason in line
 
     def test_bench_list(self, capsys):
         rc = main(["bench", "list"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "fig3" in out and "overlay" in out
-        assert "trace_deep_dive" in out
+        assert "quality_plane" in out
+        assert "trace_deep_dive" not in out and "series_overhead" not in out
 
 
 class TestTraceCLI:
@@ -308,6 +317,36 @@ class TestHealthCLI:
         assert {c["name"] for c in doc["checks"]} >= {
             "staleness", "coverage", "shedding", "loss"
         }
+
+
+class TestLoadedFederationOutput:
+    """`health`, `watch` and `quality` run one shared lossy federation;
+    what each prints for fixed arguments is pinned byte for byte
+    (sha256 of stdout, recorded before the three builders were merged)."""
+
+    ARGS = [
+        "--nodes", "16", "--records", "20", "--queries", "10",
+        "--rate", "20", "--duration", "2", "--seed", "4",
+        "--loss", "0.1", "--interval", "1.0",
+    ]
+
+    @pytest.mark.parametrize(
+        "verb, rc, digest",
+        [
+            ("health", 1, "9f8ada00bed0e8d1b4a3f27c83b27eb4"
+                          "48059f8a728bc77b0b5f43f210083b97"),
+            ("watch", 0, "c04a5c60ea18f4fe2f4a63d477c11d41"
+                         "6cae5ef10df660c5456c3bd760d8388b"),
+            ("quality", 0, "9f3bf65384619ee89b43cf4a97c018d9"
+                           "4e72386547d2df4be393380f801f7b1d"),
+        ],
+    )
+    def test_output_is_pinned(self, verb, rc, digest, capsys):
+        import hashlib
+
+        assert main([verb] + self.ARGS) == rc
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
 
 
 class TestWatchCLI:
@@ -459,7 +498,7 @@ class TestSharedParentParser:
         "watch": ["watch"],
         "quality": ["quality"],
         "postmortem": ["postmortem", "some/dir"],
-        "profile": ["profile", "overlay"],
+        "profile": ["profile"],
         "bench run": ["bench", "run", "overlay"],
     }
 

@@ -1,9 +1,9 @@
 """RunPlan façade, legacy shims, and the parallel sweep runner.
 
 Covers the canonical-run-API contract: a frozen :class:`RunPlan` is the
-one way to describe a run, the legacy positional signatures warn but
-produce byte-identical artifacts, and fanning a sweep across a process
-pool changes nothing but wall-clock rows.
+one way to describe a run, the legacy positional signatures are
+rejected, and fanning a sweep across a process pool changes nothing but
+the artifacts' ``created_unix`` stamp.
 """
 
 import warnings
@@ -50,8 +50,6 @@ class TestRunPlan:
             RunPlan("overlay", seed=True)
         with pytest.raises(ValueError):
             RunPlan("overlay", workers=-1)
-        with pytest.raises(ValueError):
-            RunPlan("overlay", capacity=0)
 
     def test_resolved_sweeps_merges_overrides(self):
         plan = RunPlan(
@@ -66,7 +64,7 @@ class TestLegacyShims:
     def test_plan_plus_legacy_args_rejected(self):
         with pytest.raises(TypeError):
             run_scenario(RunPlan("overlay", scale="smoke"), "smoke")
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="unknown scale"):
             profile_scenario(RunPlan("overlay", scale="smoke"), seed=4)
 
     def test_non_plan_non_name_rejected(self):
@@ -74,13 +72,14 @@ class TestLegacyShims:
             run_scenario(42)
         with pytest.raises(TypeError, match="RunPlan"):
             run_scenario("fig8")
-        with pytest.raises(TypeError, match="RunPlan"):
+        # profile_scenario takes a scale and a seed, never a scenario.
+        with pytest.raises(ValueError, match="unknown scale"):
             profile_scenario("fig8")
 
     def test_canonical_call_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run_scenario(RunPlan("fig8", scale="smoke", seed=2, profile=False))
+            run_scenario(RunPlan("fig8", scale="smoke", seed=2))
 
 
 class TestParallelRunner:
@@ -92,23 +91,26 @@ class TestParallelRunner:
             resolve_workers(-2)
 
     def test_run_plans_pool_matches_serial(self):
-        plans = seed_sweep(
-            RunPlan("fig8", scale="smoke", profile=False), [2, 5]
-        )
+        plans = seed_sweep(RunPlan("fig8", scale="smoke"), [2, 5])
         serial = run_plans(plans, workers=1)
         pooled = run_plans(plans, workers=2)
         assert [comparable_dict(a) for a in serial] == [
             comparable_dict(a) for a in pooled
         ]
 
+    def test_comparable_dict_drops_created_unix_only(self):
+        art = run_scenario(RunPlan("fig8", scale="smoke", seed=2))
+        full = art.to_dict()
+        assert "created_unix" in full
+        del full["created_unix"]
+        assert comparable_dict(art) == full
+
     def test_run_plans_rejects_non_plans(self):
         with pytest.raises(TypeError):
             run_plans(["overlay"], workers=1)
 
     def test_merge_artifacts(self):
-        plans = seed_sweep(
-            RunPlan("fig8", scale="smoke", profile=False), [2, 5]
-        )
+        plans = seed_sweep(RunPlan("fig8", scale="smoke"), [2, 5])
         merged = merge_artifacts(run_plans(plans, workers=1))
         assert merged["schema"] == SWEEP_SCHEMA
         assert merged["seeds"] == [2, 5]
@@ -141,14 +143,7 @@ class TestStressSharding:
         sweeps = {"shards": 2, "shard_queries": 2}
         serial = stress_shard_rows(settings, {**sweeps, "workers": 1})
         pooled = stress_shard_rows(settings, {**sweeps, "workers": 2})
-
-        def stable(rows):
-            return [
-                {k: v for k, v in row.items() if not k.startswith("wall_")}
-                for row in rows
-            ]
-
-        assert stable(serial) == stable(pooled)
+        assert serial == pooled
         assert [row["shard"] for row in serial] == [0, 1]
         assert all(row["latency_mean_s"] > 0 for row in serial)
         assert all(row["update_bytes_epoch"] > 0 for row in serial)
@@ -163,7 +158,7 @@ class TestSharedCliFlags:
         "verb",
         [
             ["bench", "run", "overlay"],
-            ["profile", "overlay"],
+            ["profile"],
             ["trace", "events.jsonl"],
             ["watch"],
             ["postmortem", "pm.json"],
@@ -181,7 +176,7 @@ class TestSharedCliFlags:
     def test_bare_json_means_stdout(self, parser):
         args = parser.parse_args(["postmortem", "pm.json", "--json"])
         assert args.json == "-"
-        args = parser.parse_args(["profile", "overlay", "--json", "p.json"])
+        args = parser.parse_args(["profile", "--json", "p.json"])
         assert args.json == "p.json"
 
     def test_bench_run_parallel_flag(self, parser):

@@ -141,7 +141,7 @@ class TestFlatShim:
         with prof.section("sim.dispatch"):
             with prof.section("sim.dispatch"):
                 pass
-        flat = prof.snapshot()["sections"]["sim.dispatch"]
+        flat = prof.flat()["sim.dispatch"]
         assert flat["calls"] == 2
         # ``seconds`` is the top-most cumulative, not the sum over both
         # nesting levels, so it never exceeds the profiled total.
@@ -152,13 +152,13 @@ class TestFlatShim:
         with prof.section("net.send"):
             pass
         prof.count("sim.events", 7)
-        snap = prof.snapshot()
-        assert set(snap) == {"sections", "counters"}
-        assert snap["counters"] == {"sim.events": 7}
-        section = snap["sections"]["net.send"]
-        assert set(section) == {"calls", "seconds", "self_seconds"}
+        assert set(prof.flat()["net.send"]) == {
+            "calls", "seconds", "self_seconds"
+        }
+        assert prof.counter("sim.events") == 7
         prof.reset()
-        assert prof.snapshot() == {"sections": {}, "counters": {}}
+        assert prof.flat() == {}
+        assert prof.counter("sim.events") == 0
 
     def test_telemetry_attach_binds_clock(self):
         tel = Telemetry()
@@ -273,7 +273,7 @@ class TestProfileScenarioAndCli:
         # when it triggers; collect now so the frame times below are the
         # frames' own.
         gc.collect()
-        return profile_scenario(RunPlan("overlay", scale="smoke", seed=3))
+        return profile_scenario("smoke", 3)
 
     def test_document_shape(self, document):
         assert document["schema"] == PROFILE_SCHEMA
@@ -296,7 +296,7 @@ class TestProfileScenarioAndCli:
         collapsed_path = tmp_path / "prof.collapsed"
         speedscope_path = tmp_path / "prof.speedscope.json"
         rc = main([
-            "profile", "overlay", "--scale", "smoke", "--seed", "3",
+            "profile", "--scale", "smoke", "--seed", "3",
             "--tree",
             "--json", str(json_path),
             "--collapsed", str(collapsed_path),
@@ -329,9 +329,26 @@ class TestProfileScenarioAndCli:
         assert rc == 2
         assert PROFILE_SCHEMA in capsys.readouterr().out
 
-    def test_cli_profile_requires_scenario_or_diff(self, capsys):
-        rc = main(["profile"])
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+    def test_cli_profile_diff_unreadable_file_exits_2(
+        self, content, tmp_path, capsys
+    ):
+        good = tmp_path / "a.json"
+        good.write_text(json.dumps(_nested_profiler().document()))
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        rc = main(["profile", "--diff", str(good), str(bad)])
         assert rc == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"{bad}: ")
+
+    def test_cli_profile_takes_no_scenario(self, capsys):
+        # The canonical run is the same for every scenario, so there is
+        # nothing for a positional to select.
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "fig3", "--scale", "smoke"])
+        assert exc.value.code == 2
 
 
 class TestCompareGate:
@@ -344,25 +361,6 @@ class TestCompareGate:
             json.loads(json.dumps(artifact.to_dict()))
         )
 
-    def test_share_regression_fails(self, artifact):
-        current = self._clone(artifact)
-        name = next(
-            k for k in current.metrics if k.startswith("profile.share.")
-        )
-        current.metrics[name] = float(artifact.metrics[name]) + 0.5
-        result = compare_artifacts(current, artifact)
-        assert not result.ok
-        assert any(d.name == name for d in result.failed_deltas())
-
-    def test_share_shrink_passes(self, artifact):
-        current = self._clone(artifact)
-        name = next(
-            k for k in current.metrics if k.startswith("profile.share.")
-        )
-        current.metrics[name] = 0.0
-        result = compare_artifacts(current, artifact)
-        assert all(d.ok for d in result.deltas if d.name == name)
-
     def test_census_mismatch_is_hard_failure(self, artifact):
         current = self._clone(artifact)
         current.profile["census_fingerprint"] = "deadbeefdeadbeef"
@@ -370,10 +368,19 @@ class TestCompareGate:
         assert not result.ok
         assert any("census fingerprint" in f for f in result.failures)
 
+    def test_census_missing_on_either_side_fails_closed(self, artifact):
+        blank = self._clone(artifact)
+        del blank.profile["census_fingerprint"]
+        for current, baseline in ((blank, artifact), (artifact, blank)):
+            result = compare_artifacts(current, baseline)
+            assert not result.ok
+            assert any("fingerprint missing" in f for f in result.failures)
+
     def test_profile_block_in_artifact(self, artifact):
-        assert artifact.profile["schema"] == PROFILE_SCHEMA
-        assert artifact.profile["census_fingerprint"]
-        assert artifact.profile["hotspot_shares"]
-        assert any(
-            k.startswith("profile.share.") for k in artifact.metrics
+        document = profile_scenario("smoke", 3)
+        assert set(artifact.profile) == {"census_fingerprint", "census_kinds"}
+        assert (
+            artifact.profile["census_fingerprint"]
+            == document["census_fingerprint"]
         )
+        assert set(artifact.profile["census_kinds"]) == set(document["census"])

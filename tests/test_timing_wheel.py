@@ -131,7 +131,7 @@ class TestSystemLevelEquivalence:
 
     @pytest.fixture(scope="class")
     def pair(self):
-        plan = RunPlan("overlay", scale="smoke", seed=3, profile=False)
+        plan = RunPlan("overlay", scale="smoke", seed=3)
         results = {}
         for use_wheel in (True, False):
             old = engine.DEFAULT_USE_WHEEL
@@ -139,7 +139,7 @@ class TestSystemLevelEquivalence:
             try:
                 results[use_wheel] = (
                     run_scenario(plan),
-                    profile_scenario(RunPlan("overlay", scale="smoke", seed=3)),
+                    profile_scenario("smoke", 3),
                 )
             finally:
                 engine.DEFAULT_USE_WHEEL = old

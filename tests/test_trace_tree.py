@@ -34,7 +34,7 @@ NODES = 24
 RETRY = RetryPolicy(timeout=0.5, retries=2, backoff_base=0.1)
 
 
-def build_system(*, loss=0.0, service=None, telemetry=None, seed=SEED):
+def build_system(*, loss=0.0, service=None, traced=True, seed=SEED):
     wcfg = WorkloadConfig(num_nodes=NODES, records_per_node=60, seed=seed)
     cfg = RoadsConfig(
         num_nodes=NODES,
@@ -44,7 +44,7 @@ def build_system(*, loss=0.0, service=None, telemetry=None, seed=SEED):
         loss_rate=loss,
         seed=seed,
     )
-    tel = telemetry if telemetry is not None else Telemetry(capacity=200_000)
+    tel = Telemetry(capacity=200_000) if traced else None
     system = RoadsSystem.build(cfg, generate_node_stores(wcfg), telemetry=tel)
     if service is not None:
         system.enable_service(service)
@@ -224,6 +224,63 @@ class TestWideningSearchTrace:
             )
             verified += 1
         assert verified == len(results)
+
+
+class TestConcurrentBatchTrace:
+    """A staggered concurrent batch on the lossy, queue-limited
+    federation: every search telescopes, and tracing changes nothing."""
+
+    @staticmethod
+    def batch(traced):
+        system, tel, wcfg = build_system(
+            loss=0.15,
+            service=ServiceConfig(service_time=0.005, queue_limit=8),
+            traced=traced,
+        )
+        queries = generate_queries(
+            wcfg, num_queries=12, seed_label="trace-batch"
+        )
+        results = system.search_many(
+            [
+                SearchRequest(q, client_node=i % NODES, retry=RETRY)
+                for i, q in enumerate(queries)
+            ],
+            arrivals=[0.05 * i for i in range(len(queries))],
+        )
+        return system, tel, results
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        return self.batch(traced=True)
+
+    def test_every_search_telescopes_to_its_latency(self, traced):
+        system, tel, results = traced
+        assert system.network.counters()["lost"] > 0
+        trees = assemble_traces(tel.events())
+        verified = 0
+        for r in results:
+            tree = trees[r.outcome.trace_id]
+            path = critical_path(
+                tree, root=tree.nodes[r.outcome.root_span_id]
+            )
+            if path.leaf is None:
+                continue  # every attempt of the search was lost
+            assert path.total == pytest.approx(
+                r.outcome.latency, abs=1e-9
+            )
+            verified += 1
+        assert verified > 0
+
+    def test_tracing_does_not_perturb_the_batch(self, traced):
+        system, _, results = traced
+        bare_system, tel, bare = self.batch(traced=False)
+        assert tel is None
+        # Exact float equality: span ids come from telemetry counters,
+        # never from the simulation's RNG.
+        assert [r.outcome.latency for r in bare] == [
+            r.outcome.latency for r in results
+        ]
+        assert bare_system.network.counters() == system.network.counters()
 
 
 class TestRejectHops:
