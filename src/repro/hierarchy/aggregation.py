@@ -54,7 +54,9 @@ class SummaryUpdate:
 
     ``summary is None`` marks a keep-alive: the receiver re-stamps its
     held soft state only when *fingerprint* matches the held content
-    (:meth:`~repro.hierarchy.node.Server.refresh_summary`). ``table``
+    (:meth:`~repro.hierarchy.node.Server.refresh_summary`). A full
+    update carries no fingerprint — installing never reads one, and the
+    summary hashes itself if a later keep-alive is compared. ``table``
     selects the receiver-side soft-state table: ``"child"`` for
     bottom-up reports, ``"replica"`` / ``"replica_local"`` for overlay
     pushes, ``"owner"`` for a guest owner's summary export.
@@ -109,8 +111,8 @@ def install_batch(server: Server, updates, now: float) -> list:
 class SummaryExporter:
     """Per-server actor: exports the branch summary to the parent.
 
-    Sender-side delta state only: the exporter remembers the fingerprint
-    it last shipped (``server.last_reported_fingerprint``, which the
+    Sender-side delta state only: the exporter remembers the summary
+    it last shipped (``server.last_reported``, whose fingerprint the
     maintenance heartbeat piggybacks), the parent it shipped to, and
     when it last sent a full summary. A full send is forced when the
     parent changed (rejoin — the new parent has no state for us) or when
@@ -163,18 +165,19 @@ class SummaryExporter:
         size = HEADER_BYTES + BRANCH_STATS_BYTES
         if branch is None:
             return SummaryUpdate("child", server.server_id), size
-        fp = branch.fingerprint()
-        keepalive = (
+        may_keepalive = (
             self.delta
             and not force_full
             and parent.server_id == self._last_parent
-            and fp == server.last_reported_fingerprint
             and (now - self._last_full_at) < self.refresh_after
         )
-        if keepalive:
-            return SummaryUpdate("child", server.server_id, None, fp), size
+        # Only a report that could be a keep-alive is compared, so hashed.
+        if may_keepalive:
+            fp = branch.fingerprint()
+            if fp == server.last_reported_fingerprint:
+                return SummaryUpdate("child", server.server_id, None, fp), size
         size += branch.encoded_size()
-        return SummaryUpdate("child", server.server_id, branch, fp), size
+        return SummaryUpdate("child", server.server_id, branch), size
 
     def build_update(
         self,
@@ -194,10 +197,9 @@ class SummaryExporter:
         """
         built = self.plan_update(now, branch, force_full=force_full)
         if built is not None and branch is not None:
-            update = built[0]
-            self.server.last_reported_fingerprint = update.fingerprint
             self._last_parent = self.server.parent.server_id
-            if update.summary is not None:
+            if built[0].summary is not None:
+                self.server.last_reported = branch
                 self._last_full_at = now
         return built
 
@@ -205,8 +207,8 @@ class SummaryExporter:
 def build_owner_export(
     owner, config: SummaryConfig, now: float
 ) -> tuple:
-    """A guest owner's fresh summary export: ``(update, size_bytes)``."""
-    summary = ResourceSummary.from_store(owner.origin, config, created_at=now)
+    """A guest owner's summary export, stamped *now*: ``(update, size_bytes)``."""
+    summary = owner.summarize(config, now)
     size = summary.encoded_size() + HEADER_BYTES
     update = SummaryUpdate(
         "owner", owner.node_id, summary, owner_id=owner.owner_id

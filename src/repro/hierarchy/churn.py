@@ -145,7 +145,7 @@ class ChurnProcess:
         server.child_summaries.clear()
         server.replicated_summaries.clear()
         server.replicated_local_summaries.clear()
-        server.last_reported_fingerprint = None
+        server.last_reported = None
         server.root_path = [sid]
         if sid in self.hierarchy._servers:
             del self.hierarchy._servers[sid]

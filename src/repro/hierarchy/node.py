@@ -44,6 +44,28 @@ class AttachedOwner:
     controls_server: bool
     summary: Optional[ResourceSummary] = None
     node_id: Optional[int] = None
+    #: not a field: ``(store, its write stamp, summary)`` of the last summarize()
+    _built = None
+
+    def summarize(self, config: SummaryConfig, now: float) -> ResourceSummary:
+        """This owner's records summarized under *config*, stamped *now*.
+
+        Scans the store only if it was written since the last call (its
+        write stamp moved) and re-stamps that call's summary otherwise:
+        the store is sealed, so no write can have skipped the stamp.
+        """
+        store = self.origin
+        stamp = store.write_stamp
+        built = self._built
+        if (
+            built is not None and built[0] is store and built[1] == stamp
+            and built[2].config == config
+        ):
+            summary = built[2].refreshed(now)
+        else:
+            summary = ResourceSummary.from_store(store, config, created_at=now)
+        self._built = (store, stamp, summary)
+        return summary
 
     @property
     def exported_size_bytes(self) -> int:
@@ -84,12 +106,19 @@ class Server:
         # ancestors' local-owner summaries (overlay): used to decide
         # whether an ancestor itself (not its branch) is worth contacting
         self.replicated_local_summaries: Dict[int, ResourceSummary] = {}
-        # fingerprint of the last branch summary reported to the parent
-        # (delta propagation: unchanged summaries send only a keep-alive)
-        self.last_reported_fingerprint: Optional[bytes] = None
+        # the last branch summary shipped to the parent — the very object
+        # the parent was sent, so keeping it keeps no array alive twice
+        self.last_reported: Optional[ResourceSummary] = None
         # optional extra child-acceptance say (domain affinity, load, ...)
         self.accept_policy = None
         self.alive = True
+
+    @property
+    def last_reported_fingerprint(self) -> Optional[bytes]:
+        """Content hash of :attr:`last_reported`, computed when first
+        compared (delta propagation; the piggybacking heartbeat)."""
+        reported = self.last_reported
+        return None if reported is None else reported.fingerprint()
 
     # -- tree structure ------------------------------------------------------------
     @property
@@ -222,7 +251,7 @@ class Server:
         parts: List[ResourceSummary] = []
         for o in self.owners:
             if o.controls_server:
-                parts.append(ResourceSummary.from_store(o.origin, config, created_at=now))
+                parts.append(o.summarize(config, now))
                 continue
             summary = exports.get(o.owner_id) if exports else None
             if summary is None:

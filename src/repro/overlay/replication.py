@@ -165,10 +165,11 @@ class ReplicaPusher:
         def push_table(table: str, summary, holders) -> None:
             if summary is None:
                 return
-            fp = summary.fingerprint()
-            full = SummaryUpdate(table, sid, summary, fp)
+            full = SummaryUpdate(table, sid, summary)
             full_size = HEADER_BYTES + summary.encoded_size()
-            keepalive = SummaryUpdate(table, sid, None, fp)
+            if may_keepalive:  # the only branch that compares, so hashes
+                fp = summary.fingerprint()
+                keepalive = SummaryUpdate(table, sid, None, fp)
             for holder in holders:
                 if not holder.alive:
                     continue
@@ -209,6 +210,8 @@ class ReplicaPusher:
         sent = self._sent
         for holder_id, update, _ in pushes:
             key = (holder_id, update.table)
-            full_at = now if update.summary is not None else sent[key][1]
-            sent[key] = (update.fingerprint, full_at)
+            if update.summary is not None:
+                sent[key] = (update.summary.fingerprint(), now)
+            else:
+                sent[key] = (update.fingerprint, sent[key][1])
         return pushes

@@ -8,6 +8,11 @@ Section V prototype) are searched without Python-level loops, per the
 scientific-Python optimization guidance. ``mask_range`` / ``mask_equals``
 answer one predicate; a whole conjunctive query compares all its range
 columns of ``numeric_matrix`` at once (:meth:`repro.query.query.Query.mask`).
+
+The store is *sealed*: ``numeric_matrix`` / ``numeric_column`` are read-only
+views, and every write goes through a mutator (``extend`` / ``append``,
+``update_numeric``, ``write_rows``, ``clear``) that bumps ``write_stamp`` —
+how the holder of a summary learns whether it still describes the records.
 """
 
 from __future__ import annotations
@@ -28,11 +33,22 @@ class RecordStore:
         self._owner = owner
         n_num = len(schema.numeric_attributes)
         n_cat = len(schema.categorical_attributes)
-        self._numeric = np.empty((0, n_num), dtype=np.float64)
-        self._cat_codes = np.empty((0, n_cat), dtype=np.int32)
+        self._stamp = 0
+        self._rebind(
+            np.empty((0, n_num), dtype=np.float64),
+            np.empty((0, n_cat), dtype=np.int32),
+        )
         # Per categorical column: value -> code and code -> value tables.
         self._vocab: List[Dict[str, int]] = [dict() for _ in range(n_cat)]
         self._rvocab: List[List[str]] = [[] for _ in range(n_cat)]
+
+    def _rebind(self, numeric: np.ndarray, cat_codes: np.ndarray) -> None:
+        """Install new backing arrays (a write) and the sealed view of them."""
+        self._numeric = numeric
+        self._cat_codes = cat_codes
+        self._sealed = numeric.view()
+        self._sealed.flags.writeable = False
+        self._stamp += 1
 
     # -- construction ----------------------------------------------------------
     @classmethod
@@ -84,8 +100,7 @@ class RecordStore:
                     f"categorical column {j} has length {len(col)}, expected {n}"
                 )
             codes[:, j] = store._encode_column(j, col)
-        store._numeric = numeric.copy()
-        store._cat_codes = codes
+        store._rebind(numeric.copy(), codes)
         return store
 
     def _encode_column(self, j: int, values: Sequence[str]) -> np.ndarray:
@@ -126,18 +141,27 @@ class RecordStore:
                 num_rows[i, j] = rec[spec.name]
             for j, spec in enumerate(cat_specs):
                 cat_rows[i, j] = self._encode_column(j, [rec[spec.name]])[0]
-        self._numeric = np.concatenate([self._numeric, num_rows], axis=0)
-        self._cat_codes = np.concatenate([self._cat_codes, cat_rows], axis=0)
+        self._rebind(
+            np.concatenate([self._numeric, num_rows], axis=0),
+            np.concatenate([self._cat_codes, cat_rows], axis=0),
+        )
 
     def update_numeric(self, row: int, name: str, value: float) -> None:
         """In-place update of one numeric value (dynamic resources)."""
         spec = self._schema[name]
         spec.validate_value(value)
         self._numeric[row, self._schema.numeric_position(name)] = float(value)
+        self._stamp += 1
+
+    def write_rows(self, rows: np.ndarray, block: np.ndarray) -> None:
+        """In-place bulk update: record ``rows[i]`` takes the numeric
+        values ``block[i]`` (ordered as ``schema.numeric_attributes``).
+        Like :meth:`from_arrays`, the bulk path does not range-check."""
+        self._numeric[rows] = block
+        self._stamp += 1
 
     def clear(self) -> None:
-        self._numeric = self._numeric[:0]
-        self._cat_codes = self._cat_codes[:0]
+        self._rebind(self._numeric[:0], self._cat_codes[:0])
 
     # -- inspection ----------------------------------------------------------------
     @property
@@ -147,6 +171,11 @@ class RecordStore:
     @property
     def owner(self) -> Optional[str]:
         return self._owner
+
+    @property
+    def write_stamp(self) -> int:
+        """Counter every mutator bumps: equal stamps, equal content."""
+        return self._stamp
 
     def __len__(self) -> int:
         return self._numeric.shape[0]
@@ -160,21 +189,16 @@ class RecordStore:
     def numeric_matrix(self) -> np.ndarray:
         """The numeric partition, shape ``(n_records, n_numeric)``.
 
-        Columns are ordered as ``schema.numeric_attributes``. Treat as
-        read-only; use :meth:`update_numeric` for mutation.
+        Columns are ordered as ``schema.numeric_attributes``. A
+        read-only view that follows in-place writes; mutate through
+        :meth:`update_numeric` / :meth:`write_rows`.
         """
-        return self._numeric
+        return self._sealed
 
     def numeric_column(self, name: str) -> np.ndarray:
-        """Read-only view of one numeric attribute's values.
-
-        Only the returned view is locked; the matrix behind it stays
-        writable for :meth:`update_numeric` and in-place record churn,
-        and the view follows those writes.
-        """
-        col = self._numeric[:, self._schema.numeric_position(name)]
-        col.flags.writeable = False
-        return col
+        """Read-only view of one numeric attribute's values (it follows
+        in-place writes made through the mutators)."""
+        return self._sealed[:, self._schema.numeric_position(name)]
 
     def categorical_column(self, name: str) -> List[str]:
         """Decoded values of one categorical attribute."""
@@ -221,8 +245,7 @@ class RecordStore:
     def select(self, mask: np.ndarray) -> "RecordStore":
         """New store containing only rows where *mask* is true."""
         out = RecordStore(self._schema, owner=self._owner)
-        out._numeric = self._numeric[mask]
-        out._cat_codes = self._cat_codes[mask]
+        out._rebind(self._numeric[mask], self._cat_codes[mask])
         out._vocab = [dict(v) for v in self._vocab]
         out._rvocab = [list(v) for v in self._rvocab]
         return out
@@ -232,7 +255,6 @@ class RecordStore:
         if other._schema != self._schema:
             raise ValueError("cannot merge stores with different schemas")
         out = RecordStore(self._schema, owner=self._owner)
-        out._numeric = np.concatenate([self._numeric, other._numeric], axis=0)
         out._vocab = [dict(v) for v in self._vocab]
         out._rvocab = [list(v) for v in self._rvocab]
         # Re-encode other's categorical codes into this store's vocabularies.
@@ -249,5 +271,8 @@ class RecordStore:
                     vocab[v] = code
                     rvocab.append(v)
                 recoded[i, j] = code
-        out._cat_codes = np.concatenate([self._cat_codes, recoded], axis=0)
+        out._rebind(
+            np.concatenate([self._numeric, other._numeric], axis=0),
+            np.concatenate([self._cat_codes, recoded], axis=0),
+        )
         return out

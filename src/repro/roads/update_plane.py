@@ -323,9 +323,9 @@ class UpdatePlane:
         guest exports), one ``branch`` summary folded from it and the held
         child reports, stamped now. The branch goes to the parent through
         the exporter; ``(branch, local)`` is returned so the pusher ships
-        the very same objects. Nothing is kept past the tick — stores are
-        churned in place, so any summary cached across ticks could go
-        stale without its store changing identity.
+        the very same objects. A store not written since its owner's last
+        summary is re-stamped, not re-scanned (:meth:`~repro.hierarchy.
+        node.AttachedOwner.summarize`); the fold is redone every tick.
         """
         prof = self._profiler
         if prof is not None:

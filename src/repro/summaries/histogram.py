@@ -26,7 +26,9 @@ so every holder shares it, and the write path never builds one.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
+import struct
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -312,16 +314,14 @@ class HistogramSummary(AttributeSummary):
         Cached: counts only change through :meth:`add_values` (which
         invalidates) — merges and copies return new instances.
         """
-        if self._fp is not None:
-            return self._fp
-        import hashlib
-
-        h = hashlib.blake2b(digest_size=16)
-        h.update(self.attribute.encode("utf-8"))
-        h.update(np.int64(self.buckets).tobytes())
-        h.update(np.float64((self.lo, self.hi)).tobytes())
-        h.update(np.ascontiguousarray(self.counts).tobytes())
-        self._fp = h.digest()
+        if self._fp is None:
+            h = hashlib.blake2b(
+                self.attribute.encode("utf-8")
+                + struct.pack("=qdd", self.buckets, self.lo, self.hi),
+                digest_size=16,
+            )
+            h.update(np.ascontiguousarray(self.counts))
+            self._fp = h.digest()
         return self._fp
 
     # -- introspection -------------------------------------------------------------

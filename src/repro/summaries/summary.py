@@ -8,6 +8,7 @@ and what the replication overlay copies across the hierarchy.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, Optional
 
 import numpy as np
@@ -29,9 +30,11 @@ class ResourceSummary:
 
     Soft state: carries the simulation timestamp at which it was created
     and the configured TTL; servers discard summaries whose TTL expired.
+    Content is fixed once built, so the content hash and wire size are
+    computed when first asked for and travel with :meth:`refreshed` copies.
     """
 
-    __slots__ = ("schema", "config", "attributes", "created_at")
+    __slots__ = ("schema", "config", "attributes", "created_at", "_fp", "_size")
 
     def __init__(
         self,
@@ -49,6 +52,7 @@ class ResourceSummary:
                 for spec in schema
             }
         self.attributes = attributes
+        self._fp = self._size = None
 
     # -- construction ------------------------------------------------------------
     @classmethod
@@ -178,17 +182,19 @@ class ResourceSummary:
 
     def encoded_size(self) -> int:
         """Wire size of the full summary (the paper's ``m*r`` scale)."""
-        return sum(s.encoded_size() for s in self.attributes.values())
+        if self._size is None:
+            self._size = sum(s.encoded_size() for s in self.attributes.values())
+        return self._size
 
     def fingerprint(self) -> bytes:
         """Content hash over all attribute summaries (order-independent
         in the schema sense: iterates the schema's declared order)."""
-        import hashlib
-
-        h = hashlib.blake2b(digest_size=16)
-        for spec in self.schema:
-            h.update(self.attributes[spec.name].fingerprint())
-        return h.digest()
+        if self._fp is None:
+            h = hashlib.blake2b(digest_size=16)
+            for spec in self.schema:
+                h.update(self.attributes[spec.name].fingerprint())
+            self._fp = h.digest()
+        return self._fp
 
     # -- soft state ----------------------------------------------------------------
     def is_expired(self, now: float) -> bool:
@@ -202,9 +208,11 @@ class ResourceSummary:
         mutators exist only for construction), so a refresh only needs a
         fresh top-level object with its own ``created_at``.
         """
-        return ResourceSummary(
+        fresh = ResourceSummary(
             self.schema, self.config, dict(self.attributes), created_at=now
         )
+        fresh._fp, fresh._size = self._fp, self._size
+        return fresh
 
     # -- estimation ----------------------------------------------------------------
     def estimated_matches(self, query: Query) -> int:

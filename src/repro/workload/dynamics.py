@@ -62,6 +62,7 @@ class RecordDynamics:
         self.config = config
         self.epochs = 0
         self.records_changed = 0
+        self._plans: dict = {}
         self._task: PeriodicTask = sim.schedule_periodic(
             config.record_interval, self.step, label="workload.churn"
         )
@@ -91,23 +92,33 @@ class RecordDynamics:
         self.records_changed += changed
         return changed
 
+    def _plan(self, schema):
+        """``(schema, columns, lo, hi, sigma)`` of the walking attributes:
+        numeric-partition positions (all of them as one slice), bounds
+        and step deviations, compiled once per schema (keyed by its id)."""
+        plan = self._plans.get(id(schema))
+        if plan is None or plan[0] is not schema:
+            columns = slice(None)
+            if self.config.attributes is not None:
+                columns = [schema.numeric_position(a) for a in self.config.attributes]
+            lo, hi = np.array(
+                [a.bounds for a in schema.numeric_attributes], dtype=np.float64
+            ).reshape(-1, 2)[columns].T
+            sigma = (self.config.step_sigma * (hi - lo))[:, None]
+            plan = self._plans[id(schema)] = (schema, columns, lo, hi, sigma)
+        return plan
+
     def _perturb(self, store: RecordStore) -> int:
         n = len(store)
         if n == 0:
             return 0
-        schema = store.schema
-        names = (
-            list(self.config.attributes)
-            if self.config.attributes is not None
-            else [a.name for a in schema.numeric_attributes]
-        )
+        _, columns, lo, hi, sigma = self._plan(store.schema)
         k = max(1, int(round(n * self.config.change_fraction)))
         rows = self.rng.choice(n, size=k, replace=False)
-        matrix = store.numeric_matrix
-        for name in names:
-            spec = schema[name]
-            col = schema.numeric_position(name)
-            lo, hi = spec.bounds
-            steps = self.rng.normal(0.0, self.config.step_sigma * (hi - lo), k)
-            matrix[rows, col] = np.clip(matrix[rows, col] + steps, lo, hi)
+        # Row j of the draw is the k steps of attribute j, in the order
+        # one normal(0, sigma_j, k) call per attribute would draw them.
+        steps = self.rng.normal(0.0, sigma, (len(sigma), k)).T
+        block = store.numeric_matrix[rows]
+        block[:, columns] = np.clip(block[:, columns] + steps, lo, hi)
+        store.write_rows(rows, block)
         return k

@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import hashlib
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,23 @@ def make_plane(hierarchy, cfg, *, interval=60.0) -> UpdatePlane:
         sim, network, hierarchy, ReplicationOverlay(hierarchy, cfg),
         interval=interval,
     )
+
+
+@contextmanager
+def counting_hashes(monkeypatch):
+    """Count ``hashlib.blake2b`` objects created inside the block: every
+    attribute summary and every resource summary that hashes itself
+    creates exactly one."""
+    real = hashlib.blake2b
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hashlib, "blake2b", counted)
+        yield calls
 
 
 def converge(hierarchy, cfg) -> UpdateRoundReport:

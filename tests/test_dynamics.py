@@ -4,6 +4,7 @@ dynamics + aggregation + delta-propagation loop."""
 import numpy as np
 import pytest
 
+from repro.records import RecordStore, Schema, categorical, numeric
 from repro.roads import RoadsConfig, RoadsSystem, SearchRequest
 from repro.sim import Simulator
 from repro.summaries import SummaryConfig
@@ -73,6 +74,86 @@ class TestRandomWalk:
         dyn.stop()
         sim.run(until=100.0)
         assert dyn.epochs == 5
+
+
+def reference_perturb(matrix, schema, rng, config):
+    """The per-column loop ``RecordDynamics._perturb`` ran before it
+    became one block write, on a plain writable *matrix*: one normal
+    draw and one fancy-indexed column write per attribute."""
+    n = matrix.shape[0]
+    if n == 0:
+        return 0
+    names = (
+        list(config.attributes)
+        if config.attributes is not None
+        else [a.name for a in schema.numeric_attributes]
+    )
+    k = max(1, int(round(n * config.change_fraction)))
+    rows = rng.choice(n, size=k, replace=False)
+    for name in names:
+        col = schema.numeric_position(name)
+        lo, hi = schema[name].bounds
+        steps = rng.normal(0.0, config.step_sigma * (hi - lo), k)
+        matrix[rows, col] = np.clip(matrix[rows, col] + steps, lo, hi)
+    return k
+
+
+class TestBlockWriteEqualsColumnLoop:
+    """One draw, one gather/add/clip/scatter — the same bits, and the
+    same generator state afterwards, as the loop it replaced."""
+
+    #: uneven spans and offsets, a categorical between the numerics
+    SCHEMA = Schema([
+        numeric("load", 0.0, 1.0), numeric("ram", 0.5, 512.0),
+        categorical("os"), numeric("temp", -40.0, 85.0),
+        numeric("rate", 1e-3, 1e4), numeric("tiny", -1e-6, 1e-6),
+    ])
+
+    def stores(self, seed):
+        rng = np.random.default_rng(seed)
+        bounds = np.array([a.bounds for a in self.SCHEMA.numeric_attributes])
+        out = []
+        for n in (0, 1, 2, 57, 300):
+            values = rng.uniform(bounds[:, 0], bounds[:, 1], (n, len(bounds)))
+            values[: n // 3] = bounds[:, rng.integers(0, 2)]  # rows on an edge
+            out.append(RecordStore.from_arrays(
+                self.SCHEMA, values, [rng.choice(["a", "b"], n).tolist()]
+            ))
+        return out
+
+    @pytest.mark.parametrize("attributes", [
+        None, ["temp"], ["rate", "load", "tiny"], [],
+        ["load", "ram", "temp", "rate", "tiny"],
+    ])
+    @pytest.mark.parametrize("sigma,fraction", [(0.01, 0.2), (0.7, 1.0), (0.3, 0.001)])
+    def test_bit_for_bit(self, attributes, sigma, fraction):
+        config = DynamicsConfig(
+            change_fraction=fraction, step_sigma=sigma, attributes=attributes
+        )
+        stores = self.stores(seed=4)
+        expected = [s.numeric_matrix.copy() for s in stores]
+        rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
+        dyn = RecordDynamics(Simulator(), stores, rng, config)
+        dyn.stop()
+        for _ in range(4):
+            changed = dyn.step()
+            ref_changed = sum(
+                reference_perturb(m, self.SCHEMA, ref_rng, config)
+                for m in expected
+            )
+            assert changed == ref_changed
+            for store, matrix in zip(stores, expected):
+                assert store.numeric_matrix.tobytes() == matrix.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_step_moves_every_nonempty_store_stamp(self):
+        stores = self.stores(seed=5)
+        dyn = RecordDynamics(Simulator(), stores, np.random.default_rng(1))
+        dyn.stop()
+        before = [s.write_stamp for s in stores]
+        dyn.step()
+        moved = [s.write_stamp != b for s, b in zip(stores, before)]
+        assert moved == [len(s) > 0 for s in stores]
 
 
 class TestDynamicFederation:

@@ -7,6 +7,7 @@ its hop bound, and the balanced join always yields a well-formed tree.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +15,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.hierarchy import Server, build_hierarchy
+from repro.hierarchy.node import AttachedOwner
 from repro.overlay import coverage_ids, replication_sources
 from repro.query import EqualsPredicate, Query, RangePredicate
-from repro.records import RecordStore, Schema, categorical, numeric
+from repro.records import (
+    RecordStore,
+    ResourceRecord,
+    Schema,
+    categorical,
+    numeric,
+)
+from repro.roads import GuestOwner, RoadsConfig, RoadsSystem
+from repro.sim import Simulator
 from repro.summaries import (
     BloomFilterSummary,
     HistogramSummary,
@@ -28,6 +38,7 @@ from repro.summaries import (
 )
 from repro.summaries.codec import decode_histogram, encode_histogram
 from repro.sword import ChordRouter, LocalityHash
+from repro.workload import RecordDynamics, WorkloadConfig, generate_node_stores
 
 
 unit_floats = st.floats(
@@ -496,3 +507,116 @@ class TestHierarchyProperties:
             union = set().union(*pieces)
             assert total == len(union), "cover pieces overlap"
             assert union == {s.server_id for s in h}
+
+
+# -- the write stamp: a reused summary is the one a scan would build --------------
+STAMP_SERVERS = 5
+STAMP_RECORDS = 6
+#: 0..4 are the servers' own stores, 5 is the guest's
+stamp_store = st.integers(min_value=0, max_value=STAMP_SERVERS)
+stamp_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("extend"), stamp_store, unit_floats),
+        st.tuples(st.just("update"), stamp_store, st.integers(0, 50), unit_floats),
+        st.tuples(st.just("write_rows"), stamp_store, st.integers(0, 50), unit_floats),
+        st.tuples(st.just("clear"), stamp_store),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("epoch")),
+        st.tuples(st.just("measure")),
+        st.tuples(st.just("free_run"), st.floats(min_value=0.1, max_value=2.5)),
+    ),
+    min_size=1, max_size=14,
+)
+
+
+class TestWriteStampSoundness:
+    """No interleaving of writes and update-plane activity lets a server
+    advertise a summary other than the one a fresh scan would build —
+    the cache across ticks cannot produce a false negative."""
+
+    @given(ops=stamp_ops, delta=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_every_summary_equals_a_scan_from_scratch(self, ops, delta):
+        stores = generate_node_stores(WorkloadConfig(
+            num_nodes=STAMP_SERVERS + 1, records_per_node=STAMP_RECORDS, seed=2
+        ))
+        # sparse: the wire size depends on the content, like the hash
+        config = SummaryConfig(histogram_buckets=16, histogram_encoding="sparse")
+        system = RoadsSystem.build(
+            RoadsConfig(
+                num_nodes=STAMP_SERVERS, records_per_node=STAMP_RECORDS,
+                max_children=2, summary=config, summary_interval=1.0,
+                delta_updates=delta, seed=2,
+            ),
+            stores[:STAMP_SERVERS],
+            guests=[GuestOwner(stores[-1], attach_to=3, owner_id="g")],
+        )
+        plane, sim = system.update_plane, system.sim
+        dynamics = RecordDynamics(Simulator(), stores, np.random.default_rng(3))
+        dynamics.stop()
+        summarize = AttachedOwner.summarize
+        checked = []
+
+        def same(got, scratch):
+            assert got.attributes == scratch.attributes
+            assert got.fingerprint() == scratch.fingerprint()
+            assert got.encoded_size() == scratch.encoded_size()
+
+        def checked_summarize(owner, cfg, now):
+            got = summarize(owner, cfg, now)
+            same(got, ResourceSummary.from_store(owner.origin, cfg))
+            assert got.created_at == now == sim.now
+            checked.append(owner.owner_id)
+            return got
+
+        def scratch_branch(server):
+            return ResourceSummary.merge_many(
+                [ResourceSummary.from_store(o.origin, config)
+                 for o in server.owners]
+                + [scratch_branch(c) for c in server.children]
+            )
+
+        def record(store, value):
+            return ResourceRecord(
+                store.schema, {a.name: value for a in store.schema}
+            )
+
+        with mock.patch.object(AttachedOwner, "summarize", checked_summarize):
+            for op, *args in ops:
+                if op == "extend":
+                    stores[args[0]].extend([record(stores[args[0]], args[1])])
+                elif op == "update" and len(stores[args[0]]):
+                    store = stores[args[0]]
+                    store.update_numeric(args[1] % len(store), "u1", args[2])
+                elif op == "write_rows" and len(stores[args[0]]):
+                    store = stores[args[0]]
+                    rows = np.array([args[1] % len(store)])
+                    store.write_rows(
+                        rows, np.full((1, len(store.schema)), args[2])
+                    )
+                elif op == "clear":
+                    stores[args[0]].clear()
+                elif op == "step":
+                    dynamics.step()
+                elif op == "measure":
+                    plane.measure_epoch()
+                elif op == "free_run":
+                    plane.start()
+                    sim.run(until=sim.now + args[0])
+                    plane.stop()
+                    plane.drain()
+                elif op == "epoch":
+                    started = sim.now
+                    measured = plane.measure_epoch()
+                    del checked[:]
+                    assert plane.run_epoch() == measured
+                    assert sorted(checked) == sorted(
+                        o.owner_id for s in system.hierarchy for o in s.owners
+                    )
+                    # loss-free and drained: every holder is current
+                    for server in system.hierarchy:
+                        if server.parent is None:
+                            continue
+                        held = server.parent.child_summaries[server.server_id]
+                        same(held, scratch_branch(server))
+                        assert started <= held.created_at <= sim.now

@@ -92,10 +92,48 @@ class TestAccess:
         with pytest.raises(ValueError, match="read-only"):
             col[0] = 0.5
         # Only the view is locked: the store still mutates, in place
-        # and through update_numeric, and the view follows.
+        # through its mutators, and the view follows.
         st.update_numeric(0, "a", 0.25)
-        st.numeric_matrix[1, 0] = 0.75
+        st.write_rows(np.array([1]), [[0.75, st.numeric_matrix[1, 1]]])
         assert col[0] == 0.25 and col[1] == 0.75
+
+    def test_numeric_matrix_is_sealed(self, schema):
+        st = make_store(schema, 6)
+        matrix = st.numeric_matrix
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[1, 0] = 0.75
+        with pytest.raises(ValueError, match="read-only"):
+            st.numeric_matrix[...] = 0.0
+        st.write_rows(np.array([4, 2]), [[0.1, 0.2], [0.3, 0.4]])
+        assert matrix[4].tolist() == [0.1, 0.2]  # the view follows
+        assert matrix[2].tolist() == [0.3, 0.4]
+        with pytest.raises(ValueError):
+            st.write_rows(np.array([0, 1]), np.zeros((3, 2)))
+
+    def test_every_mutator_moves_the_write_stamp(self, schema):
+        st = make_store(schema, 6)
+        seen = [st.write_stamp]
+
+        def moved():
+            seen.append(st.write_stamp)
+            return seen[-1] != seen[-2]
+
+        st.numeric_matrix, st.numeric_column("a"), st.mask_range("a", 0, 1)
+        len(st), st.record_at(0), st.select(st.mask_range("a", 0, 0.5))
+        assert not moved()  # reads leave it alone
+        st.update_numeric(0, "a", 0.25)
+        assert moved()
+        st.write_rows(np.array([1]), st.numeric_matrix[[2]])
+        assert moved()
+        st.append(st.record_at(0))
+        assert moved()
+        st.extend([st.record_at(1), st.record_at(2)])
+        assert moved()
+        st.extend([])
+        assert not moved()  # nothing written
+        st.clear()
+        assert moved()
+        assert len(set(seen)) == 6  # never reused
 
     def test_numeric_matrix(self, schema):
         st = make_store(schema, 6)

@@ -14,6 +14,9 @@ from repro.summaries import (
     SummaryMergeError,
     ValueSetSummary,
 )
+from repro.workload import WorkloadConfig, generate_node_store
+
+from .conftest import counting_hashes
 
 
 class TestSummaryConfig:
@@ -160,3 +163,79 @@ class TestEstimation:
         assert s.encoded_size() == sum(
             a.encoded_size() for a in s.attributes.values()
         )
+
+
+class TestFingerprintByteStream:
+    """The content hash is a wire value: receivers compare it with the
+    hash of what they hold. Digests below were generated at the commit
+    before ``HistogramSummary.fingerprint`` stopped building NumPy
+    scalars for the header — the byte stream must not have moved."""
+
+    VALUES = np.random.default_rng(5).uniform(-2.0, 7.0, 300)
+    HISTOGRAM = "8601af331fd5c29de5c6395a3f98c6a2"
+    RESOURCE = "b21d4bb40faee49e7f5a58310ed4992f"
+
+    @pytest.mark.parametrize("encoding", ["dense", "sparse", "bitmap"])
+    def test_histogram_digest_is_pinned(self, encoding):
+        h = HistogramSummary.from_values(
+            "load", self.VALUES, 64, (-2.0, 7.0), encoding=encoding
+        )
+        assert h.fingerprint().hex() == self.HISTOGRAM
+
+    def test_multiresolution_digest_is_pinned(self):
+        m = MultiResolutionHistogram.from_values(
+            "load", self.VALUES, 64, (-2.0, 7.0), 3
+        )
+        assert m.fingerprint().hex() == self.HISTOGRAM  # its finest level
+
+    def test_strided_counts_hash_as_their_values(self):
+        block = np.arange(24, dtype=np.int64).reshape(8, 3)
+        h = HistogramSummary._trusted("x", (0.0, 1.0), "dense", block[:, 1])
+        assert h.fingerprint().hex() == "3e1ca92aef5c0188818ad85b4b8defa2"
+        assert h.fingerprint() == h.copy().fingerprint()
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"histogram_encoding": "sparse"}, {"histogram_encoding": "bitmap"},
+        {"multiresolution_levels": 3},
+    ])
+    def test_resource_summary_digest_is_pinned(self, kwargs):
+        store = generate_node_store(
+            WorkloadConfig(num_nodes=2, records_per_node=40, seed=9), 1
+        )
+        config = SummaryConfig(histogram_buckets=64, **kwargs)
+        summary = ResourceSummary.from_store(store, config)
+        assert summary.fingerprint().hex() == self.RESOURCE
+
+
+class TestLazyFingerprintAndSize:
+    """Hash and wire size are computed when first asked for, kept on the
+    summary, and travel with ``refreshed()`` — never with ``copy()``,
+    whose attribute summaries may still be grown."""
+
+    def test_nothing_is_computed_until_asked(self, unit_store, monkeypatch):
+        config = SummaryConfig(histogram_buckets=32)
+        with counting_hashes(monkeypatch) as calls:
+            summary = ResourceSummary.from_store(unit_store, config)
+            later = summary.refreshed(5.0).refreshed(9.0)
+            ResourceSummary.merge_many([summary, later])
+            assert not calls and summary._fp is None and summary._size is None
+            fp = later.fingerprint()
+            hashed = len(calls)
+            assert hashed == 1 + len(summary.attributes)
+            # the attribute hashes are shared, so the original pays one more
+            assert summary.fingerprint() == fp and len(calls) == hashed + 1
+            assert later.refreshed(11.0).fingerprint() == fp
+            assert summary.refreshed(12.0).fingerprint() == fp
+            assert len(calls) == hashed + 1  # carried, not recomputed
+
+    def test_refreshed_carries_and_copy_does_not(self, unit_store):
+        summary = ResourceSummary.from_store(
+            unit_store, SummaryConfig(histogram_encoding="sparse")
+        )
+        size, fp = summary.encoded_size(), summary.fingerprint()
+        fresh = summary.refreshed(3.0)
+        assert (fresh._size, fresh._fp, fresh.created_at) == (size, fp, 3.0)
+        copy = summary.copy()
+        assert copy._size is None and copy._fp is None
+        assert (copy.encoded_size(), copy.fingerprint()) == (size, fp)
+        assert size == sum(s.encoded_size() for s in summary.attributes.values())

@@ -30,6 +30,8 @@ from repro.workload import WorkloadConfig, generate_node_stores, merge_stores
 from repro.workload.dynamics import RecordDynamics
 from repro.workload.queries import generate_queries
 
+from .conftest import counting_hashes
+
 N = 18
 RECORDS = 24
 BUCKETS = 120
@@ -257,10 +259,12 @@ PINNED = {
 
 
 class TestSummariesBuiltOncePerTick:
-    """The tick contract: one store scan per controlling owner per tick
-    (plus one per guest export), at unchanged bytes and messages."""
+    """The tick contract: one store scan per store *written since its
+    last summary* (controlling owner or guest alike), at unchanged bytes
+    and messages."""
 
     SERVERS = 40
+    MOVED = 10  # stores churned() steps; the guest's is not one of them
 
     def churned(self, delta):
         guest = generate_node_stores(
@@ -273,7 +277,7 @@ class TestSummariesBuiltOncePerTick:
         # A quarter of the stores move, so a delta epoch mixes full
         # sends with keep-alives.
         dynamics = RecordDynamics(
-            system.sim, stores[:10], np.random.default_rng(7)
+            system.sim, stores[:self.MOVED], np.random.default_rng(7)
         )
         dynamics.stop()
         dynamics.step()
@@ -287,11 +291,11 @@ class TestSummariesBuiltOncePerTick:
         plane = system.update_plane
         with counting_from_store(monkeypatch) as calls:
             measured = plane.measure_epoch()
-        assert len(calls) == 1 + self.SERVERS  # the guest + every owner
+        assert len(calls) == self.MOVED  # the set-up epoch summarized the rest
+        assert len({id(store) for store in calls}) == len(calls)
         with counting_from_store(monkeypatch) as calls:
             epoch = plane.run_epoch()
-        assert len(calls) == self.SERVERS + 1  # every owner + the guest
-        assert len({id(store) for store in calls}) == len(calls)
+        assert len(calls) == 0  # nothing was written since the measurement
 
         pinned = PINNED[delta]
         assert (measured.total_bytes, measured.total_messages) == pinned["measured"]
@@ -315,7 +319,162 @@ class TestSummariesBuiltOncePerTick:
         assert plane.ticks >= self.SERVERS  # every server ticked
         exports = plane.counters.export_messages - exports
         assert exports >= 1
-        assert len(calls) == plane.ticks + exports
+        assert len(calls) == self.MOVED  # at each moved store's first tick
+
+    @pytest.mark.parametrize("delta", [False, True])
+    def test_epoch_scans_exactly_the_written_stores(self, delta, monkeypatch):
+        system = self.churned(delta)
+        guest = system.hierarchy.get(5).owners[1]
+        guest.origin.update_numeric(0, "u0", 0.5)
+        with counting_from_store(monkeypatch) as calls:
+            system.update_plane.run_epoch()
+        written = [
+            system.hierarchy.get(i).owners[0].origin for i in range(self.MOVED)
+        ] + [guest.origin]
+        assert len(calls) == len(written)
+        assert {id(store) for store in calls} == {id(store) for store in written}
+
+
+@contextmanager
+def counting_new_contents(monkeypatch):
+    """Collect the summaries built with *new* count arrays inside the
+    block: every store scan, and every merge of two or more parts."""
+    scan = ResourceSummary.__dict__["from_store"].__func__
+    merge = ResourceSummary.__dict__["merge_many"].__func__
+    built = []
+
+    def from_store(cls, store, config, created_at=0.0):
+        built.append(scan(cls, store, config, created_at))
+        return built[-1]
+
+    def merge_many(cls, summaries):
+        summaries = list(summaries)
+        merged = merge(cls, summaries)
+        if len(summaries) > 1:
+            built.append(merged)
+        return merged
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ResourceSummary, "from_store", classmethod(from_store))
+        patch.setattr(ResourceSummary, "merge_many", classmethod(merge_many))
+        yield built
+
+
+def free_run(system, intervals=1):
+    plane = system.update_plane
+    plane.start()
+    system.sim.run(until=system.sim.now + intervals * plane.interval)
+    plane.stop()
+
+
+class TestHashOnlyWhatIsCompared:
+    """A fingerprint exists to be compared with another one. The paper's
+    default mode ships every summary in full and compares nothing, so it
+    hashes nothing; delta mode hashes a content once, when first built."""
+
+    def test_non_delta_plane_never_hashes(self, monkeypatch):
+        _, stores, system = build(delta=False)
+        with counting_hashes(monkeypatch) as hashes:
+            system.refresh()
+            stores[3].update_numeric(0, "u0", 0.77)
+            system.update_plane.measure_epoch()
+            system.refresh()
+            free_run(system)
+        assert system.update_plane.ticks >= N
+        assert not hashes
+        # ... until a heartbeat asks what was last shipped
+        leaf = max(system.hierarchy, key=lambda s: s.depth)
+        held = leaf.parent.child_summaries[leaf.server_id]
+        assert leaf.last_reported is held
+        assert leaf.last_reported_fingerprint == held.fingerprint()
+
+    def test_delta_plane_hashes_each_new_content_once(self, monkeypatch):
+        _, stores, system = build(delta=True)
+        per_summary = 1 + len(stores[0].schema)  # its attributes, then itself
+        internal = sum(1 for s in system.hierarchy if s.children)
+        assert 0 < internal < N
+        stores[3].update_numeric(0, "u0", 0.77)
+        for run, scans in (
+            (system.refresh, 1),  # the written store
+            (system.refresh, 0),  # static: keep-alives only
+            (lambda: free_run(system), 0),
+        ):
+            with counting_hashes(monkeypatch) as hashes:
+                with counting_new_contents(monkeypatch) as built:
+                    run()
+            # Static stores are re-stamped, not re-scanned, and a leaf's
+            # branch *is* its local summary: only the branches folded
+            # anew (one per internal server per tick) are new content.
+            assert len(built) == scans + internal
+            assert 0 < len(hashes) <= len(built) * per_summary
+        assert system.update_plane.counters.ignored == 0
+
+    def test_receivers_share_the_senders_hash(self, monkeypatch):
+        _, _, system = build(delta=True)
+        leaf = max(system.hierarchy, key=lambda s: s.depth)
+        shipped = leaf.last_reported
+        assert shipped._fp is not None  # hashed by the sender's compare
+        with counting_hashes(monkeypatch) as hashes:
+            for server in system.hierarchy:
+                held = server.replicated_summaries.get(leaf.server_id)
+                if held is not None:
+                    assert held.fingerprint() == shipped.fingerprint()
+        assert not hashes
+
+
+def held_count_arrays(server):
+    """ids of every histogram count array *server*'s soft state holds."""
+    tables = (
+        server.child_summaries, server.replicated_summaries,
+        server.replicated_local_summaries,
+    )
+    return {
+        id(h.counts)
+        for table in tables for s in table.values()
+        for h in s.attributes.values()
+    }
+
+
+class TestRetainedStateIsWhatHoldersHold:
+    """The sender-side state a server keeps between ticks — the summary
+    it built last (per owner) and the branch it last shipped — must be
+    the objects that were shipped: keeping a rebuilt equal-content copy
+    instead doubles the live count arrays of a static federation."""
+
+    TICKS = 4
+
+    @pytest.mark.parametrize("delta", [False, True])
+    def test_keepalive_ticks_retain_only_shipped_arrays(self, delta):
+        _, _, system = build(delta=delta)
+        for _ in range(self.TICKS):
+            system.refresh()
+        free_run(system, intervals=2)
+        if delta:
+            assert system.update_plane.counters.keepalive_sends > 0
+        servers = list(system.hierarchy)
+        everywhere = set().union(*(held_count_arrays(s) for s in servers))
+        for server in servers:
+            built = server.owners[0]._built[2]
+            retained = {id(h.counts) for h in built.attributes.values()}
+            if server.parent is not None:
+                reported = server.last_reported
+                at_parent = server.parent.child_summaries[server.server_id]
+                for name, h in reported.attributes.items():
+                    assert h.counts is at_parent.attributes[name].counts
+                retained |= {id(h.counts) for h in reported.attributes.values()}
+            if server.parent is not None or server.children:
+                assert retained <= everywhere, server
+        # ... so the federation's live arrays are the holders' arrays
+        # (the root alone builds a branch it ships nowhere).
+        per_summary = len(system.hierarchy.root.owners[0].origin.schema)
+        live = everywhere | {
+            id(h.counts)
+            for s in servers
+            for kept in (s.owners[0]._built[2], s.last_reported)
+            if kept is not None
+            for h in kept.attributes.values()
+        }
+        assert len(live) - len(everywhere) <= per_summary
 
 
 def empty_bucket_value(store, merged, buckets=BUCKETS):
