@@ -1,18 +1,17 @@
-"""Overhead guard — telemetry-disabled execution vs the baseline path.
+"""Telemetry must not perturb the simulation, armed or absent.
 
-The pre-change query path had no telemetry calls at all. Post-change,
-a system built with ``telemetry=None`` takes the same code path plus
-only the ``if telemetry is not None`` guards (instrumentation compiled
-to nothing), and a system with a disabled recorder additionally pays
-the no-op calls. This bench pins both properties:
+A system built with ``telemetry=None`` — the one way to switch telemetry
+off — takes the query path plus only its ``if telemetry is not None``
+guards; a system built with a recorder pays for every span and event.
+This bench pins the property that matters and reports the price:
 
-* determinism — the instrumented build must not perturb the simulation:
-  identical outcomes (latency, bytes, servers contacted) and identical
-  simulator event counts with telemetry absent, disabled, and enabled;
-* overhead — the telemetry-absent path stays within noise (<=5%) of
-  itself across interleaved halves, and the disabled-recorder path
-  stays within 5% of the telemetry-absent baseline (medians over
-  interleaved rounds, so clock drift hits both arms equally).
+* determinism — identical outcomes (latency, bytes, servers contacted)
+  and identical simulator event counts with telemetry absent and
+  enabled;
+* cost — median per-batch seconds of each arm over interleaved rounds
+  (so clock drift hits both equally), printed, not gated: the gated
+  armed/disarmed ratios are ``telemetry.probe.*_ratio`` of
+  ``python3 perf/run.py --workload layers``.
 """
 
 import time
@@ -74,7 +73,6 @@ def test_telemetry_overhead_guard(benchmark):
     def run():
         arms = {
             "absent": lambda: None,
-            "disabled": lambda: Telemetry(enabled=False),
             "enabled": lambda: Telemetry(capacity=500_000),
         }
         samples = {name: [] for name in arms}
@@ -92,8 +90,8 @@ def test_telemetry_overhead_guard(benchmark):
     samples, digests, events = run_once(benchmark, run)
 
     # Determinism: instrumentation must not perturb the simulation.
-    assert digests["absent"] == digests["disabled"] == digests["enabled"]
-    assert events["absent"] == events["disabled"] == events["enabled"]
+    assert digests["absent"] == digests["enabled"]
+    assert events["absent"] == events["enabled"]
 
     med = {k: float(np.median(v)) for k, v in samples.items()}
     noise = abs(
@@ -102,13 +100,5 @@ def test_telemetry_overhead_guard(benchmark):
     ) / med["absent"]
     print(
         f"\nmedian per-batch seconds: absent={med['absent']:.4f} "
-        f"disabled={med['disabled']:.4f} enabled={med['enabled']:.4f} "
-        f"(self-noise {noise:.1%})"
-    )
-    # The overhead guard: disabled telemetry within 5% of the baseline
-    # path (plus whatever this machine's measured self-noise is).
-    budget = 1.05 + max(0.0, noise)
-    assert med["disabled"] <= med["absent"] * budget, (
-        f"disabled telemetry {med['disabled']:.4f}s exceeds "
-        f"{budget:.2f}x baseline {med['absent']:.4f}s"
+        f"enabled={med['enabled']:.4f} (self-noise {noise:.1%})"
     )

@@ -6,7 +6,8 @@ code:
 * ``selftest`` — build a small federation, verify query exactness and
   the comparative orderings against SWORD and the central repository;
 * ``figure <target>`` — regenerate one of the paper's tables/figures
-  (``table1``, ``fig3`` … ``fig11``) and optionally save the rows;
+  (``table1``, ``fig3`` … ``fig11``; the scenario registry's driver at
+  ``--scale``) and optionally save the rows;
 * ``telemetry`` — run an instrumented scenario and print per-server
   load tables (root-load share with and without the replication
   overlay), optionally exporting JSONL events, a Chrome trace and a
@@ -28,46 +29,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .experiments import (
-    ExperimentSettings,
-    SELECTIVITY_SWEEP,
-    analytical_rows,
-    fig3_latency_vs_nodes,
-    fig4_update_overhead_vs_nodes,
-    fig5_query_overhead_vs_nodes,
-    fig6_latency_vs_dimensions,
-    fig7_query_overhead_vs_dimensions,
-    fig8_update_overhead_vs_records,
-    fig9_latency_vs_overlap,
-    fig10_latency_vs_degree,
-    fig11_response_time_vs_selectivity,
-    measured_rows,
-    print_table,
-)
+from .experiments import ExperimentSettings, print_table
 from .experiments.export import save_rows_csv
-
-_FIGURES = {
-    "table1": lambda s: analytical_rows() + measured_rows(
-        s.with_(num_nodes=min(s.num_nodes, 96), records_per_node=800)
-    ),
-    "fig3": lambda s: fig3_latency_vs_nodes(s, (64, 192, 320)),
-    "fig4": lambda s: fig4_update_overhead_vs_nodes(s, (64, 192, 320)),
-    "fig5": lambda s: fig5_query_overhead_vs_nodes(s, (64, 192, 320)),
-    "fig6": lambda s: fig6_latency_vs_dimensions(s, (2, 4, 6, 8)),
-    "fig7": lambda s: fig7_query_overhead_vs_dimensions(s, (2, 4, 6, 8)),
-    "fig8": lambda s: fig8_update_overhead_vs_records(
-        s.with_(num_nodes=min(s.num_nodes, 192)), (50, 200, 500)
-    ),
-    "fig9": lambda s: fig9_latency_vs_overlap(
-        s.with_(num_nodes=min(s.num_nodes, 192)), (1, 6, 12)
-    ),
-    "fig10": lambda s: fig10_latency_vs_degree(s, (4, 8, 12)),
-    "fig11": lambda s: fig11_response_time_vs_selectivity(
-        s.with_(num_nodes=320, records_per_node=500, runs=1),
-        SELECTIVITY_SWEEP,
-        queries_per_group=20,
-    ),
-}
 
 
 def _telemetry_scenario(
@@ -266,20 +229,34 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _loaded_federation(args, load_label: str):
-    """The federation ``health``, ``watch`` and ``quality`` all run.
+def _run_loaded_federation(
+    args, *, quality=False, interval=None, slo=None, dump_dir=None
+):
+    """The one run behind ``health``, ``watch`` and ``quality``.
 
-    Lossy links, queue-limited servers, a free-running delta update
-    plane and an open-loop load drawn from the *load_label* RNG stream.
-    Returns ``(system, load)``; the caller arms the planes it reads and
-    then calls ``load.run()``.
+    Builds the federation — lossy links, queue-limited servers, a
+    free-running delta update plane — arms what the verb reads, and
+    offers an open-loop load drawn from the verb's own RNG stream.
+    *quality* attaches the shadow oracle (read-only, so watching it is
+    free of perturbation; its ``quality.*`` gauges ride the sampler);
+    *interval* starts the series sampler at that cadence with a health
+    probe judging its ticks; under an *slo* the probe also judges every
+    tick as it is taken and a flight recorder bound to it freezes each
+    breach (dumped under *dump_dir*). Returns ``(system, load report,
+    probe, recorder)``, the last two None when not armed.
     """
     from .net.transport import ServiceConfig
     from .roads import RoadsConfig, RoadsSystem
     from .roads.load import LoadConfig, LoadGenerator
     from .roads.search import RetryPolicy
     from .sim.rng import SeedSequenceFactory
-    from .telemetry import Telemetry
+    from .telemetry import (
+        FlightRecorder,
+        HealthProbe,
+        SeriesConfig,
+        SeriesSampler,
+        Telemetry,
+    )
     from .workload import WorkloadConfig, generate_node_stores
     from .workload.queries import generate_queries
 
@@ -310,23 +287,44 @@ def _loaded_federation(args, load_label: str):
             horizon=args.duration,
             retry=RetryPolicy(timeout=2.0, retries=2, backoff_base=0.2),
         ),
-        SeedSequenceFactory(args.seed).fresh_generator(load_label),
+        SeedSequenceFactory(args.seed).fresh_generator(
+            f"{args.command}-load"
+        ),
     )
-    return system, load
+    if quality:
+        system.attach_quality()
+    probe = recorder = None
+    if interval is not None:
+        probe = HealthProbe(
+            SeriesSampler(system, SeriesConfig(interval=interval)).start(),
+            slo=slo,
+        )
+        if slo is not None:
+            recorder = FlightRecorder(
+                system.telemetry, dump_dir=dump_dir
+            ).bind(probe)
+    report_load = load.run()
+    if probe is not None:
+        probe.sampler.stop()
+    if recorder is not None:
+        recorder.close()
+    return system, report_load, probe, recorder
+
+
+def _load_line(args, report_load) -> str:
+    return (
+        f"load: {report_load.offered} queries offered at {args.rate}/s, "
+        f"{report_load.ok} ok, {report_load.shed_queries} shed"
+    )
 
 
 def _cmd_health(args) -> int:
-    """Build a small federation under load and print its health report."""
-    import json
+    """Run a small federation under load and print its health report."""
+    from .telemetry import HealthSLO
 
-    from .telemetry import HealthProbe, HealthSLO
-
-    system, load = _loaded_federation(args, "health-load")
-    probe = HealthProbe(
-        system, interval=args.probe_interval, stale_after=1.5 * args.interval
-    ).start()
-    report_load = load.run()
-    probe.stop()
+    _, report_load, probe, _ = _run_loaded_federation(
+        args, interval=args.probe_interval
+    )
     # Judge loss and coverage against the injected rate (plus headroom):
     # the probe reports what *happened*; the SLO says what is acceptable,
     # and deliberately lossy links legitimately lower both.
@@ -336,54 +334,28 @@ def _cmd_health(args) -> int:
         min_coverage=min(defaults.min_coverage, 1.0 - 3 * args.loss),
     )
     report = probe.report(slo)
-    print(
-        f"load: {report_load.offered} queries offered at {args.rate}/s, "
-        f"{report_load.ok} ok, {report_load.shed_queries} shed"
-    )
+    print(_load_line(args, report_load))
     print(report.format())
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"health report written to {args.export}")
+        _emit_json(report.to_dict(), args.export, "health report")
     return 0 if report.healthy else 1
 
 
 def _cmd_watch(args) -> int:
     """Run a federation under load with the full observability stack
-    armed: time-series sampler, SLO-judging probe, flight recorder."""
-    from .telemetry import (
-        FlightRecorder,
-        HealthProbe,
-        HealthSLO,
-        SeriesConfig,
-        SeriesSampler,
-    )
+    armed — oracle, sampler, SLO judge, flight recorder — and render
+    the sampled series."""
+    from .telemetry import HealthSLO
     from .telemetry.export import series_jsonl, write_series_jsonl
 
-    system, load = _loaded_federation(args, "watch-load")
-    # Shadow-oracle quality plane: read-only, so watching it is free of
-    # perturbation; its quality.* gauges ride the same sampler.
-    system.attach_quality()
-    sampler = SeriesSampler(
-        system, SeriesConfig(interval=args.sample_interval)
-    ).start()
-    probe = HealthProbe(
-        system,
-        interval=args.probe_interval,
-        stale_after=1.5 * args.interval,
-        slo=HealthSLO(),
-    ).start()
-    recorder = FlightRecorder(
-        system.telemetry, sampler=sampler, dump_dir=args.postmortem_dir
-    ).bind(probe)
-    report_load = load.run()
-    sampler.stop()
-    probe.stop()
-    recorder.close()
+    _, report_load, probe, recorder = _run_loaded_federation(
+        args, quality=True, interval=args.sample_interval,
+        slo=HealthSLO(), dump_dir=args.postmortem_dir,
+    )
+    sampler = probe.sampler
     say = _narrator(args.json)
     say(
-        f"load: {report_load.offered} queries offered at {args.rate}/s, "
-        f"{report_load.ok} ok, {report_load.shed_queries} shed; "
+        f"{_load_line(args, report_load)}; "
         f"{sampler.samples} samples over "
         f"{len(sampler.all_series())} series"
     )
@@ -414,26 +386,12 @@ def _cmd_quality(args) -> int:
     """Run a federation under load with the shadow-oracle quality plane
     armed; print the answer-quality summary and per-node breakdown."""
     from .experiments.report import format_table
-    from .telemetry import HealthProbe, HealthSLO
 
     say = _narrator(args.json)
-    system, load = _loaded_federation(args, "quality-load")
-    plane = system.attach_quality()
-    slo = (
-        HealthSLO(min_precision=args.min_precision)
-        if args.min_precision is not None
-        else None
-    )
-    probe = HealthProbe(
-        system, interval=0.5, stale_after=1.5 * args.interval, slo=slo
-    ).start()
-    report_load = load.run()
-    probe.stop()
+    system, report_load, _, _ = _run_loaded_federation(args, quality=True)
+    plane = system.quality
     snap = plane.snapshot()
-    say(
-        f"load: {report_load.offered} queries offered at {args.rate}/s, "
-        f"{report_load.ok} ok, {report_load.shed_queries} shed"
-    )
+    say(_load_line(args, report_load))
     say(
         f"oracle: {snap['audits']} searches audited — "
         f"precision {snap['precision']:.4f}, recall {snap['recall']:.4f}, "
@@ -447,13 +405,7 @@ def _cmd_quality(args) -> int:
         f"{snap['owner_false_positives']} false-positive"
     )
     node_rows = [
-        {
-            "server": sid,
-            "tp": counts["tp"],
-            "fp": counts["fp"],
-            "fn": counts["fn"],
-            "tn": counts["tn"],
-        }
+        {"server": sid, **counts}
         for sid, counts in sorted(plane.per_node.items())
         if counts["fp"] or counts["fn"]
     ][: args.top]
@@ -503,7 +455,12 @@ def _cmd_postmortem(args) -> int:
         return 1
     docs = []
     for i, path in enumerate(paths):
-        bundle = PostmortemBundle.load(path)
+        try:
+            bundle = PostmortemBundle.load(path)
+        except ValueError as exc:
+            # Not JSON, or not a current-schema bundle.
+            print(f"{path}: {exc}")
+            return 2
         if args.json:
             docs.append({"path": str(path), **bundle.to_dict()})
             continue
@@ -564,11 +521,10 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    settings = ExperimentSettings.paper().with_(
-        num_queries=args.queries, runs=args.runs, seed=args.seed
-    )
-    rows = _FIGURES[args.target](settings)
-    print_table(rows, title=f"{args.target} (quick scale)")
+    from .bench import RunPlan
+
+    rows = RunPlan(args.target, scale=args.scale, seed=args.seed).rows()
+    print_table(rows, title=f"{args.target} ({args.scale} scale)")
     if args.output:
         save_rows_csv(rows, args.output)
         print(f"rows written to {args.output}")
@@ -595,19 +551,29 @@ def _narrator(json_target):
     return print
 
 
+def _write_text(target, text: str, label: str) -> None:
+    """The CLI's one file write: parent directories made, the path said.
+
+    An unwritable *target* raises :class:`OSError`; :func:`main` turns
+    it into a one-line ``PATH: reason`` and exit status 2.
+    """
+    from pathlib import Path
+
+    path = Path(target)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    print(f"{label} written to {target}")
+
+
 def _emit_json(doc, target: str, label: str) -> None:
     """Write *doc* to *target* (``-`` = stdout) as pretty JSON."""
     import json
-    from pathlib import Path
 
     text = json.dumps(doc, indent=2, default=str)
     if target == "-":
         print(text)
     else:
-        path = Path(target)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n", encoding="utf-8")
-        print(f"{label} written to {target}")
+        _write_text(target, text + "\n", label)
 
 
 def _cmd_bench_run(args) -> int:
@@ -726,27 +692,20 @@ def _cmd_profile(args) -> int:
         return p if p.is_absolute() else Path(args.out) / p
 
     if args.json:
-        target = under_out(args.json)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(document, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"profile document written to {target}")
+        _emit_json(document, str(under_out(args.json)), "profile document")
     if args.collapsed:
-        target = under_out(args.collapsed)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(collapsed_stacks(document), encoding="utf-8")
-        print(f"collapsed stacks written to {target}")
+        _write_text(
+            under_out(args.collapsed), collapsed_stacks(document),
+            "collapsed stacks",
+        )
     if args.speedscope:
-        target = under_out(args.speedscope)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
+        _write_text(
+            under_out(args.speedscope),
             json.dumps(speedscope_document(
                 document, name=f"repro profile {args.scale}"
             )) + "\n",
-            encoding="utf-8",
+            "speedscope profile",
         )
-        print(f"speedscope profile written to {target}")
     return 0
 
 
@@ -819,10 +778,10 @@ def _demo_telemetry(args) -> int:
 def _common_options() -> argparse.ArgumentParser:
     """Parent parser for the flags every artifact-producing verb shares.
 
-    ``bench run``, ``profile``, ``trace``, ``watch``, ``quality`` and
-    ``postmortem`` inherit ``--scale/--seed/--out/--json`` from this
-    one parser,
-    so a new verb cannot re-declare them with drifting defaults. Verbs
+    ``bench run``, ``figure``, ``profile``, ``trace``, ``watch``,
+    ``quality`` and ``postmortem`` inherit ``--scale/--seed/--out/--json``
+    from this one parser, so a new verb cannot re-declare them with
+    drifting defaults. Verbs
     consume the subset that applies to them (``trace`` and
     ``postmortem`` read existing artifacts, so ``--scale/--seed`` are
     accepted for uniformity but have nothing to select).
@@ -854,6 +813,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = _common_options()
+
+    # The lossy federation ``health``, ``watch`` and ``quality`` run.
+    load = argparse.ArgumentParser(add_help=False)
+    group = load.add_argument_group("federation and offered load")
+    group.add_argument("--nodes", type=int, default=32)
+    group.add_argument("--records", type=int, default=40)
+    group.add_argument("--queries", type=int, default=30,
+                       help="size of the query pool offered as load")
+    group.add_argument("--rate", type=float, default=20.0,
+                       help="offered load, queries per virtual second")
+    group.add_argument("--duration", type=float, default=5.0,
+                       help="arrival-window length in virtual seconds")
+    group.add_argument("--loss", type=float, default=0.0,
+                       help="injected message loss rate")
+    group.add_argument("--interval", type=float, default=5.0,
+                       help="summary update interval (t_s) in virtual "
+                            "seconds")
+    group.add_argument("--service-time", type=float, default=0.002)
+    group.add_argument("--queue-limit", type=int, default=64)
 
     p = sub.add_parser("selftest", help="verify comparative orderings")
     p.add_argument("--seed", type=int, default=1)
@@ -904,23 +882,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "health",
+        parents=[load],
         help="run a small federation under load and print its health "
              "report (non-zero exit when an SLO check fails)",
     )
-    p.add_argument("--nodes", type=int, default=32)
-    p.add_argument("--records", type=int, default=40)
-    p.add_argument("--queries", type=int, default=30,
-                   help="size of the query pool offered as load")
-    p.add_argument("--rate", type=float, default=20.0,
-                   help="offered load, queries per virtual second")
-    p.add_argument("--duration", type=float, default=5.0,
-                   help="arrival-window length in virtual seconds")
-    p.add_argument("--loss", type=float, default=0.0,
-                   help="injected message loss rate")
-    p.add_argument("--interval", type=float, default=5.0,
-                   help="summary update interval (t_s) in virtual seconds")
-    p.add_argument("--service-time", type=float, default=0.002)
-    p.add_argument("--queue-limit", type=int, default=64)
     p.add_argument("--probe-interval", type=float, default=0.5,
                    help="health-probe cadence in virtual seconds")
     p.add_argument("--seed", type=int, default=1)
@@ -930,28 +895,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "watch",
-        parents=[common],
+        parents=[common, load],
         help="run a federation under load with the time-series sampler, "
              "SLO probe and flight recorder armed; render the series",
     )
-    p.add_argument("--nodes", type=int, default=32)
-    p.add_argument("--records", type=int, default=40)
-    p.add_argument("--queries", type=int, default=30,
-                   help="size of the query pool offered as load")
-    p.add_argument("--rate", type=float, default=20.0,
-                   help="offered load, queries per virtual second")
-    p.add_argument("--duration", type=float, default=5.0,
-                   help="arrival-window length in virtual seconds")
-    p.add_argument("--loss", type=float, default=0.0,
-                   help="injected message loss rate")
-    p.add_argument("--interval", type=float, default=5.0,
-                   help="summary update interval (t_s) in virtual seconds")
-    p.add_argument("--service-time", type=float, default=0.002)
-    p.add_argument("--queue-limit", type=int, default=64)
-    p.add_argument("--probe-interval", type=float, default=0.5,
-                   help="SLO-judging probe cadence in virtual seconds")
     p.add_argument("--sample-interval", type=float, default=0.25,
-                   help="time-series sampling cadence in virtual seconds")
+                   help="sampling and SLO-judging cadence in virtual "
+                        "seconds")
     p.add_argument("--format", choices=("sparkline", "csv", "jsonl"),
                    default="sparkline",
                    help="how to render the sampled series")
@@ -965,25 +915,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "quality",
-        parents=[common],
+        parents=[common, load],
         help="run a federation under load with the shadow-oracle quality "
              "plane armed; print precision/recall and per-summary "
              "divergence attributions",
     )
-    p.add_argument("--nodes", type=int, default=32)
-    p.add_argument("--records", type=int, default=40)
-    p.add_argument("--queries", type=int, default=30,
-                   help="size of the query pool offered as load")
-    p.add_argument("--rate", type=float, default=20.0,
-                   help="offered load, queries per virtual second")
-    p.add_argument("--duration", type=float, default=5.0,
-                   help="arrival-window length in virtual seconds")
-    p.add_argument("--loss", type=float, default=0.0,
-                   help="injected message loss rate")
-    p.add_argument("--interval", type=float, default=5.0,
-                   help="summary update interval (t_s) in virtual seconds")
-    p.add_argument("--service-time", type=float, default=0.002)
-    p.add_argument("--queue-limit", type=int, default=64)
     p.add_argument("--top", type=int, default=10,
                    help="rows in the per-node / attribution tables")
     p.add_argument("--min-precision", type=float, default=None,
@@ -1002,11 +938,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on rendered causal-tree nodes per trace")
     p.set_defaults(fn=_cmd_postmortem)
 
-    p = sub.add_parser("figure", help="regenerate a table/figure")
-    p.add_argument("target", choices=sorted(_FIGURES))
-    p.add_argument("--queries", type=int, default=60)
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=1)
+    from .bench import SCALES
+    from .experiments import available_targets
+
+    p = sub.add_parser(
+        "figure", parents=[common], help="regenerate a table/figure"
+    )
+    p.add_argument("target", choices=available_targets())
     p.add_argument("--output", help="also write rows to this CSV path")
     p.set_defaults(fn=_cmd_figure)
 
@@ -1014,11 +952,11 @@ def build_parser() -> argparse.ArgumentParser:
         "suite", help="run the full evaluation and archive results"
     )
     p.add_argument("--out", default="results")
-    p.add_argument("--scale", choices=("quick", "paper"), default="quick")
+    p.add_argument("--scale", choices=SCALES, default="quick")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument(
         "--targets", nargs="*", default=None,
-        help="subset of targets (default: all)",
+        help="subset of targets (default: Table I and every figure)",
     )
     p.set_defaults(fn=_cmd_suite)
 
@@ -1094,7 +1032,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:
+        # An export target that cannot be written (or an input that
+        # cannot be read): one line naming the path, not a traceback.
+        print(f"{exc.filename}: {exc.strerror}" if exc.filename else exc)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,8 +12,8 @@ class ExperimentSettings:
 
     ``paper()`` reproduces Section V's defaults (320 nodes, 500 records
     per node, 500 six-dimensional queries, averaged over 10 runs);
-    ``quick()`` is a scaled-down preset for CI-speed benchmark runs —
-    same shapes, fewer samples.
+    the scaled-down presets behind ``--scale`` are
+    :func:`repro.bench.scale_settings`'s.
     """
 
     num_nodes: int = 320
@@ -41,15 +41,6 @@ class ExperimentSettings:
     @staticmethod
     def paper() -> "ExperimentSettings":
         return ExperimentSettings()
-
-    @staticmethod
-    def quick() -> "ExperimentSettings":
-        return ExperimentSettings(
-            num_nodes=128,
-            records_per_node=200,
-            num_queries=80,
-            runs=2,
-        )
 
     @staticmethod
     def smoke() -> "ExperimentSettings":

@@ -27,7 +27,11 @@ def format_table(
     """Align rows of dicts into a monospace table."""
     if not rows:
         return f"{title}\n(no rows)" if title else "(no rows)"
-    cols = list(columns) if columns is not None else list(rows[0].keys())
+    # Default: every column any row has, in first-seen order (Table I
+    # stacks analytical rows over measured ones).
+    cols = list(columns) if columns is not None else list(
+        dict.fromkeys(c for r in rows for c in r)
+    )
     cells = [[format_value(r.get(c, "")) for c in cols] for r in rows]
     widths = [
         max(len(c), *(len(row[i]) for row in cells)) for i, c in enumerate(cols)

@@ -9,7 +9,7 @@ paired. Figures average trials over ``settings.runs`` seeds.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -158,17 +158,23 @@ def instrumented_query_run(
     return system, tel, system.hierarchy.root.server_id
 
 
-def measure_roads(
-    system: RoadsSystem,
+def measure_system(
+    system,
     queries: Sequence[Query],
     clients: Sequence[int],
     settings: ExperimentSettings,
     *,
     measure_updates: bool = True,
 ) -> TrialMeasurement:
+    """Drive the trial's query stream through a ROADS or SWORD system."""
+    if isinstance(system, RoadsSystem):
+        def ask(q: Query, c: int):
+            return system.search(SearchRequest(q, client_node=c)).outcome
+    else:
+        ask = system.execute_query
     lat, qbytes, servers, matches = [], [], [], []
     for q, c in zip(queries, clients):
-        o = system.search(SearchRequest(q, client_node=int(c))).outcome
+        o = ask(q, int(c))
         lat.append(o.latency)
         qbytes.append(o.query_bytes)
         servers.append(o.servers_contacted)
@@ -188,41 +194,7 @@ def measure_roads(
         ),
         storage_bytes_mean=float(np.mean(list(storage.values()))),
         storage_bytes_max=int(max(storage.values())),
-        levels=system.levels,
-    )
-
-
-def measure_sword(
-    system: SwordSystem,
-    queries: Sequence[Query],
-    clients: Sequence[int],
-    settings: ExperimentSettings,
-    *,
-    measure_updates: bool = True,
-) -> TrialMeasurement:
-    lat, qbytes, servers, matches = [], [], [], []
-    for q, c in zip(queries, clients):
-        o = system.execute_query(q, int(c))
-        lat.append(o.latency)
-        qbytes.append(o.query_bytes)
-        servers.append(o.servers_contacted)
-        matches.append(o.total_matches)
-    storage = system.storage_bytes_by_server()
-    return TrialMeasurement(
-        mean_latency_s=float(np.mean(lat)),
-        latency_std_s=float(np.std(lat)),
-        latency_p90_s=float(np.percentile(lat, 90)),
-        mean_query_bytes=float(np.mean(qbytes)),
-        mean_servers_contacted=float(np.mean(servers)),
-        mean_matches=float(np.mean(matches)),
-        update_bytes_window=(
-            system.update_overhead(settings.update_window_seconds)
-            if measure_updates
-            else 0
-        ),
-        storage_bytes_mean=float(np.mean(list(storage.values()))),
-        storage_bytes_max=int(max(storage.values())),
-        levels=0,
+        levels=getattr(system, "levels", 0),  # a DHT ring has none
     )
 
 
@@ -258,13 +230,13 @@ def run_trial(
     queries, clients = trial_queries(settings, wcfg, seed)
     roads = build_roads(settings, stores, seed)
     result = TrialResult(
-        roads=measure_roads(
+        roads=measure_system(
             roads, queries, clients, settings, measure_updates=measure_updates
         )
     )
     if include_sword:
         sword = build_sword(settings, stores, seed)
-        result.sword = measure_sword(
+        result.sword = measure_system(
             sword, queries, clients, settings, measure_updates=measure_updates
         )
     if include_central:
@@ -304,22 +276,18 @@ def average_trials(
     return out
 
 
+#: how a field folds across trials when it is not the plain mean
+_FOLDS = {
+    "update_bytes_window": lambda values: int(np.mean(values)),
+    "storage_bytes_max": lambda values: int(max(values)),
+    "levels": lambda values: int(round(np.mean(values))),
+}
+
+
 def _mean(measurements: List[TrialMeasurement]) -> TrialMeasurement:
-    return TrialMeasurement(
-        mean_latency_s=float(np.mean([m.mean_latency_s for m in measurements])),
-        latency_std_s=float(np.mean([m.latency_std_s for m in measurements])),
-        latency_p90_s=float(np.mean([m.latency_p90_s for m in measurements])),
-        mean_query_bytes=float(np.mean([m.mean_query_bytes for m in measurements])),
-        mean_servers_contacted=float(
-            np.mean([m.mean_servers_contacted for m in measurements])
-        ),
-        mean_matches=float(np.mean([m.mean_matches for m in measurements])),
-        update_bytes_window=int(
-            np.mean([m.update_bytes_window for m in measurements])
-        ),
-        storage_bytes_mean=float(
-            np.mean([m.storage_bytes_mean for m in measurements])
-        ),
-        storage_bytes_max=int(max(m.storage_bytes_max for m in measurements)),
-        levels=int(round(np.mean([m.levels for m in measurements]))),
-    )
+    return TrialMeasurement(**{
+        f.name: _FOLDS.get(f.name, lambda values: float(np.mean(values)))(
+            [getattr(m, f.name) for m in measurements]
+        )
+        for f in fields(TrialMeasurement)
+    })

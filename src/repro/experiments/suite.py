@@ -1,9 +1,14 @@
 """Run the whole evaluation and archive the results.
 
-``run_suite`` executes any subset of the table/figure drivers, writes
+``run_suite`` executes any subset of the table/figure scenarios, writes
 each result as CSV + JSON under an output directory, and emits a
 SUMMARY.md with every table rendered — a one-command regeneration of the
 paper's evaluation section.
+
+A target is a name in the one scenario registry
+(:data:`repro.bench.SCENARIOS`): its driver run at
+``scale_settings(scale, seed)`` over ``scale_sweeps(scale)``, exactly
+what ``repro figure`` prints and ``repro bench run`` archives.
 
 Exposed on the CLI as ``python -m repro suite --out results/``.
 """
@@ -14,80 +19,17 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .config import (
-    DEGREE_SWEEP,
-    DIMENSION_SWEEP,
-    NODE_SWEEP,
-    OVERLAP_SWEEP,
-    RECORDS_SWEEP,
-    SELECTIVITY_SWEEP,
-    ExperimentSettings,
-)
 from .export import save_rows_csv, save_rows_json
-from .figures import (
-    fig3_latency_vs_nodes,
-    fig4_update_overhead_vs_nodes,
-    fig5_query_overhead_vs_nodes,
-    fig6_latency_vs_dimensions,
-    fig7_query_overhead_vs_dimensions,
-    fig8_update_overhead_vs_records,
-    fig9_latency_vs_overlap,
-    fig10_latency_vs_degree,
-    fig11_response_time_vs_selectivity,
-)
 from .report import format_table
-from .table1 import analytical_rows, measured_rows
-
-QUICK = {
-    "nodes": (64, 192, 320),
-    "dims": (2, 4, 6, 8),
-    "records": (50, 200, 500),
-    "overlap": (1, 6, 12),
-    "degree": (4, 8, 12),
-}
-PAPER = {
-    "nodes": NODE_SWEEP,
-    "dims": DIMENSION_SWEEP,
-    "records": RECORDS_SWEEP,
-    "overlap": OVERLAP_SWEEP,
-    "degree": DEGREE_SWEEP,
-}
-
-
-def _targets(settings: ExperimentSettings, sweeps: Dict, scale: str):
-    small = settings.with_(num_nodes=min(settings.num_nodes, 192))
-    return {
-        "table1_analytical": lambda: analytical_rows(),
-        "table1_measured": lambda: measured_rows(
-            small.with_(num_nodes=min(small.num_nodes, 128),
-                        records_per_node=1500)
-        ),
-        "fig3": lambda: fig3_latency_vs_nodes(settings, sweeps["nodes"]),
-        "fig4": lambda: fig4_update_overhead_vs_nodes(
-            settings, sweeps["nodes"]
-        ),
-        "fig5": lambda: fig5_query_overhead_vs_nodes(
-            settings, sweeps["nodes"]
-        ),
-        "fig6": lambda: fig6_latency_vs_dimensions(settings, sweeps["dims"]),
-        "fig7": lambda: fig7_query_overhead_vs_dimensions(
-            settings, sweeps["dims"]
-        ),
-        "fig8": lambda: fig8_update_overhead_vs_records(
-            small, sweeps["records"]
-        ),
-        "fig9": lambda: fig9_latency_vs_overlap(small, sweeps["overlap"]),
-        "fig10": lambda: fig10_latency_vs_degree(settings, sweeps["degree"]),
-        "fig11": lambda: fig11_response_time_vs_selectivity(
-            settings.with_(num_nodes=320, records_per_node=500, runs=1),
-            SELECTIVITY_SWEEP,
-            queries_per_group=200 if scale == "paper" else 20,
-        ),
-    }
 
 
 def available_targets() -> List[str]:
-    return list(_targets(ExperimentSettings.paper(), QUICK, "quick"))
+    """The registry's paper targets: Table I and Figures 3–11."""
+    # Imported lazily: repro.bench builds its registry out of this
+    # package's drivers.
+    from ..bench import SCENARIOS
+
+    return [n for n in SCENARIOS if n == "table1" or n.startswith("fig")]
 
 
 def run_suite(
@@ -98,39 +40,34 @@ def run_suite(
     seed: int = 1,
     progress: Optional[Callable[[str], None]] = print,
 ) -> Dict[str, List[Dict]]:
-    """Run the selected experiment *targets* and archive everything.
+    """Run the selected *targets* (default: every paper target) and
+    archive everything.
 
     Returns the rows per target. Writes ``<target>.csv``,
     ``<target>.json`` and a combined ``SUMMARY.md`` under *out_dir*.
     """
-    if scale not in ("quick", "paper"):
-        raise ValueError(f"scale must be quick|paper, got {scale!r}")
+    from ..bench import SCENARIOS, RunPlan
+
+    chosen = available_targets() if targets is None else list(targets)
+    unknown = [t for t in chosen if t not in SCENARIOS]
+    if unknown:
+        raise ValueError(
+            f"unknown targets {unknown}; available: {sorted(SCENARIOS)}"
+        )
+    plans = [RunPlan(name, scale=scale, seed=seed) for name in chosen]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if scale == "paper":
-        settings = ExperimentSettings.paper().with_(seed=seed)
-        sweeps = PAPER
-    else:
-        settings = ExperimentSettings.paper().with_(
-            num_queries=60, runs=1, seed=seed
-        )
-        sweeps = QUICK
-
-    registry = _targets(settings, sweeps, scale)
-    chosen = list(registry) if targets is None else list(targets)
-    unknown = [t for t in chosen if t not in registry]
-    if unknown:
-        raise ValueError(f"unknown targets {unknown}; available: {list(registry)}")
 
     results: Dict[str, List[Dict]] = {}
     summary_parts = [
         f"# Evaluation suite (scale={scale}, seed={seed})\n",
     ]
-    for name in chosen:
+    for plan in plans:
+        name = plan.scenario
         t0 = time.time()
         if progress:
             progress(f"[suite] running {name} ...")
-        rows = registry[name]()
+        rows = plan.rows()
         elapsed = time.time() - t0
         results[name] = rows
         save_rows_csv(rows, out / f"{name}.csv")

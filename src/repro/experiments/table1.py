@@ -47,9 +47,7 @@ def analytical_update_rows(params: ModelParams = ModelParams()) -> List[Dict]:
     ]
 
 
-def measured_rows(
-    settings: ExperimentSettings = ExperimentSettings.quick(),
-) -> List[Dict]:
+def measured_rows(settings: ExperimentSettings) -> List[Dict]:
     """Per-server storage measured from real system builds."""
     seed = settings.seed
     _, stores = build_workload(settings, seed)

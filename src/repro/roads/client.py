@@ -14,7 +14,7 @@ retrieval time is excluded here; the prototype benchmark adds it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from ..net.transport import Message, Network
 from ..query.query import Query
@@ -34,6 +34,9 @@ from ..overlay.routing import (
     decide_start,
 )
 from .policy import PolicyTable
+
+if TYPE_CHECKING:  # search.py imports QueryOutcome from this module
+    from .search import RetryPolicy
 
 #: acknowledgement size when an owner returns only a match count
 _ACK_BYTES = 16
@@ -174,7 +177,9 @@ class _Contact:
             on_rejected=self.rejected,
             trace=msg_ctx,
         )
-        self.timer = ex.sim.schedule(ex.timeout, self.expire, "query.timeout")
+        self.timer = ex.sim.schedule(
+            ex.retry.timeout, self.expire, "query.timeout"
+        )
 
     def retry(self) -> None:
         """Backoff elapsed; re-attempt unless a late reply got in first."""
@@ -211,9 +216,9 @@ class _Contact:
 
     def _retry_or_give_up(self, terminal: str) -> None:
         ex = self.ex
-        if self.attempts <= ex.retries:
+        if self.attempts <= ex.retry.retries:
             ex._trace("retry", self._subject(), ctx=ex._fork(self.ctx))
-            delay = ex._retry_delay(self.attempts + 1)
+            delay = ex.retry.delay_before_attempt(self.attempts + 1)
             if delay > 0:
                 ex.sim.schedule(delay, self.retry, "query.retry")
             else:
@@ -316,11 +321,8 @@ class QueryExecution:
         client_node: int,
         start_server_id: int,
         *,
+        retry: RetryPolicy,
         collect_records: bool = False,
-        timeout: float = 5.0,
-        retries: int = 1,
-        backoff_base: float = 0.0,
-        backoff_factor: float = 2.0,
         first_k: Optional[int] = None,
         trace: bool = False,
         telemetry: Optional[Telemetry] = None,
@@ -336,16 +338,10 @@ class QueryExecution:
         self.query = query
         self.client_node = client_node
         self.collect_records = collect_records
-        self.timeout = timeout
-        #: how many times a timed-out contact is retried before the
-        #: client gives up on that server (lossy networks lose single
-        #: messages far more often than whole servers)
-        self.retries = retries
-        #: wait before the first re-attempt; each further re-attempt
-        #: multiplies it by ``backoff_factor``. Zero (the default)
-        #: retries immediately — the historical behaviour.
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
+        #: the request's patience: per-contact timeout, how many times a
+        #: timed-out or shed contact is re-sent, and the backoff schedule
+        #: (:meth:`RetryPolicy.delay_before_attempt`) between re-sends
+        self.retry = retry
         #: invoked exactly once, with the outcome, when the query has
         #: fully resolved — the serving plane's completion hook
         self.on_complete = on_complete
@@ -430,12 +426,6 @@ class QueryExecution:
         return self.outcome
 
     # -- internals ----------------------------------------------------------------
-    def _retry_delay(self, next_attempt: int) -> float:
-        """Exponential backoff before re-attempt *next_attempt* (>= 2)."""
-        if next_attempt <= 1 or self.backoff_base <= 0:
-            return 0.0
-        return self.backoff_base * self.backoff_factor ** (next_attempt - 2)
-
     def _contact(
         self,
         node: int,

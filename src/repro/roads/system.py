@@ -346,10 +346,7 @@ class RoadsSystem:
             client,
             start,
             collect_records=request.collect_records,
-            timeout=request.retry.timeout,
-            retries=request.retry.retries,
-            backoff_base=request.retry.backoff_base,
-            backoff_factor=request.retry.backoff_factor,
+            retry=request.retry,
             first_k=request.first_k,
             trace=request.trace,
             telemetry=self.telemetry,

@@ -18,12 +18,12 @@ latency distributions. It has three cooperating pieces:
   every message, :func:`assemble_traces` span trees and
   :func:`critical_path` latency attribution
   (:mod:`repro.telemetry.tracing`).
-* health probes — :class:`HealthProbe` periodic samplers feeding
-  SLO-style :class:`HealthReport` verdicts
+* time series — :class:`SeriesSampler`, the one periodic reader of
+  federation state: gauge snapshots into bounded downsampling
+  :class:`RingSeries` rings (:mod:`repro.telemetry.series`).
+* health probes — :class:`HealthProbe`, an SLO judge over a sampler's
+  tick, feeding :class:`HealthReport` verdicts
   (:mod:`repro.telemetry.probes`).
-* time series — :class:`SeriesSampler` periodic gauge snapshots into
-  bounded downsampling :class:`RingSeries` rings
-  (:mod:`repro.telemetry.series`).
 * flight recorder — :class:`FlightRecorder` per-server event rings that
   freeze SLO breaches into :class:`PostmortemBundle` evidence windows
   (:mod:`repro.telemetry.recorder`).
@@ -31,15 +31,15 @@ latency distributions. It has three cooperating pieces:
   hot-path attribution with collapsed-stack / speedscope exporters and
   hotspot diffing (:mod:`repro.telemetry.profiling`).
 
-When no telemetry is attached (the default), instrumented code paths
-skip all recording; :data:`NULL_TELEMETRY` is a shared no-op recorder
-for call sites that prefer unconditional calls.
+When no telemetry is attached (``telemetry=None``, the default),
+instrumented code paths skip all recording — the one way to switch it
+off.
 """
 
 from .events import EventBus, TelemetryEvent, TraceEvent
 from .histogram import StreamingHistogram
 from .metrics import MetricKey, MetricsRegistry
-from .core import NULL_TELEMETRY, NullTelemetry, Span, Telemetry
+from .core import Span, Telemetry
 from .export import (
     chrome_trace,
     prometheus_text,
@@ -66,14 +66,7 @@ from .profiling import (
     speedscope_document,
     top_frames,
 )
-from .probes import (
-    HealthCheck,
-    HealthProbe,
-    HealthReport,
-    HealthSLO,
-    HealthSample,
-    judge_sample,
-)
+from .probes import HealthCheck, HealthProbe, HealthReport, HealthSLO
 from .quality import DivergenceAttribution, QualityPlane, QualityReport
 from .recorder import FlightRecorder, PostmortemBundle
 from .report import per_server_load_rows, root_load_share
@@ -98,8 +91,6 @@ from .tracing import (
 
 __all__ = [
     "Telemetry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
     "Span",
     "EventBus",
     "TelemetryEvent",
@@ -125,11 +116,9 @@ __all__ = [
     "diff_critical_paths",
     "path_category",
     "HealthProbe",
-    "HealthSample",
     "HealthSLO",
     "HealthCheck",
     "HealthReport",
-    "judge_sample",
     "RingSeries",
     "RollupPoint",
     "SeriesConfig",

@@ -7,10 +7,8 @@ the parent — and are emitted to the bus when closed. Counters and
 histograms are not kept here: a run's one metrics store is the
 network's :class:`~repro.telemetry.metrics.MetricsRegistry`.
 
-:class:`NullTelemetry` (singleton :data:`NULL_TELEMETRY`) is the
-disabled recorder: every operation is a no-op and ``span()`` returns a
-shared inert context manager, so instrumented code can call it
-unconditionally without allocating.
+Telemetry is switched off one way: a component built with
+``telemetry=None`` skips its recording branches, tags and all.
 """
 
 from __future__ import annotations
@@ -70,34 +68,6 @@ class Span:
         self.close()
 
 
-class _NullSpan:
-    """Shared inert span returned by :class:`NullTelemetry`."""
-
-    __slots__ = ()
-    name = ""
-    span_id = 0
-    parent_id = 0
-    start = 0.0
-    end = 0.0
-    duration = 0.0
-    tags: Dict[str, object] = {}
-
-    def annotate(self, **tags) -> "_NullSpan":
-        return self
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class Telemetry:
     """Event bus + span API behind one handle.
 
@@ -109,9 +79,6 @@ class Telemetry:
         does not exist yet.
     capacity:
         Ring-buffer size of the event bus.
-    enabled:
-        When False, ``event``/``span`` become no-ops (the network's
-        metrics registry is unaffected).
     """
 
     def __init__(
@@ -119,11 +86,9 @@ class Telemetry:
         clock: Optional[Callable[[], float]] = None,
         *,
         capacity: int = 65536,
-        enabled: bool = True,
     ):
         self._clock = clock if clock is not None else (lambda: 0.0)
         self.bus = EventBus(capacity)
-        self.enabled = enabled
         #: optional wall-clock call-path profiler
         #: (:class:`repro.telemetry.profiling.CallPathProfiler`); attach it
         #: *before* building a system — instrumented components cache the
@@ -139,32 +104,27 @@ class Telemetry:
         # Keep the profiler's virtual clock in sync so its dual-clock
         # columns read sim time once the simulator exists.
         if self.profiler is not None:
-            bind = getattr(self.profiler, "bind_clock", None)
-            if bind is not None:
-                bind(clock)
+            self.profiler.bind_clock(clock)
 
     # -- wall-clock profiling ------------------------------------------------------
     def attach_profiler(self, profiler) -> None:
         """Install a wall-clock section profiler (call before ``build``)."""
         self.profiler = profiler
-        bind = getattr(profiler, "bind_clock", None)
-        if bind is not None and getattr(profiler, "_clock", None) is None:
-            bind(self._clock)
+        if profiler._clock is None:
+            profiler.bind_clock(self._clock)
 
     @property
     def now(self) -> float:
         return self._clock()
 
     # -- causal trace contexts -----------------------------------------------------
-    def new_trace(self, **baggage) -> Optional[TraceContext]:
-        """Mint the root context of a new causal trace (None if disabled).
+    def new_trace(self, **baggage) -> TraceContext:
+        """Mint the root context of a new causal trace.
 
         Ids come from this recorder's counters, so a fixed build order
         yields identical ids run to run — traces are reproducible and
         never consume simulation randomness.
         """
-        if not self.enabled:
-            return None
         return TraceContext(
             trace_id=next(self._trace_ids),
             span_id=next(self._span_ids),
@@ -175,16 +135,14 @@ class Telemetry:
     def fork(
         self, ctx: Optional[TraceContext], **baggage
     ) -> Optional[TraceContext]:
-        """Fork a child context of *ctx* (None in, or disabled: None out)."""
-        if not self.enabled or ctx is None:
+        """Fork a child context of *ctx* (None in: None out)."""
+        if ctx is None:
             return None
         return ctx.child(next(self._span_ids), **baggage)
 
     # -- recording ----------------------------------------------------------------
-    def event(self, name: str, **tags) -> Optional[TelemetryEvent]:
+    def event(self, name: str, **tags) -> TelemetryEvent:
         """Record a point event at the current clock time."""
-        if not self.enabled:
-            return None
         parent = self._stack[-1].span_id if self._stack else 0
         ev = TelemetryEvent(
             ts=self._clock(), name=name, kind="event", parent_id=parent,
@@ -193,10 +151,8 @@ class Telemetry:
         self.bus.emit(ev)
         return ev
 
-    def span(self, name: str, **tags):
+    def span(self, name: str, **tags) -> Span:
         """Open a span; close it by exiting the ``with`` block."""
-        if not self.enabled:
-            return _NULL_SPAN
         parent = self._stack[-1].span_id if self._stack else 0
         span = Span(
             self, name, tags, next(self._span_ids), parent, self._clock()
@@ -212,8 +168,6 @@ class Telemetry:
         The first three parameters are positional-only so tags named
         ``name``/``start``/``end`` stay usable.
         """
-        if not self.enabled:
-            return
         parent = self._stack[-1].span_id if self._stack else 0
         self.bus.emit(
             TelemetryEvent(
@@ -248,31 +202,3 @@ class Telemetry:
 
     def __len__(self) -> int:
         return len(self.bus)
-
-
-class NullTelemetry(Telemetry):
-    """A telemetry recorder that records nothing, at near-zero cost."""
-
-    def __init__(self):
-        super().__init__(capacity=1, enabled=False)
-
-    def event(self, name: str, **tags) -> None:
-        return None
-
-    def span(self, name: str, **tags) -> _NullSpan:
-        return _NULL_SPAN
-
-    def emit_span(
-        self, name: str, start: float, end: float, /, **tags
-    ) -> None:
-        return None
-
-    def new_trace(self, **baggage) -> None:
-        return None
-
-    def fork(self, ctx, **baggage) -> None:
-        return None
-
-
-#: shared disabled recorder for unconditional call sites
-NULL_TELEMETRY = NullTelemetry()

@@ -19,39 +19,12 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Sequence
 
 from .events import TelemetryEvent
 from .metrics import MetricsRegistry
 
-_PathLike = Union[str, "os.PathLike[str]"]  # noqa: F821 - doc only
-
-
 # -- JSON-Lines ----------------------------------------------------------------
-def to_jsonl(events: Iterable[TelemetryEvent]) -> str:
-    return "\n".join(json.dumps(e.to_dict(), sort_keys=True) for e in events)
-
-
-def write_jsonl(events: Iterable[TelemetryEvent], path) -> int:
-    """Write one JSON object per event; returns the event count."""
-    lines = [json.dumps(e.to_dict(), sort_keys=True) for e in events]
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-    return len(lines)
-
-
-def read_jsonl(path) -> List[TelemetryEvent]:
-    out: List[TelemetryEvent] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(TelemetryEvent.from_dict(json.loads(line)))
-    return out
-
-
-# -- time-series JSON-Lines ----------------------------------------------------
 def series_jsonl(rows: Iterable[Dict[str, object]]) -> str:
     """Render time-series rows as JSONL (one object per line).
 
@@ -67,22 +40,25 @@ def series_jsonl(rows: Iterable[Dict[str, object]]) -> str:
 
 
 def write_series_jsonl(rows: Iterable[Dict[str, object]], path) -> int:
-    """Write time-series rows as JSONL; returns the row count."""
-    lines = [json.dumps(r, sort_keys=True) for r in rows]
+    """Write one JSON object per row; returns the row count."""
+    lines = [json.dumps(r, sort_keys=True) + "\n" for r in rows]
     with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.writelines(lines)
     return len(lines)
 
 
 def read_series_jsonl(path) -> List[Dict[str, object]]:
-    out: List[Dict[str, object]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def write_jsonl(events: Iterable[TelemetryEvent], path) -> int:
+    """Write one JSON object per event; returns the event count."""
+    return write_series_jsonl((e.to_dict() for e in events), path)
+
+
+def read_jsonl(path) -> List[TelemetryEvent]:
+    return [TelemetryEvent.from_dict(d) for d in read_series_jsonl(path)]
 
 
 # -- Prometheus text format ----------------------------------------------------

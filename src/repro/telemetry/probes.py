@@ -1,84 +1,44 @@
-"""Federation health probes: continuous sampling and SLO-style reports.
+"""Federation health: an SLO judge over the series sampler's tick.
 
-A :class:`HealthProbe` rides the simulator on a fixed sim-time cadence
-and snapshots the signals that tell an operator whether the federation
-is healthy *right now*: service-queue depths, shed/lost/dropped message
-counts, the dispatcher's pending-event backlog, per-server summary
-staleness (from :meth:`UpdatePlane.staleness_snapshot`) and the
+A :class:`~repro.telemetry.series.SeriesSampler` is the one periodic
+task that reads federation state. A :class:`HealthProbe` is built over a
+sampler and judges the values of the tick the sampler just took —
+service-queue depths, shed/lost/dropped message counts, the dispatcher's
+backlog, summary staleness, shadow-oracle precision/recall — against a
+:class:`HealthSLO`. The one thing it reads itself is the
 replication-coverage fraction (how much of the overlay's expected
-replica set each server actually holds). Sampling is passive — no
-messages are sent, no randomness is consumed — so enabling a probe
-never changes simulation outcomes.
+replica set each server actually holds): nobody but the judge needs it,
+so an un-judged sampler does not pay for it. Judging is passive — no
+messages are sent, no randomness is consumed — so arming a probe never
+changes simulation outcomes.
 
-:meth:`HealthProbe.report` folds the sampled series into a
-:class:`HealthReport`: one :class:`HealthCheck` per SLO dimension with
-the observed value, the threshold it was judged against, and a verdict.
+The seven checks are spelled once, in :data:`CHECKS`. Every tick is
+judged instantaneously (a check can go ok → fail → ok again, which is
+what breach transitions need); :meth:`HealthProbe.report` judges the
+worst value seen across the window (which never "recovers") off the same
+table, as a :class:`HealthReport` of one :class:`HealthCheck` per SLO
+dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from collections import deque
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, NamedTuple, Optional
 
-#: probe sample event name on the telemetry bus
-PROBE_EVENT = "probe.sample"
-
-
-@dataclass(frozen=True)
-class HealthSample:
-    """One probe tick's snapshot of the federation."""
-
-    t: float
-    #: messages currently queued or in service across all service queues
-    queue_depth_total: int
-    #: deepest single service queue at this instant
-    queue_depth_max: int
-    #: cumulative network counters at this instant
-    sent: int
-    delivered: int
-    lost: int
-    dropped: int
-    shed: int
-    #: dispatcher events not yet run (in-flight messages + timers)
-    pending: int
-    #: soft-state summary entries held across the federation
-    summary_entries: int
-    #: mean/max age of held summaries, seconds
-    summary_age_mean: float
-    summary_age_max: float
-    #: fraction of held summaries older than the staleness threshold
-    stale_fraction: float
-    #: fraction of expected overlay replicas actually held (1.0 = full)
-    coverage: float
-    #: shadow-oracle answer quality (1.0 when no quality plane is armed
-    #: or nothing has been audited yet)
-    precision: float = 1.0
-    recall: float = 1.0
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "t": self.t,
-            "queue_depth_total": float(self.queue_depth_total),
-            "queue_depth_max": float(self.queue_depth_max),
-            "sent": float(self.sent),
-            "delivered": float(self.delivered),
-            "lost": float(self.lost),
-            "dropped": float(self.dropped),
-            "shed": float(self.shed),
-            "pending": float(self.pending),
-            "summary_entries": float(self.summary_entries),
-            "summary_age_mean": self.summary_age_mean,
-            "summary_age_max": self.summary_age_max,
-            "stale_fraction": self.stale_fraction,
-            "coverage": self.coverage,
-            "precision": self.precision,
-            "recall": self.recall,
-        }
+#: one judged tick: the sampler's values plus ``coverage`` — ``t``,
+#: ``queue_depth_total`` / ``queue_depth_max`` (all queues / the deepest
+#: one), the cumulative ``sent`` / ``delivered`` / ``lost`` / ``dropped``
+#: / ``shed`` counters, ``pending`` dispatcher events,
+#: ``summary_entries`` / ``summary_age_mean`` / ``summary_age_max`` /
+#: ``stale_fraction``, ``coverage`` (1.0 = every expected replica held)
+#: and oracle ``precision`` / ``recall`` (1.0 without a quality plane)
+Tick = Dict[str, float]
 
 
 @dataclass(frozen=True)
 class HealthSLO:
-    """Thresholds a :class:`HealthReport` judges the sampled series by."""
+    """Thresholds a tick or a window is judged by."""
 
     #: highest acceptable fraction of stale summary entries (any sample)
     max_stale_fraction: float = 0.10
@@ -96,6 +56,38 @@ class HealthSLO:
     min_recall: Optional[float] = None
 
 
+class _Check(NamedTuple):
+    """How one SLO dimension reads a tick."""
+
+    name: str
+    #: the :class:`HealthSLO` field holding the threshold; ``max_*`` is a
+    #: ceiling on the value, ``min_*`` a floor
+    threshold: str
+    #: the tick key judged
+    key: str
+    #: what the value is, for the verdict's detail; None marks a
+    #: cumulative counter judged as its share of ``sent``
+    what: Optional[str]
+
+    @property
+    def ceiling(self) -> bool:
+        return self.threshold.startswith("max_")
+
+
+#: the seven checks, in report order
+CHECKS = (
+    _Check("staleness", "max_stale_fraction", "stale_fraction",
+           "stale_fraction"),
+    _Check("coverage", "min_coverage", "coverage", "replication coverage"),
+    _Check("shedding", "max_shed_fraction", "shed", None),
+    _Check("loss", "max_loss_fraction", "lost", None),
+    _Check("queue_depth", "max_queue_depth", "queue_depth_max",
+           "single service queue depth"),
+    _Check("precision", "min_precision", "precision", "oracle precision"),
+    _Check("recall", "min_recall", "recall", "oracle recall"),
+)
+
+
 @dataclass(frozen=True)
 class HealthCheck:
     """One SLO dimension's verdict."""
@@ -106,6 +98,9 @@ class HealthCheck:
     threshold: float
     detail: str = ""
 
+    def to_dict(self) -> Dict[str, object]:
+        return asdict(self)
+
     def format(self) -> str:
         mark = "ok " if self.ok else "FAIL"
         out = (
@@ -115,15 +110,50 @@ class HealthCheck:
         return out + (f"  ({self.detail})" if self.detail else "")
 
 
+def _verdicts(
+    slo: HealthSLO, tick: Tick, worst: Optional[Tick] = None
+) -> List[HealthCheck]:
+    """Judge *tick* against *slo*, one verdict per armed check.
+
+    With *worst* (the running worst value per tick key) the verdict is
+    the window's: gauges are judged at their worst, cumulative counters
+    at *tick*, the window's last.
+    """
+    sent = max(1, tick["sent"])
+    out = []
+    for check in CHECKS:
+        threshold = getattr(slo, check.threshold)
+        if threshold is None:
+            continue
+        if check.what is None:
+            value = tick[check.key] / sent
+            detail = f"{tick[check.key]} {check.key} of {tick['sent']} sent"
+        elif worst is None:
+            value = tick[check.key]
+            detail = f"{check.what} at t={tick['t']:.2f}s"
+        else:
+            value = worst[check.key]
+            detail = f"worst {check.what} across samples"
+        out.append(HealthCheck(
+            name=check.name,
+            ok=value <= threshold if check.ceiling else value >= threshold,
+            value=float(value),
+            threshold=float(threshold),
+            detail=detail,
+        ))
+    return out
+
+
 @dataclass
 class HealthReport:
-    """SLO evaluation of a probe's sampled window."""
+    """SLO evaluation of a probe's judged window."""
 
     samples: int
     window_start: float
     window_end: float
     checks: List[HealthCheck] = field(default_factory=list)
-    last: Optional[HealthSample] = None
+    #: the window's last :data:`Tick`
+    last: Optional[Tick] = None
 
     @property
     def healthy(self) -> bool:
@@ -134,17 +164,11 @@ class HealthReport:
             "healthy": self.healthy,
             "samples": self.samples,
             "window": [self.window_start, self.window_end],
-            "checks": [
-                {
-                    "name": c.name,
-                    "ok": c.ok,
-                    "value": c.value,
-                    "threshold": c.threshold,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-            "last_sample": self.last.to_dict() if self.last else None,
+            "checks": [c.to_dict() for c in self.checks],
+            "last_sample": (
+                {k: float(v) for k, v in self.last.items()}
+                if self.last else None
+            ),
         }
 
     def format(self) -> str:
@@ -157,154 +181,70 @@ class HealthReport:
         if self.last is not None:
             s = self.last
             lines.append(
-                f"last sample @ {s.t:.2f}s: queue depth {s.queue_depth_total}"
-                f" (max {s.queue_depth_max}), pending {s.pending}, "
-                f"sent {s.sent} / delivered {s.delivered} / lost {s.lost}"
-                f" / shed {s.shed}, summaries {s.summary_entries} "
-                f"(stale {s.stale_fraction:.1%}), coverage {s.coverage:.1%}"
+                f"last sample @ {s['t']:.2f}s: queue depth "
+                f"{s['queue_depth_total']} (max {s['queue_depth_max']}), "
+                f"pending {s['pending']}, sent {s['sent']} / delivered "
+                f"{s['delivered']} / lost {s['lost']} / shed {s['shed']}, "
+                f"summaries {s['summary_entries']} "
+                f"(stale {s['stale_fraction']:.1%}), "
+                f"coverage {s['coverage']:.1%}"
             )
         return "\n".join(lines)
 
 
-def judge_sample(
-    sample: HealthSample, slo: HealthSLO
-) -> List[HealthCheck]:
-    """Judge one *instantaneous* sample against *slo*.
-
-    Unlike :meth:`HealthProbe.report` — which folds the worst value seen
-    across the whole sampled window and therefore never "recovers" — this
-    judges a single snapshot, which is what breach-transition detection
-    needs: a check can go ok → fail → ok again as the run unfolds.
-    """
-    sent = max(1, sample.sent)
-    checks = [
-        HealthCheck(
-            name="staleness",
-            ok=sample.stale_fraction <= slo.max_stale_fraction,
-            value=sample.stale_fraction,
-            threshold=slo.max_stale_fraction,
-            detail=f"stale_fraction at t={sample.t:.2f}s",
-        ),
-        HealthCheck(
-            name="coverage",
-            ok=sample.coverage >= slo.min_coverage,
-            value=sample.coverage,
-            threshold=slo.min_coverage,
-            detail=f"replication coverage at t={sample.t:.2f}s",
-        ),
-        HealthCheck(
-            name="shedding",
-            ok=sample.shed / sent <= slo.max_shed_fraction,
-            value=sample.shed / sent,
-            threshold=slo.max_shed_fraction,
-            detail=f"{sample.shed} shed of {sample.sent} sent",
-        ),
-        HealthCheck(
-            name="loss",
-            ok=sample.lost / sent <= slo.max_loss_fraction,
-            value=sample.lost / sent,
-            threshold=slo.max_loss_fraction,
-            detail=f"{sample.lost} lost of {sample.sent} sent",
-        ),
-    ]
-    if slo.max_queue_depth is not None:
-        checks.append(
-            HealthCheck(
-                name="queue_depth",
-                ok=sample.queue_depth_max <= slo.max_queue_depth,
-                value=float(sample.queue_depth_max),
-                threshold=float(slo.max_queue_depth),
-                detail=f"deepest single service queue at t={sample.t:.2f}s",
-            )
-        )
-    if slo.min_precision is not None:
-        checks.append(
-            HealthCheck(
-                name="precision",
-                ok=sample.precision >= slo.min_precision,
-                value=sample.precision,
-                threshold=slo.min_precision,
-                detail=f"oracle precision at t={sample.t:.2f}s",
-            )
-        )
-    if slo.min_recall is not None:
-        checks.append(
-            HealthCheck(
-                name="recall",
-                ok=sample.recall >= slo.min_recall,
-                value=sample.recall,
-                threshold=slo.min_recall,
-                detail=f"oracle recall at t={sample.t:.2f}s",
-            )
-        )
-    return checks
-
-
 class HealthProbe:
-    """Periodic health sampler bound to one :class:`RoadsSystem`.
+    """SLO judge over one :class:`SeriesSampler`'s ticks.
+
+    The probe schedules nothing: the sampler's cadence
+    (``SeriesConfig.interval``) is the probe's, and every tick the
+    sampler takes from construction on is judged. It keeps running worst
+    values and the last tick, never a per-tick list, so a long run costs
+    what a short one does; replication coverage and the deepest single
+    queue go into the sampler's rings as ``overlay.coverage`` and
+    ``service.depth_max``.
 
     Parameters
     ----------
-    system:
-        The federation to watch (its simulator drives the cadence).
-    interval:
-        Sim-seconds between samples.
-    stale_after:
-        Staleness threshold forwarded to
-        :meth:`UpdatePlane.staleness_snapshot` (None = the plane's
-        default of 1.5 update intervals).
+    sampler:
+        The :class:`~repro.telemetry.series.SeriesSampler` whose ticks
+        are judged (at most one probe per sampler).
     slo:
-        When set, every sample is additionally judged instantaneously
-        (:func:`judge_sample`); a check transitioning ok → fail appends
-        to :attr:`breaches` and fires ``on_breach`` exactly once per
-        transition (it re-arms only after the check recovers).
+        When set, every tick is additionally judged instantaneously; a
+        check transitioning ok → fail appends to :attr:`breaches` and
+        fires ``on_breach`` exactly once per transition (it re-arms only
+        after the check recovers).
     on_breach:
-        ``fn(check, sample)`` breach-transition hook — the flight
+        ``fn(check, tick)`` breach-transition hook — the flight
         recorder's :meth:`~repro.telemetry.recorder.FlightRecorder.bind`
         installs its postmortem trigger here.
     """
 
     def __init__(
         self,
-        system,
+        sampler,
         *,
-        interval: float = 1.0,
-        stale_after: Optional[float] = None,
         slo: Optional[HealthSLO] = None,
-        on_breach: Optional[
-            Callable[[HealthCheck, HealthSample], None]
-        ] = None,
+        on_breach: Optional[Callable[[HealthCheck, Tick], None]] = None,
     ):
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self.system = system
-        self.interval = interval
-        self.stale_after = stale_after
+        if sampler.judge is not None:
+            raise ValueError("this sampler's ticks are already judged")
+        self.sampler = sampler
+        self.system = sampler.system
         self.slo = slo
         self.on_breach = on_breach
-        self.samples: List[HealthSample] = []
-        #: checks captured at each ok → fail transition, in order
-        self.breaches: List[HealthCheck] = []
+        #: ticks judged so far, and the time of the first
+        self.ticks = 0
+        self.window_start = 0.0
+        #: the most recent tick, and the worst value seen per gauge
+        self.last: Optional[Tick] = None
+        self._worst: Tick = {}
+        #: checks captured at the most recent ok → fail transitions, in
+        #: order (bounded, like everything else a long run accumulates)
+        self.breaches: deque = deque(maxlen=256)
         self._check_ok: Dict[str, bool] = {}
-        self._observing = False
-        self._task = None
+        sampler.judge = self._on_tick
 
-    # -- cadence ------------------------------------------------------------------
-    def start(self) -> "HealthProbe":
-        """Begin sampling every ``interval`` sim-seconds (jitter-free)."""
-        if self._task is None:
-            self._task = self.system.sim.schedule_periodic(
-                self.interval, self.sample, first_delay=self.interval,
-                label="telemetry.probe",
-            )
-        return self
-
-    def stop(self) -> None:
-        if self._task is not None:
-            self._task.stop()
-            self._task = None
-
-    # -- one snapshot --------------------------------------------------------------
+    # -- one tick ------------------------------------------------------------------
     def _coverage(self) -> float:
         """Held / expected overlay replicas, over all alive servers."""
         from ..overlay.replication import replication_sources
@@ -327,167 +267,54 @@ class HealthProbe:
             return 1.0
         return held / expected
 
-    def sample(self) -> HealthSample:
-        """Take (and record) one snapshot at the current sim time."""
-        system = self.system
-        net = system.network
-        counters = net.counters()
-        depth_total = 0
-        depth_max = 0
-        for server in system.hierarchy:
-            depth = int(net.service_stats(server.server_id)["depth"])
-            depth_total += depth
-            if depth > depth_max:
-                depth_max = depth
-        if system.update_plane is not None:
-            stale = system.update_plane.staleness_snapshot(
-                stale_after=self.stale_after
-            )
-        else:
-            stale = {}
-        quality = getattr(system, "quality", None)
-        sample = HealthSample(
-            t=system.sim.now,
-            queue_depth_total=depth_total,
-            queue_depth_max=depth_max,
-            sent=counters["sent"],
-            delivered=counters["delivered"],
-            lost=counters["lost"],
-            dropped=counters["dropped"],
-            shed=counters["shed"],
-            pending=system.sim.pending,
-            summary_entries=int(stale.get("entries", 0.0)),
-            summary_age_mean=stale.get("age_mean", 0.0),
-            summary_age_max=stale.get("age_max", 0.0),
-            stale_fraction=stale.get("stale_fraction", 0.0),
-            coverage=self._coverage(),
-            precision=(
-                quality.precision if quality is not None else 1.0
-            ),
-            recall=quality.recall if quality is not None else 1.0,
-        )
-        self.samples.append(sample)
-        tel = system.telemetry
-        if tel is not None:
-            tel.event(
-                PROBE_EVENT,
-                queue_depth=depth_total,
-                queue_depth_max=depth_max,
-                pending=sample.pending,
-                shed=sample.shed,
-                lost=sample.lost,
-                stale_fraction=sample.stale_fraction,
-                coverage=sample.coverage,
-            )
-        if self.slo is not None:
-            self.observe(sample)
-        return sample
+    def _on_tick(self, tick: Tick) -> None:
+        """The sampler just took *tick*: complete, record and judge it."""
+        now = tick["t"]
+        tick["coverage"] = self._coverage()
+        ring = self.sampler.ring
+        ring("overlay.coverage").append(now, tick["coverage"])
+        ring("service.depth_max").append(now, tick["queue_depth_max"])
+        self.observe(tick)
 
-    def observe(self, sample: HealthSample) -> List[HealthCheck]:
-        """Judge *sample* against the probe's SLO; fire breach hooks.
+    def observe(self, tick: Tick) -> List[HealthCheck]:
+        """Fold *tick* into the window and judge it against the SLO.
 
         Each named check fires ``on_breach`` only on its ok → fail
         transition — a check that keeps failing stays silent until it
         recovers and fails again, so one incident yields one postmortem.
         Returns the checks that transitioned to failing this call.
         """
-        if self.slo is None or self._observing:
-            # A breach handler may take a fresh sample (e.g. to attach a
-            # report); that nested sample must not re-enter SLO judging
-            # and clobber the transition state mid-incident.
-            return []
-        self._observing = True
-        try:
-            fired: List[HealthCheck] = []
-            for check in judge_sample(sample, self.slo):
+        if self.last is None:
+            self.window_start = tick["t"]
+        self.ticks += 1
+        self.last = tick
+        worst = self._worst
+        for check in CHECKS:
+            if check.what is not None:
+                fold = max if check.ceiling else min
+                key = check.key
+                worst[key] = fold(worst.get(key, tick[key]), tick[key])
+        fired: List[HealthCheck] = []
+        if self.slo is not None:
+            for check in _verdicts(self.slo, tick):
                 was_ok = self._check_ok.get(check.name, True)
                 self._check_ok[check.name] = check.ok
                 if was_ok and not check.ok:
                     fired.append(check)
                     self.breaches.append(check)
                     if self.on_breach is not None:
-                        self.on_breach(check, sample)
-            return fired
-        finally:
-            self._observing = False
+                        self.on_breach(check, tick)
+        return fired
 
     # -- SLO evaluation --------------------------------------------------------------
     def report(self, slo: HealthSLO = HealthSLO()) -> HealthReport:
-        """Judge the sampled window against *slo*."""
-        if not self.samples:
-            self.sample()
-        samples = self.samples
-        last = samples[-1]
-        sent = max(1, last.sent)
-        worst_stale = max(s.stale_fraction for s in samples)
-        worst_coverage = min(s.coverage for s in samples)
-        worst_depth = max(s.queue_depth_max for s in samples)
-        checks = [
-            HealthCheck(
-                name="staleness",
-                ok=worst_stale <= slo.max_stale_fraction,
-                value=worst_stale,
-                threshold=slo.max_stale_fraction,
-                detail="worst stale_fraction across samples",
-            ),
-            HealthCheck(
-                name="coverage",
-                ok=worst_coverage >= slo.min_coverage,
-                value=worst_coverage,
-                threshold=slo.min_coverage,
-                detail="worst replication coverage across samples",
-            ),
-            HealthCheck(
-                name="shedding",
-                ok=last.shed / sent <= slo.max_shed_fraction,
-                value=last.shed / sent,
-                threshold=slo.max_shed_fraction,
-                detail=f"{last.shed} shed of {last.sent} sent",
-            ),
-            HealthCheck(
-                name="loss",
-                ok=last.lost / sent <= slo.max_loss_fraction,
-                value=last.lost / sent,
-                threshold=slo.max_loss_fraction,
-                detail=f"{last.lost} lost of {last.sent} sent",
-            ),
-        ]
-        if slo.max_queue_depth is not None:
-            checks.append(
-                HealthCheck(
-                    name="queue_depth",
-                    ok=worst_depth <= slo.max_queue_depth,
-                    value=float(worst_depth),
-                    threshold=float(slo.max_queue_depth),
-                    detail="deepest single service queue across samples",
-                )
-            )
-        if slo.min_precision is not None:
-            worst_precision = min(s.precision for s in samples)
-            checks.append(
-                HealthCheck(
-                    name="precision",
-                    ok=worst_precision >= slo.min_precision,
-                    value=worst_precision,
-                    threshold=slo.min_precision,
-                    detail="worst oracle precision across samples",
-                )
-            )
-        if slo.min_recall is not None:
-            worst_recall = min(s.recall for s in samples)
-            checks.append(
-                HealthCheck(
-                    name="recall",
-                    ok=worst_recall >= slo.min_recall,
-                    value=worst_recall,
-                    threshold=slo.min_recall,
-                    detail="worst oracle recall across samples",
-                )
-            )
+        """Judge the window so far against *slo* (worst value per gauge)."""
+        if self.last is None:
+            self.sampler.sample()
         return HealthReport(
-            samples=len(samples),
-            window_start=samples[0].t,
-            window_end=last.t,
-            checks=checks,
-            last=last,
+            samples=self.ticks,
+            window_start=self.window_start,
+            window_end=self.last["t"],
+            checks=_verdicts(slo, self.last, self._worst),
+            last=self.last,
         )

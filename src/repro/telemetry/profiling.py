@@ -249,10 +249,6 @@ class CallPathProfiler:
     def counter(self, name: str) -> int:
         return self._counters.get(name, 0)
 
-    @property
-    def section_names(self) -> List[str]:
-        return sorted(self.flat())
-
     # -- read-out -----------------------------------------------------------------
     def document(self) -> Dict[str, object]:
         """The full hierarchical profile document (JSON-serialisable)."""

@@ -49,7 +49,7 @@ call-path profiler.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..query.query import Query
@@ -100,17 +100,7 @@ class DivergenceAttribution:
     reason: str
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "server_id": self.server_id,
-            "kind": self.kind,
-            "table": self.table,
-            "holder_id": self.holder_id,
-            "holder_level": self.holder_level,
-            "src_id": self.src_id,
-            "staleness_age": self.staleness_age,
-            "dimension": self.dimension,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -149,22 +139,7 @@ class QualityReport:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "query_id": self.query_id,
-            "trace_id": self.trace_id,
-            "audited_at": self.audited_at,
-            "start_server": self.start_server,
-            "entry_mode": self.entry_mode,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "contacted": self.contacted,
-            "unreachable": list(self.unreachable),
-            "owner_false_positives": self.owner_false_positives,
-            "owner_hits": self.owner_hits,
-            "precision": self.precision,
-            "recall": self.recall,
-            "attributions": [a.to_dict() for a in self.attributions],
+            **asdict(self), "precision": self.precision, "recall": self.recall
         }
 
 
@@ -507,11 +482,6 @@ class QualityPlane:
                 continue
             # No raw record in the region matches this dimension alone —
             # the summary's per-dimension structure claimed otherwise.
-            if summary is not None:
-                attr = summary.attributes.get(pred.attribute)
-                if attr is not None and attr.may_match(pred):
-                    dimension, reason = pred.attribute, "divergence"
-                    break
             dimension, reason = pred.attribute, "divergence"
             break
         if summary is None:

@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .events import TelemetryEvent
+from .probes import HealthCheck
 from .series import sparkline
 from .tracing import assemble_traces
 
@@ -91,19 +92,33 @@ class PostmortemBundle:
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "PostmortemBundle":
-        window = d.get("window", [0.0, 0.0])
-        return cls(
-            reason=str(d["reason"]),
-            triggered_at=float(d["triggered_at"]),
-            window_start=float(window[0]),
-            window_end=float(window[1]),
-            check=d.get("check"),
-            report=d.get("report"),
-            series=list(d.get("series", [])),
-            rings=list(d.get("rings", [])),
-            traces=list(d.get("traces", [])),
-            quality=d.get("quality"),
-        )
+        """Rebuild a bundle from :meth:`to_dict` output.
+
+        Raises :class:`ValueError` for anything else — not an object,
+        another schema, a missing key — so a damaged file is refused
+        with a reason instead of rendering as an empty postmortem.
+        """
+        if not isinstance(d, dict) or d.get("schema") != BUNDLE_SCHEMA:
+            raise ValueError(
+                f"not a schema-{BUNDLE_SCHEMA} postmortem bundle "
+                "(produce one with `repro watch --postmortem-dir`)"
+            )
+        try:
+            window_start, window_end = d["window"]
+            return cls(
+                reason=str(d["reason"]),
+                triggered_at=float(d["triggered_at"]),
+                window_start=float(window_start),
+                window_end=float(window_end),
+                check=d["check"],
+                report=d["report"],
+                series=list(d["series"]),
+                rings=list(d["rings"]),
+                traces=list(d["traces"]),
+                quality=d["quality"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed postmortem bundle: {exc!r}") from None
 
     def dump(self, path) -> Path:
         """Write the bundle as JSON; returns the path written."""
@@ -115,6 +130,8 @@ class PostmortemBundle:
 
     @classmethod
     def load(cls, path) -> "PostmortemBundle":
+        """Read a dumped bundle; :class:`ValueError` when it is not one
+        (``json``'s decode error is a ``ValueError`` too)."""
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
@@ -146,12 +163,7 @@ class PostmortemBundle:
             )
         if self.report:
             for c in self.report.get("checks", []):
-                mark = "ok " if c.get("ok") else "FAIL"
-                lines.append(
-                    f"  [{mark}] {c.get('name'):<14} "
-                    f"value={float(c.get('value', 0.0)):.4g} "
-                    f"threshold={float(c.get('threshold', 0.0)):.4g}"
-                )
+                lines.append("  " + HealthCheck(**c).format())
         shown = 0
         for s in self.series:
             if s.get("server") is not None or not s.get("raw"):
@@ -209,7 +221,8 @@ class FlightRecorder:
         ring).
     sampler:
         Optional :class:`~repro.telemetry.series.SeriesSampler` whose
-        breach-window points are frozen into each bundle.
+        breach-window points are frozen into each bundle; :meth:`bind`
+        supplies the probe's own when none is given.
     ring_size:
         Events retained per server ring.
     window_before:
@@ -242,6 +255,7 @@ class FlightRecorder:
             )
         self.telemetry = telemetry
         self.sampler = sampler
+        self._probe = None
         self.ring_size = ring_size
         self.window_before = window_before
         self.max_trace_trees = max_trace_trees
@@ -283,31 +297,20 @@ class FlightRecorder:
         call :meth:`trigger` with the failing check attached."""
         probe.on_breach = self._on_breach
         self._probe = probe
+        if self.sampler is None:
+            self.sampler = probe.sampler
         return self
 
-    def _on_breach(self, check, sample) -> None:
-        probe = getattr(self, "_probe", None)
-        report = None
-        quality = None
-        if probe is not None and probe.slo is not None:
-            report = probe.report(probe.slo).to_dict()
-        if probe is not None:
-            plane = getattr(probe.system, "quality", None)
-            if plane is not None:
-                # The misrouted query's causal trace is already frozen by
-                # trigger(); this pins the oracle verdict next to it.
-                quality = plane.breach_evidence()
+    def _on_breach(self, check, tick) -> None:
+        probe = self._probe
+        plane = getattr(probe.system, "quality", None)
         self.trigger(
             f"slo:{check.name}",
-            check={
-                "name": check.name,
-                "ok": check.ok,
-                "value": check.value,
-                "threshold": check.threshold,
-                "detail": check.detail,
-            },
-            report=report,
-            quality=quality,
+            check=check.to_dict(),
+            report=probe.report(probe.slo).to_dict(),
+            # The misrouted query's causal trace is already frozen by
+            # trigger(); this pins the oracle verdict next to it.
+            quality=plane.breach_evidence() if plane is not None else None,
         )
 
     # -- capture --------------------------------------------------------------------

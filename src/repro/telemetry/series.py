@@ -1,12 +1,15 @@
 """The time-series metrics plane: sim-clock sampling into bounded rings.
 
 Spans and the end-of-run metrics registry answer "what happened over the
-whole run"; a :class:`HealthProbe` answers "is the federation healthy
-now". Neither gives a *time-resolved* view — how queue depth, staleness
-or shed rate evolved as a run unfolded — which is exactly the signal
-replica-aware planning and fault drills consume. :class:`SeriesSampler`
-provides it: a sim-clock-driven periodic sampler that snapshots
-per-server and per-plane gauges into bounded downsampling ring buffers.
+whole run". Neither gives a *time-resolved* view — how queue depth,
+staleness or shed rate evolved as a run unfolded — which is exactly the
+signal replica-aware planning and fault drills consume.
+:class:`SeriesSampler` provides it: a sim-clock-driven periodic sampler
+that snapshots per-server and per-plane gauges into bounded downsampling
+ring buffers. It is the one reader of federation state: a
+:class:`~repro.telemetry.probes.HealthProbe` built over a sampler judges
+the tick the sampler just took ("is the federation healthy now") and
+scans nothing itself.
 
 Each gauge lives in a :class:`RingSeries`: a raw window of the most
 recent ``(t, value)`` points plus coarser :class:`RollupPoint` buckets
@@ -158,10 +161,6 @@ class RingSeries:
     def last(self) -> Optional[Tuple[float, float]]:
         return self.raw[-1] if self.raw else None
 
-    def points(self) -> List[Tuple[float, float]]:
-        """Snapshot of the retained raw points, oldest first."""
-        return list(self.raw)
-
     def values(self) -> List[float]:
         return [v for _, v in self.raw]
 
@@ -175,15 +174,6 @@ class RingSeries:
             r for r in self.rollups
             if r.t_end >= t_start and r.t_start <= t_end
         ]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "server": self.server,
-            "appended": self.appended,
-            "raw": [[t, v] for t, v in self.raw],
-            "rollups": [r.to_dict() for r in self.rollups],
-        }
 
     def __len__(self) -> int:
         return len(self.raw)
@@ -233,6 +223,10 @@ class SeriesSampler:
         self._series: Dict[Tuple[str, Optional[int]], RingSeries] = {}
         self._task = None
         self.samples = 0
+        #: ``fn(tick)`` called at the end of every tick with the values
+        #: just read (a :class:`~repro.telemetry.probes.HealthProbe`
+        #: installs itself here); an un-judged sampler builds no tick
+        self.judge: Optional[Callable[[Dict[str, float]], None]] = None
 
     # -- cadence -------------------------------------------------------------------
     def start(self) -> "SeriesSampler":
@@ -269,7 +263,8 @@ class SeriesSampler:
             )
         ]
 
-    def _ring(self, name: str, server: Optional[int] = None) -> RingSeries:
+    def ring(self, name: str, server: Optional[int] = None) -> RingSeries:
+        """The gauge's ring, created on first use."""
         key = (name, server)
         ring = self._series.get(key)
         if ring is None:
@@ -290,7 +285,7 @@ class SeriesSampler:
         now = system.sim.now
         net = system.network
         counters = net.counters()
-        record = self._ring
+        record = self.ring
         for key, value in counters.items():
             record(f"net.{key}").append(now, value)
         # Dispatch mix: cumulative handler invocations per message kind,
@@ -307,6 +302,7 @@ class SeriesSampler:
         record("bytes.query").append(now, registry.bytes_total(QUERY))
         record("bytes.update").append(now, registry.bytes_total(UPDATE))
         plane = system.update_plane
+        stale: Dict[str, float] = {}
         if plane is not None:
             record("update.inflight").append(now, plane.inflight)
             stale = plane.staleness_snapshot(
@@ -319,14 +315,18 @@ class SeriesSampler:
                 now, stale["stale_fraction"]
             )
         depth_total = 0.0
+        depth_max = 0.0
         waiting_total = 0.0
         for server in system.hierarchy:
             sid = server.server_id
             stats = net.service_stats(sid)
-            depth_total += stats["depth"]
+            depth = stats["depth"]
+            depth_total += depth
+            if depth > depth_max:
+                depth_max = depth
             waiting_total += stats["waiting"]
             if self.config.per_server:
-                record("service.depth", sid).append(now, stats["depth"])
+                record("service.depth", sid).append(now, depth)
                 record("service.waiting", sid).append(now, stats["waiting"])
                 record("service.shed", sid).append(now, stats["shed"])
         record("service.depth_total").append(now, depth_total)
@@ -346,6 +346,20 @@ class SeriesSampler:
                     record("quality.fp", sid).append(now, counts["fp"])
                     record("quality.fn", sid).append(now, counts["fn"])
         self.samples += 1
+        if self.judge is not None:
+            self.judge({
+                "t": now,
+                "queue_depth_total": int(depth_total),
+                "queue_depth_max": int(depth_max),
+                **counters,
+                "pending": system.sim.pending,
+                "summary_entries": int(stale.get("entries", 0.0)),
+                "summary_age_mean": stale.get("age_mean", 0.0),
+                "summary_age_max": stale.get("age_max", 0.0),
+                "stale_fraction": stale.get("stale_fraction", 0.0),
+                "precision": quality.precision if quality is not None else 1.0,
+                "recall": quality.recall if quality is not None else 1.0,
+            })
 
     # -- export --------------------------------------------------------------------
     def rows(

@@ -75,12 +75,89 @@ class TestCLI:
 
     def test_figure_with_csv_output(self, tmp_path, capsys):
         out_path = tmp_path / "t1.csv"
-        rc = main(["figure", "table1", "--output", str(out_path)])
+        rc = main([
+            "figure", "table1", "--scale", "smoke", "--output", str(out_path),
+        ])
         assert rc == 0
         rows = load_rows_csv(out_path)
-        assert rows  # analytical + measured rows present
+        # analytical + measured rows present
+        assert {"formula_units", "mean_bytes_per_server"} <= set(rows[0])
         out = capsys.readouterr().out
-        assert "table1" in out
+        assert "table1 (smoke scale)" in out
+        # ... and both halves of the stacked table are printed
+        assert "formula_units" in out and "mean_bytes_per_server" in out
+
+    def test_figure_takes_the_shared_scale_and_seed(self):
+        parser = build_parser()
+        args = parser.parse_args(["figure", "fig9"])
+        assert (args.scale, args.seed) == ("quick", 1)
+        for removed in ("--queries", "--runs"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["figure", "fig9", removed, "5"])
+
+
+class TestOneScenarioRegistry:
+    """`repro figure`, `run_suite` and `bench run` resolve a target
+    through `bench.SCENARIOS` + `scale_settings` + `scale_sweeps`: one
+    spelling of what "quick" or "smoke" means, so one set of rows."""
+
+    SEED = 3
+
+    @pytest.fixture(scope="class")
+    def suite(self, tmp_path_factory):
+        from repro.experiments import run_suite
+
+        out = tmp_path_factory.mktemp("suite")
+        return out, run_suite(
+            out, scale="smoke", seed=self.SEED, progress=None
+        )
+
+    def test_targets_are_the_registrys_paper_scenarios(self, suite):
+        from repro.bench import SCENARIOS
+        from repro.experiments import available_targets
+
+        targets = available_targets()
+        assert targets == ["table1"] + [f"fig{n}" for n in range(3, 12)]
+        assert set(targets) <= set(SCENARIOS)
+        assert list(suite[1]) == targets  # the suite's default
+
+    @pytest.mark.parametrize(
+        "target", ["table1"] + [f"fig{n}" for n in range(3, 12)]
+    )
+    def test_figure_and_suite_print_the_registry_rows(
+        self, target, suite, capsys
+    ):
+        from repro.bench import SCENARIOS, scale_settings, scale_sweeps
+        from repro.experiments import format_table
+
+        def exact(rows):
+            # fig11 is the prototype's response time: its *_ms columns
+            # include the host's own backend search time, by design.
+            return [
+                {k: v for k, v in r.items()
+                 if not (target == "fig11" and k.endswith("_ms"))}
+                for r in rows
+            ]
+
+        rows = exact(SCENARIOS[target].driver(
+            scale_settings("smoke", self.SEED), scale_sweeps("smoke")
+        ))
+        assert rows
+        rc = main([
+            "figure", target, "--scale", "smoke", "--seed", str(self.SEED),
+        ])
+        assert rc == 0
+        stdout = capsys.readouterr().out
+        if target == "fig11":
+            assert stdout.startswith("fig11 (smoke scale)\nselectivity_pct")
+            assert len(stdout.splitlines()) == 3 + len(rows)
+        else:
+            assert stdout == (
+                format_table(rows, title=f"{target} (smoke scale)") + "\n"
+            )
+        out, results = suite
+        assert exact(results[target]) == rows
+        assert exact(load_rows_json(out / f"{target}.json")["rows"]) == rows
 
 
 class TestSuite:
@@ -89,33 +166,39 @@ class TestSuite:
 
         results = run_suite(
             tmp_path / "res",
-            targets=["table1_analytical", "fig10"],
-            scale="quick",
+            targets=["table1", "fig10"],
+            scale="smoke",
             progress=None,
         )
-        assert set(results) == {"table1_analytical", "fig10"}
+        assert set(results) == {"table1", "fig10"}
         assert (tmp_path / "res" / "fig10.csv").exists()
         assert (tmp_path / "res" / "fig10.json").exists()
         summary = (tmp_path / "res" / "SUMMARY.md").read_text()
-        assert "fig10" in summary and "table1_analytical" in summary
+        assert "fig10" in summary and "table1" in summary
 
     def test_unknown_target_rejected(self, tmp_path):
         from repro.experiments import run_suite
 
         with pytest.raises(ValueError, match="unknown targets"):
             run_suite(tmp_path, targets=["fig99"], progress=None)
+        with pytest.raises(ValueError, match="unknown scale"):
+            run_suite(tmp_path / "never", scale="huge", progress=None)
+        assert not (tmp_path / "never").exists()
 
     def test_available_targets(self):
         from repro.experiments import available_targets
 
         targets = available_targets()
         assert "fig3" in targets and "fig11" in targets
-        assert "table1_analytical" in targets
+        assert "table1" in targets
+        # The registry's planes and stress sweep are bench scenarios,
+        # not paper figures.
+        assert "stress" not in targets and "load_plane" not in targets
 
     def test_cli_suite_subcommand(self, tmp_path, capsys):
         rc = main([
-            "suite", "--out", str(tmp_path / "r"),
-            "--targets", "table1_analytical",
+            "suite", "--out", str(tmp_path / "r"), "--scale", "smoke",
+            "--targets", "table1",
         ])
         assert rc == 0
         assert (tmp_path / "r" / "SUMMARY.md").exists()
@@ -317,12 +400,24 @@ class TestHealthCLI:
         assert {c["name"] for c in doc["checks"]} >= {
             "staleness", "coverage", "shedding", "loss"
         }
+        # The keys the report carried when a tick was a HealthSample.
+        assert set(doc["last_sample"]) == {
+            "t", "queue_depth_total", "queue_depth_max", "sent",
+            "delivered", "lost", "dropped", "shed", "pending",
+            "summary_entries", "summary_age_mean", "summary_age_max",
+            "stale_fraction", "coverage", "precision", "recall",
+        }
 
 
 class TestLoadedFederationOutput:
-    """`health`, `watch` and `quality` run one shared lossy federation;
+    """`health`, `watch` and `quality` are one run with three printers;
     what each prints for fixed arguments is pinned byte for byte
-    (sha256 of stdout, recorded before the three builders were merged)."""
+    (sha256 of stdout). The `health` and `quality` digests were recorded
+    before the three builders were merged and have never moved. `watch`
+    was re-recorded once, when the probe became a judge over the
+    sampler's tick: two more gauges (`overlay.coverage`,
+    `service.depth_max`), `sim.pending` one lower (the probe's own
+    periodic event is gone) and the breach lines of a 0.25 s judge."""
 
     ARGS = [
         "--nodes", "16", "--records", "20", "--queries", "10",
@@ -335,8 +430,8 @@ class TestLoadedFederationOutput:
         [
             ("health", 1, "9f8ada00bed0e8d1b4a3f27c83b27eb4"
                           "48059f8a728bc77b0b5f43f210083b97"),
-            ("watch", 0, "c04a5c60ea18f4fe2f4a63d477c11d41"
-                         "6cae5ef10df660c5456c3bd760d8388b"),
+            ("watch", 0, "efe1b15760e97f12c2621eeb38079fe5"
+                         "1b029f9ab3023b2168c146c96d9382ac"),
             ("quality", 0, "9f3bf65384619ee89b43cf4a97c018d9"
                            "4e72386547d2df4be393380f801f7b1d"),
         ],
@@ -347,6 +442,95 @@ class TestLoadedFederationOutput:
         assert main([verb] + self.ARGS) == rc
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
+
+
+class TestLoadVerbOptions:
+    """The nine federation/load options are declared once and read the
+    same under all three verbs."""
+
+    SHARED = {
+        "nodes": 32, "records": 40, "queries": 30, "rate": 20.0,
+        "duration": 5.0, "loss": 0.0, "interval": 5.0,
+        "service_time": 0.002, "queue_limit": 64,
+    }
+
+    @pytest.mark.parametrize("verb", ["health", "watch", "quality"])
+    def test_defaults_and_overrides(self, verb):
+        parser = build_parser()
+        args = vars(parser.parse_args([verb]))
+        assert {k: args[k] for k in self.SHARED} == self.SHARED
+        assert args["seed"] == 1
+        args = parser.parse_args(
+            [verb, "--loss", "0.2", "--queue-limit", "8", "--seed", "9"]
+        )
+        assert (args.loss, args.queue_limit, args.seed) == (0.2, 8, 9)
+
+    def test_watch_judges_on_the_sampling_cadence(self):
+        # One cadence: the probe has no interval of its own.
+        parser = build_parser()
+        assert parser.parse_args(["watch"]).sample_interval == 0.25
+        with pytest.raises(SystemExit):
+            parser.parse_args(["watch", "--probe-interval", "0.5"])
+        assert parser.parse_args(["health"]).probe_interval == 0.5
+
+
+class TestUnwritableExports:
+    """Every file the CLI writes: an unwritable target is one
+    ``PATH: reason`` line and exit status 2, never a traceback."""
+
+    SMALL = ["--nodes", "8", "--records", "10", "--queries", "3"]
+    LOAD = SMALL + ["--rate", "10", "--duration", "1"]
+
+    @pytest.fixture(scope="class")
+    def events(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("events") / "events.jsonl"
+        assert main(
+            ["telemetry"] + self.SMALL + ["--export-jsonl", str(path)]
+        ) == 0
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["health"] + LOAD + ["--export", "BAD"],
+            ["watch"] + LOAD + ["--export", "BAD"],
+            ["watch"] + LOAD + ["--json", "BAD"],
+            ["watch"] + LOAD + ["--loss", "0.4", "--postmortem-dir", "BAD"],
+            ["quality"] + LOAD + ["--json", "BAD"],
+            ["telemetry"] + SMALL + ["--export-jsonl", "BAD"],
+            ["telemetry"] + SMALL + ["--export-chrome", "BAD"],
+            ["telemetry"] + SMALL + ["--export-prom", "BAD"],
+            ["trace", "EVENTS", "--json", "BAD"],
+            ["trace", "EVENTS", "--chrome", "BAD"],
+            ["profile", "--scale", "smoke", "--json", "BAD"],
+            ["profile", "--scale", "smoke", "--collapsed", "BAD"],
+            ["profile", "--scale", "smoke", "--speedscope", "BAD"],
+            ["figure", "fig9", "--scale", "smoke", "--output", "BAD"],
+            ["bench", "run", "table1", "--scale", "smoke", "--out", "BAD"],
+            ["suite", "--scale", "smoke", "--targets", "fig9", "--out", "BAD"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[argv.index('BAD') - 1]}",
+    )
+    def test_one_line_and_exit_2(self, argv, events, tmp_path, capsys):
+        # A regular file where a directory is needed: nothing can be
+        # created at or under it, whoever runs the tests.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        bad = str(blocker / "sub" / "out.json")
+        argv = [
+            bad if a == "BAD" else events if a == "EVENTS" else a
+            for a in argv
+        ]
+        assert main(argv) == 2
+        last = capsys.readouterr().out.rstrip("\n").rsplit("\n", 1)[-1]
+        path, _, reason = last.partition(": ")
+        assert path.startswith(str(blocker)) and reason
+        assert "Traceback" not in last
+
+    def test_unreadable_input_is_one_line_too(self, tmp_path, capsys):
+        missing = tmp_path / "nope.jsonl"
+        assert main(["trace", str(missing)]) == 2
+        assert capsys.readouterr().out.startswith(f"{missing}: ")
 
 
 class TestWatchCLI:
@@ -409,6 +593,32 @@ class TestPostmortemCLI:
         rc = main(["postmortem", str(tmp_path)])
         assert rc == 1
         assert "no postmortem bundles" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("{not json", "Expecting property name"),
+            ("[1, 2, 3]", "not a schema-1 postmortem bundle"),
+            ('{"schema": 99, "reason": "slo:loss"}',
+             "not a schema-1 postmortem bundle"),
+            ('{"schema": 1, "reason": "slo:loss", "triggered_at": 1.0}',
+             "malformed postmortem bundle: KeyError('window')"),
+        ],
+        ids=["not-json", "not-an-object", "another-schema", "missing-key"],
+    )
+    def test_malformed_bundle_exits_2(self, text, reason, tmp_path, capsys):
+        from repro.telemetry import PostmortemBundle
+
+        path = tmp_path / "postmortem_001_slo-loss.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="postmortem bundle|Expecting"):
+            PostmortemBundle.load(path)
+        # ... as a lone file or as one of a directory's bundles.
+        for target in (path, tmp_path):
+            assert main(["postmortem", str(target)]) == 2
+            out = capsys.readouterr().out
+            assert out.startswith(f"{path}: ") and reason in out
+            assert len(out.splitlines()) == 1
 
     def test_json_output_of_manual_bundle(self, tmp_path, capsys):
         from repro.telemetry import FlightRecorder, Telemetry

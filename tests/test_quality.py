@@ -341,6 +341,8 @@ class TestPrecisionSLOBreach:
             FlightRecorder,
             HealthProbe,
             HealthSLO,
+            SeriesConfig,
+            SeriesSampler,
         )
 
         tel = Telemetry()
@@ -351,23 +353,22 @@ class TestPrecisionSLOBreach:
             tel, dump_dir=tmp_path
         )
         probe = HealthProbe(
-            system,
-            interval=0.5,
+            SeriesSampler(system, SeriesConfig(interval=0.5)).start(),
             slo=HealthSLO(min_precision=0.999),
-        ).start()
+        )
         recorder.bind(probe)
         churn_band_to_landing(stores)
         for _ in range(3):
             system.search(SearchRequest(band_query(*BAND)))
         system.sim.run(until=system.sim.now + 2.0)
-        probe.stop()
+        probe.sampler.stop()
         return system, probe, recorder
 
     def test_probe_samples_carry_precision(self):
         system, probe, _ = self._breach()
-        assert probe.samples
-        assert probe.samples[-1].precision == system.quality.precision
-        assert probe.samples[-1].precision < 0.999
+        assert probe.ticks
+        assert probe.last["precision"] == system.quality.precision
+        assert probe.last["precision"] < 0.999
         assert "precision" in {c.name for c in probe.breaches}
 
     def test_bundle_carries_quality_evidence(self):
@@ -397,19 +398,25 @@ class TestPrecisionSLOBreach:
 
 class TestHealthReportQuality:
     def test_report_judges_worst_precision(self):
-        from repro.telemetry import HealthProbe, HealthSLO
+        from repro.telemetry import (
+            HealthProbe,
+            HealthSLO,
+            SeriesConfig,
+            SeriesSampler,
+        )
 
         system, stores = build_system(telemetry=Telemetry())
         system.refresh()
         system.attach_quality()
         probe = HealthProbe(
-            system, interval=0.5, slo=HealthSLO(min_precision=0.999)
-        ).start()
+            SeriesSampler(system, SeriesConfig(interval=0.5)).start(),
+            slo=HealthSLO(min_precision=0.999),
+        )
         churn_band_to_landing(stores)
         for _ in range(2):
             system.search(SearchRequest(band_query(*BAND)))
         system.sim.run(until=system.sim.now + 1.5)
-        probe.stop()
+        probe.sampler.stop()
         report = probe.report(HealthSLO(min_precision=0.999))
         checks = {c.name: c for c in report.checks}
         assert "precision" in checks

@@ -16,13 +16,11 @@ from repro.telemetry import (
     FlightRecorder,
     HealthProbe,
     HealthSLO,
-    HealthSample,
     PostmortemBundle,
     SeriesConfig,
     SeriesSampler,
     Telemetry,
 )
-from repro.telemetry.probes import judge_sample
 from repro.workload import WorkloadConfig, generate_node_stores
 from repro.workload.queries import generate_queries
 
@@ -50,33 +48,37 @@ def build_system(*, loss=0.0, telemetry=None, service=None, interval=1.0):
     return system
 
 
-def sample(**overrides) -> HealthSample:
+def sample(**overrides):
+    """A synthetic judged tick: the sampler's values plus coverage."""
     base = dict(
         t=1.0, queue_depth_total=0, queue_depth_max=0, sent=100,
         delivered=98, lost=2, dropped=0, shed=0, pending=3,
         summary_entries=40, summary_age_mean=0.5, summary_age_max=1.0,
-        stale_fraction=0.0, coverage=1.0,
+        stale_fraction=0.0, coverage=1.0, precision=1.0, recall=1.0,
     )
     base.update(overrides)
-    return HealthSample(**base)
+    return base
+
+
+def judge(tick, slo):
+    """Names of the checks *tick* breaches on a fresh probe."""
+    probe = HealthProbe(SeriesSampler(build_system()), slo=slo)
+    return [c.name for c in probe.observe(tick)]
 
 
 class TestJudgeSample:
+    """The instantaneous verdict, read off the breach transitions."""
+
     def test_healthy_sample_passes_every_check(self):
-        checks = judge_sample(sample(), HealthSLO())
-        assert checks and all(c.ok for c in checks)
+        assert judge(sample(), HealthSLO()) == []
 
     def test_loss_check_fails_above_threshold(self):
-        checks = judge_sample(sample(lost=50), HealthSLO())
-        bad = [c for c in checks if not c.ok]
-        assert [c.name for c in bad] == ["loss"]
+        assert judge(sample(lost=50), HealthSLO()) == ["loss"]
 
     def test_queue_depth_check_is_opt_in(self):
-        names = {c.name for c in judge_sample(sample(), HealthSLO())}
-        assert "queue_depth" not in names
+        assert judge(sample(queue_depth_max=9), HealthSLO()) == []
         slo = HealthSLO(max_queue_depth=4)
-        checks = judge_sample(sample(queue_depth_max=9), slo)
-        assert any(c.name == "queue_depth" and not c.ok for c in checks)
+        assert judge(sample(queue_depth_max=9), slo) == ["queue_depth"]
 
 
 class TestTransitions:
@@ -85,7 +87,7 @@ class TestTransitions:
     def _armed(self):
         tel = Telemetry()
         system = build_system(telemetry=tel)
-        probe = HealthProbe(system, slo=HealthSLO())
+        probe = HealthProbe(SeriesSampler(system), slo=HealthSLO())
         recorder = FlightRecorder(tel).bind(probe)
         return probe, recorder
 
@@ -128,10 +130,15 @@ class TestTransitions:
     def test_bind_sets_breach_hook(self):
         tel = Telemetry()
         system = build_system(telemetry=tel)
-        probe = HealthProbe(system, slo=HealthSLO())
+        probe = HealthProbe(SeriesSampler(system), slo=HealthSLO())
         assert probe.on_breach is None
         recorder = FlightRecorder(tel).bind(probe)
         assert probe.on_breach == recorder._on_breach
+        # The bundle's series window comes from the probe's own sampler
+        # unless the recorder was given another.
+        assert recorder.sampler is probe.sampler
+        other = SeriesSampler(system)
+        assert FlightRecorder(tel, sampler=other).bind(probe).sampler is other
 
 
 class TestRecorderMechanics:
@@ -211,19 +218,29 @@ class TestEndToEnd:
     """A lossy run breaches the SLO and auto-freezes a full bundle."""
 
     @pytest.fixture(scope="class")
-    def bundle(self):
+    def run(self):
         tel = Telemetry()
         system = build_system(
             loss=0.18, telemetry=tel,
             service=ServiceConfig(service_time=0.004, queue_limit=16),
         )
-        sampler = SeriesSampler(system, SeriesConfig(interval=0.25)).start()
         system.update_plane.start()
         # Converge first so the breach fires amid query traffic, with
         # the rings already holding causally-traced events.
         system.sim.run(until=system.sim.now + 2.0)
-        probe = HealthProbe(system, interval=0.5, slo=HealthSLO()).start()
-        recorder = FlightRecorder(tel, sampler=sampler).bind(probe)
+        probe = HealthProbe(
+            SeriesSampler(system, SeriesConfig(interval=0.5)).start(),
+            slo=HealthSLO(),
+        )
+        recorder = FlightRecorder(tel).bind(probe)
+        transitions = []
+        freeze = probe.on_breach
+
+        def log_then_freeze(check, tick):
+            transitions.append((tick["t"], check.name))
+            freeze(check, tick)
+
+        probe.on_breach = log_then_freeze
         wcfg = WorkloadConfig(num_nodes=NODES, records_per_node=50, seed=SEED)
         queries = generate_queries(wcfg, num_queries=12)
         retry = RetryPolicy(timeout=1.0, retries=2, backoff_base=0.1)
@@ -237,7 +254,43 @@ class TestEndToEnd:
         system.sim.run(until=system.sim.now + 1.0)
         assert probe.breaches, "injected loss never breached the SLO"
         assert recorder.bundles
-        return recorder.bundles[0]
+        return probe, recorder, transitions
+
+    @pytest.fixture(scope="class")
+    def bundle(self, run):
+        return run[1].bundles[0]
+
+    def test_verdicts_are_the_parent_commits(self, run):
+        # Recorded on the commit before the probe became a judge over
+        # the sampler's tick (its own 0.5 s periodic task, its own scan
+        # of the federation, a list of HealthSample): same instants,
+        # same transitions, same window verdict.
+        probe, recorder, transitions = run
+        assert transitions == [
+            (3.2084088523368464, "staleness"),
+            (3.2084088523368464, "coverage"),
+            (3.2084088523368464, "loss"),
+            (5.208408852336847, "staleness"),
+            (6.208408852336847, "staleness"),
+        ]
+        assert len(recorder.bundles) == 5
+        report = probe.report(HealthSLO())
+        assert report.samples == 9
+        assert (report.window_start, report.window_end) == (
+            3.2084088523368464, 7.208408852336847,
+        )
+        assert report.to_dict()["checks"] == [
+            {"name": "staleness", "ok": False,
+             "value": 0.13432835820895522, "threshold": 0.1,
+             "detail": "worst stale_fraction across samples"},
+            {"name": "coverage", "ok": False,
+             "value": 0.8654970760233918, "threshold": 0.99,
+             "detail": "worst replication coverage across samples"},
+            {"name": "shedding", "ok": True, "value": 0.0,
+             "threshold": 0.05, "detail": "0 shed of 1810 sent"},
+            {"name": "loss", "ok": False, "value": 0.18729281767955802,
+             "threshold": 0.1, "detail": "339 lost of 1810 sent"},
+        ]
 
     def test_bundle_has_breach_window_series(self, bundle):
         assert bundle.series

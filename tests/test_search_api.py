@@ -82,6 +82,46 @@ class TestSearchRequest:
         # base 0 = the historical immediate retry
         assert RetryPolicy().delay_before_attempt(2) == 0.0
 
+    def test_contacts_wait_the_policys_schedule(self, queries):
+        # The schedule above is the one that runs: on lossy links, the
+        # gap between a contact deciding to retry (``query.retry``) and
+        # its next send is the policy's delay for that attempt.
+        from repro.telemetry import Telemetry
+
+        policy = RetryPolicy(
+            timeout=0.5, retries=3, backoff_base=0.1, backoff_factor=3.0
+        )
+        tel = Telemetry()
+        wcfg = WorkloadConfig(num_nodes=NODES, records_per_node=80, seed=SEED)
+        system = RoadsSystem.build(
+            RoadsConfig(
+                num_nodes=NODES, records_per_node=80, max_children=4,
+                summary=SummaryConfig(histogram_buckets=200), seed=SEED,
+                loss_rate=0.3,
+            ),
+            generate_node_stores(wcfg), telemetry=tel,
+        )
+        gaps = {}  # attempt number -> observed gaps
+        for i, q in enumerate(queries):
+            tel.clear()
+            system.search(SearchRequest(q, client_node=i, retry=policy))
+            waiting = {}  # contact -> time its retry was decided
+            for e in tel.events():
+                contact = e.tags.get("subject")
+                if e.name == "query.retry":
+                    waiting[contact] = e.ts
+                elif e.name == "query.send" and contact in waiting:
+                    attempt = int(e.tags["detail"].rsplit("try=", 1)[1])
+                    gaps.setdefault(attempt, []).append(
+                        e.ts - waiting.pop(contact)
+                    )
+        assert set(gaps) == {2, 3, 4}, "loss never drove a third retry"
+        assert policy.delay_before_attempt(4) == pytest.approx(0.9)
+        for attempt, observed in gaps.items():
+            assert observed == [
+                pytest.approx(policy.delay_before_attempt(attempt))
+            ] * len(observed)
+
 
 class TestSearchResult:
     def test_delegates_to_outcome(self, queries):

@@ -203,13 +203,12 @@ class TestZeroPerturbation:
             service=ServiceConfig(service_time=0.002, queue_limit=16),
         )
         if observe:
-            sampler = SeriesSampler(
-                system, SeriesConfig(interval=0.25)
-            ).start()
+            # Sampler, judge and recorder: the whole observing stack.
             probe = HealthProbe(
-                system, interval=0.5, slo=HealthSLO()
-            ).start()
-            FlightRecorder(tel, sampler=sampler).bind(probe)
+                SeriesSampler(system, SeriesConfig(interval=0.25)).start(),
+                slo=HealthSLO(),
+            )
+            FlightRecorder(tel).bind(probe)
         system.update_plane.start()
         system.sim.run(until=system.sim.now + 1.0)
         wcfg = WorkloadConfig(num_nodes=NODES, records_per_node=50, seed=SEED)

@@ -62,14 +62,12 @@ class TestTraceContext:
         assert tags["trace_id"] == 7 and tags["span_id"] == 2
         assert tags["parent_span_id"] == 1 and tags["q"] == 3
 
-    def test_minting_requires_enabled_telemetry(self):
-        tel = Telemetry(enabled=False)
-        assert tel.new_trace() is None
-        assert tel.fork(None) is None
-        tel2 = Telemetry()
-        ctx = tel2.new_trace()
-        assert ctx is not None and ctx.parent_span_id == 0
-        assert tel2.fork(ctx).parent_span_id == ctx.span_id
+    def test_minting_and_forking(self):
+        tel = Telemetry()
+        ctx = tel.new_trace()
+        assert ctx.parent_span_id == 0
+        assert tel.fork(ctx).parent_span_id == ctx.span_id
+        assert tel.fork(None) is None  # nothing to parent to
 
     def test_path_category_mapping(self):
         assert path_category("net.transit") == "wire"

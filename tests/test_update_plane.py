@@ -24,7 +24,13 @@ import pytest
 
 from repro.net.transport import SUMMARY_FULL, SUMMARY_KEEPALIVE
 from repro.query import Query, RangePredicate
-from repro.roads import GuestOwner, RoadsConfig, RoadsSystem, SearchRequest
+from repro.roads import (
+    GuestOwner,
+    RetryPolicy,
+    RoadsConfig,
+    RoadsSystem,
+    SearchRequest,
+)
 from repro.summaries import ResourceSummary, SummaryConfig
 from repro.workload import WorkloadConfig, generate_node_stores, merge_stores
 from repro.workload.dynamics import RecordDynamics
@@ -710,6 +716,7 @@ class TestQueryEntryModes:
         execution = QueryExecution(
             system.sim, system.network, system.hierarchy,
             system.config.summary, system.policies, q, 0, 0,
+            retry=RetryPolicy(),
         )
         with pytest.raises(ValueError, match="mode"):
             execution.run(mode="sideways")
@@ -723,6 +730,7 @@ class TestQueryEntryModes:
         execution = QueryExecution(
             system.sim, system.network, system.hierarchy,
             system.config.summary, system.policies, q, 0, 0,
+            retry=RetryPolicy(),
         )
         assert not execution.done
         execution.run(mode="start")
