@@ -33,6 +33,7 @@ environment variable.
 
 from __future__ import annotations
 
+import gc
 import os
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
@@ -58,7 +59,7 @@ from ..experiments.figures import (
     fig11_response_time_vs_selectivity,
 )
 from ..experiments.load import offered_load_rows
-from ..experiments.runner import instrumented_query_run
+from ..experiments.runner import build_workload, query_run, trial_queries
 from ..experiments.staleness import (
     LOSS_SWEEP,
     update_plane_staleness_rows,
@@ -453,44 +454,48 @@ def _instrumented_block(
         root_load_share,
     )
 
+    wcfg, stores = build_workload(settings, seed)
+    queries, clients = trial_queries(settings, wcfg, seed)
     tel = Telemetry(capacity=200_000)
     tel.attach_profiler(profiler)
-    system, tel, root_id = instrumented_query_run(
-        settings, seed, use_overlay=True, telemetry=tel
-    )
+    system = query_run(settings, seed, stores, queries, clients, telemetry=tel)
+    root_id = system.hierarchy.root.server_id
     update_report = system.refresh()
-    num_queries = settings.num_queries
     registry = system.metrics
-    latency = registry.merged_histogram("query.latency").summary()
     load_rows = per_server_load_rows(
         registry, category=QUERY, phase="forward", top=10, root_id=root_id
     )
-    share_with = root_load_share(
-        registry, root_id, category=QUERY, phase="forward"
-    )
-
-    # Baseline hierarchy (no overlay): every query enters at the root.
-    system2, _, root2 = instrumented_query_run(
-        settings, seed, use_overlay=False
-    )
-    share_without = root_load_share(
-        system2.metrics, root2, category=QUERY, phase="forward"
-    )
-
-    return {
-        "num_queries": num_queries,
-        "latency": latency,
+    block = {
+        "num_queries": settings.num_queries,
+        "latency": registry.merged_histogram("query.latency").summary(),
         "query_bytes_total": registry.bytes_total(QUERY),
         "query_messages_total": registry.messages_total(QUERY),
         "update_bytes_epoch": update_report.total_bytes,
         "update_messages_epoch": update_report.total_messages,
-        "root_share_overlay": share_with,
-        "root_share_no_overlay": share_without,
+        "root_share_overlay": root_load_share(
+            registry, root_id, category=QUERY, phase="forward"
+        ),
+        "root_share_no_overlay": None,  # the baseline arm, below
         "top_server_share": load_rows[0]["share"] if load_rows else 0.0,
         "per_server_load": load_rows,
         "events_processed": system.sim.processed,
         "events_emitted": tel.bus.emitted,
     }
+    # One federation alive at a time: the armed one (full of reference
+    # cycles) is freed before the baseline is built.
+    del system, registry, update_report, tel
+    gc.collect()
+
+    # Baseline hierarchy (no overlay): every query enters at the root.
+    # Only its metrics registry is read, so nothing observes it.
+    baseline = query_run(
+        settings, seed, stores, queries, clients, use_overlay=False
+    )
+    block["root_share_no_overlay"] = root_load_share(
+        baseline.metrics, baseline.hierarchy.root.server_id,
+        category=QUERY, phase="forward",
+    )
+    return block
 
 
 def _simulated_invariants(sim: Dict[str, object]) -> List[str]:

@@ -47,7 +47,7 @@ def _telemetry_scenario(
     Returns ``(system, telemetry, root_id)`` with all query traffic
     recorded in the per-server metrics registry and the event bus.
     """
-    from .experiments.runner import instrumented_query_run
+    from .experiments.runner import build_workload, query_run, trial_queries
     from .telemetry import Telemetry
 
     settings = ExperimentSettings.smoke().with_(
@@ -56,12 +56,14 @@ def _telemetry_scenario(
         num_queries=max(1, num_queries),
         seed=seed,
     )
-    return instrumented_query_run(
-        settings, seed,
-        use_overlay=use_overlay,
-        telemetry=Telemetry(capacity=capacity),
-        num_queries=num_queries,
+    wcfg, stores = build_workload(settings, seed)
+    queries, clients = trial_queries(settings, wcfg, seed)
+    tel = Telemetry(capacity=capacity)
+    system = query_run(
+        settings, seed, stores, queries[:num_queries], clients[:num_queries],
+        use_overlay=use_overlay, telemetry=tel,
     )
+    return system, tel, system.hierarchy.root.server_id
 
 
 def _print_load_tables(

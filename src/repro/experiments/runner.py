@@ -127,35 +127,30 @@ def trial_queries(
     return queries, clients
 
 
-def instrumented_query_run(
+def query_run(
     settings: ExperimentSettings,
     seed: int,
+    stores: Sequence[RecordStore],
+    queries: Sequence[Query],
+    clients: Sequence[int],
     *,
     use_overlay: bool = True,
     telemetry=None,
-    num_queries: Optional[int] = None,
-):
-    """Build a telemetry-instrumented ROADS system and drive its queries.
+) -> RoadsSystem:
+    """A ROADS system over *stores* with the trial's queries driven
+    through it back to back (root entry without the overlay); nothing
+    observes it unless *telemetry* is given.
 
-    Uses the same seeded workload and client placement as
-    :func:`run_trial`, so the registry's per-server attribution matches
-    the paired measurements. *num_queries* truncates the query stream
-    (``0`` builds the system without issuing any query). Returns
-    ``(system, telemetry, root_server_id)``.
+    Fed :func:`build_workload` and :func:`trial_queries` it sees the same
+    seeded workload and client placement as :func:`run_trial`, so its
+    registry's per-server attribution matches the paired measurements.
     """
-    from ..telemetry import Telemetry
-
-    wcfg, stores = build_workload(settings, seed)
-    queries, clients = trial_queries(settings, wcfg, seed)
-    if num_queries is not None:
-        queries, clients = queries[:num_queries], clients[:num_queries]
-    tel = telemetry if telemetry is not None else Telemetry()
-    system = build_roads(settings, stores, seed, telemetry=tel)
+    system = build_roads(settings, stores, seed, telemetry=telemetry)
     system.search_many([
         SearchRequest(q, client_node=int(c), use_overlay=use_overlay)
         for q, c in zip(queries, clients)
     ])
-    return system, tel, system.hierarchy.root.server_id
+    return system
 
 
 def measure_system(

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set
 
+from ..query.query import Query
 from ..records.store import RecordStore
 from ..summaries.config import SummaryConfig
 from ..summaries.summary import ResourceSummary
@@ -66,6 +67,22 @@ class AttachedOwner:
             summary = ResourceSummary.from_store(store, config, created_at=now)
         self._built = (store, stamp, summary)
         return summary
+
+    def holds_match(self, query: Query) -> bool:
+        """Whether any record of ``origin`` matches *query*.
+
+        The summary :meth:`summarize` last built is asked first: while it
+        is of this store at this write stamp its "no" is final (summaries
+        have no false negatives), and the records are scanned otherwise.
+        """
+        store = self.origin
+        built = self._built
+        if (
+            built is not None and built[0] is store
+            and built[1] == store.write_stamp and not built[2].may_match(query)
+        ):
+            return False
+        return bool(query.mask(store).any())
 
     @property
     def exported_size_bytes(self) -> int:

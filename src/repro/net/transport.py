@@ -446,9 +446,6 @@ class Network:
             raise ValueError("kind must be a non-empty string")
         self._kind_handlers[kind] = handler
 
-    def unregister_kind(self, kind: str) -> None:
-        self._kind_handlers.pop(kind, None)
-
     def register_kind_batch(
         self, kind: str, handler: Callable[[list], None]
     ) -> None:
@@ -466,9 +463,6 @@ class Network:
         if not kind:
             raise ValueError("kind must be a non-empty string")
         self._kind_batch_handlers[kind] = handler
-
-    def unregister_kind_batch(self, kind: str) -> None:
-        self._kind_batch_handlers.pop(kind, None)
 
     def fail_node(self, node: int) -> None:
         """Mark *node* failed: all inbound messages are dropped."""
@@ -495,10 +489,6 @@ class Network:
             self._service.pop(node, None)
         else:
             self._service[node] = _ServiceQueue(self, node, config)
-
-    def service_config(self, node: int) -> Optional[ServiceConfig]:
-        svc = self._service.get(node)
-        return svc.config if svc is not None else None
 
     def service_stats(self, node: int) -> Dict[str, float]:
         """Service-queue counters for *node* (zeros when unconfigured)."""

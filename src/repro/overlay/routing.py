@@ -53,8 +53,8 @@ class RoutingDecision:
 
 def _owner_may_match(owner: AttachedOwner, query: Query, config: SummaryConfig) -> bool:
     if owner.controls_server:
-        # The server holds the raw records; check them directly.
-        return bool(query.mask(owner.origin).any())
+        # The server holds the raw records: its summary of them, then they.
+        return owner.holds_match(query)
     if owner.summary is None:
         return False
     return owner.summary.may_match(query)

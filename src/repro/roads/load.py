@@ -18,7 +18,6 @@ goodput and shed counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -107,14 +106,6 @@ class LoadReport:
             [r.outcome.latency for r in self.results if r.outcome.completed],
             dtype=float,
         )
-
-    def sojourns(self) -> np.ndarray:
-        """Submission-to-resolution time of every query (incl. backoff)."""
-        return np.array([r.sojourn for r in self.results], dtype=float)
-
-    def latency_percentile(self, pct: float) -> float:
-        lats = self.latencies()
-        return float(np.percentile(lats, pct)) if len(lats) else math.nan
 
     def summary(self) -> dict:
         lats = self.latencies()

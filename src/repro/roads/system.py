@@ -17,6 +17,7 @@ execution. This is the library's primary entry point::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -481,6 +482,8 @@ class RoadsSystem:
         *arrivals* — per-request submission offsets in seconds from now
         — all queries are multiplexed concurrently over the shared
         dispatcher and the simulator is driven until every one resolves.
+        An offset that is negative or not finite rejects the whole call
+        before any of it is scheduled.
         """
         requests = list(requests)
         if arrivals is None:
@@ -490,17 +493,27 @@ class RoadsSystem:
             raise ValueError(
                 f"{len(requests)} requests but {len(offsets)} arrivals"
             )
-        pendings: List[Optional[PendingSearch]] = [None] * len(requests)
-        for i, (req, at) in enumerate(zip(requests, offsets)):
-            def launch(i=i, req=req) -> None:
-                pendings[i] = self.submit(req)
+        for i, at in enumerate(offsets):
+            if not 0.0 <= at < np.inf:
+                raise ValueError(f"arrivals[{i}] must be finite and >= 0, got {at}")
+        results: List[Optional[SearchResult]] = [None] * len(requests)
+        outstanding = len(requests)
 
-            self.sim.schedule(at, launch, "query.submit")
-        while (
-            any(p is None or not p.done for p in pendings) and self.sim.step()
-        ):
+        def landed(i: int, result: SearchResult) -> None:
+            nonlocal outstanding
+            results[i] = result
+            outstanding -= 1
+
+        def launch(i: int) -> None:
+            self.submit(requests[i], on_complete=partial(landed, i))
+
+        for i, at in enumerate(offsets):
+            self.sim.schedule(at, partial(launch, i), "query.submit")
+        # Each search reports its own completion: the loop pays nothing
+        # per event for the searches still out, or for those already in.
+        while outstanding and self.sim.step():
             pass
-        return [p.result for p in pendings]
+        return results
 
     def widening(
         self, request: SearchRequest, *, min_matches: int = 1

@@ -14,7 +14,7 @@ from repro.bench import (
 from repro.bench.artifact import BenchArtifact
 from repro.cli import main
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import instrumented_query_run
+from repro.experiments.runner import build_workload, query_run, trial_queries
 from repro.telemetry import Telemetry
 from repro.telemetry.profiling import (
     PROFILE_SCHEMA,
@@ -239,13 +239,13 @@ class TestDeterminismTripwire:
     def test_profiled_arm_matches_unprofiled(self, seed):
         settings = ExperimentSettings.smoke().with_(seed=seed)
 
-        plain, _, _ = instrumented_query_run(settings, seed)
+        wcfg, stores = build_workload(settings, seed)
+        trial = (settings, seed, stores, *trial_queries(settings, wcfg, seed))
+        plain = query_run(*trial, telemetry=Telemetry())
 
         tel = Telemetry()
         tel.attach_profiler(CallPathProfiler())
-        profiled, tel, _ = instrumented_query_run(
-            settings, seed, telemetry=tel
-        )
+        profiled = query_run(*trial, telemetry=tel)
 
         reg_a = plain.metrics
         reg_b = profiled.metrics

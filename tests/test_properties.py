@@ -529,6 +529,35 @@ stamp_ops = st.lists(
 )
 
 
+#: one owner's store under writes, re-summarizing and re-homing
+owner_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), unit_floats),
+        st.tuples(st.just("extend"), st.lists(unit_floats, max_size=3)),
+        st.tuples(st.just("update"), st.integers(0, 50), st.integers(0, 15), unit_floats),
+        st.tuples(st.just("write_rows"), st.integers(0, 50), unit_floats),
+        st.tuples(st.just("clear")),
+        st.tuples(st.just("summarize"), st.sampled_from([3, 16, 200])),
+        st.tuples(st.just("rehome")),
+    ),
+    min_size=1, max_size=12,
+)
+#: endpoints stray outside the attributes' [0, 1] bounds on both sides
+stray_floats = st.one_of(
+    st.floats(min_value=-0.5, max_value=1.5), st.sampled_from([0.0, 1.0])
+)
+range_queries = st.lists(
+    st.dictionaries(
+        st.sampled_from(["u0", "u1", "r2", "p3"]),
+        st.tuples(stray_floats, stray_floats),
+        min_size=1, max_size=3,
+    ).map(lambda d: Query.of(*(
+        RangePredicate(name, min(pair), max(pair)) for name, pair in d.items()
+    ))),
+    min_size=1, max_size=4,
+)
+
+
 class TestWriteStampSoundness:
     """No interleaving of writes and update-plane activity lets a server
     advertise a summary other than the one a fresh scan would build —
@@ -620,3 +649,50 @@ class TestWriteStampSoundness:
                         held = server.parent.child_summaries[server.server_id]
                         same(held, scratch_branch(server))
                         assert started <= held.created_at <= sim.now
+
+    @given(ops=owner_ops, queries=range_queries)
+    @settings(max_examples=150, deadline=None)
+    def test_owner_answers_what_a_scan_answers(self, ops, queries):
+        """A server asks its own summary before it scans its records;
+        whatever was written, summarized or swapped since, the answer is
+        the scan's — a stale "no" would be a false negative."""
+        stores = generate_node_stores(WorkloadConfig(
+            num_nodes=2, records_per_node=STAMP_RECORDS, seed=2
+        ))
+        owner = AttachedOwner("o", stores[0], controls_server=True)
+        names = [a.name for a in stores[0].schema]
+
+        def record(value):
+            return ResourceRecord(
+                owner.origin.schema, {name: value for name in names}
+            )
+
+        def agree():
+            for query in queries:
+                assert owner.holds_match(query) == bool(
+                    query.mask(owner.origin).any()
+                )
+
+        agree()  # nothing summarized yet
+        for op, *args in ops:
+            store = owner.origin
+            if op == "append":
+                store.append(record(args[0]))
+            elif op == "extend":
+                store.extend([record(v) for v in args[0]])
+            elif op == "update" and len(store):
+                store.update_numeric(
+                    args[0] % len(store), names[args[1]], args[2]
+                )
+            elif op == "write_rows" and len(store):
+                store.write_rows(
+                    np.array([args[0] % len(store)]),
+                    np.full((1, len(names)), args[1]),
+                )
+            elif op == "clear":
+                store.clear()
+            elif op == "summarize":
+                owner.summarize(SummaryConfig(histogram_buckets=args[0]), 0.0)
+            elif op == "rehome":
+                owner.origin = stores[1] if store is stores[0] else stores[0]
+            agree()

@@ -12,13 +12,17 @@ from repro.query import Query, RangePredicate
 from repro.net.transport import ServiceConfig
 from repro.roads import (
     DenyAllPolicy,
+    GuestOwner,
     RetryPolicy,
     RoadsConfig,
     RoadsSystem,
     SearchRequest,
 )
+from repro.sim import Simulator
 from repro.summaries import SummaryConfig
 from repro.workload import (
+    DynamicsConfig,
+    RecordDynamics,
     WorkloadConfig,
     generate_node_stores,
     generate_queries,
@@ -372,3 +376,121 @@ class TestNoCyclicGarbage:
         if regime == "shedding":
             assert seen["rejections"] > 0
         assert many == few
+
+
+#: (tp, fp, fn, tn) over TestOwnSummaryFirst's 30 audited searches
+PINNED_AUDIT = (416, 24, 0, 38)
+
+
+class TestOwnSummaryFirst:
+    """A server asks the summary it built of its own records before it
+    scans them: a "no" costs no scan while that summary is current, and
+    anything less than current falls back to the records."""
+
+    ENTRY, GUEST_AT = 5, 3
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        """Every store ``Query.mask`` is asked to scan, in order."""
+        stores = []
+        mask = Query.mask
+        monkeypatch.setattr(
+            Query, "mask",
+            lambda query, store: stores.append(store) or mask(query, store),
+        )
+        return stores
+
+    def _federation(self):
+        wcfg = WorkloadConfig(num_nodes=17, records_per_node=40, seed=5)
+        stores = generate_node_stores(wcfg)
+        system = RoadsSystem.build(
+            RoadsConfig(
+                num_nodes=16, records_per_node=40, max_children=4,
+                summary=SummaryConfig(histogram_buckets=64), seed=5,
+            ),
+            stores[:16],
+            guests=[GuestOwner(stores[16], attach_to=self.GUEST_AT, owner_id="g")],
+        )
+        queries = generate_queries(
+            wcfg, num_queries=30, dimensions=2, range_length=0.3
+        )
+        return system, stores, queries
+
+    def test_ruled_out_store_is_not_scanned_until_it_is_written(self, scanned):
+        system, stores, queries = self._federation()
+        query, own = queries[5], stores[self.ENTRY]
+        request = SearchRequest(query, client_node=self.ENTRY)
+        truth = sum(query.match_count(s) for s in stores)
+        assert truth > 0 and query.match_count(own) == 0
+
+        del scanned[:]
+        outcome = system.search(request).outcome
+        assert outcome.total_matches == truth
+        assert self.ENTRY in outcome.arrivals
+        assert not any(s is own for s in scanned)
+        assert scanned  # servers whose summary said maybe did scan
+
+        # Written, not yet re-summarized: the summary at hand describes
+        # other records, so the records themselves answer.
+        dynamics = RecordDynamics(
+            Simulator(), [own], np.random.default_rng(3),
+            DynamicsConfig(change_fraction=1.0, step_sigma=0.2),
+        )
+        dynamics.stop()
+        dynamics.step()
+        assert query.match_count(own) > 0  # walked into the range
+
+        del scanned[:]
+        outcome = system.search(request).outcome
+        assert any(s is own for s in scanned)
+        assert [
+            h.match_count for h in outcome.owner_hits
+            if h.owner_id == f"owner-{self.ENTRY}"
+        ] == [query.match_count(own)]
+
+        # Re-summarized at the new stamp: a query the new summary rules
+        # out (here: a range beyond the attribute's bounds) is again
+        # answered without a scan, one it admits is scanned.
+        system.refresh()
+        server = system.hierarchy.get(self.ENTRY)
+        now, cfg = system.sim.now, system.config.summary
+        beyond = Query.of(RangePredicate("u0", 1.5, 2.0))
+        del scanned[:]
+        assert not decide_local(server, beyond, cfg, now).owner_hits
+        assert not scanned
+        assert decide_local(server, query, cfg, now).owner_hits
+        assert [s is own for s in scanned] == [True]
+
+    def test_guest_owner_is_judged_by_its_exported_summary(self, scanned):
+        system, stores, queries = self._federation()
+        query, server = queries[5], system.hierarchy.get(self.GUEST_AT)
+        guest = next(o for o in server.owners if not o.controls_server)
+        now, cfg = system.sim.now, system.config.summary
+        assert guest in decide_local(server, query, cfg, now).owner_hits
+        # The server holds no guest records: emptying them changes
+        # nothing it can see, and it never scans them.
+        guest.origin.clear()
+        del scanned[:]
+        assert guest in decide_local(server, query, cfg, now).owner_hits
+        assert not any(s is guest.origin for s in scanned)
+
+    def test_oracle_scans_and_reports_what_it_reported(self, scanned):
+        """The quality plane's ground truth never takes the shortcut it
+        audits; its verdicts are those of the commit before the
+        shortcut existed."""
+        system, stores, queries = self._federation()
+        plane = system.attach_quality()
+        results = [
+            system.search(SearchRequest(q, client_node=(7 * i) % 16))
+            for i, q in enumerate(queries)
+        ]
+        assert [r.quality.recall for r in results] == [1.0] * len(queries)
+        snap = plane.snapshot()
+        assert (snap["tp"], snap["fp"], snap["fn"], snap["tn"]) == PINNED_AUDIT
+        assert snap["owner_false_positives"] == 0
+        # ground truth of the entry server of query 5, which its own
+        # summary rules out, still came from its records
+        del scanned[:]
+        request = SearchRequest(queries[5], client_node=self.ENTRY)
+        assert system.search(request).quality.recall == 1.0
+        assert any(s is stores[self.ENTRY] for s in scanned)

@@ -177,8 +177,21 @@ class TestClientRejectPath:
         assert hist["count"] > 0
 
 
+def outcome_key(r):
+    return (
+        r.outcome.total_matches,
+        r.outcome.servers_contacted,
+        r.outcome.query_bytes,
+        r.outcome.latency,
+        r.sojourn,
+        tuple(sorted(r.outcome.timed_out_servers)),
+        tuple(sorted(r.outcome.shed_servers)),
+    )
+
+
 class TestConcurrentServing:
-    def _run_once(self):
+    def _fixture(self):
+        """Lossy, queue-limited, free-running plane; ten requests."""
         system = build_system(loss_rate=0.05)
         system.enable_service(
             ServiceConfig(service_time=0.005, queue_limit=32)
@@ -197,10 +210,14 @@ class TestConcurrentServing:
             )
             for i, q in enumerate(queries)
         ]
+        return system, requests
+
+    def _run_once(self):
+        system, requests = self._fixture()
         # Overlapping arrivals: all ten in flight within half a second.
         arrivals = [0.05 * i for i in range(len(requests))]
         results = system.search_many(requests, arrivals=arrivals)
-        plane.stop()
+        system.update_plane.stop()
         while system.sim.step():
             pass
         return system, results
@@ -243,6 +260,82 @@ class TestConcurrentServing:
         )[0]
         with pytest.raises(ValueError, match="arrivals"):
             system.search_many([SearchRequest(q)], arrivals=[0.0, 1.0])
+
+    def test_counted_driver_is_the_hand_driven_loop(self):
+        """``search_many(arrivals=)`` is told of each completion; a loop
+        that polls every handle before every event must see the same
+        outcomes, in request order, and stop at the same event — which
+        is what keeps every ``sim_digest``."""
+        # Arrival order differs from request order.
+        arrivals = [0.05 * ((7 * i) % 10) for i in range(10)]
+        system, requests = self._fixture()
+        results = system.search_many(requests, arrivals=arrivals)
+
+        assert [r.request for r in results] == requests
+
+        ref, ref_requests = self._fixture()
+        pendings = [None] * len(ref_requests)
+        for i, (req, at) in enumerate(zip(ref_requests, arrivals)):
+            def launch(i=i, req=req):
+                pendings[i] = ref.submit(req)
+
+            ref.sim.schedule(at, launch, "query.submit")
+        while (
+            any(p is None or not p.done for p in pendings) and ref.sim.step()
+        ):
+            pass
+        assert [outcome_key(r) for r in results] == [
+            outcome_key(p.result) for p in pendings
+        ]
+        assert system.sim.processed == ref.sim.processed
+        assert system.sim.now == ref.sim.now
+        assert system.sim.pending == ref.sim.pending > 0  # the plane runs on
+
+    def test_driver_never_polls_the_batch(self, monkeypatch):
+        """No per-event pass over the batch: ``PendingSearch.done`` is
+        for callers. (The polling loop read it ~10^5 times here.)"""
+        from repro.roads.search import PendingSearch
+
+        reads = []
+        done = PendingSearch.done
+        monkeypatch.setattr(
+            PendingSearch, "done",
+            property(lambda self: reads.append(1) or done.fget(self)),
+        )
+        system = build_system()
+        queries = generate_queries(
+            WorkloadConfig(num_nodes=NODES, records_per_node=60, seed=SEED),
+            num_queries=20, dimensions=3,
+        )
+        requests = [
+            SearchRequest(queries[i % 20], client_node=i % NODES)
+            for i in range(200)
+        ]
+        before = system.sim.processed
+        results = system.search_many(
+            requests, arrivals=[0.01 * i for i in range(200)]
+        )
+        assert all(r.ok for r in results)
+        assert system.sim.processed - before > 10 * len(requests)
+        assert len(reads) <= len(requests)
+
+    @pytest.mark.parametrize(
+        "arrivals, index",
+        [([0.1, -1.0, 0.2], 1), ([0.0, 0.1, float("nan")], 2),
+         ([float("inf"), 0.0, 0.0], 0)],
+    )
+    def test_bad_offset_rejected_before_anything_is_scheduled(
+        self, arrivals, index
+    ):
+        system, requests = self._fixture()
+        sim = system.sim
+        pending, processed = sim.pending, sim.processed
+        with pytest.raises(ValueError, match=rf"arrivals\[{index}\]"):
+            system.search_many(requests[:3], arrivals=arrivals)
+        assert (sim.pending, sim.processed) == (pending, processed)
+        # No orphan launch: driving on serves no search nobody asked for.
+        sim.run(until=sim.now + 5.0)
+        assert system.metrics.merged_histogram("query.latency").count == 0
 
 
 class TestLoadGenerator:
