@@ -1,7 +1,7 @@
 """Scenario registry: uniform ``run_scenario(RunPlan) -> BenchArtifact``.
 
 Wraps the existing figure drivers (:mod:`repro.experiments.figures`) and
-the instrumented overlay/load scenario behind one API. The canonical
+the canonical overlay/load run behind one API. The canonical
 input is a :class:`RunPlan` — one frozen object carrying the scenario,
 scale, seed, sweep overrides and parallelism — that :func:`run_scenario`
 and the process-pool runner (:mod:`repro.bench.parallel`) accept.
@@ -10,19 +10,20 @@ Every run:
 
 * executes the scenario's driver at the requested scale (the paper
   series rows),
-* executes one telemetry-instrumented canonical run at the same scale —
-  with and without the replication overlay — pulling latency
-  p50/p95/p99 from the registry's streaming histograms, query/update
-  byte totals, the per-server load distribution and the root-load share,
-* threads a :class:`~repro.telemetry.profiling.CallPathProfiler` through
-  that canonical run for its event census (deliveries per message kind
-  per server), whose fingerprint pins the dispatch mix,
+* executes one canonical run at the same scale — one un-observed
+  federation, queried through the replication overlay and then again
+  from the root — pulling latency p50/p95/p99 from the registry's
+  streaming histograms, query/update byte totals, the per-server load
+  distribution and the root-load share,
+* stamps it with the network's event census (deliveries per message
+  kind per server), whose fingerprint pins the dispatch mix,
 * re-checks the scenario's paper-shape validators,
 
 and returns a provenance-stamped :class:`~repro.bench.artifact.
 BenchArtifact` ready for ``BENCH_<scenario>.json``. Nothing here reads
-a host clock: the artifact is exact per seed, and the profiler's timings
-are only ever shown by ``repro profile`` (:func:`profile_scenario`).
+a host clock or arms an observer: the artifact is exact per seed, and
+only ``repro profile`` (:func:`profile_scenario`) runs the canonical
+block under telemetry and a profiler.
 
 Scales: ``smoke`` (unit-test sized), ``quick`` (CI-sized, the
 EXPERIMENTS.md default), ``paper`` (full Section V) and ``stress`` (a
@@ -33,7 +34,6 @@ environment variable.
 
 from __future__ import annotations
 
-import gc
 import os
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
@@ -59,7 +59,12 @@ from ..experiments.figures import (
     fig11_response_time_vs_selectivity,
 )
 from ..experiments.load import offered_load_rows
-from ..experiments.runner import build_workload, query_run, trial_queries
+from ..experiments.runner import (
+    build_roads,
+    build_workload,
+    drive_queries,
+    trial_queries,
+)
 from ..experiments.staleness import (
     LOSS_SWEEP,
     update_plane_staleness_rows,
@@ -80,7 +85,7 @@ from ..experiments.validation import (
     validate_fig11,
     validate_load_plane,
 )
-from ..telemetry.profiling import CallPathProfiler
+from ..telemetry.profiling import census_document, census_fingerprint
 from .artifact import BenchArtifact, SCHEMA, stamp
 
 #: allowed benchmark scales, smallest first
@@ -324,7 +329,7 @@ SCENARIOS: Dict[str, Scenario] = {
         ),
         Scenario(
             "overlay", "Per-server load attribution (overlay on/off)",
-            lambda s, sw: [],  # rows come from the instrumented run
+            lambda s, sw: [],  # rows come from the canonical run
         ),
         Scenario(
             "update_plane",
@@ -433,32 +438,25 @@ class RunPlan:
         return replace(self, **kwargs)
 
 
-# -- instrumented canonical run ------------------------------------------------
-def _instrumented_block(
-    settings: ExperimentSettings,
-    seed: int,
-    profiler: CallPathProfiler,
-) -> Dict[str, object]:
-    """Registry-derived simulated metrics + per-server load rows.
+# -- canonical run -------------------------------------------------------------
+def _canonical_block(
+    settings: ExperimentSettings, seed: int, telemetry=None
+) -> tuple:
+    """(registry-derived simulated metrics + per-server load rows, the
+    event census they were dispatched under).
 
-    Runs the shared trial workload twice — with the replication overlay
-    (under *profiler*, which takes the event census) and without it
-    (root entry) — plus one summary epoch, and rolls the
-    per-(server, category, phase) registry up into a JSON-friendly
-    block.
+    One federation: the shared trial workload through the replication
+    overlay, one summary epoch, then the same requests again entering at
+    the root. Unobserved unless *telemetry* (:func:`profile_scenario`).
     """
-    from ..sim.metrics import QUERY, UPDATE
-    from ..telemetry import (
-        Telemetry,
-        per_server_load_rows,
-        root_load_share,
-    )
+    from ..sim.metrics import QUERY
+    from ..telemetry import per_server_load_rows, root_load_share
 
     wcfg, stores = build_workload(settings, seed)
     queries, clients = trial_queries(settings, wcfg, seed)
-    tel = Telemetry(capacity=200_000)
-    tel.attach_profiler(profiler)
-    system = query_run(settings, seed, stores, queries, clients, telemetry=tel)
+    system = drive_queries(
+        build_roads(settings, stores, seed, telemetry), queries, clients
+    )
     root_id = system.hierarchy.root.server_id
     update_report = system.refresh()
     registry = system.metrics
@@ -475,31 +473,28 @@ def _instrumented_block(
         "root_share_overlay": root_load_share(
             registry, root_id, category=QUERY, phase="forward"
         ),
-        "root_share_no_overlay": None,  # the baseline arm, below
+        "root_share_no_overlay": None,  # the root-entry arm, below
         "top_server_share": load_rows[0]["share"] if load_rows else 0.0,
         "per_server_load": load_rows,
         "events_processed": system.sim.processed,
-        "events_emitted": tel.bus.emitted,
     }
-    # One federation alive at a time: the armed one (full of reference
-    # cycles) is freed before the baseline is built.
-    del system, registry, update_report, tel
-    gc.collect()
+    census = {kind: dict(per) for kind, per in system.network.census.items()}
 
-    # Baseline hierarchy (no overlay): every query enters at the root.
-    # Only its metrics registry is read, so nothing observes it.
-    baseline = query_run(
-        settings, seed, stores, queries, clients, use_overlay=False
-    )
+    # Root-entry arm, on the same federation, once everything above is
+    # read: the epoch has just re-installed every summary, and the arm
+    # contributes one ratio of (QUERY, forward) message counts, which do
+    # not depend on the clock. Its latencies do (a fresh build's only to
+    # the last bits), so nothing latency-shaped may be read after it.
+    registry.reset([QUERY])
+    drive_queries(system, queries, clients, use_overlay=False)
     block["root_share_no_overlay"] = root_load_share(
-        baseline.metrics, baseline.hierarchy.root.server_id,
-        category=QUERY, phase="forward",
+        registry, root_id, category=QUERY, phase="forward"
     )
-    return block
+    return block, census
 
 
 def _simulated_invariants(sim: Dict[str, object]) -> List[str]:
-    """Paper-shape checks on the instrumented block (any scenario)."""
+    """Paper-shape checks on the canonical block (any scenario)."""
     failures: List[str] = []
     share = float(sim["root_share_overlay"])
     if share >= ROOT_SHARE_CEILING:
@@ -514,7 +509,7 @@ def _simulated_invariants(sim: Dict[str, object]) -> List[str]:
             f"{float(sim['root_share_no_overlay']):.1%} without)"
         )
     if float(sim["latency"]["count"]) <= 0:
-        failures.append("instrumented run recorded no latency samples")
+        failures.append("canonical run recorded no latency samples")
     return failures
 
 
@@ -536,15 +531,22 @@ def _rows_metrics(rows: Rows) -> Dict[str, float]:
 def profile_scenario(scale: str = "quick", seed: int = 1) -> Dict[str, object]:
     """Profile the canonical run at *scale*; returns the full document.
 
-    The payload behind ``repro profile``: the call-path tree, counters
-    and event census from a :class:`~repro.telemetry.profiling.
-    CallPathProfiler` threaded through the instrumented canonical run —
-    the one run every scenario's artifact shares, so there is no
-    scenario to choose.
+    The payload behind ``repro profile`` and the only armed run in this
+    package: a :class:`~repro.telemetry.profiling.CallPathProfiler`'s
+    call-path tree and counters over the canonical block — the one run
+    every scenario's artifact shares, so there is no scenario to choose
+    — beside the network's event census an artifact stamps.
     """
+    from ..telemetry import CallPathProfiler, Telemetry
+
     profiler = CallPathProfiler()
-    _instrumented_block(scale_settings(scale, seed), seed, profiler)
-    return profiler.document()
+    telemetry = Telemetry(capacity=200_000)
+    telemetry.attach_profiler(profiler)
+    _, census = _canonical_block(scale_settings(scale, seed), seed, telemetry)
+    document = profiler.document()
+    document["census"] = census_document(census)
+    document["census_fingerprint"] = census_fingerprint(census)
+    return document
 
 
 def run_scenario(plan: RunPlan) -> BenchArtifact:
@@ -556,11 +558,8 @@ def run_scenario(plan: RunPlan) -> BenchArtifact:
     scenario = SCENARIOS[plan.scenario]
     settings = plan.settings()
     rows = plan.rows()
-    # Always profiled: the census fingerprint comes from this run, and
-    # an artifact without one cannot be compared.
-    profiler = CallPathProfiler()
-    simulated = _instrumented_block(settings, plan.seed, profiler)
-    if not rows:  # instrumented-only scenarios (overlay)
+    simulated, census = _canonical_block(settings, plan.seed)
+    if not rows:  # canonical-run-only scenarios (overlay)
         rows = list(simulated["per_server_load"])
 
     failures = list(scenario.shape(rows)) if scenario.shape else []
@@ -584,7 +583,6 @@ def run_scenario(plan: RunPlan) -> BenchArtifact:
         "sim.top_server_share": float(simulated["top_server_share"]),
     })
 
-    document = profiler.document()
     return BenchArtifact(
         **stamp(plan.scenario, plan.scale, plan.seed, settings),
         settings=asdict(settings),
@@ -596,10 +594,9 @@ def run_scenario(plan: RunPlan) -> BenchArtifact:
             "failures": failures,
         },
         profile={
-            "census_fingerprint": document["census_fingerprint"],
+            "census_fingerprint": census_fingerprint(census),
             "census_kinds": {
-                kind: sum(per.values())
-                for kind, per in document["census"].items()
+                kind: sum(per.values()) for kind, per in sorted(census.items())
             },
         },
         schema=SCHEMA,

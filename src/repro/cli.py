@@ -40,14 +40,17 @@ def _telemetry_scenario(
     seed: int,
     *,
     use_overlay: bool,
-    capacity: int = 200_000,
 ):
-    """Build an instrumented federation and run a query batch over it.
+    """Build a federation and run a query batch over it.
 
     Returns ``(system, telemetry, root_id)`` with all query traffic
-    recorded in the per-server metrics registry and the event bus.
+    recorded in the per-server metrics registry and — with the overlay
+    — the event bus; the root-entry run is only ever read through its
+    registry, so nothing observes it (``telemetry`` is None).
     """
-    from .experiments.runner import build_workload, query_run, trial_queries
+    from .experiments.runner import (
+        build_roads, build_workload, drive_queries, trial_queries,
+    )
     from .telemetry import Telemetry
 
     settings = ExperimentSettings.smoke().with_(
@@ -58,10 +61,10 @@ def _telemetry_scenario(
     )
     wcfg, stores = build_workload(settings, seed)
     queries, clients = trial_queries(settings, wcfg, seed)
-    tel = Telemetry(capacity=capacity)
-    system = query_run(
-        settings, seed, stores, queries[:num_queries], clients[:num_queries],
-        use_overlay=use_overlay, telemetry=tel,
+    tel = Telemetry(capacity=200_000) if use_overlay else None
+    system = drive_queries(
+        build_roads(settings, stores, seed, tel),
+        queries[:num_queries], clients[:num_queries], use_overlay=use_overlay,
     )
     return system, tel, system.hierarchy.root.server_id
 

@@ -19,8 +19,8 @@ and simultaneously proves the instrument leaves the simulation alone:
 2. **Zero perturbation** — every cell runs twice: an *audit* arm with
    the quality plane attached and a *base* arm without. The oracle
    only reads state (no messages, no sim events, no randomness), so
-   summed query latencies must match byte-for-byte and the
-   delivery-census fingerprints must be identical. The row carries
+   summed query latencies must match byte-for-byte and the two
+   networks' delivery censuses must be equal. The row carries
    both deltas and the validator fails on any mismatch.
 
 What an audit costs in host time is not measured here: the armed /
@@ -42,8 +42,6 @@ from ..query.query import Query
 from ..roads import RetryPolicy, RoadsConfig, RoadsSystem
 from ..roads.search import SearchRequest
 from ..summaries.config import SummaryConfig
-from ..telemetry import Telemetry
-from ..telemetry.profiling import CallPathProfiler
 from ..workload import WorkloadConfig, generate_node_stores
 from .config import ExperimentSettings
 
@@ -130,10 +128,7 @@ def _drive(
         loss_rate=loss,
         seed=settings.seed,
     )
-    telemetry = Telemetry(capacity=200_000)
-    profiler = CallPathProfiler()
-    telemetry.attach_profiler(profiler)
-    system = RoadsSystem.build(config, stores, telemetry=telemetry)
+    system = RoadsSystem.build(config, stores)
     system.enable_service(SERVICE)
     plane = system.attach_quality() if audit else None
     system.update_plane.start()
@@ -162,7 +157,7 @@ def _drive(
         "outcomes": outcomes,
         "moved": moved,
         "update_bytes": update_bytes,
-        "census_fingerprint": profiler.document()["census_fingerprint"],
+        "census": system.network.census,
         "plane": plane,
     }
 
@@ -201,9 +196,7 @@ def _cell_row(
         ),
         # Must be exactly zero / exactly one: the oracle never perturbs.
         "latency_delta": float(abs(audit_latency - base_latency)),
-        "census_match": float(
-            audited["census_fingerprint"] == base["census_fingerprint"]
-        ),
+        "census_match": float(audited["census"] == base["census"]),
     }
 
 
@@ -252,8 +245,7 @@ def validate_quality_plane(rows: List[Dict[str, object]]) -> List[str]:
             )
         if float(r["census_match"]) != 1.0:
             failures.append(
-                f"delivery-census fingerprints diverged across arms "
-                f"at {cell}"
+                f"delivery censuses diverged across arms at {cell}"
             )
         if float(r["quality_audits"]) <= 0:
             failures.append(f"no queries were audited at {cell}")

@@ -9,6 +9,7 @@ paired. Figures average trials over ``settings.runs`` seeds.
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
@@ -73,11 +74,20 @@ def build_roads(
     seed: int,
     telemetry=None,
 ) -> RoadsSystem:
+    """The figure drivers' federation: converged, update plane idle.
+
+    The modelled system re-installs a static store's summary every
+    ``summary_interval``; here that is a TTL no clock reaches — at the
+    300 s default a paper-scale stream of 500 back-to-back searches
+    outlives its summaries and the rest are pruned to one server.
+    """
     cfg = RoadsConfig(
         num_nodes=settings.num_nodes,
         records_per_node=settings.records_per_node,
         max_children=settings.max_children,
-        summary=SummaryConfig(histogram_buckets=settings.histogram_buckets),
+        summary=SummaryConfig(
+            histogram_buckets=settings.histogram_buckets, ttl=math.inf
+        ),
         summary_interval=settings.summary_interval,
         record_interval=settings.record_interval,
         seed=seed,
@@ -127,25 +137,21 @@ def trial_queries(
     return queries, clients
 
 
-def query_run(
-    settings: ExperimentSettings,
-    seed: int,
-    stores: Sequence[RecordStore],
+def drive_queries(
+    system: RoadsSystem,
     queries: Sequence[Query],
     clients: Sequence[int],
     *,
     use_overlay: bool = True,
-    telemetry=None,
 ) -> RoadsSystem:
-    """A ROADS system over *stores* with the trial's queries driven
-    through it back to back (root entry without the overlay); nothing
-    observes it unless *telemetry* is given.
+    """Drive the trial's queries through *system* back to back (root
+    entry without the overlay); returns it.
 
-    Fed :func:`build_workload` and :func:`trial_queries` it sees the same
-    seeded workload and client placement as :func:`run_trial`, so its
-    registry's per-server attribution matches the paired measurements.
+    Over :func:`build_roads` of :func:`build_workload`'s stores, fed
+    :func:`trial_queries`, it sees the same seeded workload and client
+    placement as :func:`run_trial`, so its registry's per-server
+    attribution matches the paired measurements.
     """
-    system = build_roads(settings, stores, seed, telemetry=telemetry)
     system.search_many([
         SearchRequest(q, client_node=int(c), use_overlay=use_overlay)
         for q, c in zip(queries, clients)

@@ -417,10 +417,11 @@ class Network:
         self.sent = 0
         #: handler invocations (post queue/service when configured)
         self.delivered = 0
-        #: handler invocations per message kind (category when kindless);
-        #: always maintained — the time-series plane samples it as the
-        #: dispatch-mix gauge family and it never touches the simulation
-        self.delivered_by_kind: Dict[str, int] = {}
+        #: the event census: handler invocations per message kind
+        #: (category when kindless) per destination server. Always
+        #: maintained and never read by the simulation — its
+        #: ``census_fingerprint`` is a run's determinism stamp
+        self.census: Dict[str, Dict[int, int]] = {}
         #: causal context of the delivery currently being handled; valid
         #: only for the duration of a handler call — receivers fork it
         #: for the sends they make in response.
@@ -454,8 +455,8 @@ class Network:
         The handler receives the full list of same-kind messages
         arriving at one destination at one instant (a ``send_many``
         delivery group, or the single message of a ``send``), unless
-        the destination has a service queue. Per-message accounting — ``delivered``
-        counters, dispatch-mix gauges, profiler census — is performed by
+        the destination has a service queue. Per-message accounting — the
+        ``delivered`` counter and the event census — is performed by
         the network before the single handler call; the handler reads
         each message's causal context from ``msg.trace`` (the shared
         :attr:`delivery_trace` is not set for batch dispatch).
@@ -679,6 +680,12 @@ class Network:
             else "net.deliver:" + (first.kind or first.category),
         )
 
+    @property
+    def delivered_by_kind(self) -> Dict[str, int]:
+        """The census summed over servers: the dispatch mix the
+        time-series plane samples as a gauge family."""
+        return {kind: sum(per.values()) for kind, per in self.census.items()}
+
     def counters(self) -> Dict[str, int]:
         """One snapshot of the network-level message dispositions.
 
@@ -709,21 +716,23 @@ class Network:
         *arg* is the message itself (``n == 1``, *ctx* its causal context
         for :attr:`delivery_trace`) or a whole delivery group starting at
         *first* for a batch handler. Accounting is per message either
-        way: the ``delivered`` counter, the dispatch-mix gauge and the
-        profiler census advance by *n*; only the handler invocation (and
-        its ``net.deliver`` frame) is shared by a group.
+        way: the ``delivered`` counter and the event census advance by
+        *n*; only the handler invocation (and its ``net.deliver`` frame)
+        is shared by a group.
         """
         self.delivered += n
         mix = first.kind or first.category
-        by_kind = self.delivered_by_kind
-        by_kind[mix] = by_kind.get(mix, 0) + n
+        per_server = self.census.get(mix)
+        if per_server is None:
+            per_server = self.census[mix] = {}
+        dst = first.dst
+        per_server[dst] = per_server.get(dst, 0) + n
         self.delivery_trace = ctx
         prof = self._profiler
         try:
             if prof is None:
                 handler(arg)
                 return
-            prof.census(mix, first.dst, n)
             prof.enter("net.deliver")
             try:
                 handler(arg)

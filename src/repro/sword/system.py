@@ -127,17 +127,28 @@ class SwordSystem:
         )
         self.record_size_bytes = self.schema.record_size_bytes + _RECORD_HEADER_BYTES
 
-        # Registration: ring j's responsible server per row.
+        # Registration: ring j's responsible server per row, then every
+        # member's rows (ascending) from one stable sort of the ring —
+        # server ids cast this narrow radix-sort.
         self._dest: Dict[int, np.ndarray] = {}
-        self._rows_by_server: Dict[int, np.ndarray] = {}
+        self._rows_by_server: Dict[int, np.ndarray] = dict.fromkeys(range(n))
         for j in range(r):
             col = self.matrix[:, self._column(j)]
             self._dest[j] = self.hash.responsible(j, col)
-        for server in range(n):
-            j = self.hash.ring_of_server(server)
-            self._rows_by_server[server] = np.flatnonzero(
-                self._dest[j] == server
+        narrow = np.min_scalar_type(n - 1)
+        for j in range(r):
+            members = self.hash.members(j)
+            key = self._dest[j].astype(narrow)
+            order = np.argsort(key, kind="stable")
+            ends = np.searchsorted(
+                key, members.astype(narrow), side="right", sorter=order
             )
+            lo = 0
+            for server, hi in zip(members.tolist(), ends.tolist()):
+                self._rows_by_server[server] = order[lo:hi]
+                lo = hi
+        # Greedy finger hops per clockwise distance (< n), built once.
+        self._hops = popcount(np.arange(n))
 
     def _column(self, ring: int) -> int:
         """Matrix column index for the ring's attribute."""
@@ -169,7 +180,7 @@ class SwordSystem:
         total_hops = 0
         for j in range(len(self.attributes)):
             dist = (self._dest[j] - self.owner_of_row) % self.config.num_nodes
-            total_hops += int(popcount(dist).sum())
+            total_hops += int(self._hops[dist].sum())
         return total_hops * self.record_size_bytes
 
     def update_overhead(self, window_seconds: float) -> int:
@@ -230,36 +241,30 @@ class SwordSystem:
                 outcome.query_messages += 1
                 current = server
             rows = self._rows_by_server[server]
-            count, row_ids = self._local_matches(query, rows, collect_rows)
-            outcome.segment_hits.append((server, t, count))
-            if collect_rows and row_ids is not None:
-                matched.append(row_ids)
+            hits = self._local_matches(query, rows)
+            outcome.segment_hits.append((server, t, int(hits.size)))
+            matched.append(hits)
             # Local scan blocks the sequential forwarding chain.
             t += rows.size * self.config.search_seconds_per_record
         # Latency is measured until the query *reaches* the last server;
         # that server's own scan is not part of it.
         outcome.latency = outcome.segment_hits[-1][1] if outcome.segment_hits else t
         if collect_rows:
-            outcome.matched_rows = (
-                np.concatenate(matched) if matched else np.empty(0, dtype=np.int64)
-            )
+            outcome.matched_rows = np.concatenate(matched)
         return outcome
 
-    def _local_matches(
-        self, query: Query, rows: np.ndarray, collect: bool
-    ) -> Tuple[int, Optional[np.ndarray]]:
-        if rows.size == 0:
-            return 0, (np.empty(0, dtype=np.int64) if collect else None)
-        mask = np.ones(rows.size, dtype=bool)
+    def _local_matches(self, query: Query, rows: np.ndarray) -> np.ndarray:
+        """Those of a server's *rows* matching every predicate, narrowed
+        predicate by predicate: each compare runs over what the previous
+        ones left, not the whole share."""
         for p in query.predicates:
             if not isinstance(p, RangePredicate):
                 raise ValueError(
                     "this SWORD model indexes numeric attributes only"
                 )
             col = self.matrix[rows, self.schema.numeric_position(p.attribute)]
-            mask &= (col >= p.lo) & (col <= p.hi)
-        count = int(mask.sum())
-        return count, (rows[mask] if collect else None)
+            rows = rows[(col >= p.lo) & (col <= p.hi)]
+        return rows
 
     def execute_queries(
         self, queries: Sequence[Query], client_nodes: Sequence[int]

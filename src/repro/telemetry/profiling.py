@@ -18,11 +18,11 @@ burning it. :class:`CallPathProfiler` is a call-path tree instead:
   read both as "costs host CPU" and "covers this much simulated time".
 * **Labeled dispatch.** The engine wraps every event callback in a frame
   named after the event's schedule-site label (``net.deliver:query``,
-  ``update.epoch``, ``service.serve:query-response`` …), and the
-  transport's handler invocations record an **event census** —
-  deliveries per message kind per server — alongside the timings, so
-  the dispatch loop's time decomposes by event kind and plane and the
-  message mix is fingerprintable.
+  ``update.epoch``, ``service.serve:query-response`` …), so the
+  dispatch loop's time decomposes by event kind and plane. The message
+  mix itself — the **event census**, deliveries per message kind per
+  server — is kept by the network, profiled or not
+  (``Network.census``); :func:`census_fingerprint` hashes it.
 * **Exporters.** :func:`collapsed_stacks` emits Brendan Gregg
   collapsed-stack lines (``a;b;c <self µs>``) ready for any flame-graph
   tool; :func:`speedscope_document` emits a speedscope-schema JSON
@@ -126,17 +126,15 @@ class _Section:
 
 
 class CallPathProfiler:
-    """Hierarchical dual-clock wall profiler with an event census."""
+    """Hierarchical dual-clock wall profiler."""
 
-    __slots__ = ("_root", "_stack", "_counters", "_census", "_clock")
+    __slots__ = ("_root", "_stack", "_counters", "_clock")
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._root = Frame("(root)", None)
         # (frame, wall t0, sim t0) triples for the open frames
         self._stack: List[Tuple[Frame, float, float]] = []
         self._counters: Dict[str, int] = {}
-        # kind -> server -> deliveries
-        self._census: Dict[str, Dict[int, int]] = {}
         self._clock = clock
 
     # -- clocks -------------------------------------------------------------------
@@ -190,13 +188,6 @@ class CallPathProfiler:
     def count(self, name: str, n: int = 1) -> None:
         """Bump a plain counter (no timing attached)."""
         self._counters[name] = self._counters.get(name, 0) + n
-
-    def census(self, kind: str, server: int, n: int = 1) -> None:
-        """Record *n* deliveries of message *kind* at *server*."""
-        per_server = self._census.get(kind)
-        if per_server is None:
-            per_server = self._census[kind] = {}
-        per_server[server] = per_server.get(server, 0) + n
 
     # -- flat projection -------------------------------------------------------------
     def flat(self) -> Dict[str, Dict[str, float]]:
@@ -252,39 +243,24 @@ class CallPathProfiler:
     # -- read-out -----------------------------------------------------------------
     def document(self) -> Dict[str, object]:
         """The full hierarchical profile document (JSON-serialisable)."""
-        census = {
-            kind: {
-                str(server): self._census[kind][server]
-                for server in sorted(self._census[kind])
-            }
-            for kind in sorted(self._census)
-        }
         return {
             "schema": PROFILE_SCHEMA,
             "total_seconds": self.total_seconds,
             "tree": self._root.to_dict(),
             "counters": dict(sorted(self._counters.items())),
-            "census": census,
-            "census_fingerprint": census_fingerprint(census),
         }
 
     def reset(self) -> None:
         self._root = Frame("(root)", None)
         self._stack = []
         self._counters.clear()
-        self._census.clear()
 
 
 # -- census fingerprint ---------------------------------------------------------
-def census_fingerprint(census: Dict[str, Dict]) -> str:
-    """Stable short hash of a deliveries-per-kind-per-server census.
-
-    Deterministic per seed and configuration: two runs whose dispatch
-    mixes differ in any (kind, server, count) triple get different
-    fingerprints, so baseline comparisons can gate on the mix without
-    committing the full census.
-    """
-    canonical = {
+def census_document(census: Dict[str, Dict]) -> Dict[str, Dict[str, int]]:
+    """A deliveries-per-kind-per-server census (``Network.census``) in
+    its JSON form: string keys, sorted."""
+    return {
         str(kind): {
             str(server): int(count)
             for server, count in sorted(
@@ -293,7 +269,17 @@ def census_fingerprint(census: Dict[str, Dict]) -> str:
         }
         for kind, servers in sorted(census.items())
     }
-    doc = json.dumps(canonical, sort_keys=True)
+
+
+def census_fingerprint(census: Dict[str, Dict]) -> str:
+    """Stable short hash of a deliveries-per-kind-per-server census.
+
+    Deterministic per seed and configuration: two runs whose dispatch
+    mixes differ in any (kind, server, count) triple get different
+    fingerprints, so baseline comparisons can gate on the mix without
+    committing the full census.
+    """
+    doc = json.dumps(census_document(census), sort_keys=True)
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16]
 
 

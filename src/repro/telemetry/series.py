@@ -289,12 +289,11 @@ class SeriesSampler:
         for key, value in counters.items():
             record(f"net.{key}").append(now, value)
         # Dispatch mix: cumulative handler invocations per message kind,
-        # read from the transport's always-on per-kind counters — a
+        # summed from the transport's always-on event census — a
         # ``repro watch`` sparkline per kind, no profiler required.
-        for kind in sorted(net.delivered_by_kind):
-            record(f"dispatch.{kind}").append(
-                now, net.delivered_by_kind[kind]
-            )
+        by_kind = net.delivered_by_kind
+        for kind in sorted(by_kind):
+            record(f"dispatch.{kind}").append(now, by_kind[kind])
         record("sim.pending").append(now, system.sim.pending)
         registry = system.metrics
         from ..sim.metrics import QUERY, UPDATE

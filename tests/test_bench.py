@@ -63,7 +63,9 @@ class TestProfiler:
         prof.reset()
         snap = prof.document()
         assert snap["tree"].get("children", []) == []
-        assert snap["counters"] == {} and snap["census"] == {}
+        assert snap["counters"] == {}
+        # The event census is the network's, not the profiler's.
+        assert "census" not in snap
 
 
 class TestScales:
@@ -194,6 +196,73 @@ class TestNoHostTime:
         first, second = overlay_artifact.to_dict(), again.to_dict()
         del first["created_unix"], second["created_unix"]
         assert first == second
+
+
+class TestOneUnobservedFederation:
+    """The canonical block builds one federation and arms no observer."""
+
+    def test_no_observer_and_one_build_beyond_the_sweep(self, monkeypatch):
+        from repro.roads.system import RoadsSystem
+        from repro.telemetry import Telemetry
+
+        constructed = []
+        for cls in (Telemetry, CallPathProfiler):
+            init = cls.__init__
+
+            def spy(self, *args, _init=init, **kwargs):
+                constructed.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", spy)
+        builds = []
+        build = RoadsSystem.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            builds.append(kwargs.get("telemetry"))
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(RoadsSystem, "build", classmethod(counting))
+        plan = RunPlan("fig3", scale="smoke")
+        artifact = run_scenario(plan)
+        assert constructed == []
+        # one federation per sweep point + one for the canonical block
+        assert len(builds) == len(scale_sweeps("smoke")["nodes"]) + 1
+        assert len(builds) == len(artifact.rows) + 1
+        assert builds == [None] * len(builds)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_shared_root_entry_arm_is_a_fresh_federations(self, seed):
+        from repro.bench.scenarios import _canonical_block
+        from repro.experiments.runner import (
+            build_roads, build_workload, drive_queries, trial_queries,
+        )
+        from repro.telemetry import root_load_share
+
+        settings = scale_settings("smoke", seed)
+        block, census = _canonical_block(settings, seed)
+        wcfg, stores = build_workload(settings, seed)
+        trial = trial_queries(settings, wcfg, seed)
+        fresh = drive_queries(
+            build_roads(settings, stores, seed), *trial, use_overlay=False
+        )
+        assert block["root_share_no_overlay"] == root_load_share(
+            fresh.metrics, fresh.hierarchy.root.server_id,
+            category="query", phase="forward",
+        )
+        # ... and everything else was read before that arm ran: it is
+        # what an overlay-only federation reports.
+        overlay = drive_queries(build_roads(settings, stores, seed), *trial)
+        update = overlay.refresh()
+        registry = overlay.metrics
+        assert block["latency"] == (
+            registry.merged_histogram("query.latency").summary()
+        )
+        assert block["latency"]["count"] == settings.num_queries
+        assert block["query_bytes_total"] == registry.bytes_total("query")
+        assert block["update_bytes_epoch"] == update.total_bytes
+        assert block["events_processed"] == overlay.sim.processed
+        assert census == overlay.network.census
+        assert "events_emitted" not in block
 
 
 def _with_metrics(art: BenchArtifact, **overrides) -> BenchArtifact:

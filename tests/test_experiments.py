@@ -98,6 +98,32 @@ class TestRunner:
         assert all(r() is None for r in built)
 
 
+class TestStreamOutlivesNoSummary:
+    """A figure driver's federation never runs its update plane, so its
+    back-to-back stream must not age the summaries out from under
+    itself: at the 300 s default TTL every search past that point was
+    pruned to its entry server and returned ``ok`` with no matches."""
+
+    def test_every_search_finds_every_match_past_the_default_ttl(self):
+        from repro.roads import SearchRequest
+        from repro.summaries import SummaryConfig
+
+        # Two-dimensional queries: enough matches that a pruned search
+        # shows, and ~0.5 simulated s a search.
+        settings = SMOKE.with_(num_queries=640, query_dimensions=2)
+        wcfg, stores = runner.build_workload(settings, settings.seed)
+        queries, clients = runner.trial_queries(settings, wcfg, settings.seed)
+        system = runner.build_roads(settings, stores, settings.seed)
+        results = system.search_many([
+            SearchRequest(q, client_node=int(c))
+            for q, c in zip(queries, clients)
+        ])
+        assert system.sim.now > SummaryConfig().ttl
+        truth = [sum(q.match_count(s) for s in stores) for q in queries]
+        assert [r.outcome.total_matches for r in results] == truth
+        assert sum(truth[-40:]) > 0
+
+
 class TestFigureDrivers:
     def test_fig3_shape(self):
         # 96 and 160 nodes sit inside the same ROADS hierarchy depth

@@ -14,11 +14,18 @@ from repro.bench import (
 from repro.bench.artifact import BenchArtifact
 from repro.cli import main
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import build_workload, query_run, trial_queries
+from repro.experiments.runner import (
+    build_roads,
+    build_workload,
+    drive_queries,
+    trial_queries,
+)
+from repro.net.transport import ServiceConfig
 from repro.telemetry import Telemetry
 from repro.telemetry.profiling import (
     PROFILE_SCHEMA,
     CallPathProfiler,
+    census_document,
     census_fingerprint,
     collapsed_stacks,
     diff_documents,
@@ -46,6 +53,16 @@ def _nested_profiler() -> CallPathProfiler:
         with prof.section("net.send"):
             pass
     return prof
+
+
+def _with_census(document, census):
+    """*document* stamped with a network census, as ``profile_scenario``
+    stamps its own (the profiler keeps none)."""
+    return dict(
+        document,
+        census=census_document(census),
+        census_fingerprint=census_fingerprint(census),
+    )
 
 
 def _check_invariants(node, parent_cum=None):
@@ -171,10 +188,10 @@ class TestFlatShim:
 class TestExports:
     @pytest.fixture(scope="class")
     def document(self):
-        prof = _nested_profiler()
-        prof.census("query", 3, 2)
-        prof.census("summary-full", 1, 5)
-        return prof.document()
+        return _with_census(
+            _nested_profiler().document(),
+            {"query": {3: 2}, "summary-full": {1: 5}},
+        )
 
     def test_collapsed_round_trip(self, document):
         stacks = parse_collapsed(collapsed_stacks(document))
@@ -219,17 +236,36 @@ class TestExports:
 
 class TestDiff:
     def test_identical_documents(self):
-        doc = _nested_profiler().document()
+        doc = _with_census(_nested_profiler().document(), {"query": {1: 1}})
         text = diff_documents(doc, doc, label_a="old", label_b="new")
         assert "identical" in text
 
     def test_census_change_flagged(self):
-        prof_a = _nested_profiler()
-        prof_a.census("query", 1)
-        prof_b = _nested_profiler()
-        prof_b.census("summary-full", 2)
-        text = diff_documents(prof_a.document(), prof_b.document())
+        doc = _nested_profiler().document()
+        text = diff_documents(
+            _with_census(doc, {"query": {1: 1}}),
+            _with_census(doc, {"summary-full": {2: 1}}),
+        )
         assert "DIFFERENT" in text
+
+
+#: census fingerprints of :func:`_serviced_run`, per seed, as the
+#: parent commit's *profiler* took them (``prof.census`` in
+#: ``Network._invoke``, since deleted): the network's own census hashes
+#: to the same bytes
+PARENT_PROFILER_CENSUS = {5: "37dea9eb1bd3869f", 11: "941441a807e1dd3c"}
+
+
+def _serviced_run(seed, telemetry):
+    """The seeded smoke workload over every delivery path: the build's
+    epoch through the batch handlers, then searches and one more epoch
+    through per-server service queues."""
+    settings = ExperimentSettings.smoke().with_(seed=seed)
+    wcfg, stores = build_workload(settings, seed)
+    system = build_roads(settings, stores, seed, telemetry)
+    system.enable_service(ServiceConfig(service_time=0.002, queue_limit=64))
+    drive_queries(system, *trial_queries(settings, wcfg, seed)).refresh()
+    return system
 
 
 class TestDeterminismTripwire:
@@ -240,12 +276,14 @@ class TestDeterminismTripwire:
         settings = ExperimentSettings.smoke().with_(seed=seed)
 
         wcfg, stores = build_workload(settings, seed)
-        trial = (settings, seed, stores, *trial_queries(settings, wcfg, seed))
-        plain = query_run(*trial, telemetry=Telemetry())
+        trial = trial_queries(settings, wcfg, seed)
+        plain = drive_queries(build_roads(settings, stores, seed), *trial)
 
         tel = Telemetry()
         tel.attach_profiler(CallPathProfiler())
-        profiled = query_run(*trial, telemetry=tel)
+        profiled = drive_queries(
+            build_roads(settings, stores, seed, tel), *trial
+        )
 
         reg_a = plain.metrics
         reg_b = profiled.metrics
@@ -255,14 +293,28 @@ class TestDeterminismTripwire:
         )
         assert plain.sim.now == profiled.sim.now
         assert plain.sim.processed == profiled.sim.processed
+        # The census is the network's: the same, watched or not.
+        assert plain.network.census == profiled.network.census
         assert (
-            plain.network.delivered_by_kind
-            == profiled.network.delivered_by_kind
+            sum(plain.network.delivered_by_kind.values())
+            == plain.network.delivered
         )
-        # The profiler's census agrees with the transport's own counts.
-        census = tel.profiler._census
-        per_kind = {k: sum(v.values()) for k, v in census.items()}
-        assert per_kind == profiled.network.delivered_by_kind
+
+    @pytest.mark.parametrize("seed", sorted(PARENT_PROFILER_CENSUS))
+    def test_network_census_is_the_parents_profiler_census(self, seed):
+        plain = _serviced_run(seed, None)
+        tel = Telemetry()
+        tel.attach_profiler(CallPathProfiler())
+        profiled = _serviced_run(seed, tel)
+        assert plain.network.census == profiled.network.census
+        # batch-handler and service-queue deliveries are both in it
+        root = plain.hierarchy.root.server_id
+        assert plain.network.census["summary-full"][root]
+        assert plain.network.service_stats(root)["served"] > 0
+        assert (
+            census_fingerprint(plain.network.census)
+            == PARENT_PROFILER_CENSUS[seed]
+        )
 
 
 class TestProfileScenarioAndCli:
@@ -315,7 +367,7 @@ class TestProfileScenarioAndCli:
         )
 
     def test_cli_profile_diff(self, tmp_path, capsys):
-        doc = _nested_profiler().document()
+        doc = _with_census(_nested_profiler().document(), {"query": {1: 1}})
         path = tmp_path / "a.json"
         path.write_text(json.dumps(doc))
         rc = main(["profile", "--diff", str(path), str(path)])
@@ -383,4 +435,7 @@ class TestCompareGate:
             artifact.profile["census_fingerprint"]
             == document["census_fingerprint"]
         )
-        assert set(artifact.profile["census_kinds"]) == set(document["census"])
+        # The plain run and the armed one stamp the same network census.
+        assert artifact.profile["census_kinds"] == {
+            kind: sum(per.values()) for kind, per in document["census"].items()
+        }

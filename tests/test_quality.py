@@ -276,13 +276,11 @@ class TestZeroPerturbation:
         return latency, profiler.document(), system
 
     def test_latency_and_census_identical(self):
-        base_latency, base_doc, _ = self._arm(audit=False)
+        base_latency, base_doc, base_system = self._arm(audit=False)
         audit_latency, audit_doc, system = self._arm(audit=True)
         assert audit_latency == base_latency
-        assert (
-            audit_doc["census_fingerprint"]
-            == base_doc["census_fingerprint"]
-        )
+        assert system.network.census == base_system.network.census
+        assert system.network.census["query"]
         assert system.quality.audits == 8
         # The audit's wall cost is visible as its own profiler frame.
         from repro.telemetry.profiling import flatten_document

@@ -167,3 +167,92 @@ class TestOverheads:
             sum(len(system.rows_stored_at(s)) for s in range(48))
             * system.record_size_bytes
         )
+
+
+class TestReferenceModel:
+    """Registration grouping, narrowed local scans and the hop table are
+    the plain formulas, on a federation where some servers store nothing."""
+
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        cfg = WorkloadConfig(num_nodes=64, records_per_node=12, seed=11)
+        stores = generate_node_stores(cfg)
+        # Squeeze u0 into [0, 0.4): most of ring 0's members get no rows.
+        for store in stores:
+            block = np.array(store.numeric_matrix)
+            block[:, store.schema.numeric_position("u0")] *= 0.4
+            store.write_rows(np.arange(len(store)), block)
+        system = SwordSystem(
+            SwordConfig(num_nodes=64, records_per_node=12, seed=11), stores
+        )
+        return cfg, system
+
+    def test_rows_stored_at_is_the_per_server_scan(self, skewed):
+        _, system = skewed
+        empty = 0
+        assert list(system.storage_bytes_by_server()) == list(range(64))
+        for server in range(64):
+            ring = system.hash.ring_of_server(server)
+            expected = np.flatnonzero(system._dest[ring] == server)
+            rows = system.rows_stored_at(server)
+            assert rows.dtype == expected.dtype
+            assert np.array_equal(rows, expected)
+            empty += not len(rows)
+        assert empty > 0
+
+    def test_queries_match_a_full_mask_reference(self, skewed):
+        cfg, system = skewed
+        rng = np.random.default_rng(5)
+        queries = generate_queries(
+            cfg, num_queries=50, dimensions=3, range_length=0.5
+        )
+        matched = 0
+        for q in queries:
+            client = int(rng.integers(0, 64))
+            o = system.execute_query(q, client, collect_rows=True)
+            # Reference: the route as the router and hash give it, every
+            # predicate evaluated over each server's whole share.
+            pred = q.range_predicates()[0]
+            ring = system.attributes.index(pred.attribute)
+            segment = [int(s) for s in system.hash.segment(ring, pred.lo, pred.hi)]
+            t, current, messages = 0.0, client, 0
+            for nxt in system.router.path(client, segment[0]):
+                t += system.delay_space.latency(current, nxt) + 0.0005
+                messages += 1
+                current = nxt
+            hits, rows_out = [], []
+            for server in segment:
+                if server != current:
+                    t += system.delay_space.latency(current, server) + 0.0005
+                    messages += 1
+                    current = server
+                rows = np.flatnonzero(system._dest[ring] == server)
+                mask = np.ones(rows.size, dtype=bool)
+                for p in q.predicates:
+                    col = system.matrix[
+                        rows, system.schema.numeric_position(p.attribute)
+                    ]
+                    mask &= (col >= p.lo) & (col <= p.hi)
+                hits.append((server, t, int(mask.sum())))
+                rows_out.append(rows[mask])
+                t += rows.size * system.config.search_seconds_per_record
+            assert o.segment_hits == hits
+            assert o.latency == hits[-1][1]
+            assert o.query_messages == messages
+            assert o.query_bytes == messages * q.size_bytes
+            assert np.array_equal(o.matched_rows, np.concatenate(rows_out))
+            matched += len(o.matched_rows)
+            plain = system.execute_query(q, client)
+            assert plain.matched_rows is None
+            assert plain.segment_hits == hits
+        assert matched > 0
+
+    def test_registration_bytes_are_bit_counted_distances(self, skewed):
+        _, system = skewed
+        hops = 0
+        for ring in range(len(system.attributes)):
+            dist = (system._dest[ring] - system.owner_of_row) % 64
+            hops += sum(bin(int(d)).count("1") for d in dist)
+        assert system.registration_bytes_per_epoch() == (
+            hops * system.record_size_bytes
+        )
