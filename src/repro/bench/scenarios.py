@@ -533,7 +533,7 @@ def profile_scenario(scale: str = "quick", seed: int = 1) -> Dict[str, object]:
 
     The payload behind ``repro profile`` and the only armed run in this
     package: a :class:`~repro.telemetry.profiling.CallPathProfiler`'s
-    call-path tree and counters over the canonical block — the one run
+    call-path tree over the canonical block — the one run
     every scenario's artifact shares, so there is no scenario to choose
     — beside the network's event census an artifact stamps.
     """

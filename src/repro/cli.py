@@ -1044,6 +1044,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # cannot be read): one line naming the path, not a traceback.
         print(f"{exc.filename}: {exc.strerror}" if exc.filename else exc)
         return 2
+    except ValueError as exc:
+        # An input the configs reject (``--nodes 0``, ``--loss 1.5``,
+        # an unknown target): their message, on one line.
+        print(f"repro {args.command}: {exc}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -417,14 +417,6 @@ class QueryExecution:
         """Whether the query has fully resolved (fan-out and timeouts)."""
         return self._done
 
-    def run(self, *, mode: str = "start") -> QueryOutcome:
-        """Start and run the simulator until this query completes."""
-        self.start(mode=mode)
-        # Events from other activity may interleave; loop until done.
-        while not self._done and self.sim.step():
-            pass
-        return self.outcome
-
     # -- internals ----------------------------------------------------------------
     def _contact(
         self,

@@ -329,91 +329,30 @@ class RoadsSystem:
             if prof is not None:
                 prof.exit()
 
-    def _make_execution(
-        self,
-        request: SearchRequest,
-        client: int,
-        start: int,
-        on_complete=None,
-        trace_parent=None,
-    ) -> QueryExecution:
-        return QueryExecution(
-            self.sim,
-            self.network,
-            self.hierarchy,
-            self.config.summary,
-            self.policies,
-            request.query,
-            client,
-            start,
-            collect_records=request.collect_records,
-            retry=request.retry,
-            first_k=request.first_k,
-            trace=request.trace,
-            telemetry=self.telemetry,
-            on_complete=on_complete,
-            trace_parent=trace_parent,
-            quality=self.quality,
-        )
-
     def search(
         self, request: SearchRequest, *, trace_parent=None
     ) -> SearchResult:
         """Run one request to completion; the canonical query entry point.
 
-        Drives the shared simulator until the query fully resolves
-        (other in-flight activity — update plane, heartbeats — runs
-        interleaved). For many concurrent queries use :meth:`submit` or
-        :meth:`search_many` with arrival offsets.
+        :meth:`submit` plus driving the shared simulator until the query
+        fully resolves (other in-flight activity — update plane,
+        heartbeats — runs interleaved). For many concurrent queries use
+        :meth:`submit` or :meth:`search_many` with arrival offsets.
         """
-        client, start = self._resolve_entry(request)
-        execution = self._make_execution(
-            request, client, start, trace_parent=trace_parent
-        )
         tel = self.telemetry
         prof = tel.profiler if tel is not None else None
-        # The query frame opens *around* the dispatch loop the execution
-        # drives, so in the call-path tree query-time decomposes into the
-        # labeled events processed on this query's behalf.
+        # The query frame opens *around* the dispatch loop, so in the
+        # call-path tree query-time decomposes into the labeled events
+        # processed on this query's behalf.
         if prof is not None:
             prof.enter("query.execute")
-        span = (
-            tel.span(
-                "query.execute",
-                client=client,
-                start=start,
-                overlay=request.use_overlay,
-                scope=request.scope,
-            )
-            if tel is not None
-            else None
-        )
-        submitted = self.sim.now
         try:
-            outcome = execution.run(mode=request.entry_mode)
-        except BaseException:
-            if span is not None:
-                span.close()
-            raise
+            pending = self.submit(request, trace_parent=trace_parent)
+            self.sim.run(stop=lambda: pending.result is not None)
         finally:
             if prof is not None:
                 prof.exit()
-        if span is not None:
-            span.annotate(
-                servers=outcome.servers_contacted,
-                matches=outcome.total_matches,
-            )
-            span.close()
-        self.metrics.observe(
-            "query.latency", outcome.latency, server=start
-        )
-        return SearchResult(
-            request=request,
-            outcome=outcome,
-            submitted_at=submitted,
-            finished_at=self.sim.now,
-            quality=self._audit_quality(request, outcome),
-        )
+        return pending.result
 
     def submit(
         self,
@@ -425,13 +364,15 @@ class RoadsSystem:
         """Start a query **without** driving the simulator (non-blocking).
 
         The serving-plane primitive: the first contact goes out now, and
-        the query resolves as the shared dispatcher is driven — by a
-        surrounding :meth:`search_many`, a
-        :class:`~repro.roads.load.LoadGenerator`, or a manual
-        ``sim.step()`` loop — interleaved with every other in-flight
-        query, the free-running update plane and maintenance traffic.
+        the query resolves as the shared dispatcher is driven — by
+        :meth:`search`, a surrounding :meth:`search_many`, a
+        :class:`~repro.roads.load.LoadGenerator`, or a caller's own
+        ``sim.run`` — interleaved with every other in-flight query, the
+        free-running update plane and maintenance traffic.
         *on_complete* (if given) fires with the :class:`SearchResult`
-        the moment the query fully resolves.
+        the moment the query fully resolves; that is where the result,
+        the ``query.latency`` observation, the quality audit and the
+        ``query.execute`` span are made, for every search.
         """
         client, start = self._resolve_entry(request)
         pending = PendingSearch(request=request)
@@ -461,12 +402,18 @@ class RoadsSystem:
             if on_complete is not None:
                 on_complete(result)
 
-        execution = self._make_execution(
-            request, client, start, on_complete=finish,
+        pending.execution = QueryExecution(
+            self.sim, self.network, self.hierarchy, self.config.summary,
+            self.policies, request.query, client, start,
+            collect_records=request.collect_records,
+            retry=request.retry,
+            first_k=request.first_k,
+            trace=request.trace,
+            telemetry=self.telemetry,
+            on_complete=finish,
             trace_parent=trace_parent,
-        )
-        pending.execution = execution
-        execution.start(mode=request.entry_mode)
+            quality=self.quality,
+        ).start(mode=request.entry_mode)
         return pending
 
     def search_many(
@@ -511,8 +458,7 @@ class RoadsSystem:
             self.sim.schedule(at, partial(launch, i), "query.submit")
         # Each search reports its own completion: the loop pays nothing
         # per event for the searches still out, or for those already in.
-        while outstanding and self.sim.step():
-            pass
+        self.sim.run(stop=lambda: not outstanding)
         return results
 
     def widening(

@@ -456,9 +456,8 @@ class UpdatePlane:
             self._schedule(slot, act)
 
     def drain(self) -> None:
-        """Step the simulator until every epoch step and message resolves."""
-        while self._inflight > 0 and self.sim.step():
-            pass
+        """Run the simulator until every epoch step and message resolves."""
+        self.sim.run(stop=lambda: self._inflight <= 0)
 
     def run_epoch(self) -> UpdateRoundReport:
         """One epoch, drained to quiescence; returns its byte accounting."""

@@ -18,7 +18,8 @@ Every pop merges the wheel's next event against the heap top by
 ``(time, seq)``, so ties in time still break by insertion order and the
 interleaving is that of the heap alone (``Simulator(use_wheel=False)``,
 the reference the wheel is tested against). One dispatch loop serves
-:meth:`Simulator.run` and :meth:`Simulator.step`, profiled or not.
+:meth:`Simulator.run` and :meth:`Simulator.step`, profiled or not, and
+"run until something is done" is ``run(stop=predicate)``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 
@@ -228,8 +230,7 @@ class Simulator:
         #: (:class:`repro.telemetry.profiling.CallPathProfiler`); when
         #: set, the dispatch loop opens a ``sim.dispatch`` frame, every
         #: handler invocation gets a child frame named after its event
-        #: label (``sim.event`` when unlabeled), and processed events
-        #: land in the ``sim.events`` counter. ``None`` (the default)
+        #: label (``sim.event`` when unlabeled). ``None`` (the default)
         #: costs the loop one ``is None`` check per event.
         self.profiler = None
 
@@ -338,27 +339,42 @@ class Simulator:
             heapq.heapify(self._queue)
             self._heap_cancelled = 0
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Process events until the queue drains, *until*, or *max_events*.
+    def run(
+        self,
+        until: Optional[float] = None,
+        max_events: Optional[int] = None,
+        stop: Optional[Callable[[], bool]] = None,
+    ) -> int:
+        """Process events until the queue drains, *until*, *max_events*,
+        or *stop* returns true.
 
-        Returns the number of events processed by this call. The clock is
-        advanced to *until* when given, even if the queue drains earlier.
+        Returns the number of events processed by this call. *stop* and
+        the event budget are checked before each event is popped, so a
+        stopped run leaves the next event where it was scheduled. The
+        clock is advanced to *until* once every event due by then has
+        fired, even if the queue drains earlier; an *until* in the past
+        does nothing, and a NaN one is rejected.
         """
-        return self._dispatch(until, max_events)
+        if until is not None and math.isnan(until):
+            raise SimulationError("cannot run until NaN")
+        return self._dispatch(until, max_events, stop)
 
     def step(self) -> bool:
         """Process a single event; returns False when the queue is empty."""
-        return self._dispatch(None, 1) == 1
+        return self._dispatch(None, 1, None) == 1
 
-    def _dispatch(self, until: Optional[float], max_events: Optional[int]) -> int:
+    def _dispatch(
+        self,
+        until: Optional[float],
+        max_events: Optional[int],
+        stop: Optional[Callable[[], bool]],
+    ) -> int:
         """The dispatch loop behind :meth:`run` and :meth:`step`.
 
         Under a profiler the loop runs inside a ``sim.dispatch`` frame
         and every handler invocation opens a child frame named after its
         event's schedule-site label, so dispatch wall time decomposes by
-        event kind and plane in the call-path tree. The event budget is
-        checked before popping, so a stopped run leaves the next event
-        where it was scheduled.
+        event kind and plane in the call-path tree.
         """
         prof = self.profiler
         processed = 0
@@ -366,8 +382,12 @@ class Simulator:
             prof.enter("sim.dispatch")
         try:
             while max_events is None or processed < max_events:
+                if stop is not None and stop():
+                    break
                 ev = self._peek()
                 if ev is None or (until is not None and ev.time > until):
+                    if until is not None and self._now < until:
+                        self._now = until
                     break
                 self._pop(ev)
                 if ev.cancelled:
@@ -385,12 +405,9 @@ class Simulator:
                         prof.exit()
                 processed += 1
                 self._processed += 1
-            if until is not None and self._now < until:
-                self._now = until
         finally:
             if prof is not None:
                 prof.exit()
-                prof.count("sim.events", processed)
         return processed
 
 

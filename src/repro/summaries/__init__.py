@@ -4,7 +4,6 @@ from .base import AttributeSummary, SummaryMergeError
 from .bloom import BloomFilterSummary, optimal_parameters
 from .config import SummaryConfig
 from .histogram import HistogramSummary
-from .multires import MultiResolutionHistogram, coarsen
 from .summary import ResourceSummary
 from .valueset import ValueSetSummary
 
@@ -15,8 +14,6 @@ __all__ = [
     "ValueSetSummary",
     "BloomFilterSummary",
     "optimal_parameters",
-    "MultiResolutionHistogram",
-    "coarsen",
     "ResourceSummary",
     "SummaryConfig",
 ]

@@ -22,9 +22,6 @@ class SummaryConfig:
         ``"set"`` for explicit value sets, ``"bloom"`` for Bloom filters.
     bloom_bits / bloom_hashes:
         Bloom filter parameters, used when ``categorical_summary="bloom"``.
-    multiresolution_levels:
-        When > 1, numeric attributes use multi-resolution histograms with
-        this many pyramid levels instead of plain histograms.
     ttl:
         Soft-state lifetime of a summary in simulated seconds. Summaries
         older than this are considered stale and dropped by servers
@@ -36,7 +33,6 @@ class SummaryConfig:
     categorical_summary: str = "set"
     bloom_bits: int = 1024
     bloom_hashes: int = 4
-    multiresolution_levels: int = 1
     ttl: float = 300.0
 
     def __post_init__(self) -> None:
@@ -50,13 +46,5 @@ class SummaryConfig:
             )
         if self.bloom_bits <= 0 or self.bloom_hashes <= 0:
             raise ValueError("bloom parameters must be positive")
-        if self.multiresolution_levels < 1:
-            raise ValueError("multiresolution_levels must be >= 1")
-        if self.multiresolution_levels > 1 and self.histogram_buckets % (
-            2 ** (self.multiresolution_levels - 1)
-        ):
-            raise ValueError(
-                "histogram_buckets must be divisible by 2^(multiresolution_levels-1)"
-            )
         if self.ttl <= 0:
             raise ValueError("ttl must be positive")

@@ -9,11 +9,8 @@ and what the replication overlay copies across the hierarchy.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
-import numpy as np
-
-from ..query.predicate import EqualsPredicate, RangePredicate
 from ..query.query import Query
 from ..records.schema import Schema
 from ..records.store import RecordStore
@@ -21,7 +18,6 @@ from .base import AttributeSummary, SummaryMergeError
 from .bloom import BloomFilterSummary
 from .config import SummaryConfig
 from .histogram import HistogramSummary
-from .multires import MultiResolutionHistogram
 from .valueset import ValueSetSummary
 
 
@@ -66,26 +62,15 @@ class ResourceSummary:
         schema = store.schema
         attrs: Dict[str, AttributeSummary] = {}
         numeric = schema.numeric_attributes
-        if config.multiresolution_levels > 1:
-            for spec in numeric:
-                attrs[spec.name] = MultiResolutionHistogram.from_values(
-                    spec.name,
-                    store.numeric_column(spec.name),
-                    config.histogram_buckets,
-                    spec.bounds,
-                    config.multiresolution_levels,
-                    encoding=config.histogram_encoding,
-                )
-        else:
-            names = [spec.name for spec in numeric]
-            histograms = HistogramSummary.from_matrix(
-                names,
-                store.numeric_matrix,
-                config.histogram_buckets,
-                [spec.bounds for spec in numeric],
-                encoding=config.histogram_encoding,
-            )
-            attrs.update(zip(names, histograms))
+        names = [spec.name for spec in numeric]
+        histograms = HistogramSummary.from_matrix(
+            names,
+            store.numeric_matrix,
+            config.histogram_buckets,
+            [spec.bounds for spec in numeric],
+            encoding=config.histogram_encoding,
+        )
+        attrs.update(zip(names, histograms))
         for spec in schema.categorical_attributes:
             values = store.categorical_column(spec.name)
             if config.categorical_summary == "bloom":
@@ -214,34 +199,6 @@ class ResourceSummary:
         fresh._fp, fresh._size = self._fp, self._size
         return fresh
 
-    # -- estimation ----------------------------------------------------------------
-    def estimated_matches(self, query: Query) -> int:
-        """Upper-bound match count, the min over numeric dimensions.
-
-        Used by clients to rank which redirected branch to visit first.
-        """
-        best = np.inf
-        for pred in query.predicates:
-            summ = self.attributes.get(pred.attribute)
-            if isinstance(pred, RangePredicate) and isinstance(summ, HistogramSummary):
-                best = min(best, summ.count_in_range(pred.lo, pred.hi))
-            elif isinstance(pred, RangePredicate) and isinstance(
-                summ, MultiResolutionHistogram
-            ):
-                best = min(best, summ.level(0).count_in_range(pred.lo, pred.hi))
-            elif isinstance(pred, EqualsPredicate) and summ is not None:
-                if not summ.may_match(pred):
-                    return 0
-        if not np.isfinite(best):
-            # Only categorical dimensions queried: fall back to total count.
-            for summ in self.attributes.values():
-                if isinstance(summ, HistogramSummary):
-                    return summ.total
-                if isinstance(summ, MultiResolutionHistogram):
-                    return summ.level(0).total
-            return 0
-        return int(best)
-
     def __repr__(self) -> str:
         return (
             f"ResourceSummary({len(self.attributes)} attributes, "
@@ -251,14 +208,6 @@ class ResourceSummary:
 
 def _empty_summary(name, bounds, is_numeric, config: SummaryConfig) -> AttributeSummary:
     if is_numeric:
-        if config.multiresolution_levels > 1:
-            return MultiResolutionHistogram(
-                name,
-                config.histogram_buckets,
-                bounds,
-                config.multiresolution_levels,
-                encoding=config.histogram_encoding,
-            )
         return HistogramSummary(
             name, config.histogram_buckets, bounds, encoding=config.histogram_encoding
         )

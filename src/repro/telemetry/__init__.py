@@ -4,10 +4,11 @@ The telemetry layer mirrors how the paper evaluates ROADS (Section V):
 per-server load attribution, per-category byte counts, and per-phase
 latency distributions. It has three cooperating pieces:
 
-* :class:`Telemetry` — an event bus plus a span API. ``tel.span("query.
-  forward", server=7)`` opens a context manager stamped with sim-clock
-  times, parent/child span ids and a tag dict; closed spans and point
-  events land in a bounded ring buffer (:class:`EventBus`).
+* :class:`Telemetry` — an event bus plus a span API.
+  ``tel.emit_span("query.execute", start, end, server=7)`` records a
+  measured interval stamped with sim-clock times and a tag dict; spans
+  and point events land in a bounded ring buffer (:class:`EventBus`).
+  Parentage is the :class:`TraceContext` tags a span carries.
 * :class:`MetricsRegistry` — counters, byte gauges and streaming
   percentile histograms keyed by ``(server, category, phase)``; a
   run's one metrics store (``Network.metrics``).
@@ -27,7 +28,7 @@ latency distributions. It has three cooperating pieces:
 * flight recorder — :class:`FlightRecorder` per-server event rings that
   freeze SLO breaches into :class:`PostmortemBundle` evidence windows
   (:mod:`repro.telemetry.recorder`).
-* profiling — :class:`CallPathProfiler` hierarchical dual-clock
+* profiling — :class:`CallPathProfiler` hierarchical wall-clock
   hot-path attribution with collapsed-stack / speedscope exporters and
   hotspot diffing (:mod:`repro.telemetry.profiling`).
 
@@ -39,7 +40,7 @@ off.
 from .events import EventBus, TelemetryEvent, TraceEvent
 from .histogram import StreamingHistogram
 from .metrics import MetricKey, MetricsRegistry
-from .core import Span, Telemetry
+from .core import Telemetry
 from .export import (
     chrome_trace,
     prometheus_text,
@@ -91,7 +92,6 @@ from .tracing import (
 
 __all__ = [
     "Telemetry",
-    "Span",
     "EventBus",
     "TelemetryEvent",
     "TraceEvent",

@@ -1,11 +1,12 @@
 """The telemetry recorder: span API over the event bus.
 
 :class:`Telemetry` binds a clock (the sim's virtual clock in practice)
-and an :class:`~repro.telemetry.events.EventBus`. Spans form a stack —
-the simulation is single-threaded, so the enclosing open span is always
-the parent — and are emitted to the bus when closed. Counters and
-histograms are not kept here: a run's one metrics store is the
-network's :class:`~repro.telemetry.metrics.MetricsRegistry`.
+and an :class:`~repro.telemetry.events.EventBus`. Spans are recorded
+once measured (:meth:`Telemetry.emit_span`); causal parentage travels as
+:class:`~repro.telemetry.tracing.TraceContext` tags, the one notion of a
+parent span. Counters and histograms are not kept here: a run's one
+metrics store is the network's
+:class:`~repro.telemetry.metrics.MetricsRegistry`.
 
 Telemetry is switched off one way: a component built with
 ``telemetry=None`` skips its recording branches, tags and all.
@@ -14,58 +15,10 @@ Telemetry is switched off one way: a component built with
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
 from .events import EventBus, TelemetryEvent
 from .tracing import TraceContext
-
-
-class Span:
-    """An open (or closed) span; use as a context manager."""
-
-    __slots__ = ("telemetry", "name", "tags", "span_id", "parent_id",
-                 "start", "end", "_closed")
-
-    def __init__(
-        self,
-        telemetry: "Telemetry",
-        name: str,
-        tags: Dict[str, object],
-        span_id: int,
-        parent_id: int,
-        start: float,
-    ):
-        self.telemetry = telemetry
-        self.name = name
-        self.tags = tags
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.start = start
-        self.end: Optional[float] = None
-        self._closed = False
-
-    @property
-    def duration(self) -> float:
-        return (self.end if self.end is not None else self.start) - self.start
-
-    def annotate(self, **tags) -> "Span":
-        """Attach extra tags to an open span."""
-        self.tags.update(tags)
-        return self
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.telemetry._close_span(self)
-
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self.tags.setdefault("error", exc_type.__name__)
-        self.close()
 
 
 class Telemetry:
@@ -96,22 +49,15 @@ class Telemetry:
         self.profiler = None
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
-        self._stack: List[Span] = []
 
     # -- clock ----------------------------------------------------------------
     def bind_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        # Keep the profiler's virtual clock in sync so its dual-clock
-        # columns read sim time once the simulator exists.
-        if self.profiler is not None:
-            self.profiler.bind_clock(clock)
 
     # -- wall-clock profiling ------------------------------------------------------
     def attach_profiler(self, profiler) -> None:
-        """Install a wall-clock section profiler (call before ``build``)."""
+        """Install a wall-clock call-path profiler (call before ``build``)."""
         self.profiler = profiler
-        if profiler._clock is None:
-            profiler.bind_clock(self._clock)
 
     @property
     def now(self) -> float:
@@ -143,53 +89,22 @@ class Telemetry:
     # -- recording ----------------------------------------------------------------
     def event(self, name: str, **tags) -> TelemetryEvent:
         """Record a point event at the current clock time."""
-        parent = self._stack[-1].span_id if self._stack else 0
-        ev = TelemetryEvent(
-            ts=self._clock(), name=name, kind="event", parent_id=parent,
-            tags=tags,
-        )
+        ev = TelemetryEvent(ts=self._clock(), name=name, kind="event", tags=tags)
         self.bus.emit(ev)
         return ev
-
-    def span(self, name: str, **tags) -> Span:
-        """Open a span; close it by exiting the ``with`` block."""
-        parent = self._stack[-1].span_id if self._stack else 0
-        span = Span(
-            self, name, tags, next(self._span_ids), parent, self._clock()
-        )
-        self._stack.append(span)
-        return span
 
     def emit_span(
         self, name: str, start: float, end: float, /, **tags
     ) -> None:
-        """Record an already-measured interval (no nesting bookkeeping).
+        """Record an already-measured interval.
 
         The first three parameters are positional-only so tags named
         ``name``/``start``/``end`` stay usable.
         """
-        parent = self._stack[-1].span_id if self._stack else 0
         self.bus.emit(
             TelemetryEvent(
                 ts=start, name=name, kind="span", dur=max(0.0, end - start),
-                span_id=next(self._span_ids), parent_id=parent, tags=tags,
-            )
-        )
-
-    def _close_span(self, span: Span) -> None:
-        span.end = self._clock()
-        # Pop up to and including this span; out-of-order closes (span
-        # closed after its parent) degrade gracefully.
-        if span in self._stack:
-            while self._stack:
-                top = self._stack.pop()
-                if top is span:
-                    break
-        self.bus.emit(
-            TelemetryEvent(
-                ts=span.start, name=span.name, kind="span",
-                dur=span.duration, span_id=span.span_id,
-                parent_id=span.parent_id, tags=span.tags,
+                span_id=next(self._span_ids), tags=tags,
             )
         )
 

@@ -21,14 +21,17 @@ from typing import Callable, Dict, Iterator, List, Tuple
 
 @dataclass
 class TelemetryEvent:
-    """One recorded point event or closed span."""
+    """One recorded point event or closed span.
+
+    A span's causal parent is a ``TraceContext`` tag
+    (``parent_span_id``), not a field of the event.
+    """
 
     ts: float
     name: str
     kind: str = "event"  # "event" | "span"
     dur: float = 0.0
     span_id: int = 0
-    parent_id: int = 0
     tags: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
@@ -38,19 +41,19 @@ class TelemetryEvent:
             "kind": self.kind,
             "dur": self.dur,
             "span_id": self.span_id,
-            "parent_id": self.parent_id,
             "tags": dict(self.tags),
         }
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "TelemetryEvent":
+        # Keys it does not know (``parent_id`` in older exports) are
+        # ignored, so every export this recorder ever wrote still loads.
         return cls(
             ts=float(d["ts"]),
             name=str(d["name"]),
             kind=str(d.get("kind", "event")),
             dur=float(d.get("dur", 0.0)),
             span_id=int(d.get("span_id", 0)),
-            parent_id=int(d.get("parent_id", 0)),
             tags=dict(d.get("tags", {})),
         )
 

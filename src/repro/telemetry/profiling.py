@@ -12,10 +12,7 @@ burning it. :class:`CallPathProfiler` is a call-path tree instead:
   wall seconds per frame. *Self* seconds — cumulative minus the
   children's cumulative — form an exact partition of the root total, so
   "where does the time actually go" finally has a well-defined answer.
-* **Dual clocks.** Each frame carries host wall seconds
-  (``time.perf_counter``) *and* the virtual sim seconds that elapsed
-  while it was open (when a sim clock is bound), so a hot frame can be
-  read both as "costs host CPU" and "covers this much simulated time".
+  Frames carry host wall seconds (``time.perf_counter``) only.
 * **Labeled dispatch.** The engine wraps every event callback in a frame
   named after the event's schedule-site label (``net.deliver:query``,
   ``update.epoch``, ``service.serve:query-response`` …), so the
@@ -44,41 +41,28 @@ from __future__ import annotations
 import hashlib
 import json
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 #: profile document schema identifier; bump on incompatible changes
 PROFILE_SCHEMA = "roads.profile/1"
-
-#: frame name used for engine events scheduled without a label
-UNLABELED_EVENT = "sim.event"
-
 
 class Frame:
     """One node of the call-path tree.
 
     Identity is the path from the root, so the same section name under
     two different parents is two frames — that is what makes *self*
-    seconds a partition instead of a hot-path soup.
+    seconds a partition instead of a hot-path soup (a frame re-entered
+    from inside itself is its own child, never counted twice).
     """
 
-    __slots__ = (
-        "name", "parent", "children", "calls",
-        "cum_wall", "cum_sim", "_active",
-    )
+    __slots__ = ("name", "children", "calls", "cum_wall")
 
-    def __init__(self, name: str, parent: Optional["Frame"]):
+    def __init__(self, name: str):
         self.name = name
-        self.parent = parent
         self.children: Dict[str, "Frame"] = {}
         self.calls = 0
         #: wall seconds spent inside this frame, children included
         self.cum_wall = 0.0
-        #: virtual sim seconds that elapsed while this frame was open
-        self.cum_sim = 0.0
-        # Re-entrancy depth: recursive re-entry of the same frame only
-        # accumulates when the outermost entry exits, so cumulative
-        # time is never double-counted.
-        self._active = 0
 
     @property
     def self_wall(self) -> float:
@@ -87,173 +71,58 @@ class Frame:
             0.0, self.cum_wall - sum(c.cum_wall for c in self.children.values())
         )
 
-    def path(self) -> Tuple[str, ...]:
-        names: List[str] = []
-        frame: Optional[Frame] = self
-        while frame is not None and frame.parent is not None:
-            names.append(frame.name)
-            frame = frame.parent
-        return tuple(reversed(names))
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
             "calls": self.calls,
             "cum_seconds": self.cum_wall,
             "self_seconds": self.self_wall,
-            "sim_seconds": self.cum_sim,
             "children": [
                 self.children[k].to_dict() for k in sorted(self.children)
             ],
         }
 
 
-class _Section:
-    """Context manager over one ``enter``/``exit`` pair."""
-
-    __slots__ = ("_profiler", "_name")
-
-    def __init__(self, profiler: "CallPathProfiler", name: str):
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> "_Section":
-        self._profiler.enter(self._name)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._profiler.exit()
-
-
 class CallPathProfiler:
-    """Hierarchical dual-clock wall profiler."""
+    """Hierarchical wall-clock profiler: ``enter`` / ``exit`` and a
+    :meth:`document` of the tree."""
 
-    __slots__ = ("_root", "_stack", "_counters", "_clock")
+    __slots__ = ("_root", "_stack")
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
-        self._root = Frame("(root)", None)
-        # (frame, wall t0, sim t0) triples for the open frames
-        self._stack: List[Tuple[Frame, float, float]] = []
-        self._counters: Dict[str, int] = {}
-        self._clock = clock
+    def __init__(self):
+        self._root = Frame("(root)")
+        # (frame, wall t0) pairs for the open frames
+        self._stack: List[Tuple[Frame, float]] = []
 
-    # -- clocks -------------------------------------------------------------------
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Bind the virtual (sim) clock for the dual-clock columns."""
-        self._clock = clock
-
-    # -- recording ----------------------------------------------------------------
     def enter(self, name: str) -> None:
         """Open a frame named *name* under the current call path."""
         parent = self._stack[-1][0] if self._stack else self._root
         frame = parent.children.get(name)
         if frame is None:
-            frame = parent.children[name] = Frame(name, parent)
+            frame = parent.children[name] = Frame(name)
         frame.calls += 1
-        frame._active += 1
-        clock = self._clock
-        self._stack.append(
-            (frame, perf_counter(), clock() if clock is not None else 0.0)
-        )
+        self._stack.append((frame, perf_counter()))
 
     def exit(self) -> None:
         """Close the innermost open frame."""
         if not self._stack:
             raise RuntimeError("profiler exit() without a matching enter()")
-        frame, wall_t0, sim_t0 = self._stack.pop()
-        frame._active -= 1
-        if frame._active == 0:
-            frame.cum_wall += perf_counter() - wall_t0
-            clock = self._clock
-            if clock is not None:
-                frame.cum_sim += clock() - sim_t0
+        frame, wall_t0 = self._stack.pop()
+        frame.cum_wall += perf_counter() - wall_t0
 
-    def section(self, name: str) -> _Section:
-        """``with profiler.section("net.send"): ...``"""
-        return _Section(self, name)
-
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Fold an already-measured interval in as a leaf frame.
-
-        The frame lands under the *current* call path, so externally
-        timed intervals still attribute hierarchically.
-        """
-        parent = self._stack[-1][0] if self._stack else self._root
-        frame = parent.children.get(name)
-        if frame is None:
-            frame = parent.children[name] = Frame(name, parent)
-        frame.calls += calls
-        frame.cum_wall += seconds
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump a plain counter (no timing attached)."""
-        self._counters[name] = self._counters.get(name, 0) + n
-
-    # -- flat projection -------------------------------------------------------------
-    def flat(self) -> Dict[str, Dict[str, float]]:
-        """Per-name totals: ``{name: {calls, seconds, self_seconds}}``.
-
-        ``self_seconds`` summed over every frame of a name partitions
-        the total exactly (no double counting); ``seconds`` keeps the
-        historical cumulative reading — time spent inside sections of
-        that name — counting only *top-most* occurrences, so a section
-        nested inside itself (recursion, re-entered dispatch loops) is
-        not double-counted either.
-        """
-        out: Dict[str, Dict[str, float]] = {}
-
-        def visit(frame: Frame, ancestors: frozenset) -> None:
-            for child in frame.children.values():
-                entry = out.get(child.name)
-                if entry is None:
-                    entry = out[child.name] = {
-                        "calls": 0, "seconds": 0.0, "self_seconds": 0.0,
-                    }
-                entry["calls"] += child.calls
-                entry["self_seconds"] += child.self_wall
-                if child.name not in ancestors:
-                    entry["seconds"] += child.cum_wall
-                visit(child, ancestors | {child.name})
-
-        visit(self._root, frozenset())
-        return out
-
-    @property
-    def total_seconds(self) -> float:
-        """Wall seconds across all top-level frames (the partition total)."""
-        return sum(c.cum_wall for c in self._root.children.values())
-
-    def seconds(self, name: str) -> float:
-        """Cumulative wall seconds inside sections named *name*."""
-        flat = self.flat().get(name)
-        return flat["seconds"] if flat is not None else 0.0
-
-    def self_seconds(self, name: str) -> float:
-        """Exclusive (self) wall seconds across frames named *name*."""
-        flat = self.flat().get(name)
-        return flat["self_seconds"] if flat is not None else 0.0
-
-    def calls(self, name: str) -> int:
-        flat = self.flat().get(name)
-        return int(flat["calls"]) if flat is not None else 0
-
-    def counter(self, name: str) -> int:
-        return self._counters.get(name, 0)
-
-    # -- read-out -----------------------------------------------------------------
     def document(self) -> Dict[str, object]:
-        """The full hierarchical profile document (JSON-serialisable)."""
+        """The full hierarchical profile document (JSON-serialisable).
+
+        ``total_seconds`` is the wall time across all top-level frames,
+        the total the self times partition.
+        """
         return {
             "schema": PROFILE_SCHEMA,
-            "total_seconds": self.total_seconds,
+            "total_seconds": sum(
+                c.cum_wall for c in self._root.children.values()
+            ),
             "tree": self._root.to_dict(),
-            "counters": dict(sorted(self._counters.items())),
         }
-
-    def reset(self) -> None:
-        self._root = Frame("(root)", None)
-        self._stack = []
-        self._counters.clear()
 
 
 # -- census fingerprint ---------------------------------------------------------

@@ -533,6 +533,35 @@ class TestUnwritableExports:
         assert capsys.readouterr().out.startswith(f"{missing}: ")
 
 
+class TestOutOfRangeInputs:
+    """A value the configs reject is one ``repro <verb>: message`` line
+    and exit status 2, never a traceback: the configs keep the rules,
+    ``main`` only reports them."""
+
+    CASES = [
+        (["health", "--nodes", "0"], "num_nodes"),
+        (["health", "--loss", "1.5"], "loss_rate"),
+        (["health", "--rate", "0"], "rate"),
+        (["health", "--interval", "0"], "interval"),
+        (["health", "--probe-interval", "-1"], "interval"),
+        (["watch", "--sample-interval", "0"], "interval"),
+        (["telemetry", "--nodes", "1"], "num_nodes"),
+        (["suite", "--targets", "fig99"], "fig99"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, reason", CASES, ids=[" ".join(argv) for argv, _ in CASES]
+    )
+    def test_one_line_and_exit_2(self, argv, reason, tmp_path, capsys):
+        if argv[0] == "suite":
+            argv = argv + ["--out", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.out.splitlines()
+        assert line.startswith(f"repro {argv[0]}: ") and reason in line
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestWatchCLI:
     """`repro watch` runs a federation with the full observability
     stack armed: series sampler, SLO probe, flight recorder."""

@@ -293,8 +293,7 @@ def _drive(scenario, batched):
         "dropped": dropped,
         "next_loss_draw": loss_rng.random(),
         "events": [
-            (e.ts, e.name, e.kind, e.dur, e.span_id, e.parent_id,
-             list(e.tags.items()))
+            (e.ts, e.name, e.kind, e.dur, e.span_id, list(e.tags.items()))
             for e in tel.events()
         ],
     }
@@ -320,8 +319,8 @@ class TestOneTransportPath:
             # numbers its spans in that order).
             def canonical(events):
                 return sorted(
-                    (ts, dict(tags)["msg_id"], name, kind, dur, parent, tags)
-                    for ts, name, kind, dur, _, parent, tags in events
+                    (ts, dict(tags)["msg_id"], name, kind, dur, tags)
+                    for ts, name, kind, dur, _, tags in events
                 )
 
             assert canonical(events_batch) == canonical(events_single)

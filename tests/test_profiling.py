@@ -43,16 +43,21 @@ from repro.telemetry.profiling import (
 def _nested_profiler() -> CallPathProfiler:
     """A small hand-built tree: dispatch -> {deliver -> install, send}."""
     prof = CallPathProfiler()
-    with prof.section("sim.dispatch"):
-        with prof.section("net.deliver"):
-            with prof.section("update.install"):
-                pass
-        with prof.section("net.send"):
-            pass
-    with prof.section("sim.dispatch"):
-        with prof.section("net.send"):
-            pass
+    for path in (
+        ("sim.dispatch", ("net.deliver", ("update.install",)), ("net.send",)),
+        ("sim.dispatch", ("net.send",)),
+    ):
+        _enter_tree(prof, path)
     return prof
+
+
+def _enter_tree(prof: CallPathProfiler, node) -> None:
+    """``enter`` *node*'s name, then each child subtree, then ``exit``."""
+    name, *children = node
+    prof.enter(name)
+    for child in children:
+        _enter_tree(prof, child)
+    prof.exit()
 
 
 def _with_census(document, census):
@@ -120,69 +125,28 @@ class TestCallPathTree:
         assert child["name"] == "a"
         # The flat view counts only the top-most occurrence, so the
         # recursive nesting never exceeds the profiled total.
-        flat = prof.flat()["a"]
+        flat = flatten_document(doc)["a"]
         assert flat["calls"] == 2
         assert flat["seconds"] == pytest.approx(root["cum_seconds"])
         assert flat["seconds"] <= doc["total_seconds"] + 1e-9
-
-    def test_dual_clock_records_sim_seconds(self):
-        clock = {"now": 0.0}
-        prof = CallPathProfiler()
-        prof.bind_clock(lambda: clock["now"])
-        prof.enter("sim.dispatch")
-        clock["now"] = 2.5
-        prof.exit()
-        (root,) = prof.document()["tree"]["children"]
-        assert root["sim_seconds"] == pytest.approx(2.5)
 
     def test_unbalanced_exit_raises(self):
         prof = CallPathProfiler()
         with pytest.raises(RuntimeError):
             prof.exit()
 
-    def test_add_attaches_leaf_under_current_path(self):
-        prof = CallPathProfiler()
-        with prof.section("sim.dispatch"):
-            prof.add("io.flush", 0.125, calls=3)
-        (root,) = prof.document()["tree"]["children"]
-        (leaf,) = root["children"]
-        assert leaf["name"] == "io.flush"
-        assert leaf["calls"] == 3
-        assert leaf["cum_seconds"] == pytest.approx(0.125)
-        assert leaf["self_seconds"] == pytest.approx(0.125)
-
 
 class TestFlatShim:
     def test_nested_same_name_not_double_counted(self):
         prof = CallPathProfiler()
-        with prof.section("sim.dispatch"):
-            with prof.section("sim.dispatch"):
-                pass
-        flat = prof.flat()["sim.dispatch"]
+        _enter_tree(prof, ("sim.dispatch", ("sim.dispatch",)))
+        doc = prof.document()
+        flat = flatten_document(doc)["sim.dispatch"]
         assert flat["calls"] == 2
+        assert set(flat) == {"calls", "seconds", "self_seconds"}
         # ``seconds`` is the top-most cumulative, not the sum over both
         # nesting levels, so it never exceeds the profiled total.
-        assert flat["seconds"] <= prof.total_seconds + 1e-9
-
-    def test_snapshot_shape_and_reset(self):
-        prof = CallPathProfiler()
-        with prof.section("net.send"):
-            pass
-        prof.count("sim.events", 7)
-        assert set(prof.flat()["net.send"]) == {
-            "calls", "seconds", "self_seconds"
-        }
-        assert prof.counter("sim.events") == 7
-        prof.reset()
-        assert prof.flat() == {}
-        assert prof.counter("sim.events") == 0
-
-    def test_telemetry_attach_binds_clock(self):
-        tel = Telemetry()
-        tel.bind_clock(lambda: 42.0)
-        prof = CallPathProfiler()
-        tel.attach_profiler(prof)
-        assert prof._clock() == 42.0
+        assert flat["seconds"] <= doc["total_seconds"] + 1e-9
 
 
 class TestExports:
@@ -373,6 +337,30 @@ class TestProfileScenarioAndCli:
         rc = main(["profile", "--diff", str(path), str(path)])
         assert rc == 0
         assert "identical" in capsys.readouterr().out
+
+    def test_cli_profile_diff_reads_older_documents(self, tmp_path, capsys):
+        # Dumps from when frames carried a sim-clock column and the
+        # document a counters map still diff against current ones.
+        new = _with_census(_nested_profiler().document(), {"query": {1: 1}})
+
+        def with_sim_seconds(node):
+            return dict(
+                node, sim_seconds=1.5,
+                children=[with_sim_seconds(c) for c in node["children"]],
+            )
+
+        old = dict(
+            new, tree=with_sim_seconds(new["tree"]),
+            counters={"sim.events": 42},
+        )
+        paths = []
+        for name, doc in (("old.json", old), ("new.json", new)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps(doc))
+        assert main(["profile", "--diff", *map(str, paths)]) == 0
+        out = capsys.readouterr().out
+        assert "sim.dispatch" in out
+        assert "event census: identical" in out
 
     def test_cli_profile_diff_rejects_non_profile(self, tmp_path, capsys):
         path = tmp_path / "bogus.json"

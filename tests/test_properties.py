@@ -2,8 +2,8 @@
 
 The library's correctness rests on a handful of algebraic properties:
 summaries merge like a commutative monoid, never produce false negatives,
-coarsening only widens answers, Chord routing always terminates within
-its hop bound, and the balanced join always yields a well-formed tree.
+Chord routing always terminates within its hop bound, and the balanced
+join always yields a well-formed tree.
 """
 
 import math
@@ -30,11 +30,9 @@ from repro.sim import Simulator
 from repro.summaries import (
     BloomFilterSummary,
     HistogramSummary,
-    MultiResolutionHistogram,
     ResourceSummary,
     SummaryConfig,
     ValueSetSummary,
-    coarsen,
 )
 from repro.summaries.codec import decode_histogram, encode_histogram
 from repro.sword import ChordRouter, LocalityHash
@@ -94,16 +92,6 @@ class TestHistogramProperties:
         hb = HistogramSummary.from_values("x", values[mid:], buckets)
         hu = HistogramSummary.from_values("x", values, buckets)
         assert ha.merge(hb) == hu
-
-    @given(values=value_lists, lo=unit_floats, hi=unit_floats)
-    @settings(max_examples=100, deadline=None)
-    def test_coarsening_only_widens(self, values, lo, hi):
-        assume(lo <= hi)
-        fine = HistogramSummary.from_values("x", values, 64)
-        coarse = coarsen(coarsen(fine))
-        pred = RangePredicate("x", lo, hi)
-        if fine.may_match(pred):
-            assert coarse.may_match(pred)
 
     @given(values=value_lists, buckets=bucket_counts,
            lo=unit_floats, hi=unit_floats)
@@ -204,38 +192,6 @@ class TestBucketingKernel:
         whole = ResourceSummary(store.schema, config, expected)
         assert summary.fingerprint() == whole.fingerprint()
         assert summary.encoded_size() == whole.encoded_size()
-
-    @given(built=mixed_stores(), levels=st.sampled_from([2, 3]),
-           buckets=st.sampled_from([4, 16, 100, 1000]),
-           encoding=st.sampled_from(["dense", "sparse", "bitmap"]))
-    @settings(max_examples=60, deadline=None)
-    def test_multiresolution_path_matches_reference(
-        self, built, levels, buckets, encoding
-    ):
-        store, columns, _ = built
-        config = SummaryConfig(
-            histogram_buckets=buckets, histogram_encoding=encoding,
-            multiresolution_levels=levels,
-        )
-        summary = ResourceSummary.from_store(store, config)
-        for spec, values in zip(store.schema.numeric_attributes, columns):
-            lo, hi = spec.bounds
-            pyramid = summary.attributes[spec.name]
-            assert pyramid.levels == levels
-            per_level = [
-                reference_counts(values, lo, hi, buckets >> i)
-                for i in range(levels)
-            ]
-            for i, counts in enumerate(per_level):
-                assert pyramid.level(i).counts.tolist() == counts
-            finest = HistogramSummary(
-                spec.name, buckets, spec.bounds,
-                encoding=encoding, counts=per_level[0],
-            )
-            assert pyramid.fingerprint() == finest.fingerprint()
-            assert pyramid.encoded_size() == sum(
-                reference_size(counts, encoding) for counts in per_level
-            )
 
 
 def reference_span(h, lo, hi):
@@ -362,21 +318,6 @@ class TestOccupancyPruning:
             assert later.attributes[name]._occupancy is not None
         assert summary.attributes["b"]._occupancy is None  # never asked
         assert later.may_match(query)
-
-    @given(data=st.data(), levels=st.sampled_from([1, 2, 3]),
-           dom=st.sampled_from(DOMAINS))
-    @settings(max_examples=100, deadline=None)
-    def test_multiresolution_answers_like_its_finest_level(self, data, levels, dom):
-        inside = st.floats(min_value=dom[0], max_value=dom[1])
-        values = data.draw(st.lists(inside, max_size=20))
-        pyramid = MultiResolutionHistogram.from_values("a", values, 64, dom, levels)
-        finest = pyramid.level(0)
-        lo, hi = sorted([data.draw(endpoints(finest)), data.draw(endpoints(finest))])
-        pred = RangePredicate("a", lo, hi)
-        expected = bool(finest.counts[reference_span(finest, lo, hi)].any())
-        assert pyramid.may_match(pred) is finest.may_match(pred) is expected
-        pyramid.add_values([dom[0]])
-        assert pyramid.may_match(RangePredicate("a", -math.inf, dom[0]))
 
 
 names = st.text(

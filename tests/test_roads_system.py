@@ -264,8 +264,8 @@ class TestReadPathDeterminism:
 
     @pytest.mark.parametrize(
         "summary_kw",
-        [{}, {"multiresolution_levels": 3}, {"histogram_encoding": "bitmap"}],
-        ids=["plain", "multires3", "bitmap"],
+        [{}, {"histogram_encoding": "bitmap"}],
+        ids=["plain", "bitmap"],
     )
     def test_searches_and_routing_decisions_are_pinned(self, summary_kw):
         wcfg = WorkloadConfig(num_nodes=40, records_per_node=100, seed=15)

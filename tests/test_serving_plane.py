@@ -8,6 +8,8 @@ plane over the shared dispatcher, deterministically for a fixed seed,
 and the simulator drains back to an empty event heap.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from repro.roads import (
     SearchRequest,
 )
 from repro.sim import QUERY, Simulator
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, Telemetry
 from repro.summaries import SummaryConfig
 from repro.workload import WorkloadConfig, generate_node_stores, generate_queries
 
@@ -336,6 +338,80 @@ class TestConcurrentServing:
         # No orphan launch: driving on serves no search nobody asked for.
         sim.run(until=sim.now + 5.0)
         assert system.metrics.merged_histogram("query.latency").count == 0
+
+
+class TestOneSearchPath:
+    """``search(r)`` is ``submit(r)`` run to completion: the result, the
+    latency observation, the quality audit and the ``query.execute``
+    span are made in one place, so a search and a hand-driven submit of
+    the same request agree on all of them."""
+
+    @staticmethod
+    def _armed(seed):
+        tel = Telemetry()
+        wcfg = WorkloadConfig(num_nodes=NODES, records_per_node=60, seed=seed)
+        system = RoadsSystem.build(
+            RoadsConfig(
+                num_nodes=NODES, records_per_node=60, max_children=4,
+                summary=SummaryConfig(histogram_buckets=200), seed=seed,
+                loss_rate=0.05,
+            ),
+            generate_node_stores(wcfg),
+            telemetry=tel,
+        )
+        # Lossy, shedding, with the update plane running underneath:
+        # searches time out, give up on shed servers and stop mid-stream.
+        system.enable_service(ServiceConfig(service_time=0.02, queue_limit=0))
+        system.update_plane.start()
+        system.attach_quality()
+        requests = [
+            SearchRequest(q, retry=RetryPolicy(timeout=2.0, retries=0))
+            for q in generate_queries(wcfg, num_queries=8, dimensions=3)
+        ]
+        return system, tel, requests
+
+    @staticmethod
+    def _key(result):
+        # Query ids are process-wide, so the two builds' differ.
+        quality = dataclasses.replace(result.quality, query_id=None)
+        return (outcome_key(result), result.submitted_at, result.finished_at,
+                quality)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_search_is_submit_run_to_completion(self, seed):
+        system, tel, requests = self._armed(seed)
+        searched = [system.search(r) for r in requests]
+
+        ref, ref_tel, ref_requests = self._armed(seed)
+        submitted = []
+        for request in ref_requests:
+            pending = ref.submit(request)
+            while not pending.done and ref.sim.step():
+                pass
+            submitted.append(pending.result)
+
+        assert [self._key(r) for r in searched] == [
+            self._key(r) for r in submitted
+        ]
+        assert all(r.quality is not None for r in searched)
+        assert (system.sim.processed, system.sim.now) == (
+            ref.sim.processed, ref.sim.now
+        )
+        assert [e.to_dict() for e in tel.events()] == [
+            e.to_dict() for e in ref_tel.events()
+        ]
+        spans = [e for e in tel.events() if e.name == "query.execute"]
+        assert len(spans) == len(requests)
+        for span, result in zip(spans, searched):
+            assert span.kind == "span"
+            assert span.tags["servers"] == result.outcome.servers_contacted
+            assert span.tags["matches"] == result.outcome.total_matches
+            assert span.tags["shed"] == len(result.outcome.shed_servers)
+            assert (span.ts, span.dur) == (
+                result.submitted_at, result.finished_at - result.submitted_at
+            )
+        latency = system.metrics.merged_histogram("query.latency")
+        assert latency.count == len(requests)
 
 
 class TestLoadGenerator:

@@ -8,7 +8,6 @@ from repro.records import RecordStore
 from repro.summaries import (
     BloomFilterSummary,
     HistogramSummary,
-    MultiResolutionHistogram,
     ResourceSummary,
     SummaryConfig,
     SummaryMergeError,
@@ -34,9 +33,8 @@ class TestSummaryConfig:
             {"categorical_summary": "hash"},
             {"bloom_bits": 0},
             {"bloom_hashes": 0},
-            {"multiresolution_levels": 0},
+            {"histogram_buckets": -1},
             {"ttl": 0},
-            {"multiresolution_levels": 4, "histogram_buckets": 100},
         ],
     )
     def test_invalid(self, kwargs):
@@ -56,11 +54,6 @@ class TestFromStore:
         cfg = SummaryConfig(categorical_summary="bloom", bloom_bits=512)
         s = ResourceSummary.from_store(mixed_store, cfg)
         assert isinstance(s.attributes["type"], BloomFilterSummary)
-
-    def test_multires_option(self, unit_store):
-        cfg = SummaryConfig(histogram_buckets=64, multiresolution_levels=3)
-        s = ResourceSummary.from_store(unit_store, cfg)
-        assert isinstance(s.attributes["a"], MultiResolutionHistogram)
 
     def test_empty_summary(self, mixed_schema):
         s = ResourceSummary.empty(mixed_schema, SummaryConfig())
@@ -145,18 +138,6 @@ class TestSoftState:
 
 
 class TestEstimation:
-    def test_estimated_matches_upper_bounds_truth(self, unit_store):
-        cfg = SummaryConfig(histogram_buckets=64)
-        s = ResourceSummary.from_store(unit_store, cfg)
-        q = Query.of(RangePredicate("a", 0.2, 0.4), RangePredicate("b", 0.1, 0.9))
-        assert s.estimated_matches(q) >= q.match_count(unit_store)
-
-    def test_estimated_matches_zero_when_pruned(self, mixed_store):
-        cfg = SummaryConfig(histogram_buckets=64)
-        s = ResourceSummary.from_store(mixed_store, cfg)
-        q = Query.of(EqualsPredicate("type", "submarine"))
-        assert s.estimated_matches(q) == 0
-
     def test_encoded_size_sums_attributes(self, unit_store):
         cfg = SummaryConfig(histogram_buckets=64)
         s = ResourceSummary.from_store(unit_store, cfg)
@@ -182,12 +163,6 @@ class TestFingerprintByteStream:
         )
         assert h.fingerprint().hex() == self.HISTOGRAM
 
-    def test_multiresolution_digest_is_pinned(self):
-        m = MultiResolutionHistogram.from_values(
-            "load", self.VALUES, 64, (-2.0, 7.0), 3
-        )
-        assert m.fingerprint().hex() == self.HISTOGRAM  # its finest level
-
     def test_strided_counts_hash_as_their_values(self):
         block = np.arange(24, dtype=np.int64).reshape(8, 3)
         h = HistogramSummary._trusted("x", (0.0, 1.0), "dense", block[:, 1])
@@ -196,7 +171,6 @@ class TestFingerprintByteStream:
 
     @pytest.mark.parametrize("kwargs", [
         {}, {"histogram_encoding": "sparse"}, {"histogram_encoding": "bitmap"},
-        {"multiresolution_levels": 3},
     ])
     def test_resource_summary_digest_is_pinned(self, kwargs):
         store = generate_node_store(

@@ -18,12 +18,9 @@ from repro.telemetry import (
 
 def sample_telemetry():
     tel = Telemetry()
-    clock = {"t": 0.0}
-    tel.bind_clock(lambda: clock["t"])
-    with tel.span("query.execute", server=3, client=1):
-        clock["t"] = 0.1
-        tel.event("query.send", server=5, bytes=160)
-        clock["t"] = 0.4
+    tel.bind_clock(lambda: 0.1)
+    tel.event("query.send", server=5, bytes=160)
+    tel.emit_span("query.execute", 0.0, 0.4, server=3, client=1)
     tel.emit_span("net.transit", 0.1, 0.25, src=1, server=5,
                   category="query")
     return tel
@@ -44,6 +41,23 @@ class TestJsonl:
         for line in path.read_text().splitlines():
             obj = json.loads(line)
             assert {"ts", "name", "kind", "tags"} <= set(obj)
+
+    def test_older_export_with_parent_id_loads(self, tmp_path):
+        # Exports written while events carried a span-stack parent still
+        # load; parentage is the TraceContext tags, which they also carry.
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"ts": 0.5, "name": "query.execute", "kind": "span", '
+            '"dur": 0.25, "span_id": 9, "parent_id": 4, '
+            '"tags": {"trace_id": 1, "parent_span_id": 4}}\n'
+        )
+        (event,) = read_jsonl(path)
+        assert (event.ts, event.name, event.kind, event.dur) == (
+            0.5, "query.execute", "span", 0.25
+        )
+        assert event.span_id == 9
+        assert event.tags == {"trace_id": 1, "parent_span_id": 4}
+        assert "parent_id" not in event.to_dict()
 
 
 class TestChromeTrace:
@@ -76,9 +90,9 @@ class TestChromeTrace:
 
     def test_overlapping_root_spans_get_distinct_lanes(self):
         tel = Telemetry()
-        # Two root spans (parent_id == 0) on the same server overlap in
-        # time; they must land on different tid lanes or one hides the
-        # other in the trace viewer.
+        # Two untraced spans on the same server overlap in time; they
+        # must land on different tid lanes or one hides the other in
+        # the trace viewer.
         tel.emit_span("query.execute", 0.0, 1.0, server=2)
         tel.emit_span("update.aggregate", 0.2, 0.6, server=2)
         doc = chrome_trace(tel.events())

@@ -13,7 +13,7 @@ down the properties that matter:
   expires at its TTL, and the sender's forced full re-send heals it;
 * maintenance integration: rejoins re-export immediately, heartbeats
   can piggyback summary fingerprints;
-* the public ``QueryExecution.run(mode=...)`` entry points.
+* the public ``QueryExecution.start(mode=...)`` entry points.
 """
 
 import dataclasses
@@ -719,7 +719,7 @@ class TestQueryEntryModes:
             retry=RetryPolicy(),
         )
         with pytest.raises(ValueError, match="mode"):
-            execution.run(mode="sideways")
+            execution.start(mode="sideways")
 
     def test_done_property_tracks_completion(self):
         from repro.roads import QueryExecution
@@ -733,5 +733,7 @@ class TestQueryEntryModes:
             retry=RetryPolicy(),
         )
         assert not execution.done
-        execution.run(mode="start")
-        assert execution.done
+        execution.start(mode="start")
+        assert not execution.done
+        system.sim.run(stop=lambda: execution.done)
+        assert execution.done and execution.outcome.completed
