@@ -130,7 +130,7 @@ def measured_dimension_probabilities(
         for pred in query.predicates:
             for s in summaries:
                 trials[pred.attribute] += 1
-                if s.attributes[pred.attribute].may_match(pred):
+                if s.attribute(pred.attribute).may_match(pred):
                     hits[pred.attribute] += 1
     return {
         a: hits[a] / trials[a] for a in trials

@@ -10,7 +10,9 @@ A query is immutable, so what depends only on it is computed once and
 kept on the instance outside its dataclass fields (equality, hash and repr
 never see it): its wire size and, per store schema, the columns and bound
 vectors of its range predicates, which :meth:`Query.mask` compares with the
-store's numeric matrix in one 2-D operation. Record values are never cached.
+store's numeric matrix in one 2-D operation, and per schema and bucket count
+the bucket masks a summary ANDs with its occupancy bitsets
+(``summaries.summary._match_plan``). Record values are never cached.
 """
 
 from __future__ import annotations

@@ -35,17 +35,10 @@ class AttributeSummary(abc.ABC):
     def merge(self, other: "AttributeSummary") -> "AttributeSummary":
         """A new summary covering both inputs' value sets."""
 
+    @abc.abstractmethod
     def merge_many(self, others) -> "AttributeSummary":
-        """A new summary covering this and all of *others*' value sets.
-
-        Semantically a left-fold of :meth:`merge`; concrete summary
-        types override it with a single-pass (stacked-array) merge that
-        produces bit-identical results without per-operand intermediates.
-        """
-        out = self
-        for other in others:
-            out = out.merge(other)
-        return out
+        """One new summary covering this and all of *others*' value sets:
+        the left fold of :meth:`merge`, in a single pass."""
 
     @abc.abstractmethod
     def encoded_size(self) -> int:
@@ -55,14 +48,6 @@ class AttributeSummary(abc.ABC):
     @abc.abstractmethod
     def is_empty(self) -> bool:
         """True when no values have been summarized."""
-
-    def copy(self) -> "AttributeSummary":
-        """An independent copy (summaries are mutated only via merge)."""
-        return self.merge(type(self).empty_like(self))  # pragma: no cover
-
-    @classmethod
-    def empty_like(cls, other: "AttributeSummary") -> "AttributeSummary":
-        raise NotImplementedError
 
 
 class SummaryMergeError(ValueError):

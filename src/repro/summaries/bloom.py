@@ -122,10 +122,7 @@ class BloomFilterSummary(AttributeSummary):
         return other
 
     def merge(self, other: AttributeSummary) -> "BloomFilterSummary":
-        other = self._check_mergeable(other)
-        merged = BloomFilterSummary(self.attribute, self.bits, self.num_hashes)
-        merged._array = self._array | other._array
-        return merged
+        return self.merge_many([other])
 
     def merge_many(self, others) -> "BloomFilterSummary":
         """Single-pass bitwise OR over this and all of *others*."""

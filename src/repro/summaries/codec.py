@@ -60,17 +60,11 @@ def encode_histogram(h: HistogramSummary) -> bytes:
         "<BB", _KIND_HISTOGRAM, _ENCODINGS.index(h.encoding)
     ) + _pack_name(h.attribute) + struct.pack("<Idd", h.buckets, h.lo, h.hi)
     if h.encoding == "dense":
-        counts = h.counts
-        if (counts > 0xFFFFFFFF).any():
-            raise CodecError("dense counter overflow (>2^32)")
-        payload = counts.astype("<u4").tobytes()
+        payload = h.counts.astype("<u4").tobytes()
     elif h.encoding == "sparse":
         idx = np.flatnonzero(h.counts)
-        counts = h.counts[idx]
-        if (counts > 0xFFFFFFFF).any() or h.buckets > 0xFFFFFFFF:
-            raise CodecError("sparse entry overflow")
         payload = struct.pack("<I", idx.size)
-        payload += idx.astype("<u4").tobytes() + counts.astype("<u4").tobytes()
+        payload += idx.astype("<u4").tobytes() + h.counts[idx].astype("<u4").tobytes()
     else:  # bitmap
         payload = np.packbits(h.counts > 0).tobytes()
     return head + payload
@@ -90,7 +84,6 @@ def decode_histogram(buf: bytes, off: int = 0) -> Tuple[HistogramSummary, int]:
     if encoding == "dense":
         counts = np.frombuffer(buf, dtype="<u4", count=buckets, offset=off)
         off += buckets * 4
-        counts = counts.astype(np.int64)
     elif encoding == "sparse":
         (n_entries,) = struct.unpack_from("<I", buf, off)
         off += 4
@@ -98,15 +91,14 @@ def decode_histogram(buf: bytes, off: int = 0) -> Tuple[HistogramSummary, int]:
         off += n_entries * 4
         vals = np.frombuffer(buf, dtype="<u4", count=n_entries, offset=off)
         off += n_entries * 4
-        counts = np.zeros(buckets, dtype=np.int64)
-        counts[idx.astype(np.int64)] = vals.astype(np.int64)
+        counts = np.zeros(buckets, dtype=np.uint32)
+        counts[idx] = vals
     else:  # bitmap: occupancy only
         nbytes = (buckets + 7) // 8
-        bits = np.unpackbits(
+        counts = np.unpackbits(
             np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=off)
         )[:buckets]
         off += nbytes
-        counts = bits.astype(np.int64)
     return (
         HistogramSummary(name, buckets, (lo, hi), encoding=encoding, counts=counts),
         off,
@@ -176,10 +168,7 @@ def encode_attribute(summary: AttributeSummary) -> bytes:
         return encode_valueset(summary)
     if isinstance(summary, BloomFilterSummary):
         return encode_bloom(summary)
-    raise CodecError(
-        f"no codec for {type(summary).__name__} "
-        "(multi-resolution pyramids ship one level at a time)"
-    )
+    raise CodecError(f"no codec for summary type {type(summary).__name__}")
 
 
 def decode_attribute(buf: bytes, off: int = 0) -> Tuple[AttributeSummary, int]:
@@ -201,12 +190,9 @@ _MAGIC = b"RSUM"
 def encode_summary(summary: ResourceSummary) -> bytes:
     """Serialize a whole :class:`ResourceSummary` to bytes."""
     frames = b"".join(
-        encode_attribute(summary.attributes[spec.name])
-        for spec in summary.schema
+        encode_attribute(summary.attribute(spec.name)) for spec in summary.schema
     )
-    head = _MAGIC + struct.pack(
-        "<dI", summary.created_at, len(summary.attributes)
-    )
+    head = _MAGIC + struct.pack("<dI", summary.created_at, len(summary.schema))
     return head + frames
 
 

@@ -16,11 +16,11 @@ is an ablation axis (see DESIGN.md §5).
 
 Query evaluation runs on that same one bit per bucket: a histogram packs
 its *occupancy bitset* (a Python ``int``, bit ``i`` set iff bucket ``i`` is
-non-empty) on its first ``may_match`` and answers a range with
-``occupancy & mask != 0``, the mask coming from the memoised
-:func:`_bucket_span`. The bitset is dropped wherever the fingerprint is
-(only ``add_values`` changes a histogram), summaries travel by reference
-so every holder shares it, and the write path never builds one.
+non-empty) on its first ``may_match``, drops it wherever it drops its
+fingerprint, and tests ``occupancy & mask != 0`` with the mask of the
+memoised :func:`_bucket_span`. Counters are int32, as on the wire: a
+counter that wrapped would read as an empty bucket (a false negative), so
+whatever adds to counters first checks the total fits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import functools
 import hashlib
 import math
 import struct
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -42,13 +42,43 @@ _DENSE_COUNTER_BYTES = 4
 _SPARSE_ENTRY_BYTES = 8
 #: fixed header: attribute id, bucket count, domain bounds
 _HEADER_BYTES = 16
+#: largest value an int32 counter holds
+COUNTER_MAX = int(np.iinfo(np.int32).max)
+
+
+def check_counter_room(total: int) -> None:
+    """Raise unless *total* summarized values fit an int32 counter."""
+    if total > COUNTER_MAX:
+        raise OverflowError(f"{total} values overflow an int32 counter (max {COUNTER_MAX})")
+
+
+def wire_bytes(encoding: str, block: np.ndarray) -> int:
+    """Wire size of the histograms whose counters are the rows of the
+    2-D *block*, under *encoding*."""
+    rows, buckets = block.shape
+    if encoding == "dense":
+        return rows * (_HEADER_BYTES + buckets * _DENSE_COUNTER_BYTES)
+    if encoding == "bitmap":
+        return rows * (_HEADER_BYTES + (buckets + 7) // 8)
+    return rows * _HEADER_BYTES + int(np.count_nonzero(block)) * _SPARSE_ENTRY_BYTES
+
+
+def histogram_digest(attribute: str, lo: float, hi: float, wide: np.ndarray) -> bytes:
+    """Content hash of one histogram, a wire value: *wide* is its counters
+    widened to C-contiguous int64, the bytes hashed before they were int32."""
+    h = hashlib.blake2b(
+        attribute.encode("utf-8") + struct.pack("=qdd", wide.shape[0], lo, hi),
+        digest_size=16,
+    )
+    h.update(wide)
+    return h.digest()
 
 
 def _bucket_block(
     values: np.ndarray, lo: np.ndarray, hi: np.ndarray, buckets: int
 ) -> np.ndarray:
     """The bucketing kernel: ``(records, attributes)`` values to an
-    ``(attributes, buckets)`` int64 count block.
+    ``(attributes, buckets)`` int32 count block.
 
     Column ``j`` is clipped into ``[lo[j], hi[j]]`` and every value falls
     in equal-width bucket ``floor((v - lo) / (hi - lo) * buckets)``, with
@@ -58,11 +88,11 @@ def _bucket_block(
     n_attrs = values.shape[1]
     idx = np.floor(
         (np.clip(values, lo, hi) - lo) / (hi - lo) * buckets
-    ).astype(np.int64)
+    ).astype(np.intp)
     np.clip(idx, 0, buckets - 1, out=idx)
-    idx += np.arange(n_attrs, dtype=np.int64) * buckets
+    idx += np.arange(n_attrs, dtype=np.intp) * buckets
     block = np.bincount(idx.ravel(), minlength=n_attrs * buckets)
-    return block.astype(np.int64, copy=False).reshape(n_attrs, buckets)
+    return block.astype(np.int32).reshape(n_attrs, buckets)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -115,16 +145,17 @@ class HistogramSummary(AttributeSummary):
         self.hi = float(hi)
         self.encoding = encoding
         if counts is None:
-            self.counts = np.zeros(buckets, dtype=np.int64)
+            self.counts = np.zeros(buckets, dtype=np.int32)
         else:
-            counts = np.asarray(counts, dtype=np.int64)
+            counts = np.asarray(counts)
             if counts.shape != (buckets,):
                 raise ValueError(
                     f"counts shape {counts.shape} does not match bucket count {buckets}"
                 )
-            if (counts < 0).any():
+            if counts.dtype.kind != "u" and counts.min() < 0:  # wire counters are unsigned
                 raise ValueError("histogram counts must be non-negative")
-            self.counts = counts.copy()
+            check_counter_room(int(counts.max()))
+            self.counts = counts.astype(np.int32)
         self._fp = self._occupancy = None
 
     # -- construction ------------------------------------------------------------
@@ -144,46 +175,6 @@ class HistogramSummary(AttributeSummary):
         return h
 
     @classmethod
-    def from_matrix(
-        cls,
-        attributes: Sequence[str],
-        matrix: np.ndarray,
-        buckets: int,
-        bounds: Sequence[Tuple[float, float]],
-        *,
-        encoding: str = "dense",
-    ) -> List["HistogramSummary"]:
-        """One histogram per column of a ``(records, attributes)`` matrix.
-
-        Column ``j`` is summarized under ``attributes[j]`` over domain
-        ``bounds[j]``, exactly as :meth:`from_values` would summarize it
-        alone; the histograms' counters are rows of one shared block.
-        """
-        if buckets <= 0:
-            raise ValueError(f"histogram needs at least one bucket, got {buckets}")
-        if encoding not in ("dense", "sparse", "bitmap"):
-            raise ValueError(f"unknown encoding {encoding!r}")
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or not (
-            matrix.shape[1] == len(attributes) == len(bounds)
-        ):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match "
-                f"{len(attributes)} attributes / {len(bounds)} bounds"
-            )
-        if not attributes:
-            return []
-        edges = np.asarray(bounds, dtype=np.float64).reshape(-1, 2)
-        lo, hi = edges[:, 0], edges[:, 1]
-        if not (lo < hi).all():
-            raise ValueError(f"invalid histogram bounds {list(bounds)}")
-        block = _bucket_block(matrix, lo, hi, buckets)
-        return [
-            cls._trusted(name, (float(l), float(h)), encoding, counts)
-            for name, l, h, counts in zip(attributes, lo, hi, block)
-        ]
-
-    @classmethod
     def _trusted(
         cls,
         attribute: str,
@@ -194,7 +185,8 @@ class HistogramSummary(AttributeSummary):
         """Internal constructor for counts already known valid.
 
         Skips re-validation and the defensive copy of ``__init__`` —
-        merge results are freshly allocated arrays the caller owns.
+        merge results are freshly allocated arrays the caller owns, and a
+        summary's rows are read-only views of its block.
         """
         h = cls.__new__(cls)
         h.attribute = attribute
@@ -209,6 +201,7 @@ class HistogramSummary(AttributeSummary):
                           dtype=np.float64)
         if vals.size == 0:
             return
+        check_counter_room(self.total + vals.size)
         self._fp = self._occupancy = None
         self.counts += _bucket_block(
             vals.reshape(-1, 1),
@@ -270,43 +263,24 @@ class HistogramSummary(AttributeSummary):
         return other
 
     def merge(self, other: AttributeSummary) -> "HistogramSummary":
-        other = self._check_mergeable(other)
-        return HistogramSummary._trusted(
-            self.attribute,
-            (self.lo, self.hi),
-            self.encoding,
-            self.counts + other.counts,
-        )
+        return self.merge_many([other])
 
     def merge_many(self, others) -> "HistogramSummary":
-        """Bucket-wise sum with *others* in one pass.
-
-        Equivalent to left-folding :meth:`merge` (int64 addition is
-        associative) but allocates a single result array instead of one
-        intermediate histogram per operand.
-        """
+        """Bucket-wise sum with *others* in one pass: a single result
+        array instead of one intermediate histogram per operand."""
+        others = [self._check_mergeable(o) for o in others]
+        check_counter_room(self.total + sum(o.total for o in others))
         counts = self.counts.copy()
         for o in others:
-            counts += self._check_mergeable(o).counts
-        return HistogramSummary._trusted(
-            self.attribute, (self.lo, self.hi), self.encoding, counts
-        )
+            counts += o.counts
+        return HistogramSummary._trusted(self.attribute, (self.lo, self.hi), self.encoding, counts)
 
     def copy(self) -> "HistogramSummary":
-        return HistogramSummary._trusted(
-            self.attribute,
-            (self.lo, self.hi),
-            self.encoding,
-            self.counts.copy(),
-        )
+        bounds = (self.lo, self.hi)
+        return HistogramSummary._trusted(self.attribute, bounds, self.encoding, self.counts.copy())
 
     def encoded_size(self) -> int:
-        if self.encoding == "dense":
-            return _HEADER_BYTES + self.buckets * _DENSE_COUNTER_BYTES
-        if self.encoding == "bitmap":
-            return _HEADER_BYTES + (self.buckets + 7) // 8
-        nonzero = int(np.count_nonzero(self.counts))
-        return _HEADER_BYTES + nonzero * _SPARSE_ENTRY_BYTES
+        return wire_bytes(self.encoding, self.counts.reshape(1, -1))
 
     def fingerprint(self) -> bytes:
         """Content hash used by delta propagation to skip unchanged sends.
@@ -315,25 +289,11 @@ class HistogramSummary(AttributeSummary):
         invalidates) — merges and copies return new instances.
         """
         if self._fp is None:
-            h = hashlib.blake2b(
-                self.attribute.encode("utf-8")
-                + struct.pack("=qdd", self.buckets, self.lo, self.hi),
-                digest_size=16,
-            )
-            h.update(np.ascontiguousarray(self.counts))
-            self._fp = h.digest()
+            wide = np.ascontiguousarray(self.counts, dtype=np.int64)
+            self._fp = histogram_digest(self.attribute, self.lo, self.hi, wide)
         return self._fp
 
     # -- introspection -------------------------------------------------------------
-    def count_in_range(self, lo: float, hi: float) -> int:
-        """Upper bound on how many summarized values lie in ``[lo, hi]``.
-
-        Bucket-granular: partial bucket overlap counts the whole bucket,
-        so this is an over-estimate — consistent with no-false-negatives.
-        """
-        first, last, _ = _bucket_span(lo, hi, self.lo, self.hi, self.buckets)
-        return int(self.counts[first : last + 1].sum())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HistogramSummary)
@@ -347,5 +307,5 @@ class HistogramSummary(AttributeSummary):
     def __repr__(self) -> str:
         return (
             f"HistogramSummary({self.attribute!r}, buckets={self.buckets}, "
-            f"total={self.total})"
+            f"bounds={(self.lo, self.hi)}, total={self.total})"
         )

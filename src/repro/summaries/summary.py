@@ -1,9 +1,14 @@
 """Whole-record-set summaries.
 
-A :class:`ResourceSummary` bundles one attribute summary per searchable
-attribute of a schema. It is what resource owners export to their
-attachment points, what servers aggregate bottom-up into branch summaries,
-and what the replication overlay copies across the hierarchy.
+A :class:`ResourceSummary` summarizes every searchable attribute of a
+schema. It is what resource owners export to their attachment points,
+what servers aggregate bottom-up into branch summaries, and what the
+replication overlay copies across the hierarchy.
+
+The numeric histograms are the rows of one C-contiguous int32 ``(numeric
+attributes × buckets)`` block over the schema's bounds, so every kernel
+works on one array: one bucketing pass builds it, a merge is one add per
+operand, and a query ANDs compiled bucket masks with one bitset per row.
 """
 
 from __future__ import annotations
@@ -11,26 +16,44 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Optional
 
+import numpy as np
+
+from ..query.predicate import RangePredicate
 from ..query.query import Query
 from ..records.schema import Schema
 from ..records.store import RecordStore
 from .base import AttributeSummary, SummaryMergeError
 from .bloom import BloomFilterSummary
 from .config import SummaryConfig
-from .histogram import HistogramSummary
+from .histogram import (
+    HistogramSummary,
+    _bucket_block,
+    _bucket_span,
+    check_counter_room,
+    histogram_digest,
+    wire_bytes,
+)
 from .valueset import ValueSetSummary
 
 
 class ResourceSummary:
-    """Per-attribute summaries of a set of resource records.
+    """Summaries of every searchable attribute of a set of resource records.
 
-    Soft state: carries the simulation timestamp at which it was created
-    and the configured TTL; servers discard summaries whose TTL expired.
-    Content is fixed once built, so the content hash and wire size are
-    computed when first asked for and travel with :meth:`refreshed` copies.
+    ``block`` is read-only (row ``i``: the schema's ``i``-th numeric
+    attribute), ``categorical`` maps names to value-set or Bloom summaries,
+    and ``records`` bounds every row's total (a store summary's record
+    count), so a merge can refuse to wrap a counter.
+
+    Soft state: stamped ``created_at`` and dropped by servers once the
+    config's TTL passed. Content is fixed once built, so the hash, wire
+    size and occupancy bitsets are computed when first asked for and
+    travel with :meth:`refreshed` copies.
     """
 
-    __slots__ = ("schema", "config", "attributes", "created_at", "_fp", "_size")
+    __slots__ = (
+        "schema", "config", "block", "records", "categorical", "created_at",
+        "_fp", "_size", "_occupancy",
+    )
 
     def __init__(
         self,
@@ -39,101 +62,118 @@ class ResourceSummary:
         attributes: Optional[Dict[str, AttributeSummary]] = None,
         created_at: float = 0.0,
     ):
+        """Summary of nothing, or of the per-attribute *attributes*.
+
+        Histograms handed in must cover their attribute's schema bounds
+        with ``config.histogram_buckets`` buckets: they become rows of the
+        block, which every reader may then index by schema position.
+        """
+        numeric = schema.numeric_attributes
+        buckets = config.histogram_buckets
+        if attributes is None:
+            block = np.zeros((len(numeric), buckets), dtype=np.int32)
+            categorical = schema.categorical_attributes
+            attributes = {s.name: _categorical(s.name, (), config) for s in categorical}
+        else:
+            rows = []
+            for spec in numeric:
+                h = attributes[spec.name]
+                if not (
+                    isinstance(h, HistogramSummary) and h.counts.shape == (buckets,)
+                    and (h.lo, h.hi) == spec.bounds
+                ):
+                    raise ValueError(
+                        f"attribute {spec.name!r} needs a histogram of {buckets} "
+                        f"buckets over {spec.bounds}, got {h!r}"
+                    )
+                rows.append(h.counts)
+            block = np.array(rows, dtype=np.int32).reshape(len(numeric), buckets)
+        records = int(block.sum(axis=1).max()) if len(numeric) else 0
+        categorical = {s.name: attributes[s.name] for s in schema.categorical_attributes}
+        self._init(schema, config, block, records, categorical, created_at)
+
+    def _init(self, schema, config, block, records, categorical, created_at):
+        """Adopt *block* (owned by this summary from now on, and known
+        valid) and the rest; the constructor every path ends in."""
+        check_counter_room(records)
+        block.flags.writeable = False
         self.schema = schema
         self.config = config
+        self.block = block
+        self.records = records
+        self.categorical = categorical
         self.created_at = created_at
-        if attributes is None:
-            attributes = {
-                spec.name: _empty_summary(spec.name, spec.bounds, spec.is_numeric, config)
-                for spec in schema
-            }
-        self.attributes = attributes
-        self._fp = self._size = None
+        self._fp = self._size = self._occupancy = None
+        return self
 
     # -- construction ------------------------------------------------------------
     @classmethod
     def from_store(
-        cls,
-        store: RecordStore,
-        config: SummaryConfig,
-        created_at: float = 0.0,
+        cls, store: RecordStore, config: SummaryConfig, created_at: float = 0.0
     ) -> "ResourceSummary":
         """Summarize every searchable attribute of *store*."""
         schema = store.schema
-        attrs: Dict[str, AttributeSummary] = {}
-        numeric = schema.numeric_attributes
-        names = [spec.name for spec in numeric]
-        histograms = HistogramSummary.from_matrix(
-            names,
-            store.numeric_matrix,
-            config.histogram_buckets,
-            [spec.bounds for spec in numeric],
-            encoding=config.histogram_encoding,
-        )
-        attrs.update(zip(names, histograms))
-        for spec in schema.categorical_attributes:
-            values = store.categorical_column(spec.name)
-            if config.categorical_summary == "bloom":
-                attrs[spec.name] = BloomFilterSummary.from_values(
-                    spec.name, values, config.bloom_bits, config.bloom_hashes
-                )
-            else:
-                attrs[spec.name] = ValueSetSummary.from_values(spec.name, values)
-        return cls(schema, config, attrs, created_at=created_at)
+        edges = np.array([s.bounds for s in schema.numeric_attributes], dtype=np.float64)
+        lo, hi = edges.reshape(-1, 2).T
+        block = _bucket_block(store.numeric_matrix, lo, hi, config.histogram_buckets)
+        categorical = {
+            spec.name: _categorical(spec.name, store.categorical_column(spec.name), config)
+            for spec in schema.categorical_attributes
+        }
+        return cls.__new__(cls)._init(schema, config, block, len(store), categorical, created_at)
 
-    @classmethod
-    def empty(
-        cls, schema: Schema, config: SummaryConfig, created_at: float = 0.0
-    ) -> "ResourceSummary":
-        return cls(schema, config, created_at=created_at)
+    # -- per-attribute view ------------------------------------------------------
+    def attribute(self, name: str) -> AttributeSummary:
+        """The summary of attribute *name*; a numeric attribute's is a
+        read-only view of its row of the block."""
+        if name in self.categorical:
+            return self.categorical[name]
+        if name not in self.schema:
+            raise KeyError(f"summary has no attribute {name!r}")
+        row = self.block[self.schema.numeric_position(name)]
+        bounds = tuple(map(float, self.schema[name].bounds))
+        return HistogramSummary._trusted(name, bounds, self.config.histogram_encoding, row)
+
+    @property
+    def attributes(self) -> Dict[str, AttributeSummary]:
+        """Every attribute's summary by name, in schema order."""
+        return {spec.name: self.attribute(spec.name) for spec in self.schema}
 
     # -- protocol ----------------------------------------------------------------
     @property
     def is_empty(self) -> bool:
-        return all(s.is_empty for s in self.attributes.values())
+        return not self.block.any() and all(
+            s.is_empty for s in self.categorical.values()
+        )
 
     def may_match(self, query: Query) -> bool:
         """Whether records behind this summary possibly match *query*.
 
         True only when **every** queried dimension may match — the
         conjunctive evaluation that lets ROADS use all dimensions to
-        confine the search scope.
+        confine the search scope. A range on a numeric attribute is one
+        AND of the row's occupancy bitset with the query's compiled
+        bucket mask; any other predicate asks its attribute's summary.
         """
-        for pred in query.predicates:
-            summ = self.attributes.get(pred.attribute)
-            if summ is None:
-                raise KeyError(
-                    f"summary has no attribute {pred.attribute!r}"
-                )
-            if not summ.may_match(pred):
+        occupancy = self._occupancy
+        if occupancy is None:
+            packed = np.packbits(self.block > 0, axis=1, bitorder="little")
+            occupancy = self._occupancy = [
+                int.from_bytes(row.tobytes(), "little") for row in packed
+            ]
+        for row, mask, pred in _match_plan(query, self.schema, self.block.shape[1]):
+            if row is None:
+                if not self.attribute(pred.attribute).may_match(pred):
+                    return False
+            elif not occupancy[row] & mask:
                 return False
         return True
 
-    def merge(self, other: "ResourceSummary") -> "ResourceSummary":
-        """Bucket-wise / union merge, as in bottom-up aggregation."""
-        if other.schema != self.schema:
-            raise SummaryMergeError("cannot merge summaries with different schemas")
-        merged = {
-            name: summ.merge(other.attributes[name])
-            for name, summ in self.attributes.items()
-        }
-        return ResourceSummary(
-            self.schema,
-            self.config,
-            merged,
-            created_at=min(self.created_at, other.created_at),
-        )
-
     @classmethod
     def merge_many(cls, summaries) -> "ResourceSummary":
-        """Merge *summaries* (non-empty sequence) in one stacked pass.
-
-        Bit-identical to left-folding :meth:`merge` — every attribute
-        merge is an associative bucket sum / set union — but each
-        attribute allocates one result instead of one intermediate per
-        operand. This is the vectorized kernel behind branch-summary
-        aggregation and batched summary installs.
-        """
+        """Merge *summaries* (non-empty sequence) in one pass: one block
+        add per operand, one union per categorical attribute. This is the
+        kernel behind branch-summary aggregation and batched installs."""
         summaries = list(summaries)
         if not summaries:
             raise ValueError("merge_many needs at least one summary")
@@ -142,43 +182,53 @@ class ResourceSummary:
             return first
         rest = summaries[1:]
         for s in rest:
-            if s.schema != first.schema:
+            if not (
+                (s.schema is first.schema or s.schema == first.schema)
+                and (s.config is first.config or s.config == first.config)
+            ):
                 raise SummaryMergeError(
-                    "cannot merge summaries with different schemas"
+                    "cannot merge summaries with different schemas or configs"
                 )
-        merged = {
-            name: summ.merge_many([s.attributes[name] for s in rest])
-            for name, summ in first.attributes.items()
+        block = first.block.copy()  # a wrapped add is refused by _init
+        for s in rest:
+            block += s.block
+        categorical = {
+            name: summ.merge_many([s.categorical[name] for s in rest])
+            for name, summ in first.categorical.items()
         }
-        return cls(
-            first.schema,
-            first.config,
-            merged,
-            created_at=min(s.created_at for s in summaries),
+        return cls.__new__(cls)._init(
+            first.schema, first.config, block, sum(s.records for s in summaries),
+            categorical, min(s.created_at for s in summaries),
         )
 
     def copy(self) -> "ResourceSummary":
-        return ResourceSummary(
-            self.schema,
-            self.config,
-            {name: s.copy() for name, s in self.attributes.items()},
-            created_at=self.created_at,
+        """A same-content summary that has computed nothing yet."""
+        categorical = {name: s.copy() for name, s in self.categorical.items()}
+        return ResourceSummary.__new__(ResourceSummary)._init(
+            self.schema, self.config, self.block.copy(), self.records,
+            categorical, self.created_at,
         )
 
     def encoded_size(self) -> int:
         """Wire size of the full summary (the paper's ``m*r`` scale)."""
         if self._size is None:
-            self._size = sum(s.encoded_size() for s in self.attributes.values())
+            self._size = wire_bytes(self.config.histogram_encoding, self.block) + sum(
+                s.encoded_size() for s in self.categorical.values()
+            )
         return self._size
 
     def fingerprint(self) -> bytes:
-        """Content hash over all attribute summaries (order-independent
-        in the schema sense: iterates the schema's declared order)."""
+        """Content hash over every attribute's hash in the schema's
+        declared order."""
         if self._fp is None:
-            h = hashlib.blake2b(digest_size=16)
-            for spec in self.schema:
-                h.update(self.attributes[spec.name].fingerprint())
-            self._fp = h.digest()
+            wide = self.block.astype(np.int64)
+            digests = {
+                spec.name: histogram_digest(spec.name, *spec.bounds, row)
+                for spec, row in zip(self.schema.numeric_attributes, wide)
+            }
+            digests.update((n, s.fingerprint()) for n, s in self.categorical.items())
+            joined = b"".join([digests[spec.name] for spec in self.schema])
+            self._fp = hashlib.blake2b(joined, digest_size=16).digest()
         return self._fp
 
     # -- soft state ----------------------------------------------------------------
@@ -186,31 +236,48 @@ class ResourceSummary:
         return now - self.created_at > self.config.ttl
 
     def refreshed(self, now: float) -> "ResourceSummary":
-        """A same-content summary stamped *now*.
-
-        Shares the attribute summaries instead of deep-copying their
-        arrays: attribute summaries are immutable once exported (their
-        mutators exist only for construction), so a refresh only needs a
-        fresh top-level object with its own ``created_at``.
-        """
-        fresh = ResourceSummary(
-            self.schema, self.config, dict(self.attributes), created_at=now
+        """A same-content summary stamped *now*, sharing the read-only
+        block and the categorical summaries and carrying whatever hash,
+        size and occupancy this one has computed."""
+        fresh = ResourceSummary.__new__(ResourceSummary)._init(
+            self.schema, self.config, self.block, self.records,
+            self.categorical, now,
         )
-        fresh._fp, fresh._size = self._fp, self._size
+        fresh._fp, fresh._size, fresh._occupancy = self._fp, self._size, self._occupancy
         return fresh
 
     def __repr__(self) -> str:
         return (
-            f"ResourceSummary({len(self.attributes)} attributes, "
+            f"ResourceSummary({len(self.schema)} attributes, "
             f"{self.encoded_size()} bytes, t={self.created_at:g})"
         )
 
 
-def _empty_summary(name, bounds, is_numeric, config: SummaryConfig) -> AttributeSummary:
-    if is_numeric:
-        return HistogramSummary(
-            name, config.histogram_buckets, bounds, encoding=config.histogram_encoding
-        )
+def _match_plan(query: Query, schema: Schema, buckets: int):
+    """``(row, mask, predicate)`` per predicate of *query*, in order: block
+    row and bucket bitset of a numeric range, ``row`` None for a predicate
+    its attribute's summary answers. Compiled once per schema and bucket
+    count and kept on the query, like :meth:`Query._plan`."""
+    key = (id(schema), buckets)
+    plan = query._plans.get(key)
+    if plan is None or plan[0] is not schema:
+        steps = []
+        for p in query.predicates:
+            if isinstance(p, RangePredicate) and p.attribute in schema and (
+                schema[p.attribute].is_numeric
+            ):
+                lo, hi = schema[p.attribute].bounds
+                mask = _bucket_span(p.lo, p.hi, float(lo), float(hi), buckets)[2]
+                steps.append((schema.numeric_position(p.attribute), mask, p))
+            else:
+                steps.append((None, 0, p))
+        plan = query._plans[key] = (schema, tuple(steps))
+    return plan[1]
+
+
+def _categorical(name: str, values, config: SummaryConfig) -> AttributeSummary:
     if config.categorical_summary == "bloom":
-        return BloomFilterSummary(name, config.bloom_bits, config.bloom_hashes)
-    return ValueSetSummary(name)
+        return BloomFilterSummary.from_values(
+            name, values, config.bloom_bits, config.bloom_hashes
+        )
+    return ValueSetSummary.from_values(name, values)

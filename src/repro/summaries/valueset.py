@@ -55,8 +55,7 @@ class ValueSetSummary(AttributeSummary):
         return other
 
     def merge(self, other: AttributeSummary) -> "ValueSetSummary":
-        other = self._check_mergeable(other)
-        return ValueSetSummary(self.attribute, self.values | other.values)
+        return self.merge_many([other])
 
     def merge_many(self, others) -> "ValueSetSummary":
         """Single-pass set union over this and all of *others*."""

@@ -546,8 +546,9 @@ class QualityPlane:
             # The pruned server's records match *all* predicates, so at
             # decision time some per-dimension summary must have said no.
             dimension, reason = REFRESHED, "refreshed-since"
+            attributes = summary.attributes
             for pred in query.predicates:
-                attr = summary.attributes.get(pred.attribute)
+                attr = attributes.get(pred.attribute)
                 if attr is None or not attr.may_match(pred):
                     dimension, reason = pred.attribute, "stale-divergence"
                     break

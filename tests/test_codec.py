@@ -112,6 +112,13 @@ class TestDispatch:
         with pytest.raises(CodecError, match="unknown frame"):
             decode_attribute(b"\xff\x00")
 
+    def test_unknown_summary_type_is_named(self):
+        with pytest.raises(CodecError) as err:
+            encode_attribute(object())
+        assert str(err.value) == "no codec for summary type object"
+        with pytest.raises(CodecError, match="no codec for summary type int"):
+            encode_attribute(3)
+
 
 class TestSummaryCodec:
     @pytest.fixture
@@ -140,6 +147,27 @@ class TestSummaryCodec:
                 EqualsPredicate("c", "x" if rng.random() < 0.5 else "z"),
             )
             assert out.may_match(q) == s.may_match(q)
+
+    @pytest.mark.parametrize("encoding", ["dense", "sparse", "bitmap"])
+    def test_decoded_block_is_int32(self, schema, store, encoding):
+        cfg = SummaryConfig(histogram_buckets=64, histogram_encoding=encoding)
+        s = ResourceSummary.from_store(store, cfg)
+        out = decode_summary(encode_summary(s), schema, cfg)
+        assert out.block.dtype == np.int32 and out.block.flags.c_contiguous
+        assert out.block.shape == (2, 64)
+        if encoding == "bitmap":
+            assert ((out.block > 0) == (s.block > 0)).all()
+        else:
+            assert (out.block == s.block).all()
+            assert out.fingerprint() == s.fingerprint()
+            assert out.records == s.records == len(store)
+
+    def test_counter_past_int32_is_refused(self):
+        h = HistogramSummary("a", 4)
+        frame = bytearray(encode_histogram(h))
+        frame[-4:] = (2**31).to_bytes(4, "little")  # last dense counter
+        with pytest.raises(OverflowError):
+            decode_histogram(bytes(frame))
 
     def test_encoded_size_matches_reality(self, schema, store):
         """The simulator's byte accounting vs the actual frame size.

@@ -161,23 +161,6 @@ class TestEncoding:
             assert h.may_match(pred)
 
 
-class TestCountInRange:
-    def test_upper_bound(self):
-        values = np.random.default_rng(5).random(500)
-        h = HistogramSummary.from_values("a", values, 40)
-        lo, hi = 0.33, 0.71
-        exact = int(((values >= lo) & (values <= hi)).sum())
-        assert h.count_in_range(lo, hi) >= exact
-
-    def test_full_range_is_total(self):
-        h = HistogramSummary.from_values("a", [0.1, 0.5, 0.9], 10)
-        assert h.count_in_range(0.0, 1.0) == 3
-
-    def test_disjoint_range(self):
-        h = HistogramSummary.from_values("rate", [1.0], 10, (0.0, 10.0))
-        assert h.count_in_range(50.0, 60.0) == 0
-
-
 class TestCopy:
     def test_copy_independent(self):
         h = HistogramSummary.from_values("a", [0.5], 10)

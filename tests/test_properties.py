@@ -6,6 +6,7 @@ Chord routing always terminates within its hop bound, and the balanced
 join always yields a well-formed tree.
 """
 
+import functools
 import math
 from unittest import mock
 
@@ -92,16 +93,6 @@ class TestHistogramProperties:
         hb = HistogramSummary.from_values("x", values[mid:], buckets)
         hu = HistogramSummary.from_values("x", values, buckets)
         assert ha.merge(hb) == hu
-
-    @given(values=value_lists, buckets=bucket_counts,
-           lo=unit_floats, hi=unit_floats)
-    @settings(max_examples=100, deadline=None)
-    def test_count_in_range_upper_bounds_truth(self, values, buckets, lo, hi):
-        assume(lo <= hi)
-        h = HistogramSummary.from_values("x", values, buckets)
-        arr = np.asarray(values)
-        exact = int(((arr >= lo) & (arr <= hi)).sum()) if arr.size else 0
-        assert h.count_in_range(lo, hi) >= exact
 
 
 def reference_counts(values, lo, hi, buckets):
@@ -195,9 +186,9 @@ class TestBucketingKernel:
 
 
 def reference_span(h, lo, hi):
-    """Bucket span of ``[lo, hi]`` by the NumPy formula ``may_match`` and
-    ``count_in_range`` used before the occupancy bitset (kept verbatim:
-    it is the oracle the bit tests must reproduce bit for bit)."""
+    """Bucket span of ``[lo, hi]`` by the NumPy formula ``may_match``
+    used before the occupancy bitset (kept verbatim: it is the oracle the
+    bit tests must reproduce bit for bit)."""
     lo = max(lo, h.lo)
     hi = min(hi, h.hi)
     if lo > hi:
@@ -255,7 +246,6 @@ class TestOccupancyPruning:
             assert h.may_match(RangePredicate("a", lo, hi)) is bool(
                 h.counts[buckets].any()
             )
-            assert h.count_in_range(lo, hi) == int(h.counts[buckets].sum())
 
     @given(data=st.data(), buckets=st.sampled_from(EDGE_BUCKETS),
            dom=st.sampled_from(DOMAINS))
@@ -267,7 +257,6 @@ class TestOccupancyPruning:
         lo, hi = sorted([data.draw(endpoints(h)), data.draw(endpoints(h))])
         if any(lo <= v <= hi for v in values):
             assert h.may_match(RangePredicate("a", lo, hi))
-            assert h.count_in_range(lo, hi) >= sum(lo <= v <= hi for v in values)
 
     @given(h=sparse_histograms(), other=st.data())
     @settings(max_examples=100, deadline=None)
@@ -309,15 +298,143 @@ class TestOccupancyPruning:
         merged = ResourceSummary.merge_many([summary, summary.copy()])
         summary.fingerprint(), summary.encoded_size(), merged.fingerprint()
         for s in (summary, merged):  # the write path never builds one
-            assert all(h._occupancy is None for h in s.attributes.values())
-        later = summary.refreshed(now=50.0)
+            assert s._occupancy is None
         query = Query.of(RangePredicate("a", 0.0, 1.0), RangePredicate("c", 0.2, 0.4))
         assert summary.may_match(query)
-        for name in ("a", "c"):
-            assert later.attributes[name] is summary.attributes[name]
-            assert later.attributes[name]._occupancy is not None
-        assert summary.attributes["b"]._occupancy is None  # never asked
+        # one bitset per row of the block, bit i set iff bucket i is occupied
+        assert summary._occupancy == [
+            sum(1 << int(i) for i in np.flatnonzero(row)) for row in summary.block
+        ]
+        later = summary.refreshed(now=50.0)
+        assert later.block is summary.block
+        assert later._occupancy is summary._occupancy
         assert later.may_match(query)
+
+
+BLOCK_SCHEMA = Schema([
+    numeric("x"), categorical("c"), numeric("y", -5.0, 3.0), numeric("z", 1.1e9, 1.17e9),
+])
+CATEGORIES = ["red", "green", "blue", "teal"]
+block_configs = st.builds(
+    SummaryConfig,
+    histogram_buckets=st.sampled_from([1, 7, 64, 65]),
+    histogram_encoding=st.sampled_from(["dense", "sparse", "bitmap"]),
+    categorical_summary=st.sampled_from(["set", "bloom"]),
+    bloom_bits=st.just(64),
+    bloom_hashes=st.just(2),
+)
+
+
+@st.composite
+def block_stores(draw):
+    """A store on ``BLOCK_SCHEMA`` whose values stray outside each domain."""
+    n = draw(st.integers(0, 20))
+    columns = []
+    for spec in BLOCK_SCHEMA.numeric_attributes:
+        lo, hi = spec.bounds
+        span = hi - lo
+        value = st.one_of(
+            st.floats(lo - span / 2, hi + span / 2), st.sampled_from([lo, hi])
+        )
+        columns.append(draw(st.lists(value, min_size=n, max_size=n)))
+    cats = draw(st.lists(st.sampled_from(CATEGORIES), min_size=n, max_size=n))
+    numeric_block = np.array(columns, dtype=np.float64).reshape(3, n).T
+    return RecordStore.from_arrays(BLOCK_SCHEMA, numeric_block, [cats])
+
+
+@st.composite
+def block_predicates(draw):
+    """A range or an equality on any ``BLOCK_SCHEMA`` attribute or on one
+    it lacks: ranges inside, across and outside the domain or of one
+    point (``lo == hi``), equalities on present and absent values."""
+    name = draw(st.sampled_from(["x", "y", "z", "c", "missing"]))
+    if draw(st.booleans()):
+        return EqualsPredicate(name, draw(st.sampled_from(CATEGORIES + ["absent"])))
+    spec = BLOCK_SCHEMA[name] if name in BLOCK_SCHEMA else None
+    lo, hi = spec.bounds if spec is not None and spec.is_numeric else (0.0, 1.0)
+    span = hi - lo
+    end = st.one_of(
+        st.floats(lo - span, hi + span), st.sampled_from([lo, hi, lo - span, hi + span])
+    )
+    a = draw(end)
+    b = a if draw(st.booleans()) else draw(end)
+    return RangePredicate(name, min(a, b), max(a, b))
+
+
+def per_attribute_summaries(store, config):
+    """Each attribute summarized on its own, without the counter block."""
+    out = {}
+    for spec in store.schema:
+        if spec.is_numeric:
+            out[spec.name] = HistogramSummary.from_values(
+                spec.name, store.numeric_column(spec.name),
+                config.histogram_buckets, spec.bounds,
+                encoding=config.histogram_encoding,
+            )
+        elif config.categorical_summary == "bloom":
+            out[spec.name] = BloomFilterSummary.from_values(
+                spec.name, store.categorical_column(spec.name),
+                config.bloom_bits, config.bloom_hashes,
+            )
+        else:
+            out[spec.name] = ValueSetSummary.from_values(
+                spec.name, store.categorical_column(spec.name)
+            )
+    return out
+
+
+def per_predicate_may_match(attributes, query):
+    """The conjunction asked predicate by predicate, in query order."""
+    for p in query.predicates:
+        if p.attribute not in attributes:
+            raise KeyError(p.attribute)
+        if not attributes[p.attribute].may_match(p):
+            return False
+    return True
+
+
+def outcome(evaluate, query):
+    try:
+        return evaluate(query)
+    except (KeyError, TypeError) as err:
+        return type(err)
+
+
+class TestBlockKernels:
+    """The block kernels against the per-attribute summaries they replace."""
+
+    @given(stores=st.lists(block_stores(), min_size=1, max_size=5), config=block_configs)
+    @settings(max_examples=150, deadline=None)
+    def test_block_merge_is_the_fold_of_attribute_merges(self, stores, config):
+        merged = ResourceSummary.merge_many(
+            ResourceSummary.from_store(s, config) for s in stores
+        )
+        parts = [per_attribute_summaries(s, config) for s in stores]
+        folded = {
+            name: functools.reduce(lambda a, b: a.merge(b), [p[name] for p in parts])
+            for name in BLOCK_SCHEMA.names
+        }
+        for name, expected in folded.items():
+            got = merged.attribute(name)
+            assert got == expected
+            assert got.fingerprint() == expected.fingerprint()
+        whole = ResourceSummary(BLOCK_SCHEMA, config, folded)
+        assert merged.block.tolist() == whole.block.tolist()
+        assert merged.fingerprint() == whole.fingerprint()
+        assert merged.encoded_size() == whole.encoded_size()
+        assert merged.records == sum(len(s) for s in stores)
+
+    @given(store=block_stores(), config=block_configs,
+           predicates=st.lists(block_predicates(), min_size=1, max_size=5,
+                               unique_by=lambda p: p.attribute))
+    @settings(max_examples=400, deadline=None)
+    def test_compiled_may_match_is_per_predicate_evaluation(self, store, config, predicates):
+        summary = ResourceSummary.from_store(store, config)
+        attributes = per_attribute_summaries(store, config)
+        query = Query.of(*predicates)
+        expected = outcome(lambda q: per_predicate_may_match(attributes, q), query)
+        for _ in range(2):  # the plan compiled, then the plan kept on the query
+            assert outcome(summary.may_match, query) == expected
 
 
 names = st.text(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.query import EqualsPredicate, Query, RangePredicate
-from repro.records import RecordStore
+from repro.records import RecordStore, Schema, categorical, numeric
 from repro.summaries import (
     BloomFilterSummary,
     HistogramSummary,
@@ -13,6 +13,7 @@ from repro.summaries import (
     SummaryMergeError,
     ValueSetSummary,
 )
+from repro.summaries.histogram import COUNTER_MAX
 from repro.workload import WorkloadConfig, generate_node_store
 
 from .conftest import counting_hashes
@@ -56,7 +57,7 @@ class TestFromStore:
         assert isinstance(s.attributes["type"], BloomFilterSummary)
 
     def test_empty_summary(self, mixed_schema):
-        s = ResourceSummary.empty(mixed_schema, SummaryConfig())
+        s = ResourceSummary(mixed_schema, SummaryConfig())
         assert s.is_empty
 
 
@@ -107,8 +108,8 @@ class TestMerge:
         a = RecordStore.from_arrays(unit_schema, rng.random((30, 4)), [])
         b = RecordStore.from_arrays(unit_schema, rng.random((40, 4)), [])
         cfg = SummaryConfig(histogram_buckets=64)
-        merged = ResourceSummary.from_store(a, cfg).merge(
-            ResourceSummary.from_store(b, cfg)
+        merged = ResourceSummary.merge_many(
+            [ResourceSummary.from_store(a, cfg), ResourceSummary.from_store(b, cfg)]
         )
         union = ResourceSummary.from_store(a.merged_with(b), cfg)
         for name in ("a", "b", "c", "d"):
@@ -117,9 +118,10 @@ class TestMerge:
     def test_schema_mismatch(self, unit_store, mixed_store):
         cfg = SummaryConfig()
         with pytest.raises(SummaryMergeError):
-            ResourceSummary.from_store(unit_store, cfg).merge(
-                ResourceSummary.from_store(mixed_store, cfg)
-            )
+            ResourceSummary.merge_many([
+                ResourceSummary.from_store(unit_store, cfg),
+                ResourceSummary.from_store(mixed_store, cfg),
+            ])
 
 
 class TestSoftState:
@@ -183,8 +185,8 @@ class TestFingerprintByteStream:
 
 class TestLazyFingerprintAndSize:
     """Hash and wire size are computed when first asked for, kept on the
-    summary, and travel with ``refreshed()`` — never with ``copy()``,
-    whose attribute summaries may still be grown."""
+    summary, and travel with the ``refreshed()`` copies made after that —
+    never with ``copy()``, which starts from nothing computed."""
 
     def test_nothing_is_computed_until_asked(self, unit_store, monkeypatch):
         config = SummaryConfig(histogram_buckets=32)
@@ -196,11 +198,11 @@ class TestLazyFingerprintAndSize:
             fp = later.fingerprint()
             hashed = len(calls)
             assert hashed == 1 + len(summary.attributes)
-            # the attribute hashes are shared, so the original pays one more
-            assert summary.fingerprint() == fp and len(calls) == hashed + 1
+            # copied before anything was hashed, so the original hashes alone
+            assert summary.fingerprint() == fp and len(calls) == 2 * hashed
             assert later.refreshed(11.0).fingerprint() == fp
             assert summary.refreshed(12.0).fingerprint() == fp
-            assert len(calls) == hashed + 1  # carried, not recomputed
+            assert len(calls) == 2 * hashed  # carried, not recomputed
 
     def test_refreshed_carries_and_copy_does_not(self, unit_store):
         summary = ResourceSummary.from_store(
@@ -213,3 +215,90 @@ class TestLazyFingerprintAndSize:
         assert copy._size is None and copy._fp is None
         assert (copy.encoded_size(), copy.fingerprint()) == (size, fp)
         assert size == sum(s.encoded_size() for s in summary.attributes.values())
+
+
+class TestCounterBlock:
+    """The numeric histograms are the rows of one read-only, C-contiguous
+    int32 block in schema numeric order, whatever built the summary."""
+
+    def assert_block(self, summary, schema, buckets):
+        block = summary.block
+        assert block.dtype == np.int32 and block.flags.c_contiguous
+        assert not block.flags.writeable
+        assert block.shape == (len(schema.numeric_attributes), buckets)
+
+    def test_from_store_block(self, mixed_store):
+        s = ResourceSummary.from_store(mixed_store, SummaryConfig(histogram_buckets=40))
+        self.assert_block(s, mixed_store.schema, 40)
+        assert s.records == len(mixed_store)
+        assert (s.block.sum(axis=1) == len(mixed_store)).all()
+        assert s.block[1].tolist() == s.attributes["load"].counts.tolist()
+        with pytest.raises(ValueError):
+            s.attributes["rate"].add_values([1.0])  # a row is a read-only view
+
+    def test_empty_and_given_histograms_are_stacked(self, mixed_schema):
+        config = SummaryConfig(histogram_buckets=8)
+        self.assert_block(ResourceSummary(mixed_schema, config), mixed_schema, 8)
+        attrs = {
+            "rate": HistogramSummary.from_values("rate", [10.0, 990.0], 8, (0.0, 1000.0)),
+            "load": HistogramSummary.from_values("load", [0.5], 8),
+            "type": ValueSetSummary("type", ["gps"]),
+            "encoding": ValueSetSummary("encoding"),
+        }
+        s = ResourceSummary(mixed_schema, config, attrs)
+        self.assert_block(s, mixed_schema, 8)
+        assert s.block.tolist() == [[1, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0, 0, 0]]
+        assert s.records == 2
+
+    @pytest.mark.parametrize("foreign", [
+        HistogramSummary("rate", 8, (0.0, 999.0)),   # another domain
+        HistogramSummary("rate", 16, (0.0, 1000.0)),  # another bucket count
+        ValueSetSummary("rate"),                    # not a histogram
+    ])
+    def test_foreign_histogram_raises(self, mixed_schema, foreign):
+        attrs = ResourceSummary(mixed_schema, SummaryConfig(histogram_buckets=8)).attributes
+        attrs["rate"] = foreign
+        with pytest.raises(ValueError, match="'rate' needs a histogram of 8 buckets"):
+            ResourceSummary(mixed_schema, SummaryConfig(histogram_buckets=8), attrs)
+
+
+class TestCounterOverflow:
+    """An int32 counter that wrapped would read as an empty bucket — a
+    false negative — so every path that adds to counters refuses first."""
+
+    SCHEMA = Schema([numeric("a"), categorical("c")])
+    CONFIG = SummaryConfig(histogram_buckets=2)
+
+    def summary(self, count):
+        return ResourceSummary(self.SCHEMA, self.CONFIG, {
+            "a": HistogramSummary("a", 2, counts=[count, 0]),
+            "c": ValueSetSummary("c", ["x"]),
+        })
+
+    def test_merge_up_to_the_limit(self):
+        merged = ResourceSummary.merge_many([self.summary(COUNTER_MAX - 1), self.summary(1)])
+        assert merged.records == COUNTER_MAX
+        assert merged.block.tolist() == [[COUNTER_MAX, 0]]
+
+    def test_merge_past_the_limit_raises(self):
+        big = self.summary(COUNTER_MAX - 1)
+        with pytest.raises(OverflowError, match="int32 counter"):
+            ResourceSummary.merge_many([big, self.summary(0), self.summary(2)])
+        assert big.block.tolist() == [[COUNTER_MAX - 1, 0]]
+
+    def test_histogram_paths_raise(self):
+        h = HistogramSummary("a", 2, counts=[COUNTER_MAX, 0])
+        with pytest.raises(OverflowError):
+            h.merge(HistogramSummary.from_values("a", [0.9], 2))
+        with pytest.raises(OverflowError):
+            h.add_values([0.9])
+        assert h.counts.tolist() == [COUNTER_MAX, 0]
+        with pytest.raises(OverflowError):
+            HistogramSummary("a", 2, counts=[COUNTER_MAX + 1, 0])
+
+    def test_given_histograms_past_the_limit_raise(self):
+        with pytest.raises(OverflowError):
+            ResourceSummary(self.SCHEMA, self.CONFIG, {
+                "a": HistogramSummary("a", 2, counts=[COUNTER_MAX, 1]),
+                "c": ValueSetSummary("c"),
+            })

@@ -429,23 +429,19 @@ class TestHashOnlyWhatIsCompared:
 
 
 def held_count_arrays(server):
-    """ids of every histogram count array *server*'s soft state holds."""
+    """ids of every histogram count block *server*'s soft state holds."""
     tables = (
         server.child_summaries, server.replicated_summaries,
         server.replicated_local_summaries,
     )
-    return {
-        id(h.counts)
-        for table in tables for s in table.values()
-        for h in s.attributes.values()
-    }
+    return {id(s.block) for table in tables for s in table.values()}
 
 
 class TestRetainedStateIsWhatHoldersHold:
     """The sender-side state a server keeps between ticks — the summary
     it built last (per owner) and the branch it last shipped — must be
     the objects that were shipped: keeping a rebuilt equal-content copy
-    instead doubles the live count arrays of a static federation."""
+    instead doubles the live count blocks of a static federation."""
 
     TICKS = 4
 
@@ -461,26 +457,23 @@ class TestRetainedStateIsWhatHoldersHold:
         everywhere = set().union(*(held_count_arrays(s) for s in servers))
         for server in servers:
             built = server.owners[0]._built[2]
-            retained = {id(h.counts) for h in built.attributes.values()}
+            retained = {id(built.block)}
             if server.parent is not None:
                 reported = server.last_reported
                 at_parent = server.parent.child_summaries[server.server_id]
-                for name, h in reported.attributes.items():
-                    assert h.counts is at_parent.attributes[name].counts
-                retained |= {id(h.counts) for h in reported.attributes.values()}
+                assert reported.block is at_parent.block
+                retained.add(id(reported.block))
             if server.parent is not None or server.children:
                 assert retained <= everywhere, server
         # ... so the federation's live arrays are the holders' arrays
         # (the root alone builds a branch it ships nowhere).
-        per_summary = len(system.hierarchy.root.owners[0].origin.schema)
         live = everywhere | {
-            id(h.counts)
+            id(kept.block)
             for s in servers
             for kept in (s.owners[0]._built[2], s.last_reported)
             if kept is not None
-            for h in kept.attributes.values()
         }
-        assert len(live) - len(everywhere) <= per_summary
+        assert len(live) - len(everywhere) <= 1
 
 
 def empty_bucket_value(store, merged, buckets=BUCKETS):
