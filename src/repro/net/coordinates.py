@@ -13,6 +13,7 @@ query latencies over 3–5 hierarchy levels of client redirection).
 
 from __future__ import annotations
 
+import math
 from typing import Dict
 
 import numpy as np
@@ -57,9 +58,10 @@ class DelaySpace:
         self.coordinates.flags.writeable = False
         #: one-way delays in seconds already computed, keyed by the
         #: unordered pair as ``min * num_nodes + max``: the expression
-        #: in :meth:`latency_ms` is exactly symmetric (``norm(x) ==
-        #: norm(-x)``, the jitter matrix equals its transpose), so both
-        #: legs of an exchange share the float the first one computed
+        #: in :meth:`latency_ms` is exactly symmetric (``d.dot(d)``
+        #: squares each component, the jitter matrix equals its
+        #: transpose), so both legs of an exchange share the float the
+        #: first one computed
         self._latency: Dict[int, float] = {}
 
     def latency_ms(self, a: int, b: int) -> float:
@@ -71,7 +73,10 @@ class DelaySpace:
         self._check(b)
         if a == b:
             return 0.0
-        dist = float(np.linalg.norm(self.coordinates[a] - self.coordinates[b]))
+        # ``np.linalg.norm``'s own expression for a real vector, without
+        # its Python layers: the same float, bit for bit.
+        d = self.coordinates[a] - self.coordinates[b]
+        dist = math.sqrt(d.dot(d))
         jitter = float(self._jitter[a, b]) if self._jitter is not None else 0.0
         return self.base_ms + self.scale_ms * dist + jitter
 

@@ -6,7 +6,7 @@ import pytest
 from repro.hierarchy import AttachedOwner, Server, build_hierarchy
 from repro.hierarchy.aggregation import HEADER_BYTES, build_owner_export
 from repro.records import RecordStore, Schema, numeric
-from repro.sim import UPDATE
+from repro.sim import UPDATE, SimulationError
 from repro.summaries import SummaryConfig
 
 from .conftest import converge, make_plane
@@ -123,6 +123,14 @@ class TestPeriodicAggregation:
         ticks = plane.ticks
         plane.sim.run(until=100.0)
         assert plane.ticks == ticks
+
+    def test_bad_jitter_is_rejected_at_start(self, hierarchy):
+        # jitter=1.5 used to start, then raise "cannot schedule into the
+        # past" from inside a later tick (the third, at this seed).
+        plane = make_plane(hierarchy, CFG, interval=1.0)
+        with pytest.raises(SimulationError, match=r"^jitter must be in \[0, 1\)"):
+            plane.start(jitter=1.5)
+        assert plane.sim.pending == 0
 
     def test_soft_state_freshness(self, hierarchy):
         cfg = SummaryConfig(histogram_buckets=32, ttl=15.0)

@@ -81,9 +81,20 @@ class TestDelaySpace:
 
 class TestLatencyMemo:
     """``latency`` memoises on the unordered pair; every float it hands
-    out is the one a never-memoised space computes."""
+    out is the one a never-memoised space computes with
+    ``np.linalg.norm``."""
 
     N = 64
+
+    @staticmethod
+    def _reference_ms(space, a, b):
+        """The delay as the paper's formula reads, through NumPy's norm."""
+        if a == b:
+            return 0.0
+        c = space.coordinates
+        dist = float(np.linalg.norm(c[a] - c[b]))
+        jitter = float(space._jitter[a, b]) if space._jitter is not None else 0.0
+        return space.base_ms + space.scale_ms * dist + jitter
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("jitter_ms", [5.0, 0.0])
@@ -96,7 +107,8 @@ class TestLatencyMemo:
         memo, fresh = space(), space()
         for a in range(self.N):
             for b in range(self.N):
-                want = fresh.latency_ms(a, b) / 1000.0
+                want = self._reference_ms(fresh, a, b) / 1000.0
+                assert fresh.latency_ms(a, b) / 1000.0 == want
                 assert memo.latency(a, b) == want  # cold or mirrored entry
                 assert memo.latency(b, a) == want
                 assert memo.latency(a, b) == want  # warm
