@@ -37,7 +37,7 @@ def test_bucket_resolution_ablation(benchmark, settings):
             for q in queries:
                 o = system.search(SearchRequest(q, client_node=0)).outcome
                 contacted.append(o.servers_contacted)
-                fp.append(sum(1 for h in o.owner_hits if h.false_positive))
+                fp.append(sum(1 for h in o.owner_hits if h.match_count == 0))
                 matches.append(o.total_matches)
             rows.append(
                 {

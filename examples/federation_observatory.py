@@ -4,7 +4,7 @@
 A tour of the library's diagnostic surfaces:
 
 * ASCII rendering of the live hierarchy and its shape statistics;
-* per-query event traces (send / arrive / redirect / owner / satisfied);
+* a query's causal trace (contact / transit / arrive / match / redirect);
 * the analytical query-cost model validated against live measurements;
 * three-way response-time comparison (ROADS / SWORD / central);
 * an ASCII chart of a mini node-count sweep.
@@ -27,6 +27,7 @@ from repro.prototype import CentralResponder, RoadsResponder, SwordResponder
 from repro.roads import RoadsConfig, RoadsSystem, SearchRequest
 from repro.summaries import ResourceSummary, SummaryConfig
 from repro.sword import SwordConfig, SwordSystem
+from repro.telemetry import Telemetry, assemble_traces
 from repro.central import CentralConfig, CentralSystem
 from repro.workload import WorkloadConfig, generate_node_stores, generate_queries
 
@@ -39,10 +40,12 @@ def main() -> None:
     wcfg = WorkloadConfig(num_nodes=NODES, records_per_node=RECORDS, seed=SEED)
     stores = generate_node_stores(wcfg)
     cfg = SummaryConfig(histogram_buckets=200)
+    tel = Telemetry()
     system = RoadsSystem.build(
         RoadsConfig(num_nodes=NODES, records_per_node=RECORDS,
                     max_children=3, summary=cfg, seed=SEED),
         stores,
+        telemetry=tel,
     )
 
     # 1. the hierarchy, drawn -------------------------------------------------
@@ -54,9 +57,9 @@ def main() -> None:
     # 2. a traced query ----------------------------------------------------------
     print("\n=== traced query ===")
     q = generate_queries(wcfg, num_queries=3, dimensions=3)[0]
-    outcome = system.search(SearchRequest(q, client_node=5, trace=True)).outcome
+    outcome = system.search(SearchRequest(q, client_node=5)).outcome
     print(f"query: {q}")
-    print(outcome.format_trace())
+    print(assemble_traces(tel.events())[outcome.trace_id].format())
     print(f"-> {outcome.total_matches} matches from "
           f"{outcome.servers_contacted} servers in "
           f"{outcome.latency * 1000:.0f} ms")

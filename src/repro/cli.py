@@ -765,14 +765,13 @@ def _demo_telemetry(args) -> int:
     wcfg = WorkloadConfig(num_nodes=16, records_per_node=40, seed=7)
     query = generate_queries(wcfg, num_queries=1)[0]
     from .roads import SearchRequest
+    from .telemetry import assemble_traces
 
-    outcome = system.search(
-        SearchRequest(query, client_node=0, trace=True)
-    ).outcome
+    outcome = system.search(SearchRequest(query, client_node=0)).outcome
     print(f"query contacted {outcome.servers_contacted} servers, "
           f"{outcome.total_matches} matches, "
-          f"latency {outcome.latency * 1000:.1f} ms; trace:")
-    print(outcome.format_trace())
+          f"latency {outcome.latency * 1000:.1f} ms; causal trace:")
+    print(assemble_traces(tel.events())[outcome.trace_id].format())
     spans = [e for e in tel.events() if e.kind == "span"]
     print(f"\n{tel.bus.emitted} structured events on the bus "
           f"({len(spans)} spans); per-server load tables:")

@@ -14,7 +14,7 @@ retrieval time is excluded here; the prototype benchmark adds it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..net.transport import Message, Network
 from ..query.query import Query
@@ -23,7 +23,6 @@ from ..sim.engine import Event, Simulator
 from ..sim.metrics import QUERY
 from ..summaries.config import SummaryConfig
 from ..telemetry.core import Telemetry
-from ..telemetry.events import TraceEvent
 from ..telemetry.tracing import TraceContext
 from ..hierarchy.join import Hierarchy
 from ..hierarchy.node import AttachedOwner, Server
@@ -51,7 +50,6 @@ class OwnerHit:
     arrival_time: float
     match_count: int
     records: Optional[RecordStore] = None
-    false_positive: bool = False
 
 
 @dataclass
@@ -73,22 +71,16 @@ class QueryOutcome:
     shed_servers: Set[int] = field(default_factory=set)
     #: individual contact attempts rejected by a saturated server
     rejections: int = 0
-    #: optional structured event log (:class:`TraceEvent` entries)
-    trace_events: List[TraceEvent] = field(default_factory=list)
+    #: how the search reached each server it was redirected to:
+    #: ``server id -> (id of the server whose redirect was followed,
+    #: "descent" | "local")``; the entry server has no route
+    routes: Dict[int, Tuple[int, str]] = field(default_factory=dict)
     #: causal trace this execution recorded under (0 = untraced)
     trace_id: int = 0
     #: span id of this execution's ``search`` root span (0 = untraced);
     #: widening searches share one trace_id across scopes, so tests and
     #: the CLI locate each round's subtree through this id
     root_span_id: int = 0
-
-    def format_trace(self) -> str:
-        """Human-readable rendering of the event trace."""
-        lines = []
-        for t, event, subject, detail in self.trace_events:
-            rel = (t - self.started_at) * 1000
-            lines.append(f"{rel:8.1f} ms  {event:<9} {subject} {detail}")
-        return "\n".join(lines)
 
     @property
     def latency(self) -> float:
@@ -324,11 +316,9 @@ class QueryExecution:
         retry: RetryPolicy,
         collect_records: bool = False,
         first_k: Optional[int] = None,
-        trace: bool = False,
         telemetry: Optional[Telemetry] = None,
         on_complete: Optional[Callable[[QueryOutcome], None]] = None,
         trace_parent: Optional[TraceContext] = None,
-        quality=None,
     ):
         self.sim = sim
         self.network = network
@@ -348,17 +338,13 @@ class QueryExecution:
         #: stop issuing new contacts once this many matches are in hand
         #: (best-effort early termination; in-flight contacts complete)
         self.first_k = first_k
-        self._tracing = trace
         self._telemetry = telemetry
         #: whether anything records ``_trace`` calls; the per-message
         #: call sites skip formatting their arguments when nothing does
-        self._observed = trace or telemetry is not None
+        self._observed = telemetry is not None
         #: causal parent the root context forks from (a widening search
         #: passes its umbrella context so all rounds share one trace)
         self._trace_parent = trace_parent
-        #: the system's shadow-oracle quality plane, when attached; used
-        #: only for the ground-truthed owner false-positive verdict
-        self._quality = quality
         self._root_ctx: Optional[TraceContext] = None
         self.outcome = QueryOutcome(
             query=query, start_server=start_server_id, client_node=client_node
@@ -372,10 +358,6 @@ class QueryExecution:
         self, event: str, subject, detail="",
         ctx: Optional[TraceContext] = None,
     ) -> None:
-        if self._tracing:
-            self.outcome.trace_events.append(
-                TraceEvent(self.sim.now, event, str(subject), str(detail))
-            )
         if self._telemetry is not None:
             self._telemetry.event(
                 f"query.{event}", subject=str(subject), detail=str(detail),
@@ -424,6 +406,7 @@ class QueryExecution:
         mode: str,
         parent_ctx: Optional[TraceContext],
         owner: Optional[AttachedOwner] = None,
+        via: Optional[int] = None,
     ) -> None:
         """Open the one contact this query makes with *node*.
 
@@ -432,10 +415,14 @@ class QueryExecution:
         backoff and re-send, and after ``retries`` re-attempts the
         client gives up and reports the node in ``timed_out_servers`` /
         ``shed_servers`` — a silent node cannot strand the search.
+        *via* is the server whose redirect led here; the contact's route
+        is recorded on the outcome.
         """
         if node in self._contacted:
             return
         self._contacted.add(node)
+        if via is not None:
+            self.outcome.routes[node] = (via, mode)
         self._outstanding += 1
         _Contact(self, node, mode, owner, self._fork(parent_ctx)).attempt()
 
@@ -513,23 +500,12 @@ class QueryExecution:
             return
         self._answered_owners.add(owner.owner_id)
         answered = self.policies.answer(owner.owner_id, self.query, owner.origin)
-        # With the quality plane attached the flag is the oracle verdict:
-        # an empty answer is only a false positive when the raw store
-        # holds no matching record either (the *summary* lied) — a
-        # policy-filtered empty answer was still a justified visit.
-        # Detached, the legacy empty-answer semantics are preserved.
-        false_positive = (
-            self._quality.owner_false_positive(self.query, owner, len(answered))
-            if self._quality is not None
-            else (len(answered) == 0)
-        )
         hit = OwnerHit(
             owner_id=owner.owner_id,
             server_id=at_node,
             arrival_time=arrival,
             match_count=len(answered),
             records=answered if self.collect_records else None,
-            false_positive=false_positive,
         )
         self.outcome.owner_hits.append(hit)
         if self._observed:
@@ -557,10 +533,11 @@ class QueryExecution:
                 ctx=self._fork(dctx),
             )
         parent = dctx if dctx is not None else self._root_ctx
+        via = decision.server_id
         for rid in decision.redirect_ids:
-            self._contact(rid, "descent", parent)
+            self._contact(rid, "descent", parent, via=via)
         for rid in decision.owners_only_ids:
-            self._contact(rid, "local", parent)
+            self._contact(rid, "local", parent, via=via)
 
     def _satisfied(self) -> bool:
         return (

@@ -79,7 +79,6 @@ class SearchRequest:
     first_k: Optional[int] = None
     use_overlay: bool = True
     collect_records: bool = False
-    trace: bool = False
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:

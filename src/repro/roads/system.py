@@ -408,11 +408,9 @@ class RoadsSystem:
             collect_records=request.collect_records,
             retry=request.retry,
             first_k=request.first_k,
-            trace=request.trace,
             telemetry=self.telemetry,
             on_complete=finish,
             trace_parent=trace_parent,
-            quality=self.quality,
         ).start(mode=request.entry_mode)
         return pending
 

@@ -37,7 +37,7 @@ instrumented code paths skip all recording — the one way to switch it
 off.
 """
 
-from .events import EventBus, TelemetryEvent, TraceEvent
+from .events import EventBus, TelemetryEvent
 from .histogram import StreamingHistogram
 from .metrics import MetricKey, MetricsRegistry
 from .core import Telemetry
@@ -94,7 +94,6 @@ __all__ = [
     "Telemetry",
     "EventBus",
     "TelemetryEvent",
-    "TraceEvent",
     "StreamingHistogram",
     "MetricKey",
     "MetricsRegistry",

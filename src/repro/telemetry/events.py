@@ -1,22 +1,15 @@
 """Telemetry events and the bounded event bus.
 
-Two event shapes live here:
-
-* :class:`TelemetryEvent` — the bus's wire unit: a point event
-  (``kind="event"``) or a closed span (``kind="span"``, with a
-  duration), stamped with sim-clock times and a tag dict;
-* :class:`TraceEvent` — the structured replacement for the raw
-  ``(time, event, subject, detail)`` tuples that
-  :class:`~repro.roads.client.QueryOutcome` used to accumulate. It
-  iterates and indexes exactly like that 4-tuple, so existing
-  consumers keep working unchanged.
+:class:`TelemetryEvent` is the bus's wire unit: a point event
+(``kind="event"``) or a closed span (``kind="span"``, with a duration),
+stamped with sim-clock times and a tag dict.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List
 
 
 @dataclass
@@ -56,32 +49,6 @@ class TelemetryEvent:
             span_id=int(d.get("span_id", 0)),
             tags=dict(d.get("tags", {})),
         )
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One step of a query execution (``QueryOutcome.trace_events``).
-
-    Unpacks and indexes as ``(sim time, event, subject, detail)``:
-    ``for t, ev, subj, det in outcome.trace_events``.
-    """
-
-    time: float
-    event: str
-    subject: str
-    detail: str = ""
-
-    def as_tuple(self) -> Tuple[float, str, str, str]:
-        return (self.time, self.event, self.subject, self.detail)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.as_tuple())
-
-    def __getitem__(self, index):
-        return self.as_tuple()[index]
-
-    def __len__(self) -> int:
-        return 4
 
 
 class EventBus:

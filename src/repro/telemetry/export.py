@@ -214,7 +214,7 @@ def chrome_trace(
     process_name: str = "roads",
 ) -> Dict[str, object]:
     """Convert bus events into a ``chrome://tracing``-loadable object."""
-    trace_events: List[Dict[str, object]] = []
+    entries: List[Dict[str, object]] = []
     spans_by_pid: Dict[int, List[Dict[str, object]]] = {}
     tagged: List[Dict[str, object]] = []
     pids = set()
@@ -234,7 +234,7 @@ def chrome_trace(
                 "tid": 0,
                 "args": args,
             }
-            trace_events.append(entry)
+            entries.append(entry)
             spans_by_pid.setdefault(pid, []).append(entry)
         else:
             entry = {
@@ -247,21 +247,21 @@ def chrome_trace(
                 "tid": 0,
                 "args": args,
             }
-            trace_events.append(entry)
+            entries.append(entry)
         if "trace_id" in args and "span_id" in args:
             tagged.append(entry)
     for spans in spans_by_pid.values():
         _assign_lanes(spans)
-    trace_events.extend(_causal_flows(tagged))
+    entries.extend(_causal_flows(tagged))
     for pid in sorted(pids):
-        trace_events.append({
+        entries.append({
             "name": "process_name",
             "ph": "M",
             "pid": pid,
             "tid": 0,
             "args": {"name": f"{process_name} server {pid}"},
         })
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
+    return {"traceEvents": entries, "displayTimeUnit": "ms"}
 
 
 def write_chrome_trace(

@@ -24,7 +24,14 @@ Every FP/FN carries a :class:`DivergenceAttribution` naming the *specific
 summary that lied*: which server held it, in which table (child branch /
 overlay replica / ancestor-local), which source branch it summarised, its
 staleness age at audit time, and the first predicate dimension whose
-per-attribute summary diverged from the raw data.
+per-attribute summary diverged from the raw data. An FP's holder is read
+off the walk the search recorded (``QueryOutcome.routes``: the server
+whose redirect was followed, and whether the visit was a full descent or
+owners-only); the oracle never re-decides a route.
+
+An owner contact is a false positive when it answered nothing and its raw
+store holds no match either: a policy-filtered empty answer was still a
+justified visit (``QualityReport.owner_false_positives`` / ``owner_hits``).
 
 Two truth notions are deliberately asymmetric:
 
@@ -34,23 +41,24 @@ Two truth notions are deliberately asymmetric:
 * *policy truth* (``policies.answer(...)`` non-empty) judges **prunes** —
   a missed server only costs the user real, returnable records.
 
-Policy truth is a subset of raw truth, so no server is ever both FP and FN.
+Policy truth is a subset of raw truth, so no server is ever both FP and FN,
+and a prune asks the cheaper raw question first.
 
 **Non-perturbation.** The audit runs synchronously inside the search
 completion path and only *reads*: numpy masks over the leaf stores, the
-hierarchy's summary tables, and the outcome's arrival map. It schedules
-no events, sends no messages, and draws no randomness, so a quality-on
-arm is event-for-event identical to a quality-off arm — same latencies,
-same delivery census — the same tripwire the tracing and series planes
-hold. Its wall cost is visible as the ``quality.audit`` frame in the
-call-path profiler.
+hierarchy's summary tables, and the outcome's arrivals and routes. It
+schedules no events, sends no messages, and draws no randomness, so a
+quality-on arm is event-for-event identical to a quality-off arm — same
+latencies, same delivery census — the same tripwire the tracing and
+series planes hold. Its wall cost is visible as the ``quality.audit``
+frame in the call-path profiler.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set
 
 from ..query.query import Query
 
@@ -143,18 +151,6 @@ class QualityReport:
         }
 
 
-class _Edge:
-    """How the shadow walk justified contacting one server."""
-
-    __slots__ = ("mode", "holder_id", "table", "src_id")
-
-    def __init__(self, mode, holder_id=None, table=None, src_id=None):
-        self.mode = mode
-        self.holder_id = holder_id
-        self.table = table
-        self.src_id = src_id
-
-
 class QualityPlane:
     """Shadow oracle auditing every completed search against ground truth.
 
@@ -221,13 +217,6 @@ class QualityPlane:
             "last_report": last.to_dict() if last is not None else None,
         }
 
-    # -- satellite: oracle-backed owner false-positive verdict -----------------------
-    def owner_false_positive(self, query: Query, owner, answered: int) -> bool:
-        """Empty answer *and* no raw match: the summary, not policy, lied."""
-        if answered > 0:
-            return False
-        return not bool(query.mask(owner.origin).any())
-
     # -- the audit -------------------------------------------------------------------
     def audit(self, request, outcome) -> QualityReport:
         """Classify every contacted/pruned server for one finished search."""
@@ -235,14 +224,14 @@ class QualityPlane:
         hierarchy = system.hierarchy
         now = system.sim.now
         query = outcome.query
-        entry = hierarchy.get(outcome.start_server)
+        entry_id = outcome.start_server
         entry_mode = request.entry_mode
 
         report = QualityReport(
             query_id=query.query_id,
             trace_id=outcome.trace_id,
             audited_at=now,
-            start_server=entry.server_id,
+            start_server=entry_id,
             entry_mode=entry_mode,
         )
 
@@ -255,6 +244,11 @@ class QualityPlane:
             for sid in set(outcome.timed_out_servers) | set(outcome.shed_servers)
             if sid in hierarchy
         }
+        # The cover belonged to the entry server: once it has left, no
+        # prune can be judged, and the entry itself is unreachable.
+        entry = hierarchy.get(entry_id) if entry_id in hierarchy else None
+        if entry is None:
+            unreachable.add(entry_id)
         report.unreachable = sorted(unreachable)
 
         raw_truth: Dict[int, bool] = {}
@@ -291,27 +285,21 @@ class QualityPlane:
                 subtree_truth[sid] = hit
             return hit
 
-        edges = self._shadow_walk(query, entry, entry_mode, contacted, now)
+        routes = outcome.routes
 
         # -- contacted servers: TP or FP over the region each visit covered
         for sid in sorted(contacted):
-            edge = edges.get(sid)
-            if edge is None:
-                # Reached outside the audit-time walk (a summary changed
-                # mid-flight); judge it as a descent from its parent.
-                server = hierarchy.get(sid)
-                parent = (
-                    server.root_path[-2] if len(server.root_path) > 1 else sid
-                )
-                edge = _Edge("descent", parent, "child", sid)
-            if sid == entry.server_id:
-                # Entering somewhere is a protocol necessity, never a lie.
+            route = routes.get(sid)
+            if route is None:
+                # The entry: entering somewhere is a protocol necessity,
+                # never a lie.
                 if local_raw(sid):
                     report.tp += 1
                     self._count(sid, "tp")
                 continue
+            holder_id, mode = route
             region_hit = (
-                local_raw(sid) if edge.mode == "local" else subtree_raw(sid)
+                local_raw(sid) if mode == "local" else subtree_raw(sid)
             )
             if region_hit:
                 report.tp += 1
@@ -320,10 +308,17 @@ class QualityPlane:
                 report.fp += 1
                 self._count(sid, "fp")
                 report.attributions.append(
-                    self._attribute_fp(query, sid, edge, now, local_raw)
+                    self._attribute_fp(query, sid, holder_id, mode, now)
                 )
 
         # -- pruned servers: FN (real answers missed) or TN over the cover
+        # Servers that fanned out: a later FN is pinned on the deepest.
+        walkers = [
+            sid for sid, (_, mode) in routes.items()
+            if mode == "descent" and sid in contacted
+        ]
+        if entry_mode != "local":
+            walkers.append(entry_id)
         for server in self._cover(entry, entry_mode):
             sid = server.server_id
             if sid in contacted:
@@ -332,11 +327,11 @@ class QualityPlane:
                 # The route was right; the network lost it. Counted in
                 # ``unreachable``, excluded from summary attribution.
                 continue
-            if local_policy(sid):
+            if local_raw(sid) and local_policy(sid):
                 report.fn += 1
                 self._count(sid, "fn")
                 report.attributions.append(
-                    self._attribute_fn(query, server, entry, edges, now)
+                    self._attribute_fn(query, server, entry, walkers, now)
                 )
             else:
                 report.tn += 1
@@ -385,62 +380,13 @@ class QualityPlane:
 
     def _cover(self, entry, entry_mode: str):
         """Servers the search claimed responsibility for pruning."""
+        if entry is None:
+            return []
         if entry_mode == "start":
             return self._system.hierarchy.servers()
         if entry_mode == "descent":
             return list(entry.iter_subtree())
         return [entry]
-
-    def _shadow_walk(
-        self,
-        query: Query,
-        entry,
-        entry_mode: str,
-        contacted: Set[int],
-        now: float,
-    ) -> Dict[int, _Edge]:
-        """Re-run the routing decisions to justify each contacted server.
-
-        Replays :func:`decide_start` / :func:`decide_descent` /
-        :func:`decide_local` from the entry server at audit time, but only
-        follows redirects the real search actually took, recording for
-        each contacted server which holder's summary table sent the
-        client there.
-        """
-        # Imported here: the overlay package pulls in sim.metrics, which
-        # imports telemetry — a module-level import would be circular.
-        from ..overlay.routing import (
-            decide_descent,
-            decide_local,
-            decide_start,
-        )
-
-        hierarchy = self._system.hierarchy
-        cfg = self._system.config.summary
-        decide = {
-            "start": decide_start,
-            "descent": decide_descent,
-            "local": decide_local,
-        }
-        edges: Dict[int, _Edge] = {entry.server_id: _Edge(entry_mode)}
-        stack: List[Tuple[int, str]] = [(entry.server_id, entry_mode)]
-        while stack:
-            sid, mode = stack.pop()
-            server = hierarchy.get(sid)
-            decision = decide[mode](server, query, cfg, now)
-            children = set(server.child_ids())
-            for rid in decision.redirect_ids:
-                if rid not in contacted or rid in edges:
-                    continue
-                table = "child" if rid in children else "replica"
-                edges[rid] = _Edge("descent", sid, table, rid)
-                stack.append((rid, "descent"))
-            for oid in decision.owners_only_ids:
-                if oid not in contacted or oid in edges:
-                    continue
-                edges[oid] = _Edge("local", sid, "replica_local", oid)
-                # owners-only visits never fan out further
-        return edges
 
     def _summary_for(self, holder_id: int, table: str, src_id: int):
         hierarchy = self._system.hierarchy
@@ -461,19 +407,26 @@ class QualityPlane:
                 yield owner.origin
 
     def _attribute_fp(
-        self, query: Query, sid: int, edge: _Edge, now: float, local_raw
+        self, query: Query, sid: int, holder_id: int, mode: str, now: float
     ) -> DivergenceAttribution:
         """Which summary dimension claimed matches the region can't hold."""
-        holder_id = edge.holder_id if edge.holder_id is not None else sid
-        table = edge.table or "child"
-        src_id = edge.src_id if edge.src_id is not None else sid
-        holder, summary = self._summary_for(holder_id, table, src_id)
+        hierarchy = self._system.hierarchy
+        if mode == "local":
+            table = "replica_local"
+        elif (
+            holder_id in hierarchy
+            and sid in hierarchy.get(holder_id).child_ids()
+        ):
+            table = "child"
+        else:
+            table = "replica"
+        holder, summary = self._summary_for(holder_id, table, sid)
         level = holder.depth if holder is not None else 0
         age = now - summary.created_at if summary is not None else None
 
         dimension = CONJUNCTION
         reason = "conjunction"
-        stores = list(self._region_stores(sid, edge.mode))
+        stores = list(self._region_stores(sid, mode))
         for pred in query.predicates:
             region_dim_hit = any(
                 bool(pred.mask(store).any()) for store in stores
@@ -492,14 +445,14 @@ class QualityPlane:
             table=table,
             holder_id=holder_id,
             holder_level=level,
-            src_id=src_id,
+            src_id=sid,
             staleness_age=age,
             dimension=dimension,
             reason=reason,
         )
 
     def _attribute_fn(
-        self, query: Query, server, entry, edges: Dict[int, _Edge], now: float
+        self, query: Query, server, entry, walkers: List[int], now: float
     ) -> DivergenceAttribution:
         """Which summary pruned a server that held real answers."""
         hierarchy = self._system.hierarchy
@@ -523,9 +476,7 @@ class QualityPlane:
             if branch in set(entry.child_ids()):
                 table = "child"
             best_depth = -1
-            for pid, edge in edges.items():
-                if edge.mode not in ("start", "descent"):
-                    continue
+            for pid in walkers:
                 if pid not in path or pid == sid:
                     continue
                 depth = hierarchy.get(pid).depth

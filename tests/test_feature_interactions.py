@@ -21,6 +21,7 @@ from repro.roads import (
     TieredPolicy,
 )
 from repro.summaries import SummaryConfig
+from repro.telemetry import Telemetry
 from repro.workload import (
     WorkloadConfig,
     generate_node_stores,
@@ -32,7 +33,7 @@ from repro.workload import (
 N = 20
 
 
-def build(seed=111, delta=False, guests=()):
+def build(seed=111, delta=False, guests=(), telemetry=None):
     wcfg = WorkloadConfig(num_nodes=N, records_per_node=50, seed=seed)
     stores = generate_node_stores(wcfg)
     system = RoadsSystem.build(
@@ -46,6 +47,7 @@ def build(seed=111, delta=False, guests=()):
         ),
         stores,
         guests=list(guests),
+        telemetry=telemetry,
     )
     return wcfg, stores, system
 
@@ -129,19 +131,24 @@ class TestFirstKWithPolicies:
 
 class TestTieredPolicyWithTrace:
     def test_trace_shows_policy_filtered_counts(self):
-        wcfg, stores, system = build()
+        wcfg, stores, system = build(telemetry=Telemetry())
         for i in range(N):
             system.set_policy(
                 f"owner-{i}",
                 TieredPolicy(partners=frozenset({"friend"}), public_limit=1),
             )
         q = Query.of(RangePredicate("u0", 0.0, 1.0))
-        pub = system.search(SearchRequest(q.with_requester("stranger"), client_node=0, trace=True)).outcome
+        tel = system.telemetry
+        pub = system.search(SearchRequest(q.with_requester("stranger"), client_node=0)).outcome
+        owner_events = [
+            e for e in tel.events()
+            if e.name == "query.owner" and e.tags["trace_id"] == pub.trace_id
+        ]
         friend = system.search(SearchRequest(q.with_requester("friend"), client_node=0)).outcome
         assert pub.total_matches == N  # one record per owner
         assert friend.total_matches == sum(len(s) for s in stores)
-        owner_events = [e for e in pub.trace_events if e[1] == "owner"]
-        assert all("matches=1" in e[3] for e in owner_events)
+        assert len(owner_events) == N
+        assert all(e.tags["detail"] == "matches=1" for e in owner_events)
 
 
 class TestChurnWithGuests:

@@ -1,10 +1,11 @@
 """The shadow-oracle quality plane (telemetry.quality).
 
 Covers the oracle verdicts (TP/FP/FN/TN over a search's coverage
-region), per-summary divergence attribution, the owner-level
-false-positive semantics fix, the zero-perturbation tripwire, the
-quality gauges in the series sampler, and the precision-SLO breach
-path into the flight recorder.
+region), per-summary divergence attribution read off the walk the search
+recorded, the owner-level false-positive verdict, the audit of a search
+whose entry server left, the zero-perturbation tripwire, the quality
+gauges in the series sampler, and the precision-SLO breach path into the
+flight recorder.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 from repro.query.predicate import RangePredicate
 from repro.query.query import Query
 from repro.roads import (
+    OwnerHit,
+    QueryOutcome,
     RetryPolicy,
     RoadsConfig,
     RoadsSystem,
@@ -200,24 +203,36 @@ class TestChurnDivergence:
 
 
 class TestOwnerFalsePositiveSemantics:
-    """Satellite fix: policy-filtered empty answers are not summary FPs
-    when the oracle can see the raw match."""
+    """The audit is the one definition of an owner false positive: an
+    empty answer over a raw match (a policy hid it) is a justified visit;
+    an empty answer with no raw match is the summary's lie."""
 
     def test_oracle_verdict_unit(self):
         system, _ = build_system()
         plane = QualityPlane(system)
         server = system.hierarchy.servers()[0]
         owner = server.owners[0]
+        sid = server.server_id
+
+        def owner_verdicts(query, answered):
+            outcome = QueryOutcome(
+                query=query, start_server=sid, client_node=sid,
+                arrivals={sid: 0.0},
+                owner_hits=[OwnerHit(owner.owner_id, sid, 0.0, answered)],
+            )
+            report = plane.audit(SearchRequest(query, start_server=sid), outcome)
+            return report.owner_false_positives, report.owner_hits
+
         everything = band_query(0.0, 1.0)
         nothing = band_query(2.0, 3.0)
         # Raw match + empty answer: policy hid it, the summary was right.
-        assert plane.owner_false_positive(everything, owner, 0) is False
+        assert owner_verdicts(everything, 0) == (0, 1)
         # No raw match + empty answer: the summary lied.
-        assert plane.owner_false_positive(nothing, owner, 0) is True
+        assert owner_verdicts(nothing, 0) == (1, 0)
         # Any returned record is never a false positive.
-        assert plane.owner_false_positive(nothing, owner, 3) is False
+        assert owner_verdicts(nothing, 3) == (0, 1)
 
-    def _deny_all_hits(self, attach_quality):
+    def _deny_all_search(self, attach_quality):
         system, _ = build_system()
         system.refresh()
         for server in system.hierarchy.servers():
@@ -228,19 +243,127 @@ class TestOwnerFalsePositiveSemantics:
         result = system.search(SearchRequest(band_query(0.0, 1.0)))
         hits = result.outcome.owner_hits
         assert hits and all(h.match_count == 0 for h in hits)
-        return hits
+        return result
 
     def test_legacy_semantics_when_detached(self):
-        # Every answer is empty, so the legacy heuristic calls every
-        # contact a false positive — even though raw matches exist.
-        hits = self._deny_all_hits(attach_quality=False)
-        assert all(h.false_positive for h in hits)
+        # Detached, a hit records what the owner answered and nothing
+        # else: no verdict is made outside the audit.
+        result = self._deny_all_search(attach_quality=False)
+        assert result.quality is None
+        assert not hasattr(result.outcome.owner_hits[0], "false_positive")
 
     def test_oracle_semantics_when_attached(self):
         # The oracle sees the raw matches behind the DenyAll filter:
         # the summaries routed correctly, so no owner contact is an FP.
-        hits = self._deny_all_hits(attach_quality=True)
-        assert not any(h.false_positive for h in hits)
+        result = self._deny_all_search(attach_quality=True)
+        report = result.quality
+        assert report.owner_false_positives == 0
+        assert report.owner_hits == len(result.outcome.owner_hits)
+
+
+class TestRecordedWalk:
+    """The audit reads the walk the search took (``QueryOutcome.routes``)
+    and never re-decides it."""
+
+    def test_fp_pinned_on_the_summary_the_search_consulted(self):
+        # An ancestor A is churned out of the band, but the entry X still
+        # holds a matching replicated_local summary of it, so the search
+        # visits A owners-only. A fresh, non-matching summary of A lands
+        # at X mid-search: a replay of X's decision would no longer reach
+        # A, but the search did, on X's old replica_local entry.
+        system, stores = build_system()
+        system.refresh()
+        plane = system.attach_quality()
+        hierarchy = system.hierarchy
+        query = band_query(*BAND)
+        x = max(hierarchy.servers(), key=lambda s: (s.depth, s.server_id))
+        a = hierarchy.get(x.root_path[-2])
+        store = a.owners[0].origin
+        col = store.numeric_column("u0")
+        rows = [r for r in range(len(store)) if BAND[0] <= float(col[r]) <= BAND[1]]
+        assert rows, "the ancestor must start with records in the band"
+        for row in rows:
+            store.update_numeric(row, "u0", LANDING[0] + 0.005)
+        assert x.replicated_local_summaries[a.server_id].may_match(query)
+
+        pending = system.submit(
+            SearchRequest(query, client_node=x.server_id, start_server=x.server_id)
+        )
+        outcome = pending.execution.outcome
+        system.sim.run(stop=lambda: x.server_id in outcome.arrivals)
+        fresh = a.local_summary(system.config.summary, system.sim.now)
+        assert not fresh.may_match(query)
+        x.install_summary("replica_local", a.server_id, fresh)
+        system.sim.run(stop=lambda: pending.done)
+
+        assert outcome.routes[a.server_id] == (x.server_id, "local")
+        report = pending.result.quality
+        (verdict,) = [
+            v for v in report.attributions if v.server_id == a.server_id
+        ]
+        assert verdict.kind == "fp"
+        assert verdict.table == "replica_local"
+        assert verdict.holder_id == x.server_id
+        assert plane.per_node[a.server_id]["fp"] == 1
+
+    def test_departed_entry_is_unreachable(self):
+        # The entry answers, then leaves before the search resolves: the
+        # cover was the entry's, so nothing is judged pruned, and every
+        # server the search reached is still judged on its visit.
+        system, stores = build_system()
+        system.refresh()
+        system.attach_quality()
+        churn_band_to_landing(stores)
+        entry = 8
+        pending = system.submit(
+            SearchRequest(band_query(*BAND), client_node=0, start_server=entry)
+        )
+        outcome = pending.execution.outcome
+        system.sim.run(stop=lambda: bool(outcome.arrivals))
+        system.enable_maintenance().leave(system.hierarchy.get(entry))
+        assert entry not in system.hierarchy
+        system.sim.run(stop=lambda: pending.done)
+
+        report = pending.result.quality
+        assert report.start_server == entry
+        assert entry in report.unreachable
+        assert report.fn == report.tn == 0
+        reached = {s for s in outcome.arrivals if s in system.hierarchy}
+        assert reached and report.contacted == len(reached)
+        assert report.tp + report.fp == len(reached)
+        assert len(report.attributions) == report.fp
+
+    @staticmethod
+    def _assert_every_visit_routed(system, results):
+        hierarchy = system.hierarchy
+        for result in results:
+            o = result.outcome
+            reached = {s for s in o.arrivals if s in hierarchy}
+            assert reached - {o.start_server} <= set(o.routes)
+            assert o.start_server not in o.routes
+            for via, mode in o.routes.values():
+                assert mode in ("descent", "local")
+                # A redirect is read off a response, so its sender arrived.
+                assert via in o.arrivals
+
+    def test_every_visit_under_churn_has_a_route(self):
+        system, stores = build_system()
+        system.refresh()
+        system.attach_quality()
+        churn_band_to_landing(stores)
+        results = [
+            system.search(SearchRequest(band_query(*band), client_node=c))
+            for band in (BAND, LANDING)
+            for c in range(NODES)
+        ]
+        self._assert_every_visit_routed(system, results)
+
+    def test_every_visit_under_loss_has_a_route(self):
+        batch, _, system = TestZeroPerturbation()._arm(audit=True)
+        # The loss bit: some redirects were followed to servers that
+        # never answered, and those routes stay out of the verdicts.
+        assert any(r.outcome.timed_out_servers for r in batch)
+        self._assert_every_visit_routed(system, batch)
 
 
 class TestZeroPerturbation:
@@ -272,13 +395,14 @@ class TestZeroPerturbation:
         batch = system.search_many(
             requests, arrivals=[0.1 * i for i in range(len(requests))]
         )
-        latency = sum(r.outcome.latency for r in batch)
-        return latency, profiler.document(), system
+        return batch, profiler.document(), system
 
     def test_latency_and_census_identical(self):
-        base_latency, base_doc, base_system = self._arm(audit=False)
-        audit_latency, audit_doc, system = self._arm(audit=True)
-        assert audit_latency == base_latency
+        base, base_doc, base_system = self._arm(audit=False)
+        audited, audit_doc, system = self._arm(audit=True)
+        assert [r.outcome.latency for r in audited] == [
+            r.outcome.latency for r in base
+        ]
         assert system.network.census == base_system.network.census
         assert system.network.census["query"]
         assert system.quality.audits == 8

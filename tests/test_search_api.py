@@ -17,13 +17,14 @@ from repro.roads import (
     SearchResult,
 )
 from repro.summaries import SummaryConfig
+from repro.telemetry import Telemetry, assemble_traces
 from repro.workload import WorkloadConfig, generate_node_stores, generate_queries
 
 SEED = 5
 NODES = 32
 
 
-def build_system(**overrides):
+def build_system(telemetry=None, **overrides):
     wcfg = WorkloadConfig(num_nodes=NODES, records_per_node=80, seed=SEED)
     cfg = RoadsConfig(
         num_nodes=NODES,
@@ -33,7 +34,9 @@ def build_system(**overrides):
         seed=SEED,
         **overrides,
     )
-    return RoadsSystem.build(cfg, generate_node_stores(wcfg))
+    return RoadsSystem.build(
+        cfg, generate_node_stores(wcfg), telemetry=telemetry
+    )
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +213,8 @@ class TestWidening:
 class TestDeprecationSurface:
     def test_shim_kwargs_map_one_to_one(self, queries):
         """Every request field reaches the execution it describes."""
-        system = build_system()
+        tel = Telemetry()
+        system = build_system(telemetry=tel)
         o = system.search(
             SearchRequest(
                 queries[0],
@@ -218,12 +222,18 @@ class TestDeprecationSurface:
                 scope=1,
                 collect_records=True,
                 first_k=3,
-                trace=True,
             )
         ).outcome
         assert o.client_node == 1
         assert o.start_server == 1
-        assert o.trace_events  # trace was threaded through
+        # The system's telemetry recorded this execution's causal tree,
+        # entered at the scope server in descent mode.
+        tree = assemble_traces(tel.events())[o.trace_id]
+        assert tree.root.name == "search"
+        assert tree.root.event.tags["start_server"] == 1
+        first = tree.find("query.contact")[0]
+        assert first.event.tags["server"] == 1
+        assert first.event.tags["mode"] == "descent"
 
     def test_search_request_is_frozen(self, queries):
         req = SearchRequest(queries[0], client_node=1)

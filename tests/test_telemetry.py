@@ -14,7 +14,6 @@ from repro.telemetry import (
     StreamingHistogram,
     Telemetry,
     TelemetryEvent,
-    TraceEvent,
 )
 from repro.workload import WorkloadConfig, generate_node_stores
 
@@ -229,28 +228,22 @@ class TestPerNetworkMessageIds:
 
 
 class TestSystemIntegration:
-    def test_trace_events_back_compat_tuple_view(self):
-        system = build_system()
-        o = system.search(SearchRequest(wide_query(), client_node=0, trace=True)).outcome
-        assert o.trace_events
-        for entry in o.trace_events:
-            t, event, subject, detail = entry
-            assert entry[0] == t and entry[1] == event
-            assert entry[3] == detail and len(entry) == 4
-            assert isinstance(entry, TraceEvent)
-
     def test_trace_false_adds_zero_events(self):
         tel = Telemetry()
         system = build_system(telemetry=tel)
         baseline = tel.bus.emitted
-        o = system.search(SearchRequest(wide_query(), client_node=0, trace=False)).outcome
-        assert o.trace_events == []
-        # The bus still sees query.* structured events...
+        o = system.search(SearchRequest(wide_query(), client_node=0)).outcome
+        # The bus sees the search's query.* structured events...
         assert tel.bus.emitted > baseline
+        assert any(
+            e.name.startswith("query.")
+            and e.tags.get("trace_id") == o.trace_id
+            for e in tel.events()
+        )
         # ...but a system without telemetry records nothing anywhere.
         plain = build_system()
-        o2 = plain.search(SearchRequest(wide_query(), client_node=0, trace=False)).outcome
-        assert o2.trace_events == []
+        o2 = plain.search(SearchRequest(wide_query(), client_node=0)).outcome
+        assert (o2.trace_id, o2.root_span_id) == (0, 0)
 
     def test_query_span_emitted_with_sim_times(self):
         tel = Telemetry()
