@@ -10,11 +10,11 @@ Every run:
 
 * executes the scenario's driver at the requested scale (the paper
   series rows),
-* executes one canonical run at the same scale — one un-observed
-  federation, queried through the replication overlay and then again
-  from the root — pulling latency p50/p95/p99 from the registry's
-  streaming histograms, query/update byte totals, the per-server load
-  distribution and the root-load share,
+* reads a copy of one canonical run at the same scale (simulated once
+  per process and seed): one un-observed federation, queried through the
+  overlay and then from the root, giving latency p50/p95/p99 from the
+  registry's streaming histograms, query/update byte totals, the
+  per-server load distribution and the root-load share,
 * stamps it with the network's event census (deliveries per message
   kind per server), whose fingerprint pins the dispatch mix,
 * re-checks the scenario's paper-shape validators,
@@ -34,6 +34,8 @@ environment variable.
 
 from __future__ import annotations
 
+import copy
+import functools
 import os
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
@@ -493,6 +495,11 @@ def _canonical_block(
     return block, census
 
 
+#: the block's plain data, simulated once per process for each (settings,
+#: seed); :func:`run_scenario` reads a deep copy, ``repro profile`` never
+_shared_block = functools.lru_cache(maxsize=4)(_canonical_block)
+
+
 def _simulated_invariants(sim: Dict[str, object]) -> List[str]:
     """Paper-shape checks on the canonical block (any scenario)."""
     failures: List[str] = []
@@ -533,9 +540,9 @@ def profile_scenario(scale: str = "quick", seed: int = 1) -> Dict[str, object]:
 
     The payload behind ``repro profile`` and the only armed run in this
     package: a :class:`~repro.telemetry.profiling.CallPathProfiler`'s
-    call-path tree over the canonical block — the one run
-    every scenario's artifact shares, so there is no scenario to choose
-    — beside the network's event census an artifact stamps.
+    call-path tree over a fresh canonical block (never the memo's) —
+    the run every scenario's artifact shares, so there is no scenario
+    to choose — beside the network's event census an artifact stamps.
     """
     from ..telemetry import CallPathProfiler, Telemetry
 
@@ -558,7 +565,7 @@ def run_scenario(plan: RunPlan) -> BenchArtifact:
     scenario = SCENARIOS[plan.scenario]
     settings = plan.settings()
     rows = plan.rows()
-    simulated, census = _canonical_block(settings, plan.seed)
+    simulated, census = copy.deepcopy(_shared_block(settings, plan.seed))
     if not rows:  # canonical-run-only scenarios (overlay)
         rows = list(simulated["per_server_load"])
 

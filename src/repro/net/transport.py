@@ -80,7 +80,7 @@ class ServiceConfig:
     reject_bytes: int = 16
 
     def __post_init__(self) -> None:
-        if self.service_time <= 0:
+        if not self.service_time > 0:
             raise ValueError(
                 f"service_time must be positive, got {self.service_time}"
             )

@@ -47,7 +47,7 @@ class RoadsConfig:
             raise ValueError("records_per_node must be >= 0")
         if self.max_children < 1:
             raise ValueError("max_children must be >= 1")
-        if self.summary_interval <= 0 or self.record_interval <= 0:
+        if not (self.summary_interval > 0 and self.record_interval > 0):
             raise ValueError("update intervals must be positive")
         if not (0.0 <= self.loss_rate < 1.0):
             raise ValueError(

@@ -51,10 +51,10 @@ class LoadConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.rate < np.inf:  # nan or inf never ends the draw
+            raise ValueError(f"rate must be finite and positive, got {self.rate}")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if not 0.0 <= self.scope_fraction <= 1.0:
             raise ValueError(
                 f"scope_fraction must be in [0, 1], got {self.scope_fraction}"

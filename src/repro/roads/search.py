@@ -40,15 +40,15 @@ class RetryPolicy:
     backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        if not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_base < 0:
+        if not self.backoff_base >= 0:
             raise ValueError(
                 f"backoff_base must be >= 0, got {self.backoff_base}"
             )
-        if self.backoff_factor < 1.0:
+        if not self.backoff_factor >= 1.0:
             raise ValueError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}"
             )

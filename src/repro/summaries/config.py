@@ -46,5 +46,5 @@ class SummaryConfig:
             )
         if self.bloom_bits <= 0 or self.bloom_hashes <= 0:
             raise ValueError("bloom parameters must be positive")
-        if self.ttl <= 0:
+        if not self.ttl > 0:
             raise ValueError("ttl must be positive")

@@ -197,7 +197,7 @@ class SeriesConfig:
     per_server: bool = True
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
+        if not self.interval > 0:
             raise ValueError(f"interval must be positive, got {self.interval}")
 
 

@@ -38,11 +38,11 @@ class DynamicsConfig:
     attributes: Optional[Sequence[str]] = None  # default: all numeric
 
     def __post_init__(self) -> None:
-        if self.record_interval <= 0:
+        if not self.record_interval > 0:
             raise ValueError("record_interval must be positive")
         if not (0.0 < self.change_fraction <= 1.0):
             raise ValueError("change_fraction must be in (0, 1]")
-        if self.step_sigma <= 0:
+        if not self.step_sigma > 0:
             raise ValueError("step_sigma must be positive")
 
 

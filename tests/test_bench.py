@@ -1,5 +1,6 @@
 """Benchmark observatory: profiler, scenarios, artifacts, compare."""
 
+import copy
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from repro.bench import (
     config_fingerprint,
     format_comparison,
     load_artifact,
+    profile_scenario,
     resolve_scale,
     RunPlan,
     run_scenario,
@@ -24,8 +26,13 @@ from repro.bench import (
     validate_artifact,
     write_artifact,
 )
+from repro.bench.scenarios import _canonical_block, _shared_block
 from repro.experiments.config import ExperimentSettings
-from repro.telemetry.profiling import CallPathProfiler, flatten_document
+from repro.telemetry.profiling import (
+    CallPathProfiler,
+    census_fingerprint,
+    flatten_document,
+)
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +186,7 @@ class TestNoHostTime:
         ]
 
     def test_two_runs_differ_only_in_created_unix(self, overlay_artifact):
+        _shared_block.cache_clear()  # two computations, not one memo hit
         again = run_scenario(RunPlan("overlay", scale="smoke", seed=3))
         first, second = overlay_artifact.to_dict(), again.to_dict()
         del first["created_unix"], second["created_unix"]
@@ -209,13 +217,19 @@ class TestOneUnobservedFederation:
             return build(cls, *args, **kwargs)
 
         monkeypatch.setattr(RoadsSystem, "build", classmethod(counting))
-        plan = RunPlan("fig3", scale="smoke")
-        artifact = run_scenario(plan)
+        _shared_block.cache_clear()
+        artifact = run_scenario(RunPlan("fig3", scale="smoke"))
         assert constructed == []
         # one federation per sweep point + one for the canonical block
-        assert len(builds) == len(scale_sweeps("smoke")["nodes"]) + 1
+        sweep = len(scale_sweeps("smoke")["nodes"])
+        assert len(builds) == sweep + 1
         assert len(builds) == len(artifact.rows) + 1
         assert builds == [None] * len(builds)
+        # ... which the next scenario at that (scale, seed) reads back
+        del builds[:]
+        run_scenario(RunPlan("fig4", scale="smoke"))
+        assert len(builds) == sweep
+        assert constructed == []
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
     def test_shared_root_entry_arm_is_a_fresh_federations(self, seed):
@@ -250,6 +264,47 @@ class TestOneUnobservedFederation:
         assert block["events_processed"] == overlay.sim.processed
         assert census == overlay.network.census
         assert "events_emitted" not in block
+
+
+class TestCanonicalBlockMemo:
+    """``run_scenario`` simulates the block once per (settings, seed) and
+    hands every artifact its own copy; ``repro profile`` goes around it."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_memo_hit_is_a_fresh_block(self, seed):
+        plan = RunPlan("overlay", scale="smoke", seed=seed)
+        run_scenario(plan)
+        run_scenario(plan.with_(scenario="fig4"))  # other work in between
+        hits = _shared_block.cache_info().hits
+        artifact = run_scenario(plan)
+        assert _shared_block.cache_info().hits == hits + 1
+        block, census = _canonical_block(plan.settings(), seed)
+        assert artifact.simulated == block
+        assert artifact.profile["census_fingerprint"] == (
+            census_fingerprint(census)
+        )
+
+    def test_mutating_an_artifact_leaves_the_next_alone(self):
+        plan = RunPlan("overlay", scale="smoke", seed=4)
+        first = run_scenario(plan)
+        expected = copy.deepcopy((first.simulated, first.profile))
+        first.simulated["latency"]["p50"] = -1.0
+        first.simulated["per_server_load"][0]["share"] = -1.0
+        first.simulated["per_server_load"].clear()
+        first.profile["census_kinds"].clear()
+        second = run_scenario(plan)
+        assert (second.simulated, second.profile) == expected
+
+    def test_profile_scenario_neither_reads_nor_fills_it(self):
+        _shared_block.cache_clear()
+        document = profile_scenario("smoke", 5)
+        assert _shared_block.cache_info().currsize == 0
+        artifact = run_scenario(RunPlan("overlay", scale="smoke", seed=5))
+        before = _shared_block.cache_info()
+        assert profile_scenario("smoke", 5)["census_fingerprint"] == (
+            document["census_fingerprint"]
+        ) == artifact.profile["census_fingerprint"]
+        assert _shared_block.cache_info() == before
 
 
 def _with_metrics(art: BenchArtifact, **overrides) -> BenchArtifact:

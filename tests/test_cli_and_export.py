@@ -545,6 +545,13 @@ class TestOutOfRangeInputs:
         (["health", "--interval", "0"], "interval"),
         (["health", "--probe-interval", "-1"], "interval"),
         (["watch", "--sample-interval", "0"], "interval"),
+        # nan passes an `x <= 0` check: the rate used to hang the draw,
+        # the others to fail later with a SimulationError traceback
+        (["health", "--rate", "nan"], "rate"),
+        (["health", "--interval", "nan"], "interval"),
+        (["health", "--probe-interval", "nan"], "interval"),
+        (["watch", "--sample-interval", "nan"], "interval"),
+        (["health", "--service-time", "nan"], "service_time"),
         (["telemetry", "--nodes", "1"], "num_nodes"),
         (["suite", "--targets", "fig99"], "fig99"),
     ]

@@ -29,6 +29,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             DynamicsConfig(step_sigma=0)
 
+    @pytest.mark.parametrize("field", ["step_sigma", "record_interval"])
+    def test_nan_rejected(self, field):
+        # A nan step_sigma used to write nan into the records.
+        with pytest.raises(ValueError, match=field):
+            DynamicsConfig(**{field: float("nan")})
+
 
 class TestRandomWalk:
     def make(self, **kwargs):

@@ -22,6 +22,7 @@ from repro.bench import (
     stress_shard_rows,
 )
 from repro.bench.parallel import resolve_workers, shard_settings
+from repro.bench.scenarios import _shared_block
 from repro.cli import build_parser
 from repro.experiments.config import ExperimentSettings
 
@@ -93,6 +94,9 @@ class TestParallelRunner:
     def test_run_plans_pool_matches_serial(self):
         plans = seed_sweep(RunPlan("fig8", scale="smoke"), [2, 5])
         serial = run_plans(plans, workers=1)
+        # A forked worker inherits this process's memo: empty it so the
+        # pool simulates its canonical blocks itself.
+        _shared_block.cache_clear()
         pooled = run_plans(plans, workers=2)
         assert [comparable_dict(a) for a in serial] == [
             comparable_dict(a) for a in pooled

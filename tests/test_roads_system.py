@@ -68,6 +68,11 @@ class TestBuild:
         with pytest.raises(ValueError):
             RoadsConfig(summary_interval=0)
 
+    @pytest.mark.parametrize("field", ["summary_interval", "record_interval"])
+    def test_nan_interval_rejected(self, field):
+        with pytest.raises(ValueError, match="intervals must be positive"):
+            RoadsConfig(**{field: float("nan")})
+
 
 class TestQueryCompleteness:
     """ROADS must find every record a ground-truth scan finds."""

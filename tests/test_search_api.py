@@ -76,6 +76,13 @@ class TestSearchRequest:
         with pytest.raises(ValueError):
             RetryPolicy(backoff_factor=0.5)
 
+    @pytest.mark.parametrize(
+        "field", ["timeout", "backoff_base", "backoff_factor"]
+    )
+    def test_retry_policy_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: float("nan")})
+
     def test_backoff_schedule(self):
         p = RetryPolicy(backoff_base=0.2, backoff_factor=2.0)
         assert p.delay_before_attempt(1) == 0.0

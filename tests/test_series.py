@@ -113,6 +113,11 @@ class TestRingSeries:
         with pytest.raises(ValueError, match="interval"):
             SeriesConfig(interval=0.0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), -0.25])
+    def test_interval_must_be_positive(self, interval):
+        with pytest.raises(ValueError, match="interval"):
+            SeriesConfig(interval=interval)
+
 
 class TestSampler:
     def test_cadence_and_gauge_names(self):

@@ -62,6 +62,11 @@ class TestServiceConfig:
             ServiceConfig(queue_limit=-1)
         ServiceConfig(queue_limit=0)  # zero waiting room is legal
 
+    @pytest.mark.parametrize("service_time", [float("nan"), -0.5])
+    def test_service_time_must_be_positive(self, service_time):
+        with pytest.raises(ValueError, match="service_time"):
+            ServiceConfig(service_time=service_time)
+
     def test_unconfigured_stats_are_zero(self):
         _, _, net = make_net()
         stats = net.service_stats(3)
@@ -429,6 +434,13 @@ class TestLoadGenerator:
             LoadConfig(rate=1.0, horizon=0)
         with pytest.raises(ValueError):
             LoadConfig(rate=1.0, horizon=1.0, scope_fraction=1.5)
+
+    @pytest.mark.parametrize("field", ["rate", "horizon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rate_and_horizon_must_be_finite(self, field, value):
+        # Either would draw arrivals forever.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LoadConfig(**{"rate": 1.0, "horizon": 1.0, field: value})
 
     def test_empty_query_pool_rejected(self):
         system, _ = self._system_and_queries()

@@ -42,6 +42,17 @@ class TestSummaryConfig:
         with pytest.raises(ValueError):
             SummaryConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "ttl, ok", [(float("nan"), False), (-1.0, False), (float("inf"), True)]
+    )
+    def test_ttl_must_be_positive(self, ttl, ok):
+        # inf is a summary that never expires (the figure drivers' builds)
+        if ok:
+            assert SummaryConfig(ttl=ttl).ttl == ttl
+        else:
+            with pytest.raises(ValueError, match="ttl"):
+                SummaryConfig(ttl=ttl)
+
 
 class TestFromStore:
     def test_numeric_become_histograms(self, mixed_store):
