@@ -147,7 +147,11 @@ def _cmd_trace(args) -> int:
     from .telemetry import assemble_traces, critical_path, diff_critical_paths
     from .telemetry.export import read_jsonl, write_chrome_trace
 
-    events = read_jsonl(args.artifact)
+    try:
+        events = read_jsonl(args.artifact)
+    except ValueError as exc:
+        print(f"{args.artifact}: {exc}")
+        return 2
     trees = assemble_traces(events)
     if not trees:
         print(

@@ -1,6 +1,6 @@
 """Prototype benchmarking substrate (Figure 11's testbed, simulated)."""
 
-from .backend import BackendCostModel, RecordBackend, SearchResult
+from .backend import BackendCostModel
 from .response import (
     CentralResponder,
     ResponseOutcome,
@@ -11,8 +11,6 @@ from .response import (
 
 __all__ = [
     "BackendCostModel",
-    "RecordBackend",
-    "SearchResult",
     "RoadsResponder",
     "CentralResponder",
     "SwordResponder",

@@ -1,27 +1,25 @@
-"""In-memory record backend standing in for the prototype's DB2 store.
+"""Cost model of the record backend standing in for the prototype's DB2 store.
 
 The paper's prototype benchmark (Section V, Figure 11) measures *total
 response time*: network latency plus the time servers take to search
 their local record stores and return all matching records. Their testbed
-attached a DB2 database to every server; we substitute an indexed
-in-memory columnar store whose search cost is **actually measured** (a
-real vectorized scan) and whose per-record retrieval/serialization cost
-is an explicit, calibratable constant — preserving exactly the effect the
-figure demonstrates: response time is dominated by record retrieval,
-which ROADS parallelizes across servers while the central repository
-serializes on one machine.
+attached a DB2 database to every server; we charge a modelled backend
+instead — a fixed overhead, a scan of every stored record and a
+retrieval of every matching one, each at a constant rate — preserving
+exactly the effect the figure demonstrates: response time is dominated
+by record retrieval, which ROADS parallelizes across servers while the
+central repository serializes on one machine. No charge reads the host
+clock, so a Figure 11 row is exact per seed.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
-import numpy as np
-
-from ..query.query import Query
-from ..records.store import RecordStore
+#: Seconds to scan one stored record: ``Query.mask``'s median per-record
+#: cost on the quick-scale 160 000-record merged store, 6-dimensional
+#: queries (DESIGN.md §2). SWORD charges its local scan the same way.
+SCAN_SECONDS_PER_RECORD = 35e-9
 
 
 @dataclass(frozen=True)
@@ -52,72 +50,14 @@ class BackendCostModel:
     def retrieval_seconds(self, match_count: int) -> float:
         return self.fixed_overhead_seconds + match_count * self.per_record_retrieval_seconds
 
+    def server_seconds(self, records: int, matches: int) -> float:
+        """Time a server holding *records* is busy answering with
+        *matches* of them: one scan of the store, then the retrieval."""
+        return (
+            self.fixed_overhead_seconds
+            + SCAN_SECONDS_PER_RECORD * records
+            + self.per_record_retrieval_seconds * matches
+        )
+
     def transfer_seconds(self, result_bytes: int) -> float:
         return result_bytes / self.bandwidth_bytes_per_second
-
-
-@dataclass
-class SearchResult:
-    """One backend search: what matched and what it cost."""
-
-    match_count: int
-    search_seconds: float  # measured wall time of the scan
-    retrieval_seconds: float  # modelled per-record retrieval cost
-    result_bytes: int
-
-    @property
-    def server_seconds(self) -> float:
-        """Total time the server is busy answering."""
-        return self.search_seconds + self.retrieval_seconds
-
-
-class RecordBackend:
-    """A server's attached record store with measured search cost.
-
-    Two execution modes, both timed for real:
-
-    * ``indexed=False`` — a full vectorized scan (the baseline);
-    * ``indexed=True`` — sorted-column indexes answer the most selective
-      range predicate with binary search, remaining predicates filter
-      the candidates (what an actual DB2-style backend would do).
-    """
-
-    def __init__(
-        self,
-        store: RecordStore,
-        cost_model: Optional[BackendCostModel] = None,
-        *,
-        indexed: bool = False,
-    ):
-        self.store = store
-        self.cost_model = cost_model if cost_model is not None else BackendCostModel()
-        self.indexed = indexed
-        self._index = None
-        if indexed:
-            from ..records.index import IndexedStore
-
-            self._index = IndexedStore(store)
-
-    def __len__(self) -> int:
-        return len(self.store)
-
-    def reindex(self) -> None:
-        """Rebuild indexes after the underlying records changed."""
-        if self._index is not None:
-            self._index.rebuild()
-
-    def search(self, query: Query) -> SearchResult:
-        """Evaluate *query*; the scan/index probe is timed for real."""
-        t0 = time.perf_counter()
-        if self._index is not None:
-            count = self._index.match_count(query)
-        else:
-            count = int(query.mask(self.store).sum())
-        search_seconds = time.perf_counter() - t0
-        result_bytes = count * self.store.schema.record_size_bytes
-        return SearchResult(
-            match_count=count,
-            search_seconds=search_seconds,
-            retrieval_seconds=self.cost_model.retrieval_seconds(count),
-            result_bytes=result_bytes,
-        )

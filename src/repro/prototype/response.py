@@ -16,16 +16,17 @@ searches the whole federation's records and serializes all retrieval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..central.system import CentralSystem
 from ..query.query import Query
+from ..records.store import RecordStore
 from ..roads.search import SearchRequest
 from ..roads.system import RoadsSystem
 from ..sword.system import SwordSystem
-from .backend import BackendCostModel, RecordBackend
+from .backend import BackendCostModel
 
 
 @dataclass
@@ -40,7 +41,7 @@ class ResponseOutcome:
 
 
 class RoadsResponder:
-    """Measures ROADS total response time using per-owner backends."""
+    """Measures ROADS total response time over each owner's own store."""
 
     def __init__(
         self,
@@ -49,12 +50,11 @@ class RoadsResponder:
     ):
         self.system = system
         self.cost_model = cost_model if cost_model is not None else BackendCostModel()
-        self._backends: Dict[str, RecordBackend] = {}
-        for server in system.hierarchy:
-            for owner in server.owners:
-                self._backends[owner.owner_id] = RecordBackend(
-                    owner.origin, self.cost_model
-                )
+        self._stores: Dict[str, RecordStore] = {
+            owner.owner_id: owner.origin
+            for server in system.hierarchy
+            for owner in server.owners
+        }
 
     def respond(self, query: Query, client_node: Optional[int] = None) -> ResponseOutcome:
         outcome = self.system.search(
@@ -65,18 +65,20 @@ class RoadsResponder:
         worst_server = 0.0
         matches = 0
         for hit in outcome.owner_hits:
-            backend = self._backends[hit.owner_id]
-            result = backend.search(query)
-            matches += result.match_count
+            store = self._stores[hit.owner_id]
+            count = query.match_count(store)
+            server_seconds = self.cost_model.server_seconds(len(store), count)
+            result_bytes = count * store.schema.record_size_bytes
+            matches += count
             return_latency = self.system.network.latency(hit.server_id, client)
             done = (
                 (hit.arrival_time - outcome.started_at)
-                + result.server_seconds
+                + server_seconds
                 + return_latency
-                + self.cost_model.transfer_seconds(result.result_bytes)
+                + self.cost_model.transfer_seconds(result_bytes)
             )
             completion = max(completion, done)
-            worst_server = max(worst_server, result.server_seconds)
+            worst_server = max(worst_server, server_seconds)
         # Even a no-match query costs its forwarding time.
         completion = max(completion, outcome.latency)
         return ResponseOutcome(
@@ -98,22 +100,24 @@ class CentralResponder:
     ):
         self.system = system
         self.cost_model = cost_model if cost_model is not None else BackendCostModel()
-        self._backend = RecordBackend(system.store, self.cost_model)
 
     def respond(self, query: Query, client_node: int) -> ResponseOutcome:
         outcome = self.system.execute_query(query, client_node)
-        result = self._backend.search(query)
+        store = self.system.store
+        count = query.match_count(store)
+        server_seconds = self.cost_model.server_seconds(len(store), count)
+        result_bytes = count * store.schema.record_size_bytes
         response = (
             outcome.round_trip
-            + result.server_seconds
-            + self.cost_model.transfer_seconds(result.result_bytes)
+            + server_seconds
+            + self.cost_model.transfer_seconds(result_bytes)
         )
         return ResponseOutcome(
             query=query,
             response_seconds=response,
             forwarding_seconds=outcome.round_trip,
-            server_seconds=result.server_seconds,
-            match_count=result.match_count,
+            server_seconds=server_seconds,
+            match_count=count,
         )
 
 

@@ -8,7 +8,7 @@ from .predicate import (
     less_than,
 )
 from .query import Query
-from .selectivity import calibrate_to_selectivity, selectivity, selectivity_histogram
+from .selectivity import calibrate_to_selectivity, selectivity
 
 __all__ = [
     "EqualsPredicate",
@@ -19,5 +19,4 @@ __all__ = [
     "Query",
     "selectivity",
     "calibrate_to_selectivity",
-    "selectivity_histogram",
 ]

@@ -9,7 +9,7 @@ every range predicate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -71,17 +71,24 @@ def calibrate_to_selectivity(
     bounds = {
         spec.name: spec.bounds for spec in store.schema.numeric_attributes
     }
+    # Each scale is scanned once, though the two loops revisit some.
+    memo: Dict[float, Tuple[Query, float]] = {}
+
+    def at(scale: float) -> Tuple[Query, float]:
+        if scale not in memo:
+            q = _scaled(query, scale, bounds)
+            memo[scale] = (q, selectivity(q, store))
+        return memo[scale]
+
     lo_scale, hi_scale = 0.0, 1.0
     # Grow the upper scale until it overshoots the target (ranges are
     # clipped to attribute bounds so this terminates).
     for _ in range(20):
-        if selectivity(_scaled(query, hi_scale, bounds), store) >= target:
+        if at(hi_scale)[1] >= target:
             break
         prev = hi_scale
         hi_scale *= 2.0
-        if selectivity(_scaled(query, hi_scale, bounds), store) == selectivity(
-            _scaled(query, prev, bounds), store
-        ) and hi_scale > 64:
+        if at(hi_scale)[1] == at(prev)[1] and hi_scale > 64:
             break  # fully clipped; cannot grow further
     else:
         return None
@@ -90,8 +97,7 @@ def calibrate_to_selectivity(
     best_err = np.inf
     for _ in range(max_iterations):
         mid = (lo_scale + hi_scale) / 2.0
-        q = _scaled(query, mid, bounds)
-        s = selectivity(q, store)
+        q, s = at(mid)
         err = abs(s - target)
         if err < best_err:
             best, best_err = q, err
@@ -104,16 +110,3 @@ def calibrate_to_selectivity(
     if best is not None and best_err <= tolerance * target:
         return best
     return None
-
-
-def selectivity_histogram(
-    queries: Sequence[Query], store: RecordStore, bins: Sequence[float]
-) -> List[int]:
-    """Count queries per selectivity bin (bins given as fractions)."""
-    edges = np.asarray(list(bins), dtype=float)
-    counts = [0] * (len(edges) + 1)
-    for q in queries:
-        s = selectivity(q, store)
-        idx = int(np.searchsorted(edges, s, side="right"))
-        counts[idx] += 1
-    return counts

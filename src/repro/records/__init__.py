@@ -1,6 +1,5 @@
 """Resource record model: attributes, schemas, records, columnar stores."""
 
-from .index import IndexedStore, SortedIndex
 from .attribute import AttributeSpec, AttributeType, categorical, integer, numeric
 from .record import ResourceRecord
 from .schema import (
@@ -20,8 +19,6 @@ __all__ = [
     "ResourceRecord",
     "Schema",
     "RecordStore",
-    "IndexedStore",
-    "SortedIndex",
     "stream_processing_schema",
     "compute_resource_schema",
     "prototype_record_schema",

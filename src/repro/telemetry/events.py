@@ -40,15 +40,23 @@ class TelemetryEvent:
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "TelemetryEvent":
         # Keys it does not know (``parent_id`` in older exports) are
-        # ignored, so every export this recorder ever wrote still loads.
-        return cls(
-            ts=float(d["ts"]),
-            name=str(d["name"]),
-            kind=str(d.get("kind", "event")),
-            dur=float(d.get("dur", 0.0)),
-            span_id=int(d.get("span_id", 0)),
-            tags=dict(d.get("tags", {})),
-        )
+        # ignored, so every export this recorder ever wrote still loads;
+        # anything that is not an event is one ValueError.
+        if not isinstance(d, dict):
+            raise ValueError(f"not an event object: {type(d).__name__}")
+        try:
+            return cls(
+                ts=float(d["ts"]),
+                name=str(d["name"]),
+                kind=str(d.get("kind", "event")),
+                dur=float(d.get("dur", 0.0)),
+                span_id=int(d.get("span_id", 0)),
+                tags=dict(d.get("tags", {})),
+            )
+        except KeyError as exc:
+            raise ValueError(f"event without {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed event: {exc}") from None
 
 
 class EventBus:

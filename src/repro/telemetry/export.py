@@ -58,7 +58,17 @@ def write_jsonl(events: Iterable[TelemetryEvent], path) -> int:
 
 
 def read_jsonl(path) -> List[TelemetryEvent]:
-    return [TelemetryEvent.from_dict(d) for d in read_series_jsonl(path)]
+    """The events of a :func:`write_jsonl` file; :class:`ValueError`
+    naming the first line that is not JSON or not an event."""
+    events = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                if line.strip():
+                    events.append(TelemetryEvent.from_dict(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+    return events
 
 
 # -- Prometheus text format ----------------------------------------------------

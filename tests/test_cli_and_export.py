@@ -130,34 +130,20 @@ class TestOneScenarioRegistry:
         from repro.bench import SCENARIOS, scale_settings, scale_sweeps
         from repro.experiments import format_table
 
-        def exact(rows):
-            # fig11 is the prototype's response time: its *_ms columns
-            # include the host's own backend search time, by design.
-            return [
-                {k: v for k, v in r.items()
-                 if not (target == "fig11" and k.endswith("_ms"))}
-                for r in rows
-            ]
-
-        rows = exact(SCENARIOS[target].driver(
+        rows = SCENARIOS[target].driver(
             scale_settings("smoke", self.SEED), scale_sweeps("smoke")
-        ))
+        )
         assert rows
         rc = main([
             "figure", target, "--scale", "smoke", "--seed", str(self.SEED),
         ])
         assert rc == 0
-        stdout = capsys.readouterr().out
-        if target == "fig11":
-            assert stdout.startswith("fig11 (smoke scale)\nselectivity_pct")
-            assert len(stdout.splitlines()) == 3 + len(rows)
-        else:
-            assert stdout == (
-                format_table(rows, title=f"{target} (smoke scale)") + "\n"
-            )
+        assert capsys.readouterr().out == (
+            format_table(rows, title=f"{target} (smoke scale)") + "\n"
+        )
         out, results = suite
-        assert exact(results[target]) == rows
-        assert exact(load_rows_json(out / f"{target}.json")["rows"]) == rows
+        assert results[target] == rows
+        assert load_rows_json(out / f"{target}.json")["rows"] == rows
 
 
 class TestSuite:
@@ -566,6 +552,22 @@ class TestOutOfRangeInputs:
         captured = capsys.readouterr()
         (line,) = captured.out.splitlines()
         assert line.startswith(f"repro {argv[0]}: ") and reason in line
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("line, reason", [
+        ('{"a": 1}', "without 'ts'"),
+        ('{"ts": "abc", "name": "x"}', "'abc'"),
+        ("[1]", "not an event object"),
+    ], ids=["no ts", "ts not a number", "not an object"])
+    def test_malformed_trace_artifact_names_path_and_line(
+        self, line, reason, tmp_path, capsys
+    ):
+        artifact = tmp_path / "events.jsonl"
+        artifact.write_text(line + "\n")
+        assert main(["trace", str(artifact)]) == 2
+        captured = capsys.readouterr()
+        (printed,) = captured.out.splitlines()
+        assert printed.startswith(f"{artifact}: line 1: ") and reason in printed
         assert "Traceback" not in captured.out + captured.err
 
 

@@ -5,14 +5,22 @@ driver mechanics — row structure, sweep handling, determinism — at tiny
 scale so the whole experiments package is exercised by `pytest tests/`.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.bench import RunPlan
 from repro.experiments import (
     ExperimentSettings,
     fig4_update_overhead_vs_nodes,
     fig5_query_overhead_vs_nodes,
     fig7_query_overhead_vs_dimensions,
     fig11_response_time_vs_selectivity,
+    save_rows_csv,
 )
 
 SMOKE = ExperimentSettings.smoke()
@@ -72,3 +80,22 @@ class TestFig11Driver:
             assert r["roads_mean_ms"] > 0
             assert r["central_mean_ms"] > 0
             assert r["roads_p90_ms"] >= r["roads_mean_ms"] * 0.5
+
+    def test_rows_are_exact_across_runs_and_processes(self, tmp_path):
+        """The backend is charged per record, never timed, so Figure 11
+        is as exact per seed as every other figure."""
+        plan = RunPlan("fig11", scale="smoke", seed=1)
+        rows = plan.rows()
+        assert plan.rows() == rows
+        save_rows_csv(rows, tmp_path / "here.csv")
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        for name in ("a.csv", "b.csv"):
+            subprocess.run(
+                [sys.executable, "-m", "repro", "figure", "fig11",
+                 "--scale", "smoke", "--seed", "1",
+                 "--output", str(tmp_path / name)],
+                check=True, capture_output=True, env=env,
+            )
+            assert (tmp_path / name).read_bytes() == (
+                tmp_path / "here.csv"
+            ).read_bytes()

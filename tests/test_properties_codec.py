@@ -99,47 +99,3 @@ class TestFingerprintProperties:
         a = ValueSetSummary("e", values)
         b = ValueSetSummary("e", list(reversed(values)))
         assert a.fingerprint() == b.fingerprint()
-
-
-class TestIndexProperties:
-    @given(
-        values=st.lists(unit_floats, min_size=1, max_size=80),
-        lo=unit_floats,
-        hi=unit_floats,
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_sorted_index_equals_scan(self, values, lo, hi):
-        import numpy as np
-
-        from repro.records.index import SortedIndex
-
-        arr = np.asarray(values)
-        idx = SortedIndex(arr)
-        want_rows = set(np.flatnonzero((arr >= lo) & (arr <= hi)).tolist())
-        assert set(idx.rows_in_range(lo, hi).tolist()) == want_rows
-        assert idx.count_range(lo, hi) == len(want_rows)
-
-    @given(
-        n=st.integers(min_value=1, max_value=60),
-        bounds=st.tuples(unit_floats, unit_floats, unit_floats, unit_floats),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_indexed_store_equals_query_mask(self, n, bounds, seed):
-        import numpy as np
-
-        from repro.query import Query, RangePredicate
-        from repro.records import RecordStore, Schema, numeric
-        from repro.records.index import IndexedStore
-
-        schema = Schema([numeric("a"), numeric("b")])
-        rng = np.random.default_rng(seed)
-        store = RecordStore.from_arrays(schema, rng.random((n, 2)), [])
-        a_lo, a_hi, b_lo, b_hi = bounds
-        assume(a_lo <= a_hi and b_lo <= b_hi)
-        q = Query.of(
-            RangePredicate("a", a_lo, a_hi), RangePredicate("b", b_lo, b_hi)
-        )
-        ix = IndexedStore(store)
-        want = set(np.flatnonzero(q.mask(store)).tolist())
-        assert set(ix.match_rows(q).tolist()) == want

@@ -12,10 +12,10 @@ from repro.experiments import (
 from repro.prototype import (
     BackendCostModel,
     CentralResponder,
-    RecordBackend,
     RoadsResponder,
     summarize_responses,
 )
+from repro.prototype.backend import SCAN_SECONDS_PER_RECORD
 from repro.query import Query, RangePredicate
 from repro.workload import generate_queries, merge_stores
 
@@ -53,24 +53,37 @@ class TestCostModel:
 
 
 class TestRecordBackend:
+    """The backend is charged, never timed: a fixed overhead, a scan of
+    every stored record and a retrieval of every match."""
+
     def test_search_counts_match_query(self, built):
-        _, stores, _, _ = built
-        backend = RecordBackend(stores[0])
+        _, _, _, central = built
+        cost = BackendCostModel()
         q = Query.of(RangePredicate("u0", 0.0, 0.5))
-        result = backend.search(q)
-        assert result.match_count == q.match_count(stores[0])
-        assert result.search_seconds >= 0.0
-        assert result.result_bytes == (
-            result.match_count * stores[0].schema.record_size_bytes
+        out = CentralResponder(central, cost).respond(q, client_node=0)
+        matches = q.match_count(central.store)
+        assert out.match_count == matches
+        assert out.server_seconds == (
+            cost.fixed_overhead_seconds
+            + SCAN_SECONDS_PER_RECORD * len(central.store)
+            + cost.per_record_retrieval_seconds * matches
+        )
+        assert out.response_seconds == (
+            out.forwarding_seconds
+            + out.server_seconds
+            + cost.transfer_seconds(
+                matches * central.store.schema.record_size_bytes
+            )
         )
 
     def test_server_seconds_dominated_by_retrieval(self, built):
         _, stores, _, _ = built
         cost = BackendCostModel(per_record_retrieval_seconds=1.0)
-        backend = RecordBackend(stores[0], cost)
-        q = Query.of(RangePredicate("u0", 0.0, 1.0))
-        result = backend.search(q)
-        assert result.server_seconds >= result.match_count * 1.0
+        records = len(stores[0])
+        assert cost.server_seconds(records, 0) == (
+            cost.fixed_overhead_seconds + SCAN_SECONDS_PER_RECORD * records
+        )
+        assert cost.server_seconds(records, records) >= records * 1.0
 
 
 class TestResponders:
@@ -178,41 +191,3 @@ class TestSwordResponder:
             for c in clients
         ]
         assert np.percentile(s_times, 90) > np.percentile(c_times, 90)
-
-
-class TestIndexedBackend:
-    def test_indexed_counts_equal_scan(self, built):
-        wcfg, stores, _, _ = built
-        scan = RecordBackend(stores[0], indexed=False)
-        idx = RecordBackend(stores[0], indexed=True)
-        for q in generate_queries(wcfg, num_queries=10, dimensions=3):
-            assert idx.search(q).match_count == scan.search(q).match_count
-
-    def test_indexed_faster_on_large_selective_queries(self):
-        """On a big store with a selective range, binary search beats
-        the full scan (measured, not modelled)."""
-        import numpy as np
-        from repro.records import RecordStore, Schema, numeric
-
-        schema = Schema([numeric(f"a{i}") for i in range(8)])
-        rng = np.random.default_rng(0)
-        store = RecordStore.from_arrays(schema, rng.random((400_000, 8)), [])
-        scan = RecordBackend(store, indexed=False)
-        idx = RecordBackend(store, indexed=True)
-        q = Query.of(RangePredicate("a0", 0.5, 0.5005))
-        # warm both paths, then time
-        scan.search(q), idx.search(q)
-        t_scan = min(scan.search(q).search_seconds for _ in range(3))
-        t_idx = min(idx.search(q).search_seconds for _ in range(3))
-        assert idx.search(q).match_count == scan.search(q).match_count
-        assert t_idx < t_scan
-
-    def test_reindex_after_mutation(self, built):
-        _, stores, _, _ = built
-        idx = RecordBackend(stores[1], indexed=True)
-        q = Query.of(RangePredicate("u0", 0.0, 1.0))
-        before = idx.search(q).match_count
-        assert before == len(stores[1])
-        stores[1].update_numeric(0, "u0", 0.123)
-        idx.reindex()
-        assert idx.search(q).match_count == before

@@ -1,5 +1,7 @@
 """Unit tests for repro.query.selectivity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from repro.query import (
     RangePredicate,
     calibrate_to_selectivity,
     selectivity,
-    selectivity_histogram,
 )
 from repro.records import RecordStore, Schema, numeric
 
@@ -82,11 +83,51 @@ class TestCalibration:
         assert out is None
 
 
-class TestHistogram:
-    def test_bins(self, big_store):
-        queries = [
-            Query.of(RangePredicate("a", 0.0, w)) for w in (0.05, 0.3, 0.9)
-        ]
-        counts = selectivity_histogram(queries, big_store, bins=[0.1, 0.5])
-        assert sum(counts) == 3
-        assert counts == [1, 1, 1]
+class TestOneScanPerScale:
+    """Calibration scans the reference store once per width scale it
+    tries; the decisions, and so the calibrated queries, are the ones
+    the loop that re-scanned every scale made."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        scanned = []
+        mask = Query.mask
+
+        def recording(query, store):
+            scanned.append(tuple((p.lo, p.hi) for p in query.range_predicates()))
+            return mask(query, store)
+
+        monkeypatch.setattr(Query, "mask", recording)
+        return scanned
+
+    def test_no_scale_is_scanned_twice(self, big_store, scans):
+        q = Query.of(
+            RangePredicate("a", 0.45, 0.46), RangePredicate("b", 0.45, 0.46)
+        )
+        assert calibrate_to_selectivity(q, big_store, 0.05) is not None
+        assert len(scans) == len(set(scans)) > 1
+
+    def test_smoke_groups_are_pinned(self, scans):
+        from repro.bench import scale_settings, scale_sweeps
+        from repro.experiments import build_workload
+        from repro.workload import generate_selectivity_groups, merge_stores
+
+        settings, sweeps = scale_settings("smoke", 1), scale_sweeps("smoke")
+        wcfg, stores = build_workload(settings, 1)
+        groups = generate_selectivity_groups(
+            wcfg,
+            merge_stores(stores),
+            targets=sweeps["selectivity"],
+            queries_per_group=sweeps["queries_per_group"],
+            dimensions=settings.query_dimensions,
+        )
+        digest = hashlib.sha256()
+        for group in groups:
+            digest.update(repr(group.target).encode())
+            for query in group.queries:
+                digest.update(repr(
+                    [(p.attribute, p.lo, p.hi) for p in query.predicates]
+                ).encode())
+        # The groups of the loop that scanned 274 times, bit for bit.
+        assert digest.hexdigest()[:16] == "6d5366d29160327c"
+        assert len(scans) == 144
