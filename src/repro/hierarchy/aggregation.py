@@ -116,27 +116,19 @@ class SummaryExporter:
     maintenance heartbeat piggybacks), the parent it shipped to, and
     when it last sent a full summary. A full send is forced when the
     parent changed (rejoin — the new parent has no state for us) or when
-    ``refresh_after`` elapsed since the last full (soft-state
+    the summary TTL elapsed since the last full (soft-state
     anti-entropy: bounds staleness when a full send was lost and the
     receiver is silently discarding our keep-alives).
     """
 
-    __slots__ = ("server", "delta", "refresh_after",
-                 "_last_parent", "_last_full_at")
+    __slots__ = ("server", "config", "delta", "_last_parent", "_last_full_at")
 
     def __init__(
-        self,
-        server: Server,
-        config: SummaryConfig,
-        *,
-        delta: bool = False,
-        refresh_after: Optional[float] = None,
+        self, server: Server, config: SummaryConfig, *, delta: bool = False
     ):
         self.server = server
+        self.config = config
         self.delta = delta
-        self.refresh_after = (
-            refresh_after if refresh_after is not None else config.ttl
-        )
         self._last_parent: Optional[int] = None
         self._last_full_at = float("-inf")
 
@@ -145,11 +137,7 @@ class SummaryExporter:
         self._last_parent = None
 
     def plan_update(
-        self,
-        now: float,
-        branch: Optional[ResourceSummary],
-        *,
-        force_full: bool = False,
+        self, now: float, branch: Optional[ResourceSummary]
     ) -> Optional[tuple]:
         """The report :meth:`build_update` would send: ``(update, size_bytes)``.
 
@@ -167,9 +155,8 @@ class SummaryExporter:
             return SummaryUpdate("child", server.server_id), size
         may_keepalive = (
             self.delta
-            and not force_full
             and parent.server_id == self._last_parent
-            and (now - self._last_full_at) < self.refresh_after
+            and (now - self._last_full_at) < self.config.ttl
         )
         # Only a report that could be a keep-alive is compared, so hashed.
         if may_keepalive:
@@ -180,11 +167,7 @@ class SummaryExporter:
         return SummaryUpdate("child", server.server_id, branch), size
 
     def build_update(
-        self,
-        now: float,
-        branch: Optional[ResourceSummary],
-        *,
-        force_full: bool = False,
+        self, now: float, branch: Optional[ResourceSummary]
     ) -> Optional[tuple]:
         """One epoch's report to the parent: ``(update, size_bytes)``.
 
@@ -195,7 +178,7 @@ class SummaryExporter:
         to the exporter's delta state — the report counts as sent
         whether or not it survives the network.
         """
-        built = self.plan_update(now, branch, force_full=force_full)
+        built = self.plan_update(now, branch)
         if built is not None and branch is not None:
             self._last_parent = self.server.parent.server_id
             if built[0].summary is not None:

@@ -5,7 +5,8 @@ must survive. This module drives a live hierarchy with a continuous
 fail/recover process: each alive server crashes after an exponential
 time-to-failure, goes silent (the maintenance protocol detects it and
 heals the tree), and later recovers and rejoins via the normal balanced
-join walk.
+join walk. This module only decides *when*: the tree and the membership
+change through :class:`MaintenanceProtocol`'s ``fail`` and ``recover``.
 
 The process never touches the root directly more often than any other
 node — root crashes exercise the election path.
@@ -14,7 +15,7 @@ node — root crashes exercise the election path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -109,66 +110,20 @@ class ChurnProcess:
     def _recover(self, server: Server) -> None:
         if self._stopped:
             return
-        sid = server.server_id
-        if server is self.hierarchy.root:
-            # The root came back before any election replaced it: resume
-            # in place. Children that rejoined elsewhere during the
-            # outage already detached themselves; whoever stayed is
-            # still consistent.
-            self._down.pop(sid, None)
-            self.network.recover_node(sid)
-            server.alive = True
-            self.maintenance._register(server)
-            self._finish_recovery(sid)
-            return
-        if not self.hierarchy.root.alive or self.network.is_failed(
-            self.hierarchy.root.server_id
+        root = self.hierarchy.root
+        if server is not root and (
+            not root.alive or self.network.is_failed(root.server_id)
         ):
             # No live root to rejoin under yet (election pending): retry.
             self._schedule_recovery(server)
             return
+        if not self.maintenance.recover(server):
+            # No capacity anywhere (transient): down again, retry later.
+            self.maintenance.fail(server)
+            self._schedule_recovery(server)
+            return
+        sid = server.server_id
         self._down.pop(sid, None)
-        self.network.recover_node(sid)
-        server.alive = True
-        # The node comes back empty-handed: forget stale tree state and
-        # rejoin through the normal balanced walk. If recovery beats the
-        # failure detector, the old edges may still exist — sever them
-        # cleanly so neighbours' state stays consistent (children become
-        # orphans; the maintenance sweep reattaches them).
-        if server.parent is not None:
-            server.parent.remove_child(sid)
-        for child in list(server.children):
-            server.remove_child(child.server_id)
-        server.parent = None
-        server.children = []
-        server.branch_stats.clear()
-        server.child_summaries.clear()
-        server.replicated_summaries.clear()
-        server.replicated_local_summaries.clear()
-        server.last_reported = None
-        server.root_path = [sid]
-        if sid in self.hierarchy._servers:
-            del self.hierarchy._servers[sid]
-        try:
-            self.hierarchy._servers[sid] = server
-            parent = self.hierarchy._find_parent(
-                self.hierarchy.root, sid, visited=set()
-            )
-            if parent is None:
-                del self.hierarchy._servers[sid]
-                # No capacity anywhere (transient); retry later.
-                self._schedule_recovery(server)
-                server.alive = False
-                self.network.fail_node(sid)
-                return
-            parent.add_child(server)
-        except Exception:
-            self.hierarchy._servers.pop(sid, None)
-            raise
-        self.maintenance._register(server)
-        self._finish_recovery(sid)
-
-    def _finish_recovery(self, sid: int) -> None:
         self.stats.recoveries += 1
         # Close the downtime log entry.
         for i in range(len(self.stats.downtime_log) - 1, -1, -1):
@@ -176,7 +131,7 @@ class ChurnProcess:
             if nid == sid and end is None:
                 self.stats.downtime_log[i] = (nid, start, self.sim.now)
                 break
-        self._schedule_failure(self.hierarchy.get(sid))
+        self._schedule_failure(server)
 
     # -- reporting ----------------------------------------------------------------
     def availability(self, window_end: Optional[float] = None) -> float:
@@ -184,7 +139,8 @@ class ChurnProcess:
         end = window_end if window_end is not None else self.sim.now
         if end <= 0:
             return 1.0
-        n = len(self.hierarchy) + len(self._down)
+        # A crashed server stays a member until the detector forgets it.
+        n = len({s.server_id for s in self.hierarchy} | self._down.keys())
         down = 0.0
         for nid, start, stop in self.stats.downtime_log:
             down += (stop if stop is not None else end) - start

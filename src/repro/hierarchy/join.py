@@ -53,23 +53,34 @@ class Hierarchy:
         return self.root.subtree_depth()
 
     # -- joining ----------------------------------------------------------------
-    def join(self, server: Server, start: Optional[Server] = None) -> Server:
-        """Attach *server* using the balanced join walk; returns its parent.
+    def attach(
+        self, server: Server, start: Optional[Server] = None
+    ) -> Optional[Server]:
+        """Attach *server* by the balanced join walk from *start* (the root
+        by default); returns its new parent, or None if no server accepts.
 
-        The walk records the descent path so it can backtrack when a
-        subtree is exhausted without finding a willing parent.
+        The one way a server enters the tree: a new server, an orphan
+        whose parent failed and a crashed server that came back all
+        attach here. The walk records the descent path so it can
+        backtrack when a subtree is exhausted without a willing parent.
         """
-        if server.server_id in self._servers:
-            raise ValueError(f"server {server.server_id} already in hierarchy")
         current = start if start is not None else self.root
         parent = self._find_parent(current, server.server_id, visited=set())
+        if parent is not None:
+            parent.add_child(server)
+            self._servers[server.server_id] = server
+        return parent
+
+    def join(self, server: Server, start: Optional[Server] = None) -> Server:
+        """Attach a server that is not yet a member; returns its parent."""
+        if server.server_id in self._servers:
+            raise ValueError(f"server {server.server_id} already in hierarchy")
+        parent = self.attach(server, start)
         if parent is None:
             raise JoinError(
                 f"no server willing to accept {server.server_id} "
                 f"(hierarchy size {len(self)})"
             )
-        parent.add_child(server)
-        self._servers[server.server_id] = server
         return parent
 
     def _find_parent(
@@ -98,7 +109,8 @@ class Hierarchy:
         """Remove a server record from the membership table.
 
         Tree-edge surgery (re-parenting orphans) is the maintenance
-        protocol's job; this only forgets the server.
+        protocol's job; this only forgets the server. :meth:`attach`,
+        this and :meth:`set_root` are the only writers of membership.
         """
         if server_id == self.root.server_id:
             raise ValueError("cannot remove the root via remove(); elect a new root first")

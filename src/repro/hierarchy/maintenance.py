@@ -13,7 +13,10 @@ Follows Section III-A (adapted from universal multicast tree maintenance
   root;
 * a parent whose child failed drops that child's summary and branch state;
 * when the root fails, its children elect the one with the smallest id as
-  the new root and the rest rejoin under it;
+  the new root and the rest rejoin under it (a leaving root hands over
+  the same way);
+* a crashed server that comes back is one more joiner: it forgets its
+  old tree and rejoins from the root;
 * loop avoidance: a server never attaches to a node whose root path
   contains itself.
 
@@ -24,14 +27,14 @@ rejoin run in periodic check events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..net.transport import Message, Network
 from ..sim.engine import Simulator
 from ..sim.metrics import MAINTENANCE
 from ..telemetry.core import Telemetry
-from .join import Hierarchy, JoinError
+from .join import Hierarchy
 from .node import Server
 
 _HEARTBEAT_HEADER = 16
@@ -235,11 +238,7 @@ class MaintenanceProtocol:
                     peer=parent.server_id, relation="parent",
                 )
                 self._handle_parent_failure(server)
-            elif (
-                parent is None
-                and server is not self.hierarchy.root
-                and server.server_id in self.hierarchy._servers
-            ):
+            elif parent is None and server is not self.hierarchy.root:
                 # Orphaned (e.g. detached during a root election run by a
                 # sibling): self-heal by rejoining under the current root.
                 if not self._try_rejoin(server, self.hierarchy.root):
@@ -274,8 +273,8 @@ class MaintenanceProtocol:
 
     def _try_rejoin(self, server: Server, start: Server) -> bool:
         """Run the balanced join walk from *start*; True on success."""
-        parent = self.hierarchy._find_parent(start, server.server_id, visited=set())
-        if parent is None or not parent.alive:
+        parent = self.hierarchy.attach(server, start)
+        if parent is None:
             return False
         # The walk costs one probe per visited level; approximate with the
         # target's depth in join-protocol bytes.
@@ -284,7 +283,6 @@ class MaintenanceProtocol:
             MAINTENANCE, probe_bytes,
             server=parent.server_id, phase="rejoin",
         )
-        parent.add_child(server)
         self._known_root_path[server.server_id] = list(server.root_path)
         # Grace-stamp the new edge in both directions.
         now = self.sim.now
@@ -303,60 +301,72 @@ class MaintenanceProtocol:
         return True
 
     def _handle_root_failure(self, detector: Server, failed_root: Server) -> None:
-        """Elect the smallest-id child of the failed root as the new root."""
-        siblings = self._known_root_children.get(detector.server_id, [])
-        alive_children = [
-            self._get(sid)
-            for sid in siblings
-            if self._get(sid) is not None
-            and self._get(sid).alive
-            and not self.network.is_failed(sid)
+        """Elect the smallest-id live child of the failed root as the new
+        root, from the root's children list the detector last heard."""
+        known = self._known_root_children.get(detector.server_id, [])
+        candidates = [
+            s for s in map(self._get, known)
+            if s is not None and s.alive
+            and not self.network.is_failed(s.server_id)
         ]
-        if detector not in alive_children:
-            alive_children.append(detector)
-        new_root = min(alive_children, key=lambda s: s.server_id)
+        if detector not in candidates:
+            candidates.append(detector)
+        new_root = self._replace_root(
+            failed_root, candidates, detector=detector.server_id
+        )
+        if detector is not new_root and detector.parent is None:
+            if not self._try_rejoin(detector, new_root):
+                self.orphaned.add(detector.server_id)
+
+    def _replace_root(
+        self, old_root: Server, candidates: List[Server], **tags
+    ) -> Server:
+        """Make the smallest-id candidate root in place of *old_root*.
+
+        *old_root* leaves the membership; every child it still had, but
+        the new root, rejoins under the new root. Returns the new root.
+        """
+        new_root = min(candidates, key=lambda s: s.server_id)
         self.root_elections += 1
         self._event(
             "maintenance.root_election",
-            server=new_root.server_id, failed_root=failed_root.server_id,
-            detector=detector.server_id,
+            server=new_root.server_id, failed_root=old_root.server_id, **tags,
         )
-        detached = []
-        if failed_root.server_id in self.hierarchy._servers:
-            # Forget the failed root; detach any remaining children first.
-            for child in list(failed_root.children):
-                failed_root.remove_child(child.server_id)
-                detached.append(child)
-            del self.hierarchy._servers[failed_root.server_id]
+        detached = list(old_root.children)
+        for child in detached:
+            old_root.remove_child(child.server_id)
         if new_root.parent is not None:
             new_root.parent.remove_child(new_root.server_id)
         self.hierarchy.set_root(new_root)
-        # The failed root's other children rejoin under the new root.
+        self.hierarchy.remove(old_root.server_id)
         for child in detached:
             if child is new_root or not child.alive:
                 continue
             if not self._try_rejoin(child, new_root):
                 self.orphaned.add(child.server_id)
-        if detector is not new_root and detector.parent is None:
-            if not self._try_rejoin(detector, new_root):
-                self.orphaned.add(detector.server_id)
+        return new_root
 
     # -- explicit departures ---------------------------------------------------------
     def leave(self, server: Server) -> None:
-        """Graceful departure: children rejoin from their grandparent."""
+        """Graceful departure: children rejoin from their grandparent; a
+        leaving root hands over to its smallest-id live child first."""
         self._event("maintenance.leave", server=server.server_id)
         server.alive = False
-        parent = server.parent
-        if parent is not None:
-            parent.remove_child(server.server_id)
-        for child in list(server.children):
-            server.remove_child(child.server_id)
-            start = parent if parent is not None else self.hierarchy.root
-            if not self._try_rejoin(child, start):
-                if not self._try_rejoin(child, self.hierarchy.root):
-                    self.orphaned.add(child.server_id)
-        if server.server_id in self.hierarchy._servers and server is not self.hierarchy.root:
-            del self.hierarchy._servers[server.server_id]
+        if server is self.hierarchy.root:
+            successors = [c for c in server.children if c.alive]
+            if successors:
+                self._replace_root(server, successors)
+        else:
+            parent = server.parent
+            if parent is not None:
+                parent.remove_child(server.server_id)
+            for child in list(server.children):
+                server.remove_child(child.server_id)
+                start = parent if parent is not None else self.hierarchy.root
+                if not self._try_rejoin(child, start):
+                    if not self._try_rejoin(child, self.hierarchy.root):
+                        self.orphaned.add(child.server_id)
+            self.hierarchy.remove(server.server_id)
         self.network.unregister(server.server_id)
 
     def fail(self, server: Server) -> None:
@@ -364,6 +374,21 @@ class MaintenanceProtocol:
         self._event("maintenance.fail", server=server.server_id)
         server.alive = False
         self.network.fail_node(server.server_id)
+
+    def recover(self, server: Server) -> bool:
+        """A crashed server comes back and rejoins like any orphan.
+
+        The root resumes in place when no election replaced it. Anyone
+        else forgets the tree it left and runs the balanced join walk
+        from the root; returns False if no server would accept it.
+        """
+        self.network.recover_node(server.server_id)
+        server.alive = True
+        self._register(server)
+        if server is self.hierarchy.root:
+            return True
+        server.forget_tree()
+        return self._try_rejoin(server, self.hierarchy.root)
 
     def forget_failed(self) -> None:
         """Drop fully detached dead servers from the membership table.
@@ -381,4 +406,4 @@ class MaintenanceProtocol:
                 server.server_id
             )
             if detached and presumed_dead:
-                self.hierarchy._servers.pop(server.server_id, None)
+                self.hierarchy.remove(server.server_id)

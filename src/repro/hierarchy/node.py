@@ -84,14 +84,6 @@ class AttachedOwner:
             return False
         return bool(query.mask(store).any())
 
-    @property
-    def exported_size_bytes(self) -> int:
-        """Wire size of what this owner exports to its attachment point."""
-        if self.controls_server:
-            return self.origin.size_bytes
-        assert self.summary is not None
-        return self.summary.encoded_size()
-
 
 @dataclass
 class BranchStats:
@@ -104,11 +96,10 @@ class BranchStats:
 class Server:
     """One server in the federated hierarchy."""
 
-    def __init__(self, server_id: int, *, max_children: int = 8, provider: str = ""):
+    def __init__(self, server_id: int, *, max_children: int = 8):
         if max_children < 1:
             raise ValueError("max_children must be >= 1")
         self.server_id = server_id
-        self.provider = provider or f"provider-{server_id}"
         self.max_children = max_children
         self.parent: Optional["Server"] = None
         self.children: List["Server"] = []
@@ -193,6 +184,23 @@ class Server:
                 self._propagate_stats_up()
                 return c
         return None
+
+    def forget_tree(self) -> None:
+        """Drop every tree edge and all held soft state.
+
+        A crashed server comes back knowing nothing of the tree it left.
+        If it recovered before the failure detector noticed, its old
+        edges still exist: they are severed here so the neighbours stay
+        consistent (its children become orphans and rejoin).
+        """
+        if self.parent is not None:
+            self.parent.remove_child(self.server_id)
+        for child in list(self.children):
+            self.remove_child(child.server_id)
+        self.root_path = [self.server_id]
+        self.replicated_summaries.clear()
+        self.replicated_local_summaries.clear()
+        self.last_reported = None
 
     def refresh_root_path(self) -> None:
         """Recompute root paths for this subtree after reattachment."""
@@ -385,23 +393,6 @@ class Server:
                 del table[k]
                 dropped += 1
         return dropped
-
-    # -- storage accounting ----------------------------------------------------------
-    def storage_bytes(self) -> int:
-        """Bytes of summaries and exported data held by this server.
-
-        This is the quantity Table I compares across designs.
-        """
-        total = 0
-        for o in self.owners:
-            total += o.exported_size_bytes
-        for s in self.child_summaries.values():
-            total += s.encoded_size()
-        for s in self.replicated_summaries.values():
-            total += s.encoded_size()
-        for s in self.replicated_local_summaries.values():
-            total += s.encoded_size()
-        return total
 
     def __repr__(self) -> str:
         return (

@@ -113,25 +113,18 @@ class ReplicaPusher:
     descendants, through real network messages installed at delivery
     time. Delta state is sender-side only: per ``(holder, table)``, the
     fingerprint last shipped and when the last full summary went out;
-    ``refresh_after`` forces a periodic full re-send per holder
+    a full re-send per holder is forced once the summary TTL elapsed
     (soft-state anti-entropy under loss).
     """
 
-    __slots__ = ("server", "delta", "refresh_after", "_sent")
+    __slots__ = ("server", "config", "delta", "_sent")
 
     def __init__(
-        self,
-        server: Server,
-        config: SummaryConfig,
-        *,
-        delta: bool = False,
-        refresh_after: Optional[float] = None,
+        self, server: Server, config: SummaryConfig, *, delta: bool = False
     ):
         self.server = server
+        self.config = config
         self.delta = delta
-        self.refresh_after = (
-            refresh_after if refresh_after is not None else config.ttl
-        )
         # (holder_id, table) -> (fingerprint last shipped, last full send time)
         self._sent: Dict[tuple, tuple] = {}
 
@@ -140,8 +133,6 @@ class ReplicaPusher:
         now: float,
         branch: Optional[ResourceSummary],
         local: Optional[ResourceSummary],
-        *,
-        force_full: bool = False,
     ) -> List[tuple]:
         """The pushes :meth:`build_updates` would send: ``[(holder_id, update, size)]``.
 
@@ -158,8 +149,8 @@ class ReplicaPusher:
         out: List[tuple] = []
         sent = self._sent
         sid = server.server_id
-        refresh_after = self.refresh_after
-        may_keepalive = self.delta and not force_full
+        ttl = self.config.ttl
+        may_keepalive = self.delta
         never = (None, float("-inf"))
 
         def push_table(table: str, summary, holders) -> None:
@@ -176,7 +167,7 @@ class ReplicaPusher:
                 hid = holder.server_id
                 if may_keepalive:
                     sent_fp, full_at = sent.get((hid, table), never)
-                    if sent_fp == fp and now - full_at < refresh_after:
+                    if sent_fp == fp and now - full_at < ttl:
                         out.append((hid, keepalive, HEADER_BYTES))
                         continue
                 out.append((hid, full, full_size))
@@ -193,8 +184,6 @@ class ReplicaPusher:
         now: float,
         branch: Optional[ResourceSummary],
         local: Optional[ResourceSummary],
-        *,
-        force_full: bool = False,
     ) -> List[tuple]:
         """One epoch's pushes from this source: ``[(holder_id, update, size)]``.
 
@@ -204,7 +193,7 @@ class ReplicaPusher:
         to summarize. Commits :meth:`plan_updates`' answer to the
         pusher's delta state — a push counts as sent even if lost.
         """
-        pushes = self.plan_updates(now, branch, local, force_full=force_full)
+        pushes = self.plan_updates(now, branch, local)
         if not self.delta:
             return pushes  # nothing ever reads the delta state
         sent = self._sent

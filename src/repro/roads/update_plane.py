@@ -7,8 +7,8 @@ distinct ``summary-full`` / ``summary-keepalive`` message kinds.
 Installation happens at delivery time at the receiver
 (:meth:`SummaryUpdate.install`); a lost full send leaves the receiver
 silently rejecting the sender's keep-alives until the held content ages
-past its TTL — genuine observable staleness — and the sender's periodic
-forced full (``refresh_after``) heals it.
+past its TTL — genuine observable staleness — and the sender's forced
+full once a TTL has passed since its last one heals it.
 
 Two driving modes:
 
@@ -160,7 +160,6 @@ class UpdatePlane:
         *,
         interval: float = 60.0,
         delta: bool = False,
-        refresh_after: Optional[float] = None,
         rng: Optional[np.random.Generator] = None,
         telemetry: Optional[Telemetry] = None,
     ):
@@ -171,9 +170,6 @@ class UpdatePlane:
         self.config: SummaryConfig = overlay.config
         self.interval = interval
         self.delta = delta
-        self.refresh_after = (
-            refresh_after if refresh_after is not None else self.config.ttl
-        )
         self.telemetry = telemetry
         # Cached like Network's: the disabled path stays one attribute test.
         self._profiler = telemetry.profiler if telemetry is not None else None
@@ -203,20 +199,14 @@ class UpdatePlane:
     def _exporter(self, server: Server) -> SummaryExporter:
         ex = self._exporters.get(server.server_id)
         if ex is None or ex.server is not server:
-            ex = SummaryExporter(
-                server, self.config,
-                delta=self.delta, refresh_after=self.refresh_after,
-            )
+            ex = SummaryExporter(server, self.config, delta=self.delta)
             self._exporters[server.server_id] = ex
         return ex
 
     def _pusher(self, server: Server) -> ReplicaPusher:
         pu = self._pushers.get(server.server_id)
         if pu is None or pu.server is not server:
-            pu = ReplicaPusher(
-                server, self.config,
-                delta=self.delta, refresh_after=self.refresh_after,
-            )
+            pu = ReplicaPusher(server, self.config, delta=self.delta)
             self._pushers[server.server_id] = pu
         return pu
 
@@ -316,7 +306,7 @@ class UpdatePlane:
             src = owner.node_id if owner.node_id is not None else server.server_id
             self._send_update(src, server.server_id, update, size, "export")
 
-    def _aggregate(self, server: Server, *, force_full: bool = False) -> tuple:
+    def _aggregate(self, server: Server) -> tuple:
         """Build *server*'s summaries for this tick and report upward.
 
         The tick contract: one ``local`` summary (its owners' records and
@@ -338,9 +328,7 @@ class UpdatePlane:
                 branch = branch.refreshed(now)
             built = None
             if server.parent is not None:
-                built = self._exporter(server).build_update(
-                    now, branch, force_full=force_full
-                )
+                built = self._exporter(server).build_update(now, branch)
             if built is not None:
                 update, size = built
                 self.counters.count_report(update, size)
@@ -353,15 +341,13 @@ class UpdatePlane:
             if prof is not None:
                 prof.exit()
 
-    def _push_replicas(
-        self, server: Server, branch, local, *, force_full: bool = False
-    ) -> None:
+    def _push_replicas(self, server: Server, branch, local) -> None:
         prof = self._profiler
         if prof is not None:
             prof.enter("update.replicate")
         try:
             pushes = self._pusher(server).build_updates(
-                self.sim.now, branch, local, force_full=force_full
+                self.sim.now, branch, local
             )
             if not pushes:
                 return

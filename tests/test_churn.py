@@ -125,6 +125,19 @@ class TestSustainedChurn:
         # allow wide slack on a short window.
         assert a < 0.95
 
+    def test_availability_exact_right_after_a_crash(self):
+        """A crashed server is still a member until the detector forgets
+        it; the population is counted once all the same."""
+        n = 10
+        _, _, system, proto, churn = build_churny_system(n=n, mttf=60.0)
+        sim = system.sim
+        sim.run(stop=lambda: churn.stats.crashes == 1)
+        sim.run(until=sim.now + 1.0)  # well inside the 6 s failure timeout
+        (sid, start, end), = churn.stats.downtime_log
+        assert end is None and sid in system.hierarchy
+        down = sim.now - start
+        assert churn.availability() == pytest.approx(1 - down / (n * sim.now))
+
     def test_recovered_nodes_rejoin_and_serve(self):
         _, _, system, proto, churn = build_churny_system(mttf=60.0, mttr=20.0)
         system.sim.run(until=500.0)

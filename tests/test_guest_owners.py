@@ -71,8 +71,7 @@ class TestAttachment:
         assert guest.node_id == N  # first guest slot
         assert guest.summary is not None
         # The attachment server holds a summary, not the records.
-        assert guest.exported_size_bytes == guest.summary.encoded_size()
-        assert guest.exported_size_bytes < guest_store.size_bytes
+        assert guest.summary.encoded_size() < guest_store.size_bytes
 
     def test_bad_attach_to_rejected(self, setup):
         wcfg, stores, guest_store, _ = setup
@@ -338,3 +337,24 @@ class TestStorageAccounting:
         guest = next(o for o in server.owners if o.owner_id == "guest-co")
         other = system.storage_bytes_by_server()[6]
         assert storage[5] >= guest.summary.encoded_size()
+
+    def test_storage_is_held_summaries_not_records(self, setup):
+        """Table I's per-server bytes: every summary a server holds — a
+        guest's export, child reports and both replica tables — and none
+        of the raw records an owner keeps on a server it controls."""
+        _, _, _, system = setup
+        storage = system.storage_bytes_by_server()
+        for server in system.hierarchy:
+            held = [
+                o.summary for o in server.owners if not o.controls_server
+            ]
+            for table in (
+                server.child_summaries,
+                server.replicated_summaries,
+                server.replicated_local_summaries,
+            ):
+                held.extend(table.values())
+            assert storage[server.server_id] == sum(
+                s.encoded_size() for s in held
+            )
+        assert min(storage.values()) > 0

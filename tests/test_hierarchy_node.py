@@ -125,20 +125,6 @@ class TestOwners:
         assert s.detach_owner("org-a") is o
         assert s.detach_owner("org-a") is None
 
-    def test_exported_size_controlling_owner(self, schema):
-        st = store(schema, 10)
-        o = AttachedOwner("org-a", st, controls_server=True)
-        assert o.exported_size_bytes == st.size_bytes
-
-    def test_exported_size_summary_owner(self, schema):
-        from repro.summaries import ResourceSummary
-
-        st = store(schema, 10)
-        cfg = SummaryConfig(histogram_buckets=16)
-        summ = ResourceSummary.from_store(st, cfg)
-        o = AttachedOwner("org-b", st, controls_server=False, summary=summ)
-        assert o.exported_size_bytes == summ.encoded_size()
-
 
 class TestSummaries:
     def test_local_summary_merges_owners(self, schema):
@@ -189,15 +175,3 @@ class TestSummaries:
         assert dropped == 1
         assert 1 not in s.child_summaries
         assert 2 in s.replicated_summaries
-
-    def test_storage_bytes(self, schema):
-        from repro.summaries import ResourceSummary
-
-        cfg = SummaryConfig(histogram_buckets=16)
-        s = Server(0)
-        st = store(schema, 5)
-        s.attach_owner(AttachedOwner("a", st, True))
-        summ = ResourceSummary.from_store(st, cfg)
-        s.child_summaries[1] = summ
-        s.replicated_summaries[2] = summ
-        assert s.storage_bytes() == st.size_bytes + 2 * summ.encoded_size()

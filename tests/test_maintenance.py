@@ -112,6 +112,40 @@ class TestRootFailure:
         assert old_root.server_id not in reachable
 
 
+class TestRecovery:
+    def test_recovery_under_old_parent_is_not_a_failure(self):
+        """A recovered server rejoins like an orphan: the new edge is
+        grace-stamped, so a pre-crash heartbeat time is never read as
+        silence on the loss-free network."""
+        sim, net, h, proto = make_system(n=12, k=3, seed=3)
+        leaf = h.get(4)  # a leaf under server 1
+        parent = leaf.parent
+        proto.fail(leaf)
+        sim.run(until=10.0)
+        assert proto.failures_detected == 1
+        assert leaf.server_id not in h
+        assert proto.recover(leaf)
+        assert leaf.parent is parent  # the balanced walk refills the gap
+        assert proto.rejoins == 1
+        sim.run(until=sim.now + 2 * proto.config.check_interval)
+        assert proto.failures_detected == 1
+        assert leaf.parent is parent
+        assert net.counters()["lost"] == 0
+        h.check_invariants()
+
+    def test_recovered_root_resumes_in_place(self):
+        sim, net, h, proto = make_system()
+        root = h.root
+        sim.run(until=2.0)
+        proto.fail(root)
+        sim.run(until=2.5)  # back before anyone notices the silence
+        assert proto.recover(root)
+        sim.run(until=20.0)
+        assert h.root is root
+        assert proto.root_elections == 0
+        h.check_invariants()
+
+
 class TestGracefulLeave:
     def test_children_reattach_to_grandparent_side(self):
         sim, net, h, proto = make_system(n=13, k=3)
@@ -123,6 +157,19 @@ class TestGracefulLeave:
         for oid in orphans:
             assert oid in reachable
         h.check_invariants()
+
+    def test_root_leave_hands_over_to_smallest_child(self):
+        sim, net, h, proto = make_system(n=13, k=3)
+        sim.run(until=3.0)
+        old_root = h.root
+        expected_new_root = min(old_root.child_ids())
+        proto.leave(old_root)
+        sim.run(until=30.0)
+        h.check_invariants()
+        assert not proto.orphaned
+        assert h.root.server_id == expected_new_root
+        assert proto.root_elections == 1
+        assert alive_reachable(h) == set(range(13)) - {old_root.server_id}
 
     def test_leaf_leave(self):
         sim, net, h, proto = make_system()

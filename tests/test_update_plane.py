@@ -568,7 +568,7 @@ class TestLossAndTTL:
             sim.run(until=sim.now + 10.0)
             system.refresh()
         sim.run(until=sim.now + 12.0)
-        # refresh_after (= ttl) has elapsed since the exporter's last
+        # A TTL has elapsed since the exporter's last
         # full send: soft-state anti-entropy re-ships the full summary.
         report = system.refresh()
         assert report.aggregation.full_reports >= 1
@@ -642,6 +642,27 @@ class TestMaintenanceIntegration:
         # The rejoin hook re-exported without waiting for an epoch.
         assert plane.counters.full_reports > full_before
         assert child.server_id in child.parent.child_summaries
+
+    def test_recovered_branch_reaches_new_parent_before_an_epoch(self):
+        from repro.hierarchy.maintenance import MaintenanceConfig
+
+        _, _, system = build(seed=3, n=12)
+        proto = system.enable_maintenance(
+            MaintenanceConfig(heartbeat_interval=1.0, check_interval=1.0)
+        )
+        plane = system.update_plane
+        leaf = system.hierarchy.get(4)
+        proto.fail(leaf)
+        sim = system.sim
+        sim.run(until=sim.now + 10.0)  # detected and forgotten
+        epochs = plane.epochs
+        assert proto.recover(leaf)
+        sim.run(until=sim.now + 0.5)
+        assert plane.epochs == epochs
+        held = leaf.parent.child_summaries[leaf.server_id]
+        assert held.fingerprint() == (
+            leaf.branch_summary(system.config.summary, sim.now).fingerprint()
+        )
 
     def test_heartbeat_piggyback_refreshes_child_ttl(self):
         from repro.hierarchy.maintenance import MaintenanceConfig
