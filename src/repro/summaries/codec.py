@@ -200,15 +200,24 @@ def decode_summary(
     buf: bytes, schema: Schema, config: SummaryConfig
 ) -> ResourceSummary:
     """Reconstruct a :class:`ResourceSummary` produced by
-    :func:`encode_summary` against the shared *schema*."""
+    :func:`encode_summary` against the shared *schema*. A frame that is
+    cut short, runs on past its last attribute or is otherwise malformed
+    raises :class:`CodecError`."""
     if buf[:4] != _MAGIC:
         raise CodecError("bad magic; not a summary frame")
-    created_at, n_attrs = struct.unpack_from("<dI", buf, 4)
-    off = 4 + struct.calcsize("<dI")
     attrs: Dict[str, AttributeSummary] = {}
-    for _ in range(n_attrs):
-        summary, off = decode_attribute(buf, off)
-        attrs[summary.attribute] = summary
+    try:
+        created_at, n_attrs = struct.unpack_from("<dI", buf, 4)
+        off = 4 + struct.calcsize("<dI")
+        for _ in range(n_attrs):
+            summary, off = decode_attribute(buf, off)
+            attrs[summary.attribute] = summary
+    except CodecError:
+        raise
+    except (struct.error, ValueError, OverflowError) as exc:  # incl. UnicodeDecodeError
+        raise CodecError(f"malformed summary frame: {exc}") from exc
+    if off != len(buf):
+        raise CodecError(f"frame is {len(buf)} bytes; its attributes end at {off}")
     missing = [s.name for s in schema if s.name not in attrs]
     if missing:
         raise CodecError(f"frame missing attributes {missing}")

@@ -192,6 +192,22 @@ class TestSummaryCodec:
         with pytest.raises(CodecError, match="magic"):
             decode_summary(b"nope", schema, cfg)
 
+    @pytest.mark.parametrize("encoding", ["dense", "sparse", "bitmap"])
+    def test_trailing_bytes_are_refused(self, schema, store, encoding):
+        cfg = SummaryConfig(histogram_buckets=64, histogram_encoding=encoding)
+        buf = encode_summary(ResourceSummary.from_store(store, cfg))
+        with pytest.raises(CodecError, match="end at"):
+            decode_summary(buf + b"\x00\x00", schema, cfg)
+
+    @pytest.mark.parametrize("encoding", ["dense", "sparse", "bitmap"])
+    @pytest.mark.parametrize("cut", [1, 5, "half"])
+    def test_a_cut_frame_is_a_codec_error(self, schema, store, encoding, cut):
+        cfg = SummaryConfig(histogram_buckets=64, histogram_encoding=encoding)
+        buf = encode_summary(ResourceSummary.from_store(store, cfg))
+        end = len(buf) // 2 if cut == "half" else len(buf) - cut
+        with pytest.raises(CodecError):
+            decode_summary(buf[:end], schema, cfg)
+
     def test_missing_attribute_detected(self, schema, store):
         cfg = SummaryConfig(histogram_buckets=16)
         s = ResourceSummary.from_store(store, cfg)

@@ -1,10 +1,13 @@
 """Tests for repro.experiments (drivers, runner, reporting)."""
 
 import gc
+import json
+import math
 import weakref
 
 import pytest
 
+from repro.bench import RunPlan
 from repro.experiments import runner
 from repro.experiments import (
     DEGREE_SWEEP,
@@ -26,6 +29,14 @@ from repro.experiments import (
 
 
 SMOKE = ExperimentSettings.smoke()
+
+
+@pytest.fixture
+def cold_memo():
+    """Start from an empty trial memo, so every trial builds."""
+    runner.clear_trial_memo()
+    yield
+    runner.clear_trial_memo()
 
 
 class TestSettings:
@@ -53,6 +64,48 @@ class TestSettings:
         with pytest.raises(ValueError):
             ExperimentSettings(runs=0)
 
+    @pytest.mark.parametrize(
+        "name", ["update_window_seconds", "summary_interval", "record_interval"]
+    )
+    @pytest.mark.parametrize("value", [0.0, -5.0, -600.0, math.nan, math.inf])
+    def test_intervals_must_be_finite_and_positive(self, name, value):
+        # A non-positive window used to be charged one full epoch (so
+        # fig4 at -600 s printed ROADS above SWORD), NaN and inf leaked
+        # raw errors from round(), and summary_interval=0 got as far as
+        # RoadsConfig after the trial's workload was generated.
+        with pytest.raises(ValueError, match=name):
+            SMOKE.with_(**{name: value})
+
+
+class TestUpdateWindow:
+    """Every system's ``update_overhead`` refuses a window with no epochs
+    in it instead of charging one epoch for it."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        settings = SMOKE.with_(num_nodes=16, records_per_node=10)
+        _, stores = runner.build_workload(settings, 1)
+        return [
+            build(settings, stores, 1)
+            for build in (
+                runner.build_roads, runner.build_sword, runner.build_central
+            )
+        ]
+
+    @pytest.mark.parametrize("window", [0.0, -5.0, -600.0, math.nan, math.inf])
+    def test_refused(self, systems, window):
+        for system in systems:
+            with pytest.raises(ValueError, match="window_seconds"):
+                system.update_overhead(window)
+
+    def test_a_positive_window_is_charged_per_epoch(self, systems):
+        roads, sword, central = systems
+        per = roads.update_bytes_per_epoch()
+        assert roads.update_overhead(600.0) == 10 * per
+        assert roads.update_overhead(1.0) == per  # rounds up to one epoch
+        assert sword.update_overhead(12.0) == 2 * sword.update_overhead(6.0)
+        assert central.update_overhead(12.0) == 2 * central.update_overhead(6.0)
+
 
 class TestRunner:
     def test_trial_pairs_systems(self):
@@ -70,12 +123,13 @@ class TestRunner:
         assert t.sword.mean_query_bytes < t.roads.mean_query_bytes
 
     def test_average_trials(self):
-        avg = average_trials(SMOKE.with_(runs=2), measure_updates=False)
+        avg = average_trials(SMOKE.with_(runs=2))
         assert "roads" in avg and "sword" in avg
         assert avg["roads"].mean_latency_s > 0
 
-
-    def test_trial_federations_are_freed_as_the_sweep_goes(self, monkeypatch):
+    def test_trial_federations_are_freed_as_the_sweep_goes(
+        self, monkeypatch, cold_memo
+    ):
         # A federation is full of reference cycles, so dropping it frees
         # nothing until the collector runs; a sweep's peak memory must be
         # one trial's however rarely that happens on its own.
@@ -91,11 +145,117 @@ class TestRunner:
         monkeypatch.setattr(runner, "build_roads", recording)
         gc.disable()
         try:
-            average_trials(SMOKE.with_(runs=3), measure_updates=False)
+            average_trials(SMOKE.with_(runs=3))
         finally:
             gc.enable()
         assert alive_when_next_built == [0, 0, 0]
         assert all(r() is None for r in built)
+
+
+class TestTrialMemo:
+    """Figures 3-5 (and 6-7) are views of the same trials: each trial is
+    simulated once per process and memoised as plain numbers, so a
+    figure read after its donor builds nothing and prints the same
+    bytes it prints alone."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch, cold_memo):
+        """The name of every workload, ROADS and SWORD build, in order."""
+        counted = []
+        for name in ("build_workload", "build_roads", "build_sword"):
+            def counting(*args, _real=getattr(runner, name), _name=name, **kw):
+                counted.append(_name)
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(runner, name, counting)
+        return counted
+
+    @staticmethod
+    def rows(target, **sweeps):
+        plan = RunPlan(target, scale="smoke", sweeps=sweeps or None)
+        return json.dumps(plan.rows())
+
+    # fig8's 60 records and fig10's degree 8 are the smoke preset's own,
+    # so a fig3 sweep through 48 nodes holds their default point.
+    @pytest.mark.parametrize("donor, target, sweeps", [
+        (None, "fig4", {}),
+        ("fig3", "fig4", {}),
+        ("fig3", "fig5", {}),
+        ("fig6", "fig7", {}),
+        ("fig3", "fig8", {"nodes": (32, 48), "records": (60, 150)}),
+        ("fig3", "fig10", {"nodes": (32, 48), "degree": (4, 8)}),
+    ])
+    def test_warm_rows_are_cold_rows(self, cold_memo, donor, target, sweeps):
+        cold = self.rows(target, **sweeps)
+        runner.clear_trial_memo()
+        if donor:
+            self.rows(donor, **sweeps)
+        assert self.rows(target, **sweeps) == cold
+
+    @pytest.mark.parametrize(
+        "donor, target", [("fig3", "fig4"), ("fig3", "fig5"), ("fig6", "fig7")]
+    )
+    def test_a_figure_after_its_donor_builds_nothing(self, builds, donor, target):
+        self.rows(donor)
+        assert builds.count("build_roads") == 2  # one per smoke sweep point
+        del builds[:]
+        self.rows(target)
+        assert builds == []
+
+    def test_shared_points_are_not_rebuilt(self, builds):
+        self.rows("fig3", nodes=(32, 48))
+        del builds[:]
+        self.rows("fig8", records=(60, 150))  # only the 150-record point
+        assert builds == ["build_workload", "build_roads", "build_sword"]
+        del builds[:]
+        self.rows("fig10", degree=(4, 8))  # only degree 4, and no SWORD
+        assert builds == ["build_workload", "build_roads"]
+
+    def test_facts_alone_drive_no_query(self, builds, monkeypatch):
+        def no_queries(*args, **kwargs):
+            raise AssertionError("a facts-only trial generated queries")
+
+        monkeypatch.setattr(runner, "trial_queries", no_queries)
+        t = run_trial(SMOKE, seed=1, stream=False)
+        assert builds == ["build_workload", "build_roads", "build_sword"]
+        assert math.isnan(t.roads.mean_latency_s)
+        assert 0 < t.roads.update_bytes_window < t.sword.update_bytes_window
+
+    def test_a_hit_is_a_copy(self, cold_memo):
+        first = run_trial(SMOKE, seed=1)
+        latency = first.roads.mean_latency_s
+        first.roads.mean_latency_s = -1.0
+        first.sword.update_bytes_window = -1
+        again = run_trial(SMOKE, seed=1)
+        assert again.roads.mean_latency_s == latency
+        assert again.sword.update_bytes_window > 0
+
+    def test_the_memo_holds_numbers_not_federations(self, monkeypatch, cold_memo):
+        systems = []
+        build_roads = runner.build_roads
+
+        def recording(*args, **kwargs):
+            system = build_roads(*args, **kwargs)
+            systems.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(runner, "build_roads", recording)
+        run_trial(SMOKE, seed=1)
+        gc.collect()
+        assert len(systems) == 1 and systems[0]() is None
+        assert all(
+            type(v) in (int, float)
+            for values in runner._MEMO.values() for v in values
+        )
+
+    def test_bounded(self, monkeypatch, cold_memo):
+        monkeypatch.setattr(runner, "_MEMO_SIZE", 3)
+        tiny = SMOKE.with_(num_nodes=16, records_per_node=10, num_queries=3)
+        first = run_trial(tiny, seed=1)
+        assert len(runner._MEMO) == 3
+        run_trial(tiny, seed=2)
+        assert len(runner._MEMO) == 3
+        assert run_trial(tiny, seed=1) == first  # rebuilt, same numbers
 
 
 class TestStreamOutlivesNoSummary:
