@@ -76,7 +76,3 @@ def ascii_chart(
     )
     lines.append(" " * 12 + f"{x:^{width}}")
     return "\n".join(lines)
-
-
-def print_chart(rows, x, ys, **kwargs) -> None:
-    print(ascii_chart(rows, x, ys, **kwargs))

@@ -49,8 +49,6 @@ from ..telemetry.tracing import TraceContext
 SUMMARY_FULL = "summary-full"
 SUMMARY_KEEPALIVE = "summary-keepalive"
 
-UPDATE_KINDS = (SUMMARY_FULL, SUMMARY_KEEPALIVE)
-
 #: shared empty tag dict for untraced messages (never mutated)
 _NO_TAGS: Dict[str, object] = {}
 

@@ -21,7 +21,6 @@ from typing import List, Optional
 
 from ..query.query import Query
 from ..summaries.config import SummaryConfig
-from ..summaries.summary import ResourceSummary
 from ..hierarchy.node import AttachedOwner, Server
 
 #: per-target entry bytes in a redirect response

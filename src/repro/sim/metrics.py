@@ -1,4 +1,4 @@
-"""Traffic categories of the evaluation (Section V).
+"""Traffic categories of the evaluation (Section V) and its update windows.
 
 Every message is accounted, in bytes and count, under one of:
 
@@ -10,9 +10,24 @@ Every message is accounted, in bytes and count, under one of:
 The store itself is :class:`repro.telemetry.metrics.MetricsRegistry`.
 """
 
+import math
+
 UPDATE = "update"
 QUERY = "query"
 MAINTENANCE = "maintenance"
 RESULT = "result"
 
 CATEGORIES = (UPDATE, QUERY, MAINTENANCE, RESULT)
+
+
+def finite_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming *name* unless *value* is finite and > 0."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def epochs_in(window_seconds: float, interval: float) -> int:
+    """The refresh epochs of *interval* seconds an update window is charged:
+    the rounded count, at least one; a window with no epochs is refused."""
+    finite_positive("window_seconds", window_seconds)
+    return max(1, int(round(window_seconds / interval)))

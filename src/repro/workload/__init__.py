@@ -1,7 +1,6 @@
 """Workload generation: record populations and query streams."""
 
 from .distributions import (
-    FAMILIES,
     gaussian_values,
     overlap_values,
     pareto_values,
@@ -32,7 +31,6 @@ from .queries import (
 )
 
 __all__ = [
-    "FAMILIES",
     "FAMILY_ORDER",
     "uniform_values",
     "range_values",

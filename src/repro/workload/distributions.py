@@ -15,7 +15,6 @@ attribute distributions, all on [0, 1]:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -102,12 +101,3 @@ def overlap_values(
             f"overlap length must be in (0, 1], got {overlap_length}"
         )
     return range_values(rng, n, overlap_length)
-
-
-#: dispatchable families, keyed by the names used in workload configs
-FAMILIES = {
-    "uniform": uniform_values,
-    "range": range_values,
-    "gaussian": gaussian_values,
-    "pareto": pareto_values,
-}

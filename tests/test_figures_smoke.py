@@ -22,6 +22,7 @@ from repro.experiments import (
     fig11_response_time_vs_selectivity,
     save_rows_csv,
 )
+from repro.experiments.runner import clear_trial_memo
 
 SMOKE = ExperimentSettings.smoke()
 
@@ -37,6 +38,7 @@ class TestFig4Driver:
 
     def test_deterministic(self):
         a = fig4_update_overhead_vs_nodes(SMOKE, node_sweep=(24,))
+        clear_trial_memo()  # two simulations, not one and a memo hit
         b = fig4_update_overhead_vs_nodes(SMOKE, node_sweep=(24,))
         assert a == b
 

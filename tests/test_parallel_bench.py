@@ -25,6 +25,7 @@ from repro.bench.parallel import resolve_workers, shard_settings
 from repro.bench.scenarios import _shared_block
 from repro.cli import build_parser
 from repro.experiments.config import ExperimentSettings
+from repro.experiments.runner import clear_trial_memo
 
 
 class TestRunPlan:
@@ -94,9 +95,10 @@ class TestParallelRunner:
     def test_run_plans_pool_matches_serial(self):
         plans = seed_sweep(RunPlan("fig8", scale="smoke"), [2, 5])
         serial = run_plans(plans, workers=1)
-        # A forked worker inherits this process's memo: empty it so the
-        # pool simulates its canonical blocks itself.
+        # A forked worker inherits this process's memos: empty them so
+        # the pool simulates its canonical blocks and trials itself.
         _shared_block.cache_clear()
+        clear_trial_memo()
         pooled = run_plans(plans, workers=2)
         assert [comparable_dict(a) for a in serial] == [
             comparable_dict(a) for a in pooled
