@@ -60,11 +60,6 @@ class ModelParams:
         return math.log2(self.n) if self.n > 1 else 1.0
 
     @property
-    def record_size(self) -> int:
-        """One record costs ``r`` units (unit-size attribute values)."""
-        return self.r
-
-    @property
     def summary_size(self) -> int:
         """One summary costs ``m·r`` units, independent of K and N."""
         return self.m * self.r

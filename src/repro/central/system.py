@@ -76,9 +76,7 @@ class CentralSystem:
             jitter_ms=config.delay_jitter_ms,
         )
         self.repository_node = config.num_nodes
-        self.store = stores[0]
-        for s in stores[1:]:
-            self.store = self.store.merged_with(s)
+        self.store = RecordStore.concat(stores)
         self._per_owner_records = [len(s) for s in stores]
         self.record_size_bytes = (
             self.store.schema.record_size_bytes + _RECORD_HEADER_BYTES

@@ -466,8 +466,9 @@ def _cmd_postmortem(args) -> int:
     for i, path in enumerate(paths):
         try:
             bundle = PostmortemBundle.load(path)
+            text = None if args.json else bundle.format(max_nodes=args.max_nodes)
         except ValueError as exc:
-            # Not JSON, or not a current-schema bundle.
+            # Not JSON, not a current-schema bundle, or a bad trace event.
             print(f"{path}: {exc}")
             return 2
         if args.json:
@@ -476,7 +477,7 @@ def _cmd_postmortem(args) -> int:
         if i:
             print()
         print(f"== {path} ==")
-        print(bundle.format(max_nodes=args.max_nodes))
+        print(text)
     if docs:
         _emit_json(
             docs[0] if len(docs) == 1 else docs, args.json, "postmortem JSON"

@@ -66,7 +66,7 @@ class RoadsResponder:
         matches = 0
         for hit in outcome.owner_hits:
             store = self._stores[hit.owner_id]
-            count = query.match_count(store)
+            count = hit.match_count
             server_seconds = self.cost_model.server_seconds(len(store), count)
             result_bytes = count * store.schema.record_size_bytes
             matches += count
@@ -104,7 +104,7 @@ class CentralResponder:
     def respond(self, query: Query, client_node: int) -> ResponseOutcome:
         outcome = self.system.execute_query(query, client_node)
         store = self.system.store
-        count = query.match_count(store)
+        count = outcome.match_count
         server_seconds = self.cost_model.server_seconds(len(store), count)
         result_bytes = count * store.schema.record_size_bytes
         response = (
@@ -175,7 +175,4 @@ def summarize_responses(
         "mean_seconds": float(times.mean()) if times.size else 0.0,
         "p90_seconds": float(np.percentile(times, 90)) if times.size else 0.0,
         "queries": int(times.size),
-        "mean_matches": (
-            float(np.mean([o.match_count for o in outcomes])) if outcomes else 0.0
-        ),
     }

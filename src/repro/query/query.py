@@ -27,7 +27,7 @@ import numpy as np
 from ..records.record import ResourceRecord
 from ..records.schema import Schema
 from ..records.store import RecordStore
-from .predicate import EqualsPredicate, Predicate, RangePredicate
+from .predicate import Predicate, RangePredicate
 
 _query_counter = itertools.count()
 
@@ -83,9 +83,6 @@ class Query:
 
     def range_predicates(self) -> List[RangePredicate]:
         return [p for p in self.predicates if isinstance(p, RangePredicate)]
-
-    def equals_predicates(self) -> List[EqualsPredicate]:
-        return [p for p in self.predicates if isinstance(p, EqualsPredicate)]
 
     def __iter__(self) -> Iterator[Predicate]:
         return iter(self.predicates)

@@ -82,7 +82,3 @@ class ResourceRecord(Mapping):
     def size_bytes(self) -> int:
         """Wire size of this record."""
         return self._schema.record_size_bytes
-
-    def with_owner(self, owner: str) -> "ResourceRecord":
-        """Return a copy tagged with *owner*."""
-        return ResourceRecord(self._schema, self._values, owner=owner)

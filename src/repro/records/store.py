@@ -17,7 +17,7 @@ how the holder of a summary learns whether it still describes the records.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,17 +51,6 @@ class RecordStore:
         self._stamp += 1
 
     # -- construction ----------------------------------------------------------
-    @classmethod
-    def from_records(
-        cls,
-        schema: Schema,
-        records: Iterable[ResourceRecord],
-        owner: Optional[str] = None,
-    ) -> "RecordStore":
-        store = cls(schema, owner=owner)
-        store.extend(records)
-        return store
-
     @classmethod
     def from_arrays(
         cls,
@@ -103,6 +92,39 @@ class RecordStore:
         store._rebind(numeric.copy(), codes)
         return store
 
+    @classmethod
+    def concat(cls, stores: Sequence["RecordStore"]) -> "RecordStore":
+        """New store with every record of *stores*, in order.
+
+        The first store's vocabularies are kept as they are; each later
+        store adds the values it has not seen, in order of first
+        occurrence among its rows. The owner is the first store's.
+        """
+        if not stores:
+            raise ValueError("no stores to concatenate")
+        first = stores[0]
+        if any(s._schema != first._schema for s in stores):
+            raise ValueError("cannot merge stores with different schemas")
+        out = cls(first._schema, owner=first._owner)
+        out._vocab = [dict(v) for v in first._vocab]
+        out._rvocab = [list(v) for v in first._rvocab]
+        codes = [first._cat_codes]
+        for s in stores[1:]:
+            recoded = np.empty_like(s._cat_codes)
+            for j, rvocab in enumerate(s._rvocab):
+                col = s._cat_codes[:, j]
+                used, first_row = np.unique(col, return_index=True)
+                used = used[np.argsort(first_row)]
+                remap = np.zeros(len(rvocab), dtype=np.int32)
+                remap[used] = out._encode_column(j, [rvocab[c] for c in used])
+                recoded[:, j] = remap[col]
+            codes.append(recoded)
+        out._rebind(
+            np.concatenate([s._numeric for s in stores], axis=0),
+            np.concatenate(codes, axis=0),
+        )
+        return out
+
     def _encode_column(self, j: int, values: Sequence[str]) -> np.ndarray:
         vocab = self._vocab[j]
         rvocab = self._rvocab[j]
@@ -118,8 +140,6 @@ class RecordStore:
 
     # -- mutation ----------------------------------------------------------------
     def append(self, record: ResourceRecord) -> None:
-        if record.schema != self._schema:
-            raise ValueError("record schema does not match store schema")
         self.extend([record])
 
     def extend(self, records: Iterable[ResourceRecord]) -> None:
@@ -206,27 +226,18 @@ class RecordStore:
         rvocab = self._rvocab[j]
         return [rvocab[c] for c in self._cat_codes[:, j]]
 
-    def categorical_codes(self, name: str) -> np.ndarray:
-        return self._cat_codes[:, self._schema.categorical_position(name)]
-
     def vocabulary(self, name: str) -> Tuple[str, ...]:
         """Distinct values seen for one categorical attribute."""
         return tuple(self._rvocab[self._schema.categorical_position(name)])
 
     def record_at(self, row: int) -> ResourceRecord:
-        values: Dict[str, Value] = {}
-        for spec in self._schema.numeric_attributes:
-            values[spec.name] = float(
-                self._numeric[row, self._schema.numeric_position(spec.name)]
-            )
-        for spec in self._schema.categorical_attributes:
-            j = self._schema.categorical_position(spec.name)
+        values: Dict[str, Value] = {
+            spec.name: float(v)
+            for spec, v in zip(self._schema.numeric_attributes, self._numeric[row])
+        }
+        for j, spec in enumerate(self._schema.categorical_attributes):
             values[spec.name] = self._rvocab[j][self._cat_codes[row, j]]
         return ResourceRecord(self._schema, values, owner=self._owner)
-
-    def iter_records(self) -> Iterator[ResourceRecord]:
-        for i in range(len(self)):
-            yield self.record_at(i)
 
     # -- vectorized matching ---------------------------------------------------
     def mask_range(self, name: str, lo: float, hi: float) -> np.ndarray:
@@ -248,31 +259,4 @@ class RecordStore:
         out._rebind(self._numeric[mask], self._cat_codes[mask])
         out._vocab = [dict(v) for v in self._vocab]
         out._rvocab = [list(v) for v in self._rvocab]
-        return out
-
-    def merged_with(self, other: "RecordStore") -> "RecordStore":
-        """New store with the union of both stores' records."""
-        if other._schema != self._schema:
-            raise ValueError("cannot merge stores with different schemas")
-        out = RecordStore(self._schema, owner=self._owner)
-        out._vocab = [dict(v) for v in self._vocab]
-        out._rvocab = [list(v) for v in self._rvocab]
-        # Re-encode other's categorical codes into this store's vocabularies.
-        n_cat = len(self._schema.categorical_attributes)
-        recoded = np.empty_like(other._cat_codes)
-        for j in range(n_cat):
-            col = [other._rvocab[j][c] for c in other._cat_codes[:, j]]
-            vocab = out._vocab[j]
-            rvocab = out._rvocab[j]
-            for i, v in enumerate(col):
-                code = vocab.get(v)
-                if code is None:
-                    code = len(rvocab)
-                    vocab[v] = code
-                    rvocab.append(v)
-                recoded[i, j] = code
-        out._rebind(
-            np.concatenate([self._numeric, other._numeric], axis=0),
-            np.concatenate([self._cat_codes, recoded], axis=0),
-        )
         return out

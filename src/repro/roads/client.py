@@ -100,12 +100,7 @@ class QueryOutcome:
     def matched_records(self) -> Optional[RecordStore]:
         """Union of returned record stores (when records were collected)."""
         stores = [h.records for h in self.owner_hits if h.records is not None]
-        if not stores:
-            return None
-        out = stores[0]
-        for s in stores[1:]:
-            out = out.merged_with(s)
-        return out
+        return RecordStore.concat(stores) if stores else None
 
 
 class _Contact:

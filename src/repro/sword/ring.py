@@ -34,12 +34,6 @@ class ChordRouter:
         """Number of greedy finger hops from *src* to *dst*."""
         return int(bin(self.distance(src, dst)).count("1"))
 
-    def hops_vector(self, src: int, dsts: np.ndarray) -> np.ndarray:
-        """Vectorized hop counts from *src* to many destinations."""
-        self._check(src)
-        dist = (np.asarray(dsts, dtype=np.int64) - src) % self.num_servers
-        return popcount(dist)
-
     def path(self, src: int, dst: int) -> List[int]:
         """The intermediate servers visited, ending at *dst*.
 

@@ -51,6 +51,18 @@ def _ring_key(event: TelemetryEvent) -> Optional[int]:
         return None
 
 
+def _typed(d: Dict[str, object], key: str, many: bool = False):
+    """``d[key]`` if it is an object or null (*many*: a list of objects)."""
+    value = d[key]
+    if not (
+        isinstance(value, list) and all(isinstance(v, dict) for v in value)
+        if many else value is None or isinstance(value, dict)
+    ):
+        kind = "a list of objects" if many else "an object"
+        raise ValueError(f"malformed postmortem bundle: {key!r} is not {kind}")
+    return value
+
+
 @dataclass
 class PostmortemBundle:
     """Frozen evidence window around one SLO breach (or manual trigger)."""
@@ -95,8 +107,8 @@ class PostmortemBundle:
         """Rebuild a bundle from :meth:`to_dict` output.
 
         Raises :class:`ValueError` for anything else — not an object,
-        another schema, a missing key — so a damaged file is refused
-        with a reason instead of rendering as an empty postmortem.
+        another schema, a missing or mistyped field — so a damaged file
+        is refused with a reason instead of crashing the renderer.
         """
         if not isinstance(d, dict) or d.get("schema") != BUNDLE_SCHEMA:
             raise ValueError(
@@ -110,12 +122,12 @@ class PostmortemBundle:
                 triggered_at=float(d["triggered_at"]),
                 window_start=float(window_start),
                 window_end=float(window_end),
-                check=d["check"],
-                report=d["report"],
-                series=list(d["series"]),
-                rings=list(d["rings"]),
-                traces=list(d["traces"]),
-                quality=d["quality"],
+                check=_typed(d, "check"),
+                report=_typed(d, "report"),
+                series=_typed(d, "series", many=True),
+                rings=_typed(d, "rings", many=True),
+                traces=_typed(d, "traces", many=True),
+                quality=_typed(d, "quality"),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed postmortem bundle: {exc!r}") from None

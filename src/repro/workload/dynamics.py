@@ -68,18 +68,11 @@ class RecordDynamics:
         )
 
     def stop(self) -> None:
+        """Freeze the drift: the stores move only when :meth:`step` is
+        called by hand."""
         self._task.stop()
 
-    def pause(self) -> None:
-        """Temporarily freeze the drift (e.g. while verifying results)."""
-        self._task.stop()
-
-    def resume(self) -> None:
-        if self._task.stopped:
-            self._task = self.sim.schedule_periodic(
-                self.config.record_interval, self.step,
-                label="workload.churn",
-            )
+    pause = stop
 
     # -- mutation ----------------------------------------------------------------
     def step(self) -> int:

@@ -179,9 +179,4 @@ def generate_node_stores(config: WorkloadConfig) -> List[RecordStore]:
 
 def merge_stores(stores: Sequence[RecordStore]) -> RecordStore:
     """All nodes' records in one store (global reference for selectivity)."""
-    if not stores:
-        raise ValueError("no stores to merge")
-    out = stores[0]
-    for s in stores[1:]:
-        out = out.merged_with(s)
-    return out
+    return RecordStore.concat(stores)

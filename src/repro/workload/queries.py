@@ -20,7 +20,7 @@ import numpy as np
 
 from ..query.predicate import RangePredicate
 from ..query.query import Query
-from ..query.selectivity import calibrate_to_selectivity, selectivity
+from ..query.selectivity import calibrate_to_selectivity
 from ..records.store import RecordStore
 from ..sim.rng import SeedSequenceFactory
 from .generator import FAMILY_ORDER, WorkloadConfig
@@ -92,9 +92,6 @@ class SelectivityGroup:
 
     target: float
     queries: List[Query]
-
-    def measured_selectivities(self, store: RecordStore) -> List[float]:
-        return [selectivity(q, store) for q in self.queries]
 
 
 def generate_selectivity_groups(

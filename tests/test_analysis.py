@@ -25,7 +25,6 @@ class TestParams:
         assert (p.r, p.m, p.k, p.L) == (25, 100, 5, 4)
         assert p.t_r / p.t_s == pytest.approx(0.1)
         assert p.summary_size == 2500
-        assert p.record_size == 25
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -626,6 +626,9 @@ class TestWatchCLI:
         assert "overlapping causal traces:" in out
 
 
+MALFORMED = "malformed postmortem bundle: "
+
+
 class TestPostmortemCLI:
     def test_empty_dir_exits_nonzero(self, tmp_path, capsys):
         rc = main(["postmortem", str(tmp_path)])
@@ -657,6 +660,35 @@ class TestPostmortemCLI:
             out = capsys.readouterr().out
             assert out.startswith(f"{path}: ") and reason in out
             assert len(out.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("check", "x", MALFORMED + "'check' is not an object"),
+            ("report", "x", MALFORMED + "'report' is not an object"),
+            ("quality", "x", MALFORMED + "'quality' is not an object"),
+            ("series", ["x"], MALFORMED + "'series' is not a list of objects"),
+            ("rings", ["x"], MALFORMED + "'rings' is not a list of objects"),
+            ("traces", ["x"], MALFORMED + "'traces' is not a list of objects"),
+            ("series", "abc", MALFORMED + "'series' is not a list of objects"),
+            ("traces", [{"trace_id": 1, "events": [{"name": "e"}]}],
+             "event without 'ts'"),
+        ],
+        ids=["check", "report", "quality", "series", "rings", "traces",
+             "series-string", "trace-event-without-ts"],
+    )
+    def test_retyped_field_exits_2(self, key, value, reason, tmp_path, capsys):
+        doc = {
+            "schema": 1, "reason": "slo:loss", "triggered_at": 1.0,
+            "window": [0.0, 1.0], "check": None, "report": None,
+            "series": [], "rings": [], "traces": [], "quality": None,
+        }
+        doc[key] = value
+        path = tmp_path / "postmortem_001_slo-loss.json"
+        path.write_text(json.dumps(doc))
+        assert main(["postmortem", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out == f"{path}: {reason}\n"
 
     def test_json_output_of_manual_bundle(self, tmp_path, capsys):
         from repro.telemetry import FlightRecorder, Telemetry

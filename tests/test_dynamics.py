@@ -185,18 +185,19 @@ class TestDynamicFederation:
             np.random.default_rng(7),
             DynamicsConfig(record_interval=6.0, step_sigma=0.05),
         )
+        # Stepped by hand: query execution advances virtual time, which
+        # would otherwise let epochs fire mid-check.
+        dyn.pause()
         queries = generate_queries(wcfg, num_queries=5, dimensions=2)
         for _ in range(5):
-            system.sim.run(until=system.sim.now + 60.0)  # 10 t_r epochs
-            # Freeze the drift while verifying (query execution itself
-            # advances virtual time, which would let epochs fire mid-check).
-            dyn.pause()
+            system.sim.run(until=system.sim.now + 60.0)
+            for _ in range(10):  # 10 t_r epochs
+                dyn.step()
             system.refresh()  # one t_s epoch
             reference = merge_stores(stores)
             for q in queries:
                 o = system.search(SearchRequest(q, client_node=0)).outcome
                 assert o.total_matches == q.match_count(reference)
-            dyn.resume()
 
     def test_small_steps_mostly_free_under_delta(self):
         """Tiny drifts rarely cross bucket boundaries: most delta epochs

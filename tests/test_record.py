@@ -63,12 +63,6 @@ class TestOwnership:
     def test_owner_default_none(self, schema):
         assert ResourceRecord(schema, {"rate": 1, "type": "gps"}).owner is None
 
-    def test_with_owner(self, schema):
-        rec = ResourceRecord(schema, {"rate": 1, "type": "gps"})
-        tagged = rec.with_owner("org-a")
-        assert tagged.owner == "org-a"
-        assert rec.owner is None  # original unchanged
-
     def test_size_bytes(self, schema):
         rec = ResourceRecord(schema, {"rate": 1, "type": "gps"})
         assert rec.size_bytes == schema.record_size_bytes

@@ -4,14 +4,22 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.query import (
+    EqualsPredicate,
     Query,
     RangePredicate,
     calibrate_to_selectivity,
     selectivity,
 )
-from repro.records import RecordStore, Schema, numeric
+from repro.query.selectivity import _prober, _scaled
+from repro.records import RecordStore, Schema, categorical, numeric
+
+unit_floats = st.floats(
+    min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False
+)
 
 
 @pytest.fixture
@@ -84,9 +92,10 @@ class TestCalibration:
 
 
 class TestOneScanPerScale:
-    """Calibration scans the reference store once per width scale it
-    tries; the decisions, and so the calibrated queries, are the ones
-    the loop that re-scanned every scale made."""
+    """Calibration probes each width scale it tries once — a threshold
+    count, plus one Query.mask over the records within the tie window —
+    and its decisions, and so the calibrated queries, are the ones the
+    loop that re-scanned every scale made."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
@@ -131,3 +140,67 @@ class TestOneScanPerScale:
         # The groups of the loop that scanned 274 times, bit for bit.
         assert digest.hexdigest()[:16] == "6d5366d29160327c"
         assert len(scans) == 144
+
+    def test_no_full_store_scan(self, big_store, monkeypatch):
+        # Each probe counts thresholds and hands only the records within
+        # the tie window to Query.mask, never the whole store.
+        sizes = []
+        mask = Query.mask
+
+        def recording(query, store):
+            sizes.append(len(store))
+            return mask(query, store)
+
+        monkeypatch.setattr(Query, "mask", recording)
+        q = Query.of(
+            RangePredicate("a", 0.45, 0.46), RangePredicate("b", 0.45, 0.46)
+        )
+        assert calibrate_to_selectivity(q, big_store, 0.05) is not None
+        assert sizes and max(sizes) < len(big_store) // 100
+
+
+class TestThresholdCount:
+    """A probe's threshold count equals a scan of the scaled query,
+    records on the scaled range's ends and outside the bounds included."""
+
+    schema = Schema([numeric("a"), numeric("b"), categorical("c")])
+
+    @given(
+        data=st.data(),
+        ranges=st.lists(
+            st.tuples(unit_floats, unit_floats), min_size=1, max_size=2
+        ),
+        scale=st.sampled_from([2.0 ** -40, 1e-6, 0.3, 1.0, 1.7, 64.0, 1e6]),
+        equals=st.sampled_from([None, "x", "y", "nope"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_count_equals_scaled_scan(self, data, ranges, scale, equals):
+        attrs = ["a", "b"][: len(ranges)]
+        preds = [
+            RangePredicate(name, min(lo, hi), max(lo, hi))
+            for name, (lo, hi) in zip(attrs, ranges)
+        ]
+        if equals is not None:
+            preds.append(EqualsPredicate("c", equals))
+        query = Query(tuple(preds))
+        # Values: random, outside the bounds, and exactly on (and one
+        # ulp either side of) each scaled end, as _scaled computes it.
+        special = [-0.5, 1.5, 0.0, 1.0]
+        for p in preds[: len(ranges)]:
+            c, h = (p.lo + p.hi) / 2.0, (p.hi - p.lo) / 2.0 * scale
+            for end in (c - h, c + h):
+                special += [end, np.nextafter(end, -1), np.nextafter(end, 2)]
+        pool = special + data.draw(st.lists(unit_floats, max_size=20))
+        n = data.draw(st.integers(min_value=0, max_value=40))
+        rows = [
+            [data.draw(st.sampled_from(pool)) for _ in range(2)]
+            for _ in range(n)
+        ]
+        cats = [data.draw(st.sampled_from(["x", "y"])) for _ in range(n)]
+        store = RecordStore.from_arrays(
+            self.schema, np.array(rows, dtype=float).reshape(n, 2), [cats]
+        )
+        bounds = {s.name: s.bounds for s in self.schema.numeric_attributes}
+        scaled, fraction = _prober(query, store, bounds)(scale)
+        assert scaled.predicates == _scaled(query, scale, bounds).predicates
+        assert fraction == selectivity(scaled, store)

@@ -45,7 +45,8 @@ class TestConstruction:
             ResourceRecord(schema, {"a": 0.1, "b": 0.2, "c": "x"}),
             ResourceRecord(schema, {"a": 0.3, "b": 0.4, "c": "y"}),
         ]
-        st = RecordStore.from_records(schema, recs)
+        st = RecordStore(schema)
+        st.extend(recs)
         assert len(st) == 2
         assert st.record_at(0) == recs[0]
 
@@ -84,7 +85,6 @@ class TestAccess:
         st = make_store(schema, 6)
         assert st.numeric_column("a").shape == (6,)
         assert len(st.categorical_column("c")) == 6
-        assert st.categorical_codes("c").dtype == np.int32
 
     def test_numeric_column_is_a_read_only_view(self, schema):
         st = make_store(schema, 6)
@@ -145,10 +145,6 @@ class TestAccess:
         assert rec["c"] in ("x", "y")
         assert 0 <= rec["a"] <= 1
 
-    def test_iter_records(self, schema):
-        st = make_store(schema, 4)
-        assert len(list(st.iter_records())) == 4
-
 
 class TestMatching:
     def test_mask_range(self, schema):
@@ -173,22 +169,55 @@ class TestMatching:
         assert set(sub.categorical_column("c")) == {"y"}
 
 
-class TestMerge:
-    def test_merged_with(self, schema):
+class TestConcat:
+    def test_concat(self, schema):
         a = make_store(schema, 4, seed=1)
         b = make_store(schema, 6, seed=2)
-        merged = a.merged_with(b)
+        merged = RecordStore.concat([a, b])
         assert len(merged) == 10
         # Row order preserved: first a's rows, then b's.
-        assert np.allclose(merged.numeric_matrix[:4], a.numeric_matrix)
+        assert np.array_equal(merged.numeric_matrix[:4], a.numeric_matrix)
+        assert np.array_equal(merged.numeric_matrix[4:], b.numeric_matrix)
 
-    def test_merged_with_new_vocab(self, schema):
+    def test_concat_new_vocab(self, schema):
         a = RecordStore.from_arrays(schema, np.zeros((2, 2)), [["p", "p"]])
         b = RecordStore.from_arrays(schema, np.zeros((2, 2)), [["q", "p"]])
-        merged = a.merged_with(b)
+        merged = RecordStore.concat([a, b])
         assert merged.categorical_column("c") == ["p", "p", "q", "p"]
 
-    def test_merged_with_wrong_schema(self, schema):
+    def test_concat_vocab_order_is_the_pairwise_fold_order(self, schema):
+        # The first store keeps its whole vocabulary, unused values too;
+        # a later store adds only the values its rows use, in the order
+        # they first occur among its rows (not its vocabulary's order).
+        a = RecordStore.from_arrays(schema, np.zeros((3, 2)), [["p", "q", "r"]])
+        a = a.select(np.array([False, True, True]))
+        b = RecordStore.from_arrays(
+            schema, np.zeros((4, 2)), [["x", "y", "z", "r"]]
+        )
+        b.clear()
+        b.extend(
+            ResourceRecord(schema, {"a": 0.5, "b": 0.5, "c": c})
+            for c in ("y", "r", "x")
+        )
+        c = RecordStore.from_arrays(schema, np.zeros((2, 2)), [["w", "y"]])
+        merged = RecordStore.concat([a, b, c])
+        assert merged.vocabulary("c") == ("p", "q", "r", "y", "x", "w")
+        assert merged.categorical_column("c") == [
+            "q", "r", "y", "r", "x", "w", "y"
+        ]
+
+    def test_concat_wrong_schema(self, schema):
         other = RecordStore(Schema([numeric("a")]))
         with pytest.raises(ValueError, match="different schemas"):
-            make_store(schema).merged_with(other)
+            RecordStore.concat([make_store(schema), other])
+
+    def test_concat_empty_list(self):
+        with pytest.raises(ValueError, match="no stores"):
+            RecordStore.concat([])
+
+    def test_concat_of_one_is_a_copy(self, schema):
+        a = make_store(schema, 4)
+        merged = RecordStore.concat([a])
+        assert merged is not a and merged.owner == a.owner
+        a.update_numeric(0, "a", 0.5)
+        assert merged.numeric_matrix[0, 0] != 0.5

@@ -122,7 +122,7 @@ class TestMerge:
         merged = ResourceSummary.merge_many(
             [ResourceSummary.from_store(a, cfg), ResourceSummary.from_store(b, cfg)]
         )
-        union = ResourceSummary.from_store(a.merged_with(b), cfg)
+        union = ResourceSummary.from_store(RecordStore.concat([a, b]), cfg)
         for name in ("a", "b", "c", "d"):
             assert merged.attributes[name] == union.attributes[name]
 

@@ -30,12 +30,6 @@ class TestChordRouter:
         for src, dst in [(0, 63), (5, 5), (10, 42)]:
             assert r.hops(src, dst) == bin((dst - src) % 64).count("1")
 
-    def test_hops_vector_agrees(self):
-        r = ChordRouter(100)
-        dsts = np.arange(100)
-        vec = r.hops_vector(17, dsts)
-        assert all(vec[d] == r.hops(17, int(d)) for d in dsts)
-
     def test_hops_bounded_by_log(self):
         r = ChordRouter(512)
         rng = np.random.default_rng(1)

@@ -216,7 +216,8 @@ class TestSelectivityGroups:
         assert [g.target for g in groups] == [0.01, 0.05]
         for g in groups:
             assert len(g.queries) == 10
-            for s in g.measured_selectivities(reference):
+            for q in g.queries:
+                s = selectivity(q, reference)
                 assert abs(s - g.target) <= 0.5 * g.target + 1e-9
 
 
