@@ -61,12 +61,7 @@ from ..experiments.figures import (
     fig11_response_time_vs_selectivity,
 )
 from ..experiments.load import offered_load_rows
-from ..experiments.runner import (
-    build_roads,
-    build_workload,
-    drive_queries,
-    trial_queries,
-)
+from ..experiments.runner import drive_queries, roads_trial
 from ..experiments.staleness import (
     LOSS_SWEEP,
     update_plane_staleness_rows,
@@ -405,8 +400,9 @@ class RunPlan:
             raise ValueError(
                 f"unknown scale {self.scale!r}; choose from {SCALES}"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {seed!r}")
         if not isinstance(self.workers, int) or self.workers < 0:
             raise ValueError(
                 f"workers must be an int >= 0 (0 = one per core), "
@@ -447,18 +443,16 @@ def _canonical_block(
     """(registry-derived simulated metrics + per-server load rows, the
     event census they were dispatched under).
 
-    One federation: the shared trial workload through the replication
-    overlay, one summary epoch, then the same requests again entering at
-    the root. Unobserved unless *telemetry* (:func:`profile_scenario`).
+    One federation, the scale's own ROADS trial continued
+    (:func:`~repro.experiments.runner.roads_trial`, which memoises the
+    trial when unobserved): one summary epoch after the trial's stream,
+    then the same requests again entering at the root. Unobserved unless
+    *telemetry* (:func:`profile_scenario`).
     """
     from ..sim.metrics import QUERY
     from ..telemetry import per_server_load_rows, root_load_share
 
-    wcfg, stores = build_workload(settings, seed)
-    queries, clients = trial_queries(settings, wcfg, seed)
-    system = drive_queries(
-        build_roads(settings, stores, seed, telemetry), queries, clients
-    )
+    system, queries, clients = roads_trial(settings, seed, telemetry)
     root_id = system.hierarchy.root.server_id
     update_report = system.refresh()
     registry = system.metrics
@@ -564,10 +558,10 @@ def run_scenario(plan: RunPlan) -> BenchArtifact:
         )
     scenario = SCENARIOS[plan.scenario]
     settings = plan.settings()
-    rows = plan.rows()
+    # The block first: it memoises the scale's own ROADS trial, which a
+    # figure may then read (overlay's rows are the block's load rows).
     simulated, census = copy.deepcopy(_shared_block(settings, plan.seed))
-    if not rows:  # canonical-run-only scenarios (overlay)
-        rows = list(simulated["per_server_load"])
+    rows = plan.rows() or list(simulated["per_server_load"])
 
     failures = list(scenario.shape(rows)) if scenario.shape else []
     failures += _simulated_invariants(simulated)

@@ -7,6 +7,13 @@ from dataclasses import dataclass, replace
 from ..sim.metrics import finite_positive
 
 
+#: each count field's least legal value
+_LEAST = {
+    "num_nodes": 2, "records_per_node": 1, "query_dimensions": 1,
+    "num_queries": 1, "runs": 1, "max_children": 1, "histogram_buckets": 1,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSettings:
     """Shared knobs for the evaluation experiments.
@@ -34,10 +41,16 @@ class ExperimentSettings:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 2:
-            raise ValueError("num_nodes must be >= 2")
-        if self.runs < 1 or self.num_queries < 1:
-            raise ValueError("runs and num_queries must be >= 1")
+        # Every field is a trial memo key: a bad one fails here, by name.
+        seed, length = self.seed, self.query_range_length
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+        for name, least in _LEAST.items():
+            value = getattr(self, name)
+            if not value >= least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
+        if not 0.0 < length <= 1.0:
+            raise ValueError(f"query_range_length must be in (0, 1], got {length!r}")
         for name in ("update_window_seconds", "summary_interval", "record_interval"):
             finite_positive(name, getattr(self, name))
 

@@ -145,13 +145,8 @@ def drive_queries(
     use_overlay: bool = True,
 ) -> RoadsSystem:
     """Drive the trial's queries through *system* back to back (root
-    entry without the overlay); returns it.
-
-    Over :func:`build_roads` of :func:`build_workload`'s stores, fed
-    :func:`trial_queries`, it sees the same seeded workload and client
-    placement as :func:`run_trial`, so its registry's per-server
-    attribution matches the paired measurements.
-    """
+    entry without the overlay); returns it. :func:`roads_trial` gives
+    the federation and stream :func:`run_trial` measures."""
     system.search_many([
         SearchRequest(q, client_node=int(c), use_overlay=use_overlay)
         for q, c in zip(queries, clients)
@@ -195,7 +190,7 @@ def measure_system(
 _MEMO: Dict[tuple, tuple] = {}
 _MEMO_SIZE = 4096
 #: the settings that shape the query stream; every other one but ``runs``
-#: is a build input (``seed`` read as the trial's)
+#: is a build input (``seed`` read as the trial's), and so is the overlap
 _STREAM = ("num_queries", "query_dimensions", "query_range_length")
 
 
@@ -204,25 +199,63 @@ def clear_trial_memo() -> None:
     _MEMO.clear()
 
 
+def trial_keys(
+    settings: ExperimentSettings, seed: int,
+    overlap_factor: Optional[float] = None, stream: bool = True,
+) -> tuple:
+    """(build, queried): a trial's memo keys, its build inputs then its
+    query stream's (None: the federation facts alone)."""
+    build = tuple(
+        seed if f.name == "seed" else getattr(settings, f.name)
+        for f in fields(settings) if f.name not in _STREAM + ("runs",)
+    ) + (overlap_factor,)
+    return build, tuple(getattr(settings, n) for n in _STREAM) if stream else None
+
+
+def _trial_inputs(settings, seed, overlap_factor, queried) -> tuple:
+    """(stores, queries, clients): the trial's workload and stream."""
+    wcfg, stores = build_workload(settings, seed, overlap_factor=overlap_factor)
+    queries, clients = trial_queries(settings, wcfg, seed) if queried else ((), ())
+    return stores, queries, clients
+
+
+def _remember(name: str, build: tuple, queried, m: TrialMeasurement) -> tuple:
+    """Memoise one system's measurement, its facts also under None."""
+    _MEMO[(name, build, queried)] = measured = astuple(m)
+    _MEMO[(name, build, None)] = astuple(
+        replace(m, mean_latency_s=math.nan, mean_query_bytes=math.nan)
+    )
+    while len(_MEMO) > _MEMO_SIZE:
+        del _MEMO[next(iter(_MEMO))]
+    return measured
+
+
 def _measure(
     settings: ExperimentSettings, seed: int, overlap_factor: Optional[float],
     names: Sequence[str], build: tuple, queried: Optional[tuple],
-) -> None:
-    """Build the trial's workload and the named systems, and memoise what
-    each measures: all of it under *queried*, its facts under None."""
+) -> Dict[str, tuple]:
+    """Build the trial's workload and named systems; memoise each one."""
     builders = {"roads": build_roads, "sword": build_sword, "central": build_central}
-    wcfg, stores = build_workload(settings, seed, overlap_factor=overlap_factor)
-    queries, clients = (
-        trial_queries(settings, wcfg, seed) if queried else ((), ())
-    )
-    for name in names:
-        m = measure_system(
+    stores, queries, clients = _trial_inputs(settings, seed, overlap_factor, queried)
+    return {
+        name: _remember(name, build, queried, measure_system(
             builders[name](settings, stores, seed), queries, clients, settings
-        )
-        _MEMO[(name, build, queried)] = astuple(m)
-        _MEMO[(name, build, None)] = astuple(
-            replace(m, mean_latency_s=math.nan, mean_query_bytes=math.nan)
-        )
+        ))
+        for name in names
+    }
+
+
+def roads_trial(settings: ExperimentSettings, seed: int, telemetry=None) -> tuple:
+    """(federation, queries, clients): ``run_trial(settings, seed)``'s
+    ROADS half, built and measured as it builds and measures it, and the
+    federation left running; memoised unless *telemetry* observed it."""
+    build, queried = trial_keys(settings, seed)
+    stores, queries, clients = _trial_inputs(settings, seed, None, queried)
+    system = build_roads(settings, stores, seed, telemetry)
+    measured = measure_system(system, queries, clients, settings)
+    if telemetry is None:
+        _remember("roads", build, queried, measured)
+    return system, queries, clients
 
 
 def run_trial(
@@ -238,31 +271,27 @@ def run_trial(
 
     ``stream=False`` asks for the federation facts only: no query is
     generated or driven. Each system's measurement is memoised per
-    process, the facts keyed by the build inputs (nodes, records,
-    degree, buckets, the three intervals, seed, overlap) and the stream
-    stats by those plus the query stream's (``_STREAM``). A system
-    already measured is not built again, and ROADS is measured before
-    SWORD exists, so its half does not depend on ``include_sword``.
+    process under :func:`trial_keys`, the facts by the build inputs
+    (nodes, records, degree, buckets, the three intervals, seed,
+    overlap) and the stream stats by those plus the query stream's. A
+    system already measured is not built again, and ROADS is measured
+    before SWORD exists, so its half does not depend on ``include_sword``.
     """
-    build = tuple(
-        seed if f.name == "seed" else getattr(settings, f.name)
-        for f in fields(settings) if f.name not in _STREAM + ("runs",)
-    ) + (overlap_factor,)
-    queried = tuple(getattr(settings, n) for n in _STREAM) if stream else None
+    build, queried = trial_keys(settings, seed, overlap_factor, stream)
     names = ("roads",) + ("sword",) * include_sword + ("central",) * include_central
-    missing = [name for name in names if (name, build, queried) not in _MEMO]
+    measured = {name: _MEMO.get((name, build, queried)) for name in names}
+    missing = [name for name in names if measured[name] is None]
     if missing:
-        _measure(settings, seed, overlap_factor, missing, build, queried)
+        measured.update(
+            _measure(settings, seed, overlap_factor, missing, build, queried)
+        )
         # A trial's federations are full of reference cycles: free them
         # now, so a sweep's peak memory is one trial's and not a matter
         # of when the collector next runs on its own.
         gc.collect()
-    result = TrialResult(**{
-        name: TrialMeasurement(*_MEMO[(name, build, queried)]) for name in names
+    return TrialResult(**{
+        name: TrialMeasurement(*measured[name]) for name in names
     })
-    while len(_MEMO) > _MEMO_SIZE:
-        del _MEMO[next(iter(_MEMO))]
-    return result
 
 
 def average_trials(

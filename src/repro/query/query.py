@@ -75,12 +75,6 @@ class Query:
     def attributes(self) -> List[str]:
         return [p.attribute for p in self.predicates]
 
-    def predicate_on(self, attribute: str) -> Optional[Predicate]:
-        for p in self.predicates:
-            if p.attribute == attribute:
-                return p
-        return None
-
     def range_predicates(self) -> List[RangePredicate]:
         return [p for p in self.predicates if isinstance(p, RangePredicate)]
 

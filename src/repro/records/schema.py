@@ -100,18 +100,6 @@ class Schema:
         """Wire size of one full record under this schema."""
         return sum(a.size_bytes for a in self._attributes)
 
-    # -- constructors -------------------------------------------------------------
-    @staticmethod
-    def uniform_numeric(count: int, prefix: str = "attr") -> "Schema":
-        """A schema of *count* unit-range float attributes.
-
-        This matches the analysis model of Section IV, where every record
-        has ``r`` numeric attributes on the unit range.
-        """
-        if count <= 0:
-            raise ValueError("count must be positive")
-        return Schema(numeric(f"{prefix}{i}") for i in range(count))
-
 
 def stream_processing_schema() -> Schema:
     """A System-S-flavoured example schema (cameras / codecs / rates).

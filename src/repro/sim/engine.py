@@ -118,15 +118,6 @@ class Simulator:
         heapq.heappush(self._queue, (time, seq, ev))
         return ev
 
-    def schedule_at(
-        self,
-        time: float,
-        fn: Callable[[], None],
-        label: Optional[str] = None,
-    ) -> Event:
-        """Run *fn* at absolute virtual *time* (must be >= now)."""
-        return self.schedule(time - self._now, fn, label)
-
     def schedule_periodic(
         self,
         interval: float,

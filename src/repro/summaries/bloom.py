@@ -91,10 +91,6 @@ class BloomFilterSummary(AttributeSummary):
         """Fraction of set bits; drives the false-positive rate."""
         return float(self._array.mean())
 
-    def estimated_false_positive_rate(self) -> float:
-        """FPR estimate from the fill ratio: ``fill^k``."""
-        return self.fill_ratio ** self.num_hashes
-
     def may_match(self, predicate: Predicate) -> bool:
         if isinstance(predicate, RangePredicate):
             raise TypeError(

@@ -40,9 +40,6 @@ class LocalityHash:
             for j in range(self.num_attributes)
         ]
 
-    def ring_of_server(self, server: int) -> int:
-        return server % self.num_attributes
-
     def members(self, ring: int) -> np.ndarray:
         """Server ids in *ring*, in ring order."""
         self._check_ring(ring)

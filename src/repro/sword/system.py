@@ -120,24 +120,25 @@ class SwordSystem:
         self.hash = LocalityHash(n, r)
         self.router = ChordRouter(n)
 
-        # Global record matrix: one row per record across the federation.
-        mats = [np.asarray(s.numeric_matrix, dtype=np.float64) for s in stores]
-        self.matrix = np.concatenate(mats, axis=0)
+        # Attribute-major records (a row per numeric attribute, a column
+        # per record), filled in place: no second full-size copy.
+        self.columns = np.empty((r, sum(len(s) for s in stores)))
+        np.concatenate(
+            [s.numeric_matrix.T for s in stores], axis=1, out=self.columns
+        )
         self.owner_of_row = np.concatenate(
             [np.full(len(s), i, dtype=np.int64) for i, s in enumerate(stores)]
         )
         self.record_size_bytes = self.schema.record_size_bytes + _RECORD_HEADER_BYTES
 
-        # Registration: ring j's responsible server per row, then every
-        # member's rows (ascending) from one stable sort of the ring —
-        # server ids cast this narrow radix-sort.
+        # Registration: ring j's (columns[j]'s) responsible server per
+        # row, then every member's rows (ascending) from one stable sort
+        # of the ring — server ids cast this narrow radix-sort.
         self._dest: Dict[int, np.ndarray] = {}
         self._rows_by_server: Dict[int, np.ndarray] = dict.fromkeys(range(n))
-        for j in range(r):
-            col = self.matrix[:, self._column(j)]
-            self._dest[j] = self.hash.responsible(j, col)
         narrow = np.min_scalar_type(n - 1)
         for j in range(r):
+            self._dest[j] = self.hash.responsible(j, self.columns[j])
             members = self.hash.members(j)
             key = self._dest[j].astype(narrow)
             order = np.argsort(key, kind="stable")
@@ -150,10 +151,6 @@ class SwordSystem:
                 lo = hi
         # Greedy finger hops per clockwise distance (< n), built once.
         self._hops = popcount(np.arange(n))
-
-    def _column(self, ring: int) -> int:
-        """Matrix column index for the ring's attribute."""
-        return self.schema.numeric_position(self.attributes[ring])
 
     def _ring_of_attribute(self, name: str) -> int:
         try:
@@ -264,6 +261,6 @@ class SwordSystem:
                 raise ValueError(
                     "this SWORD model indexes numeric attributes only"
                 )
-            col = self.matrix[rows, self.schema.numeric_position(p.attribute)]
+            col = self.columns[self.schema.numeric_position(p.attribute)][rows]
             rows = rows[(col >= p.lo) & (col <= p.hi)]
         return rows

@@ -28,7 +28,8 @@ from repro.bench import (
 )
 from repro.bench.scenarios import _canonical_block, _shared_block
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import clear_trial_memo
+from repro.experiments import runner
+from repro.experiments.runner import clear_trial_memo, run_trial
 from repro.telemetry.profiling import (
     CallPathProfiler,
     census_fingerprint,
@@ -305,14 +306,74 @@ class TestCanonicalBlockMemo:
 
     def test_profile_scenario_neither_reads_nor_fills_it(self):
         _shared_block.cache_clear()
+        clear_trial_memo()
         document = profile_scenario("smoke", 5)
         assert _shared_block.cache_info().currsize == 0
+        assert runner._MEMO == {}  # nor the trial memo
         artifact = run_scenario(RunPlan("overlay", scale="smoke", seed=5))
         before = _shared_block.cache_info()
         assert profile_scenario("smoke", 5)["census_fingerprint"] == (
             document["census_fingerprint"]
         ) == artifact.profile["census_fingerprint"]
         assert _shared_block.cache_info() == before
+        memo = dict(runner._MEMO)
+        profile_scenario("smoke", 5)
+        assert runner._MEMO == memo
+
+
+class TestBlockIsTheTrialContinued:
+    """The canonical block is the scale's own ROADS trial, continued: it
+    memoises that trial, so a figure with the block's node count among
+    its points builds one ROADS federation fewer and prints the same."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        from repro.roads.system import RoadsSystem
+
+        builds, build = [], RoadsSystem.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            builds.append(kwargs.get("telemetry"))
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(RoadsSystem, "build", classmethod(counting))
+        return builds
+
+    def test_fig3_reads_the_blocks_trial(self, monkeypatch):
+        # the smoke block has 48 nodes, so it is this sweep's last point
+        plan = RunPlan("fig3", scale="smoke", sweeps={"nodes": (32, 48)})
+        builds = self.count_builds(monkeypatch)
+        _shared_block.cache_clear()
+        clear_trial_memo()
+        artifact = run_scenario(plan)
+        assert len(builds) == 2  # 32 nodes and the block; 3 when apart
+        # ... and the same artifact as the block and the rows, apart
+        block, census = _canonical_block(plan.settings(), plan.seed)
+        clear_trial_memo()
+        assert artifact.rows == plan.rows()
+        assert artifact.simulated == block
+        assert artifact.profile["census_fingerprint"] == (
+            census_fingerprint(census)
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_memoised_trial_is_a_cold_one(self, monkeypatch, seed):
+        settings = scale_settings("smoke", seed)
+        cold = []
+        for stream in (True, False):  # stream stats, then facts alone
+            clear_trial_memo()
+            cold.append(repr(run_trial(
+                settings, seed, include_sword=False, stream=stream
+            )))
+        clear_trial_memo()
+        _canonical_block(settings, seed)
+        builds = self.count_builds(monkeypatch)
+        # repr, since a facts-only latency is NaN: equal to the last bit
+        assert [
+            repr(run_trial(settings, seed, include_sword=False, stream=stream))
+            for stream in (True, False)
+        ] == cold
+        assert builds == []
 
 
 def _with_metrics(art: BenchArtifact, **overrides) -> BenchArtifact:

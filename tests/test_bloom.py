@@ -84,8 +84,9 @@ class TestSizing:
         heavy = BloomFilterSummary.from_values(
             "enc", [f"v{i}" for i in range(200)], 256, 3
         )
-        assert heavy.estimated_false_positive_rate() > (
-            light.estimated_false_positive_rate()
+        # the classic estimate from the fill ratio: fill ** hashes
+        assert heavy.fill_ratio ** heavy.num_hashes > (
+            light.fill_ratio ** light.num_hashes
         )
 
 

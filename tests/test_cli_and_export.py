@@ -540,6 +540,7 @@ class TestOutOfRangeInputs:
         (["health", "--service-time", "nan"], "service_time"),
         (["telemetry", "--nodes", "1"], "num_nodes"),
         (["suite", "--targets", "fig99"], "fig99"),
+        (["figure", "fig3", "--seed", "-1"], "seed must be an int >= 0"),
     ]
 
     @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from repro.query import Query, RangePredicate
 from repro.records import RecordStore, Schema, numeric
 from repro.roads import RoadsConfig, RoadsSystem, SearchRequest
 from repro.roads.client import QueryExecution
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 from repro.telemetry import MetricsRegistry
 from repro.summaries import ResourceSummary, SummaryConfig
 from repro.workload import WorkloadConfig, generate_node_stores
@@ -107,8 +107,9 @@ class TestSimulatorEdges:
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run()
-        with pytest.raises(Exception):
-            sim.schedule_at(0.5, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(0.5 - sim.now, lambda: None)
+        assert sim.pending == 0
 
     def test_run_until_zero(self):
         sim = Simulator()

@@ -64,6 +64,21 @@ class TestSettings:
         with pytest.raises(ValueError):
             ExperimentSettings(runs=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", -1), ("seed", True), ("seed", 1.0),
+        ("records_per_node", 0), ("max_children", 0),
+        ("histogram_buckets", 0), ("query_dimensions", 0),
+        ("query_range_length", 0.0), ("query_range_length", 2.0),
+        ("query_range_length", math.nan),
+    ])
+    def test_every_memo_key_is_checked_by_name(self, name, value):
+        # Each one used to pass, and then fail deep inside a trial with
+        # a message naming no field (seed=-1: "root_seed must be
+        # non-negative") or run: records_per_node=0 reported a 0.5 ms
+        # latency over an empty federation.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ExperimentSettings(**{name: value})
+
     @pytest.mark.parametrize(
         "name", ["update_window_seconds", "summary_interval", "record_interval"]
     )

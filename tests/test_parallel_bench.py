@@ -50,6 +50,8 @@ class TestRunPlan:
             RunPlan("overlay", scale="galactic")
         with pytest.raises(ValueError):
             RunPlan("overlay", seed=True)
+        with pytest.raises(ValueError, match="^seed must be an int >= 0"):
+            RunPlan("fig3", seed=-1)
         with pytest.raises(ValueError):
             RunPlan("overlay", workers=-1)
 

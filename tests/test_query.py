@@ -39,11 +39,6 @@ class TestConstruction:
 
 
 class TestStructure:
-    def test_predicate_on(self):
-        q = Query.of(RangePredicate("a", 0, 1), EqualsPredicate("c", "x"))
-        assert q.predicate_on("a").attribute == "a"
-        assert q.predicate_on("zz") is None
-
     def test_partition_by_kind(self):
         q = Query.of(RangePredicate("a", 0, 1), EqualsPredicate("c", "x"))
         assert [p.attribute for p in q.range_predicates()] == ["a"]

@@ -65,16 +65,6 @@ class TestPartitions:
 
 
 class TestFactories:
-    def test_uniform_numeric(self):
-        s = Schema.uniform_numeric(25)
-        assert len(s) == 25
-        assert all(a.is_numeric for a in s)
-        assert all(a.bounds == (0.0, 1.0) for a in s)
-
-    def test_uniform_numeric_invalid(self):
-        with pytest.raises(ValueError):
-            Schema.uniform_numeric(0)
-
     def test_stream_processing_schema(self):
         s = stream_processing_schema()
         assert "type" in s and "rate_kbps" in s

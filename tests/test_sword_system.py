@@ -84,9 +84,8 @@ class TestQueryCorrectness:
         assert len(o.matched_rows) == q.match_count(reference)
         # returned rows actually satisfy the query
         for p in q.range_predicates():
-            col = system.matrix[
-                o.matched_rows, system.schema.numeric_position(p.attribute)
-            ]
+            pos = system.schema.numeric_position(p.attribute)
+            col = system.columns[pos][o.matched_rows]
             assert ((col >= p.lo) & (col <= p.hi)).all()
 
     def test_query_without_ranges_rejected(self, system):
@@ -185,14 +184,52 @@ class TestReferenceModel:
         system = SwordSystem(
             SwordConfig(num_nodes=64, records_per_node=12, seed=11), stores
         )
-        return cfg, system
+        # the reference reads records row-major, as the stores hold them
+        return cfg, system, np.concatenate([s.numeric_matrix for s in stores])
+
+    def test_columns_are_the_records_attribute_major(self, skewed):
+        _, system, records = skewed
+        assert system.columns.flags.c_contiguous
+        assert system.columns.shape == (len(system.attributes), len(records))
+        assert np.array_equal(system.columns, records.T)
+
+    def test_every_segment_scan_is_a_row_wise_filter(self, skewed):
+        cfg, system, records = skewed
+        queries = generate_queries(
+            cfg, num_queries=20, dimensions=4, range_length=0.5
+        )
+        # ... and queries whose bounds are records' own values, so that
+        # both ends of a range are hit exactly (ranges are inclusive)
+        rng = np.random.default_rng(2)
+        for a, b in rng.integers(0, len(records), size=(10, 2)):
+            queries.append(Query(tuple(
+                RangePredicate(name, *sorted((records[a, i], records[b, i])))
+                for i, name in enumerate(system.attributes[:3])
+            )))
+        matched = 0
+        for q in queries:
+            for server in range(64):
+                rows = system.rows_stored_at(server)
+                keep = [
+                    row for row in rows.tolist()
+                    if all(
+                        p.lo <= records[row, system.schema.numeric_position(
+                            p.attribute)] <= p.hi
+                        for p in q.predicates
+                    )
+                ]
+                hits = system._local_matches(q, rows)
+                assert hits.dtype == rows.dtype
+                assert hits.tolist() == keep
+                matched += len(keep)
+        assert matched > 0
 
     def test_rows_stored_at_is_the_per_server_scan(self, skewed):
-        _, system = skewed
+        _, system, _ = skewed
         empty = 0
         assert list(system.storage_bytes_by_server()) == list(range(64))
         for server in range(64):
-            ring = system.hash.ring_of_server(server)
+            ring = server % len(system.attributes)
             expected = np.flatnonzero(system._dest[ring] == server)
             rows = system.rows_stored_at(server)
             assert rows.dtype == expected.dtype
@@ -201,7 +238,7 @@ class TestReferenceModel:
         assert empty > 0
 
     def test_queries_match_a_full_mask_reference(self, skewed):
-        cfg, system = skewed
+        cfg, system, records = skewed
         rng = np.random.default_rng(5)
         queries = generate_queries(
             cfg, num_queries=50, dimensions=3, range_length=0.5
@@ -229,7 +266,7 @@ class TestReferenceModel:
                 rows = np.flatnonzero(system._dest[ring] == server)
                 mask = np.ones(rows.size, dtype=bool)
                 for p in q.predicates:
-                    col = system.matrix[
+                    col = records[
                         rows, system.schema.numeric_position(p.attribute)
                     ]
                     mask &= (col >= p.lo) & (col <= p.hi)
@@ -248,7 +285,7 @@ class TestReferenceModel:
         assert matched > 0
 
     def test_registration_bytes_are_bit_counted_distances(self, skewed):
-        _, system = skewed
+        _, system, _ = skewed
         hops = 0
         for ring in range(len(system.attributes)):
             dist = (system._dest[ring] - system.owner_of_row) % 64
