@@ -99,11 +99,8 @@ def install_batch(server: Server, updates, now: float) -> list:
     One call installs a whole ``(destination, tick)`` delivery group —
     each update addresses a distinct ``(table, src)`` slot, so outcomes
     are order-independent within the batch and identical to installing
-    the messages one event at a time. The stacked-array work happens
-    when the receiver next folds the installed tables into a branch
-    summary via :meth:`ResourceSummary.merge_many`; this entry point
-    exists so that fold sees every summary of the tick at once instead
-    of re-running per message.
+    the messages one event at a time. Nothing merges here: the receiver
+    folds its tables at its next tick (:meth:`Server.fold_branch`).
     """
     return [u.install(server, now) for u in updates]
 

@@ -114,6 +114,12 @@ class Server:
         # ancestors' local-owner summaries (overlay): used to decide
         # whether an ancestor itself (not its branch) is worth contacting
         self.replicated_local_summaries: Dict[int, ResourceSummary] = {}
+        # the soft-state tables by the name a SummaryUpdate gives them
+        self._tables: Dict[str, Dict[int, ResourceSummary]] = {
+            "child": self.child_summaries,
+            "replica": self.replicated_summaries,
+            "replica_local": self.replicated_local_summaries,
+        }
         # the last branch summary shipped to the parent — the very object
         # the parent was sent, so keeping it keeps no array alive twice
         self.last_reported: Optional[ResourceSummary] = None
@@ -321,15 +327,6 @@ class Server:
             return None
         return ResourceSummary.merge_many(parts)
 
-    def _summary_table(self, table: str) -> Dict[int, ResourceSummary]:
-        if table == "child":
-            return self.child_summaries
-        if table == "replica":
-            return self.replicated_summaries
-        if table == "replica_local":
-            return self.replicated_local_summaries
-        raise KeyError(f"unknown summary table {table!r}")
-
     def install_summary(
         self, table: str, src_id: int, summary: ResourceSummary
     ) -> bool:
@@ -345,7 +342,7 @@ class Server:
             c.server_id for c in self.children
         ):
             return False
-        self._summary_table(table)[src_id] = summary
+        self._tables[table][src_id] = summary
         return True
 
     def refresh_summary(
@@ -360,34 +357,26 @@ class Server:
         kept alive under a fingerprint it no longer has. Returns whether
         the refresh was accepted.
         """
-        held = self._summary_table(table).get(src_id)
+        summaries = self._tables[table]
+        held = summaries.get(src_id)
         if held is None or held.fingerprint() != fingerprint:
             return False
         # refreshed() copies: full sends can share one payload object
         # across many holders, so re-stamping must not mutate in place.
-        self._summary_table(table)[src_id] = held.refreshed(now)
+        summaries[src_id] = held.refreshed(now)
         return True
 
     def summary_ages(self, now: float) -> List[float]:
         """Age in seconds of every piece of held soft state."""
         return [
-            now - s.created_at
-            for table in (
-                self.child_summaries,
-                self.replicated_summaries,
-                self.replicated_local_summaries,
-            )
+            now - s.created_at for table in self._tables.values()
             for s in table.values()
         ]
 
     def expire_stale_summaries(self, now: float) -> int:
         """Drop expired soft-state summaries; returns how many were dropped."""
         dropped = 0
-        for table in (
-            self.child_summaries,
-            self.replicated_summaries,
-            self.replicated_local_summaries,
-        ):
+        for table in self._tables.values():
             stale = [k for k, s in table.items() if s.is_expired(now)]
             for k in stale:
                 del table[k]

@@ -266,12 +266,12 @@ class _Delivery:
     )
 
     def __init__(
-        self, net, group, phase, on_dropped, on_delivery, on_rejected
+        self, net, group, phase, sent_at, on_dropped, on_delivery, on_rejected
     ):
         self.net = net
         self.group = group
         self.phase = phase
-        self.sent_at = net.sim.now
+        self.sent_at = sent_at
         self.on_dropped = on_dropped
         self.on_delivery = on_delivery
         self.on_rejected = on_rejected
@@ -554,7 +554,7 @@ class Network:
                           next(self._msg_counter), kind, trace)
             if self._admit(msg, phase, on_dropped):
                 self._schedule_delivery(
-                    [msg], phase, on_dropped, on_delivery, on_rejected
+                    [[msg]], phase, on_dropped, on_delivery, on_rejected
                 )
             return msg
         finally:
@@ -601,9 +601,7 @@ class Network:
                 group = groups.setdefault((msg.dst, msg.kind), [])
                 if self._admit(msg, phase, on_dropped):
                     group.append(msg)
-            for group in groups.values():
-                if group:
-                    self._schedule_delivery(group, phase, on_dropped)
+            self._schedule_delivery(groups.values(), phase, on_dropped)
             return msgs
         finally:
             if prof is not None:
@@ -617,20 +615,14 @@ class Network:
     ) -> bool:
         """Send-time disposition of one message; True when it will arrive.
 
-        Accounts the message, then drops it (failed sender: rolled back,
-        the bytes never hit the wire), loses it (loss draw: the bytes
-        were sent) or announces it on the wire.
+        Drops it (failed sender: the bytes never hit the wire, so nothing
+        is accounted), or accounts it and then loses it (loss draw) or
+        announces it on the wire.
         """
         src, dst, category = msg.src, msg.dst, msg.category
-        self.metrics.count_message(
-            category, msg.size_bytes, server=dst, phase=phase
-        )
         tel = self.telemetry
         ctags = _ctags(msg) if tel is not None else _NO_TAGS
         if src in self._failed:
-            self.metrics.uncount_message(
-                category, msg.size_bytes, server=dst, phase=phase
-            )
             self.dropped += 1
             if tel is not None:
                 tel.event("net.drop", src=src, dst=dst, category=category,
@@ -639,6 +631,7 @@ class Network:
             if on_dropped is not None:
                 on_dropped(msg, "sender_failed")
             return False
+        self.metrics.count_message(category, msg.size_bytes, server=dst, phase=phase)
         self.sent += 1
         if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
             self.lost += 1
@@ -657,26 +650,28 @@ class Network:
 
     def _schedule_delivery(
         self,
-        group: "list[Message]",
+        groups,
         phase: str,
         on_dropped: Optional[Callable[[Message, str], None]],
         on_delivery: Optional[Callable[[Message], None]] = None,
         on_rejected: Optional[Callable[[Message], None]] = None,
     ) -> None:
-        """Schedule the arrival of *group*: admitted messages of one call
-        sharing source, destination, kind and category (one message for
-        :meth:`send`). Arrival-time disposition is :class:`_Delivery`."""
-        first = group[0]
-        # The event label names the delivery frame by message kind so
-        # the profiler's call-path tree splits dispatch time per
-        # protocol; computed only under a profiler (None otherwise).
-        self.sim.schedule(
-            self.delay_space.latency(first.src, first.dst)
-            + self.processing_delay,
-            _Delivery(self, group, phase, on_dropped, on_delivery, on_rejected),
-            None if self._profiler is None
-            else "net.deliver:" + (first.kind or first.category),
-        )
+        """Schedule the arrival of each non-empty group: admitted messages
+        of one call sharing source, destination, kind and category (one
+        message for :meth:`send`). Arrival-time disposition is
+        :class:`_Delivery`; the event label (a profiler's frame, split per
+        protocol) is computed only under a profiler."""
+        sim, now, latency = self.sim, self.sim.now, self.delay_space.latency
+        for group in groups:
+            if group:
+                first = group[0]
+                sim.schedule(
+                    latency(first.src, first.dst) + self.processing_delay,
+                    _Delivery(self, group, phase, now,
+                              on_dropped, on_delivery, on_rejected),
+                    None if self._profiler is None
+                    else "net.deliver:" + (first.kind or first.category),
+                )
 
     @property
     def delivered_by_kind(self) -> Dict[str, int]:
@@ -720,11 +715,11 @@ class Network:
         """
         self.delivered += n
         mix = first.kind or first.category
-        per_server = self.census.get(mix)
-        if per_server is None:
-            per_server = self.census[mix] = {}
         dst = first.dst
-        per_server[dst] = per_server.get(dst, 0) + n
+        try:
+            self.census[mix][dst] += n
+        except KeyError:
+            self.census.setdefault(mix, {})[dst] = n
         self.delivery_trace = ctx
         prof = self._profiler
         try:

@@ -48,11 +48,24 @@ def replication_audience(server: Server) -> List[Server]:
     ancestor), and for every server in a sibling's subtree (it is one of
     their ancestors' siblings). Equivalently: everything under
     ``server``'s parent except ``server`` itself, plus ``server``'s own
-    descendants.
+    descendants. In push order: each child's, then each sibling's
+    subtree, in preorder.
     """
-    out: List[Server] = [s for s in server.iter_subtree() if s is not server]
-    for sib in server.siblings():
-        out.extend(sib.iter_subtree())
+    return _preorder(server.children + server.siblings())
+
+
+def _preorder(roots: List[Server]) -> List[Server]:
+    """The subtrees of *roots*, one after another, each in preorder."""
+    out: List[Server] = []
+    stack = [iter(roots)]  # one iterator per open level of the walk
+    while stack:
+        for node in stack[-1]:
+            out.append(node)
+            if node.children:
+                stack.append(iter(node.children))
+                break
+        else:
+            stack.pop()
     return out
 
 
@@ -173,10 +186,7 @@ class ReplicaPusher:
                 out.append((hid, full, full_size))
 
         push_table("replica", branch, replication_audience(server))
-        push_table(
-            "replica_local", local,
-            [s for s in server.iter_subtree() if s is not server],
-        )
+        push_table("replica_local", local, _preorder(server.children))
         return out
 
     def build_updates(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from .attribute import AttributeSpec, AttributeType, categorical, numeric
 
 
@@ -37,6 +39,10 @@ class Schema:
         self._categorical_index: Dict[str, int] = {
             a.name: i for i, a in enumerate(self._categorical)
         }
+        bounds = np.array([a.bounds for a in self._numeric], dtype=np.float64)
+        #: read-only ``(2, numeric attributes)`` array: lower bounds, upper
+        self.numeric_bounds = bounds.reshape(-1, 2).T.copy()
+        self.numeric_bounds.flags.writeable = False
 
     # -- basic container protocol -------------------------------------------------
     def __len__(self) -> int:

@@ -117,13 +117,13 @@ class PlaneCounters:
         elif update.fingerprint is not None:
             self.keepalive_reports += 1
 
-    def count_push(self, update: SummaryUpdate, size: int) -> None:
-        self.replication_bytes += size
-        self.replication_messages += 1
-        if update.summary is None:
-            self.keepalive_sends += 1
-        else:
-            self.full_sends += 1
+    def count_pushes(self, pushes) -> None:
+        """Count a source's ``[(holder_id, update, size)]`` replica pushes."""
+        full = sum(1 for _, update, _ in pushes if update.summary is not None)
+        self.replication_bytes += sum(size for _, _, size in pushes)
+        self.replication_messages += len(pushes)
+        self.full_sends += full
+        self.keepalive_sends += len(pushes) - full
 
     def epoch_since(self, before: "PlaneCounters") -> UpdateRoundReport:
         """The sends counted since the *before* snapshot, as a report."""
@@ -182,12 +182,13 @@ class UpdatePlane:
         #: messages and scheduled epoch events not yet terminally resolved
         self._inflight = 0
         self._tasks: Dict[int, PeriodicTask] = {}
-        network.register_kind(SUMMARY_FULL, self._on_update)
-        network.register_kind(SUMMARY_KEEPALIVE, self._on_update)
-        # Batched fan-out deliveries (send_many groups) install a whole
-        # (destination, tick) group of summaries in one handler call.
-        network.register_kind_batch(SUMMARY_FULL, self._on_update_batch)
-        network.register_kind_batch(SUMMARY_KEEPALIVE, self._on_update_batch)
+        for kind in (SUMMARY_FULL, SUMMARY_KEEPALIVE):
+            # A delivery group installs in one call; a message that waited
+            # in a service queue alone, under the context forked for it.
+            network.register_kind_batch(kind, self._install_group)
+            network.register_kind(
+                kind, lambda m: self._install_group([m], network.delivery_trace)
+            )
 
     @property
     def inflight(self) -> int:
@@ -211,24 +212,25 @@ class UpdatePlane:
         return pu
 
     # -- message plumbing --------------------------------------------------------
-    def _send_update(
-        self, src: int, dst: int, update: SummaryUpdate, size: int, phase: str
-    ) -> None:
-        self._inflight += 1
-        kind = SUMMARY_KEEPALIVE if update.summary is None else SUMMARY_FULL
+    def _send_updates(self, src: int, pushes, phase: str) -> None:
+        """Send ``[(dst, update, size)]`` from *src* as one batch: accounted
+        per message, one delivery event per ``(dst, kind)`` group.
+
+        Each message is its own causal root (send -> transit -> install
+        outcome: the exact message that refreshed, or failed to refresh, a
+        receiver's soft state), with no baggage: the net.* events already
+        label kind and phase, and baggage keys must not collide with tags.
+        """
         tel = self.telemetry
-        # Each update delivery is its own causal root: the interesting
-        # tree is short (send -> transit -> install outcome) but it gives
-        # stale-summary debugging the exact message that refreshed — or
-        # failed to refresh — a receiver's soft state.
-        # No baggage: the net.* events already label kind and phase, and
-        # baggage keys must not collide with per-event tag names.
-        ctx = tel.new_trace() if tel is not None else None
-        self.network.send(
-            src, dst, UPDATE, size,
-            payload=update, phase=phase, kind=kind,
-            on_dropped=self._on_dropped,
-            trace=ctx,
+        requests = [
+            (dst, size, update,
+             SUMMARY_KEEPALIVE if update.summary is None else SUMMARY_FULL,
+             None if tel is None else tel.new_trace())
+            for dst, update, size in pushes
+        ]
+        self._inflight += len(requests)
+        self.network.send_many(
+            src, requests, UPDATE, phase=phase, on_dropped=self._on_dropped
         )
 
     def _on_dropped(self, msg: Message, reason: str) -> None:
@@ -238,22 +240,14 @@ class UpdatePlane:
         else:
             self.counters.dropped += 1
 
-    def _on_update(self, msg: Message) -> None:
-        # A singleton delivery may have waited in a service queue: its
-        # causal parent is the context the network forked for the hop.
-        self._install_group([msg], self.network.delivery_trace)
-
-    def _on_update_batch(self, msgs: List[Message]) -> None:
-        # Batch dispatch leaves the shared ``delivery_trace`` unset, so
-        # each message's own trace provides the causal parent.
-        self._install_group(msgs, None)
-
-    def _install_group(self, msgs: List[Message], ctx) -> None:
+    def _install_group(self, msgs: List[Message], ctx=None) -> None:
         """Install a same-kind ``(destination, tick)`` delivery group.
 
         One ``update.install`` frame and one hierarchy lookup cover the
         whole group (every message shares the destination); outcomes
-        are accounted per message.
+        are accounted per message. A batch delivery (no *ctx*: batch
+        dispatch leaves the shared ``delivery_trace`` unset) takes each
+        message's causal parent from its own trace.
         """
         prof = self._profiler
         if prof is not None:
@@ -304,7 +298,7 @@ class UpdatePlane:
             update, size = build_owner_export(owner, self.config, now)
             self.counters.count_export(size)
             src = owner.node_id if owner.node_id is not None else server.server_id
-            self._send_update(src, server.server_id, update, size, "export")
+            self._send_updates(src, [(server.server_id, update, size)], "export")
 
     def _aggregate(self, server: Server) -> tuple:
         """Build *server*'s summaries for this tick and report upward.
@@ -332,9 +326,9 @@ class UpdatePlane:
             if built is not None:
                 update, size = built
                 self.counters.count_report(update, size)
-                self._send_update(
-                    server.server_id, server.parent.server_id,
-                    update, size, "aggregate",
+                self._send_updates(
+                    server.server_id, [(server.parent.server_id, update, size)],
+                    "aggregate",
                 )
             return branch, local
         finally:
@@ -349,28 +343,9 @@ class UpdatePlane:
             pushes = self._pusher(server).build_updates(
                 self.sim.now, branch, local
             )
-            if not pushes:
-                return
-            # The whole replica fan-out of this server's tick goes out as
-            # one batch: accounting stays per message (loss draws in push
-            # order, counters, traces), but same-(holder, kind) messages
-            # share a delivery event and install as one group.
-            count_push = self.counters.count_push
-            tel = self.telemetry
-            requests = []
-            for holder_id, update, size in pushes:
-                count_push(update, size)
-                kind = (
-                    SUMMARY_KEEPALIVE if update.summary is None
-                    else SUMMARY_FULL
-                )
-                ctx = tel.new_trace() if tel is not None else None
-                requests.append((holder_id, size, update, kind, ctx))
-            self._inflight += len(requests)
-            self.network.send_many(
-                server.server_id, requests, UPDATE,
-                phase="replicate", on_dropped=self._on_dropped,
-            )
+            if pushes:  # the whole fan-out of this server's tick: one batch
+                self.counters.count_pushes(pushes)
+                self._send_updates(server.server_id, pushes, "replicate")
         finally:
             if prof is not None:
                 prof.exit()
@@ -596,10 +571,7 @@ class UpdatePlane:
             return None
         local = server.local_summary(self.config, now, exports)
         branch = server.fold_branch(local, now, reports)
-        for _, update, size in self._pusher(server).plan_updates(
-            now, branch, local
-        ):
-            cost.count_push(update, size)
+        cost.count_pushes(self._pusher(server).plan_updates(now, branch, local))
         built = self._exporter(server).plan_update(now, branch)
         if built is None:
             return None

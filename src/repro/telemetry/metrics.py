@@ -73,28 +73,10 @@ class MetricsRegistry:
         *phase* (``"forward"``, ``"aggregate"``, ``"heartbeat"``, ...)."""
         if size_bytes < 0:
             raise ValueError(f"negative message size: {size_bytes}")
-        self._add(category, server, phase, 1, size_bytes)
-
-    def uncount_message(
-        self,
-        category: str,
-        size_bytes: int,
-        *,
-        server: Optional[int] = None,
-        phase: str = "",
-    ) -> None:
-        """Roll back one previously counted message (e.g. a send by an
-        already-failed node whose bytes never hit the wire)."""
-        self._add(category, server, phase, -1, -size_bytes)
-
-    def _add(
-        self, category: str, server: Optional[int], phase: str,
-        messages: int, size_bytes: int,
-    ) -> None:
         cell = self._traffic.get((category, server, phase))
         if cell is None:
             cell = self._traffic.setdefault(_key(category, server, phase), [0, 0])
-        cell[0] += messages
+        cell[0] += 1
         cell[1] += size_bytes
 
     def observe(

@@ -393,7 +393,7 @@ class QualityPlane:
         if holder_id not in hierarchy:
             return None, None
         holder = hierarchy.get(holder_id)
-        summary = holder._summary_table(table).get(src_id)
+        summary = holder._tables[table].get(src_id)
         return holder, summary
 
     def _region_stores(self, sid: int, mode: str):

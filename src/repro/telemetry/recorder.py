@@ -51,15 +51,25 @@ def _ring_key(event: TelemetryEvent) -> Optional[int]:
         return None
 
 
-def _typed(d: Dict[str, object], key: str, many: bool = False):
-    """``d[key]`` if it is an object or null (*many*: a list of objects)."""
-    value = d[key]
+def _parsed(parse, value, path: str, what: str):
+    """``parse(value)``, its TypeError or ValueError one naming *path*."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"malformed postmortem bundle: {path!r} is not {what}: {exc}"
+        ) from None
+
+
+def _typed(value, path: str, kind: str = "an object"):
+    """*value* if it is *kind* — ``"an object"`` (or null), ``"a list"`` or
+    ``"a list of objects"`` — else one ValueError naming *path*."""
     if not (
-        isinstance(value, list) and all(isinstance(v, dict) for v in value)
-        if many else value is None or isinstance(value, dict)
+        value is None or isinstance(value, dict) if kind == "an object"
+        else isinstance(value, list)
+        and (kind == "a list" or all(isinstance(v, dict) for v in value))
     ):
-        kind = "a list of objects" if many else "an object"
-        raise ValueError(f"malformed postmortem bundle: {key!r} is not {kind}")
+        raise ValueError(f"malformed postmortem bundle: {path!r} is not {kind}")
     return value
 
 
@@ -117,20 +127,36 @@ class PostmortemBundle:
             )
         try:
             window_start, window_end = d["window"]
-            return cls(
+            bundle = cls(
                 reason=str(d["reason"]),
                 triggered_at=float(d["triggered_at"]),
                 window_start=float(window_start),
                 window_end=float(window_end),
-                check=_typed(d, "check"),
-                report=_typed(d, "report"),
-                series=_typed(d, "series", many=True),
-                rings=_typed(d, "rings", many=True),
-                traces=_typed(d, "traces", many=True),
-                quality=_typed(d, "quality"),
+                check=_typed(d["check"], "check"),
+                report=_typed(d["report"], "report"),
+                series=_typed(d["series"], "series", "a list of objects"),
+                rings=_typed(d["rings"], "rings", "a list of objects"),
+                traces=_typed(d["traces"], "traces", "a list of objects"),
+                quality=_typed(d["quality"], "quality"),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed postmortem bundle: {exc!r}") from None
+        # ... and every nested field format() reads, named by its path.
+        objects = "a list of objects"
+        for i, ring in enumerate(bundle.rings):
+            _typed(ring.get("events"), f"rings[{i}].events", "a list")
+        checks = (bundle.report or {}).get("checks", [])
+        for i, c in enumerate(_typed(checks, "report.checks", objects)):
+            _parsed(lambda c: HealthCheck(**c), c, f"report.checks[{i}]", "a check")
+        quality = bundle.quality or {}
+        _typed(quality.get("snapshot"), "quality.snapshot")
+        last = _typed(quality.get("last_report"), "quality.last_report") or {}
+        _typed(last.get("attributions", []), "quality.last_report.attributions", objects)
+        for i, trace in enumerate(bundle.traces):
+            path = f"traces[{i}].events"
+            for j, event in enumerate(_typed(trace.get("events"), path, objects)):
+                _parsed(TelemetryEvent.from_dict, event, f"{path}[{j}]", "an event")
+        return bundle
 
     def dump(self, path) -> Path:
         """Write the bundle as JSON; returns the path written."""

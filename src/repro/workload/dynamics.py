@@ -14,8 +14,8 @@ propagation (``RoadsConfig.delta_updates``) pays off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -94,9 +94,7 @@ class RecordDynamics:
             columns = slice(None)
             if self.config.attributes is not None:
                 columns = [schema.numeric_position(a) for a in self.config.attributes]
-            lo, hi = np.array(
-                [a.bounds for a in schema.numeric_attributes], dtype=np.float64
-            ).reshape(-1, 2)[columns].T
+            lo, hi = schema.numeric_bounds[:, columns]
             sigma = (self.config.step_sigma * (hi - lo))[:, None]
             plan = self._plans[id(schema)] = (schema, columns, lo, hi, sigma)
         return plan
@@ -109,9 +107,16 @@ class RecordDynamics:
         k = max(1, int(round(n * self.config.change_fraction)))
         rows = self.rng.choice(n, size=k, replace=False)
         # Row j of the draw is the k steps of attribute j, in the order
-        # one normal(0, sigma_j, k) call per attribute would draw them.
-        steps = self.rng.normal(0.0, sigma, (len(sigma), k)).T
+        # one normal(0, sigma_j, k) call per attribute would draw them;
+        # normal() computes 0.0 + sigma * z, so these are its bits.
+        steps = self.rng.standard_normal((len(sigma), k))
+        steps *= sigma
         block = store.numeric_matrix[rows]
-        block[:, columns] = np.clip(block[:, columns] + steps, lo, hi)
+        walked = block[:, columns]  # a view of block when all columns walk
+        walked += steps.T
+        np.maximum(walked, lo, out=walked)
+        np.minimum(walked, hi, out=walked)
+        if isinstance(columns, list):
+            block[:, columns] = walked
         store.write_rows(rows, block)
         return k

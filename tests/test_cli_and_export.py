@@ -673,10 +673,24 @@ class TestPostmortemCLI:
             ("traces", ["x"], MALFORMED + "'traces' is not a list of objects"),
             ("series", "abc", MALFORMED + "'series' is not a list of objects"),
             ("traces", [{"trace_id": 1, "events": [{"name": "e"}]}],
+             MALFORMED + "'traces[0].events[0]' is not an event: "
              "event without 'ts'"),
+            ("rings", [{"server": 1, "events": 3}],
+             MALFORMED + "'rings[0].events' is not a list"),
+            ("report", {"checks": 3},
+             MALFORMED + "'report.checks' is not a list of objects"),
+            ("quality", {"snapshot": 3},
+             MALFORMED + "'quality.snapshot' is not an object"),
+            ("quality", {"last_report": 3},
+             MALFORMED + "'quality.last_report' is not an object"),
+            ("report", {"checks": [{"name": "loss", "severity": 2}]},
+             MALFORMED + "'report.checks[0]' is not a check: HealthCheck."
+             "__init__() got an unexpected keyword argument 'severity'"),
         ],
         ids=["check", "report", "quality", "series", "rings", "traces",
-             "series-string", "trace-event-without-ts"],
+             "series-string", "trace-event-without-ts", "ring-events-int",
+             "report-checks-int", "quality-snapshot-int",
+             "quality-last-report-int", "report-check-unknown-key"],
     )
     def test_retyped_field_exits_2(self, key, value, reason, tmp_path, capsys):
         doc = {

@@ -5,6 +5,7 @@ import pytest
 
 from repro.query import EqualsPredicate, RangePredicate
 from repro.summaries import HistogramSummary, SummaryMergeError
+from repro.summaries.histogram import _bucket_block, _bucket_span
 
 
 class TestConstruction:
@@ -48,6 +49,48 @@ class TestConstruction:
     def test_custom_bounds(self):
         h = HistogramSummary.from_values("rate", [500.0], 10, (0.0, 1000.0))
         assert h.counts[5] == 1
+
+
+class TestBucketKernel:
+    """``_bucket_block`` is its scalar twin ``_bucket_span`` applied to
+    every value clipped into the domain, bit for bit."""
+
+    #: uneven spans: unit, offset, timestamp-like, wide, signed-zero, tiny
+    LO = np.array([0.0, -5.0, 1.1e9, 0.25, -0.0, -1e-3])
+    HI = np.array([1.0, 7.5, 1.17e9, 4096.0, 3.0, 1e-3])
+
+    def adversarial(self, rng, buckets, n):
+        """*n* random values per column plus every edge case: below and
+        above the domain, both bounds, their inner neighbours, -0.0, and
+        each bucket edge with its two neighbours."""
+        lo, hi = self.LO, self.HI
+        span = hi - lo
+        cols = [rng.uniform(lo - span, hi + span, (n, len(lo)))]
+        cols += [lo - span, hi + span, lo, hi, np.nextafter(hi, -np.inf),
+                 np.nextafter(lo, np.inf), np.full(len(lo), -0.0)]
+        edges = lo + span * (np.arange(buckets + 1)[:, None] / buckets)
+        cols += [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        return np.vstack([np.atleast_2d(c) for c in cols])
+
+    @pytest.mark.parametrize("buckets", [1, 7, 10, 64, 1000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_is_the_scalar_expression(self, buckets, seed):
+        values = self.adversarial(np.random.default_rng(seed), buckets, 50)
+        block = _bucket_block(values, self.LO, self.HI, buckets)
+        expected = np.zeros((len(self.LO), buckets), dtype=np.int64)
+        for j, (lo, hi) in enumerate(zip(self.LO, self.HI)):
+            for v in values[:, j]:
+                v = min(max(float(v), lo), hi)
+                first, last, _ = _bucket_span(v, v, float(lo), float(hi), buckets)
+                assert first == last
+                expected[j, first] += 1
+        assert block.dtype == np.int32
+        assert np.array_equal(block, expected)
+
+    def test_nan_counts_in_first_bucket(self):
+        values = np.array([[np.nan, 0.5]])
+        block = _bucket_block(values, np.zeros(2), np.ones(2), 4)
+        assert block.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0]]
 
 
 class TestMayMatch:

@@ -9,6 +9,7 @@ from repro.overlay import (
     coverage_ids,
     replication_sources,
 )
+from repro.overlay.replication import replication_audience
 from repro.records import RecordStore, Schema, numeric
 from repro.sim import UPDATE
 from repro.summaries import SummaryConfig
@@ -34,20 +35,30 @@ def hierarchy(schema):
     return h
 
 
+def figure2_tree():
+    """The paper's Figure 2: A; B1, B2; C1, C2 under B1; D1, D2 under C1."""
+    a = Server(0, max_children=2)
+    b1, b2 = Server(1, max_children=2), Server(2, max_children=2)
+    c1, c2 = Server(3, max_children=2), Server(4, max_children=2)
+    d1, d2 = Server(5, max_children=2), Server(6, max_children=2)
+    for parent, child in ((a, b1), (a, b2), (b1, c1), (b1, c2), (c1, d1), (c1, d2)):
+        parent.add_child(child)
+    return [a, b1, b2, c1, c2, d1, d2]
+
+
+def seeded_tree(seed, n=320):
+    """An irregular hierarchy: a seeded join order and fan-out limits."""
+    rng = np.random.default_rng(seed)
+    fanout = rng.integers(1, 9, n)
+    servers = [Server(int(i), max_children=int(fanout[i])) for i in rng.permutation(n)]
+    return list(build_hierarchy(servers))
+
+
 class TestReplicationSources:
     def test_paper_figure2_shape(self):
         """D1 replicates [D2, C1, C2, B1, B2, A] (siblings, ancestors,
         ancestors' siblings)."""
-        a = Server(0, max_children=2)
-        b1, b2 = Server(1, max_children=2), Server(2, max_children=2)
-        c1, c2 = Server(3, max_children=2), Server(4, max_children=2)
-        d1, d2 = Server(5, max_children=2), Server(6, max_children=2)
-        a.add_child(b1)
-        a.add_child(b2)
-        b1.add_child(c1)
-        b1.add_child(c2)
-        c1.add_child(d1)
-        c1.add_child(d2)
+        d1 = figure2_tree()[5]
         ids = [s.server_id for s in replication_sources(d1)]
         assert ids == [6, 3, 4, 1, 2, 0]  # D2, C1, C2, B1, B2, A
 
@@ -59,6 +70,47 @@ class TestReplicationSources:
             srcs = replication_sources(server)
             # siblings (<= k-1) plus per ancestor (1 + its siblings)
             assert len(srcs) <= server.depth * 4 + 3
+
+
+class TestReplicationAudience:
+    """The push set is also the push order: it feeds loss draws, message
+    ids and heap sequence numbers, so it must not move."""
+
+    @staticmethod
+    def generator_preorder(server):
+        """The nested-generator walk the audience was first defined by."""
+        out = [s for s in server.iter_subtree() if s is not server]
+        for sib in server.siblings():
+            out.extend(sib.iter_subtree())
+        return out
+
+    @pytest.mark.parametrize(
+        "servers", [figure2_tree(), seeded_tree(1), seeded_tree(2)],
+        ids=["figure2", "seeded-1", "seeded-2"],
+    )
+    def test_same_ids_in_the_same_order(self, servers):
+        for server in servers:
+            got = [s.server_id for s in replication_audience(server)]
+            assert got == [s.server_id for s in self.generator_preorder(server)]
+
+    @pytest.mark.parametrize(
+        "servers", [figure2_tree(), seeded_tree(3)], ids=["figure2", "seeded-3"]
+    )
+    def test_inverse_of_sources(self, servers):
+        pushes = {
+            (s.server_id, h.server_id) for s in servers for h in replication_audience(s)
+        }
+        pulls = {
+            (src.server_id, s.server_id) for s in servers for src in replication_sources(s)
+        }
+        assert pushes == pulls
+        for s in servers:  # and pushes nothing twice
+            audience = replication_audience(s)
+            assert len({h.server_id for h in audience}) == len(audience)
+
+    def test_figure2_audience_of_c1(self):
+        c1 = figure2_tree()[3]
+        assert [s.server_id for s in replication_audience(c1)] == [5, 6, 4]
 
 
 class TestCoverage:

@@ -155,13 +155,6 @@ class TestMetricsRegistry:
         assert r.bytes_total("query") == 190
         assert r.messages_total("query") == 4
 
-    def test_uncount_rolls_back(self):
-        r = MetricsRegistry()
-        r.count_message("query", 100, server=1)
-        r.uncount_message("query", 100, server=1)
-        assert r.bytes_total("query") == 0
-        assert r.messages_total("query") == 0
-
     def test_reset_selected_categories(self):
         r = MetricsRegistry()
         r.count_message("query", 10, server=1)

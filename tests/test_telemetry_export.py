@@ -11,8 +11,10 @@ from repro.telemetry import (
     chrome_trace,
     prometheus_text,
     read_jsonl,
+    read_series_jsonl,
     write_chrome_trace,
     write_jsonl,
+    write_series_jsonl,
 )
 
 
@@ -58,6 +60,29 @@ class TestJsonl:
         assert event.span_id == 9
         assert event.tags == {"trace_id": 1, "parent_span_id": 4}
         assert "parent_id" not in event.to_dict()
+
+
+class TestSeriesJsonl:
+    ROWS = [{"kind": "raw", "metric": "lost", "server": None, "t": 1.0, "value": 2.0}]
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "series.jsonl"
+        assert write_series_jsonl(self.ROWS * 2, path) == 2
+        assert read_series_jsonl(path) == self.ROWS * 2
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [('{"kind": "raw", "metr', "line 2: "),
+         ("[1, 2]", "line 2: not a row object: list")],
+        ids=["truncated", "not-an-object"],
+    )
+    def test_bad_line_is_named(self, bad, reason, tmp_path):
+        path = tmp_path / "series.jsonl"
+        write_series_jsonl(self.ROWS, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bad + "\n")
+        with pytest.raises(ValueError, match=f"^{reason}"):
+            read_series_jsonl(path)
 
 
 class TestChromeTrace:

@@ -17,6 +17,7 @@ down the properties that matter:
 """
 
 import dataclasses
+import hashlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.roads import (
     SearchRequest,
 )
 from repro.summaries import ResourceSummary, SummaryConfig
+from repro.telemetry.profiling import census_fingerprint
 from repro.workload import WorkloadConfig, generate_node_stores, merge_stores
 from repro.workload.dynamics import RecordDynamics
 from repro.workload.queries import generate_queries
@@ -751,3 +753,47 @@ class TestQueryEntryModes:
         assert not execution.done
         system.sim.run(stop=lambda: execution.done)
         assert execution.done and execution.outcome.completed
+
+
+class TestOneEpochPinned:
+    """One churned coordinated epoch of a seeded 64-server federation,
+    pinned to the values the epoch's first message-driven form gave: any
+    change to its event structure (events, sends, the per-kind census) or
+    to what it installs (every held summary, its stamp and content) fails.
+    """
+
+    PINNED = {
+        (False, 0.0): (673, 807, "1bf7302d877e458a", "898c457d1b58033f"),
+        (True, 0.05): (656, 807, "9b5e6ccd6b4aaa86", "3105431db94364cd"),
+    }
+
+    @staticmethod
+    def held_digest(system):
+        h = hashlib.sha256()
+        for server in sorted(system.hierarchy, key=lambda s: s.server_id):
+            for table, held in (
+                ("child", server.child_summaries),
+                ("replica", server.replicated_summaries),
+                ("replica_local", server.replicated_local_summaries),
+            ):
+                for src in sorted(held):
+                    summary = held[src]
+                    h.update(f"{server.server_id}/{table}/{src}/{summary.created_at!r}/".encode())
+                    h.update(summary.fingerprint())
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize("delta, loss_rate", sorted(PINNED))
+    def test_epoch_is_pinned(self, delta, loss_rate):
+        _, stores, system = build(n=64, seed=38, delta=delta, loss_rate=loss_rate)
+        dynamics = RecordDynamics(system.sim, stores, np.random.default_rng(38))
+        dynamics.pause()
+        dynamics.step()
+        events, sent = system.sim.processed, system.network.sent
+        system.refresh()
+        got = (
+            system.sim.processed - events,
+            system.network.sent - sent,
+            census_fingerprint(system.network.census),
+            self.held_digest(system),
+        )
+        assert got == self.PINNED[delta, loss_rate]
