@@ -27,9 +27,6 @@ class CentralConfig:
 
     num_nodes: int = 320
     record_interval: float = 6.0  # t_r
-    delay_scale_ms: float = 100.0
-    delay_base_ms: float = 10.0
-    delay_jitter_ms: float = 5.0
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -69,11 +66,7 @@ class CentralSystem:
         self.config = config
         seeds = SeedSequenceFactory(config.seed)
         self.delay_space = DelaySpace(
-            config.num_nodes + 1,
-            seeds.generator("delay-space"),
-            scale_ms=config.delay_scale_ms,
-            base_ms=config.delay_base_ms,
-            jitter_ms=config.delay_jitter_ms,
+            config.num_nodes + 1, seeds.generator("delay-space")
         )
         self.repository_node = config.num_nodes
         self.store = RecordStore.concat(stores)

@@ -27,6 +27,7 @@ rejoin run in periodic check events.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
@@ -57,6 +58,15 @@ class MaintenanceConfig:
     #: shift maintenance-overhead accounting for callers that never
     #: asked for it.
     piggyback_summaries: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("heartbeat_interval", "check_interval"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        threshold = self.miss_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
+            raise ValueError(f"miss_threshold must be an int >= 1, got {threshold!r}")
 
     @property
     def failure_timeout(self) -> float:

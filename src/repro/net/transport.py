@@ -52,6 +52,9 @@ SUMMARY_KEEPALIVE = "summary-keepalive"
 #: shared empty tag dict for untraced messages (never mutated)
 _NO_TAGS: Dict[str, object] = {}
 
+#: size of the reject notice a shedding server returns to the sender
+REJECT_BYTES = 16
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -65,17 +68,15 @@ class ServiceConfig:
     messages wait, and overflow is **shed** — the terminal
     ``on_dropped`` hook fires with reason ``"shed"`` and, when the
     sender asked for notification (``on_rejected``), a small reject
-    notice of ``reject_bytes`` travels back so the sender can retry with
-    backoff. Saturation therefore shows up exactly as the paper's root
-    bottleneck predicts: queueing delay first, then shed load.
+    notice of :data:`REJECT_BYTES` travels back so the sender can retry
+    with backoff. Saturation therefore shows up exactly as the paper's
+    root bottleneck predicts: queueing delay first, then shed load.
     """
 
     #: seconds of exclusive server time each inbound message costs
     service_time: float = 0.001
     #: messages allowed to wait behind the one in service (None = no cap)
     queue_limit: Optional[int] = None
-    #: size of the reject notice returned when a message is shed
-    reject_bytes: int = 16
 
     def __post_init__(self) -> None:
         if not self.service_time > 0:
@@ -85,10 +86,6 @@ class ServiceConfig:
         if self.queue_limit is not None and self.queue_limit < 0:
             raise ValueError(
                 f"queue_limit must be >= 0, got {self.queue_limit}"
-            )
-        if self.reject_bytes < 0:
-            raise ValueError(
-                f"reject_bytes must be >= 0, got {self.reject_bytes}"
             )
 
 
@@ -336,7 +333,7 @@ class _Delivery:
                           depth=svc.depth, **_ctags(msg))
             if on_rejected is not None:
                 net.metrics.count_message(
-                    category, svc.config.reject_bytes,
+                    category, REJECT_BYTES,
                     server=src, phase="reject",
                 )
                 back = net.delay_space.latency(dst, src) + net.processing_delay

@@ -31,10 +31,6 @@ class RoadsConfig:
     #: delta propagation: unchanged summaries send only a keep-alive
     #: header each epoch instead of the full summary
     delta_updates: bool = False
-    # delay space calibration
-    delay_scale_ms: float = 100.0
-    delay_base_ms: float = 10.0
-    delay_jitter_ms: float = 5.0
     #: probability that any individual message is silently lost in
     #: transit (update-plane robustness experiments; 0 disables)
     loss_rate: float = 0.0

@@ -34,20 +34,14 @@ class LoadConfig:
     ``rate`` is the mean arrival rate in queries per (virtual) second;
     inter-arrival times are exponential, so the offered stream is
     Poisson. ``horizon`` bounds the *arrival* window — queries already
-    in flight at the horizon still run to completion.
-
-    ``scope_fraction`` of queries are scoped to the issuing client's own
-    server (Section III-C locality); the rest search the federation.
-    ``client_nodes`` restricts the client mix to a subset of nodes
-    (default: every node, uniform).
+    in flight at the horizon still run to completion. Every node is a
+    client, drawn uniformly, and every query searches the federation.
     """
 
     rate: float
     horizon: float
     use_overlay: bool = True
-    scope_fraction: float = 0.0
     first_k: Optional[int] = None
-    client_nodes: Optional[Sequence[int]] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
@@ -55,10 +49,6 @@ class LoadConfig:
             raise ValueError(f"rate must be finite and positive, got {self.rate}")
         if not 0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
-        if not 0.0 <= self.scope_fraction <= 1.0:
-            raise ValueError(
-                f"scope_fraction must be in [0, 1], got {self.scope_fraction}"
-            )
 
 
 @dataclass
@@ -154,11 +144,7 @@ class LoadGenerator:
     def _draw_schedule(self) -> List[SearchRequest]:
         """Pre-draw the full offered stream (arrival order)."""
         cfg = self.config
-        clients = (
-            list(cfg.client_nodes)
-            if cfg.client_nodes is not None
-            else list(range(len(self.system.hierarchy)))
-        )
+        clients = len(self.system.hierarchy)
         requests: List[SearchRequest] = []
         self._arrivals: List[float] = []
         t = 0.0
@@ -167,16 +153,11 @@ class LoadGenerator:
             if t >= cfg.horizon:
                 break
             query = self.queries[int(self.rng.integers(0, len(self.queries)))]
-            client = int(clients[int(self.rng.integers(0, len(clients)))])
-            scoped = (
-                cfg.scope_fraction > 0
-                and float(self.rng.random()) < cfg.scope_fraction
-            )
+            client = int(self.rng.integers(0, clients))
             requests.append(
                 SearchRequest(
                     query,
                     client_node=client,
-                    scope=client if scoped else None,
                     first_k=cfg.first_k,
                     use_overlay=cfg.use_overlay,
                     retry=cfg.retry,

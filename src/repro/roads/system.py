@@ -119,13 +119,7 @@ class RoadsSystem:
             )
         seeds = SeedSequenceFactory(config.seed)
         sim = Simulator()
-        delay_space = DelaySpace(
-            n + len(guests),
-            seeds.generator("delay-space"),
-            scale_ms=config.delay_scale_ms,
-            base_ms=config.delay_base_ms,
-            jitter_ms=config.delay_jitter_ms,
-        )
+        delay_space = DelaySpace(n + len(guests), seeds.generator("delay-space"))
         if telemetry is not None:
             telemetry.bind_clock(lambda: sim.now)
             # Wall-clock profiling: the engine holds its own reference so

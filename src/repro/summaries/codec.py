@@ -6,11 +6,10 @@ decoding them back. Each attribute summary serializes to a tagged frame::
 
     [1B kind][2B name length][name utf-8][payload...]
 
-Histogram payloads honour the configured encoding (dense counters,
-sparse (index, count) pairs, or an occupancy bitmap — the bitmap
-round-trips occupancy, i.e. counts collapse to 0/1, which preserves
-query-evaluation semantics exactly). A :class:`ResourceSummary` frame
-concatenates its attribute frames behind a small header.
+A histogram payload is its dense counters; the byte after the kind
+names the encoding and is always 0 (dense), so any other value is a
+:class:`CodecError`. A :class:`ResourceSummary` frame concatenates its
+attribute frames behind a small header.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ _KIND_HISTOGRAM = 1
 _KIND_VALUESET = 2
 _KIND_BLOOM = 3
 
-_ENCODINGS = ("dense", "sparse", "bitmap")
+#: the histogram frame's encoding byte: dense counters
+_DENSE = 0
 
 
 class CodecError(ValueError):
@@ -57,52 +57,24 @@ def _unpack_name(buf: bytes, off: int) -> Tuple[str, int]:
 
 def encode_histogram(h: HistogramSummary) -> bytes:
     head = struct.pack(
-        "<BB", _KIND_HISTOGRAM, _ENCODINGS.index(h.encoding)
+        "<BB", _KIND_HISTOGRAM, _DENSE
     ) + _pack_name(h.attribute) + struct.pack("<Idd", h.buckets, h.lo, h.hi)
-    if h.encoding == "dense":
-        payload = h.counts.astype("<u4").tobytes()
-    elif h.encoding == "sparse":
-        idx = np.flatnonzero(h.counts)
-        payload = struct.pack("<I", idx.size)
-        payload += idx.astype("<u4").tobytes() + h.counts[idx].astype("<u4").tobytes()
-    else:  # bitmap
-        payload = np.packbits(h.counts > 0).tobytes()
-    return head + payload
+    return head + h.counts.astype("<u4").tobytes()
 
 
 def decode_histogram(buf: bytes, off: int = 0) -> Tuple[HistogramSummary, int]:
     kind, enc_idx = struct.unpack_from("<BB", buf, off)
     if kind != _KIND_HISTOGRAM:
         raise CodecError(f"expected histogram frame, got kind {kind}")
-    if enc_idx >= len(_ENCODINGS):
+    if enc_idx != _DENSE:
         raise CodecError(f"unknown histogram encoding index {enc_idx}")
     off += 2
     name, off = _unpack_name(buf, off)
     buckets, lo, hi = struct.unpack_from("<Idd", buf, off)
     off += struct.calcsize("<Idd")
-    encoding = _ENCODINGS[enc_idx]
-    if encoding == "dense":
-        counts = np.frombuffer(buf, dtype="<u4", count=buckets, offset=off)
-        off += buckets * 4
-    elif encoding == "sparse":
-        (n_entries,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        idx = np.frombuffer(buf, dtype="<u4", count=n_entries, offset=off)
-        off += n_entries * 4
-        vals = np.frombuffer(buf, dtype="<u4", count=n_entries, offset=off)
-        off += n_entries * 4
-        counts = np.zeros(buckets, dtype=np.uint32)
-        counts[idx] = vals
-    else:  # bitmap: occupancy only
-        nbytes = (buckets + 7) // 8
-        counts = np.unpackbits(
-            np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=off)
-        )[:buckets]
-        off += nbytes
-    return (
-        HistogramSummary(name, buckets, (lo, hi), encoding=encoding, counts=counts),
-        off,
-    )
+    counts = np.frombuffer(buf, dtype="<u4", count=buckets, offset=off)
+    off += buckets * 4
+    return HistogramSummary(name, buckets, (lo, hi), counts=counts), off
 
 
 # -- value set ----------------------------------------------------------------

@@ -7,14 +7,12 @@ which is exactly how branch summaries are aggregated bottom-up in the
 hierarchy. A range predicate ``lo <= x <= hi`` may match iff any bucket
 overlapping ``[lo, hi]`` is non-empty.
 
-Wire encoding can be *dense* (all ``m`` counters — the paper's model,
-where a summary has constant size ``m·r`` regardless of how many records
-it covers), *sparse* (only the non-empty buckets as ``(index, count)``
-pairs), or *bitmap* (one occupancy bit per bucket — sufficient for query
-evaluation, which only tests bucket non-emptiness). The encoding choice
-is an ablation axis (see DESIGN.md §5).
+On the wire a histogram is dense: a small header and all ``m``
+counters, the paper's model, where a summary has constant size ``m·r``
+regardless of how many records it covers (§III-B; DESIGN.md §5 records
+the sparse and bitmap encodings measured against it).
 
-Query evaluation runs on that same one bit per bucket: a histogram packs
+Query evaluation runs on one bit per bucket: a histogram packs
 its *occupancy bitset* (a Python ``int``, bit ``i`` set iff bucket ``i`` is
 non-empty) on its first ``may_match``, drops it wherever it drops its
 fingerprint, and tests ``occupancy & mask != 0`` with the mask of the
@@ -36,10 +34,8 @@ import numpy as np
 from ..query.predicate import EqualsPredicate, Predicate, RangePredicate
 from .base import AttributeSummary, SummaryMergeError
 
-#: bytes per counter in the dense encoding
+#: bytes per counter on the wire
 _DENSE_COUNTER_BYTES = 4
-#: bytes per (index, count) pair in the sparse encoding
-_SPARSE_ENTRY_BYTES = 8
 #: fixed header: attribute id, bucket count, domain bounds
 _HEADER_BYTES = 16
 #: largest value an int32 counter holds
@@ -52,15 +48,11 @@ def check_counter_room(total: int) -> None:
         raise OverflowError(f"{total} values overflow an int32 counter (max {COUNTER_MAX})")
 
 
-def wire_bytes(encoding: str, block: np.ndarray) -> int:
+def wire_bytes(block: np.ndarray) -> int:
     """Wire size of the histograms whose counters are the rows of the
-    2-D *block*, under *encoding*."""
+    2-D *block*."""
     rows, buckets = block.shape
-    if encoding == "dense":
-        return rows * (_HEADER_BYTES + buckets * _DENSE_COUNTER_BYTES)
-    if encoding == "bitmap":
-        return rows * (_HEADER_BYTES + (buckets + 7) // 8)
-    return rows * _HEADER_BYTES + int(np.count_nonzero(block)) * _SPARSE_ENTRY_BYTES
+    return rows * (_HEADER_BYTES + buckets * _DENSE_COUNTER_BYTES)
 
 
 def histogram_digest(attribute: str, lo: float, hi: float, wide: np.ndarray) -> bytes:
@@ -127,7 +119,7 @@ def _bucket_span(
 class HistogramSummary(AttributeSummary):
     """Equal-width bucket histogram over a bounded numeric domain."""
 
-    __slots__ = ("attribute", "lo", "hi", "counts", "encoding", "_fp", "_occupancy")
+    __slots__ = ("attribute", "lo", "hi", "counts", "_fp", "_occupancy")
 
     def __init__(
         self,
@@ -135,7 +127,6 @@ class HistogramSummary(AttributeSummary):
         buckets: int,
         bounds: Tuple[float, float] = (0.0, 1.0),
         *,
-        encoding: str = "dense",
         counts: Optional[np.ndarray] = None,
     ):
         if buckets <= 0:
@@ -143,12 +134,9 @@ class HistogramSummary(AttributeSummary):
         lo, hi = bounds
         if not (lo < hi):
             raise ValueError(f"invalid histogram bounds {bounds}")
-        if encoding not in ("dense", "sparse", "bitmap"):
-            raise ValueError(f"unknown encoding {encoding!r}")
         self.attribute = attribute
         self.lo = float(lo)
         self.hi = float(hi)
-        self.encoding = encoding
         if counts is None:
             self.counts = np.zeros(buckets, dtype=np.int32)
         else:
@@ -171,11 +159,9 @@ class HistogramSummary(AttributeSummary):
         values: Iterable[float],
         buckets: int,
         bounds: Tuple[float, float] = (0.0, 1.0),
-        *,
-        encoding: str = "dense",
     ) -> "HistogramSummary":
         """Summarize *values*; values are clipped into the domain."""
-        h = cls(attribute, buckets, bounds, encoding=encoding)
+        h = cls(attribute, buckets, bounds)
         h.add_values(values)
         return h
 
@@ -184,7 +170,6 @@ class HistogramSummary(AttributeSummary):
         cls,
         attribute: str,
         bounds: Tuple[float, float],
-        encoding: str,
         counts: np.ndarray,
     ) -> "HistogramSummary":
         """Internal constructor for counts already known valid.
@@ -196,7 +181,6 @@ class HistogramSummary(AttributeSummary):
         h = cls.__new__(cls)
         h.attribute = attribute
         h.lo, h.hi = bounds
-        h.encoding = encoding
         h.counts = counts
         h._fp = h._occupancy = None
         return h
@@ -278,14 +262,14 @@ class HistogramSummary(AttributeSummary):
         counts = self.counts.copy()
         for o in others:
             counts += o.counts
-        return HistogramSummary._trusted(self.attribute, (self.lo, self.hi), self.encoding, counts)
+        return HistogramSummary._trusted(self.attribute, (self.lo, self.hi), counts)
 
     def copy(self) -> "HistogramSummary":
         bounds = (self.lo, self.hi)
-        return HistogramSummary._trusted(self.attribute, bounds, self.encoding, self.counts.copy())
+        return HistogramSummary._trusted(self.attribute, bounds, self.counts.copy())
 
     def encoded_size(self) -> int:
-        return wire_bytes(self.encoding, self.counts.reshape(1, -1))
+        return wire_bytes(self.counts.reshape(1, -1))
 
     def fingerprint(self) -> bytes:
         """Content hash used by delta propagation to skip unchanged sends.

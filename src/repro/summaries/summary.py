@@ -132,7 +132,7 @@ class ResourceSummary:
             raise KeyError(f"summary has no attribute {name!r}")
         row = self.block[self.schema.numeric_position(name)]
         bounds = tuple(map(float, self.schema[name].bounds))
-        return HistogramSummary._trusted(name, bounds, self.config.histogram_encoding, row)
+        return HistogramSummary._trusted(name, bounds, row)
 
     @property
     def attributes(self) -> Dict[str, AttributeSummary]:
@@ -212,7 +212,7 @@ class ResourceSummary:
     def encoded_size(self) -> int:
         """Wire size of the full summary (the paper's ``m*r`` scale)."""
         if self._size is None:
-            self._size = wire_bytes(self.config.histogram_encoding, self.block) + sum(
+            self._size = wire_bytes(self.block) + sum(
                 s.encoded_size() for s in self.categorical.values()
             )
         return self._size

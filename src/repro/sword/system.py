@@ -50,9 +50,6 @@ class SwordConfig:
     #: records (K·N·r/n of them) against all dimensions before forwarding
     #: — this serial scan time is part of the paper's SWORD latency.
     search_seconds_per_record: float = 5e-6
-    delay_scale_ms: float = 100.0
-    delay_base_ms: float = 10.0
-    delay_jitter_ms: float = 5.0
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -110,13 +107,7 @@ class SwordSystem:
         self.attributes = [a.name for a in self.schema.numeric_attributes]
         r = len(self.attributes)
         seeds = SeedSequenceFactory(config.seed)
-        self.delay_space = DelaySpace(
-            n,
-            seeds.generator("delay-space"),
-            scale_ms=config.delay_scale_ms,
-            base_ms=config.delay_base_ms,
-            jitter_ms=config.delay_jitter_ms,
-        )
+        self.delay_space = DelaySpace(n, seeds.generator("delay-space"))
         self.hash = LocalityHash(n, r)
         self.router = ChordRouter(n)
 

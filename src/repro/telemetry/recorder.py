@@ -61,6 +61,10 @@ def _parsed(parse, value, path: str, what: str):
         ) from None
 
 
+def _refuse(path: str, kind: str):
+    raise ValueError(f"malformed postmortem bundle: {path!r} is not {kind}")
+
+
 def _typed(value, path: str, kind: str = "an object"):
     """*value* if it is *kind* — ``"an object"`` (or null), ``"a list"`` or
     ``"a list of objects"`` — else one ValueError naming *path*."""
@@ -69,8 +73,18 @@ def _typed(value, path: str, kind: str = "an object"):
         else isinstance(value, list)
         and (kind == "a list" or all(isinstance(v, dict) for v in value))
     ):
-        raise ValueError(f"malformed postmortem bundle: {path!r} is not {kind}")
+        _refuse(path, kind)
     return value
+
+
+def _number(value, path: str, convert=float):
+    """``convert(value)`` of a JSON number, else one ValueError naming *path*."""
+    try:
+        if isinstance(value, (int, float)):
+            return convert(value)
+    except (ValueError, OverflowError):  # int() of NaN or infinity
+        pass
+    _refuse(path, "a number")
 
 
 @dataclass
@@ -143,15 +157,35 @@ class PostmortemBundle:
             raise ValueError(f"malformed postmortem bundle: {exc!r}") from None
         # ... and every nested field format() reads, named by its path.
         objects = "a list of objects"
+        for key in ("value", "threshold") if bundle.check else ():
+            _number(bundle.check.get(key, 0.0), f"check.{key}")
         for i, ring in enumerate(bundle.rings):
             _typed(ring.get("events"), f"rings[{i}].events", "a list")
         checks = (bundle.report or {}).get("checks", [])
         for i, c in enumerate(_typed(checks, "report.checks", objects)):
-            _parsed(lambda c: HealthCheck(**c), c, f"report.checks[{i}]", "a check")
+            _parsed(lambda c: HealthCheck(**c).format(), c, f"report.checks[{i}]", "a check")
+        for i, series in enumerate(bundle.series):
+            if series.get("server") is not None or not series.get("raw"):
+                continue  # format() draws the federation-wide series only
+            if not isinstance(series.get("name"), str):
+                _refuse(f"series[{i}].name", "a string")
+            for j, point in enumerate(_typed(series["raw"], f"series[{i}].raw", "a list")):
+                path = f"series[{i}].raw[{j}]"
+                if not (isinstance(point, list) and len(point) == 2):
+                    _refuse(path, "a [time, value] pair")
+                _number(point[1], path)
         quality = bundle.quality or {}
-        _typed(quality.get("snapshot"), "quality.snapshot")
+        snapshot = _typed(quality.get("snapshot"), "quality.snapshot") or {}
+        for key, default, convert in (
+            ("precision", 1.0, float), ("recall", 1.0, float),
+            ("fp", 0, int), ("fn", 0, int), ("audits", 0, int),
+        ):
+            _number(snapshot.get(key, default), f"quality.snapshot.{key}", convert)
         last = _typed(quality.get("last_report"), "quality.last_report") or {}
-        _typed(last.get("attributions", []), "quality.last_report.attributions", objects)
+        path = "quality.last_report.attributions"
+        for i, a in enumerate(_typed(last.get("attributions", []), path, objects)):
+            if a.get("staleness_age") is not None:
+                _number(a["staleness_age"], f"{path}[{i}].staleness_age")
         for i, trace in enumerate(bundle.traces):
             path = f"traces[{i}].events"
             for j, event in enumerate(_typed(trace.get("events"), path, objects)):

@@ -17,7 +17,6 @@ from .generator import (
     FAMILY_ORDER,
     WorkloadConfig,
     generate_node_store,
-    records_for_node,
     generate_node_stores,
     make_schema,
     merge_stores,
@@ -45,7 +44,6 @@ __all__ = [
     "RecordDynamics",
     "make_schema",
     "generate_node_store",
-    "records_for_node",
     "generate_node_stores",
     "merge_stores",
     "generate_query",

@@ -9,8 +9,8 @@ server's data on the first eight attributes to a random range of length
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,12 @@ from .distributions import (
 
 #: family order used when laying out attributes and cycling query dims
 FAMILY_ORDER = ("uniform", "range", "gaussian", "pareto")
+#: spread of each node's Gaussian attributes around their per-node mean
+GAUSSIAN_SIGMA = 0.01
+#: tail index of the Pareto attributes, and the range their per-node
+#: scale is drawn from
+PARETO_SHAPE = 3.0
+PARETO_SCALE_RANGE = (0.005, 0.04)
 
 
 @dataclass(frozen=True)
@@ -35,24 +41,17 @@ class WorkloadConfig:
     """Shape of the generated record workload.
 
     The default reproduces Section V: 320 nodes × 500 records × 16
-    attributes (4 uniform, 4 range, 4 Gaussian, 4 Pareto).
+    attributes (4 uniform, 4 range, 4 Gaussian, 4 Pareto). Every node
+    holds ``records_per_node`` records.
     """
 
     num_nodes: int = 320
     records_per_node: int = 500
     attrs_per_family: int = 4
     range_length: float = 0.5
-    gaussian_sigma: float = 0.01
-    pareto_shape: float = 3.0
-    pareto_scale_range: Tuple[float, float] = (0.005, 0.04)
     #: Figure 9 mode: when set, the first ``2 * attrs_per_family``
     #: attributes are confined per server to a range of ``Of/num_nodes``
     overlap_factor: Optional[float] = None
-    #: how records are apportioned: ``"fixed"`` gives every owner exactly
-    #: ``records_per_node``; ``"zipf"`` draws skewed counts with the same
-    #: mean — real federations are heterogeneous
-    records_distribution: str = "fixed"
-    zipf_exponent: float = 1.5
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -60,14 +59,10 @@ class WorkloadConfig:
             raise ValueError("num_nodes >= 1 and records_per_node >= 0 required")
         if self.attrs_per_family < 1:
             raise ValueError("attrs_per_family must be >= 1")
-        if self.overlap_factor is not None and self.overlap_factor <= 0:
-            raise ValueError("overlap_factor must be positive")
-        if self.records_distribution not in ("fixed", "zipf"):
+        if self.overlap_factor is not None and not self.overlap_factor > 0:
             raise ValueError(
-                f"unknown records_distribution {self.records_distribution!r}"
+                f"overlap_factor must be positive, got {self.overlap_factor}"
             )
-        if self.zipf_exponent <= 1.0:
-            raise ValueError("zipf_exponent must be > 1")
 
     @property
     def num_attributes(self) -> int:
@@ -103,37 +98,12 @@ def _node_column(
     if family == "range":
         return range_values(rng, n, config.range_length)
     if family == "gaussian":
-        return gaussian_values(rng, n, sigma=config.gaussian_sigma)
+        return gaussian_values(rng, n, sigma=GAUSSIAN_SIGMA)
     if family == "pareto":
         return pareto_values(
-            rng,
-            n,
-            shape=config.pareto_shape,
-            scale_range=config.pareto_scale_range,
+            rng, n, shape=PARETO_SHAPE, scale_range=PARETO_SCALE_RANGE
         )
     raise KeyError(f"unknown family {family!r}")
-
-
-def records_for_node(
-    config: WorkloadConfig,
-    node_id: int,
-    seeds: Optional[SeedSequenceFactory] = None,
-) -> int:
-    """How many records *node_id* holds under the configured skew."""
-    if config.records_distribution == "fixed":
-        return config.records_per_node
-    if seeds is None:
-        seeds = SeedSequenceFactory(config.seed)
-    rng = seeds.fresh_generator(f"record-count:{node_id}")
-    # Zipf draw rescaled so the mean stays near records_per_node; capped
-    # so a single owner cannot dwarf the rest of the federation.
-    norm_rng = SeedSequenceFactory(config.seed).fresh_generator("zipf-norm")
-    zipf_mean = float(
-        np.mean(np.minimum(norm_rng.zipf(config.zipf_exponent, 4096), 20 * 50))
-    )
-    raw = min(int(rng.zipf(config.zipf_exponent)), 1000)
-    count = int(round(raw / zipf_mean * config.records_per_node))
-    return int(np.clip(count, 1, config.records_per_node * 20))
 
 
 def generate_node_store(
@@ -148,7 +118,7 @@ def generate_node_store(
     if seeds is None:
         seeds = SeedSequenceFactory(config.seed)
     rng = seeds.fresh_generator(f"records:{node_id}")
-    n = records_for_node(config, node_id, seeds)
+    n = config.records_per_node
     names = config.attribute_names()
     overlap_attrs = (
         set(names[: 2 * config.attrs_per_family])

@@ -686,11 +686,30 @@ class TestPostmortemCLI:
             ("report", {"checks": [{"name": "loss", "severity": 2}]},
              MALFORMED + "'report.checks[0]' is not a check: HealthCheck."
              "__init__() got an unexpected keyword argument 'severity'"),
+            # the scalars format() converts are typed too
+            ("series", [{"server": None, "raw": [[0.0, 1.0]]}],
+             MALFORMED + "'series[0].name' is not a string"),
+            ("series", [{"name": "loss", "raw": 3}],
+             MALFORMED + "'series[0].raw' is not a list"),
+            ("series", [{"name": "loss", "raw": [[0.0, None]]}],
+             MALFORMED + "'series[0].raw[0]' is not a number"),
+            ("check", {"name": "loss", "value": None, "threshold": 0.1},
+             MALFORMED + "'check.value' is not a number"),
+            ("quality", {"snapshot": {"fp": [1]}},
+             MALFORMED + "'quality.snapshot.fp' is not a number"),
+            ("check", {"name": "loss", "value": "abc", "threshold": 0.1},
+             MALFORMED + "'check.value' is not a number"),
+            ("quality", {"last_report": {"attributions": [{"staleness_age": "old"}]}},
+             MALFORMED + "'quality.last_report.attributions[0].staleness_age'"
+             " is not a number"),
         ],
         ids=["check", "report", "quality", "series", "rings", "traces",
              "series-string", "trace-event-without-ts", "ring-events-int",
              "report-checks-int", "quality-snapshot-int",
-             "quality-last-report-int", "report-check-unknown-key"],
+             "quality-last-report-int", "report-check-unknown-key",
+             "series-without-name", "series-raw-int", "series-point-null",
+             "check-value-null", "quality-snapshot-fp-list",
+             "check-value-string", "attribution-age-string"],
     )
     def test_retyped_field_exits_2(self, key, value, reason, tmp_path, capsys):
         doc = {

@@ -1,5 +1,7 @@
 """Tests for repro.summaries.codec (binary wire format)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,40 +27,30 @@ from repro.summaries.codec import (
     encode_summary,
     encode_valueset,
 )
+from repro.workload import WorkloadConfig, generate_node_stores
+
+
+#: the one histogram encoding; the parameter keeps these tests' ids
+DENSE = pytest.mark.parametrize("encoding", ["dense"])
 
 
 class TestHistogramCodec:
-    @pytest.mark.parametrize("encoding", ["dense", "sparse"])
+    @DENSE
     def test_roundtrip_exact(self, encoding):
         rng = np.random.default_rng(0)
-        h = HistogramSummary.from_values(
-            "rate", rng.random(500), 128, encoding=encoding
-        )
+        h = HistogramSummary.from_values("rate", rng.random(500), 128)
         out, off = decode_histogram(encode_histogram(h))
         assert out == h
         assert off == len(encode_histogram(h))
 
     def test_roundtrip_custom_bounds(self):
-        h = HistogramSummary.from_values(
-            "rate", [500.0], 16, (0.0, 1000.0), encoding="dense"
-        )
+        h = HistogramSummary.from_values("rate", [500.0], 16, (0.0, 1000.0))
         out, _ = decode_histogram(encode_histogram(h))
         assert out.lo == 0.0 and out.hi == 1000.0
         assert out.counts[8] == 1
 
-    def test_bitmap_preserves_occupancy(self):
-        h = HistogramSummary.from_values(
-            "a", [0.11, 0.12, 0.9], 10, encoding="bitmap"
-        )
-        out, _ = decode_histogram(encode_histogram(h))
-        # counts collapse to occupancy, semantics preserved
-        assert (out.counts > 0).tolist() == (h.counts > 0).tolist()
-        for lo in np.linspace(0, 0.9, 10):
-            pred = RangePredicate("a", float(lo), float(lo) + 0.05)
-            assert out.may_match(pred) == h.may_match(pred)
-
     def test_empty_histogram(self):
-        h = HistogramSummary("a", 32, encoding="sparse")
+        h = HistogramSummary("a", 32)
         out, _ = decode_histogram(encode_histogram(h))
         assert out.is_empty
 
@@ -132,9 +124,9 @@ class TestSummaryCodec:
             schema, rng.random((80, 2)), [["x" if i % 3 else "y" for i in range(80)]]
         )
 
-    @pytest.mark.parametrize("encoding", ["dense", "sparse", "bitmap"])
+    @DENSE
     def test_roundtrip_semantics(self, schema, store, encoding):
-        cfg = SummaryConfig(histogram_buckets=64, histogram_encoding=encoding)
+        cfg = SummaryConfig(histogram_buckets=64)
         s = ResourceSummary.from_store(store, cfg, created_at=42.0)
         out = decode_summary(encode_summary(s), schema, cfg)
         assert out.created_at == 42.0
@@ -148,19 +140,16 @@ class TestSummaryCodec:
             )
             assert out.may_match(q) == s.may_match(q)
 
-    @pytest.mark.parametrize("encoding", ["dense", "sparse", "bitmap"])
+    @DENSE
     def test_decoded_block_is_int32(self, schema, store, encoding):
-        cfg = SummaryConfig(histogram_buckets=64, histogram_encoding=encoding)
+        cfg = SummaryConfig(histogram_buckets=64)
         s = ResourceSummary.from_store(store, cfg)
         out = decode_summary(encode_summary(s), schema, cfg)
         assert out.block.dtype == np.int32 and out.block.flags.c_contiguous
         assert out.block.shape == (2, 64)
-        if encoding == "bitmap":
-            assert ((out.block > 0) == (s.block > 0)).all()
-        else:
-            assert (out.block == s.block).all()
-            assert out.fingerprint() == s.fingerprint()
-            assert out.records == s.records == len(store)
+        assert (out.block == s.block).all()
+        assert out.fingerprint() == s.fingerprint()
+        assert out.records == s.records == len(store)
 
     def test_counter_past_int32_is_refused(self):
         h = HistogramSummary("a", 4)
@@ -175,34 +164,28 @@ class TestSummaryCodec:
         encoded_size() models per-attribute payloads with small headers;
         the real frame should be within 15% of the accounted size.
         """
-        for encoding in ("dense", "sparse", "bitmap"):
-            cfg = SummaryConfig(
-                histogram_buckets=512, histogram_encoding=encoding
-            )
-            s = ResourceSummary.from_store(store, cfg)
-            real = len(encode_summary(s))
-            accounted = s.encoded_size()
-            # within 15% plus a small fixed allowance for frame headers
-            assert abs(real - accounted) <= 0.15 * accounted + 64, (
-                encoding, real, accounted
-            )
+        s = ResourceSummary.from_store(store, SummaryConfig(histogram_buckets=512))
+        real = len(encode_summary(s))
+        accounted = s.encoded_size()
+        # within 15% plus a small fixed allowance for frame headers
+        assert abs(real - accounted) <= 0.15 * accounted + 64, (real, accounted)
 
     def test_bad_magic(self, schema):
         cfg = SummaryConfig()
         with pytest.raises(CodecError, match="magic"):
             decode_summary(b"nope", schema, cfg)
 
-    @pytest.mark.parametrize("encoding", ["dense", "sparse", "bitmap"])
+    @DENSE
     def test_trailing_bytes_are_refused(self, schema, store, encoding):
-        cfg = SummaryConfig(histogram_buckets=64, histogram_encoding=encoding)
+        cfg = SummaryConfig(histogram_buckets=64)
         buf = encode_summary(ResourceSummary.from_store(store, cfg))
         with pytest.raises(CodecError, match="end at"):
             decode_summary(buf + b"\x00\x00", schema, cfg)
 
-    @pytest.mark.parametrize("encoding", ["dense", "sparse", "bitmap"])
+    @DENSE
     @pytest.mark.parametrize("cut", [1, 5, "half"])
     def test_a_cut_frame_is_a_codec_error(self, schema, store, encoding, cut):
-        cfg = SummaryConfig(histogram_buckets=64, histogram_encoding=encoding)
+        cfg = SummaryConfig(histogram_buckets=64)
         buf = encode_summary(ResourceSummary.from_store(store, cfg))
         end = len(buf) // 2 if cut == "half" else len(buf) - cut
         with pytest.raises(CodecError):
@@ -217,3 +200,38 @@ class TestSummaryCodec:
         )
         with pytest.raises(CodecError, match="missing attributes"):
             decode_summary(buf, bigger, cfg)
+
+
+class TestDenseFramePinned:
+    """One seeded default-config summary's frame, byte for byte."""
+
+    #: sha256 of the frame, generated while sparse and bitmap frames still
+    #: existed: deleting them must leave the dense frame as it was
+    SHA256 = "c3cf6bc2027e2ebfc51fb5f6ea9659c19222c6bac683b9f0e23ad2de6ea815fa"
+
+    @pytest.fixture
+    def summary(self):
+        (store,) = generate_node_stores(WorkloadConfig(num_nodes=1, seed=7))
+        return ResourceSummary.from_store(store, SummaryConfig(), created_at=12.5)
+
+    def test_frame_bytes_are_pinned(self, summary):
+        frame = encode_summary(summary)
+        assert hashlib.sha256(frame).hexdigest() == self.SHA256
+        assert decode_summary(frame, summary.schema, summary.config).fingerprint() == (
+            summary.fingerprint()
+        )
+
+    def test_encoded_size_is_the_frame_length_less_its_framing(self, summary):
+        # encoded_size() models a histogram as a 16-byte header plus its
+        # counters; the frame spends 24 bytes plus the name on each one's
+        # header, and 16 on the summary's (magic, created_at, count).
+        framing = 16 + sum(8 + len(spec.name) for spec in summary.schema)
+        assert len(encode_summary(summary)) == summary.encoded_size() + framing
+        assert summary.encoded_size() == 16 * (16 + 1000 * 4)
+
+    def test_a_nonzero_encoding_byte_is_a_codec_error(self, summary):
+        frame = bytearray(encode_summary(summary))
+        assert frame[16:18] == b"\x01\x00"  # first histogram: kind, encoding
+        frame[17] = 1
+        with pytest.raises(CodecError, match="encoding"):
+            decode_summary(bytes(frame), summary.schema, summary.config)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.query import EqualsPredicate, RangePredicate
 from repro.summaries import HistogramSummary, SummaryMergeError
+from repro.summaries.codec import CodecError, decode_histogram, encode_histogram
 from repro.summaries.histogram import _bucket_block, _bucket_span
 
 
@@ -24,8 +25,12 @@ class TestConstruction:
             HistogramSummary("a", 10, (1.0, 0.0))
 
     def test_invalid_encoding(self):
-        with pytest.raises(ValueError, match="encoding"):
-            HistogramSummary("a", 10, encoding="zip")
+        # Dense is the one wire encoding: a frame naming another is refused.
+        frame = bytearray(encode_histogram(HistogramSummary("a", 10)))
+        for byte in (1, 2, 255):
+            frame[1] = byte
+            with pytest.raises(CodecError, match="encoding"):
+                decode_histogram(bytes(frame))
 
     def test_counts_validation(self):
         with pytest.raises(ValueError, match="shape"):
@@ -174,34 +179,11 @@ class TestMerge:
 
 class TestEncoding:
     def test_dense_constant_size(self):
-        small = HistogramSummary.from_values("a", [0.5], 100, encoding="dense")
+        small = HistogramSummary.from_values("a", [0.5], 100)
         big = HistogramSummary.from_values(
-            "a", np.random.default_rng(0).random(10000), 100, encoding="dense"
+            "a", np.random.default_rng(0).random(10000), 100
         )
-        assert small.encoded_size() == big.encoded_size()
-
-    def test_sparse_scales_with_occupancy(self):
-        one = HistogramSummary.from_values("a", [0.5], 100, encoding="sparse")
-        many = HistogramSummary.from_values(
-            "a", np.linspace(0, 1, 50), 100, encoding="sparse"
-        )
-        assert many.encoded_size() > one.encoded_size()
-
-    def test_bitmap_smallest_for_full_histograms(self):
-        values = np.random.default_rng(1).random(5000)
-        kwargs = dict(buckets=1000)
-        dense = HistogramSummary.from_values("a", values, 1000, encoding="dense")
-        sparse = HistogramSummary.from_values("a", values, 1000, encoding="sparse")
-        bitmap = HistogramSummary.from_values("a", values, 1000, encoding="bitmap")
-        assert bitmap.encoded_size() < dense.encoded_size()
-        assert bitmap.encoded_size() < sparse.encoded_size()
-
-    def test_encoding_does_not_change_semantics(self):
-        values = [0.2, 0.7]
-        pred = RangePredicate("a", 0.6, 0.8)
-        for enc in ("dense", "sparse", "bitmap"):
-            h = HistogramSummary.from_values("a", values, 50, encoding=enc)
-            assert h.may_match(pred)
+        assert small.encoded_size() == big.encoded_size() == 16 + 100 * 4
 
 
 class TestCopy:

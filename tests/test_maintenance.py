@@ -184,6 +184,25 @@ class TestConfig:
         cfg = MaintenanceConfig(heartbeat_interval=2.0, miss_threshold=4)
         assert cfg.failure_timeout == 8.0
 
+    @pytest.mark.parametrize("field, value", [
+        ("heartbeat_interval", 0.0),
+        ("heartbeat_interval", -1.0),
+        ("heartbeat_interval", float("nan")),
+        ("heartbeat_interval", float("inf")),
+        ("check_interval", 0.0),
+        ("check_interval", float("nan")),
+        ("check_interval", float("inf")),
+        # 0 declares every server dead at its first check: a healthy
+        # loss-free federation reports false failures and rejoins
+        ("miss_threshold", 0),
+        ("miss_threshold", -1),
+        ("miss_threshold", 2.5),
+        ("miss_threshold", True),
+    ])
+    def test_invalid_value_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MaintenanceConfig(**{field: value})
+
     def test_stop_halts_traffic(self):
         sim, net, h, proto = make_system()
         sim.run(until=2.0)

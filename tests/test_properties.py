@@ -105,12 +105,8 @@ def reference_counts(values, lo, hi, buckets):
     return counts
 
 
-def reference_size(counts, encoding):
-    if encoding == "dense":
-        return 16 + 4 * len(counts)
-    if encoding == "bitmap":
-        return 16 + (len(counts) + 7) // 8
-    return 16 + 8 * sum(1 for c in counts if c)
+def reference_size(counts):
+    return 16 + 4 * len(counts)
 
 
 @st.composite
@@ -150,35 +146,27 @@ def mixed_stores(draw):
 class TestBucketingKernel:
     """The (records x attributes) kernel against per-value bucketing."""
 
-    @given(built=mixed_stores(), buckets=bucket_counts,
-           encoding=st.sampled_from(["dense", "sparse", "bitmap"]))
+    @given(built=mixed_stores(), buckets=bucket_counts)
     @settings(max_examples=150, deadline=None)
-    def test_from_store_matches_reference(self, built, buckets, encoding):
+    def test_from_store_matches_reference(self, built, buckets):
         store, columns, cats = built
-        config = SummaryConfig(
-            histogram_buckets=buckets, histogram_encoding=encoding
-        )
+        config = SummaryConfig(histogram_buckets=buckets)
         summary = ResourceSummary.from_store(store, config)
         expected = {"c": ValueSetSummary.from_values("c", cats)}
         for spec, values in zip(store.schema.numeric_attributes, columns):
             lo, hi = spec.bounds
             counts = reference_counts(values, lo, hi, buckets)
-            oracle = HistogramSummary(
-                spec.name, buckets, spec.bounds,
-                encoding=encoding, counts=counts,
-            )
+            oracle = HistogramSummary(spec.name, buckets, spec.bounds, counts=counts)
             expected[spec.name] = oracle
             for got in (
                 summary.attributes[spec.name],
                 # ... and the kernel's one-column case
-                HistogramSummary.from_values(
-                    spec.name, values, buckets, spec.bounds, encoding=encoding
-                ),
+                HistogramSummary.from_values(spec.name, values, buckets, spec.bounds),
             ):
                 assert got.counts.tolist() == counts
                 assert got == oracle
                 assert got.fingerprint() == oracle.fingerprint()
-                assert got.encoded_size() == reference_size(counts, encoding)
+                assert got.encoded_size() == reference_size(counts)
         assert summary.attributes["c"].values == frozenset(cats)
         whole = ResourceSummary(store.schema, config, expected)
         assert summary.fingerprint() == whole.fingerprint()
@@ -213,8 +201,7 @@ def sparse_histograms(draw, buckets=st.sampled_from(EDGE_BUCKETS)):
     counts = np.zeros(m, dtype=np.int64)
     for i in occupied:
         counts[i] = draw(st.integers(1, 5))
-    encoding = draw(st.sampled_from(["dense", "sparse", "bitmap"]))
-    return HistogramSummary("a", m, dom, encoding=encoding, counts=counts)
+    return HistogramSummary("a", m, dom, counts=counts)
 
 
 @st.composite
@@ -318,7 +305,6 @@ CATEGORIES = ["red", "green", "blue", "teal"]
 block_configs = st.builds(
     SummaryConfig,
     histogram_buckets=st.sampled_from([1, 7, 64, 65]),
-    histogram_encoding=st.sampled_from(["dense", "sparse", "bitmap"]),
     categorical_summary=st.sampled_from(["set", "bloom"]),
     bloom_bits=st.just(64),
     bloom_hashes=st.just(2),
@@ -369,7 +355,6 @@ def per_attribute_summaries(store, config):
             out[spec.name] = HistogramSummary.from_values(
                 spec.name, store.numeric_column(spec.name),
                 config.histogram_buckets, spec.bounds,
-                encoding=config.histogram_encoding,
             )
         elif config.categorical_summary == "bloom":
             out[spec.name] = BloomFilterSummary.from_values(
@@ -627,8 +612,7 @@ class TestWriteStampSoundness:
         stores = generate_node_stores(WorkloadConfig(
             num_nodes=STAMP_SERVERS + 1, records_per_node=STAMP_RECORDS, seed=2
         ))
-        # sparse: the wire size depends on the content, like the hash
-        config = SummaryConfig(histogram_buckets=16, histogram_encoding="sparse")
+        config = SummaryConfig(histogram_buckets=16)
         system = RoadsSystem.build(
             RoadsConfig(
                 num_nodes=STAMP_SERVERS, records_per_node=STAMP_RECORDS,

@@ -267,11 +267,7 @@ class TestReadPathDeterminism:
     search contacts, what it finds, how long it takes and what it sends
     are fixed by the seed."""
 
-    @pytest.mark.parametrize(
-        "summary_kw",
-        [{}, {"histogram_encoding": "bitmap"}],
-        ids=["plain", "bitmap"],
-    )
+    @pytest.mark.parametrize("summary_kw", [{}], ids=["plain"])
     def test_searches_and_routing_decisions_are_pinned(self, summary_kw):
         wcfg = WorkloadConfig(num_nodes=40, records_per_node=100, seed=15)
         cfg = RoadsConfig(

@@ -432,8 +432,6 @@ class TestLoadGenerator:
             LoadConfig(rate=0, horizon=1.0)
         with pytest.raises(ValueError):
             LoadConfig(rate=1.0, horizon=0)
-        with pytest.raises(ValueError):
-            LoadConfig(rate=1.0, horizon=1.0, scope_fraction=1.5)
 
     @pytest.mark.parametrize("field", ["rate", "horizon"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -481,14 +479,3 @@ class TestLoadGenerator:
         s = report.summary()
         assert s["offered"] == report.offered
         assert s["latency_p95"] >= s["latency_p50"] > 0
-
-    def test_scoped_fraction_scopes_to_client(self):
-        system, queries = self._system_and_queries()
-        gen = LoadGenerator(
-            system, queries,
-            LoadConfig(rate=10.0, horizon=3.0, scope_fraction=1.0),
-            np.random.default_rng(5),
-        )
-        requests = gen._draw_schedule()
-        assert requests
-        assert all(r.scope == r.client_node for r in requests)

@@ -23,14 +23,13 @@ class TestSummaryConfig:
     def test_defaults(self):
         cfg = SummaryConfig()
         assert cfg.histogram_buckets == 1000
-        assert cfg.histogram_encoding == "dense"
         assert cfg.categorical_summary == "set"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"histogram_buckets": 0},
-            {"histogram_encoding": "zip"},
+            {"bloom_hashes": -1},
             {"categorical_summary": "hash"},
             {"bloom_bits": 0},
             {"bloom_hashes": 0},
@@ -169,21 +168,22 @@ class TestFingerprintByteStream:
     HISTOGRAM = "8601af331fd5c29de5c6395a3f98c6a2"
     RESOURCE = "b21d4bb40faee49e7f5a58310ed4992f"
 
-    @pytest.mark.parametrize("encoding", ["dense", "sparse", "bitmap"])
+    @pytest.mark.parametrize("encoding", ["dense"])  # the one wire encoding
     def test_histogram_digest_is_pinned(self, encoding):
-        h = HistogramSummary.from_values(
-            "load", self.VALUES, 64, (-2.0, 7.0), encoding=encoding
-        )
+        h = HistogramSummary.from_values("load", self.VALUES, 64, (-2.0, 7.0))
         assert h.fingerprint().hex() == self.HISTOGRAM
 
     def test_strided_counts_hash_as_their_values(self):
         block = np.arange(24, dtype=np.int64).reshape(8, 3)
-        h = HistogramSummary._trusted("x", (0.0, 1.0), "dense", block[:, 1])
+        h = HistogramSummary._trusted("x", (0.0, 1.0), block[:, 1])
         assert h.fingerprint().hex() == "3e1ca92aef5c0188818ad85b4b8defa2"
         assert h.fingerprint() == h.copy().fingerprint()
 
+    # The hash covers the counters, not the config: neither a TTL nor the
+    # categorical summary kind (this schema has no categorical attribute)
+    # may move it.
     @pytest.mark.parametrize("kwargs", [
-        {}, {"histogram_encoding": "sparse"}, {"histogram_encoding": "bitmap"},
+        {}, {"ttl": 60.0}, {"categorical_summary": "bloom"},
     ])
     def test_resource_summary_digest_is_pinned(self, kwargs):
         store = generate_node_store(
@@ -216,9 +216,7 @@ class TestLazyFingerprintAndSize:
             assert len(calls) == 2 * hashed  # carried, not recomputed
 
     def test_refreshed_carries_and_copy_does_not(self, unit_store):
-        summary = ResourceSummary.from_store(
-            unit_store, SummaryConfig(histogram_encoding="sparse")
-        )
+        summary = ResourceSummary.from_store(unit_store, SummaryConfig())
         size, fp = summary.encoded_size(), summary.fingerprint()
         fresh = summary.refreshed(3.0)
         assert (fresh._size, fresh._fp, fresh.created_at) == (size, fp, 3.0)

@@ -1,5 +1,7 @@
 """Tests for repro.workload (distributions, generator, queries)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,9 @@ class TestWorkloadConfig:
             WorkloadConfig(num_nodes=0)
         with pytest.raises(ValueError):
             WorkloadConfig(overlap_factor=0)
+        # min(1.0, nan / n) is 1.0: a NaN factor would confine nothing.
+        with pytest.raises(ValueError, match="overlap_factor"):
+            WorkloadConfig(overlap_factor=float("nan"))
 
 
 class TestGenerator:
@@ -222,59 +227,24 @@ class TestSelectivityGroups:
 
 
 class TestZipfSkew:
+    """Record counts: every node holds exactly ``records_per_node``, as in
+    the paper's Section V, and a federation whose stores differ in size
+    is still searched exactly."""
+
     def test_fixed_default(self):
-        from repro.workload import records_for_node
-
         cfg = WorkloadConfig(num_nodes=8, records_per_node=100, seed=1)
-        assert all(records_for_node(cfg, i) == 100 for i in range(8))
-
-    def test_zipf_counts_vary_but_average_near_target(self):
-        from repro.workload import records_for_node
-
-        cfg = WorkloadConfig(
-            num_nodes=400, records_per_node=100,
-            records_distribution="zipf", seed=2,
-        )
-        counts = [records_for_node(cfg, i) for i in range(400)]
-        assert min(counts) >= 1
-        assert max(counts) > min(counts)  # genuinely skewed
-        mean = sum(counts) / len(counts)
-        assert 30 <= mean <= 300  # same order as the target
-
-    def test_zipf_stores_generated(self):
-        cfg = WorkloadConfig(
-            num_nodes=6, records_per_node=50,
-            records_distribution="zipf", seed=3,
-        )
-        stores = generate_node_stores(cfg)
-        sizes = [len(s) for s in stores]
-        assert len(set(sizes)) > 1
-
-    def test_zipf_deterministic(self):
-        cfg = WorkloadConfig(
-            num_nodes=6, records_per_node=50,
-            records_distribution="zipf", seed=3,
-        )
-        a = [len(s) for s in generate_node_stores(cfg)]
-        b = [len(s) for s in generate_node_stores(cfg)]
-        assert a == b
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            WorkloadConfig(records_distribution="pareto")
-        with pytest.raises(ValueError):
-            WorkloadConfig(records_distribution="zipf", zipf_exponent=1.0)
+        assert [len(s) for s in generate_node_stores(cfg)] == [100] * 8
 
     def test_skewed_federation_queries_exact(self):
         """ROADS stays exact on a heterogeneous federation."""
         from repro.roads import RoadsConfig, RoadsSystem
         from repro.summaries import SummaryConfig
 
-        cfg = WorkloadConfig(
-            num_nodes=16, records_per_node=60,
-            records_distribution="zipf", seed=9,
-        )
-        stores = generate_node_stores(cfg)
+        cfg = WorkloadConfig(num_nodes=16, records_per_node=60, seed=9)
+        stores = [
+            generate_node_store(replace(cfg, records_per_node=n), i)
+            for i, n in enumerate([1, 5, 60, 400] * 4)
+        ]
         system = RoadsSystem.build(
             RoadsConfig(num_nodes=16, records_per_node=60, max_children=3,
                         summary=SummaryConfig(histogram_buckets=60), seed=9),
