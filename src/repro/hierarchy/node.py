@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set
 
+import numpy as np
+
 from ..query.query import Query
 from ..records.store import RecordStore
 from ..summaries.config import SummaryConfig
@@ -47,6 +49,8 @@ class AttachedOwner:
     node_id: Optional[int] = None
     #: not a field: ``(store, its write stamp, summary)`` of the last summarize()
     _built = None
+    #: not a field: ``(query, store, write stamp, mask)`` of the last hit's scan
+    _scanned = None
 
     def summarize(self, config: SummaryConfig, now: float) -> ResourceSummary:
         """This owner's records summarized under *config*, stamped *now*.
@@ -74,15 +78,33 @@ class AttachedOwner:
         The summary :meth:`summarize` last built is asked first: while it
         is of this store at this write stamp its "no" is final (summaries
         have no false negatives), and the records are scanned otherwise.
+        The scan behind a "yes" is kept for :meth:`match_mask`.
         """
         store = self.origin
+        stamp = store.write_stamp
         built = self._built
         if (
             built is not None and built[0] is store
-            and built[1] == store.write_stamp and not built[2].may_match(query)
+            and built[1] == stamp and not built[2].may_match(query)
         ):
             return False
-        return bool(query.mask(store).any())
+        mask = query.mask(store)
+        hit = bool(mask.any())
+        self._scanned = (query, store, stamp, mask) if hit else None
+        return hit
+
+    def match_mask(self, query: Query) -> np.ndarray:
+        """``query.mask(origin)``: the scan behind the last :meth:`holds_match`
+        hit, handed over once while it is of this query, store and write
+        stamp (never keyed on values), else a fresh one."""
+        store = self.origin
+        last, self._scanned = self._scanned, None
+        if (
+            last is not None and last[0] is query and last[1] is store
+            and last[2] == store.write_stamp
+        ):
+            return last[3]
+        return query.mask(store)
 
 
 @dataclass

@@ -56,21 +56,22 @@ class DelaySpace:
             self._jitter = None
         # Read-only, so the memo below can never go stale.
         self.coordinates.flags.writeable = False
-        #: one-way delays in seconds already computed, keyed by the
-        #: unordered pair as ``min * num_nodes + max``: the expression
-        #: in :meth:`latency_ms` is exactly symmetric (``d.dot(d)``
+        #: one-way delays in seconds already computed, ``[min][max]`` of
+        #: the unordered pair (nested: no out-of-range pair aliases a
+        #: key). :meth:`latency_ms` is exactly symmetric (``d.dot(d)``
         #: squares each component, the jitter matrix equals its
-        #: transpose), so both legs of an exchange share the float the
-        #: first one computed
-        self._latency: Dict[int, float] = {}
+        #: transpose), so both legs share the float the first computed.
+        self._latency: Dict[int, Dict[int, float]] = {}
 
     def latency_ms(self, a: int, b: int) -> float:
         """One-way delay between nodes *a* and *b* in milliseconds.
 
         Symmetric, zero on the diagonal, strictly positive off it.
         """
-        self._check(a)
-        self._check(b)
+        n = self.num_nodes
+        if not (0 <= a < n and 0 <= b < n):
+            self._check(a)
+            self._check(b)
         if a == b:
             return 0.0
         # ``np.linalg.norm``'s own expression for a real vector, without
@@ -81,17 +82,19 @@ class DelaySpace:
         return self.base_ms + self.scale_ms * dist + jitter
 
     def latency(self, a: int, b: int) -> float:
-        """One-way delay in seconds (the simulator's clock unit)."""
-        n = self.num_nodes
-        if not (0 <= a < n and 0 <= b < n):
-            self._check(a)
-            self._check(b)
+        """One-way delay in seconds (the simulator's clock unit).
+
+        A memo hit is two dictionary reads; only a miss checks bounds.
+        """
         if a > b:
             a, b = b, a
-        key = a * n + b
-        seconds = self._latency.get(key)
-        if seconds is None:
-            seconds = self._latency[key] = self.latency_ms(a, b) / 1000.0
+        row = self._latency.get(a)
+        if row is not None:
+            seconds = row.get(b)
+            if seconds is not None:
+                return seconds
+        seconds = self.latency_ms(a, b) / 1000.0  # bounds-checked
+        self._latency.setdefault(a, {})[b] = seconds
         return seconds
 
     def _check(self, i: int) -> None:

@@ -2,19 +2,19 @@
 
 The :class:`Network` binds a :class:`~repro.sim.engine.Simulator`, a
 :class:`~repro.net.coordinates.DelaySpace` and a
-:class:`~repro.telemetry.metrics.MetricsRegistry`. Sending a message
-schedules its delivery callback after the pairwise one-way delay and
-accounts its size under the given traffic category. Failed nodes silently
-drop inbound messages (the sender learns of failures only via missing
-heartbeats, as in the paper's maintenance protocol).
+:class:`~repro.telemetry.metrics.MetricsRegistry`. A message arrives
+after the pairwise one-way delay; failed nodes silently drop inbound
+messages (the sender learns of failures only via missing heartbeats, as
+in the paper's maintenance protocol).
 
 Every message takes the same two steps whichever entry point sent it:
 ``Network._admit`` decides its fate at send time (accounted; dropped by a
-failed sender, lost, or on the wire) and the ``_Delivery`` record that
-``Network._schedule_delivery`` schedules its fate on arrival (dropped by
-a failed receiver, handed to a handler, queued or shed).
-:meth:`Network.send` schedules a delivery group of one,
-:meth:`Network.send_many` one group per ``(destination, kind)``.
+failed sender, lost, or on the wire) and a ``_Delivery`` record on
+arrival (dropped by a failed receiver, handed to a handler, queued or
+shed). The record is the simulator event itself, pushed straight onto
+the heap, so a send allocates its :class:`Message`, the record and a
+heap entry: one record per :meth:`Network.send`, one per ``(destination,
+kind)`` group of a :meth:`Network.send_many`.
 
 Each message is attributed to its destination server and the sender's
 protocol ``phase`` in the metrics registry; when a
@@ -32,11 +32,15 @@ handling is instantaneous and concurrency is free.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
+from functools import partial
+from heapq import heappush
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from ..sim.engine import Simulator
+from ..sim.metrics import finite_positive
 from ..telemetry.core import Telemetry
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.tracing import TraceContext
@@ -79,10 +83,7 @@ class ServiceConfig:
     queue_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.service_time > 0:
-            raise ValueError(
-                f"service_time must be positive, got {self.service_time}"
-            )
+        finite_positive("service_time", self.service_time)
         if self.queue_limit is not None and self.queue_limit < 0:
             raise ValueError(
                 f"queue_limit must be >= 0, got {self.queue_limit}"
@@ -90,7 +91,9 @@ class ServiceConfig:
 
 
 class _ServiceQueue:
-    """Single-server FIFO queue in front of one node's message handler."""
+    """Single-server FIFO queue in front of one node's message handler:
+    one-message :class:`_Delivery` records wait here in arrival order,
+    and the one in service is back on the heap, due when it is done."""
 
     __slots__ = (
         "net", "node", "config", "waiting", "busy",
@@ -101,7 +104,7 @@ class _ServiceQueue:
         self.net = net
         self.node = node
         self.config = config
-        self.waiting: Deque[Tuple] = deque()
+        self.waiting: Deque["_Delivery"] = deque()
         self.busy = False
         self.served = 0
         self.shed = 0
@@ -113,97 +116,57 @@ class _ServiceQueue:
         """Messages in the system: waiting plus the one in service."""
         return len(self.waiting) + (1 if self.busy else 0)
 
-    def offer(self, msg: Message, run, on_dropped) -> bool:
-        """Admit a delivered message (queue or serve) or shed it."""
-        cfg = self.config
+    def offer(self, delivery: "_Delivery") -> bool:
+        """Admit an arrived one-message delivery (queue or serve) or shed it."""
+        limit = self.config.queue_limit
+        if self.busy and limit is not None and len(self.waiting) >= limit:
+            self.shed += 1
+            return False
         tel = self.net.telemetry
-        now = self.net.sim.now
+        # Waiting gets its own forked context, so the wait span slots
+        # between the transit span and the serve span in the causal tree.
+        ctx = tel.fork(delivery.msg.trace) if tel is not None else None
         if self.busy:
-            if (
-                cfg.queue_limit is not None
-                and len(self.waiting) >= cfg.queue_limit
-            ):
-                self.shed += 1
-                return False
-            # The queue-wait hop gets its own forked context so the
-            # wait span slots between the transit span and the serve
-            # span in the causal tree.
-            wait_ctx = tel.fork(msg.trace) if tel is not None else None
-            self.waiting.append((msg, run, on_dropped, now, wait_ctx))
+            delivery.ctx, delivery.since = ctx, self.net.sim.now
+            self.waiting.append(delivery)
         else:
             self.busy = True
-            serve_ctx = tel.fork(msg.trace) if tel is not None else None
-            self.net.sim.schedule(
-                cfg.service_time,
-                lambda: self._finish(msg, run, on_dropped, serve_ctx, now),
-                self._label(msg),
-            )
+            self._serve(delivery, ctx)
         depth = self.depth
-        if depth > self.max_depth:
-            self.max_depth = depth
+        self.max_depth = max(self.max_depth, depth)
         self.net.metrics.observe(
             "service.queue_depth", float(depth), server=self.node
         )
         return True
 
-    def _finish(
-        self, msg: Message, run, on_dropped, ctx, started: float
-    ) -> None:
-        self.busy_seconds += self.config.service_time
+    def _serve(self, delivery: "_Delivery", ctx) -> None:
+        """Start serving *delivery*: its record fires again when done."""
+        net = self.net
+        delivery.queue, delivery.ctx, delivery.since = self, ctx, net.sim.now
+        heappush(net._events, (
+            net.sim.now + self.config.service_time, next(net._seq), delivery
+        ))
+
+    def next(self) -> None:
+        """The message in service is done: serve the next one, or idle."""
+        if not self.waiting:
+            self.busy = False
+            return
         net = self.net
         tel = net.telemetry
-        if net.is_failed(self.node):
-            # The node died while the message was queued or in service.
-            net.dropped += 1
-            if tel is not None:
-                tel.event(
-                    "net.drop", src=msg.src, dst=msg.dst,
-                    category=msg.category, kind=msg.kind,
-                    msg_id=msg.msg_id, reason="receiver_failed",
-                    **(ctx.tags() if ctx is not None else {}),
-                )
-            if on_dropped is not None:
-                on_dropped(msg, "receiver_failed")
-        else:
-            self.served += 1
-            if tel is not None and ctx is not None:
-                tel.emit_span(
-                    "service.serve", started, net.sim.now,
-                    server=self.node, category=msg.category,
-                    kind=msg.kind, msg_id=msg.msg_id, **ctx.tags(),
-                )
-            run(msg, ctx if ctx is not None else msg.trace)
-        if self.waiting:
-            nxt_msg, nxt_run, nxt_dropped, enqueued, wait_ctx = (
-                self.waiting.popleft()
+        nxt = self.waiting.popleft()
+        now, msg, wait_ctx = net.sim.now, nxt.msg, nxt.ctx
+        net.metrics.observe(
+            "service.queue_delay", now - nxt.since, server=self.node
+        )
+        if tel is not None and wait_ctx is not None:
+            tel.emit_span(
+                "service.wait", nxt.since, now,
+                server=self.node, category=msg.category,
+                kind=msg.kind, msg_id=msg.msg_id,
+                depth=len(self.waiting), **wait_ctx.tags(),
             )
-            now = net.sim.now
-            net.metrics.observe(
-                "service.queue_delay", now - enqueued, server=self.node
-            )
-            if tel is not None and wait_ctx is not None:
-                tel.emit_span(
-                    "service.wait", enqueued, now,
-                    server=self.node, category=nxt_msg.category,
-                    kind=nxt_msg.kind, msg_id=nxt_msg.msg_id,
-                    depth=len(self.waiting), **wait_ctx.tags(),
-                )
-            serve_ctx = tel.fork(wait_ctx) if tel is not None else None
-            net.sim.schedule(
-                self.config.service_time,
-                lambda: self._finish(
-                    nxt_msg, nxt_run, nxt_dropped, serve_ctx, now
-                ),
-                self._label(nxt_msg),
-            )
-        else:
-            self.busy = False
-
-    def _label(self, msg: "Message") -> Optional[str]:
-        """Profiling label for a service-completion event (None unprofiled)."""
-        if self.net._profiler is None:
-            return None
-        return "service.serve:" + (msg.kind or msg.category)
+        self._serve(nxt, tel.fork(wait_ctx) if tel is not None else None)
 
 
 class Message:
@@ -247,89 +210,172 @@ def _ctags(msg: Message) -> Dict[str, object]:
     return msg.trace.tags() if msg.trace is not None else _NO_TAGS
 
 
-class _Delivery:
-    """Arrival of one delivery group; the callback of its one event.
+def _profiled(prof, handler: Callable, arg) -> None:
+    """``handler(arg)`` inside a ``net.deliver`` profiler frame."""
+    prof.enter("net.deliver")
+    try:
+        handler(arg)
+    finally:
+        prof.exit()
 
-    The arrival-time half of the transport path (``Network._admit`` is
-    the send-time half): the group is dropped by a failed receiver,
-    handed to a handler, or queued or shed by the receiver's service
-    queue. A slotted record rather than a closure, so a message in
-    flight holds no cells and nothing that refers back to it.
+
+class _Delivery:
+    """One delivery in flight, then at its receiver: the simulator event
+    of its arrival and, behind a service queue, of its end of service.
+
+    The heap holds the record itself and the dispatch loop calls its
+    :meth:`fn`, the arrival-time half of the path (``Network._admit`` is
+    the send-time half). Slotted and never cancelled, so a message in
+    flight holds no closure, no handle and nothing that refers back to it.
     """
 
     __slots__ = (
-        "net", "group", "phase", "sent_at",
+        "net", "msg", "group", "phase", "sent_at",
         "on_dropped", "on_delivery", "on_rejected",
+        "fired", "queue", "ctx", "since",
     )
+    #: nothing holds a handle to a delivery, so nothing cancels one
+    cancelled = False
 
     def __init__(
-        self, net, group, phase, sent_at, on_dropped, on_delivery, on_rejected
+        self, net, msg, group, phase, on_dropped, on_delivery, on_rejected
     ):
+        # *msg*: the message, or the first of *group* (a ``send_many``
+        # group; None: one message). *on_delivery*: the sender's callback,
+        # or in a service queue the handler resolved at arrival.
         self.net = net
+        self.msg = msg
         self.group = group
         self.phase = phase
-        self.sent_at = sent_at
+        self.sent_at = net.sim.now
         self.on_dropped = on_dropped
         self.on_delivery = on_delivery
         self.on_rejected = on_rejected
+        #: the service queue serving it; ``ctx`` and ``since`` are its
+        #: causal context and enqueue or service-start time there
+        self.queue = None
 
-    def __call__(self) -> None:
+    @property
+    def label(self) -> str:
+        """Profiling frame of this event (read only under a profiler)."""
+        stage = "net.deliver:" if self.queue is None else "service.serve:"
+        return stage + (self.msg.kind or self.msg.category)
+
+    def fn(self) -> None:
+        """Arrival, or end of service: dropped by a failed receiver,
+        queued or shed by its service queue, or handed to its handler."""
         net = self.net
+        first = self.msg
         group = self.group
-        first = group[0]
-        src, dst, kind, category = first.src, first.dst, first.kind, first.category
-        phase = self.phase
-        on_dropped = self.on_dropped
+        dst = first.dst
         tel = net.telemetry
+        queue = self.queue
+        if queue is not None:
+            queue.busy_seconds += queue.config.service_time
         if dst in net._failed:
-            for msg in group:
-                net.dropped += 1
-                if tel is not None:
-                    tel.event("net.drop", src=src, dst=dst,
-                              category=category, phase=phase, kind=kind,
-                              msg_id=msg.msg_id, reason="receiver_failed",
-                              **_ctags(msg))
-                if on_dropped is not None:
-                    on_dropped(msg, "receiver_failed")
+            self._receiver_failed()
             return
-        if tel is not None:
-            now = net.sim.now
-            for msg in group:
-                tel.emit_span("net.transit", self.sent_at, now,
-                              src=src, server=dst, category=category,
-                              phase=phase, kind=kind, msg_id=msg.msg_id,
-                              bytes=msg.size_bytes, **_ctags(msg))
-        svc = net._service.get(dst)
         handler = self.on_delivery
-        if handler is None and kind:
-            if svc is None:
-                batch_handler = net._kind_batch_handlers.get(kind)
-                if batch_handler is not None:
-                    net._invoke(batch_handler, group, first, len(group))
+        arg, ctx = first, first.trace
+        if queue is None:
+            if tel is not None:
+                now = net.sim.now
+                for msg in (first,) if group is None else group:
+                    tel.emit_span("net.transit", self.sent_at, now,
+                                  src=first.src, server=dst,
+                                  category=first.category, phase=self.phase,
+                                  kind=first.kind, msg_id=msg.msg_id,
+                                  bytes=msg.size_bytes, **_ctags(msg))
+            svc = net._service.get(dst)
+            kind = first.kind
+            if handler is None and kind:
+                if svc is None:
+                    handler = net._kind_batch_handlers.get(kind)
+                if handler is not None:
+                    arg, ctx = [first] if group is None else group, None
+                else:
+                    handler = net._kind_handlers.get(kind)
+            if handler is None:
+                handler = net._handlers.get(dst)
+                if handler is None:
                     return
-            handler = net._kind_handlers.get(kind)
-        if handler is None:
-            handler = net._handlers.get(dst)
-        if handler is None:
-            return
-        if svc is None:
-            for msg in group:
-                net._invoke(handler, msg, msg, 1, msg.trace)
-            return
+            if svc is not None:
+                self._offer(svc, handler)
+                return
+        else:
+            queue.served += 1
+            if tel is not None and self.ctx is not None:
+                ctx = self.ctx
+                tel.emit_span(
+                    "service.serve", self.since, net.sim.now,
+                    server=dst, category=first.category,
+                    kind=first.kind, msg_id=first.msg_id, **ctx.tags(),
+                )
+        # The hand-off. Accounting is per message: the ``delivered``
+        # counter and the census advance by the group's size whether a
+        # batch handler takes it in one call or a handler message by
+        # message; :attr:`Network.delivery_trace` is set for each call.
+        n = 1 if group is None else len(group)
+        net.delivered += n
+        mix = first.kind or first.category
+        try:
+            net.census[mix][dst] += n
+        except KeyError:
+            net.census.setdefault(mix, {})[dst] = n
+        if net._profiler is not None:
+            handler = partial(_profiled, net._profiler, handler)
+        try:
+            if group is None or arg is group:
+                net.delivery_trace = ctx
+                handler(arg)
+            else:
+                for msg in group:
+                    net.delivery_trace = msg.trace
+                    handler(msg)
+        finally:
+            net.delivery_trace = None
+        if queue is not None:
+            queue.next()
 
-        def run(m: Message, ctx: Optional[TraceContext]) -> None:
-            net._invoke(handler, m, m, 1, ctx)
+    def _receiver_failed(self) -> None:
+        net, tel, queue = self.net, self.net.telemetry, self.queue
+        for msg in (self.msg,) if self.group is None else self.group:
+            net.dropped += 1
+            if tel is not None and queue is None:
+                tel.event("net.drop", src=msg.src, dst=msg.dst,
+                          category=msg.category, phase=self.phase,
+                          kind=msg.kind, msg_id=msg.msg_id,
+                          reason="receiver_failed", **_ctags(msg))
+            elif tel is not None:  # it was queued or in service
+                tel.event("net.drop", src=msg.src, dst=msg.dst,
+                          category=msg.category, kind=msg.kind,
+                          msg_id=msg.msg_id, reason="receiver_failed",
+                          **(self.ctx.tags() if self.ctx is not None else {}))
+            if self.on_dropped is not None:
+                self.on_dropped(msg, "receiver_failed")
+        if queue is not None:
+            queue.next()
 
-        on_rejected = self.on_rejected
-        for msg in group:
-            if svc.offer(msg, run, on_dropped):
+    def _offer(self, svc: _ServiceQueue, handler: Callable) -> None:
+        """Offer each message to the receiver's service queue, one record
+        each; a shed message is terminal, and a sender that asked for
+        notification hears back explicitly."""
+        net = self.net
+        tel = net.telemetry
+        first = self.msg
+        src, dst, category, kind = first.src, first.dst, first.category, first.kind
+        on_dropped, on_rejected = self.on_dropped, self.on_rejected
+        for msg in (first,) if self.group is None else self.group:
+            one = self if self.group is None else _Delivery(
+                net, msg, None, self.phase, on_dropped, None, on_rejected
+            )
+            one.on_delivery = handler
+            if svc.offer(one):
                 continue
-            # Shed: the service queue is full. Terminal for this message;
-            # a sender that asked for notification hears back explicitly.
             net.shed += 1
             if tel is not None:
                 tel.event("net.shed", src=src, dst=dst, category=category,
-                          phase=phase, kind=kind, msg_id=msg.msg_id,
+                          phase=self.phase, kind=kind, msg_id=msg.msg_id,
                           depth=svc.depth, **_ctags(msg))
             if on_rejected is not None:
                 net.metrics.count_message(
@@ -373,11 +419,17 @@ class Network:
             Optional structured-event recorder; ``None`` disables event
             emission entirely (*metrics* is always maintained).
         """
+        if not 0 <= processing_delay < math.inf:
+            raise ValueError(
+                f"processing_delay must be >= 0 and finite, got {processing_delay}"
+            )
         if not (0.0 <= loss_rate < 1.0):
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         if loss_rate > 0 and rng is None:
             raise ValueError("loss_rate > 0 requires an rng")
         self.sim = sim
+        # Deliveries push themselves (see :class:`_Delivery`).
+        self._events, self._seq = sim.event_heap()
         self.delay_space = delay_space
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.processing_delay = processing_delay
@@ -490,10 +542,9 @@ class Network:
         """Service-queue counters for *node* (zeros when unconfigured)."""
         svc = self._service.get(node)
         if svc is None:
-            return {
-                "served": 0.0, "shed": 0.0, "depth": 0.0,
-                "waiting": 0.0, "max_depth": 0.0, "busy_seconds": 0.0,
-            }
+            return dict.fromkeys(
+                ("served", "shed", "depth", "waiting", "max_depth", "busy_seconds"), 0.0
+            )
         return {
             "served": float(svc.served),
             "shed": float(svc.shed),
@@ -504,20 +555,10 @@ class Network:
         }
 
     # -- sending ----------------------------------------------------------------
-    def latency(self, a: int, b: int) -> float:
-        return self.delay_space.latency(a, b)
-
     def send(
-        self,
-        src: int,
-        dst: int,
-        category: str,
-        size_bytes: int,
-        payload: Any = None,
-        on_delivery: Optional[Callable[[Message], None]] = None,
-        phase: str = "",
-        kind: str = "",
-        on_dropped: Optional[Callable[[Message, str], None]] = None,
+        self, src: int, dst: int, category: str, size_bytes: int, payload: Any = None,
+        on_delivery: Optional[Callable[[Message], None]] = None, phase: str = "",
+        kind: str = "", on_dropped: Optional[Callable[[Message, str], None]] = None,
         on_rejected: Optional[Callable[[Message], None]] = None,
         trace: Optional[TraceContext] = None,
     ) -> Message:
@@ -550,21 +591,21 @@ class Network:
             msg = Message(src, dst, category, int(size_bytes), payload,
                           next(self._msg_counter), kind, trace)
             if self._admit(msg, phase, on_dropped):
-                self._schedule_delivery(
-                    [[msg]], phase, on_dropped, on_delivery, on_rejected
-                )
+                heappush(self._events, (
+                    self.sim.now + (
+                        self.delay_space.latency(src, dst) + self.processing_delay
+                    ),
+                    next(self._seq),
+                    _Delivery(self, msg, None, phase, on_dropped,
+                              on_delivery, on_rejected),
+                ))
             return msg
         finally:
             if prof is not None:
                 prof.exit()
 
     def send_many(
-        self,
-        src: int,
-        requests,
-        category: str,
-        *,
-        phase: str = "",
+        self, src: int, requests, category: str, *, phase: str = "",
         on_dropped: Optional[Callable[[Message, str], None]] = None,
     ) -> "list[Message]":
         """Send a batch of messages from *src* in one call.
@@ -574,14 +615,12 @@ class Network:
         :meth:`send` once per request, in request order (accounting,
         sender-failure, loss draws, telemetry events, ``on_dropped``);
         a negative size anywhere rejects the whole call before any of
-        it. What the batch amortizes is the rest: one profiler frame
-        covers the call, and all surviving messages bound for the same
-        ``(dst, kind)`` share **one** delivery event (they arrive at the
-        same instant anyway, and their handler invocations were already
-        adjacent in the per-message schedule), which a batch handler
-        (:meth:`register_kind_batch`) installs with a single call.
-        ``on_delivery``/``on_rejected`` hooks are not supported here —
-        use :meth:`send` for those.
+        it. What the batch amortizes is the rest: one profiler frame,
+        and **one** delivery record per ``(dst, kind)`` group of the
+        surviving messages (they arrive at the same instant anyway),
+        which a batch handler (:meth:`register_kind_batch`) installs
+        with a single call. For ``on_delivery``/``on_rejected`` hooks,
+        use :meth:`send`.
         """
         prof = self._profiler
         if prof is not None:
@@ -598,17 +637,22 @@ class Network:
                 group = groups.setdefault((msg.dst, msg.kind), [])
                 if self._admit(msg, phase, on_dropped):
                     group.append(msg)
-            self._schedule_delivery(groups.values(), phase, on_dropped)
+            now, latency = self.sim.now, self.delay_space.latency
+            for group in groups.values():
+                if group:
+                    heappush(self._events, (
+                        now + (latency(src, group[0].dst) + self.processing_delay),
+                        next(self._seq),
+                        _Delivery(self, group[0], group, phase, on_dropped,
+                                  None, None),
+                    ))
             return msgs
         finally:
             if prof is not None:
                 prof.exit()
 
     def _admit(
-        self,
-        msg: Message,
-        phase: str,
-        on_dropped: Optional[Callable[[Message, str], None]],
+        self, msg: Message, phase: str, on_dropped: Optional[Callable[[Message, str], None]]
     ) -> bool:
         """Send-time disposition of one message; True when it will arrive.
 
@@ -628,7 +672,14 @@ class Network:
             if on_dropped is not None:
                 on_dropped(msg, "sender_failed")
             return False
-        self.metrics.count_message(category, msg.size_bytes, server=dst, phase=phase)
+        cell = self.metrics.traffic.get((category, dst, phase))
+        if cell is None:  # the first of its key: the registry mints it
+            self.metrics.count_message(
+                category, msg.size_bytes, server=dst, phase=phase
+            )
+        else:
+            cell[0] += 1
+            cell[1] += msg.size_bytes
         self.sent += 1
         if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
             self.lost += 1
@@ -644,31 +695,6 @@ class Network:
                       phase=phase, bytes=msg.size_bytes, msg_id=msg.msg_id,
                       **ctags)
         return True
-
-    def _schedule_delivery(
-        self,
-        groups,
-        phase: str,
-        on_dropped: Optional[Callable[[Message, str], None]],
-        on_delivery: Optional[Callable[[Message], None]] = None,
-        on_rejected: Optional[Callable[[Message], None]] = None,
-    ) -> None:
-        """Schedule the arrival of each non-empty group: admitted messages
-        of one call sharing source, destination, kind and category (one
-        message for :meth:`send`). Arrival-time disposition is
-        :class:`_Delivery`; the event label (a profiler's frame, split per
-        protocol) is computed only under a profiler."""
-        sim, now, latency = self.sim, self.sim.now, self.delay_space.latency
-        for group in groups:
-            if group:
-                first = group[0]
-                sim.schedule(
-                    latency(first.src, first.dst) + self.processing_delay,
-                    _Delivery(self, group, phase, now,
-                              on_dropped, on_delivery, on_rejected),
-                    None if self._profiler is None
-                    else "net.deliver:" + (first.kind or first.category),
-                )
 
     @property
     def delivered_by_kind(self) -> Dict[str, int]:
@@ -692,41 +718,3 @@ class Network:
             "dropped": self.dropped,
             "shed": self.shed,
         }
-
-    def _invoke(
-        self,
-        handler: Callable,
-        arg,
-        first: Message,
-        n: int,
-        ctx: Optional[TraceContext] = None,
-    ) -> None:
-        """Hand *n* delivered messages to *handler* in one call.
-
-        *arg* is the message itself (``n == 1``, *ctx* its causal context
-        for :attr:`delivery_trace`) or a whole delivery group starting at
-        *first* for a batch handler. Accounting is per message either
-        way: the ``delivered`` counter and the event census advance by
-        *n*; only the handler invocation (and its ``net.deliver`` frame)
-        is shared by a group.
-        """
-        self.delivered += n
-        mix = first.kind or first.category
-        dst = first.dst
-        try:
-            self.census[mix][dst] += n
-        except KeyError:
-            self.census.setdefault(mix, {})[dst] = n
-        self.delivery_trace = ctx
-        prof = self._profiler
-        try:
-            if prof is None:
-                handler(arg)
-                return
-            prof.enter("net.deliver")
-            try:
-                handler(arg)
-            finally:
-                prof.exit()
-        finally:
-            self.delivery_trace = None

@@ -16,8 +16,7 @@ so no server is visited twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from ..query.query import Query
 from ..summaries.config import SummaryConfig
@@ -28,18 +27,17 @@ _REDIRECT_ENTRY_BYTES = 8
 _REDIRECT_HEADER_BYTES = 16
 
 
-@dataclass
-class RoutingDecision:
-    """What one server tells the querying client."""
+class RoutingDecision(NamedTuple):
+    """What one server tells the querying client (a slotted record)."""
 
     server_id: int
     #: attached owners whose exported data may match (terminal hits)
-    owner_hits: List[AttachedOwner] = field(default_factory=list)
+    owner_hits: List[AttachedOwner]
     #: servers the client should query next (full branch descent)
-    redirect_ids: List[int] = field(default_factory=list)
+    redirect_ids: List[int]
     #: ancestors to query for their *locally attached* owners only — their
     #: descendants are already covered by the sibling-branch redirects
-    owners_only_ids: List[int] = field(default_factory=list)
+    owners_only_ids: List[int]
 
     @property
     def response_size_bytes(self) -> int:
@@ -62,23 +60,25 @@ def _owner_may_match(owner: AttachedOwner, query: Query, config: SummaryConfig) 
 def decide_descent(server: Server, query: Query, config: SummaryConfig,
                    now: float = 0.0) -> RoutingDecision:
     """Routing decision using only the server's own branch state."""
-    decision = RoutingDecision(server_id=server.server_id)
+    decision = RoutingDecision(server.server_id, [], [], [])
     for owner in server.owners:
         if _owner_may_match(owner, query, config):
             decision.owner_hits.append(owner)
-    for child_id in server.child_ids():
-        summary = server.child_summaries.get(child_id)
-        if summary is None or summary.is_expired(now):
+    held = server.child_summaries
+    for child in server.children:
+        summary = held.get(child.server_id)
+        # ``summary.is_expired(now)``, inline: this is the descent's loop
+        if summary is None or now - summary.created_at > summary.config.ttl:
             continue
         if summary.may_match(query):
-            decision.redirect_ids.append(child_id)
+            decision.redirect_ids.append(child.server_id)
     return decision
 
 
 def decide_local(server: Server, query: Query, config: SummaryConfig,
                  now: float = 0.0) -> RoutingDecision:
     """Owners-only decision: evaluate locally attached owners, no fan-out."""
-    decision = RoutingDecision(server_id=server.server_id)
+    decision = RoutingDecision(server.server_id, [], [], [])
     for owner in server.owners:
         if _owner_may_match(owner, query, config):
             decision.owner_hits.append(owner)
@@ -102,12 +102,12 @@ def decide_start(server: Server, query: Query, config: SummaryConfig,
     for src_id, summary in server.replicated_summaries.items():
         if src_id in ancestors:
             continue  # handled below via their local summaries
-        if summary.is_expired(now):
+        if now - summary.created_at > summary.config.ttl:  # expired
             continue
         if summary.may_match(query):
             decision.redirect_ids.append(src_id)
     for src_id, summary in server.replicated_local_summaries.items():
-        if summary.is_expired(now):
+        if now - summary.created_at > summary.config.ttl:  # expired
             continue
         if summary.may_match(query):
             decision.owners_only_ids.append(src_id)

@@ -70,7 +70,7 @@ class RoadsResponder:
             server_seconds = self.cost_model.server_seconds(len(store), count)
             result_bytes = count * store.schema.record_size_bytes
             matches += count
-            return_latency = self.system.network.latency(hit.server_id, client)
+            return_latency = self.system.network.delay_space.latency(hit.server_id, client)
             done = (
                 (hit.arrival_time - outcome.started_at)
                 + server_seconds

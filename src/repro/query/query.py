@@ -10,8 +10,8 @@ A query is immutable, so what depends only on it is computed once and
 kept on the instance outside its dataclass fields (equality, hash and repr
 never see it): its wire size and, per store schema, the columns and bound
 vectors of its range predicates, which :meth:`Query.mask` compares with the
-store's numeric matrix in one 2-D operation, and per schema and bucket count
-the bucket masks a summary ANDs with its occupancy bitsets
+store's numeric matrix in one 2-D operation, and for the last schema and
+bucket count the bucket masks a summary ANDs with its occupancy bitsets
 (``summaries.summary._match_plan``). Record values are never cached.
 """
 
@@ -60,6 +60,7 @@ class Query:
         if len(set(attrs)) != len(attrs):
             raise ValueError(f"query has duplicate predicates on attributes: {attrs}")
         object.__setattr__(self, "_plans", {})
+        object.__setattr__(self, "_match", (None, 0, ()))
 
     @staticmethod
     def of(*predicates: Predicate, requester: Optional[str] = None) -> "Query":

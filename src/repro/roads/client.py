@@ -14,7 +14,11 @@ retrieval time is excluded here; the prototype benchmark adds it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Set, Tuple,
+)
+
+import numpy as np
 
 from ..net.transport import Message, Network
 from ..query.query import Query
@@ -41,9 +45,9 @@ if TYPE_CHECKING:  # search.py imports QueryOutcome from this module
 _ACK_BYTES = 16
 
 
-@dataclass
-class OwnerHit:
-    """A resource owner whose data matched (per its summaries) a query."""
+class OwnerHit(NamedTuple):
+    """A resource owner whose data matched (per its summaries) a query
+    (a slotted record)."""
 
     owner_id: str
     server_id: int
@@ -143,12 +147,11 @@ class _Contact:
         self.attempts += 1
         if self.first_at is None:
             self.first_at = ex.sim.now
-        msg_ctx = ex._fork(self.ctx)
-        if ex._observed:
-            ex._trace(
-                "send", self._subject(),
-                f"mode={self.mode} try={self.attempts}",
-            )
+        tel = ex._telemetry
+        msg_ctx = None
+        if tel is not None:
+            msg_ctx = tel.fork(self.ctx)
+            ex._trace("send", self._subject(), f"mode={self.mode} try={self.attempts}")
         size = ex.query.size_bytes
         ex.outcome.query_bytes += size
         ex.outcome.query_messages += 1
@@ -198,13 +201,13 @@ class _Contact:
         self._disarm()
         # The reject notice parents to the shed attempt's message
         # context, so the tree shows which attempt bounced.
-        ex._trace("rejected", self._subject(), ctx=ex._fork(msg.trace))
+        ex._trace("rejected", self._subject(), parent=msg.trace)
         self._retry_or_give_up("shed")
 
     def _retry_or_give_up(self, terminal: str) -> None:
         ex = self.ex
         if self.attempts <= ex.retry.retries:
-            ex._trace("retry", self._subject(), ctx=ex._fork(self.ctx))
+            ex._trace("retry", self._subject(), parent=self.ctx)
             delay = ex.retry.delay_before_attempt(self.attempts + 1)
             if delay > 0:
                 ex.sim.schedule(delay, self.retry, "query.retry")
@@ -216,7 +219,7 @@ class _Contact:
             ex.outcome.shed_servers.add(self.node)
         else:
             ex.outcome.timed_out_servers.add(self.node)
-        ex._trace(terminal, self._subject(), ctx=ex._fork(self.ctx))
+        ex._trace(terminal, self._subject(), parent=self.ctx)
         self._close(terminal)
         ex._finish_one()
 
@@ -226,21 +229,25 @@ class _Contact:
         node = self.node
         owner = self.owner
         if owner is None:
-            server = ex._get_server(node)
-            if server is None:
+            try:
+                server = ex.hierarchy.get(node)
+            except KeyError:
                 return  # silent; the client-side timeout reclaims the slot
+            if not server.alive:
+                return
         dctx = ex.network.delivery_trace
         first_arrival = node not in ex.outcome.arrivals
         if first_arrival:
             ex.outcome.arrivals[node] = ex.sim.now
-        if ex._observed:
+        tel = ex._telemetry
+        if tel is not None:
             # Only the first arrival is a causal-tree leaf; a duplicate
             # delivery (retry after a lost response) must not mint a
             # later ``query.arrive`` or the critical path would
             # overshoot the reported latency.
             ex._trace(
                 "arrive", self._subject(),
-                ctx=ex._fork(dctx) if first_arrival else None,
+                parent=dctx if first_arrival else None,
             )
         if owner is None:
             decision = ex._decide(server, self.mode, dctx)
@@ -259,7 +266,7 @@ class _Contact:
             on_delivery=self.answered,
             phase="response",
             kind=kind,
-            trace=ex._fork(dctx),
+            trace=tel.fork(dctx) if tel is not None else None,
         )
 
     def answered(self, msg: Message) -> None:
@@ -333,10 +340,9 @@ class QueryExecution:
         #: stop issuing new contacts once this many matches are in hand
         #: (best-effort early termination; in-flight contacts complete)
         self.first_k = first_k
+        #: None: nothing is traced, and the per-message call sites skip
+        #: forking contexts and formatting ``_trace`` arguments
         self._telemetry = telemetry
-        #: whether anything records ``_trace`` calls; the per-message
-        #: call sites skip formatting their arguments when nothing does
-        self._observed = telemetry is not None
         #: causal parent the root context forks from (a widening search
         #: passes its umbrella context so all rounds share one trace)
         self._trace_parent = trace_parent
@@ -351,17 +357,16 @@ class QueryExecution:
 
     def _trace(
         self, event: str, subject, detail="",
-        ctx: Optional[TraceContext] = None,
+        parent: Optional[TraceContext] = None,
     ) -> None:
-        if self._telemetry is not None:
-            self._telemetry.event(
+        """Emit ``query.<event>`` under a context forked from *parent*."""
+        tel = self._telemetry
+        if tel is not None:
+            ctx = tel.fork(parent)
+            tel.event(
                 f"query.{event}", subject=str(subject), detail=str(detail),
                 **(ctx.tags() if ctx is not None else {}),
             )
-
-    def _fork(self, ctx: Optional[TraceContext]) -> Optional[TraceContext]:
-        tel = self._telemetry
-        return tel.fork(ctx) if tel is not None else None
 
     # -- driving ----------------------------------------------------------------
     #: entry modes for the first contacted server: ``"start"`` fans out
@@ -396,12 +401,8 @@ class QueryExecution:
 
     # -- internals ----------------------------------------------------------------
     def _contact(
-        self,
-        node: int,
-        mode: str,
-        parent_ctx: Optional[TraceContext],
-        owner: Optional[AttachedOwner] = None,
-        via: Optional[int] = None,
+        self, node: int, mode: str, parent_ctx: Optional[TraceContext],
+        owner: Optional[AttachedOwner] = None, via: Optional[int] = None,
     ) -> None:
         """Open the one contact this query makes with *node*.
 
@@ -419,14 +420,9 @@ class QueryExecution:
         if via is not None:
             self.outcome.routes[node] = (via, mode)
         self._outstanding += 1
-        _Contact(self, node, mode, owner, self._fork(parent_ctx)).attempt()
-
-    def _get_server(self, server_id: int) -> Optional[Server]:
-        try:
-            server = self.hierarchy.get(server_id)
-        except KeyError:
-            return None
-        return server if server.alive else None
+        tel = self._telemetry
+        ctx = tel.fork(parent_ctx) if tel is not None else None
+        _Contact(self, node, mode, owner, ctx).attempt()
 
     def _decide(
         self, server: Server, mode: str, dctx: Optional[TraceContext]
@@ -444,7 +440,7 @@ class QueryExecution:
         decision = decide(server, self.query, self.summary_config, self.sim.now)
         tel = self._telemetry
         if tel is not None:
-            mctx = self._fork(dctx)
+            mctx = tel.fork(dctx)
             tel.event(
                 "server.match", server=server.server_id, mode=mode,
                 redirects=len(decision.redirect_ids),
@@ -457,10 +453,7 @@ class QueryExecution:
         return decision
 
     def _evaluate_owner(
-        self,
-        owner: AttachedOwner,
-        server_id: int,
-        ctx: Optional[TraceContext] = None,
+        self, owner: AttachedOwner, server_id: int, ctx: Optional[TraceContext] = None
     ) -> None:
         """The query may have matching data at *owner*.
 
@@ -480,33 +473,31 @@ class QueryExecution:
         self._record_owner_answer(owner, server_id, self.sim.now, ctx)
 
     def _record_owner_answer(
-        self,
-        owner: AttachedOwner,
-        at_node: int,
-        arrival: float,
+        self, owner: AttachedOwner, at_node: int, arrival: float,
         ctx: Optional[TraceContext] = None,
     ) -> None:
         """Apply the owner's local policy and record the hit.
 
         Idempotent per owner: a retried contact (lost response) must not
-        double-count the owner's records.
+        double-count the owner's records. The policy filters the scan the
+        owner's server already made of the records; they are copied out
+        only when the search collects them.
         """
         if owner.owner_id in self._answered_owners:
             return
         self._answered_owners.add(owner.owner_id)
-        answered = self.policies.answer(owner.owner_id, self.query, owner.origin)
+        store = owner.origin
+        visible = self.policies.get(owner.owner_id).visible(
+            self.query, store, owner.match_mask(self.query)
+        )
         hit = OwnerHit(
-            owner_id=owner.owner_id,
-            server_id=at_node,
-            arrival_time=arrival,
-            match_count=len(answered),
-            records=answered if self.collect_records else None,
+            owner.owner_id, at_node, arrival, int(np.count_nonzero(visible)),
+            store.select(visible) if self.collect_records else None,
         )
         self.outcome.owner_hits.append(hit)
-        if self._observed:
+        if self._telemetry is not None:
             self._trace(
-                "owner", owner.owner_id, f"matches={hit.match_count}",
-                ctx=self._fork(ctx),
+                "owner", owner.owner_id, f"matches={hit.match_count}", ctx
             )
 
     def _follow(
@@ -515,17 +506,16 @@ class QueryExecution:
         """Contact the servers a response redirected the client to."""
         if not (decision.redirect_ids or decision.owners_only_ids):
             return
-        if self._satisfied():
+        if self.first_k is not None and self.outcome.total_matches >= self.first_k:
             self._trace("satisfied", f"server {decision.server_id}",
-                        f"skipping {len(decision.redirect_ids)} redirects",
-                        ctx=self._fork(dctx))
+                        f"skipping {len(decision.redirect_ids)} redirects", dctx)
             return
-        if self._observed:
+        if self._telemetry is not None:
             self._trace(
                 "redirect",
                 f"server {decision.server_id}",
                 f"-> {decision.redirect_ids + decision.owners_only_ids}",
-                ctx=self._fork(dctx),
+                dctx,
             )
         parent = dctx if dctx is not None else self._root_ctx
         via = decision.server_id
@@ -533,12 +523,6 @@ class QueryExecution:
             self._contact(rid, "descent", parent, via=via)
         for rid in decision.owners_only_ids:
             self._contact(rid, "local", parent, via=via)
-
-    def _satisfied(self) -> bool:
-        return (
-            self.first_k is not None
-            and self.outcome.total_matches >= self.first_k
-        )
 
     def _finish_one(self) -> None:
         self._outstanding -= 1

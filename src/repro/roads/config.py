@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..summaries.config import SummaryConfig
@@ -43,8 +44,10 @@ class RoadsConfig:
             raise ValueError("records_per_node must be >= 0")
         if self.max_children < 1:
             raise ValueError("max_children must be >= 1")
-        if not (self.summary_interval > 0 and self.record_interval > 0):
-            raise ValueError("update intervals must be positive")
+        for name in ("summary_interval", "record_interval"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"update intervals must be positive and "
+                                 f"finite: {name}={getattr(self, name)}")
         if not (0.0 <= self.loss_rate < 1.0):
             raise ValueError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate}"

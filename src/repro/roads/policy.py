@@ -35,13 +35,23 @@ class SharingPolicy(abc.ABC):
 
     def answer(self, query: Query, store: RecordStore) -> RecordStore:
         """Matching records visible to ``query.requester``."""
-        mask = query.mask(store)
+        return store.select(self.visible(query, store))
+
+    def visible(
+        self, query: Query, store: RecordStore, mask: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Mask of the matching records visible to ``query.requester``;
+        *mask* is ``query.mask(store)``, if the caller has it."""
+        if mask is None:
+            mask = query.mask(store)
         allowed = self.filter_matches(query.requester, store, mask)
-        if allowed.shape != mask.shape or bool((allowed & ~mask).any()):
+        if allowed is not mask and (
+            allowed.shape != mask.shape or bool((allowed & ~mask).any())
+        ):
             raise ValueError(
                 f"{type(self).__name__} returned records outside the match set"
             )
-        return store.select(allowed)
+        return allowed
 
 
 class OpenPolicy(SharingPolicy):

@@ -13,10 +13,12 @@ timestamps (submission and completion on the virtual clock).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..query.query import Query
+from ..sim.metrics import finite_positive
 from .client import QueryOutcome
 
 
@@ -40,18 +42,14 @@ class RetryPolicy:
     backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if not self.backoff_base >= 0:
-            raise ValueError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
-            )
-        if not self.backoff_factor >= 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
+        # Each bound is written so that NaN fails it, and infinity too.
+        finite_positive("timeout", self.timeout)
+        if type(self.retries) is not int or self.retries < 0:
+            raise ValueError(f"retries must be an int >= 0, got {self.retries!r}")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError(f"backoff_base must be >= 0 and finite, got {self.backoff_base}")
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ValueError(f"backoff_factor must be >= 1 and finite, got {self.backoff_factor}")
 
     def delay_before_attempt(self, attempt: int) -> float:
         """Backoff before re-attempt number *attempt* (2 = first retry)."""
@@ -130,14 +128,6 @@ class SearchResult:
     #: shadow-oracle verdict (``QualityReport``) when the system has a
     #: quality plane attached; ``None`` otherwise
     quality: Optional[object] = None
-
-    @property
-    def client_node(self) -> int:
-        return self.outcome.client_node
-
-    @property
-    def start_server(self) -> int:
-        return self.outcome.start_server
 
     @property
     def sojourn(self) -> float:

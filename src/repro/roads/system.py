@@ -341,9 +341,11 @@ class RoadsSystem:
         # processed on this query's behalf.
         if prof is not None:
             prof.enter("query.execute")
+        done: List[SearchResult] = []
         try:
-            pending = self.submit(request, trace_parent=trace_parent)
-            self.sim.run(stop=lambda: pending.result is not None)
+            pending = self.submit(request, on_complete=done.append, trace_parent=trace_parent)
+            # asked before every event: a list's ``__len__`` is a C call
+            self.sim.run(stop=done.__len__)
         finally:
             if prof is not None:
                 prof.exit()

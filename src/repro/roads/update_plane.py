@@ -377,12 +377,12 @@ class UpdatePlane:
         for server in self.hierarchy:
             sid = server.server_id
             if server.parent is not None:
-                lat = net.latency(sid, server.parent.server_id)
+                lat = net.delay_space.latency(sid, server.parent.server_id)
                 if lat > worst:
                     worst = lat
             for owner in server.owners:
                 if not owner.controls_server and owner.node_id is not None:
-                    lat = net.latency(owner.node_id, sid)
+                    lat = net.delay_space.latency(owner.node_id, sid)
                     if lat > worst:
                         worst = lat
         return (worst + net.processing_delay) * 1.001 + 1e-9

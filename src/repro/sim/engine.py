@@ -10,6 +10,12 @@ is unique, so a comparison never reaches the event and every sift
 compares floats and ints in C. One dispatch loop serves
 :meth:`Simulator.run` and :meth:`Simulator.step`, profiled or not, and
 "run until something is done" is ``run(stop=predicate)``.
+
+The loop reads an event's ``cancelled``, sets its ``fired`` and calls
+its ``fn()``: :meth:`Simulator.schedule` wraps a callback in a
+cancellable :class:`Event`, and a record that is its own event (a
+network delivery: never cancelled, ``fn`` is its method) pushes itself
+through :meth:`Simulator.event_heap`. Every delay is finite and >= 0.
 """
 
 from __future__ import annotations
@@ -17,28 +23,21 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
-    """Raised for scheduler misuse (negative or NaN delays, running backwards)."""
+    """Raised for scheduler misuse (negative, infinite or NaN delays or horizons)."""
 
 
 class Event:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("time", "seq", "fn", "cancelled", "fired", "label", "_sim")
+    __slots__ = ("fn", "cancelled", "fired", "label", "_sim")
 
     def __init__(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[[], None],
-        sim=None,
-        label: Optional[str] = None,
+        self, fn: Callable[[], None], sim=None, label: Optional[str] = None
     ):
-        self.time = time
-        self.seq = seq
         self.fn = fn
         self.cancelled = False
         self.fired = False
@@ -66,7 +65,9 @@ class Simulator:
     _COMPACT_MIN = 64
 
     def __init__(self):
-        self._now = 0.0
+        #: current virtual time in seconds; the dispatch loop advances
+        #: it, everything else only reads it
+        self.now = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._processed = 0
@@ -79,11 +80,6 @@ class Simulator:
         #: label (``sim.event`` when unlabeled). ``None`` (the default)
         #: costs the loop one ``is None`` check per event.
         self.profiler = None
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -100,22 +96,19 @@ class Simulator:
         return self._processed
 
     def schedule(
-        self,
-        delay: float,
-        fn: Callable[[], None],
-        label: Optional[str] = None,
+        self, delay: float, fn: Callable[[], None], label: Optional[str] = None
     ) -> Event:
         """Run *fn* at ``now + delay``; returns a cancellable handle.
 
         *label* names the handler's profiling frame; pass it only when a
         profiler is attached (it is dead weight otherwise).
         """
-        if not delay >= 0:  # also rejects NaN, which ``delay < 0`` lets through
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        seq = next(self._seq)
-        ev = Event(time, seq, fn, self, label)
-        heapq.heappush(self._queue, (time, seq, ev))
+        if not 0 <= delay < math.inf:  # also rejects NaN
+            raise SimulationError(
+                f"cannot schedule into the past or at infinity (delay={delay})"
+            )
+        ev = Event(fn, self, label)
+        heapq.heappush(self._queue, (self.now + delay, next(self._seq), ev))
         return ev
 
     def schedule_periodic(
@@ -137,6 +130,12 @@ class Simulator:
         task.start(first_delay if first_delay is not None else interval)
         return task
 
+    def event_heap(self) -> Tuple[List[tuple], Iterator[int]]:
+        """The heap and its counter, for a record that is its own event to
+        push ``(time, next(seq), record)``; both stay valid for good (a
+        compaction rebuilds the heap in place)."""
+        return self._queue, self._seq
+
     def _bury(self) -> None:
         """Count a tombstone; compact once they dominate the heap.
 
@@ -155,9 +154,7 @@ class Simulator:
             self._tombstones = 0
 
     def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
+        self, until: Optional[float] = None, max_events: Optional[int] = None,
         stop: Optional[Callable[[], bool]] = None,
     ) -> int:
         """Process events until the queue drains, *until*, *max_events*,
@@ -179,9 +176,7 @@ class Simulator:
         return self._dispatch(None, 1, None) == 1
 
     def _dispatch(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
+        self, until: Optional[float], max_events: Optional[int],
         stop: Optional[Callable[[], bool]],
     ) -> int:
         """The dispatch loop behind :meth:`run` and :meth:`step`.
@@ -203,14 +198,14 @@ class Simulator:
                 if stop is not None and stop():
                     break
                 if not queue or queue[0][0] > horizon:
-                    if until is not None and self._now < until:
-                        self._now = until
+                    if until is not None and self.now < until:
+                        self.now = until
                     break
                 time, _, ev = pop(queue)
                 if ev.cancelled:
                     self._tombstones -= 1
                     continue
-                self._now = time
+                self.now = time
                 ev.fired = True
                 if prof is None:
                     ev.fn()
@@ -232,19 +227,15 @@ class PeriodicTask:
     """Repeating event created by :meth:`Simulator.schedule_periodic`."""
 
     def __init__(
-        self,
-        sim: Simulator,
-        interval: float,
-        fn,
-        *,
-        jitter: float = 0.0,
-        rng=None,
-        label: Optional[str] = None,
+        self, sim: Simulator, interval: float, fn, *,
+        jitter: float = 0.0, rng=None, label: Optional[str] = None,
     ):
         # Checked here, not at the first tick that would schedule a
-        # non-positive or NaN delay.
-        if not interval > 0:
-            raise SimulationError(f"interval must be positive (interval={interval})")
+        # non-positive, infinite or NaN delay.
+        if not 0 < interval < math.inf:
+            raise SimulationError(
+                f"interval must be positive and finite (interval={interval})"
+            )
         if not 0 <= jitter < 1:
             raise SimulationError(f"jitter must be in [0, 1) (jitter={jitter})")
         if jitter and rng is None:

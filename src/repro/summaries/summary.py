@@ -161,7 +161,11 @@ class ResourceSummary:
             occupancy = self._occupancy = [
                 int.from_bytes(row.tobytes(), "little") for row in packed
             ]
-        for row, mask, pred in _match_plan(query, self.schema, self.block.shape[1]):
+        schema, buckets = self.schema, self.config.histogram_buckets
+        plan = query._match
+        if plan[0] is not schema or plan[1] != buckets:
+            plan = _match_plan(query, schema, buckets)
+        for row, mask, pred in plan[2]:
             if row is None:
                 if not self.attribute(pred.attribute).may_match(pred):
                     return False
@@ -254,25 +258,24 @@ class ResourceSummary:
 
 
 def _match_plan(query: Query, schema: Schema, buckets: int):
-    """``(row, mask, predicate)`` per predicate of *query*, in order: block
-    row and bucket bitset of a numeric range, ``row`` None for a predicate
-    its attribute's summary answers. Compiled once per schema and bucket
-    count and kept on the query, like :meth:`Query._plan`."""
-    key = (id(schema), buckets)
-    plan = query._plans.get(key)
-    if plan is None or plan[0] is not schema:
-        steps = []
-        for p in query.predicates:
-            if isinstance(p, RangePredicate) and p.attribute in schema and (
-                schema[p.attribute].is_numeric
-            ):
-                lo, hi = schema[p.attribute].bounds
-                mask = _bucket_span(p.lo, p.hi, float(lo), float(hi), buckets)[2]
-                steps.append((schema.numeric_position(p.attribute), mask, p))
-            else:
-                steps.append((None, 0, p))
-        plan = query._plans[key] = (schema, tuple(steps))
-    return plan[1]
+    """``(schema, buckets, steps)``: per predicate of *query*, in order,
+    ``(row, mask, predicate)`` — block row and bucket bitset of a numeric
+    range, ``row`` None for a predicate its attribute's summary answers.
+    Kept on the query for the last schema and bucket count (a
+    federation's summaries share both), like :meth:`Query._plan`."""
+    steps = []
+    for p in query.predicates:
+        if isinstance(p, RangePredicate) and p.attribute in schema and (
+            schema[p.attribute].is_numeric
+        ):
+            lo, hi = schema[p.attribute].bounds
+            mask = _bucket_span(p.lo, p.hi, float(lo), float(hi), buckets)[2]
+            steps.append((schema.numeric_position(p.attribute), mask, p))
+        else:
+            steps.append((None, 0, p))
+    plan = (schema, buckets, tuple(steps))
+    object.__setattr__(query, "_match", plan)
+    return plan
 
 
 def _categorical(name: str, values, config: SummaryConfig) -> AttributeSummary:

@@ -55,8 +55,9 @@ class MetricsRegistry:
     """Counters, byte gauges and streaming histograms per metric key."""
 
     def __init__(self):
-        #: key -> ``[messages, bytes]``
-        self._traffic: Dict[MetricKey, List[int]] = {}
+        #: key -> ``[messages, bytes]``; the transport bumps the cell of
+        #: a key already minted in place, probing with its plain triple
+        self.traffic: Dict[MetricKey, List[int]] = {}
         self._histograms: Dict[MetricKey, StreamingHistogram] = {}
 
     # -- recording ----------------------------------------------------------------
@@ -73,9 +74,9 @@ class MetricsRegistry:
         *phase* (``"forward"``, ``"aggregate"``, ``"heartbeat"``, ...)."""
         if size_bytes < 0:
             raise ValueError(f"negative message size: {size_bytes}")
-        cell = self._traffic.get((category, server, phase))
+        cell = self.traffic.get((category, server, phase))
         if cell is None:
-            cell = self._traffic.setdefault(_key(category, server, phase), [0, 0])
+            cell = self.traffic.setdefault(_key(category, server, phase), [0, 0])
         cell[0] += 1
         cell[1] += size_bytes
 
@@ -97,18 +98,18 @@ class MetricsRegistry:
 
     # -- roll-ups ----------------------------------------------------------------
     def categories(self) -> List[str]:
-        cats = {k.category for k in self._traffic}
+        cats = {k.category for k in self.traffic}
         return sorted(cats)
 
     def bytes_total(self, category: Optional[str] = None) -> int:
         return sum(
-            byts for k, (_, byts) in self._traffic.items()
+            byts for k, (_, byts) in self.traffic.items()
             if category is None or k.category == category
         )
 
     def messages_total(self, category: Optional[str] = None) -> int:
         return sum(
-            msgs for k, (msgs, _) in self._traffic.items()
+            msgs for k, (msgs, _) in self.traffic.items()
             if category is None or k.category == category
         )
 
@@ -116,7 +117,7 @@ class MetricsRegistry:
         """(bytes per category, messages per category) as plain dicts."""
         by_bytes: Dict[str, int] = {}
         by_msgs: Dict[str, int] = {}
-        for k, (msgs, byts) in self._traffic.items():
+        for k, (msgs, byts) in self.traffic.items():
             by_bytes[k.category] = by_bytes.get(k.category, 0) + byts
             by_msgs[k.category] = by_msgs.get(k.category, 0) + msgs
         return by_bytes, by_msgs
@@ -132,7 +133,7 @@ class MetricsRegistry:
         no server to charge.
         """
         out: Dict[int, Tuple[int, int]] = {}
-        for k, (key_msgs, key_bytes) in self._traffic.items():
+        for k, (key_msgs, key_bytes) in self.traffic.items():
             if k.server is None:
                 continue
             if category is not None and k.category != category:
@@ -165,11 +166,11 @@ class MetricsRegistry:
     # -- lifecycle ----------------------------------------------------------------
     def reset(self, categories: Optional[Iterable[str]] = None) -> None:
         if categories is None:
-            self._traffic.clear()
+            self.traffic.clear()
             self._histograms.clear()
             return
         drop = set(categories)
-        for table in (self._traffic, self._histograms):
+        for table in (self.traffic, self._histograms):
             for k in [k for k in table if k.category in drop]:
                 del table[k]
 
@@ -181,10 +182,10 @@ class MetricsRegistry:
                 "category": k.category,
                 "server": k.server,
                 "phase": k.phase,
-                "messages": self._traffic[k][0],
-                "bytes": self._traffic[k][1],
+                "messages": self.traffic[k][0],
+                "bytes": self.traffic[k][1],
             }
-            for k in sorted(self._traffic, key=_sort_key)
+            for k in sorted(self.traffic, key=_sort_key)
         ]
 
     def snapshot(self) -> Dict[str, object]:

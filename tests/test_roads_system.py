@@ -20,6 +20,7 @@ from repro.roads import (
 )
 from repro.sim import Simulator
 from repro.summaries import SummaryConfig
+from repro.telemetry.profiling import census_fingerprint
 from repro.workload import (
     DynamicsConfig,
     RecordDynamics,
@@ -72,6 +73,11 @@ class TestBuild:
     def test_nan_interval_rejected(self, field):
         with pytest.raises(ValueError, match="intervals must be positive"):
             RoadsConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["summary_interval", "record_interval"])
+    def test_infinite_interval_rejected_by_name(self, field):
+        with pytest.raises(ValueError, match=f"{field}=inf"):
+            RoadsConfig(**{field: float("inf")})
 
 
 class TestQueryCompleteness:
@@ -377,6 +383,87 @@ class TestNoCyclicGarbage:
         if regime == "shedding":
             assert seen["rejections"] > 0
         assert many == few
+
+
+class TestSearchStreamPinned:
+    """What the searches of TestNoCyclicGarbage's regimes cost, not only
+    what they find: events, sends, the registry and the delivery census
+    behind 12 searches each, pinned to the values the transport gave
+    before its delivery became one in-flight record. A change to the
+    message path may make it cheaper on the host, never move these."""
+
+    N = 12
+
+    #: regime -> (sim.processed, network.counters() as (sent, delivered,
+    #: lost, dropped, shed), census fingerprint, sha256 of metrics.rows())
+    PINNED = {
+        "defaults": (760, (798, 798, 0, 0, 0), "9338d36f9adc86ce", "eed21c07c5b2a7fc"),
+        "loss_and_retries": (763, (802, 793, 9, 0, 0), "d1b3dccbae56f9f7", "905e9641d53c2757"),
+        "shedding": (1041, (864, 823, 0, 0, 41), "e00031cc9caf1948", "951cfa9ad307b873"),
+    }
+    #: regime -> per search: (latency, matches, contacts, query bytes,
+    #: rejections, timed-out servers)
+    SEARCHES = {
+        "defaults": [
+            (0.0005, 0, 1, 176, 0, 0), (0.0005, 0, 1, 176, 0, 0),
+            (0.0005, 0, 1, 176, 0, 0), (0.354240163326, 1, 10, 1840, 0, 0),
+            (0.0005, 0, 1, 176, 0, 0), (0.277311010092, 0, 11, 2016, 0, 0),
+            (0.0005, 0, 1, 176, 0, 0), (0.0005, 0, 1, 176, 0, 0),
+            (0.0005, 0, 1, 176, 0, 0), (0.0005, 0, 1, 176, 0, 0),
+            (0.127538319469, 0, 6, 1096, 0, 0), (0.44661677197, 3, 14, 2584, 0, 0),
+        ],
+        "loss_and_retries": [
+            (0.0005, 0, 1, 176, 0, 0), (0.0005, 0, 1, 176, 0, 0),
+            (0.0005, 0, 1, 176, 0, 0), (0.354240163326, 1, 10, 1840, 0, 0),
+            (0.0005, 0, 1, 176, 0, 0), (0.277311010092, 0, 11, 2192, 0, 0),
+            (0.0005, 0, 1, 176, 0, 0), (0.0005, 0, 1, 176, 0, 0),
+            (0.0005, 0, 1, 176, 0, 0), (0.0005, 0, 1, 176, 0, 0),
+            (0.628675480308, 0, 6, 1256, 0, 0), (0.854678333299, 3, 14, 2744, 0, 0),
+        ],
+        "shedding": [
+            (0.0505, 0, 1, 176, 0, 0), (0.0505, 0, 1, 176, 0, 0),
+            (0.0505, 0, 1, 176, 0, 0), (1.301228283215, 1, 10, 4232, 5, 1),
+            (0.0505, 0, 1, 176, 0, 0), (2.351570894817, 0, 11, 3592, 2, 0),
+            (0.0505, 0, 1, 176, 0, 0), (0.0505, 0, 1, 176, 0, 0),
+            (0.0505, 0, 1, 176, 0, 0), (0.0505, 0, 1, 176, 0, 0),
+            (0.693278842314, 0, 6, 1928, 3, 0), (1.84661677197, 3, 14, 4512, 2, 1),
+        ],
+    }
+
+    @pytest.mark.parametrize("regime", sorted(PINNED))
+    def test_stream_is_pinned(self, regime):
+        extras, retry, service = TestNoCyclicGarbage.REGIMES[regime]
+        nodes, records = TestNoCyclicGarbage.NODES, TestNoCyclicGarbage.RECORDS
+        wcfg = WorkloadConfig(num_nodes=nodes, records_per_node=records, seed=5)
+        system = RoadsSystem.build(
+            RoadsConfig(num_nodes=nodes, records_per_node=records, seed=5, **extras),
+            generate_node_stores(wcfg),
+        )
+        requests = [
+            SearchRequest(q, retry=retry)
+            for q in generate_queries(wcfg, num_queries=self.N)
+        ]
+        if service is None:
+            results = [system.search(r) for r in requests]
+        else:
+            system.enable_service(service)
+            results = system.search_many(
+                requests, arrivals=[0.001 * i for i in range(self.N)]
+            )
+        system.sim.run(until=system.sim.now + 30)
+        rows = hashlib.sha256(repr(system.metrics.rows()).encode()).hexdigest()
+        got = (
+            system.sim.processed,
+            tuple(system.network.counters().values()),
+            census_fingerprint(system.network.census),
+            rows[:16],
+        )
+        assert got == self.PINNED[regime]
+        assert [
+            (round(o.latency, 12), o.total_matches, o.servers_contacted,
+             o.query_bytes, o.rejections, len(o.timed_out_servers))
+            for o in (r.outcome for r in results)
+        ] == self.SEARCHES[regime]
 
 
 #: (tp, fp, fn, tn) over TestOwnSummaryFirst's 30 audited searches

@@ -83,6 +83,20 @@ class TestSearchRequest:
         with pytest.raises(ValueError, match=field):
             RetryPolicy(**{field: float("nan")})
 
+    @pytest.mark.parametrize(
+        "field", ["timeout", "backoff_base", "backoff_factor"]
+    )
+    def test_retry_policy_rejects_infinity(self, field):
+        # timeout=inf or backoff_base=inf used to pass; under loss the
+        # latency became inf - inf and the search died on a NaN.
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: float("inf")})
+
+    @pytest.mark.parametrize("retries", [1.5, float("inf"), True, "2", -1])
+    def test_retries_is_a_non_negative_int(self, retries):
+        with pytest.raises(ValueError, match="retries"):
+            RetryPolicy(retries=retries)
+
     def test_backoff_schedule(self):
         p = RetryPolicy(backoff_base=0.2, backoff_factor=2.0)
         assert p.delay_before_attempt(1) == 0.0

@@ -49,8 +49,15 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(float("nan"), lambda: None)
         assert sim.pending == 0
-        never = sim.schedule(float("inf"), lambda: None)  # "never" is legal
-        assert sim.pending == 1 and not never.fired
+
+    @pytest.mark.parametrize("delay", [float("inf"), float("-inf")])
+    def test_infinite_delay_rejected(self, delay):
+        # An infinite delay used to be accepted: run() fired it, left the
+        # clock at inf, and every later schedule(d) landed at inf too.
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="delay=-?inf"):
+            sim.schedule(delay, lambda: None)
+        assert sim.pending == 0 and sim.now == 0.0
 
     def test_schedule_at(self):
         # A delay counts from the clock's present, not from zero.
@@ -408,6 +415,16 @@ class TestPeriodicTask:
         sim = Simulator()
         with pytest.raises(SimulationError, match=r"^interval must be positive"):
             sim.schedule_periodic(float("nan"), lambda: None)
+        assert sim.pending == 0
+
+    def test_infinite_interval_is_named(self):
+        # schedule_periodic(inf, f) used to fire at t = inf once per
+        # event budget, and without a budget run() never returned.
+        sim = Simulator()
+        with pytest.raises(
+            SimulationError, match=r"^interval must be positive and finite"
+        ):
+            sim.schedule_periodic(float("inf"), lambda: None)
         assert sim.pending == 0
 
     def test_jitter_of_one_or_more_is_rejected(self):
