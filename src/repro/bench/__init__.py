@@ -35,15 +35,7 @@ from .compare import (
     compare_artifacts,
     format_comparison,
 )
-from .parallel import (
-    SWEEP_SCHEMA,
-    comparable_dict,
-    default_workers,
-    merge_artifacts,
-    run_plans,
-    seed_sweep,
-    stress_shard_rows,
-)
+from .parallel import default_workers, run_plans, stress_shard_rows
 from .scenarios import (
     ROOT_SHARE_CEILING,
     SCALES,
@@ -72,12 +64,8 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "compare_artifacts",
     "format_comparison",
-    "SWEEP_SCHEMA",
-    "comparable_dict",
     "default_workers",
-    "merge_artifacts",
     "run_plans",
-    "seed_sweep",
     "stress_shard_rows",
     "RunPlan",
     "Scenario",

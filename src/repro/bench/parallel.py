@@ -5,32 +5,24 @@ RunPlan` and both order-deterministic (results come back in input
 order, so a pooled run merges to the same document as a serial one):
 
 * :func:`run_plans` — run many plans with one worker process per plan
-  (one trial per core); :func:`seed_sweep` builds the seed-partitioned
-  plan list, :func:`merge_artifacts` folds the artifacts into one
-  deterministic sweep document.
+  (one trial per core).
 * :func:`stress_shard_rows` — the ``stress`` scale's shard sweep: the
   10^5-server federation is ~100 disjoint 1000-server shards, each
   built and measured in its own process with a seed derived from the
   shard index.
 
 An artifact holds no host measurement, so the one field that differs
-between two runs of a plan is the stamp's ``created_unix``;
-:func:`comparable_dict` drops it, and determinism checks (N-worker ==
-serial) compare what is left with ``==``.
+between two runs of a plan is the stamp's ``created_unix``.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from ..experiments.config import ExperimentSettings
 from .artifact import BenchArtifact
-
-#: schema identifier of the merged sweep document
-SWEEP_SCHEMA = "roads.bench.sweep/1"
-
 
 def default_workers() -> int:
     """One worker per core (at least one)."""
@@ -78,51 +70,6 @@ def run_plans(plans: Iterable, *, workers: Optional[int] = None) -> List[BenchAr
         return [run_scenario(plan) for plan in plans]
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
         return list(pool.map(_plan_worker, plans, chunksize=1))
-
-
-def seed_sweep(plan, seeds: Sequence[int]) -> List:
-    """The seed-partitioned plan list: one plan per seed, same shape."""
-    return [plan.with_(seed=int(seed)) for seed in seeds]
-
-
-def comparable_dict(artifact) -> Dict[str, object]:
-    """Artifact view without the stamp's ``created_unix``.
-
-    Two runs of the same plan — serial or pooled, on any host — must
-    agree exactly on this view; it is the currency of the determinism
-    tripwires and of :func:`merge_artifacts`.
-    """
-    doc = artifact.to_dict() if isinstance(artifact, BenchArtifact) else dict(artifact)
-    doc.pop("created_unix", None)
-    return doc
-
-
-def merge_artifacts(artifacts: Iterable[BenchArtifact]) -> Dict[str, object]:
-    """Fold a sweep's artifacts into one deterministic document.
-
-    Runs are ordered by ``(scenario, scale, seed)`` — not completion
-    order — and reduced to their :func:`comparable_dict` views, so the
-    merged document is byte-identical however the sweep was scheduled.
-    The top-level ``metrics`` block is the cross-run mean of each
-    metric.
-    """
-    arts = sorted(artifacts, key=lambda a: (a.scenario, a.scale, a.seed))
-    if not arts:
-        raise ValueError("merge_artifacts needs at least one artifact")
-    runs = [comparable_dict(a) for a in arts]
-    sums: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    for doc in runs:
-        for key, value in doc["metrics"].items():
-            sums[key] = sums.get(key, 0.0) + float(value)
-            counts[key] = counts.get(key, 0) + 1
-    return {
-        "schema": SWEEP_SCHEMA,
-        "scenarios": sorted({a.scenario for a in arts}),
-        "seeds": sorted({a.seed for a in arts}),
-        "metrics": {k: sums[k] / counts[k] for k in sorted(sums)},
-        "runs": runs,
-    }
 
 
 # -- stress shard sweep ---------------------------------------------------------

@@ -408,6 +408,11 @@ class RunPlan:
                 f"workers must be an int >= 0 (0 = one per core), "
                 f"got {self.workers!r}"
             )
+        for key, value in (self.sweeps or {}).items():
+            if isinstance(value, (list, tuple)) and not value:
+                raise ValueError(
+                    f"sweeps[{key!r}] is empty: a sweep needs at least one point"
+                )
 
     def settings(self) -> ExperimentSettings:
         """The fully-resolved :class:`ExperimentSettings` for this plan."""
@@ -561,7 +566,10 @@ def run_scenario(plan: RunPlan) -> BenchArtifact:
     # The block first: it memoises the scale's own ROADS trial, which a
     # figure may then read (overlay's rows are the block's load rows).
     simulated, census = copy.deepcopy(_shared_block(settings, plan.seed))
-    rows = plan.rows() or list(simulated["per_server_load"])
+    if plan.scenario == "overlay":
+        rows = list(simulated["per_server_load"])
+    else:
+        rows = plan.rows()
 
     failures = list(scenario.shape(rows)) if scenario.shape else []
     failures += _simulated_invariants(simulated)

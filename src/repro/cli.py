@@ -262,7 +262,6 @@ def _run_loaded_federation(
     from .telemetry import (
         FlightRecorder,
         HealthProbe,
-        SeriesConfig,
         SeriesSampler,
         Telemetry,
     )
@@ -305,7 +304,7 @@ def _run_loaded_federation(
     probe = recorder = None
     if interval is not None:
         probe = HealthProbe(
-            SeriesSampler(system, SeriesConfig(interval=interval)).start(),
+            SeriesSampler(system, interval).start(),
             slo=slo,
         )
         if slo is not None:
@@ -784,6 +783,17 @@ def _demo_telemetry(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of a row / node cap: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _common_options() -> argparse.ArgumentParser:
     """Parent parser for the flags every artifact-producing verb shares.
 
@@ -858,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", type=int, default=100)
     p.add_argument("--queries", type=int, default=40)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_count, default=10,
                    help="rows in the hottest-servers table")
     p.add_argument("--export-jsonl", metavar="PATH",
                    help="dump bus events as JSON-Lines")
@@ -879,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace to print (default: the largest)")
     p.add_argument("--list", action="store_true",
                    help="list the traces in the artifact and exit")
-    p.add_argument("--max-nodes", type=int, default=200,
+    p.add_argument("--max-nodes", type=_count, default=200,
                    help="cap on rendered tree nodes")
     p.add_argument("--chrome", metavar="PATH",
                    help="also write a Chrome trace_event JSON with "
@@ -929,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
              "plane armed; print precision/recall and per-summary "
              "divergence attributions",
     )
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_count, default=10,
                    help="rows in the per-node / attribution tables")
     p.add_argument("--min-precision", type=float, default=None,
                    help="judge oracle precision against this SLO floor "
@@ -943,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("path",
                    help="a postmortem_*.json bundle, or a directory of them")
-    p.add_argument("--max-nodes", type=int, default=60,
+    p.add_argument("--max-nodes", type=_count, default=60,
                    help="cap on rendered causal-tree nodes per trace")
     p.set_defaults(fn=_cmd_postmortem)
 
@@ -1016,7 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="hierarchical hot-path profile of the canonical run, with "
              "flame-graph exports",
     )
-    p.add_argument("--top", type=int, default=15,
+    p.add_argument("--top", type=_count, default=15,
                    help="rows in the self-time table (default 15)")
     p.add_argument("--tree", action="store_true",
                    help="also print the call-path tree")

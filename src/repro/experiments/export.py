@@ -1,7 +1,7 @@
 """Persisting experiment rows.
 
-Figure drivers return lists of row dicts; this module round-trips them
-through CSV and JSON so sweeps can be archived, diffed across runs, and
+Figure drivers return lists of row dicts; this module writes them as
+CSV and JSON so sweeps can be archived, diffed across runs, and
 re-plotted without re-simulating.
 """
 
@@ -34,33 +34,6 @@ def save_rows_csv(rows: Sequence[Dict], path: PathLike) -> Path:
     return path
 
 
-def load_rows_csv(path: PathLike) -> List[Dict]:
-    """Read rows back; numeric-looking fields are converted."""
-    path = Path(path)
-    out: List[Dict] = []
-    text = path.read_text()
-    if not text.strip():
-        return out
-    with path.open() as fh:
-        for raw in csv.DictReader(fh):
-            out.append({k: _coerce(v) for k, v in raw.items()})
-    return out
-
-
-def _coerce(value: str):
-    if value is None or value == "":
-        return value
-    try:
-        i = int(value)
-        return i
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value
-
-
 def save_rows_json(rows: Sequence[Dict], path: PathLike, *, meta: Dict = None) -> Path:
     """Write rows (plus optional metadata) as a JSON document."""
     path = Path(path)
@@ -68,6 +41,3 @@ def save_rows_json(rows: Sequence[Dict], path: PathLike, *, meta: Dict = None) -
     path.write_text(json.dumps(doc, indent=2, sort_keys=True))
     return path
 
-
-def load_rows_json(path: PathLike) -> Dict:
-    return json.loads(Path(path).read_text())

@@ -45,12 +45,14 @@ _ID_BYTES = 4
 #: extra heartbeat bytes when a summary fingerprint is piggybacked
 _FINGERPRINT_BYTES = 16
 
+#: sim-seconds between two sweeps for silent neighbours
+FAILURE_SWEEP_INTERVAL = 5.0
+
 
 @dataclass(frozen=True)
 class MaintenanceConfig:
     heartbeat_interval: float = 5.0
     miss_threshold: int = 3
-    check_interval: float = 5.0
     #: piggyback the child's branch-summary fingerprint on parent-bound
     #: heartbeats, letting the parent refresh that summary's TTL between
     #: update epochs (heartbeats usually run faster than t_s). Off by
@@ -60,10 +62,11 @@ class MaintenanceConfig:
     piggyback_summaries: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("heartbeat_interval", "check_interval"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        value = self.heartbeat_interval
+        if not 0 < value < math.inf:
+            raise ValueError(
+                f"heartbeat_interval must be finite and positive, got {value}"
+            )
         threshold = self.miss_threshold
         if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
             raise ValueError(f"miss_threshold must be an int >= 1, got {threshold!r}")
@@ -122,7 +125,7 @@ class MaintenanceProtocol:
             first_delay=0.0, label="maint.heartbeat",
         )
         self._check_task = sim.schedule_periodic(
-            config.check_interval,
+            FAILURE_SWEEP_INTERVAL,
             self._check_failures,
             first_delay=config.failure_timeout,
             label="maint.check",

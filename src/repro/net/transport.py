@@ -32,7 +32,6 @@ handling is instantaneous and concurrency is free.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from functools import partial
 from heapq import heappush
@@ -58,6 +57,10 @@ _NO_TAGS: Dict[str, object] = {}
 
 #: size of the reject notice a shedding server returns to the sender
 REJECT_BYTES = 16
+
+#: fixed per-message handling time at the receiver in seconds, modelling
+#: (cheap) summary evaluation / forwarding decisions
+PROCESSING_DELAY = 0.0005
 
 
 @dataclass(frozen=True)
@@ -382,7 +385,7 @@ class _Delivery:
                     category, REJECT_BYTES,
                     server=src, phase="reject",
                 )
-                back = net.delay_space.latency(dst, src) + net.processing_delay
+                back = net.delay_space.latency(dst, src) + PROCESSING_DELAY
                 net.sim.schedule(
                     back, lambda m=msg: on_rejected(m),
                     None if net._profiler is None else "net.reject",
@@ -400,7 +403,6 @@ class Network:
         delay_space,
         metrics: Optional[MetricsRegistry] = None,
         *,
-        processing_delay: float = 0.0005,
         loss_rate: float = 0.0,
         rng=None,
         telemetry: Optional[Telemetry] = None,
@@ -408,9 +410,6 @@ class Network:
         """
         Parameters
         ----------
-        processing_delay:
-            Fixed per-message handling time at the receiver in seconds,
-            modelling (cheap) summary evaluation / forwarding decisions.
         loss_rate:
             Probability that any individual message is silently lost in
             transit (failure injection for robustness tests). Requires
@@ -419,10 +418,6 @@ class Network:
             Optional structured-event recorder; ``None`` disables event
             emission entirely (*metrics* is always maintained).
         """
-        if not 0 <= processing_delay < math.inf:
-            raise ValueError(
-                f"processing_delay must be >= 0 and finite, got {processing_delay}"
-            )
         if not (0.0 <= loss_rate < 1.0):
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         if loss_rate > 0 and rng is None:
@@ -432,7 +427,6 @@ class Network:
         self._events, self._seq = sim.event_heap()
         self.delay_space = delay_space
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.processing_delay = processing_delay
         self.loss_rate = loss_rate
         self.telemetry = telemetry
         # Wall-clock profiler reference cached at construction (attach a
@@ -593,7 +587,7 @@ class Network:
             if self._admit(msg, phase, on_dropped):
                 heappush(self._events, (
                     self.sim.now + (
-                        self.delay_space.latency(src, dst) + self.processing_delay
+                        self.delay_space.latency(src, dst) + PROCESSING_DELAY
                     ),
                     next(self._seq),
                     _Delivery(self, msg, None, phase, on_dropped,
@@ -641,7 +635,7 @@ class Network:
             for group in groups.values():
                 if group:
                     heappush(self._events, (
-                        now + (latency(src, group[0].dst) + self.processing_delay),
+                        now + (latency(src, group[0].dst) + PROCESSING_DELAY),
                         next(self._seq),
                         _Delivery(self, group[0], group, phase, on_dropped,
                                   None, None),

@@ -30,16 +30,15 @@ class RetryPolicy:
     before retrying; ``retries`` how many times a timed-out or rejected
     contact is re-sent before the client gives up on that server.
     ``backoff_base`` is the wait before the first retry; each further
-    retry multiplies it by ``backoff_factor`` (exponential backoff). The
-    default base of ``0`` retries immediately — the historical
-    behaviour; load experiments raise it so shed queries back off
-    instead of hammering a saturated server.
+    retry doubles it (exponential backoff). The default base of ``0``
+    retries immediately — the historical behaviour; load experiments
+    raise it so shed queries back off instead of hammering a saturated
+    server.
     """
 
     timeout: float = 5.0
     retries: int = 1
     backoff_base: float = 0.0
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         # Each bound is written so that NaN fails it, and infinity too.
@@ -48,14 +47,12 @@ class RetryPolicy:
             raise ValueError(f"retries must be an int >= 0, got {self.retries!r}")
         if not 0 <= self.backoff_base < math.inf:
             raise ValueError(f"backoff_base must be >= 0 and finite, got {self.backoff_base}")
-        if not 1.0 <= self.backoff_factor < math.inf:
-            raise ValueError(f"backoff_factor must be >= 1 and finite, got {self.backoff_factor}")
 
     def delay_before_attempt(self, attempt: int) -> float:
         """Backoff before re-attempt number *attempt* (2 = first retry)."""
         if attempt <= 1 or self.backoff_base <= 0:
             return 0.0
-        return self.backoff_base * self.backoff_factor ** (attempt - 2)
+        return self.backoff_base * 2.0 ** (attempt - 2)
 
 
 @dataclass(frozen=True)

@@ -278,20 +278,31 @@ class RoadsSystem:
         *scope* enters at the scope server; an explicit *start_server*
         forces the entry (consistency with *scope* was already checked
         by :class:`SearchRequest`).
+
+        Raises :class:`ValueError` naming the field, before anything is
+        sent, for a client that is not a node of the delay space or a
+        *scope* / *start_server* that is not a member of the hierarchy.
+        A client's own server that left is still its entry: that search
+        finds its entry unreachable.
         """
         client = request.client_node
         if client is None:
             client = int(self._rng.integers(0, len(self.hierarchy)))
-        if request.scope is not None:
-            start = request.scope
-        elif request.start_server is not None:
-            start = request.start_server
-        else:
+        elif not 0 <= client < self.network.delay_space.num_nodes:
+            raise ValueError(
+                f"client_node={client} is not a node of the delay space "
+                f"(0..{self.network.delay_space.num_nodes - 1})"
+            )
+        name = "scope" if request.scope is not None else "start_server"
+        start = getattr(request, name)
+        if start is None:
             start = (
                 client
                 if request.use_overlay
                 else self.hierarchy.root.server_id
             )
+        elif start not in self.hierarchy:
+            raise ValueError(f"{name}={start} is not a member of the hierarchy")
         return client, start
 
     def attach_quality(self, plane=None):

@@ -42,6 +42,7 @@ from ..hierarchy.aggregation import (
 from ..hierarchy.join import Hierarchy
 from ..hierarchy.node import Server
 from ..net.transport import (
+    PROCESSING_DELAY,
     Message,
     Network,
     SUMMARY_FULL,
@@ -385,7 +386,7 @@ class UpdatePlane:
                     lat = net.delay_space.latency(owner.node_id, sid)
                     if lat > worst:
                         worst = lat
-        return (worst + net.processing_delay) * 1.001 + 1e-9
+        return (worst + PROCESSING_DELAY) * 1.001 + 1e-9
 
     def trigger_epoch(self) -> None:
         """Schedule one coordinated epoch: deepest servers export first.
@@ -578,18 +579,14 @@ class UpdatePlane:
         cost.count_report(*built)
         return built[0].summary
 
-    def staleness_snapshot(
-        self, *, stale_after: Optional[float] = None
-    ) -> Dict[str, float]:
+    def staleness_snapshot(self) -> Dict[str, float]:
         """Age statistics over every held soft-state summary, right now.
 
-        ``stale_after`` defaults to 1.5 update intervals: in loss-free
-        steady state every entry is refreshed once per interval, so
-        anything older has missed at least one update.
+        An entry is stale past 1.5 update intervals: in loss-free steady
+        state every entry is refreshed once per interval, so anything
+        older has missed at least one update.
         """
-        threshold = (
-            stale_after if stale_after is not None else 1.5 * self.interval
-        )
+        threshold = 1.5 * self.interval
         ages: List[float] = []
         now = self.sim.now
         for server in self.hierarchy:

@@ -45,7 +45,6 @@ from .export import (
     chrome_trace,
     prometheus_text,
     read_jsonl,
-    read_series_jsonl,
     series_jsonl,
     write_chrome_trace,
     write_jsonl,
@@ -74,7 +73,6 @@ from .report import per_server_load_rows, root_load_share
 from .series import (
     RingSeries,
     RollupPoint,
-    SeriesConfig,
     SeriesSampler,
     sparkline,
 )
@@ -120,11 +118,9 @@ __all__ = [
     "HealthReport",
     "RingSeries",
     "RollupPoint",
-    "SeriesConfig",
     "SeriesSampler",
     "sparkline",
     "series_jsonl",
-    "read_series_jsonl",
     "write_series_jsonl",
     "FlightRecorder",
     "PostmortemBundle",

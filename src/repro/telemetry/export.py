@@ -47,30 +47,6 @@ def write_series_jsonl(rows: Iterable[Dict[str, object]], path) -> int:
     return len(lines)
 
 
-def _read_lines(path, parse) -> list:
-    """``parse`` of each non-blank line's JSON; ValueError naming a bad line."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            try:
-                if line.strip():
-                    out.append(parse(json.loads(line)))
-            except ValueError as exc:
-                raise ValueError(f"line {number}: {exc}") from None
-    return out
-
-
-def _row(value) -> Dict[str, object]:
-    if not isinstance(value, dict):
-        raise ValueError(f"not a row object: {type(value).__name__}")
-    return value
-
-
-def read_series_jsonl(path) -> List[Dict[str, object]]:
-    """The rows of a :func:`write_series_jsonl` file (ValueError as above)."""
-    return _read_lines(path, _row)
-
-
 def write_jsonl(events: Iterable[TelemetryEvent], path) -> int:
     """Write one JSON object per event; returns the event count."""
     return write_series_jsonl((e.to_dict() for e in events), path)
@@ -79,7 +55,15 @@ def write_jsonl(events: Iterable[TelemetryEvent], path) -> int:
 def read_jsonl(path) -> List[TelemetryEvent]:
     """The events of a :func:`write_jsonl` file; :class:`ValueError`
     naming the first line that is not JSON or not an event."""
-    return _read_lines(path, TelemetryEvent.from_dict)
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                if line.strip():
+                    out.append(TelemetryEvent.from_dict(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+    return out
 
 
 # -- Prometheus text format ----------------------------------------------------

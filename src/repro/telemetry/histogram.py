@@ -64,10 +64,6 @@ class StreamingHistogram:
         if value > self.max:
             self.max = value
 
-    def record_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.record(v)
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

@@ -196,7 +196,7 @@ class HealthProbe:
     """SLO judge over one :class:`SeriesSampler`'s ticks.
 
     The probe schedules nothing: the sampler's cadence
-    (``SeriesConfig.interval``) is the probe's, and every tick the
+    (``SeriesSampler.interval``) is the probe's, and every tick the
     sampler takes from construction on is judged. It keeps running worst
     values and the last tick, never a per-tick list, so a long run costs
     what a short one does; replication coverage and the deepest single

@@ -159,7 +159,7 @@ class QualityPlane:
     to an unaudited run.
     """
 
-    def __init__(self, system, *, max_reports: int = 256):
+    def __init__(self, system):
         self._system = system
         self.audits = 0
         self.tp = 0
@@ -172,7 +172,8 @@ class QualityPlane:
         self.per_node: Dict[int, Dict[str, int]] = {}
         self._age_sum = 0.0
         self._age_count = 0
-        self.reports: Deque[QualityReport] = deque(maxlen=max_reports)
+        #: the most recent audits, oldest evicted
+        self.reports: Deque[QualityReport] = deque(maxlen=256)
 
     # -- aggregate gauges ----------------------------------------------------------
     @property

@@ -39,6 +39,15 @@ from .tracing import assemble_traces
 #: bundle file-format version
 BUNDLE_SCHEMA = 1
 
+#: events retained per server ring
+RING_EVENTS = 256
+#: sim-seconds of history a bundle's series window covers
+WINDOW_SECONDS = 5.0
+#: causal trees stored per bundle (largest kept)
+TREES_PER_BUNDLE = 8
+#: bundles retained in ``FlightRecorder.bundles`` (oldest evicted)
+BUNDLES_KEPT = 16
+
 
 def _ring_key(event: TelemetryEvent) -> Optional[int]:
     """The server a bus event is attributed to (None = unattributed)."""
@@ -291,49 +300,20 @@ class FlightRecorder:
         emitted event lands in the ring of the server it is attributed
         to (the ``server`` tag, else ``dst``, else the unattributed
         ring).
-    sampler:
-        Optional :class:`~repro.telemetry.series.SeriesSampler` whose
-        breach-window points are frozen into each bundle; :meth:`bind`
-        supplies the probe's own when none is given.
-    ring_size:
-        Events retained per server ring.
-    window_before:
-        Sim-seconds of history a bundle's series window covers.
-    max_trace_trees:
-        Cap on causal trees stored per bundle (largest kept).
-    max_bundles:
-        Bundles retained in :attr:`bundles` (oldest evicted).
     dump_dir:
         When set, every captured bundle is also written under this
         directory as ``postmortem_<n>_<reason>.json``.
     """
 
-    def __init__(
-        self,
-        telemetry,
-        *,
-        sampler=None,
-        ring_size: int = 256,
-        window_before: float = 5.0,
-        max_trace_trees: int = 8,
-        max_bundles: int = 16,
-        dump_dir=None,
-    ):
-        if ring_size < 1:
-            raise ValueError(f"ring_size must be >= 1, got {ring_size}")
-        if window_before <= 0:
-            raise ValueError(
-                f"window_before must be positive, got {window_before}"
-            )
+    def __init__(self, telemetry, *, dump_dir=None):
         self.telemetry = telemetry
-        self.sampler = sampler
+        #: the bound probe's sampler, whose breach-window points are
+        #: frozen into each bundle (None until :meth:`bind`)
+        self.sampler = None
         self._probe = None
-        self.ring_size = ring_size
-        self.window_before = window_before
-        self.max_trace_trees = max_trace_trees
         self.dump_dir = Path(dump_dir) if dump_dir is not None else None
         self._rings: Dict[Optional[int], deque] = {}
-        self.bundles: deque = deque(maxlen=max_bundles)
+        self.bundles: deque = deque(maxlen=BUNDLES_KEPT)
         #: paths of bundles written to ``dump_dir``
         self.dumped: List[Path] = []
         self._captured = 0
@@ -344,7 +324,7 @@ class FlightRecorder:
         key = _ring_key(event)
         ring = self._rings.get(key)
         if ring is None:
-            ring = self._rings[key] = deque(maxlen=self.ring_size)
+            ring = self._rings[key] = deque(maxlen=RING_EVENTS)
         ring.append(event)
 
     def close(self) -> None:
@@ -369,8 +349,7 @@ class FlightRecorder:
         call :meth:`trigger` with the failing check attached."""
         probe.on_breach = self._on_breach
         self._probe = probe
-        if self.sampler is None:
-            self.sampler = probe.sampler
+        self.sampler = probe.sampler
         return self
 
     def _on_breach(self, check, tick) -> None:
@@ -396,7 +375,7 @@ class FlightRecorder:
     ) -> PostmortemBundle:
         """Freeze the current evidence window into a bundle."""
         now = self.telemetry.now
-        window_start = now - self.window_before
+        window_start = now - WINDOW_SECONDS
         series = (
             self.sampler.window_dict(window_start, now)
             if self.sampler is not None
@@ -430,7 +409,7 @@ class FlightRecorder:
                     )
                 ],
             }
-            for t in overlapping[: self.max_trace_trees]
+            for t in overlapping[:TREES_PER_BUNDLE]
         ]
         bundle = PostmortemBundle(
             reason=reason,

@@ -13,9 +13,9 @@ scans nothing itself.
 
 Each gauge lives in a :class:`RingSeries`: a raw window of the most
 recent ``(t, value)`` points plus coarser :class:`RollupPoint` buckets
-(count/min/max/mean/p95 over ``rollup_every`` consecutive raw points),
+(count/min/max/mean/p95 over ``ROLLUP_EVERY`` consecutive raw points),
 so a long run keeps a full-resolution recent view and a downsampled
-long-horizon one in O(raw_window + rollup_window) memory per gauge.
+long-horizon one in O(RAW_WINDOW + ROLLUP_WINDOW) memory per gauge.
 
 **Zero perturbation.** Sampling only *reads* state: network counters,
 service-queue depths, the dispatcher's pending count, and the update
@@ -30,11 +30,18 @@ the tracing plane holds, asserted by
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 #: spark characters, lowest to highest
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
+
+#: raw points retained per gauge
+RAW_WINDOW = 512
+#: raw points folded into one rollup bucket
+ROLLUP_EVERY = 16
+#: rollup buckets retained per gauge
+ROLLUP_WINDOW = 256
 
 
 def sparkline(values: Iterable[float], *, width: int = 60) -> str:
@@ -119,32 +126,20 @@ def _fold(points: List[Tuple[float, float]]) -> RollupPoint:
 class RingSeries:
     """Bounded downsampling ring buffer for one gauge.
 
-    Keeps the most recent ``raw_window`` raw ``(t, value)`` points; every
-    ``rollup_every`` appended points are folded into one
-    :class:`RollupPoint`, of which the most recent ``rollup_window`` are
+    Keeps the most recent ``RAW_WINDOW`` raw ``(t, value)`` points; every
+    ``ROLLUP_EVERY`` appended points are folded into one
+    :class:`RollupPoint`, of which the most recent ``ROLLUP_WINDOW`` are
     kept. Appends are O(1) amortised; memory is strictly bounded.
     """
 
-    __slots__ = ("name", "server", "raw", "rollups", "_chunk",
-                 "rollup_every", "appended")
+    __slots__ = ("name", "server", "raw", "rollups", "_chunk", "appended")
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        server: Optional[int] = None,
-        raw_window: int = 512,
-        rollup_every: int = 16,
-        rollup_window: int = 256,
-    ):
-        if raw_window < 1 or rollup_every < 1 or rollup_window < 1:
-            raise ValueError("ring windows must be >= 1")
+    def __init__(self, name: str, *, server: Optional[int] = None):
         self.name = name
         self.server = server
-        self.raw: deque = deque(maxlen=raw_window)
-        self.rollups: deque = deque(maxlen=rollup_window)
+        self.raw: deque = deque(maxlen=RAW_WINDOW)
+        self.rollups: deque = deque(maxlen=ROLLUP_WINDOW)
         self._chunk: List[Tuple[float, float]] = []
-        self.rollup_every = rollup_every
         #: total points ever appended (evicted points still count)
         self.appended = 0
 
@@ -153,7 +148,7 @@ class RingSeries:
         self.raw.append(point)
         self.appended += 1
         self._chunk.append(point)
-        if len(self._chunk) >= self.rollup_every:
+        if len(self._chunk) >= ROLLUP_EVERY:
             self.rollups.append(_fold(self._chunk))
             self._chunk = []
 
@@ -179,28 +174,6 @@ class RingSeries:
         return len(self.raw)
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Sampling cadence and ring bounds for a :class:`SeriesSampler`."""
-
-    #: sim-seconds between samples
-    interval: float = 0.25
-    #: raw points retained per gauge
-    raw_window: int = 512
-    #: raw points folded into one rollup bucket
-    rollup_every: int = 16
-    #: rollup buckets retained per gauge
-    rollup_window: int = 256
-    #: staleness threshold forwarded to the update plane (None = default)
-    stale_after: Optional[float] = None
-    #: also keep per-server service-queue series (depth/waiting/shed)
-    per_server: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.interval > 0:
-            raise ValueError(f"interval must be positive, got {self.interval}")
-
-
 class SeriesSampler:
     """Periodic gauge sampler bound to one :class:`RoadsSystem`.
 
@@ -211,15 +184,18 @@ class SeriesSampler:
     * per-category byte totals (query and update traffic so far),
     * the update plane's staleness snapshot (entries, ages, fraction),
     * per-server service-queue gauges (depth, waiting-room occupancy,
-      cumulative shed) when ``per_server`` is on,
+      cumulative shed),
 
-    and appends one point per gauge to its :class:`RingSeries`.
-    Federation-wide gauges key on ``server=None``.
+    and appends one point per gauge to its :class:`RingSeries`, every
+    ``interval`` sim-seconds. Federation-wide gauges key on
+    ``server=None``.
     """
 
-    def __init__(self, system, config: SeriesConfig = SeriesConfig()):
+    def __init__(self, system, interval: float = 0.25):
+        if not interval > 0:
+            raise ValueError(f"interval must be positive, got {interval}")
         self.system = system
-        self.config = config
+        self.interval = interval
         self._series: Dict[Tuple[str, Optional[int]], RingSeries] = {}
         self._task = None
         self.samples = 0
@@ -230,11 +206,11 @@ class SeriesSampler:
 
     # -- cadence -------------------------------------------------------------------
     def start(self) -> "SeriesSampler":
-        """Begin sampling every ``config.interval`` sim-seconds."""
+        """Begin sampling every ``interval`` sim-seconds."""
         if self._task is None:
             self._task = self.system.sim.schedule_periodic(
-                self.config.interval, self.sample,
-                first_delay=self.config.interval,
+                self.interval, self.sample,
+                first_delay=self.interval,
                 label="telemetry.sample",
             )
         return self
@@ -268,14 +244,7 @@ class SeriesSampler:
         key = (name, server)
         ring = self._series.get(key)
         if ring is None:
-            cfg = self.config
-            ring = self._series[key] = RingSeries(
-                name,
-                server=server,
-                raw_window=cfg.raw_window,
-                rollup_every=cfg.rollup_every,
-                rollup_window=cfg.rollup_window,
-            )
+            ring = self._series[key] = RingSeries(name, server=server)
         return ring
 
     # -- one tick ------------------------------------------------------------------
@@ -304,9 +273,7 @@ class SeriesSampler:
         stale: Dict[str, float] = {}
         if plane is not None:
             record("update.inflight").append(now, plane.inflight)
-            stale = plane.staleness_snapshot(
-                stale_after=self.config.stale_after
-            )
+            stale = plane.staleness_snapshot()
             record("summary.entries").append(now, stale["entries"])
             record("summary.age_mean").append(now, stale["age_mean"])
             record("summary.age_max").append(now, stale["age_max"])
@@ -324,10 +291,9 @@ class SeriesSampler:
             if depth > depth_max:
                 depth_max = depth
             waiting_total += stats["waiting"]
-            if self.config.per_server:
-                record("service.depth", sid).append(now, depth)
-                record("service.waiting", sid).append(now, stats["waiting"])
-                record("service.shed", sid).append(now, stats["shed"])
+            record("service.depth", sid).append(now, depth)
+            record("service.waiting", sid).append(now, stats["waiting"])
+            record("service.shed", sid).append(now, stats["shed"])
         record("service.depth_total").append(now, depth_total)
         record("service.waiting_total").append(now, waiting_total)
         quality = getattr(system, "quality", None)
@@ -339,11 +305,10 @@ class SeriesSampler:
             record("quality.divergence_age").append(
                 now, quality.divergence_age_mean
             )
-            if self.config.per_server:
-                for sid in sorted(quality.per_node):
-                    counts = quality.per_node[sid]
-                    record("quality.fp", sid).append(now, counts["fp"])
-                    record("quality.fn", sid).append(now, counts["fn"])
+            for sid in sorted(quality.per_node):
+                counts = quality.per_node[sid]
+                record("quality.fp", sid).append(now, counts["fp"])
+                record("quality.fn", sid).append(now, counts["fn"])
         self.samples += 1
         if self.judge is not None:
             self.judge({

@@ -7,11 +7,6 @@ from .distributions import (
     range_values,
     uniform_values,
 )
-from .catalogs import (
-    STREAM_SPECIALITIES,
-    compute_org_inventory,
-    stream_site_catalog,
-)
 from .dynamics import DynamicsConfig, RecordDynamics
 from .generator import (
     FAMILY_ORDER,
@@ -38,9 +33,6 @@ __all__ = [
     "overlap_values",
     "WorkloadConfig",
     "DynamicsConfig",
-    "stream_site_catalog",
-    "compute_org_inventory",
-    "STREAM_SPECIALITIES",
     "RecordDynamics",
     "make_schema",
     "generate_node_store",

@@ -5,9 +5,9 @@ continuously, which is why ROADS keeps summaries as TTL'd soft state and
 why the analysis distinguishes the record update period ``t_r`` from the
 summary period ``t_s``. This module drives that dynamism: every ``t_r``
 a fraction of each owner's records takes a bounded random-walk step on
-selected numeric attributes.
+every numeric attribute.
 
-Steps are small relative to a histogram bucket by default, so most
+Steps are small relative to a histogram bucket, so most
 epochs leave summaries unchanged — exactly the regime in which delta
 propagation (``RoadsConfig.delta_updates``) pays off.
 """
@@ -15,7 +15,7 @@ propagation (``RoadsConfig.delta_updates``) pays off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,27 +23,26 @@ from ..records.store import RecordStore
 from ..sim.engine import PeriodicTask, Simulator
 
 
+#: share of each store's records that move per epoch
+MOVING_FRACTION = 0.2
+#: a moving attribute steps by N(0, STEP_SCALE x its range)
+STEP_SCALE = 0.01
+
+
 @dataclass(frozen=True)
 class DynamicsConfig:
-    """Random-walk parameters for dynamic records.
+    """Random-walk cadence for dynamic records.
 
-    ``change_fraction`` of each store's records move per epoch; each
-    moving record's selected attributes step by N(0, ``step_sigma``),
-    clipped to the attribute bounds.
+    Every ``record_interval``, ``MOVING_FRACTION`` of each store's
+    records move; each moving record's numeric attributes step by
+    N(0, ``STEP_SCALE`` x range), clipped to the attribute bounds.
     """
 
     record_interval: float = 6.0  # the paper's t_r
-    change_fraction: float = 0.2
-    step_sigma: float = 0.01
-    attributes: Optional[Sequence[str]] = None  # default: all numeric
 
     def __post_init__(self) -> None:
         if not self.record_interval > 0:
             raise ValueError("record_interval must be positive")
-        if not (0.0 < self.change_fraction <= 1.0):
-            raise ValueError("change_fraction must be in (0, 1]")
-        if not self.step_sigma > 0:
-            raise ValueError("step_sigma must be positive")
 
 
 class RecordDynamics:
@@ -86,25 +85,21 @@ class RecordDynamics:
         return changed
 
     def _plan(self, schema):
-        """``(schema, columns, lo, hi, sigma)`` of the walking attributes:
-        numeric-partition positions (all of them as one slice), bounds
-        and step deviations, compiled once per schema (keyed by its id)."""
+        """``(schema, lo, hi, sigma)``: the numeric bounds and step
+        deviations, compiled once per schema (keyed by its id)."""
         plan = self._plans.get(id(schema))
         if plan is None or plan[0] is not schema:
-            columns = slice(None)
-            if self.config.attributes is not None:
-                columns = [schema.numeric_position(a) for a in self.config.attributes]
-            lo, hi = schema.numeric_bounds[:, columns]
-            sigma = (self.config.step_sigma * (hi - lo))[:, None]
-            plan = self._plans[id(schema)] = (schema, columns, lo, hi, sigma)
+            lo, hi = schema.numeric_bounds
+            sigma = (STEP_SCALE * (hi - lo))[:, None]
+            plan = self._plans[id(schema)] = (schema, lo, hi, sigma)
         return plan
 
     def _perturb(self, store: RecordStore) -> int:
         n = len(store)
         if n == 0:
             return 0
-        _, columns, lo, hi, sigma = self._plan(store.schema)
-        k = max(1, int(round(n * self.config.change_fraction)))
+        _, lo, hi, sigma = self._plan(store.schema)
+        k = max(1, int(round(n * MOVING_FRACTION)))
         rows = self.rng.choice(n, size=k, replace=False)
         # Row j of the draw is the k steps of attribute j, in the order
         # one normal(0, sigma_j, k) call per attribute would draw them;
@@ -112,11 +107,8 @@ class RecordDynamics:
         steps = self.rng.standard_normal((len(sigma), k))
         steps *= sigma
         block = store.numeric_matrix[rows]
-        walked = block[:, columns]  # a view of block when all columns walk
-        walked += steps.T
-        np.maximum(walked, lo, out=walked)
-        np.minimum(walked, hi, out=walked)
-        if isinstance(columns, list):
-            block[:, columns] = walked
+        block += steps.T
+        np.maximum(block, lo, out=block)
+        np.minimum(block, hi, out=block)
         store.write_rows(rows, block)
         return k

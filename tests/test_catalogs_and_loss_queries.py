@@ -1,79 +1,15 @@
-"""Tests for domain catalog generators and query execution over a lossy
-network."""
+"""Tests for query execution over a lossy network."""
 
 import numpy as np
-import pytest
 
-from repro.query import EqualsPredicate, Query, RangePredicate
 from repro.roads import RoadsConfig, RoadsSystem, SearchRequest
 from repro.summaries import SummaryConfig
 from repro.workload import (
-    compute_org_inventory,
-    stream_site_catalog,
     WorkloadConfig,
     generate_node_stores,
     generate_queries,
     merge_stores,
 )
-
-
-class TestStreamCatalogs:
-    def test_shape_and_schema(self):
-        rng = np.random.default_rng(1)
-        cat = stream_site_catalog(rng, site=0, sources=80)
-        assert len(cat) == 80
-        assert "type" in cat.schema and "rate_kbps" in cat.schema
-        assert cat.owner == "site-0"
-
-    def test_speciality_dominates(self):
-        rng = np.random.default_rng(2)
-        cat = stream_site_catalog(rng, site=0, sources=400)
-        types = cat.categorical_column("type")
-        assert types.count("camera") > 200  # site 0 specializes in cameras
-
-    def test_zero_bias_uniformizes(self):
-        rng = np.random.default_rng(3)
-        cat = stream_site_catalog(rng, site=0, sources=400, speciality_bias=0.0)
-        types = cat.categorical_column("type")
-        # roughly uniform across 4 types
-        assert max(types.count(t) for t in set(types)) < 180
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            stream_site_catalog(rng, 0, sources=0)
-        with pytest.raises(ValueError):
-            stream_site_catalog(rng, 0, speciality_bias=1.5)
-
-    def test_values_within_bounds(self):
-        rng = np.random.default_rng(4)
-        cat = stream_site_catalog(rng, site=1, sources=200)
-        assert cat.numeric_column("rate_kbps").max() <= 10_000
-        assert cat.numeric_column("uptime").max() <= 1.0
-
-
-class TestComputeInventories:
-    def test_shape(self):
-        rng = np.random.default_rng(5)
-        inv = compute_org_inventory(rng, org=3, machines=60)
-        assert len(inv) == 60
-        assert inv.owner == "org-3"
-        assert set(inv.categorical_column("arch")) <= {
-            "x86_64", "ppc64", "arm64"
-        }
-
-    def test_queryable(self):
-        rng = np.random.default_rng(6)
-        inv = compute_org_inventory(rng, org=0, machines=300)
-        q = Query.of(
-            EqualsPredicate("arch", "x86_64"),
-            RangePredicate("cpus", 8, 512),
-        )
-        assert 0 < q.match_count(inv) < 300
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            compute_org_inventory(np.random.default_rng(0), 0, machines=0)
 
 
 class TestQueriesOverLossyNetwork:

@@ -27,8 +27,7 @@ def build_churny_system(n=20, seed=77, mttf=120.0, mttr=30.0):
     )
     system = RoadsSystem.build(cfg, stores)
     proto = system.enable_maintenance(
-        MaintenanceConfig(heartbeat_interval=2.0, miss_threshold=3,
-                          check_interval=2.0)
+        MaintenanceConfig(heartbeat_interval=2.0, miss_threshold=3)
     )
     churn = ChurnProcess(
         system.sim,

@@ -1,16 +1,17 @@
 """Tests for the CLI (repro.cli) and row export (experiments.export)."""
 
+import csv
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.export import (
-    load_rows_csv,
-    load_rows_json,
-    save_rows_csv,
-    save_rows_json,
-)
+from repro.experiments.export import save_rows_csv, save_rows_json
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestExportCSV:
@@ -20,25 +21,18 @@ class TestExportCSV:
             {"nodes": 128, "latency_ms": 300.0, "name": "sword"},
         ]
         path = save_rows_csv(rows, tmp_path / "rows.csv")
-        back = load_rows_csv(path)
-        assert back == rows
+        back = read_csv(path)
+        assert back == [{k: str(v) for k, v in r.items()} for r in rows]
 
     def test_union_of_columns(self, tmp_path):
         rows = [{"a": 1}, {"a": 2, "b": 3}]
-        back = load_rows_csv(save_rows_csv(rows, tmp_path / "r.csv"))
-        assert back[0]["a"] == 1 and back[0]["b"] == ""
-        assert back[1]["b"] == 3
+        back = read_csv(save_rows_csv(rows, tmp_path / "r.csv"))
+        assert back[0]["a"] == "1" and back[0]["b"] == ""
+        assert back[1]["b"] == "3"
 
     def test_empty(self, tmp_path):
         path = save_rows_csv([], tmp_path / "empty.csv")
-        assert load_rows_csv(path) == []
-
-    def test_type_coercion(self, tmp_path):
-        rows = [{"i": 5, "f": 2.5, "s": "abc"}]
-        back = load_rows_csv(save_rows_csv(rows, tmp_path / "t.csv"))
-        assert isinstance(back[0]["i"], int)
-        assert isinstance(back[0]["f"], float)
-        assert isinstance(back[0]["s"], str)
+        assert path.read_text() == ""
 
 
 class TestExportJSON:
@@ -47,7 +41,7 @@ class TestExportJSON:
         path = save_rows_json(
             rows, tmp_path / "doc.json", meta={"figure": "fig3", "seed": 1}
         )
-        doc = load_rows_json(path)
+        doc = json.loads(path.read_text())
         assert doc["rows"] == rows
         assert doc["meta"]["figure"] == "fig3"
 
@@ -79,7 +73,7 @@ class TestCLI:
             "figure", "table1", "--scale", "smoke", "--output", str(out_path),
         ])
         assert rc == 0
-        rows = load_rows_csv(out_path)
+        rows = read_csv(out_path)
         # analytical + measured rows present
         assert {"formula_units", "mean_bytes_per_server"} <= set(rows[0])
         out = capsys.readouterr().out
@@ -143,7 +137,8 @@ class TestOneScenarioRegistry:
         )
         out, results = suite
         assert results[target] == rows
-        assert load_rows_json(out / f"{target}.json")["rows"] == rows
+        doc = json.loads((out / f"{target}.json").read_text())
+        assert doc["rows"] == rows
 
 
 class TestSuite:
@@ -429,6 +424,38 @@ class TestLoadedFederationOutput:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
 
+    def test_watch_jsonl_is_pinned(self, capsys):
+        # Every ring's raw points and rollups, per-server rows included.
+        import hashlib
+
+        assert main(["watch"] + self.ARGS + ["--format", "jsonl"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "f0afdf3d0996ce0bcf3c921d00fc8512"
+            "b3aea7cbcd1527a34eb66d8468d09652"
+        )
+
+    def test_first_postmortem_bundle_is_pinned(self, tmp_path, capsys):
+        # The bundle re-serialised with sorted keys, so the digest does
+        # not depend on where it was written; query ids come from a
+        # process-wide counter, so they depend on the tests run before.
+        import hashlib
+
+        pm = tmp_path / "pm"
+        assert main(["watch"] + self.ARGS + ["--postmortem-dir", str(pm)]) == 0
+        capsys.readouterr()
+        first = sorted(pm.glob("postmortem_*.json"))[0]
+        bundle = json.loads(
+            first.read_text(),
+            object_hook=lambda d: {k: v for k, v in d.items() if k != "query_id"},
+        )
+        doc = json.dumps(bundle, sort_keys=True)
+        assert first.name == "postmortem_001_slo-coverage.json"
+        assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == (
+            "d09634625c6b6e09c6d7d8aed75cc4b2"
+            "466bc4a39c9f82fcd28fd6952a690c65"
+        )
+
 
 class TestLoadVerbOptions:
     """The nine federation/load options are declared once and read the
@@ -555,6 +582,24 @@ class TestOutOfRangeInputs:
         assert line.startswith(f"repro {argv[0]}: ") and reason in line
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["telemetry", "--top", "-2"],
+        ["quality", "--top", "-1"],
+        ["profile", "--top", "0"],
+        ["trace", "events.jsonl", "--max-nodes", "-5"],
+        ["postmortem", "pm", "--max-nodes", "0"],
+        ["quality", "--top", "ten"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_counts_below_one_are_refused(self, argv, capsys):
+        # A negative cap used to slice rows off the end of a table.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        flag = argv[-2]
+        assert f"argument {flag}: must be an integer >= 1" in (
+            capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize("line, reason", [
         ('{"a": 1}', "without 'ts'"),
         ('{"ts": "abc", "name": "x"}', "'abc'"),
@@ -597,9 +642,7 @@ class TestWatchCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "metric,server,t,value" in out
-        from repro.telemetry.export import read_series_jsonl
-
-        rows = read_series_jsonl(exported)
+        rows = [json.loads(line) for line in exported.read_text().splitlines()]
         assert rows
         # A 2s run folds no 16-point rollup buckets yet — raw only.
         assert {r["kind"] for r in rows} >= {"raw"}

@@ -44,8 +44,7 @@ def soak():
     system.network.loss_rate = 0.05
     system.network._rng = np.random.default_rng(103)
     proto = system.enable_maintenance(
-        MaintenanceConfig(heartbeat_interval=2.0, miss_threshold=5,
-                          check_interval=2.0)
+        MaintenanceConfig(heartbeat_interval=2.0, miss_threshold=5)
     )
     churn = ChurnProcess(
         system.sim,
@@ -63,7 +62,7 @@ def soak():
         system.sim,
         stores,
         np.random.default_rng(105),
-        DynamicsConfig(record_interval=6.0, step_sigma=0.02),
+        DynamicsConfig(record_interval=6.0),
     )
     # Soak: ten minutes of simulated chaos.
     system.sim.run(until=600.0)
@@ -94,7 +93,11 @@ class TestSoak:
         churn.stop()
         dynamics.pause()
         system.network.loss_rate = 0.0
-        system.sim.run(until=system.sim.now + 120.0)
+        # A full report lost just before the quiesce leaves its parent
+        # ignoring the keep-alives that follow until the exporter's
+        # anti-entropy resend, one summary TTL after that full report:
+        # quiesce for one TTL, the bound the soft state promises.
+        system.sim.run(until=system.sim.now + system.config.summary.ttl)
         system.refresh()
         alive_ids = sorted(s.server_id for s in system.hierarchy if s.alive)
         assert len(alive_ids) >= 5

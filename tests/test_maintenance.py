@@ -9,6 +9,7 @@ from repro.hierarchy import (
     Server,
     build_hierarchy,
 )
+from repro.hierarchy.maintenance import FAILURE_SWEEP_INTERVAL
 from repro.net import DelaySpace, Network
 from repro.sim import MAINTENANCE, Simulator
 from repro.telemetry import MetricsRegistry
@@ -19,8 +20,7 @@ def make_system(n=10, k=3, seed=0):
     ds = DelaySpace(n, np.random.default_rng(seed), jitter_ms=0.0)
     net = Network(sim, ds, MetricsRegistry())
     h = build_hierarchy(Server(i, max_children=k) for i in range(n))
-    cfg = MaintenanceConfig(heartbeat_interval=1.0, miss_threshold=3,
-                            check_interval=1.0)
+    cfg = MaintenanceConfig(heartbeat_interval=1.0, miss_threshold=3)
     proto = MaintenanceProtocol(sim, net, h, cfg)
     return sim, net, h, proto
 
@@ -127,7 +127,7 @@ class TestRecovery:
         assert proto.recover(leaf)
         assert leaf.parent is parent  # the balanced walk refills the gap
         assert proto.rejoins == 1
-        sim.run(until=sim.now + 2 * proto.config.check_interval)
+        sim.run(until=sim.now + 2 * FAILURE_SWEEP_INTERVAL)
         assert proto.failures_detected == 1
         assert leaf.parent is parent
         assert net.counters()["lost"] == 0
@@ -189,9 +189,6 @@ class TestConfig:
         ("heartbeat_interval", -1.0),
         ("heartbeat_interval", float("nan")),
         ("heartbeat_interval", float("inf")),
-        ("check_interval", 0.0),
-        ("check_interval", float("nan")),
-        ("check_interval", float("inf")),
         # 0 declares every server dead at its first check: a healthy
         # loss-free federation reports false failures and rejoins
         ("miss_threshold", 0),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net import DELAY_SPACE_DIMENSIONS, DelaySpace, Network
-from repro.net.transport import ServiceConfig
+from repro.net.transport import PROCESSING_DELAY, ServiceConfig
 from repro.sim import QUERY, UPDATE, Simulator
 from repro.telemetry import MetricsRegistry, Telemetry
 
@@ -155,7 +155,7 @@ class TestNetwork:
         sim.run()
         payload, t = got[0]
         assert payload == "hi"
-        assert t == pytest.approx(ds.latency(0, 1) + net.processing_delay)
+        assert t == pytest.approx(ds.latency(0, 1) + PROCESSING_DELAY)
 
     def test_bytes_accounted(self):
         sim, ds, net = self._net()

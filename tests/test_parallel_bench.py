@@ -12,13 +12,9 @@ import pytest
 
 from repro.bench import (
     RunPlan,
-    SWEEP_SCHEMA,
-    comparable_dict,
-    merge_artifacts,
     profile_scenario,
     run_plans,
     run_scenario,
-    seed_sweep,
     stress_shard_rows,
 )
 from repro.bench.parallel import resolve_workers, shard_settings
@@ -54,6 +50,31 @@ class TestRunPlan:
             RunPlan("fig3", seed=-1)
         with pytest.raises(ValueError):
             RunPlan("overlay", workers=-1)
+
+    @pytest.mark.parametrize("scenario, key", [
+        ("fig6", "dims"), ("fig8", "records"), ("fig3", "nodes"),
+    ])
+    def test_empty_sweep_refused(self, scenario, key):
+        with pytest.raises(ValueError, match=rf"sweeps\['{key}'\] is empty"):
+            RunPlan(scenario, scale="smoke", sweeps={key: ()})
+        with pytest.raises(ValueError, match=key):
+            RunPlan(scenario, scale="smoke", sweeps={key: []})
+
+    def test_only_overlay_reads_the_blocks_rows(self, monkeypatch):
+        # A figure that returns no rows has no rows in its artifact: it
+        # never borrows the canonical block's per-server load rows,
+        # which only ``overlay`` reports.
+        import dataclasses
+
+        from repro.bench import SCENARIOS
+
+        overlay = run_scenario(RunPlan("overlay", scale="smoke"))
+        assert overlay.rows == overlay.simulated["per_server_load"]
+        monkeypatch.setitem(
+            SCENARIOS, "fig6",
+            dataclasses.replace(SCENARIOS["fig6"], driver=lambda s, sw: []),
+        )
+        assert run_scenario(RunPlan("fig6", scale="smoke")).rows == []
 
     def test_resolved_sweeps_merges_overrides(self):
         plan = RunPlan(
@@ -95,40 +116,24 @@ class TestParallelRunner:
             resolve_workers(-2)
 
     def test_run_plans_pool_matches_serial(self):
-        plans = seed_sweep(RunPlan("fig8", scale="smoke"), [2, 5])
+        plans = [RunPlan("fig8", scale="smoke", seed=seed) for seed in (2, 5)]
         serial = run_plans(plans, workers=1)
         # A forked worker inherits this process's memos: empty them so
         # the pool simulates its canonical blocks and trials itself.
         _shared_block.cache_clear()
         clear_trial_memo()
         pooled = run_plans(plans, workers=2)
-        assert [comparable_dict(a) for a in serial] == [
-            comparable_dict(a) for a in pooled
-        ]
 
-    def test_comparable_dict_drops_created_unix_only(self):
-        art = run_scenario(RunPlan("fig8", scale="smoke", seed=2))
-        full = art.to_dict()
-        assert "created_unix" in full
-        del full["created_unix"]
-        assert comparable_dict(art) == full
+        def stampless(artifact):
+            doc = artifact.to_dict()
+            del doc["created_unix"]
+            return doc
+
+        assert [stampless(a) for a in serial] == [stampless(a) for a in pooled]
 
     def test_run_plans_rejects_non_plans(self):
         with pytest.raises(TypeError):
             run_plans(["overlay"], workers=1)
-
-    def test_merge_artifacts(self):
-        plans = seed_sweep(RunPlan("fig8", scale="smoke"), [2, 5])
-        merged = merge_artifacts(run_plans(plans, workers=1))
-        assert merged["schema"] == SWEEP_SCHEMA
-        assert merged["seeds"] == [2, 5]
-        assert merged["scenarios"] == ["fig8"]
-        assert len(merged["runs"]) == 2
-        assert merged["metrics"]  # cross-seed means present
-
-    def test_merge_requires_artifacts(self):
-        with pytest.raises(ValueError):
-            merge_artifacts([])
 
 
 class TestStressSharding:

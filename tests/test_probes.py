@@ -18,7 +18,6 @@ from repro.telemetry import (
     FlightRecorder,
     HealthProbe,
     HealthSLO,
-    SeriesConfig,
     SeriesSampler,
     Telemetry,
 )
@@ -49,12 +48,9 @@ def build_system(*, loss=0.0, telemetry=None, service=None, interval=1.0):
     return system
 
 
-def armed(system, *, interval=1.0, stale_after=None, slo=None):
+def armed(system, *, interval=1.0, slo=None):
     """A started sampler with a probe judging its ticks."""
-    sampler = SeriesSampler(
-        system, SeriesConfig(interval=interval, stale_after=stale_after)
-    ).start()
-    return HealthProbe(sampler, slo=slo)
+    return HealthProbe(SeriesSampler(system, interval).start(), slo=slo)
 
 
 def tick(**overrides):
@@ -108,7 +104,7 @@ class TestSampling:
     def test_sample_reads_counters_and_staleness(self):
         system = build_system(loss=0.2, interval=0.5)
         system.update_plane.start()
-        probe = armed(system, interval=0.5, stale_after=0.75)
+        probe = armed(system, interval=0.5)  # stale past 0.75 s
         system.sim.run(until=6.0)
         last = probe.last
         assert last["sent"] > 0
@@ -134,7 +130,7 @@ class TestSampling:
         # point per tick in the sampler's own rings.
         system = build_system(service=ServiceConfig(service_time=0.002))
         system.update_plane.start()
-        bare = SeriesSampler(system, SeriesConfig(interval=0.5)).start()
+        bare = SeriesSampler(system, 0.5).start()
         probe = armed(system, interval=0.5)
         system.sim.run(until=system.sim.now + 2.0)
         assert {"overlay.coverage", "service.depth_max"}.isdisjoint(

@@ -417,14 +417,12 @@ class TestSeriesGauges:
     """quality.* gauges ride the series sampler (and the watch verb)."""
 
     def test_sampler_records_quality_gauges(self):
-        from repro.telemetry import SeriesConfig, SeriesSampler
+        from repro.telemetry import SeriesSampler
 
         system, stores = build_system(telemetry=Telemetry())
         system.refresh()
         system.attach_quality()
-        sampler = SeriesSampler(
-            system, SeriesConfig(interval=0.25, per_server=True)
-        ).start()
+        sampler = SeriesSampler(system, 0.25).start()
         churn_band_to_landing(stores)
         for i in range(4):
             system.search(SearchRequest(band_query(*BAND)))
@@ -445,10 +443,10 @@ class TestSeriesGauges:
         assert ring.values()[-1] == 4.0
 
     def test_sampler_skips_quality_when_detached(self):
-        from repro.telemetry import SeriesConfig, SeriesSampler
+        from repro.telemetry import SeriesSampler
 
         system, _ = build_system(telemetry=Telemetry())
-        sampler = SeriesSampler(system, SeriesConfig(interval=0.25)).start()
+        sampler = SeriesSampler(system, 0.25).start()
         system.sim.run(until=system.sim.now + 1.0)
         assert not any(
             r.name.startswith("quality.") for r in sampler.all_series()
@@ -463,7 +461,6 @@ class TestPrecisionSLOBreach:
             FlightRecorder,
             HealthProbe,
             HealthSLO,
-            SeriesConfig,
             SeriesSampler,
         )
 
@@ -475,7 +472,7 @@ class TestPrecisionSLOBreach:
             tel, dump_dir=tmp_path
         )
         probe = HealthProbe(
-            SeriesSampler(system, SeriesConfig(interval=0.5)).start(),
+            SeriesSampler(system, 0.5).start(),
             slo=HealthSLO(min_precision=0.999),
         )
         recorder.bind(probe)
@@ -523,7 +520,6 @@ class TestHealthReportQuality:
         from repro.telemetry import (
             HealthProbe,
             HealthSLO,
-            SeriesConfig,
             SeriesSampler,
         )
 
@@ -531,7 +527,7 @@ class TestHealthReportQuality:
         system.refresh()
         system.attach_quality()
         probe = HealthProbe(
-            SeriesSampler(system, SeriesConfig(interval=0.5)).start(),
+            SeriesSampler(system, 0.5).start(),
             slo=HealthSLO(min_precision=0.999),
         )
         churn_band_to_landing(stores)

@@ -7,8 +7,6 @@ import pytest
 
 from repro.query import EqualsPredicate, Query, RangePredicate
 from repro.records import RecordStore, Schema, categorical, numeric
-from repro.sim import Simulator
-from repro.workload.dynamics import DynamicsConfig, RecordDynamics
 
 
 class TestConstruction:
@@ -193,11 +191,8 @@ class TestOneBlockComparison:
         query = Query.of(RangePredicate("a", 0.0, 0.5), RangePredicate("c", 0.25, 1.0))
         before = query.mask(unit_store)
         assert np.array_equal(before, per_predicate_mask(query, unit_store))
-        dynamics = RecordDynamics(
-            Simulator(), [unit_store], np.random.default_rng(1),
-            DynamicsConfig(change_fraction=1.0, step_sigma=0.3),
-        )
-        assert dynamics.step() == len(unit_store)
+        n = len(unit_store)
+        unit_store.write_rows(np.arange(n), np.random.default_rng(1).random((n, 4)))
         after = query.mask(unit_store)
         assert np.array_equal(after, per_predicate_mask(query, unit_store))
         assert not np.array_equal(before, after)

@@ -17,10 +17,10 @@ from repro.telemetry import (
     HealthProbe,
     HealthSLO,
     PostmortemBundle,
-    SeriesConfig,
     SeriesSampler,
     Telemetry,
 )
+from repro.telemetry.recorder import RING_EVENTS
 from repro.workload import WorkloadConfig, generate_node_stores
 from repro.workload.queries import generate_queries
 
@@ -134,24 +134,14 @@ class TestTransitions:
         assert probe.on_breach is None
         recorder = FlightRecorder(tel).bind(probe)
         assert probe.on_breach == recorder._on_breach
-        # The bundle's series window comes from the probe's own sampler
-        # unless the recorder was given another.
+        # The bundle's series window comes from the probe's own sampler.
         assert recorder.sampler is probe.sampler
-        other = SeriesSampler(system)
-        assert FlightRecorder(tel, sampler=other).bind(probe).sampler is other
 
 
 class TestRecorderMechanics:
-    def test_ctor_validation(self):
-        tel = Telemetry()
-        with pytest.raises(ValueError, match="ring_size"):
-            FlightRecorder(tel, ring_size=0)
-        with pytest.raises(ValueError, match="window_before"):
-            FlightRecorder(tel, window_before=0.0)
-
     def test_rings_attribute_events_per_server(self):
         tel = Telemetry()
-        recorder = FlightRecorder(tel, ring_size=4)
+        recorder = FlightRecorder(tel)
         tel.event("a", server=3)
         tel.event("b", dst=7)
         tel.event("c")
@@ -160,9 +150,9 @@ class TestRecorderMechanics:
         assert [e.name for e in recorder.ring(None)] == ["c"]
         assert recorder.ring_servers == [3, 7, None]
         # Fixed-size: old events fall off the ring.
-        for i in range(10):
+        for i in range(RING_EVENTS + 6):
             tel.event(f"x{i}", server=3)
-        assert len(recorder.ring(3)) == 4
+        assert len(recorder.ring(3)) == RING_EVENTS
 
     def test_close_stops_recording(self):
         tel = Telemetry()
@@ -229,7 +219,7 @@ class TestEndToEnd:
         # the rings already holding causally-traced events.
         system.sim.run(until=system.sim.now + 2.0)
         probe = HealthProbe(
-            SeriesSampler(system, SeriesConfig(interval=0.5)).start(),
+            SeriesSampler(system, 0.5).start(),
             slo=HealthSLO(),
         )
         recorder = FlightRecorder(tel).bind(probe)

@@ -18,12 +18,9 @@ from repro.roads import (
     RoadsSystem,
     SearchRequest,
 )
-from repro.sim import Simulator
 from repro.summaries import SummaryConfig
 from repro.telemetry.profiling import census_fingerprint
 from repro.workload import (
-    DynamicsConfig,
-    RecordDynamics,
     WorkloadConfig,
     generate_node_stores,
     generate_queries,
@@ -520,13 +517,10 @@ class TestOwnSummaryFirst:
 
         # Written, not yet re-summarized: the summary at hand describes
         # other records, so the records themselves answer.
-        dynamics = RecordDynamics(
-            Simulator(), [own], np.random.default_rng(3),
-            DynamicsConfig(change_fraction=1.0, step_sigma=0.2),
-        )
-        dynamics.stop()
-        dynamics.step()
-        assert query.match_count(own) > 0  # walked into the range
+        donor = next(s for s in stores if query.match_count(s))
+        row = int(np.flatnonzero(query.mask(donor))[0])
+        own.write_rows(np.array([0]), donor.numeric_matrix[[row]])
+        assert query.match_count(own) > 0  # written into the range
 
         del scanned[:]
         outcome = system.search(request).outcome

@@ -73,18 +73,16 @@ class TestSearchRequest:
             RetryPolicy(retries=-1)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_base=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
 
     @pytest.mark.parametrize(
-        "field", ["timeout", "backoff_base", "backoff_factor"]
+        "field", ["timeout", "backoff_base"]
     )
     def test_retry_policy_rejects_nan(self, field):
         with pytest.raises(ValueError, match=field):
             RetryPolicy(**{field: float("nan")})
 
     @pytest.mark.parametrize(
-        "field", ["timeout", "backoff_base", "backoff_factor"]
+        "field", ["timeout", "backoff_base"]
     )
     def test_retry_policy_rejects_infinity(self, field):
         # timeout=inf or backoff_base=inf used to pass; under loss the
@@ -98,7 +96,7 @@ class TestSearchRequest:
             RetryPolicy(retries=retries)
 
     def test_backoff_schedule(self):
-        p = RetryPolicy(backoff_base=0.2, backoff_factor=2.0)
+        p = RetryPolicy(backoff_base=0.2)
         assert p.delay_before_attempt(1) == 0.0
         assert p.delay_before_attempt(2) == pytest.approx(0.2)
         assert p.delay_before_attempt(3) == pytest.approx(0.4)
@@ -112,9 +110,7 @@ class TestSearchRequest:
         # its next send is the policy's delay for that attempt.
         from repro.telemetry import Telemetry
 
-        policy = RetryPolicy(
-            timeout=0.5, retries=3, backoff_base=0.1, backoff_factor=3.0
-        )
+        policy = RetryPolicy(timeout=0.5, retries=3, backoff_base=0.1)
         tel = Telemetry()
         wcfg = WorkloadConfig(num_nodes=NODES, records_per_node=80, seed=SEED)
         system = RoadsSystem.build(
@@ -140,11 +136,47 @@ class TestSearchRequest:
                         e.ts - waiting.pop(contact)
                     )
         assert set(gaps) == {2, 3, 4}, "loss never drove a third retry"
-        assert policy.delay_before_attempt(4) == pytest.approx(0.9)
+        assert policy.delay_before_attempt(4) == pytest.approx(0.4)
         for attempt, observed in gaps.items():
             assert observed == [
                 pytest.approx(policy.delay_before_attempt(attempt))
             ] * len(observed)
+
+
+class TestRefusedEntry:
+    """A request whose client or entry is not in the federation is
+    refused before its first message: the network's counters and the
+    metrics registry read as if it had never been made."""
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("client_node", {"client_node": NODES}),
+        ("client_node", {"client_node": -1}),
+        ("start_server", {"client_node": 0, "start_server": NODES + 7}),
+        ("scope", {"client_node": 0, "scope": NODES + 7}),
+    ], ids=["client-past-end", "client-negative", "start-server", "scope"])
+    def test_refused_before_anything_is_sent(self, field, kwargs, queries):
+        system = build_system()
+        system.search(SearchRequest(queries[0], client_node=1))
+        counters = system.network.counters()
+        rows = system.metrics.rows()
+        pending = system.sim.pending
+        for _ in range(2):
+            with pytest.raises(ValueError, match=field):
+                system.search(SearchRequest(queries[1], **kwargs))
+        assert system.network.counters() == counters
+        assert system.metrics.rows() == rows
+        assert system.sim.pending == pending
+
+    def test_departed_client_server_is_still_its_entry(self, queries):
+        system = build_system()
+        system.enable_maintenance().leave(system.hierarchy.get(8))
+        result = system.search(SearchRequest(queries[0], client_node=8))
+        assert result.outcome.start_server == 8
+        assert result.outcome.completed and not result.ok
+        with pytest.raises(ValueError, match="start_server"):
+            system.search(
+                SearchRequest(queries[0], client_node=1, start_server=8)
+            )
 
 
 class TestSearchResult:

@@ -6,6 +6,8 @@ state, so arming it must leave every simulated outcome byte-identical —
 the determinism tripwire this suite asserts directly.
 """
 
+import json
+
 import pytest
 
 from repro.net.transport import ServiceConfig
@@ -18,16 +20,12 @@ from repro.telemetry import (
     HealthSLO,
     RingSeries,
     RollupPoint,
-    SeriesConfig,
     SeriesSampler,
     Telemetry,
     sparkline,
 )
-from repro.telemetry.export import (
-    read_series_jsonl,
-    series_jsonl,
-    write_series_jsonl,
-)
+from repro.telemetry.export import series_jsonl, write_series_jsonl
+from repro.telemetry.series import RAW_WINDOW, ROLLUP_EVERY, ROLLUP_WINDOW
 from repro.workload import WorkloadConfig, generate_node_stores
 from repro.workload.queries import generate_queries
 
@@ -72,25 +70,27 @@ class TestSparkline:
 
 class TestRingSeries:
     def test_raw_window_bounded(self):
-        ring = RingSeries("g", raw_window=8, rollup_every=4, rollup_window=4)
-        for i in range(50):
+        ring = RingSeries("g")
+        n = ROLLUP_EVERY * (ROLLUP_WINDOW + 3) + 5
+        for i in range(n):
             ring.append(i * 0.1, float(i))
-        assert len(ring) == 8
-        assert ring.appended == 50
-        assert ring.last == (pytest.approx(4.9), 49.0)
-        # Rollup ring bounded too: 50/4 = 12 folds, only 4 retained.
-        assert len(ring.rollups) == 4
+        assert len(ring) == RAW_WINDOW
+        assert ring.appended == n
+        assert ring.last == (pytest.approx((n - 1) * 0.1), float(n - 1))
+        # Rollup ring bounded too: three folds past the window evicted.
+        assert len(ring.rollups) == ROLLUP_WINDOW
 
     def test_rollup_statistics(self):
-        ring = RingSeries("g", rollup_every=4)
-        for t, v in enumerate([1.0, 5.0, 3.0, 7.0]):
+        ring = RingSeries("g")
+        values = [1.0, 5.0, 3.0, 7.0] * (ROLLUP_EVERY // 4)
+        for t, v in enumerate(values):
             ring.append(float(t), v)
         (r,) = ring.rollups
-        assert r.count == 4
+        assert r.count == ROLLUP_EVERY
         assert r.vmin == 1.0 and r.vmax == 7.0
         assert r.mean == pytest.approx(4.0)
         assert r.p95 == 7.0
-        assert (r.t_start, r.t_end) == (0.0, 3.0)
+        assert (r.t_start, r.t_end) == (0.0, float(ROLLUP_EVERY - 1))
 
     def test_window_filters_by_time(self):
         ring = RingSeries("g")
@@ -101,22 +101,20 @@ class TestRingSeries:
         assert ring.rollups_in(0.0, 100.0) == list(ring.rollups)
 
     def test_rollup_point_round_trip(self):
-        ring = RingSeries("g", rollup_every=2)
-        ring.append(0.0, 1.0)
-        ring.append(1.0, 2.0)
+        ring = RingSeries("g")
+        for t in range(ROLLUP_EVERY):
+            ring.append(float(t), float(t % 3))
         (r,) = ring.rollups
         assert RollupPoint.from_dict(r.to_dict()) == r
 
     def test_invalid_windows_rejected(self):
-        with pytest.raises(ValueError):
-            RingSeries("g", raw_window=0)
         with pytest.raises(ValueError, match="interval"):
-            SeriesConfig(interval=0.0)
+            SeriesSampler(build_system(), 0.0)
 
     @pytest.mark.parametrize("interval", [float("nan"), -0.25])
     def test_interval_must_be_positive(self, interval):
         with pytest.raises(ValueError, match="interval"):
-            SeriesConfig(interval=interval)
+            SeriesSampler(build_system(), interval)
 
 
 class TestSampler:
@@ -126,7 +124,7 @@ class TestSampler:
         )
         system.update_plane.start()
         t0 = system.sim.now
-        sampler = SeriesSampler(system, SeriesConfig(interval=0.5)).start()
+        sampler = SeriesSampler(system, 0.5).start()
         system.sim.run(until=t0 + 4.0)
         sampler.stop()
         assert sampler.samples == 8
@@ -146,23 +144,11 @@ class TestSampler:
         sid = system.hierarchy.root.server_id
         assert sampler.series("service.depth", sid) is not None
 
-    def test_per_server_opt_out(self):
-        system = build_system(service=ServiceConfig(service_time=0.002))
-        system.update_plane.start()
-        sampler = SeriesSampler(
-            system, SeriesConfig(interval=0.5, per_server=False)
-        ).start()
-        system.sim.run(until=system.sim.now + 2.0)
-        assert all(r.server is None for r in sampler.all_series())
-        assert "service.depth_total" in sampler.names()
-
     def test_rows_schema_and_jsonl_round_trip(self, tmp_path):
         system = build_system()
         system.update_plane.start()
-        sampler = SeriesSampler(
-            system, SeriesConfig(interval=0.25, rollup_every=4)
-        ).start()
-        system.sim.run(until=system.sim.now + 3.0)
+        sampler = SeriesSampler(system, 0.25).start()
+        system.sim.run(until=system.sim.now + 0.25 * (ROLLUP_EVERY + 2))
         rows = sampler.rows()
         kinds = {r["kind"] for r in rows}
         assert kinds == {"raw", "rollup"}
@@ -173,14 +159,15 @@ class TestSampler:
         path = tmp_path / "series.jsonl"
         n = write_series_jsonl(rows, path)
         assert n == len(rows)
-        assert read_series_jsonl(path) == rows
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == rows
         assert len(series_jsonl(rows).splitlines()) == n
 
     def test_window_dict_restricts_to_breach_window(self):
         system = build_system()
         system.update_plane.start()
         t0 = system.sim.now
-        sampler = SeriesSampler(system, SeriesConfig(interval=0.5)).start()
+        sampler = SeriesSampler(system, 0.5).start()
         system.sim.run(until=t0 + 4.0)
         bundles = sampler.window_dict(t0 + 2.0, t0 + 3.0)
         assert bundles
@@ -191,7 +178,7 @@ class TestSampler:
     def test_format_renders_federation_gauges(self):
         system = build_system()
         system.update_plane.start()
-        sampler = SeriesSampler(system, SeriesConfig(interval=0.5)).start()
+        sampler = SeriesSampler(system, 0.5).start()
         system.sim.run(until=system.sim.now + 2.0)
         text = sampler.format(metrics=["net.sent", "sim.pending"])
         assert "net.sent" in text and "sim.pending" in text
@@ -210,7 +197,7 @@ class TestZeroPerturbation:
         if observe:
             # Sampler, judge and recorder: the whole observing stack.
             probe = HealthProbe(
-                SeriesSampler(system, SeriesConfig(interval=0.25)).start(),
+                SeriesSampler(system, 0.25).start(),
                 slo=HealthSLO(),
             )
             FlightRecorder(tel).bind(probe)

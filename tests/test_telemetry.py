@@ -86,7 +86,8 @@ class TestStreamingHistogram:
         else:
             samples = rng.lognormal(mean=-2.0, sigma=1.0, size=20_000)
         h = StreamingHistogram()
-        h.record_many(samples)
+        for v in samples:
+            h.record(v)
         for pct in (50, 90, 95, 99):
             ref = float(np.percentile(samples, pct))
             got = h.percentile(pct)
@@ -94,7 +95,8 @@ class TestStreamingHistogram:
 
     def test_mean_min_max_exact(self):
         h = StreamingHistogram()
-        h.record_many([0.1, 0.2, 0.3])
+        for v in (0.1, 0.2, 0.3):
+            h.record(v)
         assert h.mean == pytest.approx(0.2)
         assert h.min == pytest.approx(0.1)
         assert h.max == pytest.approx(0.3)
@@ -106,8 +108,9 @@ class TestStreamingHistogram:
 
     def test_merge(self):
         a, b = StreamingHistogram(), StreamingHistogram()
-        a.record_many([0.1] * 50)
-        b.record_many([1.0] * 50)
+        for _ in range(50):
+            a.record(0.1)
+            b.record(1.0)
         a.merge(b)
         assert a.count == 100
         assert a.percentile(25) == pytest.approx(0.1, rel=0.05)
@@ -119,7 +122,8 @@ class TestStreamingHistogram:
 
     def test_percentile_extremes_clamp_to_min_max(self):
         h = StreamingHistogram()
-        h.record_many([0.1, 0.5, 2.5])
+        for v in (0.1, 0.5, 2.5):
+            h.record(v)
         assert h.percentile(0) == pytest.approx(h.min)
         assert h.percentile(100) == pytest.approx(h.max)
 

@@ -11,7 +11,6 @@ from repro.telemetry import (
     chrome_trace,
     prometheus_text,
     read_jsonl,
-    read_series_jsonl,
     write_chrome_trace,
     write_jsonl,
     write_series_jsonl,
@@ -68,21 +67,8 @@ class TestSeriesJsonl:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "series.jsonl"
         assert write_series_jsonl(self.ROWS * 2, path) == 2
-        assert read_series_jsonl(path) == self.ROWS * 2
-
-    @pytest.mark.parametrize(
-        "bad, reason",
-        [('{"kind": "raw", "metr', "line 2: "),
-         ("[1, 2]", "line 2: not a row object: list")],
-        ids=["truncated", "not-an-object"],
-    )
-    def test_bad_line_is_named(self, bad, reason, tmp_path):
-        path = tmp_path / "series.jsonl"
-        write_series_jsonl(self.ROWS, path)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(bad + "\n")
-        with pytest.raises(ValueError, match=f"^{reason}"):
-            read_series_jsonl(path)
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == self.ROWS * 2
 
 
 class TestChromeTrace:

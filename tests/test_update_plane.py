@@ -650,7 +650,7 @@ class TestMaintenanceIntegration:
 
         _, _, system = build(seed=3, n=12)
         proto = system.enable_maintenance(
-            MaintenanceConfig(heartbeat_interval=1.0, check_interval=1.0)
+            MaintenanceConfig(heartbeat_interval=1.0)
         )
         plane = system.update_plane
         leaf = system.hierarchy.get(4)
