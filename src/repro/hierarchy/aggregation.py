@@ -112,10 +112,11 @@ class SummaryExporter:
     it last shipped (``server.last_reported``, whose fingerprint the
     maintenance heartbeat piggybacks), the parent it shipped to, and
     when it last sent a full summary. A full send is forced when the
-    parent changed (rejoin — the new parent has no state for us) or when
-    the summary TTL elapsed since the last full (soft-state
-    anti-entropy: bounds staleness when a full send was lost and the
-    receiver is silently discarding our keep-alives).
+    parent changed (rejoin — the new parent has no state for us), when
+    the parent's heartbeat says it holds nothing for us, or when the
+    summary TTL elapsed since the last full (soft-state anti-entropy:
+    bounds staleness when a full send was lost and the receiver is
+    silently discarding our keep-alives).
     """
 
     __slots__ = ("server", "config", "delta", "_last_parent", "_last_full_at")
@@ -130,7 +131,7 @@ class SummaryExporter:
         self._last_full_at = float("-inf")
 
     def forget_parent(self) -> None:
-        """Force a full send on the next export (parent changed)."""
+        """Force a full send on the next export (new or forgetful parent)."""
         self._last_parent = None
 
     def plan_update(

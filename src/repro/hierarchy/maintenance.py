@@ -84,6 +84,9 @@ class _Heartbeat:
     #: child -> parent only: fingerprint of the sender's last-reported
     #: branch summary, refreshing the parent's held copy on match
     summary_fp: Optional[bytes] = None
+    #: parent -> child only, one header bit: whether the parent holds the
+    #: child's branch summary (if not, the child's next report is full)
+    holds_summary: bool = True
 
 
 class MaintenanceProtocol:
@@ -105,8 +108,10 @@ class MaintenanceProtocol:
         self.config = config
         self.telemetry = telemetry
         #: optional :class:`~repro.roads.update_plane.UpdatePlane`:
-        #: rejoins trigger an immediate full re-export, and (when
-        #: ``piggyback_summaries`` is on) heartbeats refresh summary TTLs
+        #: rejoins trigger an immediate full re-export, a parent's beat
+        #: saying it holds no summary for a child makes the child's next
+        #: report full, and (when ``piggyback_summaries`` is on)
+        #: heartbeats refresh summary TTLs
         self.update_plane = update_plane
         # per-server: neighbour id -> last time we heard from it
         self._last_rx: Dict[int, Dict[int, float]] = {}
@@ -181,6 +186,10 @@ class MaintenanceProtocol:
                         if piggyback and peer is server.parent
                         else None
                     ),
+                    holds_summary=(
+                        peer is server.parent
+                        or peer.server_id in server.child_summaries
+                    ),
                 )
                 self.network.send(
                     sid,
@@ -210,6 +219,8 @@ class MaintenanceProtocol:
             self._known_root_path[server_id] = hb.root_path + [server_id]
             if hb.root_children is not None:
                 self._known_root_children[server_id] = list(hb.root_children)
+            if not hb.holds_summary and self.update_plane is not None:
+                self.update_plane.on_summary_missing(server)
 
     def _get(self, server_id: int) -> Optional[Server]:
         try:

@@ -508,6 +508,12 @@ class UpdatePlane:
                 else None
             ))
 
+    def on_summary_missing(self, server: Server) -> None:
+        """*server*'s parent holds no branch summary for it (its full
+        report was lost, or expired): the next report is full, not a
+        keep-alive the parent would ignore until the TTL resend."""
+        self._exporter(server).forget_parent()
+
     def heartbeat_fingerprint(self, server: Server) -> Optional[bytes]:
         """Fingerprint a child piggybacks on its parent heartbeat."""
         return server.last_reported_fingerprint

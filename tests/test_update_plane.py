@@ -666,6 +666,27 @@ class TestMaintenanceIntegration:
             leaf.branch_summary(system.config.summary, sim.now).fingerprint()
         )
 
+    def test_parent_heartbeat_repairs_lost_first_reports(self):
+        wcfg, stores, system = build(seed=13)
+        proto = system.enable_maintenance()
+        for s in system.hierarchy:  # as if every full report had been lost
+            if s.parent is not None:
+                del s.parent.child_summaries[s.server_id]
+        sim = system.sim
+        sim.run(until=sim.now + 3 * proto.config.heartbeat_interval)
+        # Each parent's heartbeat said it holds nothing for the child, so
+        # the next epoch reports in full instead of keep-alives that the
+        # parent would ignore until the exporters' TTL resend.
+        report = system.refresh()
+        assert report.aggregation.keepalive_reports == 0
+        for s in system.hierarchy:
+            if s.parent is not None:
+                assert s.server_id in s.parent.child_summaries
+        reference = merge_stores(stores)
+        for q in generate_queries(wcfg, num_queries=5, dimensions=2):
+            o = system.search(SearchRequest(q, client_node=1)).outcome
+            assert o.total_matches == q.match_count(reference)
+
     def test_heartbeat_piggyback_refreshes_child_ttl(self):
         from repro.hierarchy.maintenance import MaintenanceConfig
 
