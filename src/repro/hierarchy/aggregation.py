@@ -54,7 +54,8 @@ class SummaryUpdate:
 
     ``summary is None`` marks a keep-alive: the receiver re-stamps its
     held soft state only when *fingerprint* matches the held content
-    (:meth:`~repro.hierarchy.node.Server.refresh_summary`). A full
+    (:meth:`~repro.hierarchy.node.Server.refresh_summary`), and
+    otherwise asks for a full one (a ``summary-nack``). A full
     update carries no fingerprint — installing never reads one, and the
     summary hashes itself if a later keep-alive is compared. ``table``
     selects the receiver-side soft-state table: ``"child"`` for
@@ -74,9 +75,10 @@ class SummaryUpdate:
     def install(self, server: Server, now: float) -> str:
         """Apply this update at the receiving *server*; returns outcome.
 
-        The outcome is ``"installed"``, ``"refreshed"`` or ``"ignored"``
-        (keep-alive against absent or content-mismatched state — the
-        receiver's copy is left to age out, Section III-B soft state).
+        The outcome is ``"installed"``, ``"refreshed"`` or ``"ignored"``.
+        A keep-alive is ignored against absent or content-mismatched
+        state; the update plane answers it with a ``summary-nack``, and
+        the sender's next message to this receiver is full.
         """
         if self.table == "owner":
             for owner in server.owners:
@@ -109,34 +111,25 @@ class SummaryExporter:
     """Per-server actor: exports the branch summary to the parent.
 
     Sender-side delta state only: the exporter remembers the summary
-    it last shipped (``server.last_reported``, whose fingerprint the
-    maintenance heartbeat piggybacks), the parent it shipped to, and
-    when it last sent a full summary. A full send is forced when the
-    parent changed (rejoin — the new parent has no state for us), when
-    the parent's heartbeat says it holds nothing for us, or when the
-    summary TTL elapsed since the last full (soft-state anti-entropy:
-    bounds staleness when a full send was lost and the receiver is
-    silently discarding our keep-alives).
+    it last shipped (``server.last_reported``) and the parent it shipped
+    to. A full send is forced when the parent changed (rejoin — the new
+    parent has no state for us) or when the parent said it cannot apply
+    our keep-alive (a ``summary-nack``, or its heartbeat saying it holds
+    nothing for us): both reach :meth:`forget_parent`.
     """
 
-    __slots__ = ("server", "config", "delta", "_last_parent", "_last_full_at")
+    __slots__ = ("server", "delta", "_last_parent")
 
-    def __init__(
-        self, server: Server, config: SummaryConfig, *, delta: bool = False
-    ):
+    def __init__(self, server: Server, *, delta: bool = False):
         self.server = server
-        self.config = config
         self.delta = delta
         self._last_parent: Optional[int] = None
-        self._last_full_at = float("-inf")
 
     def forget_parent(self) -> None:
         """Force a full send on the next export (new or forgetful parent)."""
         self._last_parent = None
 
-    def plan_update(
-        self, now: float, branch: Optional[ResourceSummary]
-    ) -> Optional[tuple]:
+    def plan_update(self, branch: Optional[ResourceSummary]) -> Optional[tuple]:
         """The report :meth:`build_update` would send: ``(update, size_bytes)``.
 
         Side-effect-free: the one definition of the keep-alive-or-full
@@ -151,37 +144,29 @@ class SummaryExporter:
         size = HEADER_BYTES + BRANCH_STATS_BYTES
         if branch is None:
             return SummaryUpdate("child", server.server_id), size
-        may_keepalive = (
-            self.delta
-            and parent.server_id == self._last_parent
-            and (now - self._last_full_at) < self.config.ttl
-        )
         # Only a report that could be a keep-alive is compared, so hashed.
-        if may_keepalive:
+        if self.delta and parent.server_id == self._last_parent:
             fp = branch.fingerprint()
             if fp == server.last_reported_fingerprint:
                 return SummaryUpdate("child", server.server_id, None, fp), size
         size += branch.encoded_size()
         return SummaryUpdate("child", server.server_id, branch), size
 
-    def build_update(
-        self, now: float, branch: Optional[ResourceSummary]
-    ) -> Optional[tuple]:
+    def build_update(self, branch: Optional[ResourceSummary]) -> Optional[tuple]:
         """One epoch's report to the parent: ``(update, size_bytes)``.
 
         *branch* is the server's branch summary for this tick, stamped
-        *now* (``None`` for an empty branch); the caller builds it once
-        and hands the same object to the server's :class:`~repro.overlay.
-        replication.ReplicaPusher`. Commits :meth:`plan_update`'s answer
+        with its time (``None`` for an empty branch); the caller builds
+        it once and hands the same object to the server's
+        :class:`~repro.overlay.replication.ReplicaPusher`. Commits :meth:`plan_update`'s answer
         to the exporter's delta state — the report counts as sent
         whether or not it survives the network.
         """
-        built = self.plan_update(now, branch)
+        built = self.plan_update(branch)
         if built is not None and branch is not None:
             self._last_parent = self.server.parent.server_id
             if built[0].summary is not None:
                 self.server.last_reported = branch
-                self._last_full_at = now
         return built
 
 

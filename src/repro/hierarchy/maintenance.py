@@ -41,10 +41,6 @@ from .node import Server
 _HEARTBEAT_HEADER = 16
 _ID_BYTES = 4
 
-
-#: extra heartbeat bytes when a summary fingerprint is piggybacked
-_FINGERPRINT_BYTES = 16
-
 #: sim-seconds between two sweeps for silent neighbours
 FAILURE_SWEEP_INTERVAL = 5.0
 
@@ -53,13 +49,6 @@ FAILURE_SWEEP_INTERVAL = 5.0
 class MaintenanceConfig:
     heartbeat_interval: float = 5.0
     miss_threshold: int = 3
-    #: piggyback the child's branch-summary fingerprint on parent-bound
-    #: heartbeats, letting the parent refresh that summary's TTL between
-    #: update epochs (heartbeats usually run faster than t_s). Off by
-    #: default: it grows every upward heartbeat by 16 bytes, which would
-    #: shift maintenance-overhead accounting for callers that never
-    #: asked for it.
-    piggyback_summaries: bool = False
 
     def __post_init__(self) -> None:
         value = self.heartbeat_interval
@@ -81,9 +70,6 @@ class _Heartbeat:
     sender: int
     root_path: List[int]
     root_children: Optional[List[int]] = None  # only on root -> child beats
-    #: child -> parent only: fingerprint of the sender's last-reported
-    #: branch summary, refreshing the parent's held copy on match
-    summary_fp: Optional[bytes] = None
     #: parent -> child only, one header bit: whether the parent holds the
     #: child's branch summary (if not, the child's next report is full)
     holds_summary: bool = True
@@ -108,10 +94,9 @@ class MaintenanceProtocol:
         self.config = config
         self.telemetry = telemetry
         #: optional :class:`~repro.roads.update_plane.UpdatePlane`:
-        #: rejoins trigger an immediate full re-export, a parent's beat
-        #: saying it holds no summary for a child makes the child's next
-        #: report full, and (when ``piggyback_summaries`` is on)
-        #: heartbeats refresh summary TTLs
+        #: rejoins trigger an immediate full re-export, and a parent's
+        #: beat saying it holds no summary for a child makes the child's
+        #: next report full
         self.update_plane = update_plane
         # per-server: neighbour id -> last time we heard from it
         self._last_rx: Dict[int, Dict[int, float]] = {}
@@ -157,14 +142,9 @@ class MaintenanceProtocol:
         size = _HEARTBEAT_HEADER + len(hb.root_path) * _ID_BYTES
         if hb.root_children is not None:
             size += len(hb.root_children) * _ID_BYTES
-        if hb.summary_fp is not None:
-            size += _FINGERPRINT_BYTES
         return size
 
     def _send_heartbeats(self) -> None:
-        piggyback = (
-            self.config.piggyback_summaries and self.update_plane is not None
-        )
         for server in list(self.hierarchy):
             if not server.alive:
                 continue
@@ -179,11 +159,6 @@ class MaintenanceProtocol:
                     root_path=list(server.root_path),
                     root_children=(
                         server.child_ids() if server.is_root and peer in server.children
-                        else None
-                    ),
-                    summary_fp=(
-                        self.update_plane.heartbeat_fingerprint(server)
-                        if piggyback and peer is server.parent
                         else None
                     ),
                     holds_summary=(
@@ -208,19 +183,13 @@ class MaintenanceProtocol:
         server = self._get(server_id)
         if server is None:
             return
-        # Heartbeats from a child may carry its branch-summary
-        # fingerprint: refresh the held summary's TTL on content match.
-        if hb.summary_fp is not None and self.update_plane is not None:
-            self.update_plane.on_heartbeat_fingerprint(
-                server, hb.sender, hb.summary_fp
-            )
         # Heartbeats from the parent carry the authoritative root path.
         if server.parent is not None and hb.sender == server.parent.server_id:
             self._known_root_path[server_id] = hb.root_path + [server_id]
             if hb.root_children is not None:
                 self._known_root_children[server_id] = list(hb.root_children)
             if not hb.holds_summary and self.update_plane is not None:
-                self.update_plane.on_summary_missing(server)
+                self.update_plane.on_summary_missing(server, hb.sender, "child")
 
     def _get(self, server_id: int) -> Optional[Server]:
         try:

@@ -152,7 +152,7 @@ class Server:
     @property
     def last_reported_fingerprint(self) -> Optional[bytes]:
         """Content hash of :attr:`last_reported`, computed when first
-        compared (delta propagation; the piggybacking heartbeat)."""
+        compared (delta propagation)."""
         reported = self.last_reported
         return None if reported is None else reported.fingerprint()
 

@@ -49,8 +49,11 @@ from ..telemetry.tracing import TraceContext
 #: carries an encoded summary; a *keep-alive* carries only a fingerprint
 #: header that refreshes the receiver's matching soft state. They are
 #: distinct on the wire so the delta-propagation saving is observable.
+#: A receiver that cannot apply a keep-alive answers with a *nack*
+#: header, and the sender's next message to it is full.
 SUMMARY_FULL = "summary-full"
 SUMMARY_KEEPALIVE = "summary-keepalive"
+SUMMARY_NACK = "summary-nack"
 
 #: shared empty tag dict for untraced messages (never mutated)
 _NO_TAGS: Dict[str, object] = {}

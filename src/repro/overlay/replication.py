@@ -125,27 +125,25 @@ class ReplicaPusher:
     :func:`replication_audience` and its local-owner summary to its
     descendants, through real network messages installed at delivery
     time. Delta state is sender-side only: per ``(holder, table)``, the
-    fingerprint last shipped and when the last full summary went out;
-    a full re-send per holder is forced once the summary TTL elapsed
-    (soft-state anti-entropy under loss).
+    fingerprint last shipped. A holder that cannot apply a keep-alive
+    answers with a ``summary-nack``; :meth:`forget` then makes the next
+    push to it full.
     """
 
-    __slots__ = ("server", "config", "delta", "_sent")
+    __slots__ = ("server", "delta", "_sent")
 
-    def __init__(
-        self, server: Server, config: SummaryConfig, *, delta: bool = False
-    ):
+    def __init__(self, server: Server, *, delta: bool = False):
         self.server = server
-        self.config = config
         self.delta = delta
-        # (holder_id, table) -> (fingerprint last shipped, last full send time)
-        self._sent: Dict[tuple, tuple] = {}
+        # (holder_id, table) -> fingerprint last shipped in full
+        self._sent: Dict[tuple, bytes] = {}
+
+    def forget(self, holder_id: int, table: str) -> None:
+        """The next push of *table* to *holder_id* is full."""
+        self._sent.pop((holder_id, table), None)
 
     def plan_updates(
-        self,
-        now: float,
-        branch: Optional[ResourceSummary],
-        local: Optional[ResourceSummary],
+        self, branch: Optional[ResourceSummary], local: Optional[ResourceSummary]
     ) -> List[tuple]:
         """The pushes :meth:`build_updates` would send: ``[(holder_id, update, size)]``.
 
@@ -162,9 +160,7 @@ class ReplicaPusher:
         out: List[tuple] = []
         sent = self._sent
         sid = server.server_id
-        ttl = self.config.ttl
         may_keepalive = self.delta
-        never = (None, float("-inf"))
 
         def push_table(table: str, summary, holders) -> None:
             if summary is None:
@@ -178,11 +174,9 @@ class ReplicaPusher:
                 if not holder.alive:
                     continue
                 hid = holder.server_id
-                if may_keepalive:
-                    sent_fp, full_at = sent.get((hid, table), never)
-                    if sent_fp == fp and now - full_at < ttl:
-                        out.append((hid, keepalive, HEADER_BYTES))
-                        continue
+                if may_keepalive and sent.get((hid, table)) == fp:
+                    out.append((hid, keepalive, HEADER_BYTES))
+                    continue
                 out.append((hid, full, full_size))
 
         push_table("replica", branch, replication_audience(server))
@@ -190,27 +184,21 @@ class ReplicaPusher:
         return out
 
     def build_updates(
-        self,
-        now: float,
-        branch: Optional[ResourceSummary],
-        local: Optional[ResourceSummary],
+        self, branch: Optional[ResourceSummary], local: Optional[ResourceSummary]
     ) -> List[tuple]:
         """One epoch's pushes from this source: ``[(holder_id, update, size)]``.
 
-        *branch* (stamped *now*) and *local* are the server's summaries
-        for this tick, built once by the caller and shared with the
-        server's exporter; either may be ``None`` when there is nothing
+        *branch* (stamped with the tick's time) and *local* are the
+        server's summaries for this tick, built once by the caller and
+        shared with the server's exporter; either may be ``None`` when there is nothing
         to summarize. Commits :meth:`plan_updates`' answer to the
         pusher's delta state — a push counts as sent even if lost.
         """
-        pushes = self.plan_updates(now, branch, local)
+        pushes = self.plan_updates(branch, local)
         if not self.delta:
             return pushes  # nothing ever reads the delta state
         sent = self._sent
         for holder_id, update, _ in pushes:
-            key = (holder_id, update.table)
             if update.summary is not None:
-                sent[key] = (update.summary.fingerprint(), now)
-            else:
-                sent[key] = (update.fingerprint, sent[key][1])
+                sent[holder_id, update.table] = update.summary.fingerprint()
         return pushes

@@ -5,10 +5,11 @@ exports its branch summary to its parent and pushes its summaries to its
 overlay holders through :meth:`~repro.net.transport.Network.send`, as
 distinct ``summary-full`` / ``summary-keepalive`` message kinds.
 Installation happens at delivery time at the receiver
-(:meth:`SummaryUpdate.install`); a lost full send leaves the receiver
-silently rejecting the sender's keep-alives until the held content ages
-past its TTL — genuine observable staleness — and the sender's forced
-full once a TTL has passed since its last one heals it.
+(:meth:`SummaryUpdate.install`). A lost full send leaves the receiver
+holding stale content — genuine observable staleness — until the
+sender's next keep-alive, which the receiver cannot apply: it answers
+with one ``summary-nack``, and the sender's next message to it is full
+(:meth:`UpdatePlane.on_summary_missing`, the one repair path).
 
 Two driving modes:
 
@@ -33,6 +34,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..hierarchy.aggregation import (
+    HEADER_BYTES,
     AggregationReport,
     SummaryExporter,
     SummaryUpdate,
@@ -47,6 +49,7 @@ from ..net.transport import (
     Network,
     SUMMARY_FULL,
     SUMMARY_KEEPALIVE,
+    SUMMARY_NACK,
 )
 from ..overlay.replication import (
     ReplicaPusher,
@@ -94,6 +97,9 @@ class PlaneCounters:
     installed: int = 0
     refreshed: int = 0
     ignored: int = 0
+    #: ignored keep-alives answered with a ``summary-nack`` (a repair
+    #: request, so not part of an epoch's :class:`UpdateRoundReport`)
+    nacks: int = 0
     #: terminal message dispositions that never reached a handler
     lost: int = 0
     dropped: int = 0
@@ -190,6 +196,8 @@ class UpdatePlane:
             network.register_kind(
                 kind, lambda m: self._install_group([m], network.delivery_trace)
             )
+        network.register_kind_batch(SUMMARY_NACK, self._on_nacks)
+        network.register_kind(SUMMARY_NACK, lambda m: self._on_nacks([m]))
 
     @property
     def inflight(self) -> int:
@@ -201,14 +209,14 @@ class UpdatePlane:
     def _exporter(self, server: Server) -> SummaryExporter:
         ex = self._exporters.get(server.server_id)
         if ex is None or ex.server is not server:
-            ex = SummaryExporter(server, self.config, delta=self.delta)
+            ex = SummaryExporter(server, delta=self.delta)
             self._exporters[server.server_id] = ex
         return ex
 
     def _pusher(self, server: Server) -> ReplicaPusher:
         pu = self._pushers.get(server.server_id)
         if pu is None or pu.server is not server:
-            pu = ReplicaPusher(server, self.config, delta=self.delta)
+            pu = ReplicaPusher(server, delta=self.delta)
             self._pushers[server.server_id] = pu
         return pu
 
@@ -248,7 +256,8 @@ class UpdatePlane:
         whole group (every message shares the destination); outcomes
         are accounted per message. A batch delivery (no *ctx*: batch
         dispatch leaves the shared ``delivery_trace`` unset) takes each
-        message's causal parent from its own trace.
+        message's causal parent from its own trace. Each keep-alive the
+        receiver cannot apply is answered with one ``summary-nack``.
         """
         prof = self._profiler
         if prof is not None:
@@ -264,7 +273,9 @@ class UpdatePlane:
             now = self.sim.now
             outcomes = install_batch(server, [m.payload for m in msgs], now)
             tel = self.telemetry
+            nacks = []
             for msg, outcome in zip(msgs, outcomes):
+                dctx = None
                 if tel is not None:
                     dctx = tel.fork(ctx if ctx is not None else msg.trace)
                     tel.event(
@@ -285,9 +296,29 @@ class UpdatePlane:
                     c.refreshed += 1
                 else:
                     c.ignored += 1
+                    if msg.payload.fingerprint is not None:  # a keep-alive
+                        nacks.append((msg.src, HEADER_BYTES, msg.payload.table,
+                                      SUMMARY_NACK, dctx))
+            if nacks:
+                c.nacks += len(nacks)
+                self._inflight += len(nacks)
+                self.network.send_many(
+                    server.server_id, nacks, UPDATE, phase="nack",
+                    on_dropped=self._on_dropped,
+                )
         finally:
             if prof is not None:
                 prof.exit()
+
+    def _on_nacks(self, msgs: List[Message]) -> None:
+        """A receiver could not apply this server's keep-alives."""
+        self._inflight -= len(msgs)
+        try:
+            server = self.hierarchy.get(msgs[0].dst)
+        except KeyError:
+            return  # the sender left the federation in flight
+        for msg in msgs:
+            self.on_summary_missing(server, msg.src, msg.payload)
 
     # -- per-server protocol steps -------------------------------------------------
     def _export_guest_owners(self, server: Server) -> None:
@@ -323,7 +354,7 @@ class UpdatePlane:
                 branch = branch.refreshed(now)
             built = None
             if server.parent is not None:
-                built = self._exporter(server).build_update(now, branch)
+                built = self._exporter(server).build_update(branch)
             if built is not None:
                 update, size = built
                 self.counters.count_report(update, size)
@@ -341,9 +372,7 @@ class UpdatePlane:
         if prof is not None:
             prof.enter("update.replicate")
         try:
-            pushes = self._pusher(server).build_updates(
-                self.sim.now, branch, local
-            )
+            pushes = self._pusher(server).build_updates(branch, local)
             if pushes:  # the whole fan-out of this server's tick: one batch
                 self.counters.count_pushes(pushes)
                 self._send_updates(server.server_id, pushes, "replicate")
@@ -410,7 +439,6 @@ class UpdatePlane:
             slot = (max_depth - server.depth + 1) * stagger
 
             def act(s: Server = server) -> None:
-                self.counters.expired += s.expire_stale_summaries(self.sim.now)
                 if s.alive:  # may have failed since the epoch was scheduled
                     branch, local = self._aggregate(s)
                     self._push_replicas(s, branch, local)
@@ -427,6 +455,14 @@ class UpdatePlane:
         t0 = self.sim.now
         self.trigger_epoch()
         self.drain()
+        # Expired entries go once the epoch has drained, not at each
+        # server's slot: a holder's slot comes before its shallower
+        # sources' keep-alives arrive, and would turn each one into a
+        # NACK (folds and routing skip expired entries either way).
+        now = self.sim.now
+        for server in self.hierarchy:
+            if server.alive:
+                self.counters.expired += server.expire_stale_summaries(now)
         self.epochs += 1
         report = self.counters.epoch_since(before)
         agg, rep = report.aggregation, report.replication
@@ -508,30 +544,18 @@ class UpdatePlane:
                 else None
             ))
 
-    def on_summary_missing(self, server: Server) -> None:
-        """*server*'s parent holds no branch summary for it (its full
-        report was lost, or expired): the next report is full, not a
-        keep-alive the parent would ignore until the TTL resend."""
-        self._exporter(server).forget_parent()
-
-    def heartbeat_fingerprint(self, server: Server) -> Optional[bytes]:
-        """Fingerprint a child piggybacks on its parent heartbeat."""
-        return server.last_reported_fingerprint
-
-    def on_heartbeat_fingerprint(
-        self, parent: Server, child_id: int, fingerprint: bytes
-    ) -> bool:
-        """Child heartbeat carried a summary fingerprint: refresh TTL.
-
-        Same acceptance rule as a keep-alive message: the parent's held
-        child summary is re-stamped only when the content matches.
-        """
-        ok = parent.refresh_summary(
-            "child", child_id, fingerprint, self.sim.now
-        )
-        if ok:
-            self.counters.refreshed += 1
-        return ok
+    def on_summary_missing(
+        self, server: Server, receiver_id: int, table: str
+    ) -> None:
+        """*receiver_id* holds nothing current of *server*'s in *table*
+        (a full send was lost, or the entry expired): the next message
+        *server* sends it there is full, not a keep-alive it would
+        ignore. The one repair path of soft state; a ``summary-nack``
+        and a parent's heartbeat both land here."""
+        if table == "child":
+            self._exporter(server).forget_parent()
+        else:
+            self._pusher(server).forget(receiver_id, table)
 
     # -- measurement -----------------------------------------------------------------
     def measure_epoch(self) -> UpdateRoundReport:
@@ -557,9 +581,11 @@ class UpdatePlane:
     ) -> Optional[ResourceSummary]:
         """Add what *server*'s subtree would send to *cost*.
 
-        Returns the branch summary *server*'s report would install at
-        its parent, or None when the parent keeps what it holds (dead
-        server, keep-alive, empty branch). A child's fresh branch is
+        Returns the branch summary *server*'s report would leave at its
+        parent: the fresh branch of a full report, the parent's held
+        entry re-stamped *now* for a keep-alive that matches it, or None
+        when the parent keeps what it holds (dead server, empty branch,
+        a keep-alive it cannot apply). A child's fresh branch is
         referenced only here, so it is released once *server* has
         folded it.
         """
@@ -578,12 +604,17 @@ class UpdatePlane:
             return None
         local = server.local_summary(self.config, now, exports)
         branch = server.fold_branch(local, now, reports)
-        cost.count_pushes(self._pusher(server).plan_updates(now, branch, local))
-        built = self._exporter(server).plan_update(now, branch)
+        cost.count_pushes(self._pusher(server).plan_updates(branch, local))
+        built = self._exporter(server).plan_update(branch)
         if built is None:
             return None
         cost.count_report(*built)
-        return built[0].summary
+        update = built[0]
+        if update.fingerprint is not None:  # a keep-alive
+            held = server.parent.child_summaries.get(server.server_id)
+            if held is not None and held.fingerprint() == update.fingerprint:
+                return held.refreshed(now)
+        return update.summary
 
     def staleness_snapshot(self) -> Dict[str, float]:
         """Age statistics over every held soft-state summary, right now.

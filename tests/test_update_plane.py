@@ -5,14 +5,16 @@ Summaries now travel as real simulated messages (``summary-full`` /
 down the properties that matter:
 
 * a drained loss-free epoch costs byte-for-byte what ``measure_epoch``
-  said it would, crashed servers and forced re-sends included;
+  said it would, crashed servers and a TTL gap included, and never
+  NACKs;
 * measuring an epoch's cost does not perturb delta state (the old
   ``update_bytes_per_epoch`` observer effect);
 * a lost full update leaves genuinely stale soft state: keep-alives are
-  rejected, queries quietly miss the unreachable content, the entry
-  expires at its TTL, and the sender's forced full re-send heals it;
-* maintenance integration: rejoins re-export immediately, heartbeats
-  can piggyback summary fingerprints;
+  rejected and answered with a ``summary-nack``, queries quietly miss
+  the unreachable content, and the sender's next report is full; an
+  entry whose sender fell silent expires at its TTL;
+* maintenance integration: rejoins re-export immediately, a parent's
+  heartbeat repairs a lost first report;
 * the public ``QueryExecution.start(mode=...)`` entry points.
 """
 
@@ -91,6 +93,7 @@ class TestEpochParity:
         _, _, system = build(delta=delta)
         measured = system.update_plane.measure_epoch()
         assert system.refresh() == measured
+        assert system.update_plane.counters.nacks == 0
 
     @pytest.mark.parametrize("delta", [False, True])
     def test_crashed_server_neither_sends_nor_is_sent_to(self, delta):
@@ -101,16 +104,29 @@ class TestEpochParity:
         measured = system.update_plane.measure_epoch()
         assert system.refresh() == measured
         assert measured.aggregation.messages == N - 2
+        assert system.update_plane.counters.nacks == 0
 
-    def test_forced_full_resends_are_measured(self):
+    def test_epoch_after_a_ttl_gap_is_measured(self):
         _, _, system = build(delta=True, ttl=300.0)
+        plane = system.update_plane
         system.refresh()  # steady state: the next epoch is keep-alives
-        assert system.update_plane.measure_epoch().replication.full_sends == 0
+        assert plane.measure_epoch().replication.full_sends == 0
         system.sim.run(until=system.sim.now + 1000.0)
-        measured = system.update_plane.measure_epoch()
-        assert system.refresh() == measured
-        assert measured.aggregation.keepalive_reports == 0
-        assert measured.replication.keepalive_sends == 0
+        # Every held entry expired, and no sender tracks the TTL: each
+        # keep-alive re-stamps its holder's entry before the epoch's
+        # sweep, and the measurement folds the re-stamped child entries.
+        measured = plane.measure_epoch()
+        gap = system.refresh()
+        assert gap == measured
+        assert gap.aggregation.full_reports == gap.replication.full_sends == 0
+        now = system.sim.now
+        held = [e for s in system.hierarchy for e in (
+            *s.child_summaries.values(), *s.replicated_summaries.values(),
+            *s.replicated_local_summaries.values(),
+        )]
+        assert len(held) == (N - 1) + gap.replication.keepalive_sends
+        assert not any(e.is_expired(now) for e in held)
+        assert plane.counters.nacks == plane.counters.expired == 0
 
     def test_epoch_parity_with_guests(self):
         wcfg = WorkloadConfig(num_nodes=N, records_per_node=RECORDS, seed=3)
@@ -126,6 +142,7 @@ class TestEpochParity:
             == measured.aggregation.export_bytes
         )
         assert epoch.total_bytes == measured.total_bytes
+        assert system.update_plane.counters.nacks == 0
 
     def test_update_messages_use_wire_kinds(self):
         _, stores, system = build()
@@ -155,7 +172,8 @@ class TestEpochParity:
         system.network.send_many = spy_many
         system.refresh()
         names = {k for k, _ in kinds}
-        assert names == {SUMMARY_FULL, SUMMARY_KEEPALIVE}
+        assert names == {SUMMARY_FULL, SUMMARY_KEEPALIVE}  # no NACK
+        assert system.update_plane.counters.nacks == 0
         # Keep-alives are headers; full sends carry the encoded summary.
         max_keepalive = max(s for k, s in kinds if k == SUMMARY_KEEPALIVE)
         min_full = min(s for k, s in kinds if k == SUMMARY_FULL)
@@ -233,7 +251,7 @@ PINNED = {
             full_reports=78, keepalive_reports=0,
             replication_bytes=6488832, replication_messages=816,
             full_sends=816, keepalive_sends=0,
-            installed=896, refreshed=0, ignored=0,
+            installed=896, refreshed=0, ignored=0, nacks=0,
             lost=0, dropped=0, expired=0,
             install_lag_sum=97.4778710542604,
             install_lag_max=0.44762922134032035,
@@ -256,7 +274,7 @@ PINNED = {
             full_reports=48, keepalive_reports=30,
             replication_bytes=5726976, replication_messages=816,
             full_sends=720, keepalive_sends=96,
-            installed=770, refreshed=126, ignored=0,
+            installed=770, refreshed=126, ignored=0, nacks=0,
             lost=0, dropped=0, expired=0,
             install_lag_sum=83.58853131160461,
             install_lag_max=0.44762922134032035,
@@ -497,12 +515,17 @@ def empty_bucket_value(store, merged, buckets=BUCKETS):
 
 
 class TestLossAndTTL:
-    """Lost full update -> stale soft state -> TTL expiry -> heal."""
+    """Lost full update -> stale soft state -> NACK -> full -> heal;
+    a silent sender's entry expires at its TTL."""
 
-    def _stale_system(self, ttl=40.0):
+    def _stale_system(self, ttl=40.0, replicated=False):
         _, stores, system = build(ttl=ttl)
         system.refresh()  # steady state armed
-        leaf = max(system.hierarchy, key=lambda s: s.depth)
+        # replicated: the leaf's branch has replica holders (siblings)
+        leaf = max(
+            (s for s in system.hierarchy if s.siblings() or not replicated),
+            key=lambda s: s.depth,
+        )
         assert leaf.parent is not None
         merged = merge_stores(stores)
         value = empty_bucket_value(stores[leaf.server_id], merged)
@@ -549,12 +572,16 @@ class TestLossAndTTL:
     def test_stale_summary_expires_and_query_degrades_gracefully(self):
         stores, system, leaf, query = self._stale_system(ttl=40.0)
         sim = system.sim
-        # Keep the rest of the soft state fresh while the stale entries
-        # age: epochs every 10s, rejection repeating each time.
+        parent = leaf.parent
+        # The leaf crashes: nothing refreshes its parent's stale entry.
+        leaf.alive = False
+        system.network.fail_node(leaf.server_id)
+        # Keep the rest of the soft state fresh while that entry ages:
+        # epochs every 10s.
         for _ in range(3):
             sim.run(until=sim.now + 10.0)
             system.refresh()
-        stale_entry = leaf.parent.child_summaries[leaf.server_id]
+        stale_entry = parent.child_summaries[leaf.server_id]
         assert not stale_entry.is_expired(sim.now)
         sim.run(until=sim.now + 12.0)  # past the 40s TTL, no epoch yet
         assert stale_entry.is_expired(sim.now)
@@ -562,27 +589,47 @@ class TestLossAndTTL:
         assert outcome.completed  # expired branch degrades, not raises
         owner = f"owner-{leaf.server_id}"
         assert owner not in {h.owner_id for h in outcome.owner_hits}
+        expired = system.update_plane.counters.expired
+        system.refresh()  # the parent's tick sweeps the entry
+        assert leaf.server_id not in parent.child_summaries
+        assert system.update_plane.counters.expired > expired
 
-    def test_forced_full_resend_heals_staleness(self):
-        stores, system, leaf, query = self._stale_system(ttl=40.0)
-        sim = system.sim
-        for _ in range(3):
-            sim.run(until=sim.now + 10.0)
-            system.refresh()
-        sim.run(until=sim.now + 12.0)
-        # A TTL has elapsed since the exporter's last
-        # full send: soft-state anti-entropy re-ships the full summary.
-        report = system.refresh()
+    def test_nack_repairs_a_lost_full_report(self):
+        stores, system, leaf, query = self._stale_system()
+        plane = system.update_plane
+        system.refresh()  # the parent ignores the keep-alive and NACKs
+        held = leaf.parent.child_summaries[leaf.server_id]
+        current = leaf.branch_summary(system.config.summary, system.sim.now)
+        assert held.fingerprint() != current.fingerprint()
+        report = system.refresh()  # the NACKed report goes out full
         assert report.aggregation.full_reports >= 1
         held = leaf.parent.child_summaries[leaf.server_id]
-        assert held.fingerprint() == (
-            leaf.branch_summary(system.config.summary, sim.now).fingerprint()
-        )
+        assert held.fingerprint() == current.fingerprint()
         outcome = system.search(SearchRequest(query, client_node=0)).outcome
         owner = f"owner-{leaf.server_id}"
         assert owner in {h.owner_id for h in outcome.owner_hits}
-        reference = merge_stores(stores)
-        assert outcome.total_matches == query.match_count(reference)
+        assert outcome.total_matches == query.match_count(merge_stores(stores))
+        nacks = plane.counters.nacks
+        assert nacks > 0
+        system.refresh()  # repaired: keep-alives apply again
+        assert plane.counters.nacks == nacks
+
+    def test_nack_repairs_a_lost_replica_push(self):
+        stores, system, leaf, query = self._stale_system(replicated=True)
+        holder = leaf.siblings()[0]
+        system.refresh()  # the holder ignores the keep-alive and NACKs
+        held = holder.replicated_summaries[leaf.server_id]
+        current = leaf.branch_summary(system.config.summary, system.sim.now)
+        assert held.fingerprint() != current.fingerprint()
+        report = system.refresh()  # the NACKed push goes out full
+        assert report.replication.full_sends >= 1
+        held = holder.replicated_summaries[leaf.server_id]
+        assert held.fingerprint() == current.fingerprint()
+        outcome = system.search(
+            SearchRequest(query, client_node=0, start_server=holder.server_id)
+        ).outcome
+        owner = f"owner-{leaf.server_id}"
+        assert owner in {h.owner_id for h in outcome.owner_hits}
 
     def test_seeded_loss_rate_reports_losses(self):
         _, _, system = build(loss_rate=0.2, seed=9)
@@ -676,7 +723,7 @@ class TestMaintenanceIntegration:
         sim.run(until=sim.now + 3 * proto.config.heartbeat_interval)
         # Each parent's heartbeat said it holds nothing for the child, so
         # the next epoch reports in full instead of keep-alives that the
-        # parent would ignore until the exporters' TTL resend.
+        # parent would ignore and NACK.
         report = system.refresh()
         assert report.aggregation.keepalive_reports == 0
         for s in system.hierarchy:
@@ -686,45 +733,6 @@ class TestMaintenanceIntegration:
         for q in generate_queries(wcfg, num_queries=5, dimensions=2):
             o = system.search(SearchRequest(q, client_node=1)).outcome
             assert o.total_matches == q.match_count(reference)
-
-    def test_heartbeat_piggyback_refreshes_child_ttl(self):
-        from repro.hierarchy.maintenance import MaintenanceConfig
-
-        _, _, system = build(seed=15)
-        system.enable_maintenance(
-            MaintenanceConfig(
-                heartbeat_interval=2.0, piggyback_summaries=True
-            )
-        )
-        system.refresh()
-        leaf = max(system.hierarchy, key=lambda s: s.depth)
-        held = leaf.parent.child_summaries[leaf.server_id]
-        stamped = held.created_at
-        sim = system.sim
-        sim.run(until=sim.now + 10.0)  # heartbeats only, no epochs
-        refreshed = leaf.parent.child_summaries[leaf.server_id]
-        assert refreshed.created_at > stamped
-        assert refreshed.fingerprint() == held.fingerprint()
-
-    def test_heartbeat_piggyback_off_by_default(self):
-        from repro.sim.metrics import MAINTENANCE
-
-        def maintenance_bytes(piggyback):
-            from repro.hierarchy.maintenance import MaintenanceConfig
-
-            _, _, system = build(seed=15)
-            system.enable_maintenance(
-                MaintenanceConfig(
-                    heartbeat_interval=2.0,
-                    piggyback_summaries=piggyback,
-                )
-            )
-            system.refresh()
-            start = system.sim.now
-            system.sim.run(until=start + 10.0)
-            return system.metrics.totals_by_category()[0].get(MAINTENANCE, 0)
-
-        assert maintenance_bytes(False) < maintenance_bytes(True)
 
 
 class TestQueryEntryModes:
@@ -818,3 +826,4 @@ class TestOneEpochPinned:
             self.held_digest(system),
         )
         assert got == self.PINNED[delta, loss_rate]
+        assert system.update_plane.counters.nacks == 0
