@@ -6,8 +6,8 @@ package implements the full system and every substrate its evaluation
 depends on:
 
 * :mod:`repro.records` — resource records, schemas, columnar stores;
-* :mod:`repro.summaries` — histogram / value-set / Bloom-filter /
-  multi-resolution summaries with mergeable, no-false-negative semantics;
+* :mod:`repro.summaries` — histogram and value-set summaries with
+  mergeable, no-false-negative semantics;
 * :mod:`repro.query` — multi-dimensional range queries and selectivity
   tooling;
 * :mod:`repro.sim`, :mod:`repro.net` — discrete-event simulator and a
@@ -48,7 +48,6 @@ from .records import (
 )
 from .query import EqualsPredicate, Query, RangePredicate
 from .summaries import (
-    BloomFilterSummary,
     HistogramSummary,
     ResourceSummary,
     SummaryConfig,
@@ -90,7 +89,6 @@ __all__ = [
     "ResourceSummary",
     "HistogramSummary",
     "ValueSetSummary",
-    "BloomFilterSummary",
     # systems
     "RoadsSystem",
     "RoadsConfig",

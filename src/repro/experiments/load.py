@@ -84,7 +84,6 @@ def offered_load_rows(
                 max_children=settings.max_children,
                 summary=SummaryConfig(histogram_buckets=buckets),
                 summary_interval=settings.summary_interval,
-                record_interval=settings.record_interval,
                 delta_updates=True,
                 seed=settings.seed,
             )

@@ -123,7 +123,6 @@ def _drive(
             histogram_buckets=min(settings.histogram_buckets, 200)
         ),
         summary_interval=interval,
-        record_interval=settings.record_interval,
         delta_updates=True,
         loss_rate=loss,
         seed=settings.seed,

@@ -89,7 +89,6 @@ def build_roads(
             histogram_buckets=settings.histogram_buckets, ttl=math.inf
         ),
         summary_interval=settings.summary_interval,
-        record_interval=settings.record_interval,
         seed=seed,
     )
     return RoadsSystem.build(cfg, stores, telemetry=telemetry)

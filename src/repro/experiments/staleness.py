@@ -59,7 +59,6 @@ def update_plane_staleness_rows(
             max_children=settings.max_children,
             summary=SummaryConfig(histogram_buckets=buckets),
             summary_interval=settings.summary_interval,
-            record_interval=settings.record_interval,
             delta_updates=True,
             loss_rate=loss,
             seed=settings.seed,

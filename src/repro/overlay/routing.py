@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional
 
 from ..query.query import Query
-from ..summaries.config import SummaryConfig
 from ..hierarchy.node import AttachedOwner, Server
 
 #: per-target entry bytes in a redirect response
@@ -38,6 +37,9 @@ class RoutingDecision(NamedTuple):
     #: ancestors to query for their *locally attached* owners only — their
     #: descendants are already covered by the sibling-branch redirects
     owners_only_ids: List[int]
+    #: table entries skipped because their TTL had passed: branches this
+    #: decision could not vouch for (a child with no entry is not counted)
+    expired: int = 0
 
     @property
     def response_size_bytes(self) -> int:
@@ -48,7 +50,7 @@ class RoutingDecision(NamedTuple):
         )
 
 
-def _owner_may_match(owner: AttachedOwner, query: Query, config: SummaryConfig) -> bool:
+def _owner_may_match(owner: AttachedOwner, query: Query) -> bool:
     if owner.controls_server:
         # The server holds the raw records: its summary of them, then they.
         return owner.holds_match(query)
@@ -57,35 +59,34 @@ def _owner_may_match(owner: AttachedOwner, query: Query, config: SummaryConfig) 
     return owner.summary.may_match(query)
 
 
-def decide_descent(server: Server, query: Query, config: SummaryConfig,
+def decide_descent(server: Server, query: Query,
                    now: float = 0.0) -> RoutingDecision:
     """Routing decision using only the server's own branch state."""
-    decision = RoutingDecision(server.server_id, [], [], [])
-    for owner in server.owners:
-        if _owner_may_match(owner, query, config):
-            decision.owner_hits.append(owner)
+    owner_hits = [o for o in server.owners if _owner_may_match(o, query)]
+    redirect_ids = []
+    expired = 0
     held = server.child_summaries
     for child in server.children:
         summary = held.get(child.server_id)
-        # ``summary.is_expired(now)``, inline: this is the descent's loop
-        if summary is None or now - summary.created_at > summary.config.ttl:
+        if summary is None:
             continue
-        if summary.may_match(query):
-            decision.redirect_ids.append(child.server_id)
-    return decision
+        # ``summary.is_expired(now)``, inline: this is the descent's loop
+        if now - summary.created_at > summary.config.ttl:
+            expired += 1
+        elif summary.may_match(query):
+            redirect_ids.append(child.server_id)
+    return RoutingDecision(server.server_id, owner_hits, redirect_ids, [], expired)
 
 
-def decide_local(server: Server, query: Query, config: SummaryConfig,
-                 now: float = 0.0) -> RoutingDecision:
+def decide_local(server: Server, query: Query) -> RoutingDecision:
     """Owners-only decision: evaluate locally attached owners, no fan-out."""
-    decision = RoutingDecision(server.server_id, [], [], [])
-    for owner in server.owners:
-        if _owner_may_match(owner, query, config):
-            decision.owner_hits.append(owner)
-    return decision
+    return RoutingDecision(
+        server.server_id,
+        [o for o in server.owners if _owner_may_match(o, query)], [], [],
+    )
 
 
-def decide_start(server: Server, query: Query, config: SummaryConfig,
+def decide_start(server: Server, query: Query,
                  now: float = 0.0) -> RoutingDecision:
     """Routing decision at the search's entry point.
 
@@ -97,21 +98,22 @@ def decide_start(server: Server, query: Query, config: SummaryConfig,
     owners-only mode. Together this covers the whole hierarchy exactly
     once.
     """
-    decision = decide_descent(server, query, config, now)
+    decision = decide_descent(server, query, now)
+    expired = decision.expired
     ancestors = set(server.root_path[:-1])
     for src_id, summary in server.replicated_summaries.items():
         if src_id in ancestors:
             continue  # handled below via their local summaries
-        if now - summary.created_at > summary.config.ttl:  # expired
-            continue
-        if summary.may_match(query):
+        if now - summary.created_at > summary.config.ttl:
+            expired += 1
+        elif summary.may_match(query):
             decision.redirect_ids.append(src_id)
     for src_id, summary in server.replicated_local_summaries.items():
-        if now - summary.created_at > summary.config.ttl:  # expired
-            continue
-        if summary.may_match(query):
+        if now - summary.created_at > summary.config.ttl:
+            expired += 1
+        elif summary.may_match(query):
             decision.owners_only_ids.append(src_id)
-    return decision
+    return decision._replace(expired=expired) if expired else decision
 
 
 def scope_candidates(server: Server) -> List[int]:

@@ -7,8 +7,7 @@ A resource in ROADS is described by attribute/value pairs, e.g.::
 Attributes are typed: numeric attributes (float or int) support range
 predicates and are summarized with histograms, while categorical attributes
 (including free strings, which the paper treats as enumerable values)
-support equality predicates and are summarized with value sets or Bloom
-filters.
+support equality predicates and are summarized with value sets.
 """
 
 from __future__ import annotations

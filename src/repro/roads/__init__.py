@@ -12,7 +12,9 @@ from .policy import (
     SharingPolicy,
     TieredPolicy,
 )
-from .search import PendingSearch, RetryPolicy, SearchRequest, SearchResult
+from .search import (
+    PendingSearch, RetryPolicy, SearchRequest, SearchResult, Verdict,
+)
 from .system import GuestOwner, RoadsSystem, UpdateRoundReport
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "UpdateRoundReport",
     "SearchRequest",
     "SearchResult",
+    "Verdict",
     "PendingSearch",
     "RetryPolicy",
     "LoadConfig",

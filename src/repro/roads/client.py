@@ -25,7 +25,6 @@ from ..query.query import Query
 from ..records.store import RecordStore
 from ..sim.engine import Event, Simulator
 from ..sim.metrics import QUERY
-from ..summaries.config import SummaryConfig
 from ..telemetry.core import Telemetry
 from ..telemetry.tracing import TraceContext
 from ..hierarchy.join import Hierarchy
@@ -79,6 +78,10 @@ class QueryOutcome:
     #: ``server id -> (id of the server whose redirect was followed,
     #: "descent" | "local")``; the entry server has no route
     routes: Dict[int, Tuple[int, str]] = field(default_factory=dict)
+    #: beside the routes: ``server id -> table entries its routing
+    #: decision skipped as expired`` (entry server included; servers that
+    #: skipped none are absent). Branches behind them were never asked.
+    expired: Dict[int, int] = field(default_factory=dict)
     #: causal trace this execution recorded under (0 = untraced)
     trace_id: int = 0
     #: span id of this execution's ``search`` root span (0 = untraced);
@@ -309,7 +312,6 @@ class QueryExecution:
         sim: Simulator,
         network: Network,
         hierarchy: Hierarchy,
-        summary_config: SummaryConfig,
         policies: PolicyTable,
         query: Query,
         client_node: int,
@@ -325,7 +327,6 @@ class QueryExecution:
         self.sim = sim
         self.network = network
         self.hierarchy = hierarchy
-        self.summary_config = summary_config
         self.policies = policies
         self.query = query
         self.client_node = client_node
@@ -432,12 +433,13 @@ class QueryExecution:
         # Looked up by name on every call: the routing functions are
         # rebound by outside-in tracers.
         if mode == "start":
-            decide = decide_start
+            decision = decide_start(server, self.query, self.sim.now)
         elif mode == "descent":
-            decide = decide_descent
+            decision = decide_descent(server, self.query, self.sim.now)
         else:
-            decide = decide_local
-        decision = decide(server, self.query, self.summary_config, self.sim.now)
+            decision = decide_local(server, self.query)
+        if decision.expired:
+            self.outcome.expired[server.server_id] = decision.expired
         tel = self._telemetry
         if tel is not None:
             mctx = tel.fork(dctx)

@@ -19,8 +19,9 @@ class RoadsConfig:
     stay local and only summaries travel).
 
     ``summary_interval`` is the paper's ``t_s`` (how often summaries are
-    refreshed/propagated) and ``record_interval`` its ``t_r`` (how often
-    records change); the analysis uses ``t_r / t_s = 0.1``.
+    refreshed/propagated). The paper's ``t_r`` (how often records change)
+    is read where records are re-registered or changed: ``SwordConfig``,
+    ``CentralConfig`` and ``DynamicsConfig``.
     """
 
     num_nodes: int = 320
@@ -28,7 +29,6 @@ class RoadsConfig:
     max_children: int = 8
     summary: SummaryConfig = field(default_factory=SummaryConfig)
     summary_interval: float = 60.0
-    record_interval: float = 6.0
     #: delta propagation: unchanged summaries send only a keep-alive
     #: header each epoch instead of the full summary
     delta_updates: bool = False
@@ -44,10 +44,9 @@ class RoadsConfig:
             raise ValueError("records_per_node must be >= 0")
         if self.max_children < 1:
             raise ValueError("max_children must be >= 1")
-        for name in ("summary_interval", "record_interval"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"update intervals must be positive and "
-                                 f"finite: {name}={getattr(self, name)}")
+        if not 0 < self.summary_interval < math.inf:
+            raise ValueError(f"update intervals must be positive and "
+                             f"finite: summary_interval={self.summary_interval}")
         if not (0.0 <= self.loss_rate < 1.0):
             raise ValueError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate}"

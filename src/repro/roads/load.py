@@ -80,6 +80,12 @@ class LoadReport:
         return sum(1 for r in self.results if r.shed)
 
     @property
+    def degraded(self) -> int:
+        """Queries routed past expired summary entries (their
+        :class:`~repro.roads.search.Verdict` is degraded)."""
+        return sum(1 for r in self.results if r.verdict.degraded)
+
+    @property
     def rejections(self) -> int:
         """Total reject notices received across all queries (pre-retry)."""
         return sum(r.outcome.rejections for r in self.results)

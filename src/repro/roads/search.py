@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..query.query import Query
 from ..sim.metrics import finite_positive
@@ -106,6 +106,24 @@ class SearchRequest:
         )
 
 
+class Verdict(NamedTuple):
+    """How far a search's answer can be trusted: complete, or degraded —
+    routed past ``expired`` summary-table entries whose TTL had passed,
+    so the branches behind them were never asked. Independent of
+    :attr:`SearchResult.ok`, which is about contacts that failed."""
+
+    expired: int = 0
+
+    @property
+    def degraded(self) -> bool:
+        return self.expired > 0
+
+    def __str__(self) -> str:
+        if not self.expired:
+            return "complete"
+        return f"degraded (routed past {self.expired} expired entries)"
+
+
 @dataclass(eq=False)
 class SearchResult:
     """One served query: the request, its outcome, and serving times.
@@ -144,6 +162,11 @@ class SearchResult:
             and not self.outcome.timed_out_servers
             and not self.outcome.shed_servers
         )
+
+    @property
+    def verdict(self) -> Verdict:
+        """Complete, or degraded: see :class:`Verdict`."""
+        return Verdict(sum(self.outcome.expired.values()))
 
     def __getattr__(self, name: str):
         # Only reached for attributes not defined on SearchResult;

@@ -411,8 +411,8 @@ class RoadsSystem:
                 on_complete(result)
 
         pending.execution = QueryExecution(
-            self.sim, self.network, self.hierarchy, self.config.summary,
-            self.policies, request.query, client, start,
+            self.sim, self.network, self.hierarchy, self.policies,
+            request.query, client, start,
             collect_records=request.collect_records,
             retry=request.retry,
             first_k=request.first_k,

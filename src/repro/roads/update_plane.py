@@ -28,6 +28,7 @@ walk that mutates nothing, sends nothing and leaves the clock alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
@@ -189,6 +190,11 @@ class UpdatePlane:
         #: messages and scheduled epoch events not yet terminally resolved
         self._inflight = 0
         self._tasks: Dict[int, PeriodicTask] = {}
+        #: when the plane last stopped sending (an epoch drained, or
+        #: :meth:`stop`), and the start a free-running holder's sweep
+        #: counts its TTL from (see :meth:`start`)
+        self._idle_since = sim.now
+        self._sweep_from = -math.inf
         for kind in (SUMMARY_FULL, SUMMARY_KEEPALIVE):
             # A delivery group installs in one call; a message that waited
             # in a service queue alone, under the context forked for it.
@@ -459,7 +465,7 @@ class UpdatePlane:
         # server's slot: a holder's slot comes before its shallower
         # sources' keep-alives arrive, and would turn each one into a
         # NACK (folds and routing skip expired entries either way).
-        now = self.sim.now
+        now = self._idle_since = self.sim.now
         for server in self.hierarchy:
             if server.alive:
                 self.counters.expired += server.expire_stale_summaries(now)
@@ -491,9 +497,18 @@ class UpdatePlane:
         has no global phase; subsequent ticks jitter independently.
         Opt-in: coordinated :meth:`run_epoch` callers never pay for (or
         observe) background traffic they didn't ask for.
+
+        A start after the plane sat idle (a :meth:`stop`, or a build left
+        standing) finds entries aged by the gap, which their senders'
+        next keep-alives refresh: until one TTL has passed since this
+        start, a tick sweeps nothing, so none of them turns into a NACK
+        and a full resend. A start right where the plane stopped (the
+        build's own epoch) sweeps as before.
         """
         if self._tasks:
             return
+        if self.sim.now > self._idle_since:
+            self._sweep_from = self.sim.now
         for server in list(self.hierarchy):
             sid = server.server_id
             first = float(self._rng.random()) * self.interval
@@ -510,6 +525,7 @@ class UpdatePlane:
         for task in self._tasks.values():
             task.stop()
         self._tasks.clear()
+        self._idle_since = self.sim.now
 
     def _tick(self, server_id: int) -> None:
         try:
@@ -522,7 +538,9 @@ class UpdatePlane:
         if not server.alive:
             return
         self.ticks += 1
-        self.counters.expired += server.expire_stale_summaries(self.sim.now)
+        now = self.sim.now
+        if now - self._sweep_from > self.config.ttl:
+            self.counters.expired += server.expire_stale_summaries(now)
         self._export_guest_owners(server)
         branch, local = self._aggregate(server)
         self._push_replicas(server, branch, local)

@@ -1,7 +1,6 @@
 """Condensed, mergeable summaries of resource record sets."""
 
 from .base import AttributeSummary, SummaryMergeError
-from .bloom import BloomFilterSummary, optimal_parameters
 from .config import SummaryConfig
 from .histogram import HistogramSummary
 from .summary import ResourceSummary
@@ -12,8 +11,6 @@ __all__ = [
     "SummaryMergeError",
     "HistogramSummary",
     "ValueSetSummary",
-    "BloomFilterSummary",
-    "optimal_parameters",
     "ResourceSummary",
     "SummaryConfig",
 ]

@@ -21,7 +21,6 @@ import numpy as np
 
 from ..records.schema import Schema
 from .base import AttributeSummary
-from .bloom import BloomFilterSummary
 from .config import SummaryConfig
 from .histogram import HistogramSummary
 from .summary import ResourceSummary
@@ -29,7 +28,6 @@ from .valueset import ValueSetSummary
 
 _KIND_HISTOGRAM = 1
 _KIND_VALUESET = 2
-_KIND_BLOOM = 3
 
 #: the histogram frame's encoding byte: dense counters
 _DENSE = 0
@@ -104,33 +102,6 @@ def decode_valueset(buf: bytes, off: int = 0) -> Tuple[ValueSetSummary, int]:
     return ValueSetSummary(name, values), off
 
 
-# -- bloom filter ---------------------------------------------------------------
-
-def encode_bloom(f: BloomFilterSummary) -> bytes:
-    head = struct.pack("<BB", _KIND_BLOOM, 0) + _pack_name(f.attribute)
-    head += struct.pack("<IH", f.bits, f.num_hashes)
-    payload = np.packbits(f._array).tobytes()
-    return head + payload
-
-
-def decode_bloom(buf: bytes, off: int = 0) -> Tuple[BloomFilterSummary, int]:
-    kind, _ = struct.unpack_from("<BB", buf, off)
-    if kind != _KIND_BLOOM:
-        raise CodecError(f"expected bloom frame, got kind {kind}")
-    off += 2
-    name, off = _unpack_name(buf, off)
-    bits, num_hashes = struct.unpack_from("<IH", buf, off)
-    off += struct.calcsize("<IH")
-    nbytes = (bits + 7) // 8
-    arr = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=off)
-    )[:bits].astype(bool)
-    off += nbytes
-    out = BloomFilterSummary(name, bits, num_hashes)
-    out._array = arr
-    return out, off
-
-
 # -- dispatch ----------------------------------------------------------------
 
 def encode_attribute(summary: AttributeSummary) -> bytes:
@@ -138,8 +109,6 @@ def encode_attribute(summary: AttributeSummary) -> bytes:
         return encode_histogram(summary)
     if isinstance(summary, ValueSetSummary):
         return encode_valueset(summary)
-    if isinstance(summary, BloomFilterSummary):
-        return encode_bloom(summary)
     raise CodecError(f"no codec for summary type {type(summary).__name__}")
 
 
@@ -151,8 +120,6 @@ def decode_attribute(buf: bytes, off: int = 0) -> Tuple[AttributeSummary, int]:
         return decode_histogram(buf, off)
     if kind == _KIND_VALUESET:
         return decode_valueset(buf, off)
-    if kind == _KIND_BLOOM:
-        return decode_bloom(buf, off)
     raise CodecError(f"unknown frame kind {kind}")
 
 

@@ -23,7 +23,6 @@ from ..query.query import Query
 from ..records.schema import Schema
 from ..records.store import RecordStore
 from .base import AttributeSummary, SummaryMergeError
-from .bloom import BloomFilterSummary
 from .config import SummaryConfig
 from .histogram import (
     HistogramSummary,
@@ -40,7 +39,7 @@ class ResourceSummary:
     """Summaries of every searchable attribute of a set of resource records.
 
     ``block`` is read-only (row ``i``: the schema's ``i``-th numeric
-    attribute), ``categorical`` maps names to value-set or Bloom summaries,
+    attribute), ``categorical`` maps names to value-set summaries,
     and ``records`` bounds every row's total (a store summary's record
     count), so a merge can refuse to wrap a counter.
 
@@ -73,7 +72,7 @@ class ResourceSummary:
         if attributes is None:
             block = np.zeros((len(numeric), buckets), dtype=np.int32)
             categorical = schema.categorical_attributes
-            attributes = {s.name: _categorical(s.name, (), config) for s in categorical}
+            attributes = {s.name: ValueSetSummary(s.name) for s in categorical}
         else:
             rows = []
             for spec in numeric:
@@ -117,7 +116,9 @@ class ResourceSummary:
             store.numeric_matrix, *schema.numeric_bounds, config.histogram_buckets
         )
         categorical = {
-            spec.name: _categorical(spec.name, store.categorical_column(spec.name), config)
+            spec.name: ValueSetSummary.from_values(
+                spec.name, store.categorical_column(spec.name)
+            )
             for spec in schema.categorical_attributes
         }
         return cls.__new__(cls)._init(schema, config, block, len(store), categorical, created_at)
@@ -276,11 +277,3 @@ def _match_plan(query: Query, schema: Schema, buckets: int):
     plan = (schema, buckets, tuple(steps))
     object.__setattr__(query, "_match", plan)
     return plan
-
-
-def _categorical(name: str, values, config: SummaryConfig) -> AttributeSummary:
-    if config.categorical_summary == "bloom":
-        return BloomFilterSummary.from_values(
-            name, values, config.bloom_bits, config.bloom_hashes
-        )
-    return ValueSetSummary.from_values(name, values)

@@ -35,6 +35,11 @@ from .ring import ChordRouter, popcount
 _RECORD_HEADER_BYTES = 16
 #: per-hop processing delay, matching the ROADS network default
 _PROCESSING_DELAY = 0.0005
+#: per-record local search time at a segment server. The query walks
+#: the segment *sequentially*, and each server scans its stored records
+#: (K·N·r/n of them) against all dimensions before forwarding — this
+#: serial scan time is part of the paper's SWORD latency.
+SEARCH_SECONDS_PER_RECORD = 5e-6
 
 
 @dataclass(frozen=True)
@@ -44,12 +49,6 @@ class SwordConfig:
     num_nodes: int = 320
     records_per_node: int = 500
     record_interval: float = 6.0  # the paper's t_r
-    ring_strategy: str = "first"  # which query attribute picks the ring
-    #: per-record local search time at a segment server. The query walks
-    #: the segment *sequentially*, and each server scans its stored
-    #: records (K·N·r/n of them) against all dimensions before forwarding
-    #: — this serial scan time is part of the paper's SWORD latency.
-    search_seconds_per_record: float = 5e-6
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -57,10 +56,6 @@ class SwordConfig:
             raise ValueError("num_nodes must be >= 1")
         if self.record_interval <= 0:
             raise ValueError("record_interval must be positive")
-        if self.ring_strategy not in ("first", "narrowest"):
-            raise ValueError(f"unknown ring strategy {self.ring_strategy!r}")
-        if self.search_seconds_per_record < 0:
-            raise ValueError("search_seconds_per_record must be >= 0")
 
 
 @dataclass
@@ -180,14 +175,14 @@ class SwordSystem:
 
     # -- query execution ----------------------------------------------------------
     def _choose_ring(self, query: Query) -> RangePredicate:
+        """The first queried range picks the ring (the paper's fixed
+        choice, which is why its Figure 6 is flat)."""
         ranges = query.range_predicates()
         if not ranges:
             raise ValueError(
                 "SWORD resolves queries in an attribute ring; the query "
                 "needs at least one range predicate"
             )
-        if self.config.ring_strategy == "narrowest":
-            return min(ranges, key=lambda p: p.length)
         return ranges[0]
 
     def _hop_latency(self, a: int, b: int) -> float:
@@ -235,7 +230,7 @@ class SwordSystem:
             outcome.segment_hits.append((server, t, int(hits.size)))
             matched.append(hits)
             # Local scan blocks the sequential forwarding chain.
-            t += rows.size * self.config.search_seconds_per_record
+            t += rows.size * SEARCH_SECONDS_PER_RECORD
         # Latency is measured until the query *reaches* the last server;
         # that server's own scan is not part of it.
         outcome.latency = outcome.segment_hits[-1][1] if outcome.segment_hits else t

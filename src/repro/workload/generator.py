@@ -28,6 +28,10 @@ from .distributions import (
 
 #: family order used when laying out attributes and cycling query dims
 FAMILY_ORDER = ("uniform", "range", "gaussian", "pareto")
+#: attributes per family: 16 in all, as in Section V
+ATTRS_PER_FAMILY = 4
+#: length of the sub-range each node confines its range attributes to
+RANGE_LENGTH = 0.5
 #: spread of each node's Gaussian attributes around their per-node mean
 GAUSSIAN_SIGMA = 0.01
 #: tail index of the Pareto attributes, and the range their per-node
@@ -47,9 +51,7 @@ class WorkloadConfig:
 
     num_nodes: int = 320
     records_per_node: int = 500
-    attrs_per_family: int = 4
-    range_length: float = 0.5
-    #: Figure 9 mode: when set, the first ``2 * attrs_per_family``
+    #: Figure 9 mode: when set, the first ``2 * ATTRS_PER_FAMILY``
     #: attributes are confined per server to a range of ``Of/num_nodes``
     overlap_factor: Optional[float] = None
     seed: int = 1
@@ -57,8 +59,6 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.num_nodes < 1 or self.records_per_node < 0:
             raise ValueError("num_nodes >= 1 and records_per_node >= 0 required")
-        if self.attrs_per_family < 1:
-            raise ValueError("attrs_per_family must be >= 1")
         if self.overlap_factor is not None and not self.overlap_factor > 0:
             raise ValueError(
                 f"overlap_factor must be positive, got {self.overlap_factor}"
@@ -66,13 +66,13 @@ class WorkloadConfig:
 
     @property
     def num_attributes(self) -> int:
-        return self.attrs_per_family * len(FAMILY_ORDER)
+        return ATTRS_PER_FAMILY * len(FAMILY_ORDER)
 
     def attribute_names(self) -> List[str]:
         """Names grouped by family: u0..u3, r0..r3, g0..g3, p0..p3."""
         out = []
         for fam in FAMILY_ORDER:
-            out.extend(f"{fam[0]}{i}" for i in range(self.attrs_per_family))
+            out.extend(f"{fam[0]}{i}" for i in range(ATTRS_PER_FAMILY))
         return out
 
     def family_of(self, name: str) -> str:
@@ -87,16 +87,11 @@ def make_schema(config: WorkloadConfig) -> Schema:
     return Schema(numeric(name) for name in config.attribute_names())
 
 
-def _node_column(
-    family: str,
-    rng: np.random.Generator,
-    n: int,
-    config: WorkloadConfig,
-) -> np.ndarray:
+def _node_column(family: str, rng: np.random.Generator, n: int) -> np.ndarray:
     if family == "uniform":
         return uniform_values(rng, n)
     if family == "range":
-        return range_values(rng, n, config.range_length)
+        return range_values(rng, n, RANGE_LENGTH)
     if family == "gaussian":
         return gaussian_values(rng, n, sigma=GAUSSIAN_SIGMA)
     if family == "pareto":
@@ -121,7 +116,7 @@ def generate_node_store(
     n = config.records_per_node
     names = config.attribute_names()
     overlap_attrs = (
-        set(names[: 2 * config.attrs_per_family])
+        set(names[: 2 * ATTRS_PER_FAMILY])
         if config.overlap_factor is not None
         else set()
     )
@@ -131,7 +126,7 @@ def generate_node_store(
             length = min(1.0, config.overlap_factor / config.num_nodes)
             columns[:, j] = overlap_values(rng, n, length)
         else:
-            columns[:, j] = _node_column(config.family_of(name), rng, n, config)
+            columns[:, j] = _node_column(config.family_of(name), rng, n)
     return RecordStore.from_arrays(
         schema, columns, [], owner=f"owner-{node_id}"
     )

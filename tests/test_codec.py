@@ -1,6 +1,7 @@
 """Tests for repro.summaries.codec (binary wire format)."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from repro.query import EqualsPredicate, Query, RangePredicate
 from repro.records import RecordStore, Schema, categorical, numeric
 from repro.summaries import (
-    BloomFilterSummary,
     HistogramSummary,
     ResourceSummary,
     SummaryConfig,
@@ -17,12 +17,10 @@ from repro.summaries import (
 from repro.summaries.codec import (
     CodecError,
     decode_attribute,
-    decode_bloom,
     decode_histogram,
     decode_summary,
     decode_valueset,
     encode_attribute,
-    encode_bloom,
     encode_histogram,
     encode_summary,
     encode_valueset,
@@ -71,26 +69,11 @@ class TestValueSetCodec:
         assert out.is_empty
 
 
-class TestBloomCodec:
-    def test_roundtrip(self):
-        f = BloomFilterSummary.from_values(
-            "enc", [f"v{i}" for i in range(50)], 512, 3
-        )
-        out, _ = decode_bloom(encode_bloom(f))
-        assert out == f
-        assert out.contains("v7") and out.num_hashes == 3
-
-    def test_empty(self):
-        out, _ = decode_bloom(encode_bloom(BloomFilterSummary("enc", 64, 2)))
-        assert out.is_empty
-
-
 class TestDispatch:
     def test_encode_decode_any(self):
         for summ in (
             HistogramSummary.from_values("a", [0.5], 8),
             ValueSetSummary("b", ["x"]),
-            BloomFilterSummary.from_values("c", ["y"], 64, 2),
         ):
             out, _ = decode_attribute(encode_attribute(summ))
             assert type(out) is type(summ)
@@ -103,6 +86,19 @@ class TestDispatch:
     def test_unknown_kind(self):
         with pytest.raises(CodecError, match="unknown frame"):
             decode_attribute(b"\xff\x00")
+
+    def test_bloom_kind_byte_is_unknown(self):
+        # Kind 3 was a Bloom-filter frame: [3][0][name][bits u32][hashes
+        # u16][packed bits]. Categorical summaries are value sets only.
+        frame = struct.pack("<BBH", 3, 0, 3) + b"enc" + struct.pack("<IH", 64, 2)
+        frame += bytes(8)
+        with pytest.raises(CodecError, match="unknown frame kind 3"):
+            decode_attribute(frame)
+        head = b"RSUM" + struct.pack("<dI", 0.0, 1)
+        with pytest.raises(CodecError, match="unknown frame kind 3"):
+            decode_summary(
+                head + frame, Schema([categorical("enc")]), SummaryConfig()
+            )
 
     def test_unknown_summary_type_is_named(self):
         with pytest.raises(CodecError) as err:

@@ -69,7 +69,7 @@ class TestDecideLocal:
         s.add_child(child)
         s.attach_owner(AttachedOwner("o", unit_store, True))
         s.child_summaries[1] = ResourceSummary.from_store(unit_store, cfg)
-        decision = decide_local(s, Query.of(RangePredicate("a", 0, 1)), cfg)
+        decision = decide_local(s, Query.of(RangePredicate("a", 0, 1)))
         assert decision.redirect_ids == []
         assert decision.owners_only_ids == []
         assert [o.owner_id for o in decision.owner_hits] == ["o"]

@@ -29,7 +29,6 @@ from repro.records import (
 from repro.roads import GuestOwner, RoadsConfig, RoadsSystem
 from repro.sim import Simulator
 from repro.summaries import (
-    BloomFilterSummary,
     HistogramSummary,
     ResourceSummary,
     SummaryConfig,
@@ -305,9 +304,6 @@ CATEGORIES = ["red", "green", "blue", "teal"]
 block_configs = st.builds(
     SummaryConfig,
     histogram_buckets=st.sampled_from([1, 7, 64, 65]),
-    categorical_summary=st.sampled_from(["set", "bloom"]),
-    bloom_bits=st.just(64),
-    bloom_hashes=st.just(2),
 )
 
 
@@ -355,11 +351,6 @@ def per_attribute_summaries(store, config):
             out[spec.name] = HistogramSummary.from_values(
                 spec.name, store.numeric_column(spec.name),
                 config.histogram_buckets, spec.bounds,
-            )
-        elif config.categorical_summary == "bloom":
-            out[spec.name] = BloomFilterSummary.from_values(
-                spec.name, store.categorical_column(spec.name),
-                config.bloom_bits, config.bloom_hashes,
             )
         else:
             out[spec.name] = ValueSetSummary.from_values(
@@ -430,7 +421,7 @@ names = st.text(
 name_lists = st.lists(names, min_size=0, max_size=40)
 
 
-class TestSetAndBloomProperties:
+class TestValueSetProperties:
     @given(a=name_lists, b=name_lists)
     @settings(max_examples=80, deadline=None)
     def test_valueset_merge_is_union(self, a, b):
@@ -443,23 +434,6 @@ class TestSetAndBloomProperties:
     def test_valueset_exact(self, values, probe):
         s = ValueSetSummary.from_values("e", values)
         assert s.may_match(EqualsPredicate("e", probe)) == (probe in values)
-
-    @given(values=name_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_bloom_no_false_negatives(self, values):
-        f = BloomFilterSummary.from_values("e", values, 512, 3)
-        for v in values:
-            assert f.contains(v)
-
-    @given(a=name_lists, b=name_lists, probe=names)
-    @settings(max_examples=60, deadline=None)
-    def test_bloom_merge_superset(self, a, b, probe):
-        """Anything matched by either input matches the merge."""
-        fa = BloomFilterSummary.from_values("e", a, 512, 3)
-        fb = BloomFilterSummary.from_values("e", b, 512, 3)
-        merged = fa.merge(fb)
-        if fa.contains(probe) or fb.contains(probe):
-            assert merged.contains(probe)
 
 
 class TestChordProperties:

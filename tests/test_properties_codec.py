@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.summaries import BloomFilterSummary, HistogramSummary, ValueSetSummary
+from repro.summaries import HistogramSummary, ValueSetSummary
 from repro.summaries.codec import (
     decode_attribute,
     encode_attribute,
@@ -38,15 +38,6 @@ class TestCodecProperties:
         s = ValueSetSummary(name, values)
         out, _ = decode_attribute(encode_attribute(s))
         assert out == s
-
-    @given(values=string_lists,
-           bits=st.sampled_from([8, 64, 256, 1024]),
-           hashes=st.integers(min_value=1, max_value=6))
-    @settings(max_examples=80, deadline=None)
-    def test_bloom_roundtrip_identity(self, values, bits, hashes):
-        f = BloomFilterSummary.from_values("e", values, bits, hashes)
-        out, _ = decode_attribute(encode_attribute(f))
-        assert out == f
 
     @given(values=value_lists, buckets=st.sampled_from([4, 32, 128]))
     @settings(max_examples=80, deadline=None)

@@ -88,13 +88,3 @@ class TestMixedTypeQueries:
         )
         if q.match_count(store) > 0:
             assert s.may_match(q)
-
-    def test_bloom_for_open_string_universe(self, store):
-        cfg = SummaryConfig(
-            histogram_buckets=50, categorical_summary="bloom", bloom_bits=2048
-        )
-        s = ResourceSummary.from_store(store, cfg)
-        present = store.categorical_column("str3")[7]
-        assert s.attributes["str3"].may_match(
-            EqualsPredicate("str3", present)
-        )

@@ -13,10 +13,13 @@ from repro.net.transport import ServiceConfig
 from repro.roads import (
     DenyAllPolicy,
     GuestOwner,
+    LoadConfig,
+    LoadReport,
     RetryPolicy,
     RoadsConfig,
     RoadsSystem,
     SearchRequest,
+    Verdict,
 )
 from repro.summaries import SummaryConfig
 from repro.telemetry.profiling import census_fingerprint
@@ -66,12 +69,12 @@ class TestBuild:
         with pytest.raises(ValueError):
             RoadsConfig(summary_interval=0)
 
-    @pytest.mark.parametrize("field", ["summary_interval", "record_interval"])
+    @pytest.mark.parametrize("field", ["summary_interval"])
     def test_nan_interval_rejected(self, field):
         with pytest.raises(ValueError, match="intervals must be positive"):
             RoadsConfig(**{field: float("nan")})
 
-    @pytest.mark.parametrize("field", ["summary_interval", "record_interval"])
+    @pytest.mark.parametrize("field", ["summary_interval"])
     def test_infinite_interval_rejected_by_name(self, field):
         with pytest.raises(ValueError, match=f"{field}=inf"):
             RoadsConfig(**{field: float("inf")})
@@ -114,6 +117,51 @@ class TestQueryCompleteness:
         without = small_roads.search(SearchRequest(q, client_node=3, use_overlay=False)).outcome
         assert without.total_matches == with_overlay.total_matches
         assert without.start_server == small_roads.hierarchy.root.server_id
+
+
+class TestExpiredRoutingIsDegraded:
+    """Once the clock passes the TTL with no epoch, routing skips every
+    expired table entry and the search ends at its entry server. Nothing
+    failed, so it is ``ok``; its verdict says the answer is partial."""
+
+    def test_search_past_the_ttl_is_degraded(self):
+        wcfg = WorkloadConfig(num_nodes=32, records_per_node=50, seed=3)
+        system = RoadsSystem.build(
+            RoadsConfig(num_nodes=32, records_per_node=50, seed=3),
+            generate_node_stores(wcfg),
+        )
+        queries = generate_queries(
+            wcfg, num_queries=3, dimensions=2, range_length=0.6
+        )
+
+        def search():
+            return [
+                system.search(SearchRequest(q, client_node=0)) for q in queries
+            ]
+
+        fresh = search()
+        assert [r.total_matches for r in fresh] == [729, 722, 717]
+        assert [r.servers_contacted for r in fresh] == [32] * 3
+        assert all(r.verdict == Verdict(0) for r in fresh)
+        assert str(fresh[0].verdict) == "complete"
+
+        system.sim.run(until=system.sim.now + 400)  # TTL 300 s, no epoch
+        stale = search()
+        assert [r.total_matches for r in stale] == [14, 10, 30]
+        assert [r.servers_contacted for r in stale] == [1] * 3
+        for r in stale:
+            assert r.ok and r.outcome.completed
+            assert r.verdict.degraded
+            assert r.verdict.expired == sum(r.outcome.expired.values()) > 0
+            assert 0 in r.outcome.expired  # the entry server's own table
+        assert str(stale[0].verdict) == (
+            f"degraded (routed past {stale[0].verdict.expired} expired entries)"
+        )
+        report = LoadReport(LoadConfig(rate=1.0, horizon=1.0), fresh + stale)
+        assert report.ok == 6 and report.degraded == 3
+
+        system.refresh()
+        assert all(r.verdict == Verdict(0) for r in search())
 
 
 class TestQueryMetrics:
@@ -291,7 +339,8 @@ class TestReadPathDeterminism:
         assert searches == PINNED_SEARCHES
 
         def decision(decide, server, query):
-            d = decide(server, query, cfg.summary, system.sim.now)
+            now = () if decide is decide_local else (system.sim.now,)
+            d = decide(server, query, *now)
             return (d.redirect_ids, d.owners_only_ids,
                     [o.owner_id for o in d.owner_hits])
 
@@ -535,25 +584,23 @@ class TestOwnSummaryFirst:
         # answered without a scan, one it admits is scanned.
         system.refresh()
         server = system.hierarchy.get(self.ENTRY)
-        now, cfg = system.sim.now, system.config.summary
         beyond = Query.of(RangePredicate("u0", 1.5, 2.0))
         del scanned[:]
-        assert not decide_local(server, beyond, cfg, now).owner_hits
+        assert not decide_local(server, beyond).owner_hits
         assert not scanned
-        assert decide_local(server, query, cfg, now).owner_hits
+        assert decide_local(server, query).owner_hits
         assert [s is own for s in scanned] == [True]
 
     def test_guest_owner_is_judged_by_its_exported_summary(self, scanned):
         system, stores, queries = self._federation()
         query, server = queries[5], system.hierarchy.get(self.GUEST_AT)
         guest = next(o for o in server.owners if not o.controls_server)
-        now, cfg = system.sim.now, system.config.summary
-        assert guest in decide_local(server, query, cfg, now).owner_hits
+        assert guest in decide_local(server, query).owner_hits
         # The server holds no guest records: emptying them changes
         # nothing it can see, and it never scans them.
         guest.origin.clear()
         del scanned[:]
-        assert guest in decide_local(server, query, cfg, now).owner_hits
+        assert guest in decide_local(server, query).owner_hits
         assert not any(s is guest.origin for s in scanned)
 
     def test_oracle_scans_and_reports_what_it_reported(self, scanned):

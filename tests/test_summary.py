@@ -6,7 +6,6 @@ import pytest
 from repro.query import EqualsPredicate, Query, RangePredicate
 from repro.records import RecordStore, Schema, categorical, numeric
 from repro.summaries import (
-    BloomFilterSummary,
     HistogramSummary,
     ResourceSummary,
     SummaryConfig,
@@ -23,16 +22,11 @@ class TestSummaryConfig:
     def test_defaults(self):
         cfg = SummaryConfig()
         assert cfg.histogram_buckets == 1000
-        assert cfg.categorical_summary == "set"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"histogram_buckets": 0},
-            {"bloom_hashes": -1},
-            {"categorical_summary": "hash"},
-            {"bloom_bits": 0},
-            {"bloom_hashes": 0},
             {"histogram_buckets": -1},
             {"ttl": 0},
         ],
@@ -60,11 +54,6 @@ class TestFromStore:
         assert isinstance(s.attributes["rate"], HistogramSummary)
         assert isinstance(s.attributes["type"], ValueSetSummary)
         assert s.attributes["rate"].total == len(mixed_store)
-
-    def test_bloom_option(self, mixed_store):
-        cfg = SummaryConfig(categorical_summary="bloom", bloom_bits=512)
-        s = ResourceSummary.from_store(mixed_store, cfg)
-        assert isinstance(s.attributes["type"], BloomFilterSummary)
 
     def test_empty_summary(self, mixed_schema):
         s = ResourceSummary(mixed_schema, SummaryConfig())
@@ -179,12 +168,8 @@ class TestFingerprintByteStream:
         assert h.fingerprint().hex() == "3e1ca92aef5c0188818ad85b4b8defa2"
         assert h.fingerprint() == h.copy().fingerprint()
 
-    # The hash covers the counters, not the config: neither a TTL nor the
-    # categorical summary kind (this schema has no categorical attribute)
-    # may move it.
-    @pytest.mark.parametrize("kwargs", [
-        {}, {"ttl": 60.0}, {"categorical_summary": "bloom"},
-    ])
+    # The hash covers the counters, not the config: a TTL may not move it.
+    @pytest.mark.parametrize("kwargs", [{}, {"ttl": 60.0}])
     def test_resource_summary_digest_is_pinned(self, kwargs):
         store = generate_node_store(
             WorkloadConfig(num_nodes=2, records_per_node=40, seed=9), 1

@@ -5,6 +5,7 @@ import pytest
 
 from repro.query import EqualsPredicate, Query, RangePredicate
 from repro.sword import SwordConfig, SwordSystem
+from repro.sword import system as sword_system
 from repro.workload import (
     WorkloadConfig,
     generate_node_stores,
@@ -38,10 +39,6 @@ class TestConstruction:
             SwordConfig(num_nodes=0)
         with pytest.raises(ValueError):
             SwordConfig(record_interval=0)
-        with pytest.raises(ValueError):
-            SwordConfig(ring_strategy="psychic")
-        with pytest.raises(ValueError):
-            SwordConfig(search_seconds_per_record=-1)
 
     def test_every_record_stored_once_per_ring(self, system, workload):
         _, stores = workload
@@ -102,18 +99,6 @@ class TestRouting:
         ring = system.attributes.index(o.ring_attribute)
         assert all(s % len(system.attributes) == ring for s in o.segment)
 
-    def test_narrowest_strategy(self, workload):
-        _, stores = workload
-        sys2 = SwordSystem(
-            SwordConfig(num_nodes=48, ring_strategy="narrowest", seed=7), stores
-        )
-        q = Query.of(
-            RangePredicate("u0", 0.0, 0.9),
-            RangePredicate("u1", 0.4, 0.5),
-        )
-        o = sys2.execute_query(q, 0)
-        assert o.ring_attribute == "u1"
-
     def test_latency_grows_with_segment(self, system):
         narrow = Query.of(RangePredicate("u0", 0.4, 0.45))
         wide = Query.of(RangePredicate("u0", 0.0, 1.0))
@@ -131,18 +116,11 @@ class TestRouting:
         o = system.execute_query(q, 1)
         assert o.query_bytes == o.query_messages * q.size_bytes
 
-    def test_local_scan_time_included(self, workload):
-        _, stores = workload
-        slow = SwordSystem(
-            SwordConfig(num_nodes=48, search_seconds_per_record=1e-3, seed=7),
-            stores,
-        )
-        fast = SwordSystem(
-            SwordConfig(num_nodes=48, search_seconds_per_record=0.0, seed=7),
-            stores,
-        )
+    def test_local_scan_time_included(self, system, monkeypatch):
         q = Query.of(RangePredicate("u0", 0.0, 1.0))
-        assert slow.execute_query(q, 0).latency > fast.execute_query(q, 0).latency
+        scanned = system.execute_query(q, 0).latency
+        monkeypatch.setattr(sword_system, "SEARCH_SECONDS_PER_RECORD", 0.0)
+        assert scanned > system.execute_query(q, 0).latency
 
 
 class TestOverheads:
@@ -272,7 +250,7 @@ class TestReferenceModel:
                     mask &= (col >= p.lo) & (col <= p.hi)
                 hits.append((server, t, int(mask.sum())))
                 rows_out.append(rows[mask])
-                t += rows.size * system.config.search_seconds_per_record
+                t += rows.size * sword_system.SEARCH_SECONDS_PER_RECORD
             assert o.segment_hits == hits
             assert o.latency == hits[-1][1]
             assert o.query_messages == messages

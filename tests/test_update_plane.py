@@ -13,6 +13,8 @@ down the properties that matter:
   rejected and answered with a ``summary-nack``, queries quietly miss
   the unreachable content, and the sender's next report is full; an
   entry whose sender fell silent expires at its TTL;
+* a free-running plane restarted after a gap longer than the TTL sweeps
+  nothing its senders' next keep-alives refresh;
 * maintenance integration: rejoins re-export immediately, a parent's
   heartbeat repairs a lost first report;
 * the public ``QueryExecution.start(mode=...)`` entry points.
@@ -671,6 +673,52 @@ class TestFreeRunning:
         assert plane._tasks == {}
 
 
+class TestRestartAfterGap:
+    """A plane stopped for longer than the TTL and started again finds
+    every entry aged past it. The senders' next keep-alives refresh
+    them, so a holder sweeps none of them in the restart's first TTL:
+    no entry is lost and no keep-alive is NACKed."""
+
+    def test_restart_keeps_what_the_next_keep_alives_refresh(self):
+        wcfg = WorkloadConfig(num_nodes=18, records_per_node=20, seed=1)
+        system = RoadsSystem.build(
+            RoadsConfig(
+                num_nodes=18, records_per_node=20, seed=1,
+                delta_updates=True, summary_interval=60.0,
+                summary=SummaryConfig(ttl=300.0),
+            ),
+            generate_node_stores(wcfg),
+        )
+        plane, sim = system.update_plane, system.sim
+        plane.start()
+        sim.run(until=sim.now + 130)
+        held = plane.staleness_snapshot()["entries"]
+        assert held == 190
+        plane.stop()
+        sim.run(until=sim.now + 1000)
+        plane.start()
+        sim.run(until=sim.now + plane.interval)
+        assert plane.staleness_snapshot()["entries"] == held
+        assert plane.counters.expired == 0 and plane.counters.nacks == 0
+        assert plane.counters.refreshed >= held
+
+    def test_an_unrefreshed_entry_goes_one_ttl_after_the_restart(self):
+        _, _, system = build(seed=4)
+        plane, sim = system.update_plane, system.sim
+        ttl = system.config.summary.ttl
+        holder = system.hierarchy.root
+        orphan = next(iter(holder.child_summaries.values())).refreshed(sim.now)
+        holder.replicated_local_summaries[999] = orphan  # no sender behind it
+        sim.run(until=sim.now + 2 * ttl)
+        plane.start()
+        restart = sim.now
+        sim.run(until=restart + ttl)
+        assert 999 in holder.replicated_local_summaries
+        sim.run(until=restart + ttl + 1.5 * plane.interval)
+        assert 999 not in holder.replicated_local_summaries
+        assert plane.counters.expired == 1 and plane.counters.nacks == 0
+
+
 class TestMaintenanceIntegration:
     def test_rejoin_triggers_immediate_full_export(self):
         _, stores, system = build(seed=13)
@@ -760,7 +808,7 @@ class TestQueryEntryModes:
         q = Query.of(RangePredicate("u0", 0.4, 0.6))
         execution = QueryExecution(
             system.sim, system.network, system.hierarchy,
-            system.config.summary, system.policies, q, 0, 0,
+            system.policies, q, 0, 0,
             retry=RetryPolicy(),
         )
         with pytest.raises(ValueError, match="mode"):
@@ -774,7 +822,7 @@ class TestQueryEntryModes:
         q = Query.of(RangePredicate("u0", 0.4, 0.6))
         execution = QueryExecution(
             system.sim, system.network, system.hierarchy,
-            system.config.summary, system.policies, q, 0, 0,
+            system.policies, q, 0, 0,
             retry=RetryPolicy(),
         )
         assert not execution.done

@@ -25,6 +25,7 @@ from repro.workload import (
     range_values,
     uniform_values,
 )
+from repro.workload.generator import RANGE_LENGTH
 
 
 class TestDistributions:
@@ -85,12 +86,10 @@ class TestWorkloadConfig:
         assert cfg.num_nodes == 320
         assert cfg.records_per_node == 500
         assert cfg.num_attributes == 16
-        assert cfg.range_length == 0.5
 
     def test_attribute_names_grouped(self):
-        cfg = WorkloadConfig(attrs_per_family=2)
-        assert cfg.attribute_names() == [
-            "u0", "u1", "r0", "r1", "g0", "g1", "p0", "p1"
+        assert WorkloadConfig().attribute_names() == [
+            f"{family}{i}" for family in "urgp" for i in range(4)
         ]
 
     def test_family_of(self):
@@ -134,7 +133,7 @@ class TestGenerator:
         cfg = WorkloadConfig(num_nodes=1, records_per_node=400, seed=1)
         st = generate_node_store(cfg, 0)
         col = st.numeric_column("r0")
-        assert col.max() - col.min() <= cfg.range_length + 1e-12
+        assert col.max() - col.min() <= RANGE_LENGTH + 1e-12
 
     def test_overlap_factor_mode(self):
         cfg = WorkloadConfig(
