@@ -22,6 +22,7 @@ from .artifact import (
     SCHEMA,
     BenchArtifact,
     artifact_filename,
+    census_fingerprint,
     config_fingerprint,
     git_rev,
     load_artifact,
@@ -43,7 +44,6 @@ from .scenarios import (
     RunPlan,
     Scenario,
     available_scenarios,
-    profile_scenario,
     resolve_scale,
     run_scenario,
     scale_settings,
@@ -54,6 +54,7 @@ __all__ = [
     "BenchArtifact",
     "SCHEMA",
     "artifact_filename",
+    "census_fingerprint",
     "config_fingerprint",
     "git_rev",
     "load_artifact",
@@ -73,7 +74,6 @@ __all__ = [
     "SCALES",
     "ROOT_SHARE_CEILING",
     "available_scenarios",
-    "profile_scenario",
     "resolve_scale",
     "run_scenario",
     "scale_settings",

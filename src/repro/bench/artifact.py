@@ -42,6 +42,33 @@ def config_fingerprint(settings: ExperimentSettings) -> str:
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16]
 
 
+def _census_document(census: Dict[str, Dict]) -> Dict[str, Dict[str, int]]:
+    """A deliveries-per-kind-per-server census in its JSON form: string
+    keys, sorted."""
+    return {
+        str(kind): {
+            str(server): int(count)
+            for server, count in sorted(
+                servers.items(), key=lambda kv: str(kv[0])
+            )
+        }
+        for kind, servers in sorted(census.items())
+    }
+
+
+def census_fingerprint(census: Dict[str, Dict]) -> str:
+    """Stable short hash of a deliveries-per-kind-per-server census
+    (``Network.census``).
+
+    Deterministic per seed and configuration: two runs whose dispatch
+    mixes differ in any (kind, server, count) triple get different
+    fingerprints, so baseline comparisons can gate on the mix without
+    committing the full census.
+    """
+    doc = json.dumps(_census_document(census), sort_keys=True)
+    return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16]
+
+
 def git_rev(repo_dir: Optional[Path] = None) -> str:
     """Current git revision, ``REPRO_GIT_REV`` override, or ``unknown``."""
     import os

@@ -21,9 +21,7 @@ Every run:
 
 and returns a provenance-stamped :class:`~repro.bench.artifact.
 BenchArtifact` ready for ``BENCH_<scenario>.json``. Nothing here reads
-a host clock or arms an observer: the artifact is exact per seed, and
-only ``repro profile`` (:func:`profile_scenario`) runs the canonical
-block under telemetry and a profiler.
+a host clock or arms an observer: the artifact is exact per seed.
 
 Scales: ``smoke`` (unit-test sized), ``quick`` (CI-sized, the
 EXPERIMENTS.md default), ``paper`` (full Section V) and ``stress`` (a
@@ -82,8 +80,7 @@ from ..experiments.validation import (
     validate_fig11,
     validate_load_plane,
 )
-from ..telemetry.profiling import census_document, census_fingerprint
-from .artifact import BenchArtifact, SCHEMA, stamp
+from .artifact import BenchArtifact, SCHEMA, census_fingerprint, stamp
 
 #: allowed benchmark scales, smallest first
 SCALES = ("smoke", "quick", "paper", "stress")
@@ -442,22 +439,19 @@ class RunPlan:
 
 
 # -- canonical run -------------------------------------------------------------
-def _canonical_block(
-    settings: ExperimentSettings, seed: int, telemetry=None
-) -> tuple:
+def _canonical_block(settings: ExperimentSettings, seed: int) -> tuple:
     """(registry-derived simulated metrics + per-server load rows, the
     event census they were dispatched under).
 
     One federation, the scale's own ROADS trial continued
     (:func:`~repro.experiments.runner.roads_trial`, which memoises the
-    trial when unobserved): one summary epoch after the trial's stream,
-    then the same requests again entering at the root. Unobserved unless
-    *telemetry* (:func:`profile_scenario`).
+    trial): one summary epoch after the trial's stream, then the same
+    requests again entering at the root.
     """
     from ..sim.metrics import QUERY
     from ..telemetry import per_server_load_rows, root_load_share
 
-    system, queries, clients = roads_trial(settings, seed, telemetry)
+    system, queries, clients = roads_trial(settings, seed)
     root_id = system.hierarchy.root.server_id
     update_report = system.refresh()
     registry = system.metrics
@@ -495,7 +489,7 @@ def _canonical_block(
 
 
 #: the block's plain data, simulated once per process for each (settings,
-#: seed); :func:`run_scenario` reads a deep copy, ``repro profile`` never
+#: seed); :func:`run_scenario` reads a deep copy
 _shared_block = functools.lru_cache(maxsize=4)(_canonical_block)
 
 
@@ -532,27 +526,6 @@ def _rows_metrics(rows: Rows) -> Dict[str, float]:
     return {
         f"rows.{col}.mean": sums[col] / counts[col] for col in sorted(sums)
     }
-
-
-def profile_scenario(scale: str = "quick", seed: int = 1) -> Dict[str, object]:
-    """Profile the canonical run at *scale*; returns the full document.
-
-    The payload behind ``repro profile`` and the only armed run in this
-    package: a :class:`~repro.telemetry.profiling.CallPathProfiler`'s
-    call-path tree over a fresh canonical block (never the memo's) —
-    the run every scenario's artifact shares, so there is no scenario
-    to choose — beside the network's event census an artifact stamps.
-    """
-    from ..telemetry import CallPathProfiler, Telemetry
-
-    profiler = CallPathProfiler()
-    telemetry = Telemetry(capacity=200_000)
-    telemetry.attach_profiler(profiler)
-    _, census = _canonical_block(scale_settings(scale, seed), seed, telemetry)
-    document = profiler.document()
-    document["census"] = census_document(census)
-    document["census_fingerprint"] = census_fingerprint(census)
-    return document
 
 
 def run_scenario(plan: RunPlan) -> BenchArtifact:

@@ -16,16 +16,14 @@ code:
   ``BENCH_<scenario>.json`` artifact of simulated facts, ``compare``
   one against a committed baseline (non-zero exit on drift or
   paper-shape violation), ``list`` the registered scenarios;
-* ``profile`` — run the canonical run under the hierarchical call-path
-  profiler: top-K self-time table, optional tree view, collapsed-stack
-  / speedscope flame-graph exports, and ``--diff`` between two saved
-  profile documents;
 * ``demo`` — a narrated quickstart run.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 from typing import List, Optional
 
@@ -520,12 +518,6 @@ def _cmd_selftest(args) -> int:
         print(f"  [{'ok' if passed else 'FAIL'}] {label}")
         ok &= passed
     print("selftest", "passed" if ok else "FAILED")
-    if args.telemetry:
-        print("\ntelemetry: per-server load attribution (same scale)")
-        _print_load_tables(
-            settings.num_nodes, settings.records_per_node,
-            settings.num_queries, args.seed, top=8,
-        )
     return 0 if ok else 1
 
 
@@ -553,36 +545,28 @@ def _cmd_suite(args) -> int:
 def _narrator(json_target):
     """Progress printer: routed to stderr when stdout carries the JSON."""
     if json_target == "-":
-        import functools
-        import sys
-
         return functools.partial(print, file=sys.stderr)
     return print
 
 
-def _write_text(target, text: str, label: str) -> None:
-    """The CLI's one file write: parent directories made, the path said.
-
-    An unwritable *target* raises :class:`OSError`; :func:`main` turns
-    it into a one-line ``PATH: reason`` and exit status 2.
-    """
-    from pathlib import Path
-
-    path = Path(target)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    print(f"{label} written to {target}")
-
-
 def _emit_json(doc, target: str, label: str) -> None:
-    """Write *doc* to *target* (``-`` = stdout) as pretty JSON."""
+    """Write *doc* to *target* (``-`` = stdout) as pretty JSON.
+
+    The CLI's one file write: parent directories made, the path said. An
+    unwritable *target* raises :class:`OSError`; :func:`main` turns it
+    into a one-line ``PATH: reason`` and exit status 2.
+    """
     import json
+    from pathlib import Path
 
     text = json.dumps(doc, indent=2, default=str)
     if target == "-":
         print(text)
-    else:
-        _write_text(target, text + "\n", label)
+        return
+    path = Path(target)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n", encoding="utf-8")
+    print(f"{label} written to {target}")
 
 
 def _cmd_bench_run(args) -> int:
@@ -631,89 +615,6 @@ def _cmd_bench_run(args) -> int:
         docs = [a.to_dict() for a in artifacts]
         _emit_json(
             docs[0] if len(docs) == 1 else docs, args.json, "artifact JSON"
-        )
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    import json
-    from pathlib import Path
-
-    from .telemetry.profiling import (
-        PROFILE_SCHEMA,
-        collapsed_stacks,
-        diff_documents,
-        format_top,
-        format_tree,
-        hotspot_shares,
-        speedscope_document,
-    )
-
-    if args.diff:
-        path_a, path_b = args.diff
-        docs = []
-        for path in (path_a, path_b):
-            try:
-                doc = json.loads(Path(path).read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                print(f"{path}: {exc}")
-                return 2
-            if not isinstance(doc, dict) or doc.get("schema") != PROFILE_SCHEMA:
-                print(
-                    f"{path}: not a {PROFILE_SCHEMA} document "
-                    "(produce one with `repro profile --json`)"
-                )
-                return 2
-            docs.append(doc)
-        print(
-            diff_documents(
-                docs[0], docs[1],
-                label_a=path_a, label_b=path_b, k=args.top,
-            )
-        )
-        return 0
-
-    from .bench import profile_scenario
-
-    document = profile_scenario(args.scale, args.seed)
-    if args.json == "-":
-        # Bare --json streams the document alone: no report, no exports.
-        print(json.dumps(document, indent=2))
-        return 0
-    print(
-        f"== canonical run ({args.scale} scale, seed {args.seed}): "
-        f"{document['total_seconds']:.3f}s profiled =="
-    )
-    print(format_top(document, k=args.top))
-    if args.tree:
-        print()
-        print(format_tree(document))
-    shares = hotspot_shares(document)
-    hot = sorted(shares.items(), key=lambda kv: -kv[1])[:4]
-    print(
-        "\nhotspots: "
-        + ", ".join(f"{name} {share:.1%}" for name, share in hot)
-        + f"; census fingerprint {document['census_fingerprint']}"
-    )
-    def under_out(path: str) -> Path:
-        # Relative export paths land under the shared --out directory.
-        p = Path(path)
-        return p if p.is_absolute() else Path(args.out) / p
-
-    if args.json:
-        _emit_json(document, str(under_out(args.json)), "profile document")
-    if args.collapsed:
-        _write_text(
-            under_out(args.collapsed), collapsed_stacks(document),
-            "collapsed stacks",
-        )
-    if args.speedscope:
-        _write_text(
-            under_out(args.speedscope),
-            json.dumps(speedscope_document(
-                document, name=f"repro profile {args.scale}"
-            )) + "\n",
-            "speedscope profile",
         )
     return 0
 
@@ -794,36 +695,32 @@ def _count(text: str) -> int:
     return value
 
 
-def _common_options() -> argparse.ArgumentParser:
-    """Parent parser for the flags every artifact-producing verb shares.
+def _shared(*names: str) -> argparse.ArgumentParser:
+    """Parent parser for the shared flags a verb reads.
 
-    ``bench run``, ``figure``, ``profile``, ``trace``, ``watch``,
-    ``quality`` and ``postmortem`` inherit ``--scale/--seed/--out/--json``
-    from this one parser, so a new verb cannot re-declare them with
-    drifting defaults. Verbs
-    consume the subset that applies to them (``trace`` and
-    ``postmortem`` read existing artifacts, so ``--scale/--seed`` are
-    accepted for uniformity but have nothing to select).
+    ``--scale/--seed/--out/--json`` are declared once, here, so no verb
+    can re-declare one with a drifting default, and each verb takes only
+    the ones it reads: an accepted flag that changes nothing would be a
+    silent wrong answer.
     """
     from .bench import SCALES
 
-    common = argparse.ArgumentParser(add_help=False)
-    group = common.add_argument_group("shared options")
-    group.add_argument(
-        "--scale", choices=SCALES, default="quick",
-        help="benchmark scale preset (scenario-driven verbs)",
-    )
-    group.add_argument("--seed", type=int, default=1, help="base RNG seed")
-    group.add_argument(
-        "--out", default=".", metavar="DIR",
-        help="directory for produced artifacts (default: current dir)",
-    )
-    group.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="write the verb's primary JSON document to PATH "
-             "(bare flag: print to stdout)",
-    )
-    return common
+    flags = {
+        "scale": dict(choices=SCALES, default="quick",
+                      help="benchmark scale preset"),
+        "seed": dict(type=int, default=1, help="base RNG seed"),
+        "out": dict(default=".", metavar="DIR",
+                    help="directory for produced artifacts "
+                         "(default: current dir)"),
+        "json": dict(nargs="?", const="-", default=None, metavar="PATH",
+                     help="write the verb's primary JSON document to PATH "
+                          "(bare flag: print to stdout)"),
+    }
+    parent = argparse.ArgumentParser(add_help=False)
+    group = parent.add_argument_group("shared options")
+    for name in names:
+        group.add_argument(f"--{name}", **flags[name])
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -831,7 +728,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="ROADS reproduction toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_options()
+    # No prefix matching: a flag a verb does not take is an error, never
+    # an abbreviation of another one (``figure --out`` is not --output).
+    add_verb = functools.partial(sub.add_parser, allow_abbrev=False)
 
     # The lossy federation ``health``, ``watch`` and ``quality`` run.
     load = argparse.ArgumentParser(add_help=False)
@@ -852,22 +751,20 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--service-time", type=float, default=0.002)
     group.add_argument("--queue-limit", type=int, default=64)
 
-    p = sub.add_parser("selftest", help="verify comparative orderings")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--telemetry", action="store_true",
-        help="also print per-server load attribution tables",
+    p = add_verb(
+        "selftest", parents=[_shared("seed")],
+        help="verify comparative orderings",
     )
     p.set_defaults(fn=_cmd_selftest)
 
-    p = sub.add_parser(
+    p = add_verb(
         "telemetry",
+        parents=[_shared("seed")],
         help="run an instrumented scenario; print per-server load tables",
     )
     p.add_argument("--nodes", type=int, default=64)
     p.add_argument("--records", type=int, default=100)
     p.add_argument("--queries", type=int, default=40)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--top", type=_count, default=10,
                    help="rows in the hottest-servers table")
     p.add_argument("--export-jsonl", metavar="PATH",
@@ -878,9 +775,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a Prometheus-style metrics snapshot")
     p.set_defaults(fn=_cmd_telemetry)
 
-    p = sub.add_parser(
+    p = add_verb(
         "trace",
-        parents=[common],
+        parents=[_shared("json")],
         help="reconstruct causal trees from an exported JSONL artifact",
     )
     p.add_argument("artifact", help="events JSONL written by "
@@ -899,22 +796,21 @@ def build_parser() -> argparse.ArgumentParser:
                         "with per-segment attribution deltas")
     p.set_defaults(fn=_cmd_trace)
 
-    p = sub.add_parser(
+    p = add_verb(
         "health",
-        parents=[load],
+        parents=[_shared("seed"), load],
         help="run a small federation under load and print its health "
              "report (non-zero exit when an SLO check fails)",
     )
     p.add_argument("--probe-interval", type=float, default=0.5,
                    help="health-probe cadence in virtual seconds")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--export", metavar="PATH",
                    help="write the health report as JSON")
     p.set_defaults(fn=_cmd_health)
 
-    p = sub.add_parser(
+    p = add_verb(
         "watch",
-        parents=[common, load],
+        parents=[_shared("seed", "json"), load],
         help="run a federation under load with the time-series sampler, "
              "SLO probe and flight recorder armed; render the series",
     )
@@ -932,9 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dump SLO-breach postmortem bundles under DIR")
     p.set_defaults(fn=_cmd_watch)
 
-    p = sub.add_parser(
+    p = add_verb(
         "quality",
-        parents=[common, load],
+        parents=[_shared("seed", "json"), load],
         help="run a federation under load with the shadow-oracle quality "
              "plane armed; print precision/recall and per-summary "
              "divergence attributions",
@@ -946,9 +842,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(non-zero exit below it)")
     p.set_defaults(fn=_cmd_quality)
 
-    p = sub.add_parser(
+    p = add_verb(
         "postmortem",
-        parents=[common],
+        parents=[_shared("json")],
         help="render postmortem bundles dumped by the flight recorder",
     )
     p.add_argument("path",
@@ -957,38 +853,38 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on rendered causal-tree nodes per trace")
     p.set_defaults(fn=_cmd_postmortem)
 
-    from .bench import SCALES
     from .experiments import available_targets
 
-    p = sub.add_parser(
-        "figure", parents=[common], help="regenerate a table/figure"
+    p = add_verb(
+        "figure", parents=[_shared("scale", "seed")],
+        help="regenerate a table/figure",
     )
     p.add_argument("target", choices=available_targets())
     p.add_argument("--output", help="also write rows to this CSV path")
     p.set_defaults(fn=_cmd_figure)
 
-    p = sub.add_parser(
-        "suite", help="run the full evaluation and archive results"
+    p = add_verb(
+        "suite", parents=[_shared("scale", "seed")],
+        help="run the full evaluation and archive results",
     )
     p.add_argument("--out", default="results")
-    p.add_argument("--scale", choices=SCALES, default="quick")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument(
         "--targets", nargs="*", default=None,
         help="subset of targets (default: Table I and every figure)",
     )
     p.set_defaults(fn=_cmd_suite)
 
-    p = sub.add_parser(
+    p = add_verb(
         "bench",
         help="benchmark observatory: BENCH_*.json artifacts of simulated "
              "facts and the regression gate",
     )
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
+    add_bench = functools.partial(bench_sub.add_parser, allow_abbrev=False)
 
-    b = bench_sub.add_parser(
+    b = add_bench(
         "run",
-        parents=[common],
+        parents=[_shared("scale", "seed", "out", "json")],
         help="run one or more scenarios and write BENCH_<scenario>.json",
     )
     from .bench import available_scenarios as _bench_scenarios
@@ -1002,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(the stress shards)")
     b.set_defaults(fn=_cmd_bench_run)
 
-    b = bench_sub.add_parser(
+    b = add_bench(
         "compare",
         help="diff an artifact against a baseline; non-zero exit on "
              "regression or shape violation",
@@ -1017,30 +913,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print every metric delta, not only failures")
     b.set_defaults(fn=_cmd_bench_compare)
 
-    b = bench_sub.add_parser("list", help="list registered scenarios")
+    b = add_bench("list", help="list registered scenarios")
     b.set_defaults(fn=_cmd_bench_list)
 
-    p = sub.add_parser(
-        "profile",
-        parents=[common],
-        help="hierarchical hot-path profile of the canonical run, with "
-             "flame-graph exports",
-    )
-    p.add_argument("--top", type=_count, default=15,
-                   help="rows in the self-time table (default 15)")
-    p.add_argument("--tree", action="store_true",
-                   help="also print the call-path tree")
-    p.add_argument("--collapsed", metavar="PATH",
-                   help="write Brendan Gregg collapsed stacks "
-                        "(flamegraph.pl input)")
-    p.add_argument("--speedscope", metavar="PATH",
-                   help="write a speedscope.app JSON profile")
-    p.add_argument("--diff", nargs=2, metavar=("A", "B"),
-                   help="diff two --json profile documents instead of "
-                        "running anything")
-    p.set_defaults(fn=_cmd_profile)
-
-    p = sub.add_parser("demo", help="run the narrated quickstart")
+    p = add_verb("demo", help="run the narrated quickstart")
     p.add_argument(
         "--telemetry", action="store_true",
         help="run the telemetry walkthrough instead (traced query + load tables)",
@@ -1052,7 +928,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): stop quietly. Point the
+        # descriptor at devnull, or the interpreter's exit-time flush
+        # raises again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         # An export target that cannot be written (or an input that
         # cannot be read): one line naming the path, not a traceback.

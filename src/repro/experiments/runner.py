@@ -244,16 +244,16 @@ def _measure(
     }
 
 
-def roads_trial(settings: ExperimentSettings, seed: int, telemetry=None) -> tuple:
+def roads_trial(settings: ExperimentSettings, seed: int) -> tuple:
     """(federation, queries, clients): ``run_trial(settings, seed)``'s
-    ROADS half, built and measured as it builds and measures it, and the
-    federation left running; memoised unless *telemetry* observed it."""
+    ROADS half, built, measured and memoised as it builds, measures and
+    memoises it, and the federation left running."""
     build, queried = trial_keys(settings, seed)
     stores, queries, clients = _trial_inputs(settings, seed, None, queried)
-    system = build_roads(settings, stores, seed, telemetry)
-    measured = measure_system(system, queries, clients, settings)
-    if telemetry is None:
-        _remember("roads", build, queried, measured)
+    system = build_roads(settings, stores, seed)
+    _remember("roads", build, queried, measure_system(
+        system, queries, clients, settings
+    ))
     return system, queries, clients
 
 

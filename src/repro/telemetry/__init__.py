@@ -28,9 +28,9 @@ latency distributions. It has three cooperating pieces:
 * flight recorder — :class:`FlightRecorder` per-server event rings that
   freeze SLO breaches into :class:`PostmortemBundle` evidence windows
   (:mod:`repro.telemetry.recorder`).
-* profiling — :class:`CallPathProfiler` hierarchical wall-clock
-  hot-path attribution with collapsed-stack / speedscope exporters and
-  hotspot diffing (:mod:`repro.telemetry.profiling`).
+* profiling — :class:`CallPathProfiler`, a hierarchical wall-clock
+  frame recorder (:mod:`repro.telemetry.profiling`); host time is
+  reported by ``perf/run.py --trace 1``.
 
 When no telemetry is attached (``telemetry=None``, the default),
 instrumented code paths skip all recording — the one way to switch it
@@ -51,21 +51,7 @@ from .export import (
     write_prometheus,
     write_series_jsonl,
 )
-from .profiling import (
-    CallPathProfiler,
-    PROFILE_SCHEMA,
-    census_fingerprint,
-    collapsed_stacks,
-    diff_documents,
-    flatten_document,
-    format_top,
-    format_tree,
-    hotspot_shares,
-    parse_collapsed,
-    parse_speedscope,
-    speedscope_document,
-    top_frames,
-)
+from .profiling import CallPathProfiler
 from .probes import HealthCheck, HealthProbe, HealthReport, HealthSLO
 from .quality import DivergenceAttribution, QualityPlane, QualityReport
 from .recorder import FlightRecorder, PostmortemBundle
@@ -128,16 +114,4 @@ __all__ = [
     "QualityReport",
     "DivergenceAttribution",
     "CallPathProfiler",
-    "PROFILE_SCHEMA",
-    "census_fingerprint",
-    "collapsed_stacks",
-    "diff_documents",
-    "flatten_document",
-    "format_top",
-    "format_tree",
-    "hotspot_shares",
-    "parse_collapsed",
-    "parse_speedscope",
-    "speedscope_document",
-    "top_frames",
 ]

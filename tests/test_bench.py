@@ -13,11 +13,11 @@ from repro.bench import (
     SCENARIOS,
     artifact_filename,
     available_scenarios,
+    census_fingerprint,
     compare_artifacts,
     config_fingerprint,
     format_comparison,
     load_artifact,
-    profile_scenario,
     resolve_scale,
     RunPlan,
     run_scenario,
@@ -28,13 +28,8 @@ from repro.bench import (
 )
 from repro.bench.scenarios import _canonical_block, _shared_block
 from repro.experiments.config import ExperimentSettings
-from repro.experiments import runner
 from repro.experiments.runner import clear_trial_memo, run_trial
-from repro.telemetry.profiling import (
-    CallPathProfiler,
-    census_fingerprint,
-    flatten_document,
-)
+from repro.telemetry import CallPathProfiler
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +43,9 @@ class TestProfiler:
         for _ in range(2):
             prof.enter("net.send")
             prof.exit()
-        flat = flatten_document(prof.document())["net.send"]
-        assert flat["calls"] == 2
-        assert flat["seconds"] >= 0.0
+        (frame,) = prof.document()["tree"]["children"]
+        assert (frame["name"], frame["calls"]) == ("net.send", 2)
+        assert frame["cum_seconds"] >= 0.0
 
     def test_document_is_json_without_census(self):
         prof = CallPathProfiler()
@@ -58,7 +53,7 @@ class TestProfiler:
         prof.enter("query.execute")
         prof.exit()
         snap = json.loads(json.dumps(prof.document()))  # JSON-serialisable
-        assert set(snap) == {"schema", "total_seconds", "tree"}
+        assert set(snap) == {"total_seconds", "tree"}
         assert snap["tree"]["children"][0]["name"] == "query.execute"
         # The event census is the network's, not the profiler's.
         assert "census" not in snap
@@ -277,7 +272,7 @@ class TestOneUnobservedFederation:
 
 class TestCanonicalBlockMemo:
     """``run_scenario`` simulates the block once per (settings, seed) and
-    hands every artifact its own copy; ``repro profile`` goes around it."""
+    hands every artifact its own copy."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_memo_hit_is_a_fresh_block(self, seed):
@@ -303,22 +298,6 @@ class TestCanonicalBlockMemo:
         first.profile["census_kinds"].clear()
         second = run_scenario(plan)
         assert (second.simulated, second.profile) == expected
-
-    def test_profile_scenario_neither_reads_nor_fills_it(self):
-        _shared_block.cache_clear()
-        clear_trial_memo()
-        document = profile_scenario("smoke", 5)
-        assert _shared_block.cache_info().currsize == 0
-        assert runner._MEMO == {}  # nor the trial memo
-        artifact = run_scenario(RunPlan("overlay", scale="smoke", seed=5))
-        before = _shared_block.cache_info()
-        assert profile_scenario("smoke", 5)["census_fingerprint"] == (
-            document["census_fingerprint"]
-        ) == artifact.profile["census_fingerprint"]
-        assert _shared_block.cache_info() == before
-        memo = dict(runner._MEMO)
-        profile_scenario("smoke", 5)
-        assert runner._MEMO == memo
 
 
 class TestBlockIsTheTrialContinued:

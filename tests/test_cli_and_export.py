@@ -208,7 +208,7 @@ class TestBenchCLI:
         art = load_artifact(path)
         assert art.scenario == "overlay" and art.scale == "smoke"
         assert art.metrics["sim.latency_p95"] > 0
-        assert art.profile["census_fingerprint"]  # always profiled
+        assert art.profile["census_fingerprint"]  # always stamped
         assert "wall" not in doc
         assert art.ok
 
@@ -519,9 +519,6 @@ class TestUnwritableExports:
             ["telemetry"] + SMALL + ["--export-prom", "BAD"],
             ["trace", "EVENTS", "--json", "BAD"],
             ["trace", "EVENTS", "--chrome", "BAD"],
-            ["profile", "--scale", "smoke", "--json", "BAD"],
-            ["profile", "--scale", "smoke", "--collapsed", "BAD"],
-            ["profile", "--scale", "smoke", "--speedscope", "BAD"],
             ["figure", "fig9", "--scale", "smoke", "--output", "BAD"],
             ["bench", "run", "table1", "--scale", "smoke", "--out", "BAD"],
             ["suite", "--scale", "smoke", "--targets", "fig9", "--out", "BAD"],
@@ -589,7 +586,6 @@ class TestOutOfRangeInputs:
     @pytest.mark.parametrize("argv", [
         ["telemetry", "--top", "-2"],
         ["quality", "--top", "-1"],
-        ["profile", "--top", "0"],
         ["trace", "events.jsonl", "--max-nodes", "-5"],
         ["postmortem", "pm", "--max-nodes", "0"],
         ["quality", "--top", "ten"],
@@ -851,32 +847,101 @@ class TestQualityCLI:
 
 
 class TestSharedParentParser:
-    """Every observability verb inherits --scale/--seed/--out/--json
-    from the one parent parser — same defaults, same bare-flag JSON."""
+    """Each verb takes the shared --scale/--seed/--out/--json flags it
+    reads, and only those — same defaults, same bare-flag JSON."""
 
     CASES = {
         "trace": ["trace", "events.jsonl"],
         "watch": ["watch"],
         "quality": ["quality"],
         "postmortem": ["postmortem", "some/dir"],
-        "profile": ["profile"],
         "bench run": ["bench", "run", "overlay"],
     }
+    #: the shared flags each verb reads
+    READS = {
+        "trace": {"json"},
+        "watch": {"seed", "json"},
+        "quality": {"seed", "json"},
+        "postmortem": {"json"},
+        "bench run": {"scale", "seed", "out", "json"},
+    }
+    DEFAULTS = {"scale": "quick", "seed": 1, "out": ".", "json": None}
 
     @pytest.mark.parametrize("verb", sorted(CASES))
     def test_shared_defaults(self, verb):
-        args = build_parser().parse_args(self.CASES[verb])
-        assert args.scale == "quick"
-        assert args.seed == 1
-        assert args.out == "."
-        assert args.json is None
+        args = vars(build_parser().parse_args(self.CASES[verb]))
+        assert {name: args[name] for name in self.READS[verb]} == {
+            name: self.DEFAULTS[name] for name in self.READS[verb]
+        }
 
     @pytest.mark.parametrize("verb", sorted(CASES))
     def test_bare_json_means_stdout(self, verb):
         args = build_parser().parse_args(self.CASES[verb] + ["--json"])
         assert args.json == "-"
         args = build_parser().parse_args(
-            self.CASES[verb] + ["--json", "doc.json", "--seed", "9"]
+            self.CASES[verb] + ["--json", "doc.json"]
         )
         assert args.json == "doc.json"
-        assert args.seed == 9
+
+    #: every (verb, flag) pair the CLI accepted and ignored, plus the
+    #: selftest flag that printed the telemetry verb's tables
+    IGNORED = [
+        (["figure", "table1"], "--out", "D"),
+        (["figure", "table1"], "--json", "F"),
+        (["trace", "events.jsonl"], "--scale", "smoke"),
+        (["trace", "events.jsonl"], "--seed", "3"),
+        (["trace", "events.jsonl"], "--out", "D"),
+        (["postmortem", "pm"], "--scale", "smoke"),
+        (["postmortem", "pm"], "--seed", "3"),
+        (["postmortem", "pm"], "--out", "D"),
+        (["watch"], "--scale", "smoke"),
+        (["watch"], "--out", "D"),
+        (["quality"], "--scale", "smoke"),
+        (["quality"], "--out", "D"),
+        (["selftest"], "--telemetry", None),
+    ]
+
+    @pytest.mark.parametrize(
+        "verb, flag, value", IGNORED,
+        ids=[f"{verb[0]} {flag}" for verb, flag, _ in IGNORED],
+    )
+    def test_a_flag_nothing_reads_is_refused(self, verb, flag, value, capsys):
+        argv = verb + [flag] + ([value] if value is not None else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_profile_is_an_unknown_verb(self, capsys):
+        # Host time is perf/run.py's: the in-tree profile report is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["profile"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    def test_a_reader_that_closes_early_gets_no_traceback(self):
+        # The reader's end is closed before the child writes anything,
+        # so its first flush fails with EPIPE.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "bench", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 1

@@ -12,7 +12,6 @@ import pytest
 
 from repro.bench import (
     RunPlan,
-    profile_scenario,
     run_plans,
     run_scenario,
     stress_shard_rows,
@@ -89,17 +88,12 @@ class TestLegacyShims:
     def test_plan_plus_legacy_args_rejected(self):
         with pytest.raises(TypeError):
             run_scenario(RunPlan("overlay", scale="smoke"), "smoke")
-        with pytest.raises(ValueError, match="unknown scale"):
-            profile_scenario(RunPlan("overlay", scale="smoke"), seed=4)
 
     def test_non_plan_non_name_rejected(self):
         with pytest.raises(TypeError):
             run_scenario(42)
         with pytest.raises(TypeError, match="RunPlan"):
             run_scenario("fig8")
-        # profile_scenario takes a scale and a seed, never a scenario.
-        with pytest.raises(ValueError, match="unknown scale"):
-            profile_scenario("fig8")
 
     def test_canonical_call_is_warning_free(self):
         with warnings.catch_warnings():
@@ -167,29 +161,33 @@ class TestSharedCliFlags:
     def parser(self):
         return build_parser()
 
+    # Each verb paired with the shared flags it reads, as set below.
     @pytest.mark.parametrize(
         "verb",
         [
-            ["bench", "run", "overlay"],
-            ["profile"],
-            ["trace", "events.jsonl"],
-            ["watch"],
-            ["postmortem", "pm.json"],
+            (["bench", "run", "overlay"],
+             {"scale": "smoke", "seed": 7, "out": "x", "json": "j"}),
+            (["figure", "fig3"], {"scale": "smoke", "seed": 7}),
+            (["trace", "events.jsonl"], {"json": "j"}),
+            (["watch"], {"seed": 7, "json": "j"}),
+            (["postmortem", "pm.json"], {"json": "j"}),
         ],
     )
     def test_common_flags_parse_everywhere(self, parser, verb):
-        args = parser.parse_args(
-            verb + ["--scale", "smoke", "--seed", "7", "--out", "x"]
-        )
-        assert args.scale == "smoke"
-        assert args.seed == 7
-        assert args.out == "x"
-        assert args.json is None
+        command, flags = verb
+        argv = [
+            arg for name, value in flags.items()
+            for arg in (f"--{name}", str(value))
+        ]
+        args = vars(parser.parse_args(command + argv))
+        assert {name: args[name] for name in flags} == flags
 
     def test_bare_json_means_stdout(self, parser):
         args = parser.parse_args(["postmortem", "pm.json", "--json"])
         assert args.json == "-"
-        args = parser.parse_args(["profile", "--json", "p.json"])
+        args = parser.parse_args(
+            ["bench", "run", "overlay", "--json", "p.json"]
+        )
         assert args.json == "p.json"
 
     def test_bench_run_parallel_flag(self, parser):

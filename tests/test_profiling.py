@@ -1,18 +1,18 @@
-"""Hierarchical profiling plane: tree invariants, exports, determinism."""
+"""The call-path recorder: tree invariants, determinism, the census
+stamp an artifact carries."""
 
-import gc
 import json
 
 import pytest
 
 from repro.bench import (
     RunPlan,
+    census_fingerprint,
     compare_artifacts,
-    profile_scenario,
     run_scenario,
 )
 from repro.bench.artifact import BenchArtifact
-from repro.cli import main
+from repro.bench.scenarios import _canonical_block
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.runner import (
     build_roads,
@@ -21,23 +21,7 @@ from repro.experiments.runner import (
     trial_queries,
 )
 from repro.net.transport import ServiceConfig
-from repro.telemetry import Telemetry
-from repro.telemetry.profiling import (
-    PROFILE_SCHEMA,
-    CallPathProfiler,
-    census_document,
-    census_fingerprint,
-    collapsed_stacks,
-    diff_documents,
-    flatten_document,
-    format_top,
-    format_tree,
-    hotspot_shares,
-    parse_collapsed,
-    parse_speedscope,
-    speedscope_document,
-    top_frames,
-)
+from repro.telemetry import CallPathProfiler, Telemetry
 
 
 def _nested_profiler() -> CallPathProfiler:
@@ -60,14 +44,11 @@ def _enter_tree(prof: CallPathProfiler, node) -> None:
     prof.exit()
 
 
-def _with_census(document, census):
-    """*document* stamped with a network census, as ``profile_scenario``
-    stamps its own (the profiler keeps none)."""
-    return dict(
-        document,
-        census=census_document(census),
-        census_fingerprint=census_fingerprint(census),
-    )
+def _nodes(node):
+    """Every node under *node* of a document tree, depth first."""
+    for child in node["children"]:
+        yield child
+        yield from _nodes(child)
 
 
 def _check_invariants(node, parent_cum=None):
@@ -85,7 +66,7 @@ def _check_invariants(node, parent_cum=None):
 class TestCallPathTree:
     def test_tree_structure_and_invariants(self):
         doc = _nested_profiler().document()
-        assert doc["schema"] == PROFILE_SCHEMA
+        assert set(doc) == {"total_seconds", "tree"}
         roots = doc["tree"]["children"]
         assert [r["name"] for r in roots] == ["sim.dispatch"]
         dispatch = roots[0]
@@ -102,13 +83,7 @@ class TestCallPathTree:
 
     def test_self_time_partitions_total(self):
         doc = _nested_profiler().document()
-        self_sum = sum(
-            node["self_seconds"]
-            for node in flatten_document(doc).values()
-            # flatten merges same-name frames; walk the tree instead
-        )
-        # flatten_document already sums self over all paths per name, so
-        # the per-name self times partition the total exactly.
+        self_sum = sum(node["self_seconds"] for node in _nodes(doc["tree"]))
         assert self_sum == pytest.approx(doc["total_seconds"], rel=1e-9)
 
     def test_recursive_frame_nests_without_double_count(self):
@@ -122,13 +97,11 @@ class TestCallPathTree:
         assert root["name"] == "a"
         assert root["calls"] == 1
         (child,) = root["children"]
-        assert child["name"] == "a"
-        # The flat view counts only the top-most occurrence, so the
-        # recursive nesting never exceeds the profiled total.
-        flat = flatten_document(doc)["a"]
-        assert flat["calls"] == 2
-        assert flat["seconds"] == pytest.approx(root["cum_seconds"])
-        assert flat["seconds"] <= doc["total_seconds"] + 1e-9
+        assert child["name"] == "a" and child["calls"] == 1
+        # The nested frame's time is inside its parent's, never added to
+        # it: the total is the top-most frame's.
+        assert child["cum_seconds"] <= root["cum_seconds"]
+        assert doc["total_seconds"] == root["cum_seconds"]
 
     def test_unbalanced_exit_raises(self):
         prof = CallPathProfiler()
@@ -136,81 +109,19 @@ class TestCallPathTree:
             prof.exit()
 
 
-class TestFlatShim:
-    def test_nested_same_name_not_double_counted(self):
-        prof = CallPathProfiler()
-        _enter_tree(prof, ("sim.dispatch", ("sim.dispatch",)))
-        doc = prof.document()
-        flat = flatten_document(doc)["sim.dispatch"]
-        assert flat["calls"] == 2
-        assert set(flat) == {"calls", "seconds", "self_seconds"}
-        # ``seconds`` is the top-most cumulative, not the sum over both
-        # nesting levels, so it never exceeds the profiled total.
-        assert flat["seconds"] <= doc["total_seconds"] + 1e-9
-
-
 class TestExports:
-    @pytest.fixture(scope="class")
-    def document(self):
-        return _with_census(
-            _nested_profiler().document(),
-            {"query": {3: 2}, "summary-full": {1: 5}},
-        )
+    """The census stamp every artifact exports (``repro.bench``)."""
 
-    def test_collapsed_round_trip(self, document):
-        stacks = parse_collapsed(collapsed_stacks(document))
-        assert stacks  # at least one non-zero-self path
-        for path in stacks:
-            assert path[0] == "sim.dispatch"
-
-    def test_speedscope_round_trip(self, document):
-        doc = speedscope_document(document)
-        assert doc["$schema"].startswith("https://www.speedscope.app")
-        (profile,) = doc["profiles"]
-        assert profile["type"] == "sampled"
-        assert len(profile["samples"]) == len(profile["weights"])
-        assert parse_speedscope(doc) == parse_collapsed(
-            collapsed_stacks(document)
-        )
-
-    def test_census_fingerprint_is_order_independent(self, document):
-        census = document["census"]
+    def test_census_fingerprint_is_order_independent(self):
+        census = {"query": {3: 2, 1: 4}, "summary-full": {1: 5}}
         reordered = {
             kind: dict(reversed(list(per.items())))
             for kind, per in reversed(list(census.items()))
         }
-        assert census_fingerprint(reordered) == document["census_fingerprint"]
+        assert census_fingerprint(reordered) == census_fingerprint(census)
         assert census_fingerprint(reordered) != census_fingerprint(
             {"query": {"3": 99}}
         )
-
-    def test_top_frames_and_formatting(self, document):
-        frames = top_frames(document, k=3)
-        assert len(frames) <= 3
-        text = format_top(document)
-        assert "sim.dispatch" in text
-        assert "self s" in text
-        tree_text = format_tree(document, min_share=0.0)
-        assert "sim.dispatch" in tree_text.splitlines()[0]
-
-    def test_hotspot_shares_sum_to_one(self, document):
-        shares = hotspot_shares(document)
-        assert sum(shares.values()) == pytest.approx(1.0, abs=1e-6)
-
-
-class TestDiff:
-    def test_identical_documents(self):
-        doc = _with_census(_nested_profiler().document(), {"query": {1: 1}})
-        text = diff_documents(doc, doc, label_a="old", label_b="new")
-        assert "identical" in text
-
-    def test_census_change_flagged(self):
-        doc = _nested_profiler().document()
-        text = diff_documents(
-            _with_census(doc, {"query": {1: 1}}),
-            _with_census(doc, {"summary-full": {2: 1}}),
-        )
-        assert "DIFFERENT" in text
 
 
 #: census fingerprints of :func:`_serviced_run`, per seed, as the
@@ -281,114 +192,18 @@ class TestDeterminismTripwire:
         )
 
 
-class TestProfileScenarioAndCli:
-    @pytest.fixture(scope="class")
-    def document(self):
-        # A full collection of the whole suite's heap costs about as much
-        # as this 0.3 s run and is charged to whichever frame is open
-        # when it triggers; collect now so the frame times below are the
-        # frames' own.
-        gc.collect()
-        return profile_scenario("smoke", 3)
-
-    def test_document_shape(self, document):
-        assert document["schema"] == PROFILE_SCHEMA
-        assert document["total_seconds"] > 0
-        flat = flatten_document(document)
-        assert "sim.dispatch" in flat
-        assert "net.deliver" in flat
-        assert document["census"]  # at least one message kind delivered
-
-    def test_dispatch_loop_dominates_tree(self, document):
-        roots = {r["name"]: r for r in document["tree"]["children"]}
-        assert "sim.dispatch" in roots
-        top_root = max(
-            document["tree"]["children"], key=lambda r: r["cum_seconds"]
-        )
-        assert top_root["name"] == "sim.dispatch"
-
-    def test_cli_profile_run_and_exports(self, tmp_path, capsys):
-        json_path = tmp_path / "prof.json"
-        collapsed_path = tmp_path / "prof.collapsed"
-        speedscope_path = tmp_path / "prof.speedscope.json"
-        rc = main([
-            "profile", "--scale", "smoke", "--seed", "3",
-            "--tree",
-            "--json", str(json_path),
-            "--collapsed", str(collapsed_path),
-            "--speedscope", str(speedscope_path),
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "sim.dispatch" in out
-        assert "hotspots:" in out
-        doc = json.loads(json_path.read_text())
-        assert doc["schema"] == PROFILE_SCHEMA
-        assert parse_collapsed(collapsed_path.read_text())
-        scope = json.loads(speedscope_path.read_text())
-        assert parse_speedscope(scope) == parse_collapsed(
-            collapsed_path.read_text()
-        )
-
-    def test_cli_profile_diff(self, tmp_path, capsys):
-        doc = _with_census(_nested_profiler().document(), {"query": {1: 1}})
-        path = tmp_path / "a.json"
-        path.write_text(json.dumps(doc))
-        rc = main(["profile", "--diff", str(path), str(path)])
-        assert rc == 0
-        assert "identical" in capsys.readouterr().out
-
-    def test_cli_profile_diff_reads_older_documents(self, tmp_path, capsys):
-        # Dumps from when frames carried a sim-clock column and the
-        # document a counters map still diff against current ones.
-        new = _with_census(_nested_profiler().document(), {"query": {1: 1}})
-
-        def with_sim_seconds(node):
-            return dict(
-                node, sim_seconds=1.5,
-                children=[with_sim_seconds(c) for c in node["children"]],
-            )
-
-        old = dict(
-            new, tree=with_sim_seconds(new["tree"]),
-            counters={"sim.events": 42},
-        )
-        paths = []
-        for name, doc in (("old.json", old), ("new.json", new)):
-            paths.append(tmp_path / name)
-            paths[-1].write_text(json.dumps(doc))
-        assert main(["profile", "--diff", *map(str, paths)]) == 0
-        out = capsys.readouterr().out
-        assert "sim.dispatch" in out
-        assert "event census: identical" in out
-
-    def test_cli_profile_diff_rejects_non_profile(self, tmp_path, capsys):
-        path = tmp_path / "bogus.json"
-        path.write_text(json.dumps({"schema": "other/1"}))
-        rc = main(["profile", "--diff", str(path), str(path)])
-        assert rc == 2
-        assert PROFILE_SCHEMA in capsys.readouterr().out
-
-    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
-    def test_cli_profile_diff_unreadable_file_exits_2(
-        self, content, tmp_path, capsys
-    ):
-        good = tmp_path / "a.json"
-        good.write_text(json.dumps(_nested_profiler().document()))
-        bad = tmp_path / "bad.json"
-        if content is not None:
-            bad.write_text(content)
-        rc = main(["profile", "--diff", str(good), str(bad)])
-        assert rc == 2
-        (line,) = capsys.readouterr().out.splitlines()
-        assert line.startswith(f"{bad}: ")
-
-    def test_cli_profile_takes_no_scenario(self, capsys):
-        # The canonical run is the same for every scenario, so there is
-        # nothing for a positional to select.
-        with pytest.raises(SystemExit) as exc:
-            main(["profile", "fig3", "--scale", "smoke"])
-        assert exc.value.code == 2
+class TestArmedRun:
+    def test_armed_profiler_records_dispatch_and_delivery_frames(self):
+        # The engine and network hooks stay: a profiler attached before
+        # the build sees the dispatch loop and the deliveries under it.
+        tel = Telemetry()
+        tel.attach_profiler(CallPathProfiler())
+        _serviced_run(3, tel)
+        doc = tel.profiler.document()
+        names = {node["name"] for node in _nodes(doc["tree"])}
+        assert "sim.dispatch" in names
+        assert any(name.startswith("net.deliver") for name in names)
+        assert doc["total_seconds"] > 0
 
 
 class TestCompareGate:
@@ -417,13 +232,12 @@ class TestCompareGate:
             assert any("fingerprint missing" in f for f in result.failures)
 
     def test_profile_block_in_artifact(self, artifact):
-        document = profile_scenario("smoke", 3)
+        plan = RunPlan("overlay", scale="smoke", seed=3)
+        _, census = _canonical_block(plan.settings(), plan.seed)
         assert set(artifact.profile) == {"census_fingerprint", "census_kinds"}
-        assert (
-            artifact.profile["census_fingerprint"]
-            == document["census_fingerprint"]
+        assert artifact.profile["census_fingerprint"] == (
+            census_fingerprint(census)
         )
-        # The plain run and the armed one stamp the same network census.
         assert artifact.profile["census_kinds"] == {
-            kind: sum(per.values()) for kind, per in document["census"].items()
+            kind: sum(per.values()) for kind, per in census.items()
         }

@@ -407,10 +407,13 @@ class TestZeroPerturbation:
         assert system.network.census["query"]
         assert system.quality.audits == 8
         # The audit's wall cost is visible as its own profiler frame.
-        from repro.telemetry.profiling import flatten_document
+        def frames(node):
+            for child in node["children"]:
+                yield child["name"]
+                yield from frames(child)
 
-        assert "quality.audit" in flatten_document(audit_doc)
-        assert "quality.audit" not in flatten_document(base_doc)
+        assert "quality.audit" in frames(audit_doc["tree"])
+        assert "quality.audit" not in frames(base_doc["tree"])
 
 
 class TestSeriesGauges:

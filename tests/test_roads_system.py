@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.bench import census_fingerprint
 from repro.overlay import decide_descent, decide_start
 from repro.overlay.routing import decide_local
 from repro.query import Query, RangePredicate
@@ -22,7 +23,6 @@ from repro.roads import (
     Verdict,
 )
 from repro.summaries import SummaryConfig
-from repro.telemetry.profiling import census_fingerprint
 from repro.workload import (
     WorkloadConfig,
     generate_node_stores,

@@ -304,10 +304,3 @@ class TestCli:
         assert doc["traceEvents"]
         assert read_jsonl(jsonl)
         assert "roads_bytes_total" in prom.read_text()
-
-    def test_selftest_telemetry_flag(self, capsys):
-        rc = main(["selftest", "--seed", "1", "--telemetry"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "selftest passed" in out
-        assert "root-load share" in out

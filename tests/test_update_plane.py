@@ -27,6 +27,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from repro.bench import census_fingerprint
 from repro.net.transport import SUMMARY_FULL, SUMMARY_KEEPALIVE
 from repro.query import Query, RangePredicate
 from repro.roads import (
@@ -37,7 +38,6 @@ from repro.roads import (
     SearchRequest,
 )
 from repro.summaries import ResourceSummary, SummaryConfig
-from repro.telemetry.profiling import census_fingerprint
 from repro.workload import WorkloadConfig, generate_node_stores, merge_stores
 from repro.workload.dynamics import RecordDynamics
 from repro.workload.queries import generate_queries
