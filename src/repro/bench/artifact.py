@@ -140,6 +140,11 @@ class BenchArtifact:
         return cls(**{k: doc[k] for k in _REQUIRED_KEYS})
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_artifact(doc: Dict[str, object]) -> List[str]:
     """Schema check; returns human-readable problems (empty = valid)."""
     problems: List[str] = []
@@ -163,17 +168,14 @@ def validate_artifact(doc: Dict[str, object]) -> List[str]:
         ("settings", dict), ("rows", list), ("metrics", dict),
         ("simulated", dict), ("shape", dict), ("profile", dict),
     ):
-        if not isinstance(doc[key], typ):
+        if not isinstance(doc[key], typ) or isinstance(doc[key], bool):
             problems.append(
                 f"{key} must be {typ.__name__}, got {type(doc[key]).__name__}"
             )
-    if not isinstance(doc["created_unix"], (int, float)):
+    if not _is_number(doc["created_unix"]):
         problems.append("created_unix must be a number")
     if isinstance(doc["metrics"], dict):
-        bad = [
-            k for k, v in doc["metrics"].items()
-            if not isinstance(v, (int, float))
-        ]
+        bad = [k for k, v in doc["metrics"].items() if not _is_number(v)]
         if bad:
             problems.append(f"non-numeric metrics: {sorted(bad)[:5]}")
     if isinstance(doc["shape"], dict) and "failures" not in doc["shape"]:

@@ -10,8 +10,8 @@ code:
   ``--scale``) and optionally save the rows;
 * ``telemetry`` — run an instrumented scenario and print per-server
   load tables (root-load share with and without the replication
-  overlay), optionally exporting JSONL events, a Chrome trace and a
-  Prometheus metrics snapshot;
+  overlay), optionally exporting JSONL events, a Chrome trace and the
+  metrics snapshot (``--json``);
 * ``bench`` — the benchmark observatory: ``run`` a scenario into a
   ``BENCH_<scenario>.json`` artifact of simulated facts, ``compare``
   one against a committed baseline (non-zero exit on drift or
@@ -31,119 +31,78 @@ from .experiments import ExperimentSettings, print_table
 from .experiments.export import save_rows_csv
 
 
-def _telemetry_scenario(
-    num_nodes: int,
-    records_per_node: int,
-    num_queries: int,
-    seed: int,
-    *,
-    use_overlay: bool,
-):
-    """Build a federation and run a query batch over it.
-
-    Returns ``(system, telemetry, root_id)`` with all query traffic
-    recorded in the per-server metrics registry and — with the overlay
-    — the event bus; the root-entry run is only ever read through its
-    registry, so nothing observes it (``telemetry`` is None).
-    """
+def _cmd_telemetry(args) -> int:
+    """Per-server query load with and without the overlay; the
+    with-overlay run is the one observed, and what the exports write.
+    The root-entry run is read through its metrics registry only."""
+    from .experiments.report import format_table
     from .experiments.runner import (
         build_roads, build_workload, drive_queries, trial_queries,
     )
-    from .telemetry import Telemetry
-
-    settings = ExperimentSettings.smoke().with_(
-        num_nodes=num_nodes,
-        records_per_node=records_per_node,
-        num_queries=max(1, num_queries),
-        seed=seed,
-    )
-    wcfg, stores = build_workload(settings, seed)
-    queries, clients = trial_queries(settings, wcfg, seed)
-    tel = Telemetry(capacity=200_000) if use_overlay else None
-    system = drive_queries(
-        build_roads(settings, stores, seed, tel),
-        queries[:num_queries], clients[:num_queries], use_overlay=use_overlay,
-    )
-    return system, tel, system.hierarchy.root.server_id
-
-
-def _print_load_tables(
-    num_nodes: int,
-    records_per_node: int,
-    num_queries: int,
-    seed: int,
-    top: int,
-) -> tuple:
-    """Per-server query load with and without the overlay; returns the
-    (system, telemetry) pair of the with-overlay run for exporting."""
     from .sim import QUERY
-    from .telemetry import per_server_load_rows, root_load_share
+    from .telemetry import Telemetry, per_server_load_rows, root_load_share
+    from .telemetry.export import write_chrome_trace, write_jsonl
 
-    kept = None
+    say = _narrator(args.json)
+    settings = ExperimentSettings.smoke().with_(
+        num_nodes=args.nodes, records_per_node=args.records,
+        num_queries=args.queries, seed=args.seed,
+    )
     for use_overlay in (True, False):
-        system, tel, root_id = _telemetry_scenario(
-            num_nodes, records_per_node, num_queries, seed,
-            use_overlay=use_overlay,
+        wcfg, stores = build_workload(settings, args.seed)
+        tel = Telemetry(capacity=200_000) if use_overlay else None
+        system = drive_queries(
+            build_roads(settings, stores, args.seed, tel),
+            *trial_queries(settings, wcfg, args.seed), use_overlay=use_overlay,
         )
+        root_id = system.hierarchy.root.server_id
         rows = per_server_load_rows(
             system.metrics, category=QUERY, phase="forward",
-            top=top, root_id=root_id,
+            top=args.top, root_id=root_id,
         )
         for r in rows:
             r["share"] = f"{r['share']:.1%}"
         label = "with overlay" if use_overlay else "without overlay (root entry)"
-        print()
-        print_table(
+        say()
+        say(format_table(
             rows,
             title=(
                 f"hottest {len(rows)} servers by query-forward load "
                 f"({label}; root={root_id})"
             ),
-        )
+        ))
         share = root_load_share(
             system.metrics, root_id, category=QUERY, phase="forward"
         )
-        print(f"root-load share ({label}): {share:.1%}")
+        say(f"root-load share ({label}): {share:.1%}")
         if use_overlay:
-            kept = (system, tel)
-    return kept
-
-
-def _cmd_telemetry(args) -> int:
-    from .telemetry.export import (
-        write_chrome_trace, write_jsonl, write_prometheus,
-    )
-
-    system, tel = _print_load_tables(
-        args.nodes, args.records, args.queries, args.seed, args.top
-    )
-    latency = system.metrics.merged_histogram("query.latency")
-    s = latency.summary()
-    print(
+            observed, observed_tel = system, tel
+    s = observed.metrics.merged_histogram("query.latency").summary()
+    say(
         f"query latency (s): p50={s['p50']:.3f} p95={s['p95']:.3f} "
         f"p99={s['p99']:.3f} over {s['count']} queries"
     )
-    print(
-        f"events recorded: {tel.bus.emitted} "
-        f"(retained {len(tel.bus)}, dropped {tel.bus.dropped})"
+    say(
+        f"events recorded: {observed_tel.emitted} "
+        f"(retained {len(observed_tel)}, dropped {observed_tel.dropped})"
     )
+    events = observed_tel.events()
     if args.export_jsonl:
-        n = write_jsonl(tel.events(), args.export_jsonl)
-        print(f"{n} events written to {args.export_jsonl}")
+        n = write_jsonl(events, args.export_jsonl)
+        say(f"{n} events written to {args.export_jsonl}")
     if args.export_chrome:
-        n = write_chrome_trace(tel.events(), args.export_chrome)
-        print(f"{n} trace events written to {args.export_chrome} "
-              "(load in Perfetto / chrome://tracing)")
-    if args.export_prom:
-        write_prometheus(system.metrics, args.export_prom)
-        print(f"metrics snapshot written to {args.export_prom}")
+        n = write_chrome_trace(events, args.export_chrome)
+        say(f"{n} trace events written to {args.export_chrome} "
+            "(load in Perfetto / chrome://tracing)")
+    if args.json:
+        _emit_json(observed.metrics.snapshot(), args.json, "metrics snapshot")
     return 0
 
 
 def _cmd_trace(args) -> int:
     """Reconstruct causal trees from an exported event artifact."""
     from .telemetry import assemble_traces, critical_path, diff_critical_paths
-    from .telemetry.export import read_jsonl, write_chrome_trace
+    from .telemetry.export import read_jsonl
 
     try:
         events = read_jsonl(args.artifact)
@@ -229,10 +188,6 @@ def _cmd_trace(args) -> int:
         print(path.format())
     else:
         print("(no query.arrive leaf under the root: no critical path)")
-    if args.chrome:
-        n = write_chrome_trace(events, args.chrome)
-        print(f"\n{n} trace events written to {args.chrome} "
-              "(load in Perfetto; causal flows drawn as arrows)")
     return 0
 
 
@@ -287,7 +242,7 @@ def _run_loaded_federation(
     system.update_plane.start()
     load = LoadGenerator(
         system,
-        generate_queries(wcfg, num_queries=max(args.queries, 1)),
+        generate_queries(wcfg, num_queries=args.queries),
         LoadConfig(
             rate=args.rate,
             horizon=args.duration,
@@ -340,10 +295,11 @@ def _cmd_health(args) -> int:
         min_coverage=min(defaults.min_coverage, 1.0 - 3 * args.loss),
     )
     report = probe.report(slo)
-    print(_load_line(args, report_load))
-    print(report.format())
-    if args.export:
-        _emit_json(report.to_dict(), args.export, "health report")
+    say = _narrator(args.json)
+    say(_load_line(args, report_load))
+    say(report.format())
+    if args.json:
+        _emit_json(report.to_dict(), args.json, "health report")
     return 0 if report.healthy else 1
 
 
@@ -352,13 +308,21 @@ def _cmd_watch(args) -> int:
     armed — oracle, sampler, SLO judge, flight recorder — and render
     the sampled series."""
     from .telemetry import HealthSLO
-    from .telemetry.export import series_jsonl, write_series_jsonl
 
     _, report_load, probe, recorder = _run_loaded_federation(
         args, quality=True, interval=args.sample_interval,
         slo=HealthSLO(), dump_dir=args.postmortem_dir,
     )
     sampler = probe.sampler
+    wanted = args.metrics or None
+    if wanted:
+        known = sorted({s.name for s in sampler.all_series() if s.server is None})
+        unknown = [m for m in wanted if m not in known]
+        if unknown:
+            raise ValueError(
+                f"unknown metric(s) {', '.join(unknown)}; the federation-wide "
+                f"gauges are {', '.join(known)}"
+            )
     say = _narrator(args.json)
     say(
         f"{_load_line(args, report_load)}; "
@@ -366,17 +330,14 @@ def _cmd_watch(args) -> int:
         f"{len(sampler.all_series())} series"
     )
     if args.format == "sparkline":
-        say(sampler.format(metrics=args.metrics or None))
-    elif args.format == "csv":
+        say(sampler.format(metrics=wanted))
+    else:
         say("metric,server,t,value")
         for row in sampler.rows(rollups=False):
+            if wanted and row["metric"] not in wanted:
+                continue
             server = "" if row["server"] is None else row["server"]
             say(f"{row['metric']},{server},{row['t']},{row['value']}")
-    elif args.format == "jsonl":
-        say(series_jsonl(sampler.rows()))
-    if args.export:
-        n = write_series_jsonl(sampler.rows(), args.export)
-        say(f"{n} series rows written to {args.export}")
     if args.json:
         _emit_json(list(sampler.rows()), args.json, "series rows JSON")
     if probe.breaches:
@@ -648,40 +609,12 @@ def _cmd_demo(args) -> int:
     import runpy
     from pathlib import Path
 
-    if args.telemetry:
-        return _demo_telemetry(args)
     script = Path(__file__).resolve().parents[2] / "examples" / "quickstart.py"
     if script.exists():
         runpy.run_path(str(script), run_name="__main__")
         return 0
     print("examples/quickstart.py not found; run from a source checkout")
     return 1
-
-
-def _demo_telemetry(args) -> int:
-    """Narrated telemetry walkthrough: one traced query, then load tables."""
-    from .workload import WorkloadConfig, generate_node_stores
-    from .workload.queries import generate_queries
-
-    print("== telemetry demo: one traced query on a 16-node federation ==")
-    system, tel, root_id = _telemetry_scenario(
-        16, 40, 0, 7, use_overlay=True
-    )
-    wcfg = WorkloadConfig(num_nodes=16, records_per_node=40, seed=7)
-    query = generate_queries(wcfg, num_queries=1)[0]
-    from .roads import SearchRequest
-    from .telemetry import assemble_traces
-
-    outcome = system.search(SearchRequest(query, client_node=0)).outcome
-    print(f"query contacted {outcome.servers_contacted} servers, "
-          f"{outcome.total_matches} matches, "
-          f"latency {outcome.latency * 1000:.1f} ms; causal trace:")
-    print(assemble_traces(tel.events())[outcome.trace_id].format())
-    spans = [e for e in tel.events() if e.kind == "span"]
-    print(f"\n{tel.bus.emitted} structured events on the bus "
-          f"({len(spans)} spans); per-server load tables:")
-    _print_load_tables(16, 40, 30, 7, top=8)
-    return 0
 
 
 def _count(text: str) -> int:
@@ -737,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = load.add_argument_group("federation and offered load")
     group.add_argument("--nodes", type=int, default=32)
     group.add_argument("--records", type=int, default=40)
-    group.add_argument("--queries", type=int, default=30,
+    group.add_argument("--queries", type=_count, default=30,
                        help="size of the query pool offered as load")
     group.add_argument("--rate", type=float, default=20.0,
                        help="offered load, queries per virtual second")
@@ -759,20 +692,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_verb(
         "telemetry",
-        parents=[_shared("seed")],
-        help="run an instrumented scenario; print per-server load tables",
+        parents=[_shared("seed", "json")],
+        help="run an instrumented scenario; print per-server load tables "
+             "(--json: the with-overlay run's metrics snapshot)",
     )
     p.add_argument("--nodes", type=int, default=64)
     p.add_argument("--records", type=int, default=100)
-    p.add_argument("--queries", type=int, default=40)
+    p.add_argument("--queries", type=_count, default=40)
     p.add_argument("--top", type=_count, default=10,
                    help="rows in the hottest-servers table")
     p.add_argument("--export-jsonl", metavar="PATH",
-                   help="dump bus events as JSON-Lines")
+                   help="dump the recorded events as JSON-Lines")
     p.add_argument("--export-chrome", metavar="PATH",
-                   help="write a Chrome trace_event JSON (Perfetto-loadable)")
-    p.add_argument("--export-prom", metavar="PATH",
-                   help="write a Prometheus-style metrics snapshot")
+                   help="write a Chrome trace_event JSON with causal flow "
+                        "arrows (Perfetto-loadable)")
     p.set_defaults(fn=_cmd_telemetry)
 
     p = add_verb(
@@ -788,9 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list the traces in the artifact and exit")
     p.add_argument("--max-nodes", type=_count, default=200,
                    help="cap on rendered tree nodes")
-    p.add_argument("--chrome", metavar="PATH",
-                   help="also write a Chrome trace_event JSON with "
-                        "causal flow arrows")
     p.add_argument("--diff", nargs=2, type=int, metavar=("ID_A", "ID_B"),
                    help="compare two traces' critical paths side-by-side "
                         "with per-segment attribution deltas")
@@ -798,14 +728,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_verb(
         "health",
-        parents=[_shared("seed"), load],
+        parents=[_shared("seed", "json"), load],
         help="run a small federation under load and print its health "
              "report (non-zero exit when an SLO check fails)",
     )
     p.add_argument("--probe-interval", type=float, default=0.5,
                    help="health-probe cadence in virtual seconds")
-    p.add_argument("--export", metavar="PATH",
-                   help="write the health report as JSON")
     p.set_defaults(fn=_cmd_health)
 
     p = add_verb(
@@ -817,13 +745,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-interval", type=float, default=0.25,
                    help="sampling and SLO-judging cadence in virtual "
                         "seconds")
-    p.add_argument("--format", choices=("sparkline", "csv", "jsonl"),
+    p.add_argument("--format", choices=("sparkline", "csv"),
                    default="sparkline",
                    help="how to render the sampled series")
     p.add_argument("--metrics", nargs="*", default=None,
                    help="federation-wide gauges to render (default: all)")
-    p.add_argument("--export", metavar="PATH",
-                   help="also write the series rows as JSONL")
     p.add_argument("--postmortem-dir", metavar="DIR", default=None,
                    help="dump SLO-breach postmortem bundles under DIR")
     p.set_defaults(fn=_cmd_watch)
@@ -917,10 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=_cmd_bench_list)
 
     p = add_verb("demo", help="run the narrated quickstart")
-    p.add_argument(
-        "--telemetry", action="store_true",
-        help="run the telemetry walkthrough instead (traced query + load tables)",
-    )
     p.set_defaults(fn=_cmd_demo)
     return parser
 

@@ -1,13 +1,6 @@
 """Federated server hierarchy: formation, aggregation, maintenance."""
 
 from .aggregation import AggregationReport
-from .accept import (
-    AcceptAll,
-    AcceptancePolicy,
-    CompositePolicy,
-    DomainAffinityPolicy,
-    LoadCapPolicy,
-)
 from .churn import ChurnConfig, ChurnProcess, ChurnStats
 from .join import Hierarchy, JoinError, build_hierarchy
 from .maintenance import MaintenanceConfig, MaintenanceProtocol
@@ -27,11 +20,6 @@ __all__ = [
     "ChurnConfig",
     "ChurnProcess",
     "ChurnStats",
-    "AcceptancePolicy",
-    "AcceptAll",
-    "DomainAffinityPolicy",
-    "LoadCapPolicy",
-    "CompositePolicy",
     "render_tree",
     "tree_stats",
     "default_label",

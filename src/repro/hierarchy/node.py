@@ -145,8 +145,6 @@ class Server:
         # the last branch summary shipped to the parent — the very object
         # the parent was sent, so keeping it keeps no array alive twice
         self.last_reported: Optional[ResourceSummary] = None
-        # optional extra child-acceptance say (domain affinity, load, ...)
-        self.accept_policy = None
         self.alive = True
 
     @property
@@ -174,16 +172,12 @@ class Server:
         return [c.server_id for c in self.children]
 
     def willing_to_accept(self, joiner_id: int) -> bool:
-        """Child-acceptance: capacity, loop avoidance, then local policy."""
-        if not (
+        """Child-acceptance: alive, below capacity, and no loop."""
+        return (
             self.alive
             and len(self.children) < self.max_children
             and joiner_id not in self.root_path
-        ):
-            return False
-        if self.accept_policy is not None:
-            return bool(self.accept_policy.accepts(self, joiner_id))
-        return True
+        )
 
     def add_child(self, child: "Server") -> None:
         if child.server_id in (c.server_id for c in self.children):

@@ -4,11 +4,8 @@ from .client import OwnerHit, QueryExecution, QueryOutcome
 from .config import RoadsConfig
 from .load import LoadConfig, LoadGenerator, LoadReport
 from .policy import (
-    AllowListPolicy,
-    DenyAllPolicy,
     OpenPolicy,
     PolicyTable,
-    RateLimitPolicy,
     SharingPolicy,
     TieredPolicy,
 )
@@ -35,9 +32,6 @@ __all__ = [
     "OwnerHit",
     "SharingPolicy",
     "OpenPolicy",
-    "DenyAllPolicy",
-    "AllowListPolicy",
     "TieredPolicy",
-    "RateLimitPolicy",
     "PolicyTable",
 ]

@@ -61,25 +61,6 @@ class OpenPolicy(SharingPolicy):
         return mask
 
 
-class DenyAllPolicy(SharingPolicy):
-    """Discoverable but never returns records (summary-only presence)."""
-
-    def filter_matches(self, requester, store, mask):
-        return np.zeros_like(mask)
-
-
-@dataclass
-class AllowListPolicy(SharingPolicy):
-    """Only requesters on the allow list see any records."""
-
-    allowed_requesters: frozenset = frozenset()
-
-    def filter_matches(self, requester, store, mask):
-        if requester in self.allowed_requesters:
-            return mask
-        return np.zeros_like(mask)
-
-
 @dataclass
 class TieredPolicy(SharingPolicy):
     """Different views for different partner tiers.
@@ -87,12 +68,19 @@ class TieredPolicy(SharingPolicy):
     Business partners (Section I's example) may see everything; every
     other requester only sees records additionally satisfying the public
     predicate (e.g. ``cost <= x`` or ``load <= y``), or at most
-    ``public_limit`` records.
+    ``public_limit`` records. ``public_limit=0`` makes an owner
+    discoverable but closed to everyone outside ``partners``.
     """
 
     partners: frozenset = frozenset()
     public_predicate: Optional[Callable[[RecordStore], np.ndarray]] = None
     public_limit: Optional[int] = None
+
+    def __post_init__(self):
+        if self.public_limit is not None and self.public_limit < 0:
+            raise ValueError(
+                f"public_limit must be >= 0, got {self.public_limit}"
+            )
 
     def filter_matches(self, requester, store, mask):
         if requester in self.partners:
@@ -105,23 +93,6 @@ class TieredPolicy(SharingPolicy):
             limited = np.zeros_like(out)
             limited[keep] = True
             out = limited
-        return out
-
-
-@dataclass
-class RateLimitPolicy(SharingPolicy):
-    """Cap how many records any single query can extract."""
-
-    limit: int = 100
-
-    def filter_matches(self, requester, store, mask):
-        if self.limit < 0:
-            raise ValueError("limit must be non-negative")
-        if mask.sum() <= self.limit:
-            return mask
-        keep = np.flatnonzero(mask)[: self.limit]
-        out = np.zeros_like(mask)
-        out[keep] = True
         return out
 
 

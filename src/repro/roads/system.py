@@ -491,11 +491,7 @@ class RoadsSystem:
         # scope's ``search`` root forks from it, so all rounds (and their
         # retries and rejects) reconstruct as a single causal tree.
         tel = self.telemetry
-        umbrella = (
-            tel.new_trace(widening=request.client_node)
-            if tel is not None
-            else None
-        )
+        umbrella = tel.new_trace() if tel is not None else None
         started_at = self.sim.now
         results: List[SearchResult] = []
         for scope in scopes:

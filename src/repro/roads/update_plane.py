@@ -233,8 +233,7 @@ class UpdatePlane:
 
         Each message is its own causal root (send -> transit -> install
         outcome: the exact message that refreshed, or failed to refresh, a
-        receiver's soft state), with no baggage: the net.* events already
-        label kind and phase, and baggage keys must not collide with tags.
+        receiver's soft state); the net.* events label kind and phase.
         """
         tel = self.telemetry
         requests = [

@@ -4,17 +4,17 @@ The telemetry layer mirrors how the paper evaluates ROADS (Section V):
 per-server load attribution, per-category byte counts, and per-phase
 latency distributions. It has three cooperating pieces:
 
-* :class:`Telemetry` — an event bus plus a span API.
+* :class:`Telemetry` — a bounded event log plus a span API.
   ``tel.emit_span("query.execute", start, end, server=7)`` records a
   measured interval stamped with sim-clock times and a tag dict; spans
-  and point events land in a bounded ring buffer (:class:`EventBus`).
-  Parentage is the :class:`TraceContext` tags a span carries.
+  and point events land in its ring buffer. Parentage is the
+  :class:`TraceContext` tags a span carries.
 * :class:`MetricsRegistry` — counters, byte gauges and streaming
   percentile histograms keyed by ``(server, category, phase)``; a
   run's one metrics store (``Network.metrics``).
-* exporters — JSON-Lines event dumps, Prometheus-style text snapshots,
-  and Chrome ``trace_event`` JSON loadable in Perfetto /
-  ``chrome://tracing`` (:mod:`repro.telemetry.export`).
+* exporters — JSON-Lines event dumps and Chrome ``trace_event`` JSON
+  loadable in Perfetto / ``chrome://tracing``
+  (:mod:`repro.telemetry.export`).
 * causal tracing — :class:`TraceContext` coordinates propagated on
   every message, :func:`assemble_traces` span trees and
   :func:`critical_path` latency attribution
@@ -37,20 +37,11 @@ instrumented code paths skip all recording — the one way to switch it
 off.
 """
 
-from .events import EventBus, TelemetryEvent
+from .events import TelemetryEvent
 from .histogram import StreamingHistogram
 from .metrics import MetricKey, MetricsRegistry
 from .core import Telemetry
-from .export import (
-    chrome_trace,
-    prometheus_text,
-    read_jsonl,
-    series_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
-    write_series_jsonl,
-)
+from .export import chrome_trace, read_jsonl, write_chrome_trace, write_jsonl
 from .profiling import CallPathProfiler
 from .probes import HealthCheck, HealthProbe, HealthReport, HealthSLO
 from .quality import DivergenceAttribution, QualityPlane, QualityReport
@@ -76,17 +67,14 @@ from .tracing import (
 
 __all__ = [
     "Telemetry",
-    "EventBus",
     "TelemetryEvent",
     "StreamingHistogram",
     "MetricKey",
     "MetricsRegistry",
     "chrome_trace",
-    "prometheus_text",
     "read_jsonl",
     "write_chrome_trace",
     "write_jsonl",
-    "write_prometheus",
     "per_server_load_rows",
     "root_load_share",
     "TraceContext",
@@ -106,8 +94,6 @@ __all__ = [
     "RollupPoint",
     "SeriesSampler",
     "sparkline",
-    "series_jsonl",
-    "write_series_jsonl",
     "FlightRecorder",
     "PostmortemBundle",
     "QualityPlane",

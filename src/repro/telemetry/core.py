@@ -1,7 +1,7 @@
-"""The telemetry recorder: span API over the event bus.
+"""The telemetry recorder: one bounded event log and its span API.
 
 :class:`Telemetry` binds a clock (the sim's virtual clock in practice)
-and an :class:`~repro.telemetry.events.EventBus`. Spans are recorded
+to a ring of :class:`~repro.telemetry.events.TelemetryEvent`. Spans are recorded
 once measured (:meth:`Telemetry.emit_span`); causal parentage travels as
 :class:`~repro.telemetry.tracing.TraceContext` tags, the one notion of a
 parent span. Counters and histograms are not kept here: a run's one
@@ -15,14 +15,20 @@ Telemetry is switched off one way: a component built with
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, List, Optional
 
-from .events import EventBus, TelemetryEvent
+from .events import TelemetryEvent
 from .tracing import TraceContext
 
 
 class Telemetry:
-    """Event bus + span API behind one handle.
+    """Bounded event log + span API behind one handle.
+
+    Appends are O(1); once ``capacity`` is reached the oldest events are
+    evicted (``dropped`` counts them). The one listener — a
+    :class:`~repro.telemetry.recorder.FlightRecorder` — is called on
+    every emit, so it sees even events that later fall out of the ring.
 
     Parameters
     ----------
@@ -31,7 +37,7 @@ class Telemetry:
         seconds. Bind later with :meth:`bind_clock` when the simulator
         does not exist yet.
     capacity:
-        Ring-buffer size of the event bus.
+        Ring-buffer size of the event log.
     """
 
     def __init__(
@@ -40,8 +46,14 @@ class Telemetry:
         *,
         capacity: int = 65536,
     ):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self.bus = EventBus(capacity)
+        self.capacity = capacity
+        self._events: deque = deque(maxlen=capacity)
+        self.emitted = 0
+        self.dropped = 0
+        self._listener: Optional[Callable[[TelemetryEvent], None]] = None
         #: optional wall-clock call-path profiler
         #: (:class:`repro.telemetry.profiling.CallPathProfiler`); attach it
         #: *before* building a system — instrumented components cache the
@@ -63,8 +75,19 @@ class Telemetry:
     def now(self) -> float:
         return self._clock()
 
+    # -- the listener ---------------------------------------------------------------
+    def listen(self, fn: Optional[Callable[[TelemetryEvent], None]]) -> None:
+        """Install the one listener called on every emit (None removes
+        it); a second listener is a :class:`ValueError`, never a silent
+        replacement of the first."""
+        if fn is not None and self._listener is not None:
+            raise ValueError(
+                "this Telemetry already has a flight recorder; close() it first"
+            )
+        self._listener = fn
+
     # -- causal trace contexts -----------------------------------------------------
-    def new_trace(self, **baggage) -> TraceContext:
+    def new_trace(self) -> TraceContext:
         """Mint the root context of a new causal trace.
 
         Ids come from this recorder's counters, so a fixed build order
@@ -75,22 +98,27 @@ class Telemetry:
             trace_id=next(self._trace_ids),
             span_id=next(self._span_ids),
             parent_span_id=0,
-            baggage=tuple(sorted(baggage.items())) if baggage else (),
         )
 
-    def fork(
-        self, ctx: Optional[TraceContext], **baggage
-    ) -> Optional[TraceContext]:
+    def fork(self, ctx: Optional[TraceContext]) -> Optional[TraceContext]:
         """Fork a child context of *ctx* (None in: None out)."""
         if ctx is None:
             return None
-        return ctx.child(next(self._span_ids), **baggage)
+        return ctx.child(next(self._span_ids))
 
     # -- recording ----------------------------------------------------------------
+    def _emit(self, event: TelemetryEvent) -> None:
+        self.emitted += 1
+        if len(self._events) == self.capacity:
+            self.dropped += 1
+        self._events.append(event)
+        if self._listener is not None:
+            self._listener(event)
+
     def event(self, name: str, **tags) -> TelemetryEvent:
         """Record a point event at the current clock time."""
         ev = TelemetryEvent(ts=self._clock(), name=name, kind="event", tags=tags)
-        self.bus.emit(ev)
+        self._emit(ev)
         return ev
 
     def emit_span(
@@ -101,19 +129,20 @@ class Telemetry:
         The first three parameters are positional-only so tags named
         ``name``/``start``/``end`` stay usable.
         """
-        self.bus.emit(
+        self._emit(
             TelemetryEvent(
                 ts=start, name=name, kind="span", dur=max(0.0, end - start),
                 span_id=next(self._span_ids), tags=tags,
             )
         )
 
-    # -- convenience ----------------------------------------------------------------
-    def events(self):
-        return self.bus.events()
+    # -- reading ------------------------------------------------------------------
+    def events(self) -> List[TelemetryEvent]:
+        """Snapshot of the retained events, oldest first."""
+        return list(self._events)
 
     def clear(self) -> None:
-        self.bus.clear()
+        self._events.clear()
 
     def __len__(self) -> int:
-        return len(self.bus)
+        return len(self._events)

@@ -1,15 +1,42 @@
-"""Telemetry events and the bounded event bus.
+"""Telemetry events: the unit of the :class:`~repro.telemetry.Telemetry` log.
 
-:class:`TelemetryEvent` is the bus's wire unit: a point event
-(``kind="event"``) or a closed span (``kind="span"``, with a duration),
-stamped with sim-clock times and a tag dict.
+:class:`TelemetryEvent` is a point event (``kind="event"``) or a closed
+span (``kind="span"``, with a duration), stamped with sim-clock times
+and a tag dict.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List
+from typing import Dict, Optional
+
+#: the causal-coordinate tags (``TraceContext.tags``): integer ids
+CAUSAL_TAGS = ("trace_id", "span_id", "parent_span_id")
+
+
+def _checked(value, what: str, kind: str):
+    """*value* if it is *kind* — ``"a string"``, ``"an integer"`` or
+    ``"a finite number"`` (never a bool) — else one ValueError."""
+    if isinstance(value, bool) or not (
+        isinstance(value, str) if kind == "a string"
+        else isinstance(value, int) if kind == "an integer"
+        else isinstance(value, (int, float)) and math.isfinite(value)
+    ):
+        raise ValueError(f"{what} is not {kind}: {value!r}")
+    return value
+
+
+def attributed_server(event: "TelemetryEvent") -> Optional[int]:
+    """The server an event is attributed to: its ``server`` tag, else
+    its ``dst`` tag (None = unattributed)."""
+    server = event.tags.get("server")
+    if server is None:
+        server = event.tags.get("dst")
+    try:
+        return int(server)
+    except (TypeError, ValueError):
+        return None
 
 
 @dataclass
@@ -39,76 +66,29 @@ class TelemetryEvent:
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "TelemetryEvent":
-        # Keys it does not know (``parent_id`` in older exports) are
-        # ignored, so every export this recorder ever wrote still loads;
-        # anything that is not an event is one ValueError.
+        """The event :meth:`to_dict` wrote; anything else is one
+        ValueError — a missing ``ts`` / ``name``, a mistyped field, a
+        non-finite time, a causal tag that is not an integer.
+
+        Keys it does not know (``parent_id`` in older exports) are
+        ignored, so every export this recorder ever wrote still loads.
+        """
         if not isinstance(d, dict):
             raise ValueError(f"not an event object: {type(d).__name__}")
-        try:
-            return cls(
-                ts=float(d["ts"]),
-                name=str(d["name"]),
-                kind=str(d.get("kind", "event")),
-                dur=float(d.get("dur", 0.0)),
-                span_id=int(d.get("span_id", 0)),
-                tags=dict(d.get("tags", {})),
-            )
-        except KeyError as exc:
-            raise ValueError(f"event without {exc}") from None
-        except TypeError as exc:
-            raise ValueError(f"malformed event: {exc}") from None
-
-
-class EventBus:
-    """Bounded ring buffer of telemetry events with optional subscribers.
-
-    Appends are O(1); once ``capacity`` is reached the oldest events are
-    evicted (``dropped`` counts them). Subscribers are called on every
-    emit — they see even events that later fall out of the ring.
-    """
-
-    def __init__(self, capacity: int = 65536):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._events: deque = deque(maxlen=capacity)
-        self._subscribers: List[Callable[[TelemetryEvent], None]] = []
-        self.emitted = 0
-        self.dropped = 0
-
-    def emit(self, event: TelemetryEvent) -> None:
-        self.emitted += 1
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(event)
-        for fn in self._subscribers:
-            fn(event)
-
-    def subscribe(self, fn: Callable[[TelemetryEvent], None]) -> Callable[[], None]:
-        """Register *fn* on every emit; returns an unsubscribe callable."""
-        self._subscribers.append(fn)
-
-        def unsubscribe() -> None:
-            if fn in self._subscribers:
-                self._subscribers.remove(fn)
-
-        return unsubscribe
-
-    def events(self) -> List[TelemetryEvent]:
-        """Snapshot of the retained events, oldest first."""
-        return list(self._events)
-
-    def drain(self) -> List[TelemetryEvent]:
-        """Return and clear the retained events."""
-        out = list(self._events)
-        self._events.clear()
-        return out
-
-    def clear(self) -> None:
-        self._events.clear()
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TelemetryEvent]:
-        return iter(list(self._events))
+        for key in ("ts", "name"):
+            if key not in d:
+                raise ValueError(f"event without {key!r}")
+        tags = d.get("tags", {})
+        if not isinstance(tags, dict):
+            raise ValueError(f"tags is not an object: {tags!r}")
+        for key in CAUSAL_TAGS:
+            if key in tags:
+                _checked(tags[key], f"tag {key}", "an integer")
+        return cls(
+            ts=float(_checked(d["ts"], "ts", "a finite number")),
+            name=_checked(d["name"], "name", "a string"),
+            kind=_checked(d.get("kind", "event"), "kind", "a string"),
+            dur=float(_checked(d.get("dur", 0.0), "dur", "a finite number")),
+            span_id=_checked(d.get("span_id", 0), "span_id", "an integer"),
+            tags=dict(tags),
+        )

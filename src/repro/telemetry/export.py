@@ -1,10 +1,7 @@
-"""Telemetry exporters: JSON-Lines, Prometheus text, Chrome trace_event.
+"""Telemetry exporters: JSON-Lines and Chrome trace_event.
 
 * :func:`write_jsonl` / :func:`read_jsonl` — lossless event dump, one
   JSON object per line; round-trips :class:`TelemetryEvent` exactly.
-* :func:`prometheus_text` — text-format metrics snapshot
-  (``roads_bytes_total{category="query",server="3",phase="forward"} 42``)
-  suitable for a Prometheus scrape or a plain diff in tests.
 * :func:`chrome_trace` — the Chrome ``trace_event`` JSON Object Format:
   spans become complete (``"ph": "X"``) events and point events become
   instants (``"ph": "i"``), timestamps in microseconds, grouped by the
@@ -21,35 +18,15 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Sequence
 
-from .events import TelemetryEvent
-from .metrics import MetricsRegistry
+from .events import TelemetryEvent, attributed_server
 
 # -- JSON-Lines ----------------------------------------------------------------
-def series_jsonl(rows: Iterable[Dict[str, object]]) -> str:
-    """Render time-series rows as JSONL (one object per line).
-
-    Rows follow the schema produced by
-    :meth:`repro.telemetry.series.SeriesSampler.rows`: raw points are
-    ``{"kind": "raw", "metric": ..., "server": ..., "t": ..., "value":
-    ...}`` and downsampled buckets are ``{"kind": "rollup", "metric":
-    ..., "server": ..., "t_start": ..., "t_end": ..., "count": ...,
-    "min": ..., "max": ..., "mean": ..., "p95": ...}`` — the schema the
-    bench observatory and ``repro watch --format jsonl`` share.
-    """
-    return "\n".join(json.dumps(r, sort_keys=True) for r in rows)
-
-
-def write_series_jsonl(rows: Iterable[Dict[str, object]], path) -> int:
-    """Write one JSON object per row; returns the row count."""
-    lines = [json.dumps(r, sort_keys=True) + "\n" for r in rows]
+def write_jsonl(events: Iterable[TelemetryEvent], path) -> int:
+    """Write one JSON object per event; returns the event count."""
+    lines = [json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in events]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     return len(lines)
-
-
-def write_jsonl(events: Iterable[TelemetryEvent], path) -> int:
-    """Write one JSON object per event; returns the event count."""
-    return write_series_jsonl((e.to_dict() for e in events), path)
 
 
 def read_jsonl(path) -> List[TelemetryEvent]:
@@ -66,82 +43,7 @@ def read_jsonl(path) -> List[TelemetryEvent]:
     return out
 
 
-# -- Prometheus text format ----------------------------------------------------
-def _escape_label_value(value: str) -> str:
-    # Text exposition format: backslash, double-quote and newline must be
-    # escaped inside label values.
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _label_str(labels: Dict[str, str]) -> str:
-    # Empty values are kept: `server=""` (registry-level totals) must stay
-    # distinguishable from a series that has no server label at all.
-    inner = ",".join(
-        f'{k}="{_escape_label_value(v)}"' for k, v in labels.items()
-    )
-    return "{" + inner + "}" if inner else ""
-
-
-def prometheus_text(
-    registry: MetricsRegistry, prefix: str = "roads"
-) -> str:
-    """Render the registry as Prometheus text exposition format."""
-    lines: List[str] = []
-    rows = registry.rows()
-    lines.append(f"# HELP {prefix}_messages_total Messages per (category, server, phase).")
-    lines.append(f"# TYPE {prefix}_messages_total counter")
-    for r in rows:
-        labels = _label_str({
-            "category": str(r["category"]),
-            "server": "" if r["server"] is None else str(r["server"]),
-            "phase": str(r["phase"]),
-        })
-        lines.append(f"{prefix}_messages_total{labels} {r['messages']}")
-    lines.append(f"# HELP {prefix}_bytes_total Bytes per (category, server, phase).")
-    lines.append(f"# TYPE {prefix}_bytes_total counter")
-    for r in rows:
-        labels = _label_str({
-            "category": str(r["category"]),
-            "server": "" if r["server"] is None else str(r["server"]),
-            "phase": str(r["phase"]),
-        })
-        lines.append(f"{prefix}_bytes_total{labels} {r['bytes']}")
-    hists = registry.snapshot()["histograms"]
-    if hists:
-        lines.append(f"# HELP {prefix}_observation Streaming histogram summaries.")
-        lines.append(f"# TYPE {prefix}_observation summary")
-        for h in hists:
-            base = {
-                "name": str(h["name"]),
-                "server": "" if h["server"] is None else str(h["server"]),
-                "phase": str(h["phase"]),
-            }
-            for q, key in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
-                labels = _label_str({**base, "quantile": str(q)})
-                lines.append(f"{prefix}_observation{labels} {h[key]:.9g}")
-            labels = _label_str(base)
-            lines.append(f"{prefix}_observation_count{labels} {h['count']}")
-    return "\n".join(lines) + "\n"
-
-
-def write_prometheus(registry: MetricsRegistry, path, prefix: str = "roads") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(prometheus_text(registry, prefix))
-
-
 # -- Chrome trace_event format -------------------------------------------------
-def _trace_pid(event: TelemetryEvent) -> int:
-    server = event.tags.get("server")
-    if server is None:
-        server = event.tags.get("dst")
-    try:
-        return int(server)
-    except (TypeError, ValueError):
-        return 0
-
-
 def _assign_lanes(
     spans: List[Dict[str, object]],
 ) -> None:
@@ -213,18 +115,14 @@ def _causal_flows(
     return flows
 
 
-def chrome_trace(
-    events: Sequence[TelemetryEvent],
-    *,
-    process_name: str = "roads",
-) -> Dict[str, object]:
-    """Convert bus events into a ``chrome://tracing``-loadable object."""
+def chrome_trace(events: Sequence[TelemetryEvent]) -> Dict[str, object]:
+    """Convert recorded events into a ``chrome://tracing``-loadable object."""
     entries: List[Dict[str, object]] = []
     spans_by_pid: Dict[int, List[Dict[str, object]]] = {}
     tagged: List[Dict[str, object]] = []
     pids = set()
     for e in events:
-        pid = _trace_pid(e)
+        pid = attributed_server(e) or 0
         pids.add(pid)
         ts_us = e.ts * 1e6
         args = {k: v for k, v in e.tags.items()}
@@ -264,19 +162,14 @@ def chrome_trace(
             "ph": "M",
             "pid": pid,
             "tid": 0,
-            "args": {"name": f"{process_name} server {pid}"},
+            "args": {"name": f"roads server {pid}"},
         })
     return {"traceEvents": entries, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    events: Sequence[TelemetryEvent],
-    path,
-    *,
-    process_name: str = "roads",
-) -> int:
+def write_chrome_trace(events: Sequence[TelemetryEvent], path) -> int:
     """Write Chrome trace JSON; returns the number of trace events."""
-    doc = chrome_trace(events, process_name=process_name)
+    doc = chrome_trace(events)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return len(doc["traceEvents"])

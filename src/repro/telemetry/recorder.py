@@ -2,8 +2,8 @@
 
 An aircraft flight recorder keeps the last few minutes of everything;
 when something goes wrong, that window is the evidence. This module is
-the federation's equivalent: a :class:`FlightRecorder` rides the
-telemetry bus keeping a fixed-size ring of recent events, spans and
+the federation's equivalent: a :class:`FlightRecorder` listens to the
+telemetry log keeping a fixed-size ring of recent events, spans and
 message dispositions *per server*, and — when a
 :class:`~repro.telemetry.probes.HealthProbe` SLO check transitions to
 failing, or on explicit :meth:`FlightRecorder.trigger` — freezes the
@@ -18,8 +18,8 @@ evidence into a :class:`PostmortemBundle`:
 Bundles round-trip through JSON (:meth:`PostmortemBundle.dump` /
 :meth:`PostmortemBundle.load`) and render human-readably
 (:meth:`PostmortemBundle.format`) — ``repro postmortem`` is the CLI
-front end. Recording is passive: the recorder only observes events the
-bus already emits, so arming it never changes simulation outcomes.
+front end. Recording is passive: the recorder only observes events
+telemetry already records, so arming it never changes simulation outcomes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .events import TelemetryEvent
+from .events import TelemetryEvent, attributed_server
 from .probes import HealthCheck
 from .series import sparkline
 from .tracing import assemble_traces
@@ -47,17 +47,6 @@ WINDOW_SECONDS = 5.0
 TREES_PER_BUNDLE = 8
 #: bundles retained in ``FlightRecorder.bundles`` (oldest evicted)
 BUNDLES_KEPT = 16
-
-
-def _ring_key(event: TelemetryEvent) -> Optional[int]:
-    """The server a bus event is attributed to (None = unattributed)."""
-    server = event.tags.get("server")
-    if server is None:
-        server = event.tags.get("dst")
-    try:
-        return int(server)
-    except (TypeError, ValueError):
-        return None
 
 
 def _parsed(parse, value, path: str, what: str):
@@ -87,9 +76,10 @@ def _typed(value, path: str, kind: str = "an object"):
 
 
 def _number(value, path: str, convert=float):
-    """``convert(value)`` of a JSON number, else one ValueError naming *path*."""
+    """``convert(value)`` of a JSON number (not a bool), else one
+    ValueError naming *path*."""
     try:
-        if isinstance(value, (int, float)):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             return convert(value)
     except (ValueError, OverflowError):  # int() of NaN or infinity
         pass
@@ -143,18 +133,23 @@ class PostmortemBundle:
         another schema, a missing or mistyped field — so a damaged file
         is refused with a reason instead of crashing the renderer.
         """
-        if not isinstance(d, dict) or d.get("schema") != BUNDLE_SCHEMA:
+        if (
+            not isinstance(d, dict) or d.get("schema") != BUNDLE_SCHEMA
+            or isinstance(d["schema"], bool)
+        ):
             raise ValueError(
                 f"not a schema-{BUNDLE_SCHEMA} postmortem bundle "
                 "(produce one with `repro watch --postmortem-dir`)"
             )
         try:
             window_start, window_end = d["window"]
+            if not isinstance(d["reason"], str):
+                _refuse("reason", "a string")
             bundle = cls(
-                reason=str(d["reason"]),
-                triggered_at=float(d["triggered_at"]),
-                window_start=float(window_start),
-                window_end=float(window_end),
+                reason=d["reason"],
+                triggered_at=_number(d["triggered_at"], "triggered_at"),
+                window_start=_number(window_start, "window[0]"),
+                window_end=_number(window_end, "window[1]"),
                 check=_typed(d["check"], "check"),
                 report=_typed(d["report"], "report"),
                 series=_typed(d["series"], "series", "a list of objects"),
@@ -296,7 +291,8 @@ class FlightRecorder:
     Parameters
     ----------
     telemetry:
-        The recorder subscribes to this recorder's event bus; every
+        The recorder is this telemetry's one listener (a second
+        recorder on it is a ValueError until the first is closed); every
         emitted event lands in the ring of the server it is attributed
         to (the ``server`` tag, else ``dst``, else the unattributed
         ring).
@@ -317,21 +313,22 @@ class FlightRecorder:
         #: paths of bundles written to ``dump_dir``
         self.dumped: List[Path] = []
         self._captured = 0
-        self._unsubscribe = telemetry.bus.subscribe(self._on_event)
+        telemetry.listen(self._on_event)
+        self._listening = True
 
     # -- recording ------------------------------------------------------------------
     def _on_event(self, event: TelemetryEvent) -> None:
-        key = _ring_key(event)
+        key = attributed_server(event)
         ring = self._rings.get(key)
         if ring is None:
             ring = self._rings[key] = deque(maxlen=RING_EVENTS)
         ring.append(event)
 
     def close(self) -> None:
-        """Stop observing the bus (rings and bundles stay readable)."""
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
+        """Stop listening (rings and bundles stay readable)."""
+        if self._listening:
+            self.telemetry.listen(None)
+            self._listening = False
 
     def ring(self, server: Optional[int]) -> List[TelemetryEvent]:
         """Snapshot of one server's ring, oldest first."""

@@ -333,12 +333,12 @@ class SeriesSampler:
         t_end: float = float("inf"),
         rollups: bool = True,
     ) -> List[Dict[str, object]]:
-        """Flat JSONL-ready rows for every gauge within the time window.
+        """Flat JSON rows for every gauge within the time window.
 
         Raw points become ``{"kind": "raw", "metric", "server", "t",
         "value"}``; rollup buckets become ``{"kind": "rollup", ...}``
-        with the bucket statistics inline — the time-series schema the
-        bench observatory and ``repro watch --format jsonl`` share.
+        with the bucket statistics inline — the document
+        ``repro watch --json`` writes.
         """
         out: List[Dict[str, object]] = []
         for ring in self.all_series():

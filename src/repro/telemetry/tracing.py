@@ -1,8 +1,8 @@
 """Causal distributed tracing: context propagation and span trees.
 
-The event bus records *what* happened; this module records *why*. A
-:class:`TraceContext` is a frozen (trace id, span id, parent span id,
-baggage) tuple minted by :meth:`Telemetry.new_trace` and forked with
+The event log records *what* happened; this module records *why*. A
+:class:`TraceContext` is a frozen (trace id, span id, parent span id)
+tuple minted by :meth:`Telemetry.new_trace` and forked with
 :meth:`Telemetry.fork` at every causal hop — the client's first contact,
 the message's transit, the service-queue wait, the service slot, the
 server's summary match, the redirect, the reject notice, the retry, and
@@ -25,7 +25,7 @@ search trace is the reported query latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .events import TelemetryEvent
 
@@ -48,35 +48,23 @@ def path_category(name: str) -> str:
 
 @dataclass(frozen=True)
 class TraceContext:
-    """Immutable causal coordinates carried on a message or span.
-
-    ``baggage`` is a sorted tuple of ``(key, value)`` pairs that rides
-    along every fork — use it for trace-scoped labels (query id, scope
-    index) that each hop should repeat into its tags.
-    """
+    """Immutable causal coordinates carried on a message or span."""
 
     trace_id: int
     span_id: int
     parent_span_id: int = 0
-    baggage: Tuple[Tuple[str, object], ...] = ()
 
-    def child(self, span_id: int, **baggage) -> "TraceContext":
+    def child(self, span_id: int) -> "TraceContext":
         """Fork: same trace, new span parented to this one."""
-        extra = tuple(sorted(baggage.items())) if baggage else ()
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=span_id,
-            parent_span_id=self.span_id,
-            baggage=self.baggage + extra,
-        )
+        return TraceContext(self.trace_id, span_id, self.span_id)
 
     def tags(self) -> Dict[str, object]:
         """Tag dict instrumented code attaches to emitted events."""
-        out: Dict[str, object] = dict(self.baggage)
-        out["trace_id"] = self.trace_id
-        out["span_id"] = self.span_id
-        out["parent_span_id"] = self.parent_span_id
-        return out
+        return {
+            "trace_id": self.trace_id,
+            "span_id": self.span_id,
+            "parent_span_id": self.parent_span_id,
+        }
 
 
 @dataclass

@@ -289,12 +289,15 @@ class TestTraceCLI:
 
     @pytest.fixture(scope="class")
     def artifact(self, tmp_path_factory):
+        # One run, both of its event documents: the JSONL `trace` reads
+        # and the Chrome trace_event file beside it.
         out = tmp_path_factory.mktemp("trace")
         jsonl = out / "events.jsonl"
         rc = main([
             "telemetry", "--nodes", "16", "--records", "30",
             "--queries", "6", "--seed", "3",
             "--export-jsonl", str(jsonl),
+            "--export-chrome", str(out / "chrome.json"),
         ])
         assert rc == 0
         return jsonl
@@ -313,12 +316,15 @@ class TestTraceCLI:
         assert "critical path:" in out
         assert "wire" in out and "processing" in out
 
-    def test_chrome_export(self, artifact, tmp_path, capsys):
-        chrome = tmp_path / "trace.json"
-        rc = main(["trace", str(artifact), "--chrome", str(chrome)])
-        assert rc == 0
-        doc = json.loads(chrome.read_text())
+    def test_chrome_export(self, artifact):
+        # The Chrome document draws each cross-server hop as a flow
+        # arrow, and holds what the JSONL holds.
+        from repro.telemetry import chrome_trace
+        from repro.telemetry.export import read_jsonl
+
+        doc = json.loads((artifact.parent / "chrome.json").read_text())
         assert any(e["ph"] == "s" for e in doc["traceEvents"])
+        assert doc == json.loads(json.dumps(chrome_trace(read_jsonl(artifact))))
 
     def test_unknown_trace_id(self, artifact, capsys):
         rc = main(["trace", str(artifact), "--trace-id", "999999999"])
@@ -371,7 +377,7 @@ class TestHealthCLI:
         rc = main([
             "health", "--nodes", "12", "--records", "20",
             "--queries", "10", "--rate", "10", "--duration", "2",
-            "--export", str(report),
+            "--json", str(report),
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -428,15 +434,17 @@ class TestLoadedFederationOutput:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
 
-    def test_watch_jsonl_is_pinned(self, capsys):
+    def test_watch_json_is_pinned(self, capsys):
         # Every ring's raw points and rollups, per-server rows included.
+        # Recorded when `watch --format jsonl` went: parsed, this document
+        # equals the rows that format's pinned output carried.
         import hashlib
 
-        assert main(["watch"] + self.ARGS + ["--format", "jsonl"]) == 0
+        assert main(["watch"] + self.ARGS + ["--json", "-"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "0f95dc2c20aff3819dbaafc18c0221fb"
-            "39936b66fc7c4c5409547066ca1cde55"
+            "70c66ce64b016cc66010192007097fe8"
+            "af79e3f8cea8d061c155e58910f13759"
         )
 
     def test_first_postmortem_bundle_is_pinned(self, tmp_path, capsys):
@@ -509,16 +517,14 @@ class TestUnwritableExports:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["health"] + LOAD + ["--export", "BAD"],
-            ["watch"] + LOAD + ["--export", "BAD"],
+            ["health"] + LOAD + ["--json", "BAD"],
             ["watch"] + LOAD + ["--json", "BAD"],
             ["watch"] + LOAD + ["--loss", "0.4", "--postmortem-dir", "BAD"],
             ["quality"] + LOAD + ["--json", "BAD"],
             ["telemetry"] + SMALL + ["--export-jsonl", "BAD"],
             ["telemetry"] + SMALL + ["--export-chrome", "BAD"],
-            ["telemetry"] + SMALL + ["--export-prom", "BAD"],
+            ["telemetry"] + SMALL + ["--json", "BAD"],
             ["trace", "EVENTS", "--json", "BAD"],
-            ["trace", "EVENTS", "--chrome", "BAD"],
             ["figure", "fig9", "--scale", "smoke", "--output", "BAD"],
             ["bench", "run", "table1", "--scale", "smoke", "--out", "BAD"],
             ["suite", "--scale", "smoke", "--targets", "fig9", "--out", "BAD"],
@@ -617,6 +623,51 @@ class TestOutOfRangeInputs:
         assert "Traceback" not in captured.out + captured.err
 
 
+class TestNoSilentWrongAnswer:
+    """Inputs that once printed a plausible answer to a question nobody
+    asked: a dashboard of no gauge, a CSV of every gauge, a run of one
+    query for ``--queries 0`` and latency percentiles over no query."""
+
+    LOAD = ["--nodes", "8", "--records", "10", "--rate", "10",
+            "--duration", "1", "--seed", "4"]
+
+    def _csv_metrics(out):
+        rows = out.splitlines()
+        start = rows.index("metric,server,t,value") + 1
+        return {row.split(",")[0] for row in rows[start:] if "," in row}
+
+    CASES = [
+        (["watch", "--metrics", "nosuch"] + LOAD, 2,
+         lambda out: "repro watch: unknown metric(s) nosuch; the "
+                     "federation-wide gauges are " in out
+                     and "net.sent" in out),
+        (["watch", "--format", "csv", "--metrics", "net.sent",
+          "sim.pending"] + LOAD, 0,
+         lambda out: TestNoSilentWrongAnswer._csv_metrics(out)
+                     == {"net.sent", "sim.pending"}),
+        (["health", "--queries", "0"] + LOAD, 2, None),
+        (["watch", "--queries", "0"] + LOAD, 2, None),
+        (["quality", "--queries", "0"] + LOAD, 2, None),
+        (["telemetry", "--queries", "0"], 2, None),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, rc, check", CASES, ids=[" ".join(c[0][:3]) for c in CASES],
+    )
+    def test_refused_or_answered_as_asked(self, argv, rc, check, capsys):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            status = exc.code
+        captured = capsys.readouterr()
+        assert status == rc
+        if check is None:
+            assert "argument --queries: must be an integer >= 1" in captured.err
+        else:
+            assert check(captured.out), captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestWatchCLI:
     """`repro watch` runs a federation with the full observability
     stack armed: series sampler, SLO probe, flight recorder."""
@@ -637,12 +688,12 @@ class TestWatchCLI:
         assert "postmortems captured:" in out
 
     def test_csv_format_and_jsonl_export(self, tmp_path, capsys):
-        exported = tmp_path / "series.jsonl"
-        rc = self._run(["--format", "csv", "--export", str(exported)])
+        exported = tmp_path / "series.json"
+        rc = self._run(["--format", "csv", "--json", str(exported)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "metric,server,t,value" in out
-        rows = [json.loads(line) for line in exported.read_text().splitlines()]
+        rows = json.loads(exported.read_text())
         assert rows
         # A 2s run folds no 16-point rollup buckets yet — raw only.
         assert {r["kind"] for r in rows} >= {"raw"}
@@ -854,6 +905,8 @@ class TestSharedParentParser:
         "trace": ["trace", "events.jsonl"],
         "watch": ["watch"],
         "quality": ["quality"],
+        "health": ["health"],
+        "telemetry": ["telemetry"],
         "postmortem": ["postmortem", "some/dir"],
         "bench run": ["bench", "run", "overlay"],
     }
@@ -862,6 +915,8 @@ class TestSharedParentParser:
         "trace": {"json"},
         "watch": {"seed", "json"},
         "quality": {"seed", "json"},
+        "health": {"seed", "json"},
+        "telemetry": {"seed", "json"},
         "postmortem": {"json"},
         "bench run": {"scale", "seed", "out", "json"},
     }
@@ -911,6 +966,47 @@ class TestSharedParentParser:
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    #: flags whose document another verb or flag writes, and the
+    #: format nothing read that the JSON document carries
+    REMOVED = [
+        (["demo"], "--telemetry", None),
+        (["trace", "events.jsonl"], "--chrome", "x.json"),
+        (["watch"], "--export", "x.jsonl"),
+        (["health"], "--export", "x.json"),
+        (["telemetry"], "--export-prom", "x.prom"),
+    ]
+
+    @pytest.mark.parametrize(
+        "verb, flag, value", REMOVED,
+        ids=[f"{verb[0]} {flag}" for verb, flag, _ in REMOVED],
+    )
+    def test_removed_flags_are_refused(self, verb, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(verb + [flag] + ([value] if value is not None else []))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_jsonl_is_no_watch_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["watch", "--format", "jsonl"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'jsonl'" in capsys.readouterr().err
+
+    def test_settable_argument_count(self):
+        # Every option, positional and sub-verb flag a user can set.
+        import argparse
+
+        def settable(parser):
+            n = 0
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    n += sum(settable(p) for p in action.choices.values())
+                elif not isinstance(action, argparse._HelpAction):
+                    n += 1
+            return n
+
+        assert settable(build_parser()) == 76
 
     def test_profile_is_an_unknown_verb(self, capsys):
         # Host time is perf/run.py's: the in-tree profile report is gone.

@@ -13,7 +13,6 @@ from repro.hierarchy import MaintenanceConfig
 from repro.query import Query, RangePredicate
 from repro.records import RecordStore
 from repro.roads import (
-    DenyAllPolicy,
     GuestOwner,
     RoadsConfig,
     RoadsSystem,
@@ -120,7 +119,7 @@ class TestFirstKWithPolicies:
         # Deny at the owner holding the most matches.
         per_owner = [(i, q.match_count(stores[i])) for i in range(N)]
         top = max(per_owner, key=lambda t: t[1])[0]
-        system.set_policy(f"owner-{top}", DenyAllPolicy())
+        system.set_policy(f"owner-{top}", TieredPolicy(public_limit=0))
         k = 5
         o = system.search(SearchRequest(q, client_node=0, first_k=k)).outcome
         assert o.total_matches >= k

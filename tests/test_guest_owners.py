@@ -11,12 +11,12 @@ import pytest
 from repro.net.transport import Message
 from repro.query import Query, RangePredicate
 from repro.roads import (
-    DenyAllPolicy,
     GuestOwner,
     RetryPolicy,
     RoadsConfig,
     RoadsSystem,
     SearchRequest,
+    TieredPolicy,
 )
 from repro.summaries import SummaryConfig
 from repro.telemetry import Telemetry
@@ -128,7 +128,7 @@ class TestDiscovery:
 class TestGuestPolicy:
     def test_guest_policy_applies_at_guest(self, setup):
         _, _, guest_store, system = setup
-        system.set_policy("guest-co", DenyAllPolicy())
+        system.set_policy("guest-co", TieredPolicy(public_limit=0))
         q = Query.of(RangePredicate("u0", 0.46, 0.54))
         outcome = system.search(SearchRequest(q, client_node=0)).outcome
         guest_hits = [h for h in outcome.owner_hits if h.owner_id == "guest-co"]

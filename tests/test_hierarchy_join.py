@@ -131,3 +131,31 @@ class TestRemovalAndRoot:
         h = build(3)
         with pytest.raises(ValueError, match="member"):
             h.set_root(Server(42))
+
+
+class TestBacktracking:
+    """A server's say in the join walk is capacity, loop avoidance and
+    being alive; a branch where no server is willing is left for the
+    next one."""
+
+    def test_walk_backtracks_past_a_full_branch(self):
+        h = Hierarchy(Server(0, max_children=2))
+        a, b = Server(1, max_children=1), Server(2, max_children=1)
+        h.join(a)
+        h.join(b)
+        c = Server(3, max_children=1)
+        assert h.join(c, start=a) is a  # a is full
+        e, f = Server(4, max_children=1), Server(5, max_children=1)
+        h.join(e, start=b)
+        h.join(f, start=e)  # b's branch is now the deeper one
+        c.alive = False  # the shallow branch's one leaf refuses too
+        assert h.join(Server(6)) is f
+        h.check_invariants()
+
+    def test_no_willing_server_is_a_join_error(self):
+        h = Hierarchy(Server(0, max_children=1))
+        a = Server(1, max_children=1)
+        h.join(a)
+        a.alive = False
+        with pytest.raises(JoinError, match="no server willing"):
+            h.join(Server(2))

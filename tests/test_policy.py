@@ -5,14 +5,10 @@ import pytest
 
 from repro.query import Query, RangePredicate
 from repro.records import RecordStore, Schema, numeric
-from repro.roads import (
-    AllowListPolicy,
-    DenyAllPolicy,
-    OpenPolicy,
-    PolicyTable,
-    RateLimitPolicy,
-    TieredPolicy,
-)
+from repro.roads import OpenPolicy, PolicyTable, TieredPolicy
+
+#: a discoverable owner that returns no record to anyone
+CLOSED = TieredPolicy(public_limit=0)
 
 
 @pytest.fixture
@@ -43,21 +39,25 @@ class TestOpenPolicy:
 
 
 class TestDenyAllPolicy:
+    """Deny-all is the tiered policy with no partners and no public view."""
+
     def test_returns_nothing(self, store):
-        assert len(DenyAllPolicy().answer(q("anyone"), store)) == 0
+        assert len(CLOSED.answer(q("anyone"), store)) == 0
 
 
 class TestAllowListPolicy:
+    """An allow list is the tiered policy's partners with no public view."""
+
     def test_partner_sees_all(self, store):
-        p = AllowListPolicy(frozenset({"partner"}))
+        p = TieredPolicy(partners=frozenset({"partner"}), public_limit=0)
         assert len(p.answer(q("partner"), store)) == 50
 
     def test_stranger_sees_nothing(self, store):
-        p = AllowListPolicy(frozenset({"partner"}))
+        p = TieredPolicy(partners=frozenset({"partner"}), public_limit=0)
         assert len(p.answer(q("stranger"), store)) == 0
 
     def test_anonymous_sees_nothing(self, store):
-        p = AllowListPolicy(frozenset({"partner"}))
+        p = TieredPolicy(partners=frozenset({"partner"}), public_limit=0)
         assert len(p.answer(q(None), store)) == 0
 
 
@@ -82,6 +82,12 @@ class TestTieredPolicy:
         p = TieredPolicy(partners=frozenset(), public_limit=5)
         assert len(p.answer(q("x"), store)) == 5
 
+    @pytest.mark.parametrize("limit", [-1, -3])
+    def test_negative_public_limit_is_refused(self, limit):
+        # A limit of -1 used to return all matches but the last one.
+        with pytest.raises(ValueError, match="public_limit must be >= 0"):
+            TieredPolicy(public_limit=limit)
+
     def test_views_differ_between_requesters(self, store):
         """The paper's motivating property: different views per party."""
         p = TieredPolicy(
@@ -94,12 +100,14 @@ class TestTieredPolicy:
 
 
 class TestRateLimitPolicy:
+    """A per-query cap is the tiered policy's public limit."""
+
     def test_caps_results(self, store):
-        assert len(RateLimitPolicy(limit=7).answer(q("x"), store)) == 7
+        assert len(TieredPolicy(public_limit=7).answer(q("x"), store)) == 7
 
     def test_under_cap_untouched(self, store):
         narrow = Query.of(RangePredicate("rate", 0, 30))
-        p = RateLimitPolicy(limit=1000)
+        p = TieredPolicy(public_limit=1000)
         assert len(p.answer(narrow, store)) == narrow.match_count(store)
 
 
@@ -124,10 +132,10 @@ class TestPolicyTable:
 
     def test_per_owner_override(self, store):
         table = PolicyTable()
-        table.set("secretive", DenyAllPolicy())
+        table.set("secretive", CLOSED)
         assert len(table.answer("secretive", q("x"), store)) == 0
         assert len(table.answer("other", q("x"), store)) == 50
 
     def test_custom_default(self, store):
-        table = PolicyTable(default=DenyAllPolicy())
+        table = PolicyTable(default=CLOSED)
         assert len(table.answer("anyone", q("x"), store)) == 0

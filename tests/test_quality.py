@@ -21,7 +21,7 @@ from repro.roads import (
     RoadsSystem,
     SearchRequest,
 )
-from repro.roads.policy import DenyAllPolicy
+from repro.roads.policy import TieredPolicy
 from repro.summaries import SummaryConfig
 from repro.telemetry import (
     DivergenceAttribution,
@@ -237,7 +237,7 @@ class TestOwnerFalsePositiveSemantics:
         system.refresh()
         for server in system.hierarchy.servers():
             for owner in server.owners:
-                system.policies.set(owner.owner_id, DenyAllPolicy())
+                system.policies.set(owner.owner_id, TieredPolicy(public_limit=0))
         if attach_quality:
             system.attach_quality()
         result = system.search(SearchRequest(band_query(0.0, 1.0)))
@@ -253,7 +253,7 @@ class TestOwnerFalsePositiveSemantics:
         assert not hasattr(result.outcome.owner_hits[0], "false_positive")
 
     def test_oracle_semantics_when_attached(self):
-        # The oracle sees the raw matches behind the DenyAll filter:
+        # The oracle sees the raw matches behind the closed policy:
         # the summaries routed correctly, so no owner contact is an FP.
         result = self._deny_all_search(attach_quality=True)
         report = result.quality

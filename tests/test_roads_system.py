@@ -12,7 +12,6 @@ from repro.overlay.routing import decide_local
 from repro.query import Query, RangePredicate
 from repro.net.transport import ServiceConfig
 from repro.roads import (
-    DenyAllPolicy,
     GuestOwner,
     LoadConfig,
     LoadReport,
@@ -21,6 +20,7 @@ from repro.roads import (
     RoadsSystem,
     SearchRequest,
     Verdict,
+    TieredPolicy,
 )
 from repro.summaries import SummaryConfig
 from repro.workload import (
@@ -199,7 +199,7 @@ class TestPolicies:
         # Deny everything at the owner holding the most matches.
         per_owner = [(i, q.match_count(stores[i])) for i in range(32)]
         worst = max(per_owner, key=lambda t: t[1])
-        system.set_policy(f"owner-{worst[0]}", DenyAllPolicy())
+        system.set_policy(f"owner-{worst[0]}", TieredPolicy(public_limit=0))
         filtered = system.search(SearchRequest(q)).outcome.total_matches
         assert filtered == baseline - worst[1]
 

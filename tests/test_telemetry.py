@@ -1,4 +1,4 @@
-"""Tests for the telemetry subsystem: spans, bus, histograms, metrics."""
+"""Tests for the telemetry subsystem: spans, event log, histograms, metrics."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,10 @@ from repro.roads import RoadsConfig, RoadsSystem, SearchRequest
 from repro.sim import MAINTENANCE, QUERY, UPDATE, Simulator
 from repro.summaries import SummaryConfig
 from repro.telemetry import (
-    EventBus,
+    FlightRecorder,
     MetricsRegistry,
     StreamingHistogram,
     Telemetry,
-    TelemetryEvent,
 )
 from repro.workload import WorkloadConfig, generate_node_stores
 
@@ -52,29 +51,41 @@ class TestSpans:
 
 
 class TestEventBus:
+    """The bounded event log is Telemetry's own; its one listener is a
+    flight recorder."""
+
     def test_ring_buffer_eviction(self):
-        bus = EventBus(capacity=3)
+        tel = Telemetry(capacity=3)
         for i in range(5):
-            bus.emit(TelemetryEvent(ts=float(i), name=f"e{i}"))
-        assert len(bus) == 3
-        assert bus.emitted == 5
-        assert bus.dropped == 2
-        assert [e.name for e in bus.events()] == ["e2", "e3", "e4"]
+            tel.event(f"e{i}")
+        assert len(tel) == 3
+        assert tel.emitted == 5
+        assert tel.dropped == 2
+        assert [e.name for e in tel.events()] == ["e2", "e3", "e4"]
+        with pytest.raises(ValueError, match="capacity"):
+            Telemetry(capacity=0)
 
     def test_subscribe_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-        unsub = bus.subscribe(seen.append)
-        bus.emit(TelemetryEvent(ts=0.0, name="a"))
-        unsub()
-        bus.emit(TelemetryEvent(ts=0.0, name="b"))
-        assert [e.name for e in seen] == ["a"]
+        tel = Telemetry()
+        recorder = FlightRecorder(tel)
+        tel.event("a", server=1)
+        # A second recorder would silently replace the first one.
+        with pytest.raises(ValueError, match="already has a flight recorder"):
+            FlightRecorder(tel)
+        recorder.close()
+        tel.event("b", server=1)
+        assert [e.name for e in recorder.ring(1)] == ["a"]
+        second = FlightRecorder(tel)  # the closed one left the slot free
+        tel.event("c", server=1)
+        assert [e.name for e in second.ring(1)] == ["c"]
 
     def test_drain(self):
-        bus = EventBus()
-        bus.emit(TelemetryEvent(ts=0.0, name="a"))
-        assert [e.name for e in bus.drain()] == ["a"]
-        assert len(bus) == 0
+        # Clearing the ring keeps the counts of what was recorded.
+        tel = Telemetry()
+        tel.event("a")
+        assert [e.name for e in tel.events()] == ["a"]
+        tel.clear()
+        assert (len(tel), tel.emitted, tel.dropped) == (0, 1, 0)
 
 
 class TestStreamingHistogram:
@@ -228,10 +239,10 @@ class TestSystemIntegration:
     def test_trace_false_adds_zero_events(self):
         tel = Telemetry()
         system = build_system(telemetry=tel)
-        baseline = tel.bus.emitted
+        baseline = tel.emitted
         o = system.search(SearchRequest(wide_query(), client_node=0)).outcome
-        # The bus sees the search's query.* structured events...
-        assert tel.bus.emitted > baseline
+        # The log sees the search's query.* structured events...
+        assert tel.emitted > baseline
         assert any(
             e.name.startswith("query.")
             and e.tags.get("trace_id") == o.trace_id

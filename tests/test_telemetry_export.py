@@ -6,14 +6,11 @@ import pytest
 
 from repro.cli import main
 from repro.telemetry import (
-    MetricsRegistry,
     Telemetry,
     chrome_trace,
-    prometheus_text,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
-    write_series_jsonl,
 )
 
 
@@ -59,16 +56,6 @@ class TestJsonl:
         assert event.span_id == 9
         assert event.tags == {"trace_id": 1, "parent_span_id": 4}
         assert "parent_id" not in event.to_dict()
-
-
-class TestSeriesJsonl:
-    ROWS = [{"kind": "raw", "metric": "lost", "server": None, "t": 1.0, "value": 2.0}]
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "series.jsonl"
-        assert write_series_jsonl(self.ROWS * 2, path) == 2
-        lines = path.read_text().splitlines()
-        assert [json.loads(line) for line in lines] == self.ROWS * 2
 
 
 class TestChromeTrace:
@@ -234,66 +221,17 @@ class TestCausalFlows:
         assert any(e["tid"] > 0 for e in spans)
 
 
-class TestPrometheus:
-    def test_counter_lines(self):
-        r = MetricsRegistry()
-        r.count_message("query", 100, server=3, phase="forward")
-        r.observe("query.latency", 0.2, server=3)
-        text = prometheus_text(r)
-        assert (
-            'roads_messages_total{category="query",server="3",phase="forward"} 1'
-            in text
-        )
-        assert (
-            'roads_bytes_total{category="query",server="3",phase="forward"} 100'
-            in text
-        )
-        assert "# TYPE roads_messages_total counter" in text
-        assert 'quantile="0.95"' in text
-
-    def test_lines_parse(self):
-        r = MetricsRegistry()
-        r.count_message("update", 10)
-        for line in prometheus_text(r).splitlines():
-            if line.startswith("#") or not line:
-                continue
-            name_labels, value = line.rsplit(" ", 1)
-            float(value)
-            assert name_labels.startswith("roads_")
-
-    def test_empty_label_values_are_kept(self):
-        # A series with server=None must render as server="" rather than
-        # dropping the label: a registry-level total is a different
-        # series from one that never had a server label.
-        r = MetricsRegistry()
-        r.count_message("update", 10)
-        text = prometheus_text(r)
-        assert 'roads_messages_total{category="update",server="",phase=""} 1' in text
-
-    def test_label_values_are_escaped(self):
-        r = MetricsRegistry()
-        r.count_message("query", 5, server=1, phase='for"ward\\x\ny')
-        text = prometheus_text(r)
-        assert 'phase="for\\"ward\\\\x\\ny"' in text
-        # Escaping keeps the exposition line single-line and parseable.
-        for line in text.splitlines():
-            if line.startswith("#") or not line:
-                continue
-            name_labels, value = line.rsplit(" ", 1)
-            float(value)
-
-
 class TestCli:
     def test_telemetry_command_prints_load_table(self, tmp_path, capsys):
         chrome = tmp_path / "trace.json"
         jsonl = tmp_path / "events.jsonl"
-        prom = tmp_path / "metrics.prom"
+        metrics = tmp_path / "metrics.json"
         rc = main([
             "telemetry", "--nodes", "16", "--records", "30",
             "--queries", "8", "--seed", "3", "--top", "5",
             "--export-chrome", str(chrome),
             "--export-jsonl", str(jsonl),
-            "--export-prom", str(prom),
+            "--json", str(metrics),
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -303,4 +241,19 @@ class TestCli:
         doc = json.loads(chrome.read_text())
         assert doc["traceEvents"]
         assert read_jsonl(jsonl)
-        assert "roads_bytes_total" in prom.read_text()
+        snapshot = json.loads(metrics.read_text())
+        assert snapshot["bytes_by_category"]["query"] > 0
+        assert any(h["name"] == "query.latency" for h in snapshot["histograms"])
+
+    def test_bare_json_is_the_snapshot_alone(self, capsys):
+        # The document on stdout, the load tables on stderr.
+        rc = main([
+            "telemetry", "--nodes", "16", "--records", "30",
+            "--queries", "8", "--seed", "3", "--json",
+        ])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert set(json.loads(captured.out)) == {
+            "bytes_by_category", "messages_by_category", "rows", "histograms",
+        }
+        assert "root-load share (with overlay)" in captured.err

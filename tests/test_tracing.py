@@ -37,7 +37,7 @@ def traced(system, **kwargs):
     """One search's outcome, its ``query.*`` steps (the point events, in
     emission order) and its causal tree."""
     tel = system.telemetry
-    tel.bus.clear()
+    tel.clear()
     o = system.search(
         SearchRequest(wide_query(), client_node=0, **kwargs)
     ).outcome
