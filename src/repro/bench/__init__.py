@@ -44,7 +44,6 @@ from .scenarios import (
     RunPlan,
     Scenario,
     available_scenarios,
-    resolve_scale,
     run_scenario,
     scale_settings,
     scale_sweeps,
@@ -74,7 +73,6 @@ __all__ = [
     "SCALES",
     "ROOT_SHARE_CEILING",
     "available_scenarios",
-    "resolve_scale",
     "run_scenario",
     "scale_settings",
     "scale_sweeps",

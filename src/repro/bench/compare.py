@@ -199,8 +199,8 @@ def compare_artifacts(
 
     # Re-assert the paper-shape invariants on the *current* artifact.
     scenario = SCENARIOS.get(current.scenario)
-    if scenario is not None and scenario.shape is not None:
-        result.shape_failures += scenario.shape(current.rows)
+    if scenario is not None:
+        result.shape_failures += scenario.judge(current.rows)
     if current.simulated:
         result.shape_failures += _simulated_invariants(current.simulated)
     return result

@@ -26,8 +26,7 @@ a host clock or arms an observer: the artifact is exact per seed.
 Scales: ``smoke`` (unit-test sized), ``quick`` (CI-sized, the
 EXPERIMENTS.md default), ``paper`` (full Section V) and ``stress`` (a
 sharded 10^5-server / 10^6-record federation fanned out through the
-parallel runner), selected explicitly or via the ``REPRO_BENCH_SCALE``
-environment variable.
+parallel runner).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import copy
 import functools
 import os
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..experiments.config import (
     DEGREE_SWEEP,
@@ -76,9 +75,14 @@ from ..experiments.validation import (
     validate_fig3,
     validate_fig4,
     validate_fig5,
+    validate_fig6,
+    validate_fig7,
     validate_fig8,
+    validate_fig9,
+    validate_fig10,
     validate_fig11,
     validate_load_plane,
+    validate_table1,
 )
 from .artifact import BenchArtifact, SCHEMA, census_fingerprint, stamp
 
@@ -88,21 +92,6 @@ SCALES = ("smoke", "quick", "paper", "stress")
 #: root-load share the overlay must stay under (the paper's Fig. 5/7
 #: bottleneck argument: replicated start servers spread the entry load)
 ROOT_SHARE_CEILING = 0.70
-
-
-def resolve_scale(
-    default: str = "quick",
-    *,
-    env: str = "REPRO_BENCH_SCALE",
-    allowed: Sequence[str] = SCALES,
-) -> str:
-    """Scale from the environment (``REPRO_BENCH_SCALE``) or *default*."""
-    scale = os.environ.get(env, default).lower()
-    if scale not in allowed:
-        raise ValueError(
-            f"{env} must be one of {'|'.join(allowed)}, got {scale!r}"
-        )
-    return scale
 
 
 def scale_settings(scale: str, seed: int = 1) -> ExperimentSettings:
@@ -215,26 +204,15 @@ class Scenario:
     #: row-level paper-shape validator (None = provenance-only)
     shape: Optional[Shape] = None
 
+    def judge(self, rows: Rows) -> List[str]:
+        """The validator's failures on *rows*; no rows at all is one."""
+        if self.shape is None:
+            return []
+        return list(self.shape(rows)) if rows else ["no rows to judge"]
+
 
 def _small(settings: ExperimentSettings) -> ExperimentSettings:
     return settings.with_(num_nodes=min(settings.num_nodes, 192))
-
-
-def _validate_table1(rows: Rows) -> List[str]:
-    by_design = {
-        r["design"]: float(r["mean_bytes_per_server"])
-        for r in rows
-        if "mean_bytes_per_server" in r
-    }
-    failures = []
-    if not {"ROADS", "SWORD", "Central"} <= set(by_design):
-        return ["measured Table I rows missing a design"]
-    if not by_design["ROADS"] < by_design["SWORD"] < by_design["Central"]:
-        failures.append(
-            "storage ordering ROADS < SWORD < Central violated: "
-            f"{by_design}"
-        )
-    return failures
 
 
 def _stress_driver(settings: ExperimentSettings, sweeps: Dict[str, tuple]) -> "Rows":
@@ -272,7 +250,7 @@ SCENARIOS: Dict[str, Scenario] = {
             lambda s, sw: analytical_rows() + measured_rows(
                 s.with_(num_nodes=min(s.num_nodes, 96), records_per_node=800)
             ),
-            _validate_table1,
+            validate_table1,
         ),
         Scenario(
             "fig3", "Figure 3: latency vs nodes",
@@ -292,10 +270,12 @@ SCENARIOS: Dict[str, Scenario] = {
         Scenario(
             "fig6", "Figure 6: latency vs dimensions",
             lambda s, sw: fig6_latency_vs_dimensions(s, sw["dims"]),
+            validate_fig6,
         ),
         Scenario(
             "fig7", "Figure 7: query overhead vs dimensions",
             lambda s, sw: fig7_query_overhead_vs_dimensions(s, sw["dims"]),
+            validate_fig7,
         ),
         Scenario(
             "fig8", "Figure 8: update overhead vs records/node",
@@ -307,10 +287,12 @@ SCENARIOS: Dict[str, Scenario] = {
         Scenario(
             "fig9", "Figure 9: latency vs overlap factor",
             lambda s, sw: fig9_latency_vs_overlap(_small(s), sw["overlap"]),
+            validate_fig9,
         ),
         Scenario(
             "fig10", "Figure 10: latency vs node degree",
             lambda s, sw: fig10_latency_vs_degree(s, sw["degree"]),
+            validate_fig10,
         ),
         Scenario(
             "fig11", "Figure 11: response time vs selectivity",
@@ -544,7 +526,7 @@ def run_scenario(plan: RunPlan) -> BenchArtifact:
     else:
         rows = plan.rows()
 
-    failures = list(scenario.shape(rows)) if scenario.shape else []
+    failures = scenario.judge(rows)
     failures += _simulated_invariants(simulated)
 
     metrics = _rows_metrics(rows)

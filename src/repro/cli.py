@@ -13,7 +13,8 @@ code:
   overlay), optionally exporting JSONL events, a Chrome trace and the
   metrics snapshot (``--json``);
 * ``bench`` — the benchmark observatory: ``run`` a scenario into a
-  ``BENCH_<scenario>.json`` artifact of simulated facts, ``compare``
+  ``BENCH_<scenario>.json`` artifact of simulated facts (exit 1 on a
+  paper-shape violation, once every artifact is written), ``compare``
   one against a committed baseline (non-zero exit on drift or
   paper-shape violation), ``list`` the registered scenarios;
 * ``demo`` — a narrated quickstart run.
@@ -577,7 +578,7 @@ def _cmd_bench_run(args) -> int:
         _emit_json(
             docs[0] if len(docs) == 1 else docs, args.json, "artifact JSON"
         )
-    return 0
+    return 0 if all(a.ok for a in artifacts) else 1
 
 
 def _cmd_bench_compare(args) -> int:
@@ -599,7 +600,7 @@ def _cmd_bench_compare(args) -> int:
 def _cmd_bench_list(args) -> int:
     from .bench import SCALES, SCENARIOS
 
-    print(f"scales: {', '.join(SCALES)} (or REPRO_BENCH_SCALE)")
+    print(f"scales: {', '.join(SCALES)}")
     for name in sorted(SCENARIOS):
         print(f"  {name:<8} {SCENARIOS[name].title}")
     return 0
@@ -811,7 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
     b = add_bench(
         "run",
         parents=[_shared("scale", "seed", "out", "json")],
-        help="run one or more scenarios and write BENCH_<scenario>.json",
+        help="run one or more scenarios and write BENCH_<scenario>.json; "
+             "exit 1 on a shape violation",
     )
     from .bench import available_scenarios as _bench_scenarios
 

@@ -24,19 +24,6 @@ from .charts import ascii_chart
 from .export import save_rows_csv, save_rows_json
 from .report import format_table, print_table
 from .suite import available_targets, run_suite
-from .validation import (
-    check_crossover,
-    check_dominates,
-    check_growth_order,
-    check_monotone,
-    check_ratio_band,
-    crossover_position,
-    validate_fig3,
-    validate_fig4,
-    validate_fig5,
-    validate_fig8,
-    validate_fig11,
-)
 from .runner import (
     TrialMeasurement,
     TrialResult,
@@ -87,17 +74,6 @@ __all__ = [
     "LOSS_SWEEP",
     "update_plane_staleness_rows",
     "validate_update_plane",
-    "validate_fig3",
-    "validate_fig4",
-    "validate_fig5",
-    "validate_fig8",
-    "validate_fig11",
-    "check_dominates",
-    "check_growth_order",
-    "check_monotone",
-    "check_crossover",
-    "check_ratio_band",
-    "crossover_position",
     "TrialMeasurement",
     "TrialResult",
     "run_trial",

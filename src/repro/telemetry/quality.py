@@ -13,8 +13,8 @@ classifies every server the search touched or pruned:
 * **TP** — contacted, and the region its visit covered really holds
   matching raw records;
 * **FP** — contacted, but no raw record anywhere in the covered region
-  matches: the summary that justified the visit lied (bloom-filter
-  collision, histogram coarseness, or staleness);
+  matches: the summary that justified the visit lied (histogram
+  coarseness, or staleness);
 * **FN** — not contacted although its locally attached owners would have
   answered with real records: the summary that pruned it lied (stale,
   expired, or never arrived);

@@ -25,6 +25,7 @@ telemetry already records, so arming it never changes simulation outcomes.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -76,13 +77,11 @@ def _typed(value, path: str, kind: str = "an object"):
 
 
 def _number(value, path: str, convert=float):
-    """``convert(value)`` of a JSON number (not a bool), else one
+    """``convert(value)`` of a finite JSON number (not a bool), else one
     ValueError naming *path*."""
-    try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if math.isfinite(value):
             return convert(value)
-    except (ValueError, OverflowError):  # int() of NaN or infinity
-        pass
     _refuse(path, "a number")
 
 
@@ -142,14 +141,16 @@ class PostmortemBundle:
                 "(produce one with `repro watch --postmortem-dir`)"
             )
         try:
-            window_start, window_end = d["window"]
+            window = d["window"]
+            if not (isinstance(window, list) and len(window) == 2):
+                _refuse("window", "a [start, end] pair")
             if not isinstance(d["reason"], str):
                 _refuse("reason", "a string")
             bundle = cls(
                 reason=d["reason"],
                 triggered_at=_number(d["triggered_at"], "triggered_at"),
-                window_start=_number(window_start, "window[0]"),
-                window_end=_number(window_end, "window[1]"),
+                window_start=_number(window[0], "window[0]"),
+                window_end=_number(window[1], "window[1]"),
                 check=_typed(d["check"], "check"),
                 report=_typed(d["report"], "report"),
                 series=_typed(d["series"], "series", "a list of objects"),
@@ -163,8 +164,6 @@ class PostmortemBundle:
         objects = "a list of objects"
         for key in ("value", "threshold") if bundle.check else ():
             _number(bundle.check.get(key, 0.0), f"check.{key}")
-        for i, ring in enumerate(bundle.rings):
-            _typed(ring.get("events"), f"rings[{i}].events", "a list")
         checks = (bundle.report or {}).get("checks", [])
         for i, c in enumerate(_typed(checks, "report.checks", objects)):
             _parsed(lambda c: HealthCheck(**c).format(), c, f"report.checks[{i}]", "a check")
@@ -190,10 +189,11 @@ class PostmortemBundle:
         for i, a in enumerate(_typed(last.get("attributions", []), path, objects)):
             if a.get("staleness_age") is not None:
                 _number(a["staleness_age"], f"{path}[{i}].staleness_age")
-        for i, trace in enumerate(bundle.traces):
-            path = f"traces[{i}].events"
-            for j, event in enumerate(_typed(trace.get("events"), path, objects)):
-                _parsed(TelemetryEvent.from_dict, event, f"{path}[{j}]", "an event")
+        for table in ("rings", "traces"):
+            for i, entry in enumerate(getattr(bundle, table)):
+                path = f"{table}[{i}].events"
+                for j, event in enumerate(_typed(entry.get("events"), path, "a list")):
+                    _parsed(TelemetryEvent.from_dict, event, f"{path}[{j}]", "an event")
         return bundle
 
     def dump(self, path) -> Path:
@@ -207,9 +207,12 @@ class PostmortemBundle:
     @classmethod
     def load(cls, path) -> "PostmortemBundle":
         """Read a dumped bundle; :class:`ValueError` when it is not one
-        (``json``'s decode error is a ``ValueError`` too)."""
+        (``json``'s decode error is a ``ValueError`` too, and so is a
+        ``NaN`` or ``Infinity`` anywhere in the file)."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(
+                fh, parse_constant=lambda name: _refuse(name, "a number")
+            ))
 
     # -- convenience ----------------------------------------------------------------
     @property
@@ -378,16 +381,12 @@ class FlightRecorder:
             if self.sampler is not None
             else []
         )
-        rings: List[Dict[str, object]] = []
-        all_events: List[TelemetryEvent] = []
-        for key in self.ring_servers:
-            events = self.ring(key)
-            all_events.extend(events)
-            rings.append({
-                "server": key,
-                "events": [e.to_dict() for e in events],
-            })
-        trees = assemble_traces(all_events)
+        held = {key: self.ring(key) for key in self.ring_servers}
+        rings = [
+            {"server": key, "events": [e.to_dict() for e in events]}
+            for key, events in held.items()
+        ]
+        trees = assemble_traces([e for events in held.values() for e in events])
         overlapping = [
             t for t in trees.values()
             if any(

@@ -18,7 +18,6 @@ from repro.bench import (
     config_fingerprint,
     format_comparison,
     load_artifact,
-    resolve_scale,
     RunPlan,
     run_scenario,
     scale_settings,
@@ -60,15 +59,6 @@ class TestProfiler:
 
 
 class TestScales:
-    def test_resolve_scale_default_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        assert resolve_scale() == "quick"
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "smoke")
-        assert resolve_scale() == "smoke"
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "galactic")
-        with pytest.raises(ValueError, match="REPRO_BENCH_SCALE"):
-            resolve_scale()
-
     def test_scale_settings_ordering(self):
         smoke = scale_settings("smoke")
         quick = scale_settings("quick")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -211,6 +212,27 @@ class TestBenchCLI:
         assert art.profile["census_fingerprint"]  # always stamped
         assert "wall" not in doc
         assert art.ok
+
+    def test_run_exits_1_on_a_shape_violation(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A violated validator fails the verb, but only after every
+        artifact of the run is written."""
+        from dataclasses import replace
+
+        from repro.bench import SCENARIOS, load_artifact
+
+        monkeypatch.setitem(SCENARIOS, "fig10", replace(
+            SCENARIOS["fig10"], shape=lambda rows: ["fig10 flattened"],
+        ))
+        rc = main([
+            "bench", "run", "fig10", "overlay", "--scale", "smoke",
+            "--seed", "7", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "shape violation: fig10 flattened" in capsys.readouterr().out
+        assert not load_artifact(tmp_path / "BENCH_fig10.json").ok
+        assert load_artifact(tmp_path / "BENCH_overlay.json").ok
 
     def test_compare_clean_rerun_exits_zero(self, bench_dir, capsys):
         rc = main([
@@ -796,6 +818,16 @@ class TestPostmortemCLI:
             ("quality", {"last_report": {"attributions": [{"staleness_age": "old"}]}},
              MALFORMED + "'quality.last_report.attributions[0].staleness_age'"
              " is not a number"),
+            # a non-finite number anywhere, a retyped ring event, a window
+            # that is not a pair
+            ("triggered_at", float("nan"), MALFORMED + "'NaN' is not a number"),
+            ("window", [float("-inf"), 1.0],
+             MALFORMED + "'-Infinity' is not a number"),
+            ("rings", [{"server": 1, "events": [1, "x"]}],
+             MALFORMED + "'rings[0].events[0]' is not an event: "
+             "not an event object: int"),
+            ("window", [0.0, 1.0, 2.0],
+             MALFORMED + "'window' is not a [start, end] pair"),
         ],
         ids=["check", "report", "quality", "series", "rings", "traces",
              "series-string", "trace-event-without-ts", "ring-events-int",
@@ -803,7 +835,9 @@ class TestPostmortemCLI:
              "quality-last-report-int", "report-check-unknown-key",
              "series-without-name", "series-raw-int", "series-point-null",
              "check-value-null", "quality-snapshot-fp-list",
-             "check-value-string", "attribution-age-string"],
+             "check-value-string", "attribution-age-string",
+             "triggered-at-nan", "window-minus-infinity", "ring-event-int",
+             "window-of-three"],
     )
     def test_retyped_field_exits_2(self, key, value, reason, tmp_path, capsys):
         doc = {
@@ -817,6 +851,24 @@ class TestPostmortemCLI:
         assert main(["postmortem", str(path)]) == 2
         out = capsys.readouterr().out
         assert out == f"{path}: {reason}\n"
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("triggered_at", float("nan"), "triggered_at"),
+        ("window", [0.0, float("inf")], "window[1]"),
+        ("check", {"name": "loss", "value": float("nan"), "threshold": 0.1},
+         "check.value"),
+    ])
+    def test_non_finite_number_is_refused_by_name(self, key, value, path):
+        from repro.telemetry import PostmortemBundle
+
+        doc = {
+            "schema": 1, "reason": "manual", "triggered_at": 1.0,
+            "window": [0.0, 1.0], "check": None, "report": None,
+            "series": [], "rings": [], "traces": [], "quality": None,
+        }
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"'{re.escape(path)}' is not a number"):
+            PostmortemBundle.from_dict(doc)
 
     def test_json_output_of_manual_bundle(self, tmp_path, capsys):
         from repro.telemetry import FlightRecorder, Telemetry

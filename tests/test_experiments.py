@@ -358,6 +358,9 @@ class TestTable1:
     def test_analytical_update_rows(self):
         rows = analytical_update_rows()
         assert len(rows) == 3
+        # Equations (1)-(3) at Table I's parameters: ROADS < central < SWORD.
+        by = {r["design"]: r["update_units_per_second"] for r in rows}
+        assert by["ROADS"] < by["Central"] < by["SWORD"]
 
     def test_measured_rows_ordering(self):
         # ROADS summary storage is constant in the record count; the

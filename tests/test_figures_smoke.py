@@ -1,8 +1,10 @@
 """Smoke tests for the figure drivers not covered elsewhere.
 
-Shape assertions live in benchmarks/ (at meaningful scale); these verify
-driver mechanics — row structure, sweep handling, determinism — at tiny
-scale so the whole experiments package is exercised by `pytest tests/`.
+Shape assertions are the scenario registry's validators
+(`repro.experiments.validation`, run at quick scale by `repro bench run`);
+these verify driver mechanics — row structure, sweep handling,
+determinism — at tiny scale so the whole experiments package is
+exercised by `pytest tests/`.
 """
 
 import os

@@ -207,3 +207,29 @@ class TestConfig:
         proto.stop()
         sim.run(until=20.0)
         assert net.metrics.messages_total(MAINTENANCE) == before
+
+
+class TestEquation4Bound:
+    """Section IV, equation (4), on the quick-scale 192-server
+    federation: a level-i server receives O(k^2 * i) replicated
+    summaries per epoch, a few per second at t_s = 60 s, and heartbeats
+    are tiny next to one epoch of update traffic."""
+
+    def test_replication_and_heartbeat_load(self):
+        from repro.bench import scale_settings
+        from repro.experiments import build_roads, build_workload
+
+        s = scale_settings("quick").with_(num_nodes=192)
+        system = build_roads(s, build_workload(s, s.seed)[1], s.seed)
+        k = s.max_children
+        counts = system.overlay.per_node_message_counts()
+        for server in system.hierarchy:
+            c = counts[server.server_id]
+            assert c <= k * k * max(1, server.depth) + k, (server.server_id, c)
+        assert max(counts.values()) / 60.0 < 10
+
+        system.enable_maintenance(MaintenanceConfig(heartbeat_interval=5.0))
+        before = system.metrics.bytes_total(MAINTENANCE)
+        system.sim.run(until=system.sim.now + 60.0)
+        heartbeat_bytes = system.metrics.bytes_total(MAINTENANCE) - before
+        assert 0 < heartbeat_bytes < system.update_bytes_per_epoch() / 10

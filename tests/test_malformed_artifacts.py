@@ -4,7 +4,8 @@
 (``PostmortemBundle.load``) and ``repro bench compare``
 (``load_artifact``) each read a file a user points them at. Starting
 from a valid artifact of each kind, Hypothesis truncates it, retypes a
-field, drops a required key or appends junk; every verb must then print
+field, drops a required key or appends junk — and, in a postmortem
+bundle, puts a non-finite number anywhere; every verb must then print
 exactly one ``PATH: reason`` line and exit 2 — never a traceback, never
 a rendering of the damaged file.
 """
@@ -64,12 +65,23 @@ def _drop(doc, path):
     del doc[path[-1]]
 
 
+def _numbers(doc, path=()):
+    """The path of every number in *doc*."""
+    if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _numbers(value, path + (key,))
+
+
 class Kind:
     """One artifact kind: its valid document, its typed fields, its
-    required keys and how it is written."""
+    required keys, how it is written, and the numbers that may not be
+    made non-finite."""
 
-    def __init__(self, doc, typed, required, jsonl=False):
+    def __init__(self, doc, typed, required, jsonl=False, finite=()):
         self.doc, self.typed, self.required, self.jsonl = doc, typed, required, jsonl
+        self.finite = list(finite)
 
     def text(self, doc):
         if self.jsonl:
@@ -96,11 +108,11 @@ def kinds():
         ))
     events = [e.to_dict() for e in tel.events() if "trace_id" in e.tags][:16]
     bundle = recorder.trigger().to_dict()
-    bundle["rings"] = bundle["rings"][:2]
+    bundle["rings"] = [{**r, "events": r["events"][:4]} for r in bundle["rings"][:2]]
     bundle["traces"] = [
         {**t, "events": t["events"][:4]} for t in bundle["traces"][:2]
     ]
-    assert events and bundle["traces"]
+    assert events and bundle["traces"] and bundle["rings"][0]["events"]
 
     event_typed = [f for i, e in enumerate(events) for f in _event_fields((i,), e)]
     event_required = [(i, k) for i in range(len(events)) for k in ("ts", "name")]
@@ -114,13 +126,15 @@ def kinds():
         (("rings",), "objects"), (("traces",), "objects"),
     ]
     bundle_required = [(k,) for k in bundle]
-    for i, trace in enumerate(bundle["traces"]):
-        bundle_typed.append((("traces", i, "events"), "objects"))
-        bundle_required.append(("traces", i, "events"))
-        for j, event in enumerate(trace["events"]):
-            prefix = ("traces", i, "events", j)
-            bundle_typed.extend(_event_fields(prefix, event))
-            bundle_required.extend([prefix + ("ts",), prefix + ("name",)])
+    for table in ("rings", "traces"):
+        for i, entry in enumerate(bundle[table]):
+            bundle_typed.append(((table, i, "events"), "objects"))
+            bundle_required.append((table, i, "events"))
+            for j, event in enumerate(entry["events"]):
+                prefix = (table, i, "events", j)
+                bundle_typed.append((prefix, "dict"))
+                bundle_typed.extend(_event_fields(prefix, event))
+                bundle_required.extend([prefix + ("ts",), prefix + ("name",)])
 
     artifact = json.loads(BASELINE.read_text())
     artifact_typed = [
@@ -133,7 +147,9 @@ def kinds():
 
     return {
         "trace": Kind(events, event_typed, event_required, jsonl=True),
-        "postmortem": Kind(bundle, bundle_typed, bundle_required),
+        "postmortem": Kind(
+            bundle, bundle_typed, bundle_required, finite=_numbers(bundle)
+        ),
         "bench compare": Kind(artifact, artifact_typed, artifact_required),
     }
 
@@ -141,8 +157,12 @@ def kinds():
 def _damaged(data, kind):
     """The damaged file's text, drawn by Hypothesis."""
     doc = json.loads(json.dumps(kind.doc))
-    how = data.draw(st.sampled_from(["truncate", "retype", "drop", "append"]))
-    if how == "retype":
+    hows = ["truncate", "retype", "drop", "append"] + ["nonfinite"] * bool(kind.finite)
+    how = data.draw(st.sampled_from(hows))
+    if how == "nonfinite":
+        path = data.draw(st.sampled_from(kind.finite))
+        _set(doc, path, data.draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+    elif how == "retype":
         path, field = data.draw(st.sampled_from(kind.typed))
         _set(doc, path, data.draw(st.sampled_from(WRONG[field])))
     elif how == "drop":

@@ -274,10 +274,15 @@ class TestConcurrentBatchTrace:
         assert tel is None
         # Exact float equality: span ids come from telemetry counters,
         # never from the simulation's RNG.
-        assert [r.outcome.latency for r in bare] == [
-            r.outcome.latency for r in results
-        ]
+        def outcomes(batch):
+            return [
+                (o.latency, o.query_bytes, o.servers_contacted)
+                for o in (r.outcome for r in batch)
+            ]
+
+        assert outcomes(bare) == outcomes(results)
         assert bare_system.network.counters() == system.network.counters()
+        assert bare_system.sim.processed == system.sim.processed
 
 
 class TestRejectHops:
