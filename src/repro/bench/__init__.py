@@ -26,7 +26,6 @@ from .artifact import (
     config_fingerprint,
     git_rev,
     load_artifact,
-    validate_artifact,
     write_artifact,
 )
 from .compare import (
@@ -57,7 +56,6 @@ __all__ = [
     "config_fingerprint",
     "git_rev",
     "load_artifact",
-    "validate_artifact",
     "write_artifact",
     "ComparisonResult",
     "MetricDelta",

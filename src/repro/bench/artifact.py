@@ -25,15 +25,18 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..experiments.config import ExperimentSettings
+from ..telemetry.events import checked, parse_json
 
 #: artifact schema identifier; bump on incompatible layout changes
 SCHEMA = "roads.bench/2"
 
-_REQUIRED_KEYS = (
-    "schema", "scenario", "scale", "seed", "git_rev",
-    "config_fingerprint", "created_unix", "settings", "rows",
-    "metrics", "simulated", "shape", "profile",
-)
+#: an artifact's fields, in the order they are written (``events.checked``)
+ARTIFACT = {
+    "schema": "str", "scenario": "str", "scale": "str", "seed": "int",
+    "git_rev": "str", "config_fingerprint": "str", "created_unix": "number",
+    "settings": "dict", "rows": ["dict", ...], "metrics": {"*": "number"},
+    "simulated": "dict", "shape": {"failures": "list"}, "profile": "dict",
+}
 
 
 def config_fingerprint(settings: ExperimentSettings) -> str:
@@ -128,59 +131,25 @@ class BenchArtifact:
     def to_dict(self) -> Dict[str, object]:
         doc = asdict(self)
         # Keep provenance keys first for readable diffs.
-        return {k: doc[k] for k in _REQUIRED_KEYS}
+        return {k: doc[k] for k in ARTIFACT}
 
     @classmethod
     def from_dict(cls, doc: Dict[str, object]) -> "BenchArtifact":
-        problems = validate_artifact(doc)
-        if problems:
-            raise ValueError(
-                "invalid bench artifact: " + "; ".join(problems)
-            )
-        return cls(**{k: doc[k] for k in _REQUIRED_KEYS})
-
-
-def _is_number(value) -> bool:
-    """A JSON number: an int or float, and not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def validate_artifact(doc: Dict[str, object]) -> List[str]:
-    """Schema check; returns human-readable problems (empty = valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["artifact is not a JSON object"]
-    if doc.get("schema") != SCHEMA:
-        # Checked before the keys: for an older layout the useful
-        # message is that the file is outdated, not which keys moved.
-        return [
-            f"schema {doc.get('schema')!r} != expected {SCHEMA!r}; "
-            "regenerate the baseline"
-        ]
-    for key in _REQUIRED_KEYS:
-        if key not in doc:
-            problems.append(f"missing key {key!r}")
-    if problems:
-        return problems
-    for key, typ in (
-        ("scenario", str), ("scale", str), ("git_rev", str),
-        ("config_fingerprint", str), ("seed", int),
-        ("settings", dict), ("rows", list), ("metrics", dict),
-        ("simulated", dict), ("shape", dict), ("profile", dict),
-    ):
-        if not isinstance(doc[key], typ) or isinstance(doc[key], bool):
-            problems.append(
-                f"{key} must be {typ.__name__}, got {type(doc[key]).__name__}"
-            )
-    if not _is_number(doc["created_unix"]):
-        problems.append("created_unix must be a number")
-    if isinstance(doc["metrics"], dict):
-        bad = [k for k, v in doc["metrics"].items() if not _is_number(v)]
-        if bad:
-            problems.append(f"non-numeric metrics: {sorted(bad)[:5]}")
-    if isinstance(doc["shape"], dict) and "failures" not in doc["shape"]:
-        problems.append("shape block missing 'failures'")
-    return problems
+        """The artifact *doc* holds; one ValueError naming the field
+        otherwise. The schema is checked first: for an older layout the
+        useful message is that the file is outdated, not which keys
+        moved."""
+        try:
+            checked(doc, "dict")
+            if doc.get("schema") != SCHEMA:
+                raise ValueError(
+                    f"schema {doc.get('schema')!r} != expected {SCHEMA!r}; "
+                    "regenerate the baseline"
+                )
+            checked(doc, ARTIFACT)
+        except ValueError as exc:
+            raise ValueError(f"invalid bench artifact: {exc}") from None
+        return cls(**{k: doc[k] for k in ARTIFACT})
 
 
 def write_artifact(artifact: BenchArtifact, path) -> Path:
@@ -196,8 +165,8 @@ def write_artifact(artifact: BenchArtifact, path) -> Path:
 
 def load_artifact(path) -> BenchArtifact:
     """Load and schema-validate a ``BENCH_*.json`` artifact."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return BenchArtifact.from_dict(doc)
+    text = Path(path).read_text(encoding="utf-8")
+    return BenchArtifact.from_dict(parse_json(text))
 
 
 def stamp(

@@ -334,13 +334,14 @@ def _cmd_watch(args) -> int:
         say(sampler.format(metrics=wanted))
     else:
         say("metric,server,t,value")
-        for row in sampler.rows(rollups=False):
-            if wanted and row["metric"] not in wanted:
+        for gauge in sampler.window():
+            if wanted and gauge["name"] not in wanted:
                 continue
-            server = "" if row["server"] is None else row["server"]
-            say(f"{row['metric']},{server},{row['t']},{row['value']}")
+            server = "" if gauge["server"] is None else gauge["server"]
+            for t, value in gauge["raw"]:
+                say(f"{gauge['name']},{server},{t},{value}")
     if args.json:
-        _emit_json(list(sampler.rows()), args.json, "series rows JSON")
+        _emit_json(sampler.window(), args.json, "series JSON")
     if probe.breaches:
         say(f"SLO breaches: "
               + ", ".join(c.name for c in probe.breaches))
@@ -427,7 +428,8 @@ def _cmd_postmortem(args) -> int:
             bundle = PostmortemBundle.load(path)
             text = None if args.json else bundle.format(max_nodes=args.max_nodes)
         except ValueError as exc:
-            # Not JSON, not a current-schema bundle, or a bad trace event.
+            # Not JSON, not a current-schema bundle, or a field it lacks
+            # or mistypes (recorder.BUNDLE).
             print(f"{path}: {exc}")
             return 2
         if args.json:

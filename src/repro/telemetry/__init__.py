@@ -2,7 +2,7 @@
 
 The telemetry layer mirrors how the paper evaluates ROADS (Section V):
 per-server load attribution, per-category byte counts, and per-phase
-latency distributions. It has three cooperating pieces:
+latency distributions. Its pieces:
 
 * :class:`Telemetry` — a bounded event log plus a span API.
   ``tel.emit_span("query.execute", start, end, server=7)`` records a
@@ -20,8 +20,8 @@ latency distributions. It has three cooperating pieces:
   :func:`critical_path` latency attribution
   (:mod:`repro.telemetry.tracing`).
 * time series — :class:`SeriesSampler`, the one periodic reader of
-  federation state: gauge snapshots into bounded downsampling
-  :class:`RingSeries` rings (:mod:`repro.telemetry.series`).
+  federation state: gauge snapshots into bounded :class:`RingSeries`
+  rings (:mod:`repro.telemetry.series`).
 * health probes — :class:`HealthProbe`, an SLO judge over a sampler's
   tick, feeding :class:`HealthReport` verdicts
   (:mod:`repro.telemetry.probes`).
@@ -47,12 +47,7 @@ from .probes import HealthCheck, HealthProbe, HealthReport, HealthSLO
 from .quality import DivergenceAttribution, QualityPlane, QualityReport
 from .recorder import FlightRecorder, PostmortemBundle
 from .report import per_server_load_rows, root_load_share
-from .series import (
-    RingSeries,
-    RollupPoint,
-    SeriesSampler,
-    sparkline,
-)
+from .series import RingSeries, SeriesSampler, sparkline
 from .tracing import (
     CriticalPath,
     PATH_CATEGORIES,
@@ -91,7 +86,6 @@ __all__ = [
     "HealthCheck",
     "HealthReport",
     "RingSeries",
-    "RollupPoint",
     "SeriesSampler",
     "sparkline",
     "FlightRecorder",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Sequence
 
-from .events import TelemetryEvent, attributed_server
+from .events import TelemetryEvent, attributed_server, parse_json
 
 # -- JSON-Lines ----------------------------------------------------------------
 def write_jsonl(events: Iterable[TelemetryEvent], path) -> int:
@@ -37,7 +37,7 @@ def read_jsonl(path) -> List[TelemetryEvent]:
         for number, line in enumerate(fh, 1):
             try:
                 if line.strip():
-                    out.append(TelemetryEvent.from_dict(json.loads(line)))
+                    out.append(TelemetryEvent.from_dict(parse_json(line)))
             except ValueError as exc:
                 raise ValueError(f"line {number}: {exc}") from None
     return out

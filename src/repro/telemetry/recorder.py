@@ -11,12 +11,14 @@ evidence into a :class:`PostmortemBundle`:
 
 * the breach window's time series (from an attached
   :class:`~repro.telemetry.series.SeriesSampler`),
-* the per-server event-ring contents,
-* every assembled causal trace tree that overlaps the window,
+* the per-server event-ring contents — each event stored once: the
+  causal trace trees overlapping the window are re-assembled from them
+  (:meth:`PostmortemBundle.trace_trees`),
 * the offending :class:`HealthCheck` and full ``HealthReport``.
 
 Bundles round-trip through JSON (:meth:`PostmortemBundle.dump` /
-:meth:`PostmortemBundle.load`) and render human-readably
+:meth:`PostmortemBundle.load`, which checks every field the renderer
+reads against :data:`BUNDLE`) and render human-readably
 (:meth:`PostmortemBundle.format`) — ``repro postmortem`` is the CLI
 front end. Recording is passive: the recorder only observes events
 telemetry already records, so arming it never changes simulation outcomes.
@@ -25,64 +27,51 @@ telemetry already records, so arming it never changes simulation outcomes.
 from __future__ import annotations
 
 import json
-import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .events import TelemetryEvent, attributed_server
+from .events import EVENT, TelemetryEvent, attributed_server, checked, parse_json
 from .probes import HealthCheck
 from .series import sparkline
 from .tracing import assemble_traces
 
 #: bundle file-format version
-BUNDLE_SCHEMA = 1
+BUNDLE_SCHEMA = 2
 
 #: events retained per server ring
 RING_EVENTS = 256
 #: sim-seconds of history a bundle's series window covers
 WINDOW_SECONDS = 5.0
-#: causal trees stored per bundle (largest kept)
+#: causal trees a bundle renders (largest first)
 TREES_PER_BUNDLE = 8
 #: bundles retained in ``FlightRecorder.bundles`` (oldest evicted)
 BUNDLES_KEPT = 16
 
 
-def _parsed(parse, value, path: str, what: str):
-    """``parse(value)``, its TypeError or ValueError one naming *path*."""
-    try:
-        return parse(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"malformed postmortem bundle: {path!r} is not {what}: {exc}"
-        ) from None
-
-
-def _refuse(path: str, kind: str):
-    raise ValueError(f"malformed postmortem bundle: {path!r} is not {kind}")
-
-
-def _typed(value, path: str, kind: str = "an object"):
-    """*value* if it is *kind* — ``"an object"`` (or null), ``"a list"`` or
-    ``"a list of objects"`` — else one ValueError naming *path*."""
-    if not (
-        value is None or isinstance(value, dict) if kind == "an object"
-        else isinstance(value, list)
-        and (kind == "a list" or all(isinstance(v, dict) for v in value))
-    ):
-        _refuse(path, kind)
-    return value
-
-
-def _number(value, path: str, convert=float):
-    """``convert(value)`` of a finite JSON number (not a bool), else one
-    ValueError naming *path*."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if math.isfinite(value):
-            return convert(value)
-    _refuse(path, "a number")
+#: a ``HealthCheck.to_dict()``
+_CHECK = {"name": "str", "value": "finite", "threshold": "finite",
+          "ok": "bool", "detail": "str"}
+#: every field :meth:`PostmortemBundle.format` reads (``events.checked``)
+BUNDLE = {
+    "reason": "str",
+    "triggered_at": "finite",
+    "window": ["finite", "finite"],
+    "check": (None, _CHECK),
+    "report": (None, {"checks?": [_CHECK, ...]}),
+    "series": [{"name": "str", "raw": [["finite", "finite"], ...]}, ...],
+    "rings": [{"events": [EVENT, ...]}, ...],
+    "quality": (None, {
+        "snapshot?": {
+            f"{k}?": "finite" for k in ("precision", "recall", "fp", "fn", "audits")
+        },
+        "last_report?": (None, {"attributions?": [
+            {"staleness_age?": (None, "finite")}, ...
+        ]}),
+    }),
+}
 
 
 @dataclass
@@ -97,13 +86,10 @@ class PostmortemBundle:
     check: Optional[Dict[str, object]] = None
     #: the full :class:`HealthReport` at trigger time, as a dict
     report: Optional[Dict[str, object]] = None
-    #: per-gauge breach-window time series (raw points + rollups)
+    #: per-gauge breach-window time series (``SeriesSampler.window``)
     series: List[Dict[str, object]] = field(default_factory=list)
     #: per-server event rings: ``{"server": id|None, "events": [...]}``
     rings: List[Dict[str, object]] = field(default_factory=list)
-    #: causal trace trees overlapping the window:
-    #: ``{"trace_id": id, "events": [...]}``
-    traces: List[Dict[str, object]] = field(default_factory=list)
     #: shadow-oracle evidence at trigger time (cumulative snapshot plus
     #: the last audited query's full ``QualityReport`` with per-summary
     #: divergence attributions); None when no quality plane is armed
@@ -120,7 +106,6 @@ class PostmortemBundle:
             "report": self.report,
             "series": self.series,
             "rings": self.rings,
-            "traces": self.traces,
             "quality": self.quality,
         }
 
@@ -129,72 +114,24 @@ class PostmortemBundle:
         """Rebuild a bundle from :meth:`to_dict` output.
 
         Raises :class:`ValueError` for anything else — not an object,
-        another schema, a missing or mistyped field — so a damaged file
-        is refused with a reason instead of crashing the renderer.
+        another schema, a missing or mistyped field (:data:`BUNDLE`) —
+        so a damaged file is refused with a reason instead of crashing
+        the renderer.
         """
-        if (
-            not isinstance(d, dict) or d.get("schema") != BUNDLE_SCHEMA
-            or isinstance(d["schema"], bool)
-        ):
+        if not isinstance(d, dict) or d.get("schema") != BUNDLE_SCHEMA:
             raise ValueError(
                 f"not a schema-{BUNDLE_SCHEMA} postmortem bundle "
                 "(produce one with `repro watch --postmortem-dir`)"
             )
         try:
-            window = d["window"]
-            if not (isinstance(window, list) and len(window) == 2):
-                _refuse("window", "a [start, end] pair")
-            if not isinstance(d["reason"], str):
-                _refuse("reason", "a string")
-            bundle = cls(
-                reason=d["reason"],
-                triggered_at=_number(d["triggered_at"], "triggered_at"),
-                window_start=_number(window[0], "window[0]"),
-                window_end=_number(window[1], "window[1]"),
-                check=_typed(d["check"], "check"),
-                report=_typed(d["report"], "report"),
-                series=_typed(d["series"], "series", "a list of objects"),
-                rings=_typed(d["rings"], "rings", "a list of objects"),
-                traces=_typed(d["traces"], "traces", "a list of objects"),
-                quality=_typed(d["quality"], "quality"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed postmortem bundle: {exc!r}") from None
-        # ... and every nested field format() reads, named by its path.
-        objects = "a list of objects"
-        for key in ("value", "threshold") if bundle.check else ():
-            _number(bundle.check.get(key, 0.0), f"check.{key}")
-        checks = (bundle.report or {}).get("checks", [])
-        for i, c in enumerate(_typed(checks, "report.checks", objects)):
-            _parsed(lambda c: HealthCheck(**c).format(), c, f"report.checks[{i}]", "a check")
-        for i, series in enumerate(bundle.series):
-            if series.get("server") is not None or not series.get("raw"):
-                continue  # format() draws the federation-wide series only
-            if not isinstance(series.get("name"), str):
-                _refuse(f"series[{i}].name", "a string")
-            for j, point in enumerate(_typed(series["raw"], f"series[{i}].raw", "a list")):
-                path = f"series[{i}].raw[{j}]"
-                if not (isinstance(point, list) and len(point) == 2):
-                    _refuse(path, "a [time, value] pair")
-                _number(point[1], path)
-        quality = bundle.quality or {}
-        snapshot = _typed(quality.get("snapshot"), "quality.snapshot") or {}
-        for key, default, convert in (
-            ("precision", 1.0, float), ("recall", 1.0, float),
-            ("fp", 0, int), ("fn", 0, int), ("audits", 0, int),
-        ):
-            _number(snapshot.get(key, default), f"quality.snapshot.{key}", convert)
-        last = _typed(quality.get("last_report"), "quality.last_report") or {}
-        path = "quality.last_report.attributions"
-        for i, a in enumerate(_typed(last.get("attributions", []), path, objects)):
-            if a.get("staleness_age") is not None:
-                _number(a["staleness_age"], f"{path}[{i}].staleness_age")
-        for table in ("rings", "traces"):
-            for i, entry in enumerate(getattr(bundle, table)):
-                path = f"{table}[{i}].events"
-                for j, event in enumerate(_typed(entry.get("events"), path, "a list")):
-                    _parsed(TelemetryEvent.from_dict, event, f"{path}[{j}]", "an event")
-        return bundle
+            checked(d, BUNDLE)
+        except ValueError as exc:
+            raise ValueError(f"malformed postmortem bundle: {exc}") from None
+        return cls(
+            reason=d["reason"], triggered_at=float(d["triggered_at"]),
+            window_start=float(d["window"][0]), window_end=float(d["window"][1]),
+            **{k: d[k] for k in ("check", "report", "series", "rings", "quality")},
+        )
 
     def dump(self, path) -> Path:
         """Write the bundle as JSON; returns the path written."""
@@ -207,12 +144,10 @@ class PostmortemBundle:
     @classmethod
     def load(cls, path) -> "PostmortemBundle":
         """Read a dumped bundle; :class:`ValueError` when it is not one
-        (``json``'s decode error is a ``ValueError`` too, and so is a
-        ``NaN`` or ``Infinity`` anywhere in the file)."""
+        (not JSON, nested too deeply, a ``NaN`` or ``Infinity`` anywhere
+        in the file, or refused by :meth:`from_dict`)."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(
-                fh, parse_constant=lambda name: _refuse(name, "a number")
-            ))
+            return cls.from_dict(parse_json(fh.read(), finite=True))
 
     # -- convenience ----------------------------------------------------------------
     @property
@@ -220,12 +155,20 @@ class PostmortemBundle:
         return sum(len(r["events"]) for r in self.rings)
 
     def trace_trees(self):
-        """Re-assembled :class:`TraceTree` objects, largest first."""
-        events: List[TelemetryEvent] = []
-        for t in self.traces:
-            events.extend(TelemetryEvent.from_dict(e) for e in t["events"])
-        trees = assemble_traces(events)
-        return sorted(trees.values(), key=lambda t: (-len(t), t.trace_id))
+        """The ``TREES_PER_BUNDLE`` largest causal trees with a node in
+        the window, re-assembled from the ring events, largest first."""
+        trees = assemble_traces(
+            TelemetryEvent.from_dict(e) for r in self.rings for e in r["events"]
+        )
+        overlapping = [
+            t for t in trees.values()
+            if any(
+                n.start <= self.window_end and n.end >= self.window_start
+                for n in t.nodes.values()
+            )
+        ]
+        overlapping.sort(key=lambda t: (-len(t), t.trace_id))
+        return overlapping[:TREES_PER_BUNDLE]
 
     def format(self, *, max_nodes: int = 60, width: int = 60) -> str:
         """Human-readable postmortem: verdicts, series, causal trees."""
@@ -242,7 +185,8 @@ class PostmortemBundle:
             )
         if self.report:
             for c in self.report.get("checks", []):
-                lines.append("  " + HealthCheck(**c).format())
+                check = HealthCheck(**{k: c[k] for k in _CHECK})
+                lines.append("  " + check.format())
         shown = 0
         for s in self.series:
             if s.get("server") is not None or not s.get("raw"):
@@ -375,48 +319,22 @@ class FlightRecorder:
     ) -> PostmortemBundle:
         """Freeze the current evidence window into a bundle."""
         now = self.telemetry.now
-        window_start = now - WINDOW_SECONDS
-        series = (
-            self.sampler.window_dict(window_start, now)
-            if self.sampler is not None
-            else []
-        )
-        held = {key: self.ring(key) for key in self.ring_servers}
-        rings = [
-            {"server": key, "events": [e.to_dict() for e in events]}
-            for key, events in held.items()
-        ]
-        trees = assemble_traces([e for events in held.values() for e in events])
-        overlapping = [
-            t for t in trees.values()
-            if any(
-                n.start <= now and n.end >= window_start
-                for n in t.nodes.values()
-            )
-        ]
-        overlapping.sort(key=lambda t: (-len(t), t.trace_id))
-        traces = [
-            {
-                "trace_id": t.trace_id,
-                "events": [
-                    n.event.to_dict()
-                    for n in sorted(
-                        t.nodes.values(), key=lambda n: (n.start, n.span_id)
-                    )
-                ],
-            }
-            for t in overlapping[:TREES_PER_BUNDLE]
-        ]
         bundle = PostmortemBundle(
             reason=reason,
             triggered_at=now,
-            window_start=window_start,
+            window_start=now - WINDOW_SECONDS,
             window_end=now,
             check=check,
             report=report,
-            series=series,
-            rings=rings,
-            traces=traces,
+            series=(
+                self.sampler.window(now - WINDOW_SECONDS, now)
+                if self.sampler is not None
+                else []
+            ),
+            rings=[
+                {"server": key, "events": [e.to_dict() for e in self.ring(key)]}
+                for key in self.ring_servers
+            ],
             quality=quality,
         )
         self.bundles.append(bundle)

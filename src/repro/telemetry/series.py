@@ -5,17 +5,18 @@ whole run". Neither gives a *time-resolved* view — how queue depth,
 staleness or shed rate evolved as a run unfolded — which is exactly the
 signal replica-aware planning and fault drills consume.
 :class:`SeriesSampler` provides it: a sim-clock-driven periodic sampler
-that snapshots per-server and per-plane gauges into bounded downsampling
-ring buffers. It is the one reader of federation state: a
+that snapshots per-server and per-plane gauges into bounded ring
+buffers. It is the one reader of federation state: a
 :class:`~repro.telemetry.probes.HealthProbe` built over a sampler judges
 the tick the sampler just took ("is the federation healthy now") and
 scans nothing itself.
 
-Each gauge lives in a :class:`RingSeries`: a raw window of the most
-recent ``(t, value)`` points plus coarser :class:`RollupPoint` buckets
-(count/min/max/mean/p95 over ``ROLLUP_EVERY`` consecutive raw points),
-so a long run keeps a full-resolution recent view and a downsampled
-long-horizon one in O(RAW_WINDOW + ROLLUP_WINDOW) memory per gauge.
+Each gauge lives in a :class:`RingSeries`, its most recent
+``RAW_WINDOW`` ``(t, value)`` points: 128 s at ``watch``'s 0.25 s
+cadence, longer than any verb default, example or CI step samples (a
+longer run keeps its last 128 s). :meth:`SeriesSampler.window` is the
+one serialisation of the rings, written by ``repro watch --json`` and
+frozen into every postmortem bundle.
 
 **Zero perturbation.** Sampling only *reads* state: network counters,
 service-queue depths, the dispatcher's pending count, and the update
@@ -30,18 +31,13 @@ the tracing plane holds, asserted by
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 #: spark characters, lowest to highest
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
-#: raw points retained per gauge
+#: points retained per gauge
 RAW_WINDOW = 512
-#: raw points folded into one rollup bucket
-ROLLUP_EVERY = 16
-#: rollup buckets retained per gauge
-ROLLUP_WINDOW = 256
 
 
 def sparkline(values: Iterable[float], *, width: int = 60) -> str:
@@ -71,86 +67,18 @@ def sparkline(values: Iterable[float], *, width: int = 60) -> str:
     )
 
 
-@dataclass(frozen=True)
-class RollupPoint:
-    """One downsampled bucket of ``count`` consecutive raw samples."""
-
-    t_start: float
-    t_end: float
-    count: int
-    vmin: float
-    vmax: float
-    mean: float
-    p95: float
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "count": float(self.count),
-            "min": self.vmin,
-            "max": self.vmax,
-            "mean": self.mean,
-            "p95": self.p95,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, float]) -> "RollupPoint":
-        return cls(
-            t_start=float(d["t_start"]),
-            t_end=float(d["t_end"]),
-            count=int(d["count"]),
-            vmin=float(d["min"]),
-            vmax=float(d["max"]),
-            mean=float(d["mean"]),
-            p95=float(d["p95"]),
-        )
-
-
-def _fold(points: List[Tuple[float, float]]) -> RollupPoint:
-    values = sorted(v for _, v in points)
-    n = len(values)
-    # Nearest-rank p95 over the bucket's raw values.
-    rank = min(n - 1, max(0, int(round(0.95 * (n - 1)))))
-    return RollupPoint(
-        t_start=points[0][0],
-        t_end=points[-1][0],
-        count=n,
-        vmin=values[0],
-        vmax=values[-1],
-        mean=sum(values) / n,
-        p95=values[rank],
-    )
-
-
 class RingSeries:
-    """Bounded downsampling ring buffer for one gauge.
+    """Bounded ring of one gauge's last ``RAW_WINDOW`` ``(t, value)`` points."""
 
-    Keeps the most recent ``RAW_WINDOW`` raw ``(t, value)`` points; every
-    ``ROLLUP_EVERY`` appended points are folded into one
-    :class:`RollupPoint`, of which the most recent ``ROLLUP_WINDOW`` are
-    kept. Appends are O(1) amortised; memory is strictly bounded.
-    """
-
-    __slots__ = ("name", "server", "raw", "rollups", "_chunk", "appended")
+    __slots__ = ("name", "server", "raw")
 
     def __init__(self, name: str, *, server: Optional[int] = None):
         self.name = name
         self.server = server
         self.raw: deque = deque(maxlen=RAW_WINDOW)
-        self.rollups: deque = deque(maxlen=ROLLUP_WINDOW)
-        self._chunk: List[Tuple[float, float]] = []
-        #: total points ever appended (evicted points still count)
-        self.appended = 0
 
     def append(self, t: float, value: float) -> None:
-        point = (float(t), float(value))
-        self.raw.append(point)
-        self.appended += 1
-        self._chunk.append(point)
-        if len(self._chunk) >= ROLLUP_EVERY:
-            self.rollups.append(_fold(self._chunk))
-            self._chunk = []
+        self.raw.append((float(t), float(value)))
 
     @property
     def last(self) -> Optional[Tuple[float, float]]:
@@ -162,13 +90,6 @@ class RingSeries:
     def window(self, t_start: float, t_end: float) -> List[Tuple[float, float]]:
         """Raw points with ``t_start <= t <= t_end``, oldest first."""
         return [(t, v) for t, v in self.raw if t_start <= t <= t_end]
-
-    def rollups_in(self, t_start: float, t_end: float) -> List[RollupPoint]:
-        """Rollup buckets overlapping ``[t_start, t_end]``."""
-        return [
-            r for r in self.rollups
-            if r.t_end >= t_start and r.t_start <= t_end
-        ]
 
     def __len__(self) -> int:
         return len(self.raw)
@@ -326,57 +247,21 @@ class SeriesSampler:
             })
 
     # -- export --------------------------------------------------------------------
-    def rows(
-        self,
-        *,
-        t_start: float = float("-inf"),
-        t_end: float = float("inf"),
-        rollups: bool = True,
+    def window(
+        self, t_start: float = float("-inf"), t_end: float = float("inf")
     ) -> List[Dict[str, object]]:
-        """Flat JSON rows for every gauge within the time window.
-
-        Raw points become ``{"kind": "raw", "metric", "server", "t",
-        "value"}``; rollup buckets become ``{"kind": "rollup", ...}``
-        with the bucket statistics inline — the document
-        ``repro watch --json`` writes.
-        """
-        out: List[Dict[str, object]] = []
-        for ring in self.all_series():
-            for t, v in ring.window(t_start, t_end):
-                out.append({
-                    "kind": "raw",
-                    "metric": ring.name,
-                    "server": ring.server,
-                    "t": t,
-                    "value": v,
-                })
-            if rollups:
-                for r in ring.rollups_in(t_start, t_end):
-                    out.append({
-                        "kind": "rollup",
-                        "metric": ring.name,
-                        "server": ring.server,
-                        **r.to_dict(),
-                    })
-        return out
-
-    def window_dict(
-        self, t_start: float, t_end: float
-    ) -> List[Dict[str, object]]:
-        """Per-gauge window snapshot for a postmortem bundle."""
+        """Every gauge with points in ``[t_start, t_end]``, as
+        ``{"name", "server", "raw": [[t, value], ...]}`` — the document
+        ``repro watch --json`` writes and a postmortem bundle freezes."""
         out: List[Dict[str, object]] = []
         for ring in self.all_series():
             points = ring.window(t_start, t_end)
-            if not points and not ring.rollups_in(t_start, t_end):
-                continue
-            out.append({
-                "name": ring.name,
-                "server": ring.server,
-                "raw": [[t, v] for t, v in points],
-                "rollups": [
-                    r.to_dict() for r in ring.rollups_in(t_start, t_end)
-                ],
-            })
+            if points:
+                out.append({
+                    "name": ring.name,
+                    "server": ring.server,
+                    "raw": [[t, v] for t, v in points],
+                })
         return out
 
     def format(

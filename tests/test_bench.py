@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -22,7 +23,6 @@ from repro.bench import (
     run_scenario,
     scale_settings,
     scale_sweeps,
-    validate_artifact,
     write_artifact,
 )
 from repro.bench.scenarios import _canonical_block, _shared_block
@@ -134,14 +134,17 @@ class TestArtifactIO:
 
     def test_validate_flags_problems(self, overlay_artifact):
         doc = overlay_artifact.to_dict()
-        assert validate_artifact(doc) == []
-        bad = dict(doc)
-        del bad["metrics"]
-        assert any("metrics" in p for p in validate_artifact(bad))
-        bad = dict(doc, schema="roads.bench/999")
-        assert any("schema" in p for p in validate_artifact(bad))
-        bad = dict(doc, metrics={"sim.latency_p50": "fast"})
-        assert any("non-numeric" in p for p in validate_artifact(bad))
+        assert BenchArtifact.from_dict(doc).to_dict() == doc
+        for bad, reason in (
+            ({k: v for k, v in doc.items() if k != "metrics"},
+             "'metrics' is missing"),
+            (dict(doc, schema="roads.bench/999"), "roads.bench/999"),
+            (dict(doc, metrics={"sim.latency_p50": "fast"}),
+             "'metrics.sim.latency_p50' is not a number"),
+            (dict(doc, rows=[1]), "'rows[0]' is not an object"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                BenchArtifact.from_dict(bad)
 
     def test_load_rejects_invalid(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
@@ -151,9 +154,8 @@ class TestArtifactIO:
 
     def test_previous_schema_asks_for_regeneration(self, overlay_artifact):
         doc = dict(overlay_artifact.to_dict(), schema="roads.bench/1", wall={})
-        (problem,) = validate_artifact(doc)
-        assert "roads.bench/1" in problem
-        assert "regenerate the baseline" in problem
+        with pytest.raises(ValueError, match="roads.bench/1.*regenerate the baseline"):
+            BenchArtifact.from_dict(doc)
 
 
 class TestNoHostTime:

@@ -200,12 +200,10 @@ class TestBenchCLI:
         return out
 
     def test_run_writes_schema_valid_artifact(self, bench_dir):
-        from repro.bench import load_artifact, validate_artifact
+        from repro.bench import load_artifact
 
         path = bench_dir / "BENCH_overlay.json"
-        assert path.exists()
         doc = json.loads(path.read_text())
-        assert validate_artifact(doc) == []
         art = load_artifact(path)
         assert art.scenario == "overlay" and art.scale == "smoke"
         assert art.metrics["sim.latency_p95"] > 0
@@ -279,7 +277,7 @@ class TestBenchCLI:
             (None, "No such file"),
             ("{not json", "Expecting"),
             ('{"schema": "roads.bench/1"}', "regenerate the baseline"),
-            ('{"schema": "roads.bench/2"}', "missing key"),
+            ('{"schema": "roads.bench/2"}', "'scenario' is missing"),
         ],
     )
     def test_compare_unloadable_file_exits_2(
@@ -457,28 +455,34 @@ class TestLoadedFederationOutput:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
 
     def test_watch_json_is_pinned(self, capsys):
-        # Every ring's raw points and rollups, per-server rows included.
-        # Recorded when `watch --format jsonl` went: parsed, this document
-        # equals the rows that format's pinned output carried.
+        # Every ring's points, per-server gauges included. Re-recorded
+        # when the rollup tier went and the rows were grouped per gauge:
+        # the raw rows of the previous pin, regrouped, equal it.
         import hashlib
 
         assert main(["watch"] + self.ARGS + ["--json", "-"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "70c66ce64b016cc66010192007097fe8"
-            "af79e3f8cea8d061c155e58910f13759"
+            "f11319b29afa9c3dd327db7604767646"
+            "7fcefc26c0b2a6eafb59f9497fb9357a"
         )
 
-    def test_first_postmortem_bundle_is_pinned(self, tmp_path, capsys):
+    @pytest.fixture(scope="class")
+    def first_bundle(self, tmp_path_factory):
+        pm = tmp_path_factory.mktemp("pm")
+        assert main(["watch"] + self.ARGS + ["--postmortem-dir", str(pm)]) == 0
+        return sorted(pm.glob("postmortem_*.json"))[0]
+
+    def test_first_postmortem_bundle_is_pinned(self, first_bundle):
         # The bundle re-serialised with sorted keys, so the digest does
         # not depend on where it was written; query ids come from a
         # process-wide counter, so they depend on the tests run before.
+        # Re-recorded at schema 2: the stored trace trees (a second copy
+        # of ring events) and the series rollups are gone; the rest of
+        # the previous pin's document is this one.
         import hashlib
 
-        pm = tmp_path / "pm"
-        assert main(["watch"] + self.ARGS + ["--postmortem-dir", str(pm)]) == 0
-        capsys.readouterr()
-        first = sorted(pm.glob("postmortem_*.json"))[0]
+        first = first_bundle
         bundle = json.loads(
             first.read_text(),
             object_hook=lambda d: {k: v for k, v in d.items() if k != "query_id"},
@@ -486,9 +490,21 @@ class TestLoadedFederationOutput:
         doc = json.dumps(bundle, sort_keys=True)
         assert first.name == "postmortem_001_slo-coverage.json"
         assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == (
-            "d3cae0f559d2317d6d4ef10be7280df1"
-            "b4b2a1a99287d0a6157c8c1bc0b3c3be"
+            "5431d4600e12112d89a969f5fd8daa21"
+            "3f999b90c550a242cc531cfa557d398e"
         )
+
+    def test_first_postmortem_rendering_is_pinned(self, first_bundle, capsys):
+        # What `repro postmortem` prints for that bundle, its path masked.
+        import hashlib
+
+        capsys.readouterr()
+        assert main(["postmortem", str(first_bundle)]) == 0
+        out = capsys.readouterr().out.replace(str(first_bundle), "BUNDLE")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "daf09e817ee88b905b2b5630c27c69f8"
+            "14a1a9560b987fb9164f4702c1b0e6d7"
+        ), out
 
 
 class TestLoadVerbOptions:
@@ -629,9 +645,9 @@ class TestOutOfRangeInputs:
         )
 
     @pytest.mark.parametrize("line, reason", [
-        ('{"a": 1}', "without 'ts'"),
-        ('{"ts": "abc", "name": "x"}', "'abc'"),
-        ("[1]", "not an event object"),
+        ('{"a": 1}', "'ts' is missing"),
+        ('{"ts": "abc", "name": "x"}', "'ts' is not a number"),
+        ("[1]", "not an object"),
     ], ids=["no ts", "ts not a number", "not an object"])
     def test_malformed_trace_artifact_names_path_and_line(
         self, line, reason, tmp_path, capsys
@@ -715,11 +731,8 @@ class TestWatchCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "metric,server,t,value" in out
-        rows = json.loads(exported.read_text())
-        assert rows
-        # A 2s run folds no 16-point rollup buckets yet — raw only.
-        assert {r["kind"] for r in rows} >= {"raw"}
-        assert {"metric", "server", "t", "value"} <= set(rows[0])
+        gauges = json.loads(exported.read_text())
+        assert gauges and set(gauges[0]) == {"name", "server", "raw"}
 
     def test_lossy_run_breaches_and_dumps_postmortems(
         self, tmp_path, capsys
@@ -744,6 +757,8 @@ class TestWatchCLI:
 
 
 MALFORMED = "malformed postmortem bundle: "
+#: a failing check as ``HealthCheck.to_dict`` writes it
+CHECK = {"name": "loss", "ok": False, "value": 0.2, "threshold": 0.1, "detail": ""}
 
 
 class TestPostmortemCLI:
@@ -756,11 +771,11 @@ class TestPostmortemCLI:
         "text, reason",
         [
             ("{not json", "Expecting property name"),
-            ("[1, 2, 3]", "not a schema-1 postmortem bundle"),
-            ('{"schema": 99, "reason": "slo:loss"}',
-             "not a schema-1 postmortem bundle"),
-            ('{"schema": 1, "reason": "slo:loss", "triggered_at": 1.0}',
-             "malformed postmortem bundle: KeyError('window')"),
+            ("[1, 2, 3]", "not a schema-2 postmortem bundle"),
+            ('{"schema": 1, "reason": "slo:loss"}',
+             "not a schema-2 postmortem bundle"),
+            ('{"schema": 2, "reason": "slo:loss", "triggered_at": 1.0}',
+             "malformed postmortem bundle: 'window' is missing"),
         ],
         ids=["not-json", "not-an-object", "another-schema", "missing-key"],
     )
@@ -784,54 +799,51 @@ class TestPostmortemCLI:
             ("check", "x", MALFORMED + "'check' is not an object"),
             ("report", "x", MALFORMED + "'report' is not an object"),
             ("quality", "x", MALFORMED + "'quality' is not an object"),
-            ("series", ["x"], MALFORMED + "'series' is not a list of objects"),
-            ("rings", ["x"], MALFORMED + "'rings' is not a list of objects"),
-            ("traces", ["x"], MALFORMED + "'traces' is not a list of objects"),
-            ("series", "abc", MALFORMED + "'series' is not a list of objects"),
-            ("traces", [{"trace_id": 1, "events": [{"name": "e"}]}],
-             MALFORMED + "'traces[0].events[0]' is not an event: "
-             "event without 'ts'"),
+            ("series", ["x"], MALFORMED + "'series[0]' is not an object"),
+            ("rings", ["x"], MALFORMED + "'rings[0]' is not an object"),
+            ("series", "abc", MALFORMED + "'series' is not a list"),
+            ("rings", [{"server": 1, "events": [{"name": "e"}]}],
+             MALFORMED + "'rings[0].events[0].ts' is missing"),
             ("rings", [{"server": 1, "events": 3}],
              MALFORMED + "'rings[0].events' is not a list"),
             ("report", {"checks": 3},
-             MALFORMED + "'report.checks' is not a list of objects"),
+             MALFORMED + "'report.checks' is not a list"),
             ("quality", {"snapshot": 3},
+             MALFORMED + "'quality.snapshot' is not an object"),
+            ("quality", {"snapshot": None},
              MALFORMED + "'quality.snapshot' is not an object"),
             ("quality", {"last_report": 3},
              MALFORMED + "'quality.last_report' is not an object"),
             ("report", {"checks": [{"name": "loss", "severity": 2}]},
-             MALFORMED + "'report.checks[0]' is not a check: HealthCheck."
-             "__init__() got an unexpected keyword argument 'severity'"),
+             MALFORMED + "'report.checks[0].value' is missing"),
             # the scalars format() converts are typed too
             ("series", [{"server": None, "raw": [[0.0, 1.0]]}],
-             MALFORMED + "'series[0].name' is not a string"),
+             MALFORMED + "'series[0].name' is missing"),
             ("series", [{"name": "loss", "raw": 3}],
              MALFORMED + "'series[0].raw' is not a list"),
             ("series", [{"name": "loss", "raw": [[0.0, None]]}],
-             MALFORMED + "'series[0].raw[0]' is not a number"),
-            ("check", {"name": "loss", "value": None, "threshold": 0.1},
+             MALFORMED + "'series[0].raw[0][1]' is not a number"),
+            ("check", dict(CHECK, value=None),
              MALFORMED + "'check.value' is not a number"),
             ("quality", {"snapshot": {"fp": [1]}},
              MALFORMED + "'quality.snapshot.fp' is not a number"),
-            ("check", {"name": "loss", "value": "abc", "threshold": 0.1},
+            ("check", dict(CHECK, value="abc"),
              MALFORMED + "'check.value' is not a number"),
             ("quality", {"last_report": {"attributions": [{"staleness_age": "old"}]}},
              MALFORMED + "'quality.last_report.attributions[0].staleness_age'"
              " is not a number"),
             # a non-finite number anywhere, a retyped ring event, a window
             # that is not a pair
-            ("triggered_at", float("nan"), MALFORMED + "'NaN' is not a number"),
-            ("window", [float("-inf"), 1.0],
-             MALFORMED + "'-Infinity' is not a number"),
+            ("triggered_at", float("nan"), "'NaN' is not a number"),
+            ("window", [float("-inf"), 1.0], "'-Infinity' is not a number"),
             ("rings", [{"server": 1, "events": [1, "x"]}],
-             MALFORMED + "'rings[0].events[0]' is not an event: "
-             "not an event object: int"),
+             MALFORMED + "'rings[0].events[0]' is not an object"),
             ("window", [0.0, 1.0, 2.0],
-             MALFORMED + "'window' is not a [start, end] pair"),
+             MALFORMED + "'window' is not a list of 2"),
         ],
-        ids=["check", "report", "quality", "series", "rings", "traces",
+        ids=["check", "report", "quality", "series", "rings",
              "series-string", "trace-event-without-ts", "ring-events-int",
-             "report-checks-int", "quality-snapshot-int",
+             "report-checks-int", "quality-snapshot-int", "quality-snapshot-null",
              "quality-last-report-int", "report-check-unknown-key",
              "series-without-name", "series-raw-int", "series-point-null",
              "check-value-null", "quality-snapshot-fp-list",
@@ -841,9 +853,9 @@ class TestPostmortemCLI:
     )
     def test_retyped_field_exits_2(self, key, value, reason, tmp_path, capsys):
         doc = {
-            "schema": 1, "reason": "slo:loss", "triggered_at": 1.0,
+            "schema": 2, "reason": "slo:loss", "triggered_at": 1.0,
             "window": [0.0, 1.0], "check": None, "report": None,
-            "series": [], "rings": [], "traces": [], "quality": None,
+            "series": [], "rings": [], "quality": None,
         }
         doc[key] = value
         path = tmp_path / "postmortem_001_slo-loss.json"
@@ -855,16 +867,15 @@ class TestPostmortemCLI:
     @pytest.mark.parametrize("key, value, path", [
         ("triggered_at", float("nan"), "triggered_at"),
         ("window", [0.0, float("inf")], "window[1]"),
-        ("check", {"name": "loss", "value": float("nan"), "threshold": 0.1},
-         "check.value"),
+        ("check", dict(CHECK, value=float("nan")), "check.value"),
     ])
     def test_non_finite_number_is_refused_by_name(self, key, value, path):
         from repro.telemetry import PostmortemBundle
 
         doc = {
-            "schema": 1, "reason": "manual", "triggered_at": 1.0,
+            "schema": 2, "reason": "manual", "triggered_at": 1.0,
             "window": [0.0, 1.0], "check": None, "report": None,
-            "series": [], "rings": [], "traces": [], "quality": None,
+            "series": [], "rings": [], "quality": None,
         }
         doc[key] = value
         with pytest.raises(ValueError, match=f"'{re.escape(path)}' is not a number"):

@@ -4,14 +4,16 @@
 (``PostmortemBundle.load``) and ``repro bench compare``
 (``load_artifact``) each read a file a user points them at. Starting
 from a valid artifact of each kind, Hypothesis truncates it, retypes a
-field, drops a required key or appends junk — and, in a postmortem
-bundle, puts a non-finite number anywhere; every verb must then print
-exactly one ``PATH: reason`` line and exit 2 — never a traceback, never
-a rendering of the damaged file.
+field, drops a required key, appends junk or nests a field's value as
+many lists deep as the recursion limit (1 000 in a plain interpreter:
+a 2 KB file) — and, in a postmortem bundle, puts a non-finite number
+anywhere; every verb must then print exactly one ``PATH: reason`` line
+and exit 2 — never a traceback, never a rendering of the damaged file.
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,8 @@ WRONG = {
 JUNK_LINES = ["{", "[1]", "null", '"x"', '{"ts": 1.0}', '{"ts": NaN, "name": "x"}']
 #: text no JSON document may be followed by
 JUNK_TAILS = ["x", "{}", "[1]", ","]
+#: what a nested value is written as, then swapped for the nested lists
+NEST = "nested-lists"
 
 
 def _event_fields(prefix, event):
@@ -109,10 +113,7 @@ def kinds():
     events = [e.to_dict() for e in tel.events() if "trace_id" in e.tags][:16]
     bundle = recorder.trigger().to_dict()
     bundle["rings"] = [{**r, "events": r["events"][:4]} for r in bundle["rings"][:2]]
-    bundle["traces"] = [
-        {**t, "events": t["events"][:4]} for t in bundle["traces"][:2]
-    ]
-    assert events and bundle["traces"] and bundle["rings"][0]["events"]
+    assert events and bundle["rings"][0]["events"]
 
     event_typed = [f for i, e in enumerate(events) for f in _event_fields((i,), e)]
     event_required = [(i, k) for i in range(len(events)) for k in ("ts", "name")]
@@ -123,18 +124,17 @@ def kinds():
         (("window", 0), "number"), (("window", 1), "number"),
         (("check",), "dict-or-null"), (("report",), "dict-or-null"),
         (("quality",), "dict-or-null"), (("series",), "objects"),
-        (("rings",), "objects"), (("traces",), "objects"),
+        (("rings",), "objects"),
     ]
     bundle_required = [(k,) for k in bundle]
-    for table in ("rings", "traces"):
-        for i, entry in enumerate(bundle[table]):
-            bundle_typed.append(((table, i, "events"), "objects"))
-            bundle_required.append((table, i, "events"))
-            for j, event in enumerate(entry["events"]):
-                prefix = (table, i, "events", j)
-                bundle_typed.append((prefix, "dict"))
-                bundle_typed.extend(_event_fields(prefix, event))
-                bundle_required.extend([prefix + ("ts",), prefix + ("name",)])
+    for i, entry in enumerate(bundle["rings"]):
+        bundle_typed.append((("rings", i, "events"), "objects"))
+        bundle_required.append(("rings", i, "events"))
+        for j, event in enumerate(entry["events"]):
+            prefix = ("rings", i, "events", j)
+            bundle_typed.append((prefix, "dict"))
+            bundle_typed.extend(_event_fields(prefix, event))
+            bundle_required.extend([prefix + ("ts",), prefix + ("name",)])
 
     artifact = json.loads(BASELINE.read_text())
     artifact_typed = [
@@ -157,9 +157,11 @@ def kinds():
 def _damaged(data, kind):
     """The damaged file's text, drawn by Hypothesis."""
     doc = json.loads(json.dumps(kind.doc))
-    hows = ["truncate", "retype", "drop", "append"] + ["nonfinite"] * bool(kind.finite)
+    hows = ["truncate", "retype", "drop", "append", "nest"] + ["nonfinite"] * bool(kind.finite)
     how = data.draw(st.sampled_from(hows))
-    if how == "nonfinite":
+    if how == "nest":
+        _set(doc, data.draw(st.sampled_from(kind.typed))[0], NEST)
+    elif how == "nonfinite":
         path = data.draw(st.sampled_from(kind.finite))
         _set(doc, path, data.draw(st.sampled_from([math.nan, math.inf, -math.inf])))
     elif how == "retype":
@@ -167,7 +169,8 @@ def _damaged(data, kind):
         _set(doc, path, data.draw(st.sampled_from(WRONG[field])))
     elif how == "drop":
         _drop(doc, data.draw(st.sampled_from(kind.required)))
-    text = kind.text(doc)
+    depth = sys.getrecursionlimit()
+    text = kind.text(doc).replace(f'"{NEST}"', "[" * depth + "]" * depth)
     if how == "truncate":
         if kind.jsonl:
             # Cut inside one line's object: a proper prefix of an object

@@ -1,7 +1,7 @@
-"""Time-series metrics plane: rings, rollups, sampler, zero perturbation.
+"""Time-series metrics plane: rings, sampler, zero perturbation.
 
-The sampler snapshots per-server/per-plane gauges into bounded
-downsampling ring buffers on a sim-clock cadence. Sampling only reads
+The sampler snapshots per-server/per-plane gauges into bounded ring
+buffers on a sim-clock cadence. Sampling only reads
 state, so arming it must leave every simulated outcome byte-identical —
 the determinism tripwire this suite asserts directly.
 """
@@ -19,12 +19,11 @@ from repro.telemetry import (
     HealthProbe,
     HealthSLO,
     RingSeries,
-    RollupPoint,
     SeriesSampler,
     Telemetry,
     sparkline,
 )
-from repro.telemetry.series import RAW_WINDOW, ROLLUP_EVERY, ROLLUP_WINDOW
+from repro.telemetry.series import RAW_WINDOW
 from repro.workload import WorkloadConfig, generate_node_stores
 from repro.workload.queries import generate_queries
 
@@ -70,26 +69,11 @@ class TestSparkline:
 class TestRingSeries:
     def test_raw_window_bounded(self):
         ring = RingSeries("g")
-        n = ROLLUP_EVERY * (ROLLUP_WINDOW + 3) + 5
+        n = RAW_WINDOW * 3 + 5
         for i in range(n):
             ring.append(i * 0.1, float(i))
         assert len(ring) == RAW_WINDOW
-        assert ring.appended == n
         assert ring.last == (pytest.approx((n - 1) * 0.1), float(n - 1))
-        # Rollup ring bounded too: three folds past the window evicted.
-        assert len(ring.rollups) == ROLLUP_WINDOW
-
-    def test_rollup_statistics(self):
-        ring = RingSeries("g")
-        values = [1.0, 5.0, 3.0, 7.0] * (ROLLUP_EVERY // 4)
-        for t, v in enumerate(values):
-            ring.append(float(t), v)
-        (r,) = ring.rollups
-        assert r.count == ROLLUP_EVERY
-        assert r.vmin == 1.0 and r.vmax == 7.0
-        assert r.mean == pytest.approx(4.0)
-        assert r.p95 == 7.0
-        assert (r.t_start, r.t_end) == (0.0, float(ROLLUP_EVERY - 1))
 
     def test_window_filters_by_time(self):
         ring = RingSeries("g")
@@ -97,14 +81,6 @@ class TestRingSeries:
             ring.append(float(i), float(i))
         assert ring.window(3.0, 6.0) == [(3.0, 3.0), (4.0, 4.0),
                                          (5.0, 5.0), (6.0, 6.0)]
-        assert ring.rollups_in(0.0, 100.0) == list(ring.rollups)
-
-    def test_rollup_point_round_trip(self):
-        ring = RingSeries("g")
-        for t in range(ROLLUP_EVERY):
-            ring.append(float(t), float(t % 3))
-        (r,) = ring.rollups
-        assert RollupPoint.from_dict(r.to_dict()) == r
 
     def test_invalid_windows_rejected(self):
         with pytest.raises(ValueError, match="interval"):
@@ -143,32 +119,31 @@ class TestSampler:
         sid = system.hierarchy.root.server_id
         assert sampler.series("service.depth", sid) is not None
 
-    def test_rows_schema_and_jsonl_round_trip(self, tmp_path):
+    def test_rows_schema_and_jsonl_round_trip(self):
         system = build_system()
         system.update_plane.start()
         sampler = SeriesSampler(system, 0.25).start()
-        system.sim.run(until=system.sim.now + 0.25 * (ROLLUP_EVERY + 2))
-        rows = sampler.rows()
-        kinds = {r["kind"] for r in rows}
-        assert kinds == {"raw", "rollup"}
-        raw = next(r for r in rows if r["kind"] == "raw")
-        assert {"metric", "server", "t", "value"} <= set(raw)
-        rollup = next(r for r in rows if r["kind"] == "rollup")
-        assert {"min", "max", "mean", "p95", "count"} <= set(rollup)
-        # The rows are plain JSON: `repro watch --json` writes them as
-        # they are, and they load back equal.
-        assert json.loads(json.dumps(rows)) == rows
+        system.sim.run(until=system.sim.now + 0.25 * 18)
+        doc = sampler.window()
+        assert {"name", "server", "raw"} == set(doc[0])
+        # Every held point, once.
+        assert [g["raw"] for g in doc] == [
+            [list(p) for p in ring.raw] for ring in sampler.all_series()
+        ]
+        # Plain JSON: `repro watch --json` writes it as it is, and it
+        # loads back equal.
+        assert json.loads(json.dumps(doc)) == doc
 
-    def test_window_dict_restricts_to_breach_window(self):
+    def test_window_restricts_to_breach_window(self):
         system = build_system()
         system.update_plane.start()
         t0 = system.sim.now
         sampler = SeriesSampler(system, 0.5).start()
         system.sim.run(until=t0 + 4.0)
-        bundles = sampler.window_dict(t0 + 2.0, t0 + 3.0)
-        assert bundles
-        for b in bundles:
-            for t, _ in b["raw"]:
+        gauges = sampler.window(t0 + 2.0, t0 + 3.0)
+        assert gauges
+        for g in gauges:
+            for t, _ in g["raw"]:
                 assert t0 + 2.0 <= t <= t0 + 3.0
 
     def test_format_renders_federation_gauges(self):
