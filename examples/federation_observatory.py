@@ -84,10 +84,7 @@ def main() -> None:
 
     # 4. three-way response times ---------------------------------------------
     print("\n=== response time: ROADS vs SWORD vs central ===")
-    sword = SwordSystem(
-        SwordConfig(num_nodes=NODES, records_per_node=RECORDS, seed=SEED),
-        stores,
-    )
+    sword = SwordSystem(SwordConfig(num_nodes=NODES, seed=SEED), stores)
     central = CentralSystem(CentralConfig(num_nodes=NODES, seed=SEED), stores)
     responders = {
         "ROADS": RoadsResponder(system),

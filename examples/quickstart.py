@@ -71,10 +71,7 @@ def main() -> None:
           f"(every {system.config.summary_interval:.0f} s)")
 
     # 5. Baselines on the identical workload.
-    sword = SwordSystem(
-        SwordConfig(num_nodes=NODES, records_per_node=RECORDS, seed=SEED),
-        stores,
-    )
+    sword = SwordSystem(SwordConfig(num_nodes=NODES, seed=SEED), stores)
     central = CentralSystem(CentralConfig(num_nodes=NODES, seed=SEED), stores)
     rng = np.random.default_rng(SEED)
     window = 600.0  # 10 summary epochs / 100 record epochs

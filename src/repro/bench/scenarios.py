@@ -194,6 +194,19 @@ Driver = Callable[[ExperimentSettings, Dict[str, tuple]], Rows]
 Shape = Callable[[Rows], List[str]]
 
 
+class _Row(dict):
+    """A row whose missing column is a ``ValueError`` naming both."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int, row: Dict[str, object]):
+        super().__init__(row)
+        self.index = index
+
+    def __missing__(self, column: str):
+        raise ValueError(f"rows[{self.index}]: missing column {column!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One registered benchmark scenario."""
@@ -208,6 +221,7 @@ class Scenario:
         """The validator's failures on *rows*; no rows at all is one."""
         if self.shape is None:
             return []
+        rows = [_Row(i, r) for i, r in enumerate(rows)]
         return list(self.shape(rows)) if rows else ["no rows to judge"]
 
 

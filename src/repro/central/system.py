@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from ..net.coordinates import DelaySpace
 from ..query.query import Query
 from ..records.store import RecordStore
-from ..sim.metrics import epochs_in
+from ..sim.metrics import epochs_in, finite_positive
 from ..sim.rng import SeedSequenceFactory
 
 _RECORD_HEADER_BYTES = 16
@@ -32,8 +32,7 @@ class CentralConfig:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
-        if self.record_interval <= 0:
-            raise ValueError("record_interval must be positive")
+        finite_positive("record_interval", self.record_interval)
 
 
 @dataclass
@@ -56,7 +55,6 @@ class CentralSystem:
 
     levels = 1  # the repository is the whole "hierarchy"
 
-    #: the repository occupies one extra point in the delay space
     def __init__(self, config: CentralConfig, stores: Sequence[RecordStore]):
         if len(stores) != config.num_nodes:
             raise ValueError(
@@ -65,12 +63,12 @@ class CentralSystem:
             )
         self.config = config
         seeds = SeedSequenceFactory(config.seed)
+        # The repository is one extra point in the delay space.
         self.delay_space = DelaySpace(
             config.num_nodes + 1, seeds.generator("delay-space")
         )
         self.repository_node = config.num_nodes
         self.store = RecordStore.concat(stores)
-        self._per_owner_records = [len(s) for s in stores]
         self.record_size_bytes = (
             self.store.schema.record_size_bytes + _RECORD_HEADER_BYTES
         )
@@ -78,7 +76,7 @@ class CentralSystem:
     # -- overheads ----------------------------------------------------------------
     def export_bytes_per_epoch(self) -> int:
         """Every owner re-exports every record once per t_r epoch."""
-        return sum(self._per_owner_records) * self.record_size_bytes
+        return len(self.store) * self.record_size_bytes
 
     def update_overhead(self, window_seconds: float) -> int:
         return self.export_bytes_per_epoch() * epochs_in(

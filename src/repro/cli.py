@@ -586,15 +586,14 @@ def _cmd_bench_run(args) -> int:
 def _cmd_bench_compare(args) -> int:
     from .bench import compare_artifacts, format_comparison, load_artifact
 
-    loaded = []
-    for path in (args.current, args.baseline):
-        try:
-            loaded.append(load_artifact(path))
-        except (OSError, ValueError) as exc:
-            # Unreadable, not JSON, or not a current-schema artifact.
-            print(f"{path}: {exc}")
-            return 2
-    result = compare_artifacts(*loaded, tolerance=args.tolerance)
+    # Unreadable, not JSON, an older schema, or current rows no validator reads.
+    try:
+        baseline = load_artifact(path := args.baseline)
+        current = load_artifact(path := args.current)
+        result = compare_artifacts(current, baseline, tolerance=args.tolerance)
+    except (OSError, ValueError) as exc:
+        print(f"{path}: {exc}")
+        return 2
     print(format_comparison(result, verbose=args.verbose))
     return 0 if result.ok else 1
 

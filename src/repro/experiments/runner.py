@@ -101,7 +101,6 @@ def build_sword(
 ) -> SwordSystem:
     cfg = SwordConfig(
         num_nodes=settings.num_nodes,
-        records_per_node=settings.records_per_node,
         record_interval=settings.record_interval,
         seed=seed,
     )

@@ -26,7 +26,7 @@ from ..net.coordinates import DelaySpace
 from ..query.predicate import RangePredicate
 from ..query.query import Query
 from ..records.store import RecordStore
-from ..sim.metrics import epochs_in
+from ..sim.metrics import epochs_in, finite_positive
 from ..sim.rng import SeedSequenceFactory
 from .hashing import LocalityHash
 from .ring import ChordRouter, popcount
@@ -47,15 +47,13 @@ class SwordConfig:
     """Parameters of a simulated SWORD deployment."""
 
     num_nodes: int = 320
-    records_per_node: int = 500
     record_interval: float = 6.0  # the paper's t_r
     seed: int = 1
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
-        if self.record_interval <= 0:
-            raise ValueError("record_interval must be positive")
+        finite_positive("record_interval", self.record_interval)
 
 
 @dataclass
@@ -117,16 +115,19 @@ class SwordSystem:
         )
         self.record_size_bytes = self.schema.record_size_bytes + _RECORD_HEADER_BYTES
 
-        # Registration: ring j's (columns[j]'s) responsible server per
-        # row, then every member's rows (ascending) from one stable sort
-        # of the ring — server ids cast this narrow radix-sort.
-        self._dest: Dict[int, np.ndarray] = {}
+        # Registration: ring j's responsible server per row, counted in
+        # finger hops and dropped, then every member's rows (ascending)
+        # from one stable sort of the ring — ids cast narrow radix-sort.
+        hops = popcount(np.arange(n))
+        self._registration_hops = 0
         self._rows_by_server: Dict[int, np.ndarray] = dict.fromkeys(range(n))
         narrow = np.min_scalar_type(n - 1)
         for j in range(r):
-            self._dest[j] = self.hash.responsible(j, self.columns[j])
+            dest = self.hash.responsible(j, self.columns[j])
+            dist = (dest - self.owner_of_row) % n
+            self._registration_hops += int(hops[dist].sum())
             members = self.hash.members(j)
-            key = self._dest[j].astype(narrow)
+            key = dest.astype(narrow)
             order = np.argsort(key, kind="stable")
             ends = np.searchsorted(
                 key, members.astype(narrow), side="right", sorter=order
@@ -135,8 +136,6 @@ class SwordSystem:
             for server, hi in zip(members.tolist(), ends.tolist()):
                 self._rows_by_server[server] = order[lo:hi]
                 lo = hi
-        # Greedy finger hops per clockwise distance (< n), built once.
-        self._hops = popcount(np.arange(n))
 
     def _ring_of_attribute(self, name: str) -> int:
         try:
@@ -161,11 +160,7 @@ class SwordSystem:
         Each replica travels its full O(log n) finger path, re-transmitted
         at every hop — the SWORD update-overhead model of equation (2).
         """
-        total_hops = 0
-        for j in range(len(self.attributes)):
-            dist = (self._dest[j] - self.owner_of_row) % self.config.num_nodes
-            total_hops += int(self._hops[dist].sum())
-        return total_hops * self.record_size_bytes
+        return self._registration_hops * self.record_size_bytes
 
     def update_overhead(self, window_seconds: float) -> int:
         """Total update bytes over *window_seconds* (records refresh every t_r)."""

@@ -32,13 +32,6 @@ class MetricKey(NamedTuple):
     server: Optional[int] = None
     phase: str = ""
 
-    def labels(self) -> Dict[str, str]:
-        return {
-            "category": self.category,
-            "server": "" if self.server is None else str(self.server),
-            "phase": self.phase,
-        }
-
 
 def _key(category: str, server: Optional[int], phase: str) -> MetricKey:
     """The key a table stores; guards against accidental float ids."""

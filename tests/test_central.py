@@ -40,6 +40,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CentralConfig(record_interval=0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_record_interval_is_refused_by_name(self, interval):
+        with pytest.raises(ValueError, match="record_interval"):
+            CentralConfig(record_interval=interval)
+
 
 class TestQueries:
     def test_exact_results(self, system, workload):

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -294,6 +295,30 @@ class TestBenchCLI:
         assert rc == 2
         (line,) = capsys.readouterr().out.splitlines()
         assert line.startswith(f"{bad}: ") and reason in line
+
+    @pytest.mark.parametrize(
+        "name, column",
+        [("fig3", "roads_latency_ms"), ("load_plane", "use_overlay")],
+    )
+    def test_compare_row_missing_a_column_exits_2(
+        self, tmp_path, capsys, name, column
+    ):
+        """A row the validator cannot read is one line naming the row and
+        column, not a ``KeyError`` traceback (fig3's validator reads
+        columns through a helper, load_plane's by subscript)."""
+        baseline = (
+            Path(__file__).resolve().parents[1]
+            / "benchmarks" / "baselines" / f"BENCH_{name}.json"
+        )
+        doc = json.loads(baseline.read_text())
+        doc["rows"] = [{}]
+        bad = tmp_path / f"BENCH_{name}.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["bench", "compare", str(bad), "--baseline", str(baseline)])
+        assert rc == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{bad}: rows[0]: missing column {column!r}"
+        ]
 
     def test_bench_list(self, capsys):
         rc = main(["bench", "list"])

@@ -1,5 +1,7 @@
 """Tests for repro.sword.system (the DHT baseline)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ def workload():
 def system(workload):
     _, stores = workload
     return SwordSystem(
-        SwordConfig(num_nodes=48, records_per_node=60, seed=7), stores
+        SwordConfig(num_nodes=48, seed=7), stores
     )
 
 
@@ -39,6 +41,39 @@ class TestConstruction:
             SwordConfig(num_nodes=0)
         with pytest.raises(ValueError):
             SwordConfig(record_interval=0)
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_record_interval_is_refused_by_name(self, interval):
+        with pytest.raises(ValueError, match="record_interval"):
+            SwordConfig(record_interval=interval)
+
+    def test_index_holds_records_and_one_row_index_per_ring(self):
+        """Live memory of a built system: the attribute-major records,
+        one intp row index per ring (r·N·8 bytes), the owner column and
+        the delay space's jitter matrix — plus a fixed slack for the
+        per-server dict, the row-slice views and the finger tables. A
+        per-ring array of responsible servers would be another r·N·8."""
+        n = 64
+        stores = generate_node_stores(
+            WorkloadConfig(num_nodes=n, records_per_node=100, seed=5)
+        )
+        tracemalloc.start()
+        try:
+            built = SwordSystem(SwordConfig(num_nodes=n, seed=5), stores)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        r, rows = built.columns.shape
+        jitter = built.delay_space._jitter
+        budget = (
+            built.columns.nbytes
+            + r * rows * np.dtype(np.intp).itemsize
+            + built.owner_of_row.nbytes
+            + (0 if jitter is None else jitter.nbytes)
+        )
+        slack = 256 * 1024
+        assert r * rows * 8 > 2 * slack  # a second r·N·8 cannot hide in it
+        assert live <= budget + slack
 
     def test_every_record_stored_once_per_ring(self, system, workload):
         _, stores = workload
@@ -160,7 +195,7 @@ class TestReferenceModel:
             block[:, store.schema.numeric_position("u0")] *= 0.4
             store.write_rows(np.arange(len(store)), block)
         system = SwordSystem(
-            SwordConfig(num_nodes=64, records_per_node=12, seed=11), stores
+            SwordConfig(num_nodes=64, seed=11), stores
         )
         # the reference reads records row-major, as the stores hold them
         return cfg, system, np.concatenate([s.numeric_matrix for s in stores])
@@ -208,7 +243,8 @@ class TestReferenceModel:
         assert list(system.storage_bytes_by_server()) == list(range(64))
         for server in range(64):
             ring = server % len(system.attributes)
-            expected = np.flatnonzero(system._dest[ring] == server)
+            dest = system.hash.responsible(ring, system.columns[ring])
+            expected = np.flatnonzero(dest == server)
             rows = system.rows_stored_at(server)
             assert rows.dtype == expected.dtype
             assert np.array_equal(rows, expected)
@@ -230,6 +266,7 @@ class TestReferenceModel:
             pred = q.range_predicates()[0]
             ring = system.attributes.index(pred.attribute)
             segment = [int(s) for s in system.hash.segment(ring, pred.lo, pred.hi)]
+            dest = system.hash.responsible(ring, system.columns[ring])
             t, current, messages = 0.0, client, 0
             for nxt in system.router.path(client, segment[0]):
                 t += system.delay_space.latency(current, nxt) + 0.0005
@@ -241,7 +278,7 @@ class TestReferenceModel:
                     t += system.delay_space.latency(current, server) + 0.0005
                     messages += 1
                     current = server
-                rows = np.flatnonzero(system._dest[ring] == server)
+                rows = np.flatnonzero(dest == server)
                 mask = np.ones(rows.size, dtype=bool)
                 for p in q.predicates:
                     col = records[
@@ -266,7 +303,8 @@ class TestReferenceModel:
         _, system, _ = skewed
         hops = 0
         for ring in range(len(system.attributes)):
-            dist = (system._dest[ring] - system.owner_of_row) % 64
+            dest = system.hash.responsible(ring, system.columns[ring])
+            dist = (dest - system.owner_of_row) % 64
             hops += sum(bin(int(d)).count("1") for d in dist)
         assert system.registration_bytes_per_epoch() == (
             hops * system.record_size_bytes
